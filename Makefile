@@ -14,17 +14,20 @@ race:
 	$(GO) test -race ./...
 
 # stress hammers the parallel-engine determinism tests under the race
-# detector with repeated runs on a deterministic seed subset: the pool and
-# two-phase dispatcher edge cases, and the worker-count invariance crossing
-# with recovering-fault and corruption plans. Goroutine schedules differ on
+# detector with repeated runs on a deterministic seed subset: the worker
+# pool's edge cases, and the worker-count invariance crossing with
+# recovering-fault and corruption plans. Goroutine schedules differ on
 # every -count repetition, so 20 repetitions explore 20 interleavings of
 # the same virtual-time schedule.
 stress:
 	$(GO) test -race -count=20 ./internal/sim -run 'Pool|Task|Cancel|RunUntil|Wait|Discard|Close'
 	$(GO) test -race -count=20 ./internal/testkit -run 'TestWorkerInvarianceUnder'
 
+# vet also covers hostbench/, a separate module (its go.mod replaces
+# repro with ..) that the root ./... pattern never compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) -C hostbench vet ./...
 
 # fmt fails if any file needs reformatting (CI gate); run `gofmt -w .` to fix.
 fmt:
@@ -58,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzParseDirective$$' -fuzztime 5s
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
 	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzBytecodeRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzVMParity$$' -fuzztime 5s
 	$(GO) test ./internal/seqfile -run '^$$' -fuzz '^FuzzSeqfileReader$$' -fuzztime 5s
 
 # cover enforces statement-coverage floors on the correctness-critical

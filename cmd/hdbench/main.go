@@ -36,7 +36,6 @@ func main() {
 	variants := flag.Int("variants", 2, "distinct splits sampled per benchmark and device")
 	taskScale := flag.Float64("task-scale", 1.0, "multiplier on the paper's Table-2 task counts")
 	seed := flag.Uint64("seed", 0, "input seed (0 = default)")
-	novm := flag.Bool("novm", false, "disable the register-bytecode VM: every interpreted task walks the AST")
 	dumpBC := flag.String("dump-bytecode", "", "print the register-bytecode disassembly of a benchmark's stages (e.g. WC) and exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the simulated jobs to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
@@ -51,7 +50,6 @@ func main() {
 	threshold := flag.Float64("threshold", 0, "ns/op regression allowance as a fraction, before noise bands (0 = default 0.25)")
 	allowEnvMismatch := flag.Bool("allow-env-mismatch", false, "compare across differing Go version / CPU count with a warning instead of an error")
 	optReport := flag.Bool("opt-report", false, "print per-pass SSA optimizer statistics for the benchmark programs and exit")
-	vmReport := flag.Bool("vm-report", false, "measure every benchmark's map stage on the VM and the tree-walker and print the speedup table")
 
 	hdprof := flag.Bool("hdprof", false, "attach the wall-clock cost profiler to the experiment run and print the hot-path report")
 	profTop := flag.Int("prof-top", 15, "rows in the -hdprof hot-path table")
@@ -64,10 +62,6 @@ func main() {
 	stopProfiles, err := startPprof(*cpuProfile, *mutexProfile)
 	check(err)
 
-	if *novm {
-		benchsuite.Cfg.DisableVM = true
-	}
-
 	if *dumpBC != "" {
 		check(dumpBytecode(os.Stdout, *dumpBC))
 		check(stopProfiles())
@@ -76,12 +70,6 @@ func main() {
 
 	if *optReport {
 		check(runOptReport(os.Stdout))
-		check(stopProfiles())
-		return
-	}
-
-	if *vmReport {
-		check(runVMReport(os.Stdout, *seed+7, 32))
 		check(stopProfiles())
 		return
 	}
@@ -115,7 +103,6 @@ func main() {
 		Variants:   *variants,
 		TaskScale:  *taskScale,
 		Seed:       *seed,
-		DisableVM:  *novm,
 		Obs:        rec,
 		Prof:       prof,
 		Workers:    *workers,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -121,8 +122,8 @@ func runOptCost(w io.Writer) error {
 }
 
 // interpCost parses src fresh (optimization mutates the AST in place),
-// optimizes with the given pass mask, runs it over input on the
-// interpreter backend, and returns the counted op cost.
+// optimizes with the given pass mask, runs it over input on the bytecode
+// VM, and returns the counted op cost.
 func interpCost(name, src string, mask ir.Pass, input []byte) (int64, error) {
 	prog, err := minic.ParseAndCheckFile(name, src)
 	if err != nil {
@@ -131,13 +132,17 @@ func interpCost(name, src string, mask ir.Pass, input []byte) (int64, error) {
 	if mask != 0 {
 		ir.OptimizeSelected(prog, mask)
 	}
+	code, err := bytecode.Compile(prog)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
 	cost := &interp.CountingSink{}
 	m := interp.New(prog, interp.Options{
 		Stdin:  bytes.NewReader(input),
 		Stdout: io.Discard,
 		Cost:   cost,
 	})
-	if _, err := m.Run(); err != nil {
+	if _, err := bytecode.NewVM(m, code).Run(); err != nil {
 		return 0, fmt.Errorf("%s: %w", name, err)
 	}
 	return cost.Ops, nil

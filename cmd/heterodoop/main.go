@@ -35,7 +35,6 @@ func main() {
 	slaves := flag.Int("slaves", 8, "slave nodes in the simulated cluster")
 	blockKB := flag.Int("block-kb", 4, "scaled HDFS block size in KB")
 	seed := flag.Uint64("seed", 42, "input generator seed")
-	failRate := flag.Float64("fail", 0, "GPU task failure injection rate")
 	faultSpec := flag.String("faults", "", `fault plan, e.g. "gpurate=0.2; crash(node=1,at=0.01,restart=0.02); corrupt(task=0,attempt=0)" (see faults.Parse)`)
 	skipBad := flag.Bool("skip-bad-records", false, "drop poisoned input records instead of failing the job")
 	maxSkipped := flag.Int("max-skipped", 0, "job-wide cap on skipped bad records (0 = engine default)")
@@ -43,7 +42,6 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
-	novm := flag.Bool("novm", false, "disable the register-bytecode VM and interpret the AST (tree-walker)")
 	hdprof := flag.Bool("hdprof", false, "profile the run's wall-clock cost and print the hot-path report")
 	profTop := flag.Int("prof-top", 15, "rows in the -hdprof hot-path table")
 	profFolded := flag.String("prof-folded", "", "write -hdprof folded-stack flamegraph lines to this file")
@@ -85,7 +83,6 @@ func main() {
 	job, err := core.CompileJobProfiled(core.JobSources{
 		Name: prog.Name, Map: prog.MapSrc, Combine: prog.CombineSrc,
 		Reduce: prog.ReduceSrc, Reducers: prog.NumReducers,
-		DisableVM: *novm,
 	}, prof)
 	if err != nil {
 		fatal(err)
@@ -113,7 +110,7 @@ func main() {
 	input := b.Gen(*seed, *inputKB<<10)
 	res, err := core.Run(job, input, core.RunOptions{
 		Setup: &setup, Scheduler: scheduler, GPUs: *gpus,
-		GPUFailureRate: *failRate, Faults: plan, Seed: *seed, Obs: rec,
+		Faults: plan, Seed: *seed, Obs: rec,
 		SkipBadRecords: *skipBad, MaxSkippedRecords: *maxSkipped,
 		Profile: prof, Workers: *workers,
 	})

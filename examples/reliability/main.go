@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/mr"
 	"repro/internal/workload"
 )
@@ -44,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	faulty, err := core.Run(job, input, core.RunOptions{
-		Setup: &setup, Scheduler: mr.GPUFirst, GPUFailureRate: 0.3, Seed: 5,
+		Setup: &setup, Scheduler: mr.GPUFirst, Faults: &faults.Plan{GPUFailureRate: 0.3}, Seed: 5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -26,36 +26,27 @@ import (
 //     getRecord record grants) the charged totals equal the walker's.
 //   - Load/Store charges ride on the memory opcodes themselves.
 //
-// A function the compiler cannot prove it lowers exactly is declined and
-// marked Fallback: the VM routes its calls to the tree-walker, preserving
-// semantics (including runtime error strings) by construction.
-
-type declineError struct{ reason string }
-
-func (e *declineError) Error() string { return e.reason }
-
-func declinef(format string, args ...any) error {
-	return &declineError{reason: fmt.Sprintf(format, args...)}
-}
+// A construct the compiler cannot lower exactly is a compile error that
+// names the function.
 
 // Compile lowers every function of a semantically-analyzed program.
-// It never fails: functions that cannot be compiled exactly become
-// Fallback entries executed by the tree-walker.
-func Compile(prog *minic.Program) *Program {
+func Compile(prog *minic.Program) (*Program, error) {
 	b := newBuilder(false)
 	for _, fn := range prog.Funcs {
-		b.addFn(fn, nil, nil)
+		if err := b.addFn(fn, nil, nil); err != nil {
+			return nil, err
+		}
 	}
-	return b.finish()
+	return b.prog, nil
 }
 
 // CompileFragmentExpr compiles a kernel condition expression (the mapper
 // while-loop condition) into a single-fn fragment program returning the
 // expression value. Free symbols resolve through host-populated frame
-// slots. Returns nil when the fragment cannot be compiled exactly.
-func CompileFragmentExpr(cond minic.Expr) *Program {
+// slots.
+func CompileFragmentExpr(cond minic.Expr) (*Program, error) {
 	if cond == nil {
-		return nil
+		return nil, fmt.Errorf("bytecode: fragment has no condition")
 	}
 	ret := &minic.Return{X: cond}
 	body := &minic.Block{Stmts: []minic.Stmt{ret}}
@@ -67,16 +58,16 @@ func CompileFragmentExpr(cond minic.Expr) *Program {
 // CompileFragmentStmt compiles a kernel region statement (the mapper loop
 // body or the combiner region) into a fragment program. The statement
 // itself is charged (ExecIn charges it); only the wrapper block is not.
-func CompileFragmentStmt(region minic.Stmt) *Program {
+func CompileFragmentStmt(region minic.Stmt) (*Program, error) {
 	if region == nil {
-		return nil
+		return nil, fmt.Errorf("bytecode: fragment has no statement")
 	}
 	body := &minic.Block{Stmts: []minic.Stmt{region}}
 	skip := map[minic.Stmt]bool{body: true}
 	return compileFragment(&minic.FuncDecl{Name: "<region>", Body: body}, body, skip)
 }
 
-func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) *Program {
+func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
 	declared := map[*minic.Symbol]bool{}
 	walkFragmentStmts(body, func(s minic.Stmt) {
 		if d, ok := s.(*minic.DeclStmt); ok {
@@ -90,11 +81,10 @@ func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stm
 	demote := func(sym *minic.Symbol) bool { return !declared[sym] }
 
 	b := newBuilder(true)
-	fn := b.addFn(decl, demote, skip)
-	if fn.Fallback {
-		return nil
+	if err := b.addFn(decl, demote, skip); err != nil {
+		return nil, err
 	}
-	return b.finish()
+	return b.prog, nil
 }
 
 // walkFragmentStmts visits s and nested statements (fragment ASTs only
@@ -147,8 +137,6 @@ func newBuilder(fragment bool) *builder {
 		calleeIdx: map[Callee]int32{},
 	}
 }
-
-func (b *builder) finish() *Program { return b.prog }
 
 func (b *builder) constant(v interp.Value) int32 {
 	if i, ok := b.constIdx[v]; ok {
@@ -218,13 +206,13 @@ func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 	if d.Type != nil && d.Type.Kind == minic.TypeArray {
 		n, elem = interp.FlattenArray(d.Type)
 		if n < 0 {
-			// The walker raises this at declaration execution; declining
-			// routes the whole function there for the identical error.
-			return 0, declinef("array %q has unspecified length", d.Name)
+			// The walker raises this only if the declaration executes;
+			// the compiler rejects the whole function up front.
+			return 0, fmt.Errorf("array %q has unspecified length", d.Name)
 		}
 	}
 	if elem == nil {
-		return 0, declinef("declarator %q has no type", d.Name)
+		return 0, fmt.Errorf("declarator %q has no type", d.Name)
 	}
 	i := int32(len(b.prog.Allocs))
 	b.prog.Allocs = append(b.prog.Allocs, AllocSpec{Sym: d.Sym, Elem: elem, N: int32(n), Name: d.Name})
@@ -232,16 +220,16 @@ func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 	return i, nil
 }
 
-func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) *Fn {
+func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) error {
 	fn, err := b.compileFn(decl, demote, skip)
 	if err != nil {
-		fn = &Fn{Name: decl.Name, Decl: decl, Ret: decl.Ret, Fallback: true, Why: err.Error()}
+		return fmt.Errorf("bytecode: cannot lower function %q: %w", decl.Name, err)
 	}
 	b.prog.Fns = append(b.prog.Fns, fn)
 	if decl.Name == "main" {
 		b.prog.Main = len(b.prog.Fns) - 1
 	}
-	return fn
+	return nil
 }
 
 // fnBuilder carries the state of one function's lowering.
@@ -288,15 +276,7 @@ type regionFrame struct {
 	jmpPC     int // select: jmp after the then-arm, patched to region end
 }
 
-func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) (fn *Fn, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// IR shapes this compiler does not model decline to the
-			// walker rather than crash the host.
-			fn, err = nil, declinef("panic: %v", r)
-		}
-	}()
-
+func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) (*Fn, error) {
 	f := ir.BuildFragment(decl, demote)
 	addLValueUses(f)
 	plan := ir.AllocateRegisters(f)
@@ -328,7 +308,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		fb.skip[decl.Body] = true
 	}
 
-	fn = &Fn{
+	fn := &Fn{
 		Name:    decl.Name,
 		Decl:    decl,
 		Ret:     decl.Ret,
@@ -358,7 +338,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 	for _, p := range fb.patches {
 		pc, ok := fb.blockPC[p.target]
 		if !ok {
-			return nil, declinef("jump to unemitted block")
+			return nil, fmt.Errorf("jump to unemitted block")
 		}
 		switch p.operand {
 		case 0:
@@ -376,7 +356,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 			continue
 		}
 		if !b.prog.Fragment {
-			return nil, declinef("unbound object slot for %q", sym.Name)
+			return nil, fmt.Errorf("unbound object slot for %q", sym.Name)
 		}
 		b.prog.Free = append(b.prog.Free, FreeRef{Sym: sym, Slot: fb.slotOf[sym]})
 	}
@@ -518,13 +498,13 @@ func (fb *fnBuilder) reg(in *ir.Instr) (int32, error) {
 	switch in.Op {
 	case ir.OpStore, ir.OpPhi, ir.OpDeclZero, ir.OpParam:
 		if in.Var == nil {
-			return 0, declinef("definition without variable")
+			return 0, fmt.Errorf("definition without variable")
 		}
 		return int32(fb.plan.VarReg(in.Var)), nil
 	}
 	r, ok := fb.plan.TempReg(in)
 	if !ok {
-		return 0, declinef("instruction without register")
+		return 0, fmt.Errorf("instruction without register")
 	}
 	return int32(r), nil
 }
@@ -533,7 +513,7 @@ func (fb *fnBuilder) reg(in *ir.Instr) (int32, error) {
 func (fb *fnBuilder) exprReg(e minic.Expr) (int32, error) {
 	in, ok := fb.f.ExprInstr[e]
 	if !ok {
-		return 0, declinef("expression %T not lowered", e)
+		return 0, fmt.Errorf("expression %T not lowered", e)
 	}
 	return fb.reg(in)
 }
@@ -554,7 +534,7 @@ func (fb *fnBuilder) slot(sym *minic.Symbol) int32 {
 // like the walker's frame-before-globals lookup order.
 func (fb *fnBuilder) objRef(sym *minic.Symbol) (int32, error) {
 	if sym == nil {
-		return 0, declinef("unresolved identifier")
+		return 0, fmt.Errorf("unresolved identifier")
 	}
 	if sym.Global && !fb.b.prog.Fragment {
 		return fb.b.sym(sym), nil
@@ -573,25 +553,25 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 	for _, in := range blk.Instrs {
 		switch in.Op {
 		case ir.OpLogic:
-			li, ok := idxOf[in.Args[0]]
+			li, ok := idxOf[in.Ends[0]]
 			if !ok {
-				return declinef("short-circuit operand outside block")
+				return fmt.Errorf("short-circuit operand outside block")
 			}
 			if openAt[li+1] != nil || switchAt[li+1] != nil {
-				return declinef("conditional region collision")
+				return fmt.Errorf("conditional region collision")
 			}
 			openAt[li+1] = in
 		case ir.OpSelect:
-			ci, ok := idxOf[in.Args[0]]
+			ci, ok := idxOf[in.Ends[0]]
 			if !ok {
-				return declinef("select condition outside block")
+				return fmt.Errorf("select condition outside block")
 			}
-			ti, ok := idxOf[in.Args[1]]
+			ti, ok := idxOf[in.Ends[1]]
 			if !ok {
-				return declinef("select arm outside block")
+				return fmt.Errorf("select arm outside block")
 			}
 			if openAt[ci+1] != nil || switchAt[ci+1] != nil || openAt[ti+1] != nil || switchAt[ti+1] != nil {
-				return declinef("conditional region collision")
+				return fmt.Errorf("conditional region collision")
 			}
 			openAt[ci+1] = in
 			switchAt[ti+1] = in
@@ -638,7 +618,7 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 		si++
 	}
 	if len(fb.regions) != 0 {
-		return declinef("unclosed conditional region")
+		return fmt.Errorf("unclosed conditional region")
 	}
 	return fb.emitTerminator(blk)
 }
@@ -678,7 +658,7 @@ func (fb *fnBuilder) stmtEntry(st minic.Stmt) error {
 
 func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 	if dc.Sym == nil {
-		return declinef("declarator %q unresolved", dc.Name)
+		return fmt.Errorf("declarator %q unresolved", dc.Name)
 	}
 	spec, err := fb.b.alloc(dc)
 	if err != nil {
@@ -690,7 +670,7 @@ func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 	}
 	if ref >= 0 {
 		// Global declarations execute in initGlobals on the walker.
-		return declinef("allocation of global %q", dc.Name)
+		return fmt.Errorf("allocation of global %q", dc.Name)
 	}
 	fb.bound[dc.Sym] = true
 	fb.emit(OpAlloc, -ref-1, spec, initReg, 0)
@@ -723,7 +703,7 @@ func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 		fb.code[pc].B = int32(pc + 1)
 		fb.regions = append(fb.regions, regionFrame{in: ev, brPC: pc, brOperand: 2, jmpPC: -1})
 	default:
-		return declinef("unexpected region opener")
+		return fmt.Errorf("unexpected region opener")
 	}
 	return nil
 }
@@ -731,7 +711,7 @@ func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 func (fb *fnBuilder) selectSwitch(ev *ir.Instr) error {
 	n := len(fb.regions)
 	if n == 0 || fb.regions[n-1].in != ev {
-		return declinef("mismatched select region")
+		return fmt.Errorf("mismatched select region")
 	}
 	fb.flush() // then-arm charges stay inside the then path
 	dst, err := fb.reg(ev)
@@ -751,7 +731,7 @@ func (fb *fnBuilder) selectSwitch(ev *ir.Instr) error {
 func (fb *fnBuilder) closeRegion(in *ir.Instr) error {
 	n := len(fb.regions)
 	if n == 0 || fb.regions[n-1].in != in {
-		return declinef("mismatched region close")
+		return fmt.Errorf("mismatched region close")
 	}
 	fr := fb.regions[n-1]
 	fb.regions = fb.regions[:n-1]
@@ -782,7 +762,7 @@ func (fb *fnBuilder) closeRegion(in *ir.Instr) error {
 		fb.code[jend].A = int32(len(fb.code))
 	case ir.OpSelect:
 		if fr.jmpPC < 0 {
-			return declinef("select region missing arm switch")
+			return fmt.Errorf("select region missing arm switch")
 		}
 		f, err := fb.reg(in.Args[2])
 		if err != nil {
@@ -798,7 +778,7 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 	switch {
 	case blk.Cond != nil:
 		if len(blk.Succs) != 2 {
-			return declinef("conditional block without two successors")
+			return fmt.Errorf("conditional block without two successors")
 		}
 		c, err := fb.reg(blk.Cond)
 		if err != nil {
@@ -836,7 +816,7 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 		fb.flush()
 		fb.emit(OpRetZ, 0, 0, 0, 0)
 	default:
-		return declinef("unexpected block shape")
+		return fmt.Errorf("unexpected block shape")
 	}
 	return nil
 }
@@ -872,7 +852,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 			return err
 		}
 		if in.Var == nil {
-			return declinef("load without variable")
+			return fmt.Errorf("load without variable")
 		}
 		fb.emit(OpLoadV, dst, int32(fb.plan.VarReg(in.Var)), fb.b.sym(in.Var.Sym), 0)
 	case ir.OpStore:
@@ -906,7 +886,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 	case ir.OpEffect:
 		return fb.emitEffect(in)
 	default:
-		return declinef("unhandled IR op")
+		return fmt.Errorf("unhandled IR op")
 	}
 	return nil
 }
@@ -935,7 +915,7 @@ func (fb *fnBuilder) emitUnary(in *ir.Instr) error {
 	case "~":
 		fb.emit(OpBnot, dst, src, 0, 0)
 	default:
-		return declinef("unhandled unary %q", in.OpStr)
+		return fmt.Errorf("unhandled unary %q", in.OpStr)
 	}
 	return nil
 }
@@ -1066,7 +1046,7 @@ func typedBinOp(op string, lt, rt *minic.Type) Op {
 func (fb *fnBuilder) emitCall(in *ir.Instr) error {
 	call, ok := in.Expr.(*minic.Call)
 	if !ok {
-		return declinef("call without AST anchor")
+		return fmt.Errorf("call without AST anchor")
 	}
 	dst, err := fb.reg(in)
 	if err != nil {
@@ -1110,7 +1090,7 @@ func (fb *fnBuilder) emitLoadMem(in *ir.Instr) error {
 		case "&":
 			return fb.emitAddr(dst, x.X)
 		default:
-			return declinef("unhandled lvalue unary %q", x.Op)
+			return fmt.Errorf("unhandled lvalue unary %q", x.Op)
 		}
 	case *minic.Index:
 		idx, err := fb.reg(in.Args[0])
@@ -1129,7 +1109,7 @@ func (fb *fnBuilder) emitLoadMem(in *ir.Instr) error {
 		}
 		fb.emit(OpLoadP, dst, dst, 0, 0)
 	default:
-		return declinef("unhandled memory expression %T", in.Expr)
+		return fmt.Errorf("unhandled memory expression %T", in.Expr)
 	}
 	return nil
 }
@@ -1185,7 +1165,7 @@ func (fb *fnBuilder) emitAddr(dst int32, lv minic.Expr) error {
 		fb.setPos(pc, t.Pos)
 	case *minic.Unary:
 		if t.Op != "*" {
-			return declinef("expression is not an lvalue")
+			return fmt.Errorf("expression is not an lvalue")
 		}
 		p, err := fb.exprReg(t.X)
 		if err != nil {
@@ -1194,7 +1174,7 @@ func (fb *fnBuilder) emitAddr(dst int32, lv minic.Expr) error {
 		pc := fb.emit(OpChkP, dst, p, 0, 0)
 		fb.setPos(pc, t.Pos)
 	default:
-		return declinef("expression %T is not an lvalue", lv)
+		return fmt.Errorf("expression %T is not an lvalue", lv)
 	}
 	return nil
 }
@@ -1218,7 +1198,7 @@ func (fb *fnBuilder) emitEffect(in *ir.Instr) error {
 	case *minic.Postfix:
 		return fb.emitUntrackedIncDec(in, x.X, x.Op, true)
 	}
-	return declinef("unhandled effect")
+	return fmt.Errorf("unhandled effect")
 }
 
 func (fb *fnBuilder) emitUntrackedAssign(in *ir.Instr, x *minic.Assign) error {

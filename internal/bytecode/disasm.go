@@ -22,10 +22,6 @@ func Disassemble(p *Program) string {
 
 func disasmFn(b *strings.Builder, p *Program, fn *Fn) {
 	fmt.Fprintf(b, "fn %s (regs=%d slots=%d params=%d)\n", fn.Name, fn.NumRegs, fn.NumObjSlots, len(fn.Params))
-	if fn.Fallback {
-		fmt.Fprintf(b, "  fallback: %s\n", fn.Why)
-		return
-	}
 	for _, prm := range fn.Params {
 		if prm.Reg >= 0 {
 			fmt.Fprintf(b, "  param %s -> r%d\n", prm.Sym.Name, prm.Reg)

@@ -38,7 +38,10 @@ int main() {
 	if err != nil {
 		tb.Fatalf("parse: %v", err)
 	}
-	p := bytecode.Compile(prog)
+	p, err := bytecode.Compile(prog)
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
+	}
 	return p.Fns[p.Main].Code
 }
 

@@ -1,13 +1,14 @@
 // Package bytecode compiles MiniC (via the internal/ir SSA form) into a
 // register-based bytecode and executes it on a tight switch-dispatch VM.
 //
-// The VM is the default execution core for all three backends (sequential
-// interpreter, streaming CPU path, GPU kernel executor). It is an exact
-// drop-in for the tree-walking interpreter: output bytes, cost-model
-// totals (ops/loads/stores per memory space), statement step counts, and
-// error strings all match, because goldens for simulated time and
-// deterministic GPU scheduling were recorded against the walker. The
-// walker remains available (-novm) as the differential oracle.
+// The VM is the execution core of every MiniC stage on all three backends
+// (sequential interpreter, streaming CPU path, GPU kernel executor). It is
+// an exact drop-in for the tree-walking interpreter: output bytes,
+// cost-model totals (ops/loads/stores per memory space), statement step
+// counts, and error strings all match, because goldens for simulated time
+// and deterministic GPU scheduling were recorded against the walker. The
+// walker remains the differential oracle in tests, and runs the program
+// functions a kernel fragment calls (see VM.resolve).
 //
 // Everything stateful — object memory, globals, string literals, the
 // builtin table, cost charging, the step budget — stays in an
@@ -225,8 +226,7 @@ type FreeRef struct {
 	Slot int32
 }
 
-// Fn is one compiled function. A Fallback fn has no code; calls route to
-// the tree-walker via Decl.
+// Fn is one compiled function.
 type Fn struct {
 	Name        string
 	Decl        *minic.FuncDecl
@@ -237,10 +237,7 @@ type Fn struct {
 	Code        []Instr
 	// Pos parallels Code; the source position for trap error messages
 	// (zero when the instruction cannot trap).
-	Pos      []minic.Pos
-	Fallback bool
-	// Why records the decline reason for a Fallback fn (diagnostics only).
-	Why string
+	Pos []minic.Pos
 }
 
 // Program is a compiled translation unit (or a single kernel fragment)

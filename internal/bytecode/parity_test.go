@@ -10,88 +10,89 @@ import (
 	"repro/internal/minic"
 )
 
-// runWalker executes src on the tree-walker.
-func runWalker(t *testing.T, src, stdin string, maxSteps int64) (out string, code int, err error, sink interp.CountingSink, steps int64) {
-	t.Helper()
-	prog, perr := minic.ParseAndCheck(src)
-	if perr != nil {
-		t.Fatalf("parse: %v", perr)
-	}
+// coreRun is everything one execution exposes.
+type coreRun struct {
+	out   string
+	code  int
+	err   string
+	steps int64
+	cost  interp.CountingSink
+}
+
+// runCore executes prog on the tree-walker (code == nil) or on the VM.
+func runCore(prog *minic.Program, code *Program, stdin string, maxSteps int64) coreRun {
+	var r coreRun
 	var buf bytes.Buffer
 	m := interp.New(prog, interp.Options{
 		Stdin:    strings.NewReader(stdin),
 		Stdout:   &buf,
-		Cost:     &sink,
+		Cost:     &r.cost,
 		MaxSteps: maxSteps,
 	})
-	code, err = m.Run()
-	return buf.String(), code, err, sink, m.Steps()
+	var err error
+	if code == nil {
+		r.code, err = m.Run()
+	} else {
+		r.code, err = NewVM(m, code).Run()
+	}
+	if err != nil {
+		r.err = err.Error()
+	}
+	r.out, r.steps = buf.String(), m.Steps()
+	return r
 }
 
-// runVM compiles src to bytecode and executes it on the VM.
-func runVM(t *testing.T, src, stdin string, maxSteps int64) (out string, code int, err error, sink interp.CountingSink, steps int64, prog *Program) {
+// compareRuns asserts the parity contract between a walker run and a VM
+// run: identical output, exit status, and error text, plus identical step
+// counts and cost totals when neither errored (charge batching may differ
+// at an abort point).
+func compareRuns(t *testing.T, walker, vm coreRun) {
 	t.Helper()
-	mp, perr := minic.ParseAndCheck(src)
-	if perr != nil {
-		t.Fatalf("parse: %v", perr)
+	if walker.out != vm.out {
+		t.Fatalf("output mismatch:\nwalker: %q\nvm:     %q", walker.out, vm.out)
 	}
-	prog = Compile(mp)
-	var buf bytes.Buffer
-	m := interp.New(mp, interp.Options{
-		Stdin:    strings.NewReader(stdin),
-		Stdout:   &buf,
-		Cost:     &sink,
-		MaxSteps: maxSteps,
-	})
-	vm := NewVM(m, prog)
-	code, err = vm.Run()
-	return buf.String(), code, err, sink, m.Steps(), prog
-}
-
-// checkParity asserts byte-identical output, exit status, error text, and
-// exact cost/step totals between walker and VM, and that no function fell
-// back to the tree-walker.
-func checkParity(t *testing.T, src string) {
-	t.Helper()
-	checkParityIO(t, src, "", true)
-}
-
-func checkParityIO(t *testing.T, src, stdin string, wantCompiled bool) {
-	t.Helper()
-	wOut, wCode, wErr, wSink, wSteps := runWalker(t, src, stdin, 0)
-	vOut, vCode, vErr, vSink, vSteps, prog := runVM(t, src, stdin, 0)
-
-	if wantCompiled {
-		for _, fn := range prog.Fns {
-			if fn.Fallback {
-				t.Errorf("function %s fell back to the walker: %s", fn.Name, fn.Why)
-			}
-		}
+	if walker.code != vm.code || walker.err != vm.err {
+		t.Fatalf("outcome mismatch:\nwalker: exit %d, error %q\nvm:     exit %d, error %q", walker.code, walker.err, vm.code, vm.err)
 	}
-	if wOut != vOut {
-		t.Fatalf("output mismatch:\nwalker: %q\nvm:     %q", wOut, vOut)
-	}
-	if wCode != vCode {
-		t.Fatalf("exit code mismatch: walker %d, vm %d", wCode, vCode)
-	}
-	if (wErr == nil) != (vErr == nil) || (wErr != nil && wErr.Error() != vErr.Error()) {
-		t.Fatalf("error mismatch:\nwalker: %v\nvm:     %v", wErr, vErr)
-	}
-	if wErr != nil {
-		// Erroring runs only guarantee identical observable output and
-		// error text (charge batching may differ at the abort point).
+	if walker.err != "" {
 		return
 	}
-	if wSteps != vSteps {
-		t.Fatalf("step count mismatch: walker %d, vm %d", wSteps, vSteps)
-	}
-	if wSink != vSink {
-		t.Fatalf("cost totals mismatch:\nwalker: %+v\nvm:     %+v", wSink, vSink)
+	if walker.steps != vm.steps || walker.cost != vm.cost {
+		t.Fatalf("cost mismatch:\nwalker: %d steps, %+v\nvm:     %d steps, %+v", walker.steps, walker.cost, vm.steps, vm.cost)
 	}
 }
 
-func TestParityArithmetic(t *testing.T) {
-	checkParity(t, `
+// compileSrc parses and checks src, optionally optimizes it, and lowers it
+// to bytecode.
+func compileSrc(t *testing.T, src string, optimize bool) (*minic.Program, *Program) {
+	t.Helper()
+	prog, err := minic.ParseAndCheck(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if optimize {
+		ir.OptimizeProgram(prog)
+	}
+	code, err := Compile(prog)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return prog, code
+}
+
+// checkParity asserts the parity contract on src with empty stdin.
+func checkParity(t *testing.T, src string) {
+	t.Helper()
+	checkParityIO(t, src, "")
+}
+
+func checkParityIO(t *testing.T, src, stdin string) {
+	t.Helper()
+	prog, code := compileSrc(t, src, false)
+	compareRuns(t, runCore(prog, nil, stdin, 0), runCore(prog, code, stdin, 0))
+}
+
+const arithmeticSrc = `
 int main() {
 	int a = 6;
 	int b = 7;
@@ -105,11 +106,13 @@ int main() {
 	printf("%d %d\n", big >> 38, -a);
 	printf("%d %d %d\n", !a, !0, ~a);
 	return c;
-}`)
+}`
+
+func TestParityArithmetic(t *testing.T) {
+	checkParity(t, arithmeticSrc)
 }
 
-func TestParityFloats(t *testing.T) {
-	checkParity(t, `
+const floatsSrc = `
 int main() {
 	double x = 1.5;
 	double y = 2.25;
@@ -121,11 +124,13 @@ int main() {
 	int i = 3;
 	printf("%f\n", x + i);
 	return 0;
-}`)
+}`
+
+func TestParityFloats(t *testing.T) {
+	checkParity(t, floatsSrc)
 }
 
-func TestParityControlFlow(t *testing.T) {
-	checkParity(t, `
+const controlFlowSrc = `
 int main() {
 	int sum = 0;
 	int i;
@@ -146,11 +151,13 @@ int main() {
 	}
 	printf("%d %d %d\n", sum, i, j);
 	return 0;
-}`)
+}`
+
+func TestParityControlFlow(t *testing.T) {
+	checkParity(t, controlFlowSrc)
 }
 
-func TestParityShortCircuit(t *testing.T) {
-	checkParity(t, `
+const shortCircuitSrc = `
 int noisy(int v) {
 	printf("eval %d\n", v);
 	return v;
@@ -165,11 +172,44 @@ int main() {
 	int f = a ? noisy(9) : noisy(10);
 	printf("%d %d\n", e, f);
 	return 0;
-}`)
+}`
+
+func TestParityShortCircuit(t *testing.T) {
+	checkParity(t, shortCircuitSrc)
 }
 
-func TestParityCallsAndRecursion(t *testing.T) {
-	checkParity(t, `
+// assignInConditionalSrc puts assignments and increments where a
+// conditional region starts or switches arms: an assignment's value is
+// its right-hand side, but its store comes after, and must run before the
+// region branches.
+const assignInConditionalSrc = `
+int main() {
+	int a = 1;
+	int b = 2;
+	int c = a ? (b = 3) : (a = 4);
+	printf("%d %d %d\n", a, b, c);
+	int z = 0;
+	int d = (b = z) ? 1 : 2;
+	printf("%d %d\n", b, d);
+	int e = (b = z) && 1;
+	int f = (a = z + 1) || 0;
+	printf("%d %d %d %d\n", a, b, e, f);
+	int k = 5;
+	int g = (k++) ? k : 0;
+	printf("%d %d\n", k, g);
+	int arr[2];
+	arr[0] = 5;
+	int h = (arr[0] = 0) && 1;
+	int m = 1 ? (arr[1] = 7) : 2;
+	printf("%d %d %d %d\n", arr[0], arr[1], h, m);
+	return 0;
+}`
+
+func TestParityAssignInConditional(t *testing.T) {
+	checkParity(t, assignInConditionalSrc)
+}
+
+const callsAndRecursionSrc = `
 int fib(int n) {
 	if (n < 2)
 		return n;
@@ -179,11 +219,13 @@ int twice(int x) { return x + x; }
 int main() {
 	printf("%d %d\n", fib(12), twice(fib(5)));
 	return 0;
-}`)
+}`
+
+func TestParityCallsAndRecursion(t *testing.T) {
+	checkParity(t, callsAndRecursionSrc)
 }
 
-func TestParityArraysAndPointers(t *testing.T) {
-	checkParity(t, `
+const arraysAndPointersSrc = `
 int g[4];
 int sumArr(int *p, int n) {
 	int s = 0;
@@ -210,11 +252,13 @@ int main() {
 	m[2][3] = m[1][2] + 1;
 	printf("%d %d\n", m[1][2], m[2][3]);
 	return 0;
-}`)
+}`
+
+func TestParityArraysAndPointers(t *testing.T) {
+	checkParity(t, arraysAndPointersSrc)
 }
 
-func TestParityGlobalsAndStrings(t *testing.T) {
-	checkParity(t, `
+const globalsAndStringsSrc = `
 int counter = 3;
 double scale = 1.5;
 char *msg;
@@ -227,13 +271,13 @@ int main() {
 	printf("%s %d %d %f\n", msg, bump(), bump(), scale);
 	printf("%c\n", msg[1]);
 	return counter;
-}`)
+}`
+
+func TestParityGlobalsAndStrings(t *testing.T) {
+	checkParity(t, globalsAndStringsSrc)
 }
 
-func TestParityUntrackedLocals(t *testing.T) {
-	// Address-taken locals are demoted to objects; ++/-- and compound
-	// assignment on them take the opaque-effect path.
-	checkParity(t, `
+const untrackedLocalsSrc = `
 int main() {
 	int x = 5;
 	int *px = &x;
@@ -253,11 +297,15 @@ int main() {
 	buf[1] = buf[0] + 1;
 	printf("%c%c\n", buf[0], buf[1]);
 	return 0;
-}`)
+}`
+
+func TestParityUntrackedLocals(t *testing.T) {
+	// Address-taken locals are demoted to objects; ++/-- and compound
+	// assignment on them take the opaque-effect path.
+	checkParity(t, untrackedLocalsSrc)
 }
 
-func TestParityConversions(t *testing.T) {
-	checkParity(t, `
+const conversionsSrc = `
 int main() {
 	char c = 300;
 	int i = 1073741824;
@@ -270,11 +318,13 @@ int main() {
 	char t2 = (char)(65.5);
 	printf("%d %d\n", t, t2);
 	return 0;
-}`)
+}`
+
+func TestParityConversions(t *testing.T) {
+	checkParity(t, conversionsSrc)
 }
 
-func TestParityExit(t *testing.T) {
-	checkParity(t, `
+const exitSrc = `
 int helper() {
 	printf("before\n");
 	exit(7);
@@ -285,11 +335,13 @@ int main() {
 	helper();
 	printf("unreached\n");
 	return 0;
-}`)
+}`
+
+func TestParityExit(t *testing.T) {
+	checkParity(t, exitSrc)
 }
 
-func TestParityStdinRecords(t *testing.T) {
-	checkParityIO(t, `
+const stdinRecordsSrc = `
 int main() {
 	char line[256];
 	int total = 0;
@@ -298,12 +350,14 @@ int main() {
 	}
 	printf("%d\n", total);
 	return 0;
-}`, "5\n10\n27\n", false)
+}`
+
+func TestParityStdinRecords(t *testing.T) {
+	checkParityIO(t, stdinRecordsSrc, "5\n10\n27\n")
 }
 
-func TestParityRuntimeErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"div-zero", `
+var runtimeErrorCases = []struct{ name, src string }{
+	{"div-zero", `
 int main() {
 	int z = 0;
 	printf("start\n");
@@ -311,54 +365,55 @@ int main() {
 	printf("%d\n", x);
 	return 0;
 }`},
-		{"mod-zero", `
+	{"mod-zero", `
 int main() {
 	int z = 0;
 	int x = 10 % z;
 	return x;
 }`},
-		{"oob-load", `
+	{"oob-load", `
 int main() {
 	int a[3];
 	int i = 7;
 	printf("start\n");
 	return a[i];
 }`},
-		{"oob-store", `
+	{"oob-store", `
 int main() {
 	int a[3];
 	int i = -1;
 	a[i] = 5;
 	return 0;
 }`},
-		{"null-deref", `
+	{"null-deref", `
 int main() {
 	int *p;
 	return *p;
 }`},
-		{"null-store", `
+	{"null-store", `
 int main() {
 	int *p;
 	*p = 3;
 	return 0;
 }`},
-		{"float-div-zero", `
+	{"float-div-zero", `
 int main() {
 	double z = 0.0;
 	double x = 1.0 / z;
 	printf("%f\n", x);
 	return 0;
 }`},
-	}
-	for _, tc := range cases {
+}
+
+func TestParityRuntimeErrors(t *testing.T) {
+	for _, tc := range runtimeErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkParityIO(t, tc.src, "", false)
+			checkParityIO(t, tc.src, "")
 		})
 	}
 }
 
-func TestParityStepBudget(t *testing.T) {
-	src := `
+const stepBudgetSrc = `
 int main() {
 	int i = 0;
 	while (1) {
@@ -368,23 +423,17 @@ int main() {
 	}
 	return 0;
 }`
-	wOut, _, wErr, _, _ := runWalker(t, src, "", 5000)
-	vOut, _, vErr, _, _, _ := runVM(t, src, "", 5000)
-	if wErr == nil || vErr == nil {
-		t.Fatalf("expected step budget exhaustion, walker %v vm %v", wErr, vErr)
+
+func TestParityStepBudget(t *testing.T) {
+	prog, code := compileSrc(t, stepBudgetSrc, false)
+	walker, vm := runCore(prog, nil, "", 5000), runCore(prog, code, "", 5000)
+	if walker.err == "" || vm.err == "" {
+		t.Fatalf("expected step budget exhaustion, walker %q vm %q", walker.err, vm.err)
 	}
-	if wErr.Error() != vErr.Error() {
-		t.Fatalf("error mismatch: %v vs %v", wErr, vErr)
-	}
-	if wOut != vOut {
-		t.Fatalf("output mismatch under budget:\nwalker: %q\nvm:     %q", wOut, vOut)
-	}
+	compareRuns(t, walker, vm)
 }
 
-// TestParityOptimized runs the same sources through the AST optimizer
-// first: the bytecode compiler consumes optimizer output in production.
-func TestParityOptimized(t *testing.T) {
-	srcs := []string{`
+var optimizedSrcs = []string{assignInConditionalSrc, `
 int main() {
 	int sum = 0;
 	int i;
@@ -402,37 +451,13 @@ int main() {
 	printf("%f\n", acc);
 	return 0;
 }`}
-	for i, src := range srcs {
-		wp, err := minic.ParseAndCheck(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir.OptimizeProgram(wp)
-		var wBuf bytes.Buffer
-		var wSink interp.CountingSink
-		wm := interp.New(wp, interp.Options{Stdout: &wBuf, Cost: &wSink})
-		wCode, wErr := wm.Run()
 
-		vp, err := minic.ParseAndCheck(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ir.OptimizeProgram(vp)
-		bc := Compile(vp)
-		var vBuf bytes.Buffer
-		var vSink interp.CountingSink
-		vm2 := interp.New(vp, interp.Options{Stdout: &vBuf, Cost: &vSink})
-		vCode, vErr := NewVM(vm2, bc).Run()
-
-		if wBuf.String() != vBuf.String() || wCode != vCode || (wErr == nil) != (vErr == nil) {
-			t.Fatalf("case %d mismatch: %q/%d/%v vs %q/%d/%v", i, wBuf.String(), wCode, wErr, vBuf.String(), vCode, vErr)
-		}
-		if wSink != vSink {
-			t.Fatalf("case %d cost mismatch:\nwalker: %+v\nvm:     %+v", i, wSink, vSink)
-		}
-		if wm.Steps() != vm2.Steps() {
-			t.Fatalf("case %d steps mismatch: %d vs %d", i, wm.Steps(), vm2.Steps())
-		}
+// TestParityOptimized runs sources through the AST optimizer first: the
+// bytecode compiler consumes optimizer output in production.
+func TestParityOptimized(t *testing.T) {
+	for _, src := range optimizedSrcs {
+		prog, code := compileSrc(t, src, true)
+		compareRuns(t, runCore(prog, nil, "", 0), runCore(prog, code, "", 0))
 	}
 }
 
@@ -464,10 +489,13 @@ int main() {
 		t.Fatal("no while loop found")
 	}
 
-	condProg := CompileFragmentExpr(loop.Cond)
-	bodyProg := CompileFragmentStmt(loop.Body)
-	if condProg == nil || bodyProg == nil {
-		t.Fatalf("fragment compile declined: cond=%v body=%v", condProg != nil, bodyProg != nil)
+	condProg, err := CompileFragmentExpr(loop.Cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyProg, err := CompileFragmentStmt(loop.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	run := func(useVM bool) (int64, interp.CountingSink, int64) {

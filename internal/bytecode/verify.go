@@ -44,9 +44,6 @@ func Verify(p *Program) error {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)
 	}
 	for _, fn := range p.Fns {
-		if fn.Fallback {
-			continue
-		}
 		for _, prm := range fn.Params {
 			if prm.Reg < 0 && prm.Slot < 0 {
 				return fmt.Errorf("bytecode: %s: parameter with no location", fn.Name)

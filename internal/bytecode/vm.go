@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/interp"
@@ -137,14 +138,12 @@ func (vm *VM) resolveGlobals() {
 }
 
 // Run mirrors Machine.Run: init globals, execute main, unwrap exit().
-// Machines with a pragma hook (host job capture) and programs whose main
-// declined compilation route wholesale to the tree-walker.
 func (vm *VM) Run() (int, error) {
-	if vm.Prog.Main < 0 || vm.Prog.Fns[vm.Prog.Main].Fallback || vm.m.HasPragmaHook() {
-		return vm.m.Run()
-	}
 	if err := vm.m.InitGlobals(); err != nil {
 		return 0, err
+	}
+	if vm.Prog.Main < 0 {
+		return 0, errors.New("interp: program has no main function")
 	}
 	vm.refresh()
 	vm.resolveGlobals()
@@ -156,31 +155,6 @@ func (vm *VM) Run() (int, error) {
 		return 0, err
 	}
 	return int(v.AsInt()), nil
-}
-
-// CallFunction mirrors Machine.CallFunction for compiled functions,
-// falling back to the walker for declined or unknown names.
-func (vm *VM) CallFunction(name string, args []interp.Value) (interp.Value, error) {
-	fnIdx := -1
-	for i, f := range vm.Prog.Fns {
-		if f.Name == name {
-			fnIdx = i
-			break
-		}
-	}
-	if fnIdx < 0 || vm.Prog.Fns[fnIdx].Fallback || vm.m.HasPragmaHook() {
-		return vm.m.CallFunction(name, args)
-	}
-	if err := vm.m.InitGlobals(); err != nil {
-		return interp.Value{}, err
-	}
-	vm.refresh()
-	vm.resolveGlobals()
-	v, _, err := vm.callFn(int32(fnIdx), args)
-	if code, ok := interp.ExitStatus(err); ok {
-		return interp.IntVal(int64(code)), nil
-	}
-	return v, err
 }
 
 func (vm *VM) getFrame(fnIdx int32) *vmFrame {
@@ -801,7 +775,10 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 
 // resolve links one callee with evalCall's dispatch order: sema-marked
 // builtins first, then program functions, then intrinsics installed
-// without sema marking, else unknown.
+// without sema marking, else unknown. A kernel fragment compiles no
+// program functions, so its calls run on the walker (ckDecl): the GPU
+// thread cost adds float cycles at every charge, which makes the walker's
+// unbatched charge order part of virtual time.
 func (vm *VM) resolve(calleeIdx int32) {
 	c := vm.Prog.Callees[calleeIdx]
 	lc := &vm.linked[calleeIdx]
@@ -812,7 +789,7 @@ func (vm *VM) resolve(calleeIdx int32) {
 	}
 	if decl := vm.m.Prog.Func(c.Name); decl != nil {
 		for i, f := range vm.Prog.Fns {
-			if f.Decl == decl && !f.Fallback {
+			if f.Decl == decl {
 				lc.kind, lc.fnIdx = ckFn, int32(i)
 				return
 			}
@@ -838,10 +815,9 @@ type FragmentVM struct {
 
 // NewFragmentVM binds a fragment program to a machine, resolving every
 // free symbol through lookup (typically the thread frame first, then the
-// machine's globals). A nil resolution fails the construction; callers
-// fall back to the tree-walker.
+// machine's globals). A nil resolution fails the construction.
 func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *interp.Object) (*FragmentVM, error) {
-	if p == nil || !p.Fragment || len(p.Fns) != 1 || p.Fns[0].Fallback {
+	if p == nil || !p.Fragment || len(p.Fns) != 1 {
 		return nil, fmt.Errorf("bytecode: not an executable fragment")
 	}
 	// EvalIn/ExecIn run global initializers on every entry (idempotent);

@@ -122,13 +122,13 @@ type Compiled struct {
 	// compilation ran with Options.DisableOpt).
 	HostOpt   *ir.Stats
 	KernelOpt *ir.Stats
-	// VM is the host program lowered to register bytecode — the default
-	// execution core of the streaming path (nil with Options.DisableVM).
+	// VM is the host program lowered to register bytecode — the execution
+	// core of the streaming path.
 	VM *bytecode.Program
 	// KernelCond / KernelBody are the mapper region's loop condition and
-	// body as bytecode fragments for the GPU kernel executor; KernelRegion
-	// is the combiner region as one fragment. A nil fragment (unsupported
-	// construct, or DisableVM) sends that kernel to the tree-walker.
+	// body as bytecode fragments for the GPU kernel executor (nil for a
+	// combiner); KernelRegion is the combiner region as one fragment (nil
+	// for a mapper).
 	KernelCond   *bytecode.Program
 	KernelBody   *bytecode.Program
 	KernelRegion *bytecode.Program
@@ -146,10 +146,6 @@ type Options struct {
 	// optimizes: both the host program and the kernel program run the
 	// analysis-driven passes before being handed to the backends.
 	DisableOpt bool
-	// DisableVM turns off the register-bytecode execution core (-novm):
-	// the backends fall back to the AST tree-walker. The zero value
-	// compiles bytecode.
-	DisableVM bool
 	// Prof, when non-nil, charges the host parse and the GPU translation
 	// to wall-clock phase buckets.
 	Prof *perf.Profiler
@@ -202,22 +198,41 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 		endOpt()
 	}
 	// Lower to register bytecode after optimization (the compiler lowers
-	// whatever AST the backends will execute). Functions or fragments the
-	// bytecode compiler declines stay on the tree-walker per function.
-	if !opts.DisableVM {
-		endBC := opts.Prof.Phase(perf.PhaseBytecodeCompile)
-		c.VM = bytecode.Compile(host)
-		if spec.Kind == RegionMapper {
-			if loop, ok := spec.Region.(*minic.While); ok {
-				c.KernelCond = bytecode.CompileFragmentExpr(loop.Cond)
-				c.KernelBody = bytecode.CompileFragmentStmt(loop.Body)
-			}
-		} else {
-			c.KernelRegion = bytecode.CompileFragmentStmt(spec.Region)
-		}
-		endBC()
+	// whatever AST the backends will execute).
+	endBC := opts.Prof.Phase(perf.PhaseBytecodeCompile)
+	err = c.compileBytecode()
+	endBC()
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// compileBytecode lowers the host program and the kernel region's
+// fragments.
+func (c *Compiled) compileBytecode() error {
+	var err error
+	if c.VM, err = bytecode.Compile(c.HostProg); err != nil {
+		return fmt.Errorf("compiler: host program: %w", err)
+	}
+	spec := c.Kernel
+	if spec.Kind != RegionMapper {
+		if c.KernelRegion, err = bytecode.CompileFragmentStmt(spec.Region); err != nil {
+			return fmt.Errorf("compiler: combiner kernel region: %w", err)
+		}
+		return nil
+	}
+	loop, ok := spec.Region.(*minic.While)
+	if !ok {
+		return fmt.Errorf("compiler: mapper region is not a while loop")
+	}
+	if c.KernelCond, err = bytecode.CompileFragmentExpr(loop.Cond); err != nil {
+		return fmt.Errorf("compiler: mapper kernel condition: %w", err)
+	}
+	if c.KernelBody, err = bytecode.CompileFragmentStmt(loop.Body); err != nil {
+		return fmt.Errorf("compiler: mapper kernel body: %w", err)
+	}
+	return nil
 }
 
 // translateSource runs the GPU side of compilation: a private parse, region

@@ -44,9 +44,6 @@ type JobSources struct {
 	Reduce string
 	// Reducers is the reduce-task count; 0 makes the job map-only.
 	Reducers int
-	// DisableVM turns off the register-bytecode execution core (-novm):
-	// every stage interprets the AST instead. The zero value runs the VM.
-	DisableVM bool
 }
 
 // Job is a compiled HeteroDoop job: one source, two targets (CPU
@@ -67,7 +64,6 @@ func CompileJobProfiled(src JobSources, prof *perf.Profiler) (*Job, error) {
 		CombineSrc:  src.Combine,
 		ReduceSrc:   src.Reduce,
 		NumReducers: src.Reducers,
-		DisableVM:   src.DisableVM,
 	}, prof)
 	if err != nil {
 		return nil, err
@@ -110,9 +106,6 @@ type RunOptions struct {
 	GPUs int
 	// Optimizations defaults to gpurt.AllOptimizations().
 	Optimizations *gpurt.Options
-	// GPUFailureRate injects GPU task failures (fault tolerance demo).
-	// Ignored when Faults is set.
-	GPUFailureRate float64
 	// Faults is a deterministic fault-injection plan for the run (see
 	// package faults; built from a spec string with faults.Parse).
 	Faults *faults.Plan
@@ -204,7 +197,6 @@ func Run(job *Job, input []byte, opts RunOptions) (*Result, error) {
 		Node:              setup.Node,
 		Scheduler:         sched,
 		HeartbeatSec:      scaledHeartbeat(setup),
-		GPUFailureRate:    opts.GPUFailureRate,
 		Faults:            opts.Faults,
 		Seed:              opts.Seed + 2,
 		SkipBadRecords:    opts.SkipBadRecords,

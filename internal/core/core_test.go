@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/gpurt"
 	"repro/internal/mr"
 	"repro/internal/workload"
@@ -97,7 +98,7 @@ func TestRunWithFailureInjection(t *testing.T) {
 	job := wcJob(t, 2)
 	input := []byte(strings.Repeat("alpha beta gamma\n", 200))
 	res, err := Run(job, input, RunOptions{
-		Setup: smallCluster(), Scheduler: mr.GPUFirst, GPUFailureRate: 0.4, Seed: 3,
+		Setup: smallCluster(), Scheduler: mr.GPUFirst, Faults: &faults.Plan{GPUFailureRate: 0.4}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 	}
 	km := workload.Kmeans()
 	input := km.Gen(cfg.Seed, inputBytes)
-	kmJob := km.JobFor(1)
-	kmJob.DisableVM = cfg.DisableVM
-	job, err := mr.CompileJobProf(kmJob, cfg.Prof)
+	job, err := mr.CompileJobProf(km.JobFor(1), cfg.Prof)
 	if err != nil {
 		return nil, err
 	}

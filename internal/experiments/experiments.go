@@ -39,9 +39,6 @@ type Config struct {
 	// TaskScale multiplies the paper's Table-2 map task counts (1.0 =
 	// exact counts; tests use smaller values for speed).
 	TaskScale float64
-	// DisableVM turns off the register-bytecode execution core for every
-	// sampled task (-novm); the zero value runs the VM.
-	DisableVM bool
 	// Obs, when non-nil, records every experiment job's spans and metrics.
 	Obs *obs.Recorder
 	// Prof, when non-nil, receives wall-clock phase and interpreter
@@ -131,7 +128,6 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 
 	cfg.fillDefaults()
 	job := b.JobFor(clusterIdx)
-	job.DisableVM = cfg.DisableVM
 	cj, err := mr.CompileJobProf(job, cfg.Prof)
 	if err != nil {
 		return nil, err

@@ -54,12 +54,11 @@ func FaultSweep(cfg Config, custom *faults.Plan) ([]FaultSweepRow, error) {
 	setup.HDFS.BlockSize = 4 << 10
 	bench := workload.Wordcount()
 	job, err := core.CompileJob(core.JobSources{
-		Name:      "wc-faults",
-		Map:       bench.Job.MapSrc,
-		Combine:   bench.Job.CombineSrc,
-		Reduce:    bench.Job.ReduceSrc,
-		Reducers:  3,
-		DisableVM: cfg.DisableVM,
+		Name:     "wc-faults",
+		Map:      bench.Job.MapSrc,
+		Combine:  bench.Job.CombineSrc,
+		Reduce:   bench.Job.ReduceSrc,
+		Reducers: 3,
 	})
 	if err != nil {
 		return nil, err

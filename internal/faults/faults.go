@@ -204,12 +204,6 @@ type Plan struct {
 	Faults []Fault
 }
 
-// FromGPUFailureRate builds the plan equivalent of the legacy
-// ClusterConfig.GPUFailureRate knob.
-func FromGPUFailureRate(rate float64) *Plan {
-	return &Plan{GPUFailureRate: rate}
-}
-
 // Clone returns a deep copy (the engine normalizes plans without mutating
 // the caller's).
 func (p *Plan) Clone() *Plan {

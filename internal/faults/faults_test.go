@@ -202,25 +202,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestFromGPUFailureRate(t *testing.T) {
-	p := FromGPUFailureRate(0.25)
-	if p.GPUFailureRate != 0.25 || p.CPUFailureRate != 0 || len(p.Faults) != 0 {
-		t.Fatalf("shim plan wrong: %+v", p)
-	}
-	fails := 0
-	for task := 0; task < 1000; task++ {
-		if p.AttemptFails(task, 0, true) {
-			fails++
-		}
-		if p.AttemptFails(task, 0, false) {
-			t.Fatal("shim plan failed a CPU attempt")
-		}
-	}
-	if fails < 180 || fails > 320 {
-		t.Fatalf("shim failure fraction %d/1000 at rate 0.25", fails)
-	}
-}
-
 func TestKindAndDeviceStrings(t *testing.T) {
 	if NodeCrash.String() != "node-crash" || TaskFail.String() != "task-fail" {
 		t.Fatal("kind names wrong")

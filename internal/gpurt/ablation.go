@@ -19,7 +19,7 @@ import (
 func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
-	blocks, tpb, kvBound int, loop *minic.While) (*MapKernelResult, error) {
+	blocks, tpb, kvBound int) (*MapKernelResult, error) {
 
 	spec := comp.Kernel
 	totalLanes := blocks * tpb
@@ -51,9 +51,9 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 		for sym, obj := range priv {
 			t.frame.Bind(sym, obj)
 		}
-		t.cond = loop.Cond
-		t.body = loop.Body
-		t.bindFragmentVMs(comp.KernelCond, comp.KernelBody)
+		if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
+			return nil, err
+		}
 		t.cost.Op(24)
 		threads = append(threads, t)
 	}

@@ -210,37 +210,33 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	for sym, obj := range priv {
 		fr.Bind(sym, obj)
 	}
-	if err := execCombineRegion(m, fr, comp, spec.Region); err != nil {
+	if err := execCombineRegion(m, fr, comp.KernelRegion); err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, err
 	}
 	return w.output, w.cost.Cycles, w.cost.Breakdown, nil
 }
 
-// execCombineRegion runs the combiner region on the bytecode VM when the
-// compiler produced a region fragment, falling back to the tree-walker
-// when it declined or the fragment's free symbols fail to bind.
-func execCombineRegion(m *interp.Machine, fr *interp.Frame, comp *compiler.Compiled, region minic.Stmt) error {
-	if comp.KernelRegion != nil {
-		lookup := func(sym *minic.Symbol) *interp.Object {
-			if obj := fr.Object(sym); obj != nil {
-				return obj
-			}
-			return m.GlobalObject(sym)
+// execCombineRegion runs the combiner region fragment on the bytecode VM.
+func execCombineRegion(m *interp.Machine, fr *interp.Frame, region *bytecode.Program) error {
+	lookup := func(sym *minic.Symbol) *interp.Object {
+		if obj := fr.Object(sym); obj != nil {
+			return obj
 		}
-		if vm, err := bytecode.NewFragmentVM(m, comp.KernelRegion, lookup); err == nil {
-			_, _, err := vm.Run()
-			return err
-		}
+		return m.GlobalObject(sym)
 	}
-	_, err := m.ExecIn(fr, region)
+	vm, err := bytecode.NewFragmentVM(m, region, lookup)
+	if err != nil {
+		return fmt.Errorf("gpurt: combine kernel region: %w", err)
+	}
+	_, _, err = vm.Run()
 	return err
 }
 
 // writeBack stores a typed KV value through a destination pointer (a char
 // array for byte keys, &scalar for numeric ones).
 func writeBack(dst interp.Value, v kv.Value) error {
-	if dst.Kind != interp.ValPtr || dst.P.IsNull() {
-		return fmt.Errorf("destination is not a pointer")
+	if dst.Kind != interp.ValPtr || !dst.P.InBounds() {
+		return fmt.Errorf("destination is not a valid pointer")
 	}
 	switch v.Kind {
 	case kv.Bytes:

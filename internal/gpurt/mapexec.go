@@ -178,59 +178,43 @@ type mapThread struct {
 	machine *interp.Machine
 	frame   *interp.Frame
 	cost    *gpu.ThreadCost
-	cond    minic.Expr
-	body    minic.Stmt
-	// condVM / bodyVM execute the region on the bytecode VM when the
-	// kernel fragments compiled; nil pairs fall back to the tree-walker.
+	// condVM / bodyVM execute the region loop's condition and body.
 	condVM  *bytecode.FragmentVM
 	bodyVM  *bytecode.FragmentVM
 	pending int // granted record index, -1 = none
 	ran     bool
 }
 
-// evalCond evaluates the region loop condition on the thread's execution
-// core (VM or walker).
+// evalCond evaluates the region loop condition.
 func (t *mapThread) evalCond() (interp.Value, error) {
-	if t.condVM != nil {
-		v, _, err := t.condVM.Run()
-		return v, err
-	}
-	return t.machine.EvalIn(t.frame, t.cond)
+	v, _, err := t.condVM.Run()
+	return v, err
 }
 
-// execBody executes the region loop body on the thread's execution core.
+// execBody executes the region loop body.
 func (t *mapThread) execBody() error {
-	if t.bodyVM != nil {
-		_, _, err := t.bodyVM.Run()
-		return err
-	}
-	_, err := t.machine.ExecIn(t.frame, t.body)
+	_, _, err := t.bodyVM.Run()
 	return err
 }
 
-// bindFragmentVMs attaches compiled region fragments to the thread,
+// bindFragmentVMs attaches the compiled region fragments to the thread,
 // resolving free symbols against the thread frame first and the kernel
-// program's globals second. Both fragments must bind, or the thread stays
-// on the walker (mixing cores would skew the cost accounting).
-func (t *mapThread) bindFragmentVMs(cond, body *bytecode.Program) {
-	if cond == nil || body == nil {
-		return
-	}
+// program's globals second.
+func (t *mapThread) bindFragmentVMs(cond, body *bytecode.Program) error {
 	lookup := func(sym *minic.Symbol) *interp.Object {
 		if obj := t.frame.Object(sym); obj != nil {
 			return obj
 		}
 		return t.machine.GlobalObject(sym)
 	}
-	condVM, err := bytecode.NewFragmentVM(t.machine, cond, lookup)
-	if err != nil {
-		return
+	var err error
+	if t.condVM, err = bytecode.NewFragmentVM(t.machine, cond, lookup); err != nil {
+		return fmt.Errorf("gpurt: map kernel condition: %w", err)
 	}
-	bodyVM, err := bytecode.NewFragmentVM(t.machine, body, lookup)
-	if err != nil {
-		return
+	if t.bodyVM, err = bytecode.NewFragmentVM(t.machine, body, lookup); err != nil {
+		return fmt.Errorf("gpurt: map kernel body: %w", err)
 	}
-	t.condVM, t.bodyVM = condVM, bodyVM
+	return nil
 }
 
 // MapKernelResult is the outcome of one map kernel launch.
@@ -262,10 +246,6 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	if spec.Kind != compiler.RegionMapper {
 		return nil, fmt.Errorf("gpurt: ExecMapKernel on a %v kernel", spec.Kind)
 	}
-	loop, ok := spec.Region.(*minic.While)
-	if !ok {
-		return nil, fmt.Errorf("gpurt: map region is not a while loop")
-	}
 	shared, err := sharedBindings(spec, cap, opts)
 	if err != nil {
 		return nil, err
@@ -287,7 +267,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	}
 
 	if opts.RecordStealing && opts.GlobalStealing {
-		return execMapKernelGlobalSteal(dev, comp, cap, shared, ipObj, records, store, opts, blocks, tpb, kvBound, loop)
+		return execMapKernelGlobalSteal(dev, comp, cap, shared, ipObj, records, store, opts, blocks, tpb, kvBound)
 	}
 
 	perBlock := (len(records) + blocks - 1) / blocks
@@ -309,7 +289,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		wg.Add(1)
 		go func(b, lo, hi int) {
 			defer wg.Done()
-			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound, loop)
+			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)
 			blockCycles[b] = cycles
 			blockSteals[b] = steals
 			blockBreakdowns[b] = bd
@@ -347,7 +327,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
-	block, tpb, kvBound int, loop *minic.While) (float64, gpu.CycleBreakdown, int64, error) {
+	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
 
 	spec := comp.Kernel
 	// One collector per block: this function runs on its own goroutine, and
@@ -375,9 +355,9 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		for sym, obj := range priv {
 			t.frame.Bind(sym, obj)
 		}
-		t.cond = loop.Cond
-		t.body = loop.Body
-		t.bindFragmentVMs(comp.KernelCond, comp.KernelBody)
+		if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
+			return nil, err
+		}
 		t.cost.Op(24) // mapSetup overhead
 		return t, nil
 	}
@@ -480,7 +460,7 @@ func mapIntrinsics(t *mapThread, ipObj *interp.Object, records []Record,
 		// input buffer and return its length, or -1 when the thread has no
 		// more records to steal.
 		"getRecord": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
-			if len(args) < 1 || args[0].Kind != interp.ValPtr || args[0].P.IsNull() {
+			if len(args) < 1 || args[0].Kind != interp.ValPtr || !args[0].P.InBounds() {
 				return interp.Value{}, fmt.Errorf("gpurt: getRecord needs &line")
 			}
 			if t.pending < 0 {

@@ -133,6 +133,9 @@ type Pointer struct {
 // IsNull reports whether p is the null pointer.
 func (p Pointer) IsNull() bool { return p.Obj == nil }
 
+// InBounds reports whether p addresses a cell of its object.
+func (p Pointer) InBounds() bool { return p.Obj != nil && p.Off >= 0 && p.Off < len(p.Obj.Cells) }
+
 // Value is a runtime value.
 type Value struct {
 	Kind ValKind
@@ -1127,9 +1130,10 @@ func (m *Machine) internLiteral(s string) *Object {
 	return obj
 }
 
-// ReadCString reads a NUL-terminated string starting at p.
+// ReadCString reads a NUL-terminated string starting at p. A pointer
+// before its object reads as the empty string, like one past its end.
 func ReadCString(p Pointer) string {
-	if p.IsNull() {
+	if p.IsNull() || p.Off < 0 {
 		return ""
 	}
 	var b []byte
@@ -1146,9 +1150,9 @@ func ReadCString(p Pointer) string {
 // WriteCString writes s plus a NUL terminator at p. It reports the number
 // of bytes written (excluding the NUL) and fails silently by truncation if
 // the object is too small, like a C buffer overflow would be UB — here we
-// clamp instead.
+// clamp instead (a pointer before its object writes nothing).
 func WriteCString(p Pointer, s string) int {
-	if p.IsNull() {
+	if p.IsNull() || p.Off < 0 {
 		return 0
 	}
 	n := 0

@@ -179,7 +179,7 @@ func biGetline(m *Machine, args []Value) (Value, error) {
 	}
 	linePP := args[0]
 	sizeP := args[1]
-	if linePP.Kind != ValPtr || linePP.P.IsNull() {
+	if linePP.Kind != ValPtr || !linePP.P.InBounds() {
 		return Value{}, fmt.Errorf("interp: getline: bad line pointer")
 	}
 	line, ok := m.stdin.readLine()
@@ -189,13 +189,13 @@ func biGetline(m *Machine, args []Value) (Value, error) {
 	buf := linePP.P.Obj.Cells[linePP.P.Off]
 	need := len(line) + 1
 	var target Pointer
-	if buf.Kind == ValPtr && !buf.P.IsNull() && len(buf.P.Obj.Cells)-buf.P.Off >= need {
+	if buf.Kind == ValPtr && !buf.P.IsNull() && buf.P.Off >= 0 && len(buf.P.Obj.Cells)-buf.P.Off >= need {
 		target = buf.P
 	} else {
 		obj := NewObject("getline-buf", minic.CharType, need, m.space)
 		target = Pointer{Obj: obj}
 		linePP.P.Obj.Cells[linePP.P.Off] = PtrVal(target)
-		if sizeP.Kind == ValPtr && !sizeP.P.IsNull() {
+		if sizeP.Kind == ValPtr && sizeP.P.InBounds() {
 			sizeP.P.Obj.Cells[sizeP.P.Off] = IntVal(int64(need))
 		}
 	}
@@ -366,8 +366,8 @@ func biScanf(m *Machine, args []Value) (Value, error) {
 		}
 		dst := args[ai]
 		ai++
-		if dst.Kind != ValPtr || dst.P.IsNull() {
-			return Value{}, fmt.Errorf("interp: scanf: destination is not a pointer")
+		if dst.Kind != ValPtr || !dst.P.InBounds() {
+			return Value{}, fmt.Errorf("interp: scanf: destination is not a valid pointer")
 		}
 		switch format[i] {
 		case 's':
@@ -442,7 +442,7 @@ func biPutchar(m *Machine, args []Value) (Value, error) {
 }
 
 func ptrArg(args []Value, i int, fn string) (Pointer, error) {
-	if i >= len(args) || args[i].Kind != ValPtr || args[i].P.IsNull() {
+	if i >= len(args) || args[i].Kind != ValPtr || args[i].P.IsNull() || args[i].P.Off < 0 {
 		return Pointer{}, fmt.Errorf("interp: %s: argument %d is not a valid pointer", fn, i)
 	}
 	return args[i].P, nil

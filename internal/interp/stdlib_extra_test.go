@@ -53,6 +53,38 @@ func TestPrintfErrors(t *testing.T) {
 	}
 }
 
+// TestBuiltinsRejectOutOfObjectPointers pins that a pointer outside its
+// object reaching a builtin is a runtime error, never a host panic:
+// before its object for the string and memory builtins, and anywhere
+// outside it for a scalar destination.
+func TestBuiltinsRejectOutOfObjectPointers(t *testing.T) {
+	for _, src := range []string{
+		`int main() { char a[4]; return strlen(a - 5); }`,
+		`int main() { char a[4]; return strcmp(a - 5, "x"); }`,
+		`int main() { char a[4]; strcpy(a - 1, "x"); return 0; }`,
+		`int main() { char a[4]; memset(a - 5, 0, 3); return 0; }`,
+		`int main() { char a[4]; char b[4]; memcpy(b, a - 5, 3); return 0; }`,
+		`int main() { char a[4]; strcat(a - 2, "x"); return 0; }`,
+		`int main() { int x[2]; scanf("%d", x + 2); return 0; }`,
+		`int main() { int x[2]; scanf("%d", x - 1); return 0; }`,
+		`int main() { char *line[1]; int n; getline(line + 1, &n, stdin); return 0; }`,
+	} {
+		prog, err := minic.ParseAndCheck(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(prog, Options{Stdin: strings.NewReader("7 8\n")})
+		if _, err := m.Run(); err == nil {
+			t.Errorf("no error for %q", src)
+		}
+	}
+	// Reads and writes through such a pointer elsewhere clamp to nothing.
+	out := runSrc(t, `int main() { char a[4]; printf("[%s]\n", a - 3); return 0; }`, "")
+	if out != "[]\n" {
+		t.Errorf("printf %%s before the object = %q, want \"[]\\n\"", out)
+	}
+}
+
 func TestScanfCharAndMixed(t *testing.T) {
 	out := runSrc(t, `
 int main() {

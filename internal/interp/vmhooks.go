@@ -53,8 +53,8 @@ func (m *Machine) CallBuiltin(name string, impl Builtin, args []Value) (Value, e
 }
 
 // CallDecl invokes a function declaration with pre-built argument values,
-// propagating errors (including exit unwinding) unchanged. The VM uses it
-// to fall back to the tree-walker for functions it declined to compile.
+// propagating errors (including exit unwinding) unchanged. Kernel
+// fragments on the VM use it to call program functions.
 func (m *Machine) CallDecl(fn *minic.FuncDecl, args []Value) (Value, error) {
 	return m.call(fn, args)
 }
@@ -68,11 +68,6 @@ func (m *Machine) StorePtr(p Pointer, v Value) error { return m.store(p, v) }
 
 // Prof returns the machine's profiling collector (nil when off).
 func (m *Machine) Prof() *perf.Collector { return m.prof }
-
-// HasPragmaHook reports whether the machine intercepts mapreduce pragmas
-// (host-capture machines). Such machines must stay on the tree-walker:
-// the bytecode compiler lowers pragma bodies inline.
-func (m *Machine) HasPragmaHook() bool { return m.onPragma != nil }
 
 // ExitStatus unwraps the control-flow error the exit() builtin raises,
 // reporting the exit code and whether err was an exit.

@@ -94,6 +94,12 @@ type Instr struct {
 	To    *minic.Type
 	Args  []*Instr
 	Block *Block
+	// Ends delimits the conditional parts of OpLogic (Ends[0]: the last
+	// instruction of the left operand) and OpSelect (the last of the
+	// condition, then the last of the then arm). An operand's value need
+	// not be its last instruction: an assignment yields its right-hand
+	// side, then stores.
+	Ends [2]*Instr
 
 	// Expr / Stmt anchor the instruction to its AST origin. Expr is nil
 	// for synthetic instructions (e.g. the implicit `for(;;)` condition).
@@ -358,6 +364,11 @@ func (lw *lowerer) emit(in *Instr) *Instr {
 	return in
 }
 
+// last returns the most recently emitted instruction. Expression lowering
+// never opens a block and always emits, so after lowering an operand it
+// is that operand's last instruction.
+func (lw *lowerer) last() *Instr { return lw.cur.Instrs[len(lw.cur.Instrs)-1] }
+
 func (lw *lowerer) konst(c Const, e minic.Expr) *Instr {
 	in := lw.emit(&Instr{Op: OpConst, Val: c, Expr: e})
 	if e != nil {
@@ -546,8 +557,9 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 	case *minic.Binary:
 		if x.Op == "&&" || x.Op == "||" {
 			l := lw.lowerExpr(x.L)
+			lEnd := lw.last()
 			r := lw.lowerExpr(x.R)
-			return lw.emit(&Instr{Op: OpLogic, OpStr: x.Op, Args: []*Instr{l, r}, Expr: e})
+			return lw.emit(&Instr{Op: OpLogic, OpStr: x.Op, Args: []*Instr{l, r}, Ends: [2]*Instr{lEnd}, Expr: e})
 		}
 		l := lw.lowerExpr(x.L)
 		r := lw.lowerExpr(x.R)
@@ -577,9 +589,11 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 		return eff
 	case *minic.Cond:
 		c := lw.lowerExpr(x.C)
+		cEnd := lw.last()
 		t := lw.lowerExpr(x.T)
+		tEnd := lw.last()
 		f := lw.lowerExpr(x.F)
-		return lw.emit(&Instr{Op: OpSelect, Args: []*Instr{c, t, f}, Expr: e})
+		return lw.emit(&Instr{Op: OpSelect, Args: []*Instr{c, t, f}, Ends: [2]*Instr{cEnd, tEnd}, Expr: e})
 	case *minic.Index:
 		idx := lw.lowerExpr(x.Idx)
 		base := lw.lowerExpr(x.X)

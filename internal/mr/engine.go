@@ -30,10 +30,6 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		return nil, err
 	}
 	plan := cfg.Faults.Clone()
-	if plan == nil && cfg.GPUFailureRate > 0 {
-		// Legacy knob: synthesize the equivalent plan.
-		plan = faults.FromGPUFailureRate(cfg.GPUFailureRate)
-	}
 	if plan != nil && plan.Seed == 0 {
 		plan.Seed = cfg.Seed
 	}
@@ -75,7 +71,7 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 	}
 	e.initObs()
 	e.eng.SetEventLimit(50_000_000)
-	// Parallel execution: attach (or create) the worker pool and let a
+	// Parallel execution: use (or create) the worker pool and let a
 	// prefetching executor precompute pure task work on it. The event loop
 	// below is untouched — prefetching only changes when task computations
 	// burn host CPU, never what any event observes — so schedules, stats,
@@ -85,7 +81,6 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		pool = sim.NewPool(cfg.Workers)
 		defer pool.Close()
 	}
-	e.eng.SetPool(pool)
 	if pf, ok := exec.(prefetcher); ok && pool.Parallel() {
 		pf.SetWorkerPool(pool)
 		pf.PrefetchMaps(cfg.Scheduler != CPUOnly && cfg.Node.GPUs > 0)

@@ -2,6 +2,8 @@ package mr
 
 import (
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // uniformExec builds a simple timing-only workload.
@@ -112,7 +114,7 @@ func TestMaxSpeedupPropagatesToJobTracker(t *testing.T) {
 func TestFailureOnlyAffectsGPUTasks(t *testing.T) {
 	stats, err := RunJob(ClusterConfig{
 		Slaves: 2, Node: NodeConfig{MapSlots: 4, ReduceSlots: 1},
-		Scheduler: CPUOnly, HeartbeatSec: 0.5, GPUFailureRate: 0.9, Seed: 4,
+		Scheduler: CPUOnly, HeartbeatSec: 0.5, Faults: &faults.Plan{GPUFailureRate: 0.9}, Seed: 4,
 	}, uniformExec(40, 0, 2, 5, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +130,7 @@ func TestRequeueAfterFailureKeepsLocalityStats(t *testing.T) {
 	// not cut this requeue-accounting test short.
 	stats, err := RunJob(ClusterConfig{
 		Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
-		Scheduler: GPUFirst, HeartbeatSec: 0.5, GPUFailureRate: 0.5, Seed: 8,
+		Scheduler: GPUFirst, HeartbeatSec: 0.5, Faults: &faults.Plan{GPUFailureRate: 0.5}, Seed: 8,
 		MaxTaskAttempts: 10,
 	}, uniformExec(100, 0, 4, 10, 1))
 	if err != nil {

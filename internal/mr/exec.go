@@ -11,6 +11,7 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/ir"
 	"repro/internal/kv"
+	"repro/internal/minic"
 	"repro/internal/perf"
 	"repro/internal/seqfile"
 	"repro/internal/sim"
@@ -30,9 +31,6 @@ type JobProgram struct {
 	// DisableOpt turns off the SSA optimizer for every stage (-O0);
 	// the zero value optimizes.
 	DisableOpt bool
-	// DisableVM turns off the register-bytecode execution core for every
-	// stage (-novm); the zero value runs the VM.
-	DisableVM bool
 }
 
 // CompiledJob is a JobProgram after translation.
@@ -54,7 +52,7 @@ func CompileJob(p JobProgram) (*CompiledJob, error) { return CompileJobProf(p, n
 // CompileJobProf is CompileJob with the translation phases charged to an
 // optional wall-clock profiler.
 func CompileJobProf(p JobProgram, prof *perf.Profiler) (*CompiledJob, error) {
-	copts := compiler.Options{Prof: prof, DisableOpt: p.DisableOpt, DisableVM: p.DisableVM}
+	copts := compiler.Options{Prof: prof, DisableOpt: p.DisableOpt}
 	mapC, err := compiler.CompileOpts(p.MapSrc, copts)
 	if err != nil {
 		return nil, fmt.Errorf("mr: job %s mapper: %w", p.Name, err)
@@ -75,22 +73,23 @@ func CompileJobProf(p JobProgram, prof *perf.Profiler) (*CompiledJob, error) {
 	}
 	if p.ReduceSrc != "" {
 		endR := prof.Phase(perf.PhaseHostCompile)
-		rf, err := streaming.NewFilter(p.Name+"-reduce", p.ReduceSrc)
+		prog, err := minic.ParseAndCheck(p.ReduceSrc)
 		endR()
 		if err != nil {
 			return nil, fmt.Errorf("mr: job %s reducer: %w", p.Name, err)
 		}
 		if !p.DisableOpt {
 			endOpt := prof.Phase(perf.PhaseOptimize)
-			ir.OptimizeProgram(rf.Prog)
+			ir.OptimizeProgram(prog)
 			endOpt()
 		}
-		if !p.DisableVM {
-			endBC := prof.Phase(perf.PhaseBytecodeCompile)
-			rf.Code = bytecode.Compile(rf.Prog)
-			endBC()
+		endBC := prof.Phase(perf.PhaseBytecodeCompile)
+		code, err := bytecode.Compile(prog)
+		endBC()
+		if err != nil {
+			return nil, fmt.Errorf("mr: job %s reducer: %w", p.Name, err)
 		}
-		cj.ReduceF = rf
+		cj.ReduceF = &streaming.Filter{Name: p.Name + "-reduce", Prog: prog, Code: code}
 	}
 	return cj, nil
 }

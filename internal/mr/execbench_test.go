@@ -8,15 +8,12 @@ import (
 )
 
 // benchMapCore times one benchmark's map stage — a single sequential
-// interpretation pass over the input — on the chosen execution core. These
-// are the microbenchmarks behind the EXPERIMENTS.md VM-vs-AST table
-// (hdbench -vm-report measures the same thing across all benchmarks);
-// LR and BS are the compute-heavy anchors the ≥2x claim is pinned to.
-func benchMapCore(b *testing.B, bench *workload.Benchmark, disableVM bool) {
+// interpretation pass over the input — on the bytecode VM. These are the
+// map-stage microbenchmarks behind the EXPERIMENTS.md VM-vs-AST table;
+// LR and BS are its compute-heavy anchors.
+func benchMapCore(b *testing.B, bench *workload.Benchmark) {
 	input := bench.Gen(7, 32<<10)
-	job := bench.JobFor(1)
-	job.DisableVM = disableVM
-	cj, err := mr.CompileJob(job)
+	cj, err := mr.CompileJob(bench.JobFor(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +25,5 @@ func benchMapCore(b *testing.B, bench *workload.Benchmark, disableVM bool) {
 	}
 }
 
-func BenchmarkLRMapVM(b *testing.B)     { benchMapCore(b, workload.LinearRegression(), false) }
-func BenchmarkLRMapWalker(b *testing.B) { benchMapCore(b, workload.LinearRegression(), true) }
-func BenchmarkBSMapVM(b *testing.B)     { benchMapCore(b, workload.BlackScholes(), false) }
-func BenchmarkBSMapWalker(b *testing.B) { benchMapCore(b, workload.BlackScholes(), true) }
+func BenchmarkLRMapVM(b *testing.B) { benchMapCore(b, workload.LinearRegression()) }
+func BenchmarkBSMapVM(b *testing.B) { benchMapCore(b, workload.BlackScholes()) }

@@ -77,13 +77,9 @@ type ClusterConfig struct {
 	ReduceSlowstart float64
 	// ShuffleGBs is the per-reducer fetch bandwidth.
 	ShuffleGBs float64
-	// GPUFailureRate injects per-attempt GPU task failures (0 = none).
-	// Compatibility shim: when Faults is nil, a non-zero rate synthesizes
-	// an equivalent faults.Plan. Ignored when Faults is set.
-	GPUFailureRate float64
 	// Faults is the deterministic fault-injection plan for the run (nil =
-	// perfect cluster, modulo GPUFailureRate above). The plan is cloned, so
-	// the caller's copy is never mutated; a zero plan seed inherits Seed.
+	// perfect cluster). The plan is cloned, so the caller's copy is never
+	// mutated; a zero plan seed inherits Seed.
 	Faults *faults.Plan
 	// MaxTaskAttempts caps failed attempts per map task before the job is
 	// failed with a JobFailure (Hadoop mapred.map.max.attempts). Default 4.

@@ -3,8 +3,10 @@ package mr
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/gpurt"
 	"repro/internal/hdfs"
@@ -279,7 +281,7 @@ func TestGPUFaultToleranceRetries(t *testing.T) {
 	exec := buildExecutor(t, 300, 4)
 	stats, err := RunJob(ClusterConfig{
 		Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
-		Scheduler: GPUFirst, HeartbeatSec: 1, GPUFailureRate: 0.5, Seed: 11,
+		Scheduler: GPUFirst, HeartbeatSec: 1, Faults: &faults.Plan{GPUFailureRate: 0.5}, Seed: 11,
 	}, exec)
 	if err != nil {
 		t.Fatal(err)
@@ -462,6 +464,34 @@ func TestCompileJobErrors(t *testing.T) {
 	}
 	if _, err := CompileJob(JobProgram{Name: "bad3", MapSrc: wcMapSrc, ReduceSrc: "int main() { return x; }"}); err == nil {
 		t.Error("broken reducer accepted")
+	}
+}
+
+// TestCompileJobNamesUnloweredFunction pins what happens to a construct
+// the bytecode compiler cannot lower (here a local array of unspecified
+// length): compilation fails, and the error names the job, the stage, and
+// the function.
+func TestCompileJobNamesUnloweredFunction(t *testing.T) {
+	const helper = "int helper() { int buf[]; return 0; }\n"
+	for _, tc := range []struct {
+		stage string
+		job   JobProgram
+	}{
+		{"mapper", JobProgram{MapSrc: helper + wcMapSrc}},
+		{"combiner", JobProgram{MapSrc: wcMapSrc, CombineSrc: helper + wcCombineSrc}},
+		{"reducer", JobProgram{MapSrc: wcMapSrc, ReduceSrc: helper + wcReduceSrc, NumReducers: 1}},
+	} {
+		tc.job.Name = "unlowered-" + tc.stage
+		_, err := CompileJob(tc.job)
+		if err == nil {
+			t.Fatalf("%s: CompileJob accepted an unlowerable function", tc.stage)
+		}
+		msg := err.Error()
+		for _, want := range []string{"job " + tc.job.Name + " " + tc.stage + ":", `function "helper"`, `array "buf" has unspecified length`} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: error %q does not contain %q", tc.stage, msg, want)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -296,7 +297,7 @@ func TestTakeMapMakespanMatchesReferencePlacement(t *testing.T) {
 	run := func() *JobStats {
 		stats, err := RunJob(ClusterConfig{
 			Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
-			Scheduler: TailSched, HeartbeatSec: 0.5, Seed: 3, GPUFailureRate: 0.2,
+			Scheduler: TailSched, HeartbeatSec: 0.5, Seed: 3, Faults: &faults.Plan{GPUFailureRate: 0.2},
 		}, uniformExec(150, 4, 4, 10, 2))
 		if err != nil {
 			t.Fatal(err)

@@ -257,9 +257,7 @@ func StealingGranularity(b *testing.B) {
 	b.ReportAllocs()
 	km := workload.Kmeans()
 	input := km.Gen(3, 64<<10)
-	kmJob := km.JobFor(1)
-	kmJob.DisableVM = Cfg.DisableVM
-	job, err := mr.CompileJob(kmJob)
+	job, err := mr.CompileJob(km.JobFor(1))
 	if err != nil {
 		b.Fatal(err)
 	}

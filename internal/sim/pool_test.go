@@ -180,125 +180,3 @@ func TestNestedWaitDoesNotDeadlock(t *testing.T) {
 		t.Fatalf("nested sum = %d, want 28", got)
 	}
 }
-
-// engineTaskRun drives one canonical two-phase scenario on an engine with
-// the given pool and returns the commit order observed.
-func engineTaskRun(pool *Pool) string {
-	e := NewEngine()
-	e.SetPool(pool)
-	var order string
-	// Three same-timestamp computes scheduled out of order plus one later
-	// event: commits must land in canonical (time, seq) order.
-	e.AtTask(5, func() any { return "c" }, func(v any) { order += v.(string) })
-	e.AtTask(3, func() any { return "a" }, func(v any) { order += v.(string) })
-	e.AtTask(3, func() any { return "b" }, func(v any) { order += v.(string) })
-	e.At(4, func() { order += "-" })
-	e.Run()
-	return order
-}
-
-func TestAtTaskCommitsInCanonicalOrder(t *testing.T) {
-	want := engineTaskRun(nil)
-	if want != "ab-c" {
-		t.Fatalf("serial order = %q, want ab-c", want)
-	}
-	for _, w := range poolSizes() {
-		p := NewPool(w)
-		if got := engineTaskRun(p); got != want {
-			t.Fatalf("workers=%d: order %q, want %q", w, got, want)
-		}
-		p.Close()
-	}
-}
-
-func TestAfterTaskClampsNegativeDelay(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.AfterTask(-1, func() any { return nil }, func(any) { fired = true })
-	e.Run()
-	if !fired || e.Now() != 0 {
-		t.Fatalf("AfterTask(-1): fired=%v now=%v", fired, e.Now())
-	}
-}
-
-// TestCancelMidDispatchGroup cancels one event of a same-timestamp group
-// after its compute has been handed to the pool (and possibly already
-// claimed by a worker): the commit must never run and the survivors must
-// be unaffected, for every worker count.
-func TestCancelMidDispatchGroup(t *testing.T) {
-	for _, w := range poolSizes() {
-		p := NewPool(w)
-		e := NewEngine()
-		e.SetPool(p)
-		var order string
-		e.AtTask(1, func() any { return "a" }, func(v any) { order += v.(string) })
-		victim := e.AtTask(1, func() any { return "x" }, func(v any) { order += v.(string) })
-		e.AtTask(1, func() any { return "b" }, func(v any) { order += v.(string) })
-		// Cancel from an earlier event, while the group's computes are
-		// already in flight on the pool.
-		e.At(0, func() { victim.Cancel() })
-		e.Run()
-		p.Close()
-		if order != "ab" {
-			t.Fatalf("workers=%d: order %q, want ab", w, order)
-		}
-	}
-}
-
-// TestSameTimestampCommitSchedulesSameTimestamp has a committing event
-// schedule a new two-phase event at the *same* virtual timestamp: the new
-// event must fire after the existing group (higher seq), with its compute
-// dispatched and consumed correctly at every worker count.
-func TestSameTimestampCommitSchedulesSameTimestamp(t *testing.T) {
-	run := func(p *Pool) string {
-		e := NewEngine()
-		e.SetPool(p)
-		var order string
-		e.AtTask(2, func() any { return "a" }, func(v any) {
-			order += v.(string)
-			e.AtTask(2, func() any { return "c" }, func(v2 any) { order += v2.(string) })
-		})
-		e.AtTask(2, func() any { return "b" }, func(v any) { order += v.(string) })
-		e.Run()
-		return order
-	}
-	want := run(nil)
-	if want != "abc" {
-		t.Fatalf("serial order = %q, want abc", want)
-	}
-	for _, w := range poolSizes() {
-		p := NewPool(w)
-		if got := run(p); got != want {
-			t.Fatalf("workers=%d: order %q, want %q", w, got, want)
-		}
-		p.Close()
-	}
-}
-
-// TestRunUntilBisectsParallelGroup stops the clock between the dispatch
-// of a group's computes and some of their commits: RunUntil must fire
-// only the commits at or before the deadline, leave the rest queued with
-// their computes intact, and a later Run must finish them.
-func TestRunUntilBisectsParallelGroup(t *testing.T) {
-	for _, w := range poolSizes() {
-		p := NewPool(w)
-		e := NewEngine()
-		e.SetPool(p)
-		var order string
-		e.AtTask(1, func() any { return "a" }, func(v any) { order += v.(string) })
-		e.AtTask(2, func() any { return "b" }, func(v any) { order += v.(string) })
-		e.AtTask(3, func() any { return "c" }, func(v any) { order += v.(string) })
-		e.RunUntil(2)
-		if order != "ab" {
-			t.Fatalf("workers=%d: after RunUntil(2) order %q, want ab", w, order)
-		}
-		if e.Pending() != 1 {
-			t.Fatalf("workers=%d: pending %d, want 1", w, e.Pending())
-		}
-		e.Run()
-		p.Close()
-		if order != "abc" {
-			t.Fatalf("workers=%d: final order %q, want abc", w, order)
-		}
-	}
-}

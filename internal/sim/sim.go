@@ -25,26 +25,14 @@ type Event struct {
 	fn   func()
 	dead bool
 	idx  int
-	// task is the speculative compute backing a two-phase (AtTask) event;
-	// nil for plain events.
-	task *Task
 }
 
 // Time reports when the event fires (or was scheduled to fire).
 func (e *Event) Time() Time { return e.at }
 
 // Cancel marks the event so that it will not fire. Cancelling an already
-// fired or cancelled event is a no-op. For a two-phase event the backing
-// compute is discarded as well — safe even mid-dispatch, because computes
-// are pure: a worker that already claimed it finishes in the background
-// and the result is dropped without ever being observed.
-func (e *Event) Cancel() {
-	e.dead = true
-	if e.task != nil {
-		e.task.Discard()
-		e.task = nil
-	}
-}
+// fired or cancelled event is a no-op.
+func (e *Event) Cancel() { e.dead = true }
 
 type eventQueue []*Event
 
@@ -83,7 +71,6 @@ type Engine struct {
 	fired  uint64
 	limit  uint64 // safety valve against runaway simulations; 0 = unlimited
 	halted bool
-	pool   *Pool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -120,41 +107,6 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
-}
-
-// SetPool attaches a worker pool to the engine; AtTask/AfterTask dispatch
-// their computes to it. A nil pool (the default) makes two-phase events
-// compute inline at commit time — the serial engine.
-func (e *Engine) SetPool(p *Pool) { e.pool = p }
-
-// Pool returns the attached worker pool (nil when serial).
-func (e *Engine) Pool() *Pool { return e.pool }
-
-// AtTask schedules a two-phase event: a pure compute paired with a commit
-// that applies its result. This is the engine's parallel event-group
-// dispatcher. The compute is handed to the worker pool immediately, so
-// independent events — in particular every event sharing one virtual
-// timestamp — overlap on the host; each commit then fires on the engine
-// goroutine at its canonical (time, sequence) heap position, so results
-// merge in exactly the order a serial engine would have produced them.
-// The compute must be pure: it may not touch engine or simulation state
-// (commit owns every side effect). Cancelling the returned event discards
-// the compute. With no pool attached the compute runs inline when the
-// commit fires, byte-for-byte the serial engine.
-func (e *Engine) AtTask(t Time, compute func() any, commit func(any)) *Event {
-	task := e.pool.Submit(compute)
-	ev := e.At(t, func() { commit(task.Wait()) })
-	ev.task = task
-	return ev
-}
-
-// AfterTask is AtTask with a relative firing time (negative delays clamp
-// to zero, like After).
-func (e *Engine) AfterTask(d Duration, compute func() any, commit func(any)) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtTask(e.now+d, compute, commit)
 }
 
 // Halt stops the run loop after the current event completes.

@@ -61,18 +61,23 @@ func (c CPUModel) SortTime(n, keyBytes int) float64 {
 type Filter struct {
 	Name string
 	Prog *minic.Program
-	// Code is the program lowered to register bytecode; when non-nil the
-	// filter executes on the bytecode VM instead of the AST tree-walker.
+	// Code is Prog lowered to register bytecode; the filter executes on
+	// the bytecode VM.
 	Code *bytecode.Program
 }
 
-// NewFilter parses and checks a MiniC filter source.
+// NewFilter parses, checks, and compiles a MiniC filter source as
+// written (unoptimized).
 func NewFilter(name, src string) (*Filter, error) {
 	prog, err := minic.ParseAndCheck(src)
 	if err != nil {
 		return nil, fmt.Errorf("streaming: filter %q: %w", name, err)
 	}
-	return &Filter{Name: name, Prog: prog}, nil
+	code, err := bytecode.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("streaming: filter %q: %w", name, err)
+	}
+	return &Filter{Name: name, Prog: prog, Code: code}, nil
 }
 
 // MustFilter parses a filter and panics on error (for built-in benchmark
@@ -101,13 +106,7 @@ func (f *Filter) RunCollect(input []byte, col *perf.Collector) (string, *interp.
 		Cost:   sink,
 		Prof:   col,
 	})
-	var code int
-	var err error
-	if f.Code != nil {
-		code, err = bytecode.NewVM(m, f.Code).Run()
-	} else {
-		code, err = m.Run()
-	}
+	code, err := bytecode.NewVM(m, f.Code).Run()
 	if err != nil {
 		return "", nil, fmt.Errorf("streaming: filter %q: %w", f.Name, err)
 	}

@@ -26,14 +26,6 @@ func Compile(p Program) (*mr.CompiledJob, error) { return CompileOpt(p, false) }
 // CompileOpt is Compile with explicit control over the SSA optimizer
 // (disableOpt=true is -O0), for the opt-on/off metamorphic suite.
 func CompileOpt(p Program, disableOpt bool) (*mr.CompiledJob, error) {
-	return CompileVariant(p, disableOpt, false)
-}
-
-// CompileVariant is Compile with explicit control over both execution
-// knobs: disableOpt=true is -O0 (skip the SSA optimizer), disableVM=true
-// pins every interpreted stage to the AST tree-walker instead of the
-// default register-bytecode VM (-novm).
-func CompileVariant(p Program, disableOpt, disableVM bool) (*mr.CompiledJob, error) {
 	return mr.CompileJob(mr.JobProgram{
 		Name:        p.Name,
 		MapSrc:      p.MapSrc,
@@ -41,7 +33,6 @@ func CompileVariant(p Program, disableOpt, disableVM bool) (*mr.CompiledJob, err
 		ReduceSrc:   p.ReduceSrc,
 		NumReducers: p.Reducers,
 		DisableOpt:  disableOpt,
-		DisableVM:   disableVM,
 	})
 }
 

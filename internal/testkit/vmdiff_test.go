@@ -1,63 +1,107 @@
 package testkit
 
 import (
-	"fmt"
+	"bytes"
 	"testing"
 
-	"repro/internal/faults"
-	"repro/internal/mr"
+	"repro/internal/bytecode"
+	"repro/internal/interp"
+	"repro/internal/kv"
+	"repro/internal/streaming"
 )
 
-// compileBothCores compiles one generated program twice: once on the
-// default register-bytecode VM and once pinned to the AST tree-walker.
-func compileBothCores(t *testing.T, p Program, disableOpt bool) (vm, walker *mr.CompiledJob) {
-	t.Helper()
-	vm, err := CompileVariant(p, disableOpt, false)
-	if err != nil {
-		t.Fatalf("seed %d: VM compile: %v\nmap source:\n%s", p.Seed, err, p.MapSrc)
-	}
-	walker, err = CompileVariant(p, disableOpt, true)
-	if err != nil {
-		t.Fatalf("seed %d: tree-walker compile: %v\nmap source:\n%s", p.Seed, err, p.MapSrc)
-	}
-	return vm, walker
+// stageRun is everything one streaming stage exposes on one execution
+// core: stdout, exit status, error text, statement steps, and the abstract
+// cost that the CPU timing model turns into virtual time.
+type stageRun struct {
+	out   string
+	code  int
+	err   string
+	steps int64
+	cost  interp.CountingSink
 }
 
-// diffCores fails the test unless the VM and tree-walker runs of one seed
-// produced byte-identical output on every backend.
-func diffCores(t *testing.T, p Program, what string, vm, walker DiffResult) {
+// runStage executes one compiled streaming stage over input on the
+// bytecode VM, or on the tree-walker (interp.Machine.Run) as the oracle.
+func runStage(f *streaming.Filter, input []byte, onVM bool) stageRun {
+	var r stageRun
+	var out bytes.Buffer
+	m := interp.New(f.Prog, interp.Options{Stdin: bytes.NewReader(input), Stdout: &out, Cost: &r.cost})
+	var err error
+	if onVM {
+		r.code, err = bytecode.NewVM(m, f.Code).Run()
+	} else {
+		r.code, err = m.Run()
+	}
+	if err != nil {
+		r.err = err.Error()
+	}
+	r.out, r.steps = out.String(), m.Steps()
+	return r
+}
+
+// checkStageParity compiles one generated program and runs each of its
+// streaming stages on the VM and on the tree-walker: the map stage over
+// the program input, the combine and reduce stages over every non-empty
+// sorted partition of the map output (what a CPU map task and a reducer
+// feed them). Every stageRun field must match exactly — the cost parity
+// that keeps every virtual time and golden what the walker recorded.
+func checkStageParity(t *testing.T, p Program, disableOpt bool) {
 	t.Helper()
-	for _, backend := range []struct{ name, vm, walker string }{
-		{"sequential", vm.Sequential, walker.Sequential},
-		{"streaming", vm.Streaming, walker.Streaming},
-		{"gpu", vm.GPU, walker.GPU},
-	} {
-		if backend.vm != backend.walker {
-			t.Fatalf("seed %d: %s: VM and tree-walker disagree on the %s backend\nvm:\n%s\ntree-walker:\n%s\nmap source:\n%s\ncombine source:\n%s",
-				p.Seed, what, backend.name, head(backend.vm), head(backend.walker), p.MapSrc, p.CombineSrc)
+	cj, err := CompileOpt(p, disableOpt)
+	if err != nil {
+		t.Fatalf("seed %d: compile: %v\nmap source:\n%s", p.Seed, err, p.MapSrc)
+	}
+	stage := func(name, src string, f *streaming.Filter, input []byte) stageRun {
+		vm, walker := runStage(f, input, true), runStage(f, input, false)
+		if vm != walker {
+			t.Fatalf("seed %d (-O0=%v): %s stage: VM and tree-walker disagree\nvm:     code=%d err=%q steps=%d cost=%+v\nwalker: code=%d err=%q steps=%d cost=%+v\nvm out:\n%s\nwalker out:\n%s\nsource:\n%s",
+				p.Seed, disableOpt, name, vm.code, vm.err, vm.steps, vm.cost, walker.code, walker.err, walker.steps, walker.cost,
+				head(vm.out), head(walker.out), src)
+		}
+		return vm
+	}
+	mapRun := stage("map", p.MapSrc, cj.MapF, p.Input)
+	if cj.CombineF == nil && cj.ReduceF == nil {
+		return
+	}
+	pairs, err := streaming.ParseKVLines(mapRun.out, cj.Schema)
+	if err != nil {
+		t.Fatalf("seed %d: map output: %v", p.Seed, err)
+	}
+	n := cj.Program.NumReducers
+	if n < 1 {
+		n = 1
+	}
+	parts := make([][]kv.Pair, n)
+	for _, pr := range pairs {
+		i := kv.Partition(pr.Key, n)
+		parts[i] = append(parts[i], pr)
+	}
+	for _, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		kv.SortPairs(part)
+		in := streaming.RenderKVLines(part)
+		if cj.CombineF != nil {
+			stage("combine", p.CombineSrc, cj.CombineF, in)
+		}
+		if cj.ReduceF != nil {
+			stage("reduce", p.ReduceSrc, cj.ReduceF, in)
 		}
 	}
 }
 
 // TestVMMatchesTreeWalkerAcrossSeeds pins the execution-core equivalence
-// claim: the register-bytecode VM (the default core) and the AST
-// tree-walker (-novm) must produce byte-identical output for every seed in
-// the generated corpus, on all three backends — sequential, streaming, and
-// GPU. A failing seed reproduces with `go run ./cmd/hdgen -seed N -check`
-// plus `heterodoop -novm` on the same sources.
+// claim at the stage level: every streaming stage of every seed in the
+// generated corpus produces identical output, exit status, error text,
+// step count, and cost totals on the register-bytecode VM and on the AST
+// tree-walker. A failing seed reproduces with
+// `go run ./cmd/hdgen -seed N -check`.
 func TestVMMatchesTreeWalkerAcrossSeeds(t *testing.T) {
 	for seed := uint64(0); seed < NumDifferentialSeeds; seed++ {
-		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, false)
-		vmRes, err := RunDifferentialCompiled(vmJob, p)
-		if err != nil {
-			t.Fatalf("seed %d: VM run: %v\nmap source:\n%s", seed, err, p.MapSrc)
-		}
-		walkRes, err := RunDifferentialCompiled(walkJob, p)
-		if err != nil {
-			t.Fatalf("seed %d: tree-walker run: %v\nmap source:\n%s", seed, err, p.MapSrc)
-		}
-		diffCores(t, p, "default build", vmRes, walkRes)
+		checkStageParity(t, Generate(seed), false)
 	}
 }
 
@@ -66,59 +110,6 @@ func TestVMMatchesTreeWalkerAcrossSeeds(t *testing.T) {
 // faithfully as the optimized one.
 func TestVMMatchesTreeWalkerUnoptimized(t *testing.T) {
 	for seed := uint64(0); seed < NumMetamorphicSeeds; seed++ {
-		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, true)
-		vmRes, err := RunDifferentialCompiled(vmJob, p)
-		if err != nil {
-			t.Fatalf("seed %d: VM -O0 run: %v\nmap source:\n%s", seed, err, p.MapSrc)
-		}
-		walkRes, err := RunDifferentialCompiled(walkJob, p)
-		if err != nil {
-			t.Fatalf("seed %d: tree-walker -O0 run: %v\nmap source:\n%s", seed, err, p.MapSrc)
-		}
-		diffCores(t, p, "-O0 build", vmRes, walkRes)
-	}
-}
-
-// TestVMMatchesTreeWalkerUnderFaults drives both execution cores through
-// recovering fault plans: re-executed attempts and GPU->CPU fallbacks must
-// not open a gap between the cores. The VM's cost parity with the walker is
-// what keeps the virtual-time schedule — and so the fault injection points —
-// identical between the two runs.
-func TestVMMatchesTreeWalkerUnderFaults(t *testing.T) {
-	const faultSeeds = 6
-	for seed := uint64(0); seed < faultSeeds; seed++ {
-		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, false)
-		clean, err := RunCluster(vmJob, p.Input, ClusterOpts{Scheduler: mr.GPUFirst, Seed: seed})
-		if err != nil {
-			t.Fatalf("seed %d: clean VM run: %v", seed, err)
-		}
-		mid := clean.MapPhaseEnd / 2
-		specs := []struct{ name, spec string }{
-			{"crash-restart", fmt.Sprintf("crash(node=1,at=%g,restart=%g)", mid, clean.Makespan)},
-			{"hbloss", fmt.Sprintf("hbloss(node=0,at=%g,for=%g)", mid, clean.Makespan)},
-			{"taskfail-gpu", "taskfail(task=0,attempt=0,dev=gpu)"},
-			{"gpu-rate", "gpurate=0.3;seed=9"},
-		}
-		for _, tc := range specs {
-			plan, err := faults.Parse(tc.spec)
-			if err != nil {
-				t.Fatalf("seed %d: plan %s: %v", seed, tc.name, err)
-			}
-			o := ClusterOpts{Scheduler: mr.GPUFirst, Faults: plan, Seed: seed}
-			vmStats, err := RunCluster(vmJob, p.Input, o)
-			if err != nil {
-				t.Fatalf("seed %d: plan %s: VM run: %v", seed, tc.name, err)
-			}
-			walkStats, err := RunCluster(walkJob, p.Input, o)
-			if err != nil {
-				t.Fatalf("seed %d: plan %s: tree-walker run: %v", seed, tc.name, err)
-			}
-			if vmOut, walkOut := TextOutput(vmStats), TextOutput(walkStats); vmOut != walkOut {
-				t.Fatalf("seed %d: fault plan %s (%s): VM and tree-walker disagree\nvm:\n%s\ntree-walker:\n%s\nmap source:\n%s",
-					seed, tc.name, tc.spec, head(vmOut), head(walkOut), p.MapSrc)
-			}
-		}
+		checkStageParity(t, Generate(seed), true)
 	}
 }
