@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/cluster"
@@ -45,7 +44,7 @@ func main() {
 	hdprof := flag.Bool("hdprof", false, "profile the run's wall-clock cost and print the hot-path report")
 	profTop := flag.Int("prof-top", 15, "rows in the -hdprof hot-path table")
 	profFolded := flag.String("prof-folded", "", "write -hdprof folded-stack flamegraph lines to this file")
-	workers := flag.Int("workers", runtime.NumCPU(), "host worker-pool size for the run's task work; 1 = serial, results are byte-identical for every value")
+	workers := flag.Int("workers", 1, "host worker-pool size for the run's task work; 1 = serial, results are byte-identical for every value")
 	flag.Parse()
 
 	if *list {

@@ -101,7 +101,7 @@ func (a *analyzer) mapreduceRegions() []*regionInfo {
 	var out []*regionInfo
 	for _, fn := range a.prog.Funcs {
 		fn := fn
-		walkStmts(fn.Body, func(s minic.Stmt) {
+		minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 			p, ok := s.(*minic.PragmaStmt)
 			if !ok || !p.IsMapReduce() {
 				return
@@ -154,7 +154,7 @@ func (a *analyzer) visibleSymbols(fn *minic.FuncDecl) map[string]*minic.Symbol {
 	for _, p := range fn.Params {
 		out[p.Name] = p.Sym
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		if ds, ok := s.(*minic.DeclStmt); ok {
 			for _, d := range ds.Decls {
 				out[d.Name] = d.Sym
@@ -262,87 +262,6 @@ func splitArgs(raw string) []string {
 
 func isWord(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-// ---- AST walking ----
-
-// walkStmts visits s and every nested statement, in source order.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
-}
-
-// walkCalls visits every Call expression nested anywhere under s.
-func walkCalls(s minic.Stmt, visit func(*minic.Call)) {
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *minic.Unary:
-			walkExpr(x.X)
-		case *minic.Postfix:
-			walkExpr(x.X)
-		case *minic.Binary:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Assign:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Cond:
-			walkExpr(x.C)
-			walkExpr(x.T)
-			walkExpr(x.F)
-		case *minic.Call:
-			visit(x)
-			for _, arg := range x.Args {
-				walkExpr(arg)
-			}
-		case *minic.Index:
-			walkExpr(x.X)
-			walkExpr(x.Idx)
-		case *minic.Cast:
-			walkExpr(x.X)
-		}
-	}
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walkExpr(x.X)
-		case *minic.DeclStmt:
-			for _, d := range x.Decls {
-				walkExpr(d.Init)
-			}
-		case *minic.If:
-			walkExpr(x.Cond)
-		case *minic.While:
-			walkExpr(x.Cond)
-		case *minic.For:
-			walkExpr(x.Cond)
-			walkExpr(x.Post)
-		case *minic.Return:
-			walkExpr(x.X)
-		}
-	})
 }
 
 // ---- Access events ----

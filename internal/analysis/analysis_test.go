@@ -230,12 +230,13 @@ func TestConstIntValueFolding(t *testing.T) {
 	prog := mustParse(t, `int main() { int a[10]; a[0] = 2 * 3 + 1; return a[0]; }`)
 	var got int64
 	found := false
-	walkExprs(prog.Func("main").Body, func(e minic.Expr) {
+	minic.WalkExprs(prog.Func("main").Body, func(e minic.Expr) bool {
 		if as, ok := e.(*minic.Assign); ok {
 			if v, ok2 := constIntValue(as.R); ok2 {
 				got, found = v, true
 			}
 		}
+		return true
 	})
 	if !found || got != 7 {
 		t.Errorf("constIntValue(2*3+1) = %d, %v; want 7, true", got, found)

@@ -68,7 +68,7 @@ func (a *analyzer) dataflowPass(fn *minic.FuncDecl) {
 // localDecls returns fn's local variable declarations in source order.
 func localDecls(fn *minic.FuncDecl) []symDecl {
 	var out []symDecl
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		ds, ok := s.(*minic.DeclStmt)
 		if !ok {
 			return

@@ -253,7 +253,11 @@ func (a *analyzer) checkLength(r *regionInfo, lenClause string, lenVal int, varC
 func (a *analyzer) checkRegionUsage(r *regionInfo) bool {
 	n := len(a.diags)
 	printfs := 0
-	walkCalls(r.pragma.Body, func(c *minic.Call) {
+	minic.WalkExprs(r.pragma.Body, func(e minic.Expr) bool {
+		c, ok := e.(*minic.Call)
+		if !ok {
+			return true
+		}
 		switch c.Name {
 		case "printf":
 			printfs++
@@ -263,6 +267,7 @@ func (a *analyzer) checkRegionUsage(r *regionInfo) bool {
 				a.checkReadArgs(r, c)
 			}
 		}
+		return true
 	})
 	if printfs == 0 {
 		a.report("HD110", r.pragma.Pos,
@@ -332,15 +337,15 @@ func (a *analyzer) checkKVArg(r *regionInfo, c *minic.Call, clause, want string,
 // a compound assignment, ++/--, or `sym = ...sym...`.
 func accumulates(region minic.Stmt, sym *minic.Symbol) bool {
 	found := false
-	walkExprs(region, func(e minic.Expr) {
+	minic.WalkExprs(region, func(e minic.Expr) bool {
 		if found {
-			return
+			return false
 		}
 		switch x := e.(type) {
 		case *minic.Assign:
 			id, ok := x.L.(*minic.Ident)
 			if !ok || id.Sym != sym {
-				return
+				return true
 			}
 			if x.Op != "=" || readsSym(x.R, sym) {
 				found = true
@@ -356,103 +361,18 @@ func accumulates(region minic.Stmt, sym *minic.Symbol) bool {
 				found = true
 			}
 		}
+		return true
 	})
 	return found
 }
 
 func readsSym(e minic.Expr, sym *minic.Symbol) bool {
 	found := false
-	var walk func(minic.Expr)
-	walk = func(e minic.Expr) {
-		if e == nil || found {
-			return
+	minic.Inspect(e, func(x minic.Expr) bool {
+		if id, ok := x.(*minic.Ident); ok && id.Sym == sym {
+			found = true
 		}
-		switch x := e.(type) {
-		case *minic.Ident:
-			if x.Sym == sym {
-				found = true
-			}
-		case *minic.Unary:
-			walk(x.X)
-		case *minic.Postfix:
-			walk(x.X)
-		case *minic.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Assign:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Cond:
-			walk(x.C)
-			walk(x.T)
-			walk(x.F)
-		case *minic.Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *minic.Index:
-			walk(x.X)
-			walk(x.Idx)
-		case *minic.Cast:
-			walk(x.X)
-		}
-	}
-	walk(e)
-	return found
-}
-
-// walkExprs visits every expression nested anywhere under s, in source
-// order.
-func walkExprs(s minic.Stmt, visit func(minic.Expr)) {
-	var walk func(e minic.Expr)
-	walk = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		visit(e)
-		switch x := e.(type) {
-		case *minic.Unary:
-			walk(x.X)
-		case *minic.Postfix:
-			walk(x.X)
-		case *minic.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Assign:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Cond:
-			walk(x.C)
-			walk(x.T)
-			walk(x.F)
-		case *minic.Call:
-			for _, arg := range x.Args {
-				walk(arg)
-			}
-		case *minic.Index:
-			walk(x.X)
-			walk(x.Idx)
-		case *minic.Cast:
-			walk(x.X)
-		}
-	}
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walk(x.X)
-		case *minic.DeclStmt:
-			for _, d := range x.Decls {
-				walk(d.Init)
-			}
-		case *minic.If:
-			walk(x.Cond)
-		case *minic.While:
-			walk(x.Cond)
-		case *minic.For:
-			walk(x.Cond)
-			walk(x.Post)
-		case *minic.Return:
-			walk(x.X)
-		}
+		return !found
 	})
+	return found
 }

@@ -97,53 +97,23 @@ func (a *analyzer) checkWarpSync(k *Kernel) {
 		case *minic.PragmaStmt:
 			markTop(st.Body)
 		case *minic.While:
-			markCondCalls(st.Cond, legal)
+			minic.Inspect(st.Cond, func(e minic.Expr) bool {
+				if c, ok := e.(*minic.Call); ok {
+					legal[c] = true
+				}
+				return true
+			})
 		}
 	}
 	markTop(k.Region)
-	walkCalls(k.Region, func(c *minic.Call) {
-		if warpSyncCalls[c.Name] && !legal[c] {
+	minic.WalkExprs(k.Region, func(e minic.Expr) bool {
+		if c, ok := e.(*minic.Call); ok && warpSyncCalls[c.Name] && !legal[c] {
 			a.report("HD401", c.Pos,
 				fmt.Sprintf("warp-synchronous %q is called under thread-divergent control flow", c.Name),
 				"hoist the record read into the region's outermost loop condition")
 		}
+		return true
 	})
-}
-
-func markCondCalls(e minic.Expr, legal map[*minic.Call]bool) {
-	var walk func(minic.Expr)
-	walk = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *minic.Unary:
-			walk(x.X)
-		case *minic.Postfix:
-			walk(x.X)
-		case *minic.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Assign:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Cond:
-			walk(x.C)
-			walk(x.T)
-			walk(x.F)
-		case *minic.Call:
-			legal[x] = true
-			for _, arg := range x.Args {
-				walk(arg)
-			}
-		case *minic.Index:
-			walk(x.X)
-			walk(x.Idx)
-		case *minic.Cast:
-			walk(x.X)
-		}
-	}
-	walk(e)
 }
 
 // checkSharedWrites reports HD402 when the kernel writes a variable the
@@ -176,31 +146,32 @@ func (a *analyzer) checkSharedWrites(k *Kernel) {
 // array. Out-of-bounds texture fetches clamp silently on the device, so
 // the bug is invisible at runtime.
 func (a *analyzer) checkStaticBounds(k *Kernel) {
-	walkExprs(k.Region, func(e minic.Expr) {
+	minic.WalkExprs(k.Region, func(e minic.Expr) bool {
 		ix, ok := e.(*minic.Index)
 		if !ok {
-			return
+			return true
 		}
 		base := baseIdent(ix.X)
 		if base == nil || base.Sym == nil {
-			return
+			return true
 		}
 		space, tracked := k.Spaces[base.Sym]
 		if !tracked || (space != SpaceGlobalRO && space != SpaceTexture && space != SpaceConstScalar) {
-			return
+			return true
 		}
 		t := base.Sym.Type
 		if t == nil || t.Kind != minic.TypeArray || t.Len <= 0 {
-			return
+			return true
 		}
 		v, constIdx := constIntValue(ix.Idx)
 		if !constIdx {
-			return
+			return true
 		}
 		if v < 0 || v >= int64(t.Len) {
 			a.report("HD403", ix.Pos,
 				fmt.Sprintf("index %d is out of bounds for %q (%s memory, length %d)", v, base.Sym.Name, space, t.Len),
 				"fix the index or the array's declared length")
 		}
+		return true
 	})
 }

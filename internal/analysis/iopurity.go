@@ -58,21 +58,25 @@ var callPurity = map[string]purityClass{
 
 func (a *analyzer) ioPurityPass(r *regionInfo) {
 	checkedFns := map[string]bool{}
-	walkCalls(r.pragma.Body, func(c *minic.Call) {
+	minic.WalkExprs(r.pragma.Body, func(e minic.Expr) bool {
+		c, ok := e.(*minic.Call)
+		if !ok {
+			return true
+		}
 		if cls, known := callPurity[c.Name]; known {
 			if cls == forbiddenCall {
 				a.report("HD501", c.Pos,
 					fmt.Sprintf("call to %q inside a %s region is not GPU-replaceable", c.Name, r.kindName()),
 					"move the call outside the directive region")
 			}
-			return
+			return true
 		}
 		fn := a.prog.Func(c.Name)
 		if fn == nil {
-			return // sema already rejected unknown callees
+			return true // sema already rejected unknown callees
 		}
 		if checkedFns[c.Name] {
-			return
+			return true
 		}
 		checkedFns[c.Name] = true
 		if name, callee, ok := a.findImpureCall(fn, map[string]bool{c.Name: true}); ok {
@@ -80,6 +84,7 @@ func (a *analyzer) ioPurityPass(r *regionInfo) {
 				fmt.Sprintf("function %q called from the %s region calls %q, which cannot run on the GPU", name, r.kindName(), callee),
 				"inline replaceable IO into the region body or drop the call")
 		}
+		return true
 	})
 }
 
@@ -89,24 +94,29 @@ func (a *analyzer) ioPurityPass(r *regionInfo) {
 // translator rewrites the region body only.
 func (a *analyzer) findImpureCall(fn *minic.FuncDecl, visiting map[string]bool) (string, string, bool) {
 	var badFn, badCallee string
-	walkCalls(fn.Body, func(c *minic.Call) {
+	minic.WalkExprs(fn.Body, func(e minic.Expr) bool {
 		if badCallee != "" {
-			return
+			return false
+		}
+		c, ok := e.(*minic.Call)
+		if !ok {
+			return true
 		}
 		if cls, known := callPurity[c.Name]; known {
 			if cls != pureCall {
 				badFn, badCallee = fn.Name, c.Name
 			}
-			return
+			return true
 		}
 		callee := a.prog.Func(c.Name)
 		if callee == nil || visiting[c.Name] {
-			return
+			return true
 		}
 		visiting[c.Name] = true
 		if f, cn, ok := a.findImpureCall(callee, visiting); ok {
 			badFn, badCallee = f, cn
 		}
+		return true
 	})
 	return badFn, badCallee, badCallee != ""
 }

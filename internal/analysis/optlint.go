@@ -39,56 +39,13 @@ func (a *analyzer) hd403Owned(regions []*regionInfo) map[*minic.Index]bool {
 		if len(ro) == 0 {
 			continue
 		}
-		var walkExpr func(e minic.Expr)
-		walkExpr = func(e minic.Expr) {
-			switch x := e.(type) {
-			case nil:
-			case *minic.Unary:
-				walkExpr(x.X)
-			case *minic.Postfix:
-				walkExpr(x.X)
-			case *minic.Binary:
-				walkExpr(x.L)
-				walkExpr(x.R)
-			case *minic.Assign:
-				walkExpr(x.L)
-				walkExpr(x.R)
-			case *minic.Cond:
-				walkExpr(x.C)
-				walkExpr(x.T)
-				walkExpr(x.F)
-			case *minic.Call:
-				for _, arg := range x.Args {
-					walkExpr(arg)
+		minic.WalkExprs(r.pragma.Body, func(e minic.Expr) bool {
+			if ix, ok := e.(*minic.Index); ok {
+				if base, ok := ix.X.(*minic.Ident); ok && ro[base.Name] {
+					owned[ix] = true
 				}
-			case *minic.Index:
-				if base, ok := x.X.(*minic.Ident); ok && ro[base.Name] {
-					owned[x] = true
-				}
-				walkExpr(x.X)
-				walkExpr(x.Idx)
-			case *minic.Cast:
-				walkExpr(x.X)
 			}
-		}
-		walkStmts(r.pragma.Body, func(s minic.Stmt) {
-			switch x := s.(type) {
-			case *minic.ExprStmt:
-				walkExpr(x.X)
-			case *minic.DeclStmt:
-				for _, d := range x.Decls {
-					walkExpr(d.Init)
-				}
-			case *minic.If:
-				walkExpr(x.Cond)
-			case *minic.While:
-				walkExpr(x.Cond)
-			case *minic.For:
-				walkExpr(x.Cond)
-				walkExpr(x.Post)
-			case *minic.Return:
-				walkExpr(x.X)
-			}
+			return true
 		})
 	}
 	return owned

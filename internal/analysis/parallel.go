@@ -68,7 +68,7 @@ func (a *analyzer) checkLoopCarried(r *regionInfo, events []event) {
 		return
 	}
 	regionLocal := map[*minic.Symbol]bool{}
-	walkStmts(r.pragma.Body, func(s minic.Stmt) {
+	minic.WalkStmts(r.pragma.Body, func(s minic.Stmt) {
 		if ds, ok := s.(*minic.DeclStmt); ok {
 			for _, d := range ds.Decls {
 				regionLocal[d.Sym] = true

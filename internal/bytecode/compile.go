@@ -69,7 +69,7 @@ func CompileFragmentStmt(region minic.Stmt) (*Program, error) {
 
 func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
 	declared := map[*minic.Symbol]bool{}
-	walkFragmentStmts(body, func(s minic.Stmt) {
+	minic.WalkStmts(body, func(s minic.Stmt) {
 		if d, ok := s.(*minic.DeclStmt); ok {
 			for _, dc := range d.Decls {
 				if dc.Sym != nil {
@@ -85,31 +85,6 @@ func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stm
 		return nil, err
 	}
 	return b.prog, nil
-}
-
-// walkFragmentStmts visits s and nested statements (fragment ASTs only
-// contain the statement forms the parser produces).
-func walkFragmentStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkFragmentStmts(inner, visit)
-		}
-	case *minic.If:
-		walkFragmentStmts(st.Then, visit)
-		walkFragmentStmts(st.Else, visit)
-	case *minic.While:
-		walkFragmentStmts(st.Body, visit)
-	case *minic.For:
-		walkFragmentStmts(st.Init, visit)
-		walkFragmentStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkFragmentStmts(st.Body, visit)
-	}
 }
 
 // builder accumulates the shared pools of one Program. All interning is

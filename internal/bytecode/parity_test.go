@@ -505,10 +505,11 @@ int main() {
 		intT := loop.Cond.(*minic.Binary).L.Type()
 		bind := func(name string, v int64) *interp.Object {
 			var sym *minic.Symbol
-			minicWalk(prog, func(id *minic.Ident) {
-				if id.Name == name {
+			minic.WalkExprs(prog.Func("main").Body, func(e minic.Expr) bool {
+				if id, ok := e.(*minic.Ident); ok && id.Name == name {
 					sym = id.Sym
 				}
+				return true
 			})
 			obj := interp.NewObject(name, intT, 1, interp.SpaceRAM)
 			obj.Cells[0] = interp.IntVal(v)
@@ -567,80 +568,5 @@ int main() {
 	}
 	if wSteps != vSteps {
 		t.Fatalf("steps mismatch: walker %d, vm %d", wSteps, vSteps)
-	}
-}
-
-// minicWalk visits every Ident in every function body expression via the
-// statement tree (small test helper, not exhaustive for all node kinds).
-func minicWalk(prog *minic.Program, visit func(*minic.Ident)) {
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		switch x := e.(type) {
-		case *minic.Ident:
-			visit(x)
-		case *minic.Unary:
-			walkExpr(x.X)
-		case *minic.Postfix:
-			walkExpr(x.X)
-		case *minic.Binary:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Assign:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Cond:
-			walkExpr(x.C)
-			walkExpr(x.T)
-			walkExpr(x.F)
-		case *minic.Index:
-			walkExpr(x.X)
-			walkExpr(x.Idx)
-		case *minic.Cast:
-			walkExpr(x.X)
-		case *minic.Call:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	var walkStmt func(s minic.Stmt)
-	walkStmt = func(s minic.Stmt) {
-		switch x := s.(type) {
-		case *minic.Block:
-			for _, inner := range x.Stmts {
-				walkStmt(inner)
-			}
-		case *minic.ExprStmt:
-			walkExpr(x.X)
-		case *minic.If:
-			walkExpr(x.Cond)
-			walkStmt(x.Then)
-			walkStmt(x.Else)
-		case *minic.While:
-			walkExpr(x.Cond)
-			walkStmt(x.Body)
-		case *minic.For:
-			walkStmt(x.Init)
-			if x.Cond != nil {
-				walkExpr(x.Cond)
-			}
-			if x.Post != nil {
-				walkExpr(x.Post)
-			}
-			walkStmt(x.Body)
-		case *minic.Return:
-			if x.X != nil {
-				walkExpr(x.X)
-			}
-		case *minic.DeclStmt:
-			for _, d := range x.Decls {
-				if d.Init != nil {
-					walkExpr(d.Init)
-				}
-			}
-		}
-	}
-	for _, fn := range prog.Funcs {
-		walkStmt(fn.Body)
 	}
 }

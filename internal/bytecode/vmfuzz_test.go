@@ -51,7 +51,7 @@ func arrayCells(prog *minic.Program) int {
 		count(g)
 	}
 	for _, fn := range prog.Funcs {
-		walkFragmentStmts(fn.Body, count)
+		minic.WalkStmts(fn.Body, count)
 	}
 	return total
 }
@@ -99,7 +99,7 @@ func FuzzVMParity(f *testing.F) {
 		}
 		ir.OptimizeProgram(prog)
 		for _, fn := range prog.Funcs {
-			walkFragmentStmts(fn.Body, func(s minic.Stmt) {
+			minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 				if w, ok := s.(*minic.While); ok {
 					_, _ = CompileFragmentExpr(w.Cond)
 					_, _ = CompileFragmentStmt(w.Body)

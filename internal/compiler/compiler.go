@@ -268,6 +268,7 @@ func translateSource(file, src string) (*KernelSpec, kv.Schema, error) {
 // kernel model for the GPU-safety pass.
 func kernelView(file string, spec *KernelSpec) *analysis.Kernel {
 	spaces := map[*minic.Symbol]analysis.MemSpace{}
+	//detlint:ignore map-iteration: copies one map into another; order is not observable
 	for sym, cls := range spec.Plan {
 		switch cls {
 		case ClassLocal:
@@ -507,7 +508,7 @@ func isArrayLike(t *minic.Type) bool {
 func enclosingFunc(prog *minic.Program, pragma *minic.PragmaStmt) *minic.FuncDecl {
 	for _, f := range prog.Funcs {
 		found := false
-		walkStmts(f.Body, func(s minic.Stmt) {
+		minic.WalkStmts(f.Body, func(s minic.Stmt) {
 			if s == minic.Stmt(pragma) {
 				found = true
 			}
@@ -533,7 +534,7 @@ func visibleSymbols(fn *minic.FuncDecl, prog *minic.Program) map[string]*minic.S
 	for _, p := range fn.Params {
 		out[p.Name] = p.Sym
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		if ds, ok := s.(*minic.DeclStmt); ok {
 			for _, dcl := range ds.Decls {
 				out[dcl.Name] = dcl.Sym
@@ -541,85 +542,6 @@ func visibleSymbols(fn *minic.FuncDecl, prog *minic.Program) map[string]*minic.S
 		}
 	})
 	return out
-}
-
-// walkStmts visits s and every nested statement.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
-}
-
-// walkExprs visits every expression in s, including nested ones.
-func walkExprs(s minic.Stmt, visit func(minic.Expr)) {
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walkExpr(x.X, visit)
-		case *minic.DeclStmt:
-			for _, dcl := range x.Decls {
-				walkExpr(dcl.Init, visit)
-			}
-		case *minic.If:
-			walkExpr(x.Cond, visit)
-		case *minic.While:
-			walkExpr(x.Cond, visit)
-		case *minic.For:
-			walkExpr(x.Cond, visit)
-			walkExpr(x.Post, visit)
-		case *minic.Return:
-			walkExpr(x.X, visit)
-		}
-	})
-}
-
-func walkExpr(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch x := e.(type) {
-	case *minic.Unary:
-		walkExpr(x.X, visit)
-	case *minic.Postfix:
-		walkExpr(x.X, visit)
-	case *minic.Binary:
-		walkExpr(x.L, visit)
-		walkExpr(x.R, visit)
-	case *minic.Assign:
-		walkExpr(x.L, visit)
-		walkExpr(x.R, visit)
-	case *minic.Cond:
-		walkExpr(x.C, visit)
-		walkExpr(x.T, visit)
-		walkExpr(x.F, visit)
-	case *minic.Call:
-		for _, a := range x.Args {
-			walkExpr(a, visit)
-		}
-	case *minic.Index:
-		walkExpr(x.X, visit)
-		walkExpr(x.Idx, visit)
-	case *minic.Cast:
-		walkExpr(x.X, visit)
-	}
 }
 
 // substitutions tallies the call rewrites performed in a region.
@@ -636,10 +558,10 @@ type substitutions struct {
 func rewriteRegion(spec *KernelSpec) substitutions {
 	var subs substitutions
 	d := spec.Directive
-	walkExprs(spec.Region, func(e minic.Expr) {
+	minic.WalkExprs(spec.Region, func(e minic.Expr) bool {
 		call, ok := e.(*minic.Call)
 		if !ok {
-			return
+			return true
 		}
 		switch call.Name {
 		case "getline":
@@ -681,6 +603,7 @@ func rewriteRegion(spec *KernelSpec) substitutions {
 			call.Builtin = true
 			subs.strings++
 		}
+		return true
 	})
 	return subs
 }
@@ -709,7 +632,7 @@ func classifyVariables(spec *KernelSpec) error {
 
 	// Symbols declared inside the region are local.
 	local := map[*minic.Symbol]bool{}
-	walkStmts(spec.Region, func(s minic.Stmt) {
+	minic.WalkStmts(spec.Region, func(s minic.Stmt) {
 		if ds, ok := s.(*minic.DeclStmt); ok {
 			for _, dcl := range ds.Decls {
 				local[dcl.Sym] = true
@@ -717,17 +640,18 @@ func classifyVariables(spec *KernelSpec) error {
 		}
 	})
 
-	// Ordered first-access analysis.
-	type access struct {
-		sym   *minic.Symbol
-		write bool
-	}
-	var accesses []access
+	// Ordered first-access analysis: order lists the region's symbols by
+	// first access, firstRead records whether that access was a read.
+	var order []*minic.Symbol
+	firstRead := map[*minic.Symbol]bool{}
 	record := func(sym *minic.Symbol, write bool) {
 		if sym == nil || sym.Kind == minic.SymBuiltin {
 			return
 		}
-		accesses = append(accesses, access{sym, write})
+		if _, seen := firstRead[sym]; !seen {
+			firstRead[sym] = !write
+			order = append(order, sym)
+		}
 	}
 	var visitExpr func(e minic.Expr, write bool)
 	visitExpr = func(e minic.Expr, write bool) {
@@ -776,45 +700,11 @@ func classifyVariables(spec *KernelSpec) error {
 			visitExpr(x.X, write)
 		}
 	}
-	walkStmts(spec.Region, func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.ExprStmt:
-			visitExpr(st.X, false)
-		case *minic.DeclStmt:
-			for _, dcl := range st.Decls {
-				if dcl.Init != nil {
-					visitExpr(dcl.Init, false)
-				}
-			}
-		case *minic.If:
-			visitExpr(st.Cond, false)
-		case *minic.While:
-			visitExpr(st.Cond, false)
-		case *minic.For:
-			if st.Cond != nil {
-				visitExpr(st.Cond, false)
-			}
-			if st.Post != nil {
-				visitExpr(st.Post, false)
-			}
-		case *minic.Return:
-			if st.X != nil {
-				visitExpr(st.X, false)
-			}
-		}
+	minic.WalkStmts(spec.Region, func(s minic.Stmt) {
+		minic.StmtExprs(s, func(e minic.Expr) { visitExpr(e, false) })
 	})
 
-	firstAccess := map[*minic.Symbol]bool{} // true = first access was a read
-	seen := map[*minic.Symbol]bool{}
-	for _, a := range accesses {
-		if seen[a.sym] {
-			continue
-		}
-		seen[a.sym] = true
-		firstAccess[a.sym] = !a.write
-	}
-
-	for sym := range seen {
+	for _, sym := range order {
 		if local[sym] {
 			spec.Plan[sym] = ClassLocal
 			continue
@@ -842,7 +732,7 @@ func classifyVariables(spec *KernelSpec) error {
 				spec.Plan[sym] = ClassROScalar
 			}
 		default:
-			if firstAccess[sym] {
+			if firstRead[sym] {
 				spec.Plan[sym] = ClassFirstPrivate
 				if sym.Type.Kind == minic.TypePointer {
 					spec.Warnings = append(spec.Warnings, fmt.Sprintf(

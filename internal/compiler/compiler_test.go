@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -453,13 +455,58 @@ func TestCompileIsRepeatable(t *testing.T) {
 	}
 }
 
+// aliasedPointersSrc reads three outside pointers first inside the
+// region, in the order c, a, b: each is auto-privatized as firstprivate
+// with an aliasing warning.
+const aliasedPointersSrc = `
+int main() {
+	char word[4], *line, *a, *b, *c;
+	size_t nbytes = 100;
+	int read, one;
+	line = (char*) malloc(nbytes * sizeof(char));
+	a = line; b = line; c = line;
+	#pragma mapreduce mapper key(word) value(one) keylength(4)
+	while ((read = getline(&line, &nbytes, stdin)) != -1) {
+		one = 1;
+		word[0] = c[0]; word[1] = a[0]; word[2] = b[0]; word[3] = '\0';
+		printf("%s\t%d\n", word, one);
+	}
+	return 0;
+}`
+
+// TestPrivatizationWarningsInFirstAccessOrder compiles the same source
+// repeatedly: the warnings, and the CUDA text that carries them, must come
+// out in first-access order every time.
+func TestPrivatizationWarningsInFirstAccessOrder(t *testing.T) {
+	var want []string
+	for _, name := range []string{"c", "a", "b"} {
+		want = append(want, fmt.Sprintf(
+			"auto-privatization of pointer %q may be inaccurate due to aliasing; consider a firstprivate clause", name))
+	}
+	var cuda string
+	for i := 0; i < 50; i++ {
+		c, err := Compile(aliasedPointersSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(c.Kernel.Warnings, want) {
+			t.Fatalf("compile %d: warnings\n%q\nwant\n%q", i, c.Kernel.Warnings, want)
+		}
+		if i > 0 && c.CUDA != cuda {
+			t.Fatalf("compile %d: CUDA text differs from the first compile", i)
+		}
+		cuda = c.CUDA
+	}
+}
+
 // callNames counts call expressions by name inside a statement tree.
 func callNames(s minic.Stmt) map[string]int {
 	out := map[string]int{}
-	walkExprs(s, func(e minic.Expr) {
+	minic.WalkExprs(s, func(e minic.Expr) bool {
 		if c, ok := e.(*minic.Call); ok {
 			out[c.Name]++
 		}
+		return true
 	})
 	return out
 }

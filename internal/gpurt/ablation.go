@@ -1,8 +1,6 @@
 package gpurt
 
 import (
-	"fmt"
-
 	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/interp"
@@ -21,7 +19,6 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	records []Record, store *KVStore, opts Options,
 	blocks, tpb, kvBound int) (*MapKernelResult, error) {
 
-	spec := comp.Kernel
 	totalLanes := blocks * tpb
 	if totalLanes > len(records) {
 		totalLanes = len(records)
@@ -32,29 +29,10 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	defer col.Flush()
 	threads := make([]*mapThread, 0, totalLanes)
 	for lane := 0; lane < totalLanes; lane++ {
-		t := &mapThread{id: lane, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-		priv, err := privateBindings(spec, cap, interp.SpaceLocal)
+		t, err := newMapThread(lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
 		if err != nil {
 			return nil, err
 		}
-		t.machine = interp.New(spec.Prog, interp.Options{
-			Cost:         t.cost,
-			DefaultSpace: interp.SpaceLocal,
-			SpaceFor:     threadSpaceFor,
-			Prof:         col,
-			Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
-		})
-		t.frame = t.machine.NewFrame()
-		for sym, obj := range shared {
-			t.frame.Bind(sym, obj)
-		}
-		for sym, obj := range priv {
-			t.frame.Bind(sym, obj)
-		}
-		if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
-			return nil, err
-		}
-		t.cost.Op(24)
 		threads = append(threads, t)
 	}
 
@@ -68,40 +46,15 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 
 	var steals int64
 	for rec := 0; rec < len(records); rec++ {
-		var pick *mapThread
-		for _, t := range threads {
-			if store.Remaining(t.id) < kvBound {
-				continue
-			}
-			if pick == nil || t.cost.Cycles < pick.cost.Cycles {
-				pick = t
-			}
-		}
-		if pick == nil {
-			for _, t := range threads {
-				if store.Remaining(t.id) > 0 && (pick == nil || t.cost.Cycles < pick.cost.Cycles) {
-					pick = t
-				}
-			}
-			if pick == nil {
-				return nil, ErrStoreOverflow
-			}
+		pick, err := pickThread(threads, store, kvBound)
+		if err != nil {
+			return nil, err
 		}
 		for i := 0; i < int(contention); i++ {
 			pick.cost.Atomic(interp.SpaceGlobal)
 		}
 		steals++
-		pick.pending = rec
-		pick.ran = true
-		pick.machine.SetCost(pick.cost)
-		v, err := pick.evalCond()
-		if err != nil {
-			return nil, err
-		}
-		if !v.Truthy() {
-			return nil, fmt.Errorf("gpurt: map loop refused a granted record")
-		}
-		if err := pick.execBody(); err != nil {
+		if err := pick.run(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -111,12 +64,8 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	blockCycles := make([]float64, (totalLanes+tpb-1)/tpb)
 	var breakdown gpu.CycleBreakdown
 	for i, t := range threads {
-		if t.ran {
-			t.pending = -1
-			if _, err := t.evalCond(); err != nil {
-				return nil, err
-			}
-			t.cost.Op(16)
+		if err := t.finish(); err != nil {
+			return nil, err
 		}
 		b := i / tpb
 		if t.cost.Cycles > blockCycles[b] {

@@ -185,6 +185,99 @@ type mapThread struct {
 	ran     bool
 }
 
+// newMapThread builds map thread id of a launch: its machine with the GPU
+// map intrinsics over records, a frame binding the launch-shared objects
+// and fresh private copies, and the region's fragment VMs. It charges the
+// mapSetup overhead.
+func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
+	records []Record, store *KVStore, opts Options, col *perf.Collector) (*mapThread, error) {
+
+	t := &mapThread{id: id, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
+	priv, err := privateBindings(comp.Kernel, cap, interp.SpaceLocal)
+	if err != nil {
+		return nil, err
+	}
+	t.machine = interp.New(comp.Kernel.Prog, interp.Options{
+		Cost:         t.cost,
+		DefaultSpace: interp.SpaceLocal,
+		SpaceFor:     threadSpaceFor,
+		Prof:         col,
+		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
+	})
+	t.frame = t.machine.NewFrame()
+	for sym, obj := range shared {
+		t.frame.Bind(sym, obj)
+	}
+	for sym, obj := range priv {
+		t.frame.Bind(sym, obj)
+	}
+	if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
+		return nil, err
+	}
+	t.cost.Op(24) // mapSetup overhead
+	return t, nil
+}
+
+// pickThread returns the thread that steals the next record: the
+// least-loaded thread with at least kvBound free store slots, a
+// deterministic stand-in for the atomic counter race (the least-loaded
+// thread reaches the counter first). When every thread is below the bound
+// it falls back to the least-loaded thread with any residual space before
+// declaring overflow.
+func pickThread(threads []*mapThread, store *KVStore, kvBound int) (*mapThread, error) {
+	var pick *mapThread
+	for _, t := range threads {
+		if store.Remaining(t.id) < kvBound {
+			continue
+		}
+		if pick == nil || t.cost.Cycles < pick.cost.Cycles {
+			pick = t
+		}
+	}
+	if pick == nil {
+		for _, t := range threads {
+			if store.Remaining(t.id) > 0 && (pick == nil || t.cost.Cycles < pick.cost.Cycles) {
+				pick = t
+			}
+		}
+		if pick == nil {
+			return nil, ErrStoreOverflow
+		}
+	}
+	return pick, nil
+}
+
+// run executes one iteration of the region loop on granted record rec.
+func (t *mapThread) run(rec int) error {
+	t.pending = rec
+	t.ran = true
+	t.machine.SetCost(t.cost)
+	v, err := t.evalCond()
+	if err != nil {
+		return err
+	}
+	if !v.Truthy() {
+		return fmt.Errorf("gpurt: map loop refused a granted record")
+	}
+	return t.execBody()
+}
+
+// finish runs the final loop-condition evaluation of a thread that ran:
+// getRecord returns -1 and the user loop exits, assigning read = -1 as the
+// real kernel would.
+func (t *mapThread) finish() error {
+	if !t.ran {
+		return nil
+	}
+	t.pending = -1
+	if _, err := t.evalCond(); err != nil {
+		return err
+	}
+	t.cost.Op(16) // mapFinish bookkeeping
+	return nil
+}
+
 // evalCond evaluates the region loop condition.
 func (t *mapThread) evalCond() (interp.Value, error) {
 	v, _, err := t.condVM.Run()
@@ -329,59 +422,17 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	records []Record, store *KVStore, opts Options,
 	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
 
-	spec := comp.Kernel
 	// One collector per block: this function runs on its own goroutine, and
 	// all the block's thread machines share it (they execute sequentially).
 	col := opts.Prof.Collector(perf.PhaseGPUMap)
 	defer col.Flush()
 	threads := make([]*mapThread, 0, tpb)
-	newThread := func(lane int) (*mapThread, error) {
-		t := &mapThread{id: block*tpb + lane, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-		priv, err := privateBindings(spec, cap, interp.SpaceLocal)
-		if err != nil {
-			return nil, err
-		}
-		t.machine = interp.New(spec.Prog, interp.Options{
-			Cost:         t.cost,
-			DefaultSpace: interp.SpaceLocal,
-			SpaceFor:     threadSpaceFor,
-			Prof:         col,
-			Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
-		})
-		t.frame = t.machine.NewFrame()
-		for sym, obj := range shared {
-			t.frame.Bind(sym, obj)
-		}
-		for sym, obj := range priv {
-			t.frame.Bind(sym, obj)
-		}
-		if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
-			return nil, err
-		}
-		t.cost.Op(24) // mapSetup overhead
-		return t, nil
-	}
-
-	runIteration := func(t *mapThread, rec int) error {
-		t.pending = rec
-		t.ran = true
-		t.machine.SetCost(t.cost)
-		v, err := t.evalCond()
-		if err != nil {
-			return err
-		}
-		if !v.Truthy() {
-			return fmt.Errorf("gpurt: map loop refused a granted record")
-		}
-		return t.execBody()
-	}
-
 	lanes := tpb
 	if lanes > len(records) {
 		lanes = len(records)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		t, err := newThread(lane)
+		t, err := newMapThread(block*tpb+lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
 		if err != nil {
 			return 0, gpu.CycleBreakdown{}, 0, err
 		}
@@ -390,58 +441,32 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 
 	var steals int64
 	if opts.RecordStealing {
-		// Dynamic distribution: grant each record to the least-loaded
-		// eligible thread — a deterministic stand-in for the shared-memory
-		// atomic counter race (the least-loaded thread reaches the counter
-		// first).
+		// Dynamic distribution through the shared-memory record counter.
 		for rec := 0; rec < len(records); rec++ {
-			var pick *mapThread
-			for _, t := range threads {
-				if store.Remaining(t.id) < kvBound {
-					continue
-				}
-				if pick == nil || t.cost.Cycles < pick.cost.Cycles {
-					pick = t
-				}
-			}
-			if pick == nil {
-				// Every thread is below the stealing bound; fall back to
-				// any thread with residual space before declaring overflow.
-				for _, t := range threads {
-					if store.Remaining(t.id) > 0 && (pick == nil || t.cost.Cycles < pick.cost.Cycles) {
-						pick = t
-					}
-				}
-				if pick == nil {
-					return 0, gpu.CycleBreakdown{}, 0, ErrStoreOverflow
-				}
+			pick, err := pickThread(threads, store, kvBound)
+			if err != nil {
+				return 0, gpu.CycleBreakdown{}, 0, err
 			}
 			pick.cost.Atomic(interp.SpaceShared) // recordIndex counter
 			steals++
-			if err := runIteration(pick, rec); err != nil {
+			if err := pick.run(rec); err != nil {
 				return 0, gpu.CycleBreakdown{}, 0, err
 			}
 		}
 	} else {
 		// Static partitioning: record i goes to lane i % lanes.
 		for rec := 0; rec < len(records); rec++ {
-			if err := runIteration(threads[rec%lanes], rec); err != nil {
+			if err := threads[rec%lanes].run(rec); err != nil {
 				return 0, gpu.CycleBreakdown{}, 0, err
 			}
 		}
 	}
 
-	// Final loop-condition evaluation: getRecord returns -1 and the user
-	// loop exits, assigning read = -1 as the real kernel would.
 	maxCycles := 0.0
 	var breakdown gpu.CycleBreakdown
 	for _, t := range threads {
-		if t.ran {
-			t.pending = -1
-			if _, err := t.evalCond(); err != nil {
-				return 0, gpu.CycleBreakdown{}, 0, err
-			}
-			t.cost.Op(16) // mapFinish bookkeeping
+		if err := t.finish(); err != nil {
+			return 0, gpu.CycleBreakdown{}, 0, err
 		}
 		if t.cost.Cycles > maxCycles {
 			maxCycles = t.cost.Cycles

@@ -513,23 +513,6 @@ int main() {
 	}
 }
 
-func TestCallFunctionDirectly(t *testing.T) {
-	prog, err := minic.ParseAndCheck(`
-int square(int x) { return x * x; }
-int main() { return 0; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(prog, Options{})
-	v, err := m.CallFunction("square", []Value{IntVal(12)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsInt() != 144 {
-		t.Fatalf("square(12) = %d", v.AsInt())
-	}
-}
-
 func TestIntrinsicOverride(t *testing.T) {
 	prog, err := minic.ParseAndCheck(`
 int main() {

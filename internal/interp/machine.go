@@ -330,25 +330,6 @@ func (m *Machine) Run() (int, error) {
 	return int(v.AsInt()), nil
 }
 
-// CallFunction invokes a named function with pre-built argument values.
-// Globals are initialized on first use. The GPU executor uses this to run
-// kernel functions per thread.
-func (m *Machine) CallFunction(name string, args []Value) (Value, error) {
-	if err := m.initGlobals(); err != nil {
-		return Value{}, err
-	}
-	fn := m.Prog.Func(name)
-	if fn == nil {
-		return Value{}, fmt.Errorf("interp: no function %q", name)
-	}
-	v, err := m.call(fn, args)
-	var ex errExit
-	if errors.As(err, &ex) {
-		return IntVal(int64(ex.code)), nil
-	}
-	return v, err
-}
-
 var globalsDone = &Object{}
 
 func (m *Machine) initGlobals() error {

@@ -63,7 +63,7 @@ func AnalyzeFunc(fn *minic.FuncDecl) *Facts {
 }
 
 func (fx *Facts) constConds() {
-	walkStmts(fx.Fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fx.Fn.Body, func(s minic.Stmt) {
 		var cond minic.Expr
 		switch st := s.(type) {
 		case *minic.If:
@@ -281,34 +281,31 @@ func uniqueVN(in *Instr) string { return "q:" + strconv.Itoa(in.ID) }
 
 // oob finds constant subscripts provably outside a fixed-length array.
 func (fx *Facts) oob() {
-	walkStmts(fx.Fn.Body, func(s minic.Stmt) {
-		forEachExprIn(s, func(top minic.Expr) {
-			walkAllExprs(top, func(e minic.Expr) {
-				ix, ok := e.(*minic.Index)
-				if !ok {
-					return
-				}
-				base, ok := ix.X.(*minic.Ident)
-				if !ok || base.Sym == nil || base.Sym.Type == nil {
-					return
-				}
-				t := base.Sym.Type
-				if t.Kind != minic.TypeArray || t.Len <= 0 || t.Elem == nil || t.Elem.Kind == minic.TypeArray {
-					return // only single-dimension fixed arrays
-				}
-				in := fx.F.ExprInstr[ix.Idx]
-				if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
-					return
-				}
-				c, ok := fx.S.ConstOf(in)
-				if !ok || c.Kind != ConstInt {
-					return
-				}
-				if c.I < 0 || c.I >= int64(t.Len) {
-					fx.OOB = append(fx.OOB, OOBAccess{Expr: ix, Name: base.Sym.Name, Index: c.I, Len: t.Len})
-				}
-			})
-		})
+	minic.WalkExprs(fx.Fn.Body, func(e minic.Expr) bool {
+		ix, ok := e.(*minic.Index)
+		if !ok {
+			return true
+		}
+		base, ok := ix.X.(*minic.Ident)
+		if !ok || base.Sym == nil || base.Sym.Type == nil {
+			return true
+		}
+		t := base.Sym.Type
+		if t.Kind != minic.TypeArray || t.Len <= 0 || t.Elem == nil || t.Elem.Kind == minic.TypeArray {
+			return true // only single-dimension fixed arrays
+		}
+		in := fx.F.ExprInstr[ix.Idx]
+		if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
+			return true
+		}
+		c, ok := fx.S.ConstOf(in)
+		if !ok || c.Kind != ConstInt {
+			return true
+		}
+		if c.I < 0 || c.I >= int64(t.Len) {
+			fx.OOB = append(fx.OOB, OOBAccess{Expr: ix, Name: base.Sym.Name, Index: c.I, Len: t.Len})
+		}
+		return true
 	})
 }
 
@@ -355,7 +352,7 @@ func LoopInvariantEmits(fn *minic.FuncDecl) []*minic.Call {
 		case *minic.For:
 			body = l.Body
 		}
-		walkStmts(body, func(s minic.Stmt) {
+		minic.WalkStmts(body, func(s minic.Stmt) {
 			es, ok := s.(*minic.ExprStmt)
 			if !ok {
 				return
@@ -393,7 +390,7 @@ func LoopInvariantEmits(fn *minic.FuncDecl) []*minic.Call {
 			out = append(out, call)
 		})
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		switch s.(type) {
 		case *minic.While, *minic.For:
 			scanLoop(s)

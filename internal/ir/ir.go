@@ -288,24 +288,8 @@ func demotedSyms(fn *minic.FuncDecl) map[*minic.Symbol]bool {
 			expr(x.X, conditional)
 		}
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.ExprStmt:
-			expr(st.X, false)
-		case *minic.DeclStmt:
-			for _, d := range st.Decls {
-				expr(d.Init, false)
-			}
-		case *minic.If:
-			expr(st.Cond, false)
-		case *minic.While:
-			expr(st.Cond, false)
-		case *minic.For:
-			expr(st.Cond, false)
-			expr(st.Post, false)
-		case *minic.Return:
-			expr(st.X, false)
-		}
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
+		minic.StmtExprs(s, func(e minic.Expr) { expr(e, false) })
 	})
 	return out
 }
@@ -669,28 +653,4 @@ var pureBuiltins = map[string]bool{
 	"pow": true, "fmin": true, "fmax": true, "abs": true,
 	"isdigit": true, "isalpha": true, "isalnum": true, "isspace": true,
 	"tolower": true, "toupper": true,
-}
-
-// walkStmts visits s and every nested statement.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
 }

@@ -242,7 +242,7 @@ func (o *optimizer) execFree(e minic.Expr) bool {
 // into them.
 func containsPragma(s minic.Stmt) bool {
 	found := false
-	walkStmts(s, func(st minic.Stmt) {
+	minic.WalkStmts(s, func(st minic.Stmt) {
 		if _, ok := st.(*minic.PragmaStmt); ok {
 			found = true
 		}
@@ -272,7 +272,7 @@ func (o *optimizer) foldPass() int {
 
 func (o *optimizer) simplifyBranches() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		set, ok := o.a.stmtSet[s]
 		if !ok || o.a.protected[s] || containsPragma(s) {
 			return
@@ -354,7 +354,7 @@ func condStmt(cond minic.Expr) minic.Stmt {
 // return/break/continue inside the same block.
 func (o *optimizer) trimUnreachable() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		blk, ok := s.(*minic.Block)
 		if !ok {
 			return
@@ -427,8 +427,8 @@ func (o *optimizer) foldConsts() int {
 			fold(x.X)
 		}
 	}
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
-		forEachExprIn(s, fold)
+	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
+		minic.StmtExprs(s, fold)
 	})
 	return n
 }
@@ -437,7 +437,7 @@ func (o *optimizer) foldConsts() int {
 // effect (typically left behind by folding).
 func (o *optimizer) cleanupPureStmts() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		es, ok := s.(*minic.ExprStmt)
 		if !ok || o.a.protected[s] {
 			return
@@ -941,14 +941,15 @@ func (o *optimizer) csePass() int {
 
 	dirty := map[minic.Expr]bool{}
 	markDirty := func(e minic.Expr) {
-		walkAllExprs(e, func(x minic.Expr) { dirty[x] = true })
+		minic.Inspect(e, func(x minic.Expr) bool { dirty[x] = true; return true })
 	}
 	isDirty := func(e minic.Expr) bool {
 		found := false
-		walkAllExprs(e, func(x minic.Expr) {
+		minic.Inspect(e, func(x minic.Expr) bool {
 			if dirty[x] {
 				found = true
 			}
+			return !found
 		})
 		return found
 	}
@@ -1088,7 +1089,7 @@ func (o *optimizer) licmPass() int {
 	demoted := demotedSyms(o.fn)
 
 	var loops []minic.Stmt
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		switch s.(type) {
 		case *minic.While, *minic.For:
 			if _, ok := o.a.stmtSet[s]; ok {
@@ -1117,7 +1118,7 @@ func assignedSyms(loop minic.Stmt) map[*minic.Symbol]bool {
 			out[id.Sym] = true
 		}
 	}
-	walkStmts(loop, func(s minic.Stmt) {
+	minic.WalkStmts(loop, func(s minic.Stmt) {
 		if ds, ok := s.(*minic.DeclStmt); ok {
 			for _, d := range ds.Decls {
 				if d.Sym != nil {
@@ -1125,8 +1126,8 @@ func assignedSyms(loop minic.Stmt) map[*minic.Symbol]bool {
 				}
 			}
 		}
-		forEachExprIn(s, func(top minic.Expr) {
-			walkAllExprs(top, func(e minic.Expr) {
+		minic.StmtExprs(s, func(top minic.Expr) {
+			minic.Inspect(top, func(e minic.Expr) bool {
 				switch x := e.(type) {
 				case *minic.Assign:
 					record(x.L)
@@ -1137,6 +1138,7 @@ func assignedSyms(loop minic.Stmt) map[*minic.Symbol]bool {
 				case *minic.Postfix:
 					record(x.X)
 				}
+				return true
 			})
 		})
 	})
@@ -1253,7 +1255,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 
 	weight := func(e minic.Expr) bool {
 		ops, call, nodes := 0, false, 0
-		walkAllExprs(e, func(x minic.Expr) {
+		minic.Inspect(e, func(x minic.Expr) bool {
 			nodes++
 			switch x.(type) {
 			case *minic.Unary, *minic.Binary, *minic.Cast:
@@ -1261,6 +1263,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 			case *minic.Call:
 				call = true
 			}
+			return true
 		})
 		return call || (ops >= 1 && nodes >= 3)
 	}
@@ -1341,7 +1344,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 			scanExpr(st.Post)
 			scanStmt(st.Body)
 		default:
-			forEachExprIn(s, scanExpr)
+			minic.StmtExprs(s, scanExpr)
 		}
 	}
 	switch l := loop.(type) {

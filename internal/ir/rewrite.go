@@ -297,97 +297,25 @@ func isLiteral(e minic.Expr) bool {
 // interpreter's cost model charges per visited node.
 func CountNodes(prog *minic.Program) int {
 	n := 0
-	count := func(fn *minic.FuncDecl) {
-		walkStmts(fn.Body, func(s minic.Stmt) {
-			n++
-			forEachExprIn(s, func(e minic.Expr) {
-				walkAllExprs(e, func(minic.Expr) { n++ })
-			})
-		})
-	}
 	for _, fn := range prog.Funcs {
-		count(fn)
+		n += countStmtNodes(fn.Body)
 	}
 	return n
 }
 
 func countStmtNodes(s minic.Stmt) int {
 	n := 0
-	walkStmts(s, func(st minic.Stmt) {
+	minic.WalkStmts(s, func(st minic.Stmt) {
 		n++
-		forEachExprIn(st, func(e minic.Expr) {
-			walkAllExprs(e, func(minic.Expr) { n++ })
-		})
+		minic.StmtExprs(st, func(e minic.Expr) { n += countExprNodes(e) })
 	})
 	return n
 }
 
 func countExprNodes(e minic.Expr) int {
 	n := 0
-	walkAllExprs(e, func(minic.Expr) { n++ })
+	minic.Inspect(e, func(minic.Expr) bool { n++; return true })
 	return n
-}
-
-// forEachExprIn visits the top-level expressions attached directly to s.
-func forEachExprIn(s minic.Stmt, visit func(minic.Expr)) {
-	switch st := s.(type) {
-	case *minic.ExprStmt:
-		visit(st.X)
-	case *minic.DeclStmt:
-		for _, d := range st.Decls {
-			if d.Init != nil {
-				visit(d.Init)
-			}
-		}
-	case *minic.If:
-		visit(st.Cond)
-	case *minic.While:
-		visit(st.Cond)
-	case *minic.For:
-		if st.Cond != nil {
-			visit(st.Cond)
-		}
-		if st.Post != nil {
-			visit(st.Post)
-		}
-	case *minic.Return:
-		if st.X != nil {
-			visit(st.X)
-		}
-	}
-}
-
-// walkAllExprs visits e and all nested expressions.
-func walkAllExprs(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch x := e.(type) {
-	case *minic.Unary:
-		walkAllExprs(x.X, visit)
-	case *minic.Postfix:
-		walkAllExprs(x.X, visit)
-	case *minic.Binary:
-		walkAllExprs(x.L, visit)
-		walkAllExprs(x.R, visit)
-	case *minic.Assign:
-		walkAllExprs(x.L, visit)
-		walkAllExprs(x.R, visit)
-	case *minic.Cond:
-		walkAllExprs(x.C, visit)
-		walkAllExprs(x.T, visit)
-		walkAllExprs(x.F, visit)
-	case *minic.Call:
-		for _, a := range x.Args {
-			walkAllExprs(a, visit)
-		}
-	case *minic.Index:
-		walkAllExprs(x.X, visit)
-		walkAllExprs(x.Idx, visit)
-	case *minic.Cast:
-		walkAllExprs(x.X, visit)
-	}
 }
 
 // exprKey renders a structural key for an expression, used to deduplicate

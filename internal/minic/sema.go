@@ -428,32 +428,15 @@ func ParseAndCheckFile(file, src string) (*Program, error) {
 }
 
 // FindPragmas walks the program and returns every PragmaStmt, in source
-// order, together with the function containing it.
+// order.
 func FindPragmas(prog *Program) []*PragmaStmt {
 	var out []*PragmaStmt
-	var walkStmt func(Stmt)
-	walkStmt = func(s Stmt) {
-		switch st := s.(type) {
-		case *PragmaStmt:
-			out = append(out, st)
-			walkStmt(st.Body)
-		case *Block:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *If:
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *While:
-			walkStmt(st.Body)
-		case *For:
-			walkStmt(st.Body)
-		}
-	}
 	for _, f := range prog.Funcs {
-		walkStmt(f.Body)
+		WalkStmts(f.Body, func(s Stmt) {
+			if p, ok := s.(*PragmaStmt); ok {
+				out = append(out, p)
+			}
+		})
 	}
 	return out
 }

@@ -21,8 +21,6 @@
 package perf
 
 import (
-	"context"
-	"runtime/pprof"
 	"sync"
 	"time"
 )
@@ -87,8 +85,6 @@ type Profiler struct {
 	mu      sync.Mutex
 	buckets map[Key]*Bucket
 	phases  []phaseFrame
-	labels  bool
-	ctxs    []context.Context
 }
 
 type phaseFrame struct {
@@ -103,16 +99,6 @@ func New() *Profiler { return &Profiler{buckets: map[Key]*Bucket{}} }
 // Enabled reports whether p collects anything.
 func (p *Profiler) Enabled() bool { return p != nil }
 
-// EnablePprofLabels makes every Phase entry tag the calling goroutine (and
-// goroutines it spawns, e.g. GPU threadblocks) with an `hdphase` pprof
-// label, so samples in a -cpuprofile can be cross-checked against the cost
-// profiler's own attribution.
-func (p *Profiler) EnablePprofLabels() {
-	if p != nil {
-		p.labels = true
-	}
-}
-
 var nopEnd = func() {}
 
 // Phase marks entry into a named engine phase and returns its closer.
@@ -125,15 +111,6 @@ func (p *Profiler) Phase(name string) func() {
 	start := time.Now()
 	p.mu.Lock()
 	p.phases = append(p.phases, phaseFrame{name: name, start: start})
-	if p.labels {
-		parent := context.Background()
-		if n := len(p.ctxs); n > 0 {
-			parent = p.ctxs[n-1]
-		}
-		ctx := pprof.WithLabels(parent, pprof.Labels("hdphase", name))
-		p.ctxs = append(p.ctxs, ctx)
-		pprof.SetGoroutineLabels(ctx)
-	}
 	p.mu.Unlock()
 	return func() { p.endPhase() }
 }
@@ -158,14 +135,6 @@ func (p *Profiler) endPhase() {
 	b.Nanos += int64(self)
 	if n > 0 {
 		p.phases[n-1].child += elapsed
-	}
-	if p.labels && len(p.ctxs) > 0 {
-		p.ctxs = p.ctxs[:len(p.ctxs)-1]
-		parent := context.Background()
-		if m := len(p.ctxs); m > 0 {
-			parent = p.ctxs[m-1]
-		}
-		pprof.SetGoroutineLabels(parent)
 	}
 }
 
