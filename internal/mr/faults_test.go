@@ -3,8 +3,6 @@ package mr
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -173,8 +171,8 @@ func TestAttemptCapFailsJobStructured(t *testing.T) {
 }
 
 // goldenCrashTrace runs a small sampled job with a crash-and-restart plan
-// and returns the Chrome trace bytes plus the stats.
-func goldenCrashTrace(t *testing.T) ([]byte, *JobStats) {
+// and returns the Chrome trace and Prometheus dump bytes plus the stats.
+func goldenCrashTrace(t *testing.T) (trace, prom []byte, stats *JobStats) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	plan := &faults.Plan{Faults: []faults.Fault{
@@ -188,38 +186,20 @@ func goldenCrashTrace(t *testing.T) ([]byte, *JobStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rec.Tracer().WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), stats
+	trace, prom = exportRecorder(t, rec)
+	return trace, prom, stats
 }
 
 func TestGoldenTraceCrashRecover(t *testing.T) {
-	got, stats := goldenCrashTrace(t)
+	trace, prom, stats := goldenCrashTrace(t)
 	if stats.NodesLost != 1 {
 		t.Fatalf("golden crash plan lost %d nodes, want 1", stats.NodesLost)
 	}
 	// Identical plan + seed must reproduce an identical trace byte-for-byte.
-	again, _ := goldenCrashTrace(t)
-	if !bytes.Equal(got, again) {
+	again, _, _ := goldenCrashTrace(t)
+	if !bytes.Equal(trace, again) {
 		t.Fatal("same fault plan and seed produced different traces")
 	}
-	golden := filepath.Join("testdata", "fault_trace.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/mr -run GoldenTraceCrash -update`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace differs from %s (re-run with -update if the change is intended)", golden)
-	}
+	checkGolden(t, "fault_trace.golden.json", trace)
+	checkGolden(t, "fault_trace.golden.prom", prom)
 }

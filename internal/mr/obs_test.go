@@ -171,16 +171,56 @@ func TestGoldenTraceTailSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rec.Tracer().WriteChromeTrace(&buf); err != nil {
+	trace, prom := exportRecorder(t, rec)
+	checkGolden(t, "tail_trace.golden.json", trace)
+	checkGolden(t, "tail_trace.golden.prom", prom)
+}
+
+// TestGoldenTraceFunctionalGPU pins the export bytes of a functional job
+// whose GPU maps record kernel spans with float args (cycles, occupancy,
+// skew) and fill the gpu_kernel_* histograms.
+func TestGoldenTraceFunctionalGPU(t *testing.T) {
+	rec := obs.NewRecorder()
+	stats, _ := runWCTail(t, rec)
+	if stats.MapsOnGPU == 0 {
+		t.Fatal("fixture ran no GPU maps")
+	}
+	trace, prom := exportRecorder(t, rec)
+	for _, want := range []string{`"cat":"kernel"`, `"occupancy":`, `"skew":`} {
+		if !bytes.Contains(trace, []byte(want)) {
+			t.Fatalf("fixture trace lacks %s", want)
+		}
+	}
+	if !bytes.Contains(prom, []byte("gpu_kernel_occupancy_bucket{")) {
+		t.Fatal("fixture dump lacks the gpu_kernel_occupancy histogram")
+	}
+	checkGolden(t, "gpu_trace.golden.json", trace)
+	checkGolden(t, "gpu_trace.golden.prom", prom)
+}
+
+// exportRecorder renders rec's Chrome trace and Prometheus dump.
+func exportRecorder(t *testing.T, rec *obs.Recorder) (trace, prom []byte) {
+	t.Helper()
+	var tb, pb bytes.Buffer
+	if err := rec.Tracer().WriteChromeTrace(&tb); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "tail_trace.golden.json")
+	if err := rec.Metrics().WriteProm(&pb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), pb.Bytes()
+}
+
+// checkGolden compares got with testdata/name, or rewrites that file when
+// the test runs with -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -189,8 +229,8 @@ func TestGoldenTraceTailSampled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run `go test ./internal/mr -run Golden -update`): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace differs from %s (re-run with -update if the change is intended)", golden)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("export differs from %s (re-run with -update if the change is intended)", golden)
 	}
 }
 
