@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzBytecodeRoundTrip$$' -fuzztime 5s
 	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzVMParity$$' -fuzztime 5s
 	$(GO) test ./internal/seqfile -run '^$$' -fuzz '^FuzzSeqfileReader$$' -fuzztime 5s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzQuoteJSON$$' -fuzztime 5s
 
 # cover enforces statement-coverage floors on the correctness-critical
 # packages (thresholds sit ~5 points under current coverage).

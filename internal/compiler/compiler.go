@@ -378,16 +378,6 @@ func stripPosPrefix(file, msg string) string {
 	return msg
 }
 
-// MustCompile compiles src and panics on error; for the built-in benchmark
-// sources.
-func MustCompile(src string) *Compiled {
-	c, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func mapreducePragmas(prog *minic.Program) []*minic.PragmaStmt {
 	var out []*minic.PragmaStmt
 	for _, p := range minic.FindPragmas(prog) {

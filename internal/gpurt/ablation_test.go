@@ -3,8 +3,6 @@ package gpurt
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/compiler"
 )
 
 // skewedInput builds records with heavy size skew across many records per
@@ -30,7 +28,7 @@ func skewedInput(lines int) []byte {
 // advantage to atomic contention.
 func TestStealingGranularityAblation(t *testing.T) {
 	dev := devK40(t)
-	comp := compiler.MustCompile(wcMapSrc)
+	comp := mustCompile(t, wcMapSrc)
 	input := skewedInput(512)
 
 	runMode := func(steal, global bool) float64 {
@@ -57,7 +55,7 @@ func TestStealingGranularityAblation(t *testing.T) {
 
 func TestGlobalStealingStillCorrect(t *testing.T) {
 	dev := devK40(t)
-	comp := compiler.MustCompile(wcMapSrc)
+	comp := mustCompile(t, wcMapSrc)
 	input := testInput(45)
 
 	counts := func(global bool) map[string]int64 {
@@ -88,8 +86,8 @@ func TestGlobalStealingStillCorrect(t *testing.T) {
 
 func TestSerializeOutputUsesRealContainer(t *testing.T) {
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	res, err := RunTask(dev, mapC, combC, testInput(30), TaskConfig{NumReducers: 2, Opts: AllOptimizations()})
 	if err != nil {
 		t.Fatal(err)

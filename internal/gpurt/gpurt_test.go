@@ -112,6 +112,15 @@ func cpuWordCounts(t *testing.T, input []byte) map[string]int64 {
 	return counts
 }
 
+func mustCompile(t *testing.T, src string) *compiler.Compiled {
+	t.Helper()
+	c, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func devK40(t *testing.T) *gpu.Device {
 	t.Helper()
 	d, err := gpu.NewDevice(gpu.TeslaK40())
@@ -279,8 +288,8 @@ func TestMapPlusCombineMatchesCPUCounts(t *testing.T) {
 	want := cpuWordCounts(t, input)
 
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	res, err := RunTask(dev, mapC, combC, input, TaskConfig{NumReducers: 4, Opts: AllOptimizations()})
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +316,8 @@ func TestMapPlusCombineMatchesCPUCounts(t *testing.T) {
 func TestCombinerOutputSortedWithinPartition(t *testing.T) {
 	input := testInput(40)
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	res, err := RunTask(dev, mapC, combC, input, TaskConfig{NumReducers: 2, Opts: AllOptimizations()})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +351,7 @@ func TestRecordStealingBalancesSkew(t *testing.T) {
 	}
 	input := b.Bytes()
 	dev := devK40(t)
-	comp := compiler.MustCompile(wcMapSrc)
+	comp := mustCompile(t, wcMapSrc)
 
 	runWith := func(steal bool) float64 {
 		opts := AllOptimizations()
@@ -363,7 +372,7 @@ func TestRecordStealingBalancesSkew(t *testing.T) {
 func TestStealingProducesSameCountsAsStatic(t *testing.T) {
 	input := testInput(45)
 	dev := devK40(t)
-	comp := compiler.MustCompile(wcMapSrc)
+	comp := mustCompile(t, wcMapSrc)
 	counts := func(steal bool) map[string]int64 {
 		opts := AllOptimizations()
 		opts.RecordStealing = steal
@@ -393,8 +402,8 @@ func TestStealingProducesSameCountsAsStatic(t *testing.T) {
 func TestVectorizationSpeedsUpKernels(t *testing.T) {
 	input := testInput(50)
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	run := func(opts Options) StageTimes {
 		res, err := RunTask(dev, mapC, combC, input, TaskConfig{NumReducers: 2, Opts: opts})
 		if err != nil {
@@ -423,7 +432,7 @@ func TestVectorizationSpeedsUpKernels(t *testing.T) {
 func TestAggregationSpeedsUpSort(t *testing.T) {
 	input := testInput(50)
 	dev := devK40(t)
-	comp := compiler.MustCompile(wcMapSrc)
+	comp := mustCompile(t, wcMapSrc)
 	run := func(agg bool) float64 {
 		opts := AllOptimizations()
 		opts.Aggregation = agg
@@ -460,7 +469,7 @@ int main() {
 		fmt.Fprintf(&b, "%d\n", i)
 	}
 	dev := devK40(t)
-	comp := compiler.MustCompile(src)
+	comp := mustCompile(t, src)
 	res, err := RunTask(dev, comp, nil, b.Bytes(), TaskConfig{NumReducers: 0, Opts: AllOptimizations()})
 	if err != nil {
 		t.Fatal(err)
@@ -491,8 +500,8 @@ int main() {
 func TestBreakdownStagesAllPositive(t *testing.T) {
 	input := testInput(40)
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	res, err := RunTask(dev, mapC, combC, input, TaskConfig{
 		NumReducers: 2, Opts: AllOptimizations(), InputReadTime: 0.01,
 	})
@@ -525,8 +534,8 @@ func TestBreakdownStagesAllPositive(t *testing.T) {
 func TestTaskDeterministic(t *testing.T) {
 	input := testInput(30)
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	run := func() (float64, int) {
 		res, err := RunTask(dev, mapC, combC, input, TaskConfig{NumReducers: 4, Opts: AllOptimizations()})
 		if err != nil {
@@ -566,11 +575,11 @@ func TestRunTaskValidation(t *testing.T) {
 	if _, err := RunTask(dev, nil, nil, nil, TaskConfig{}); err == nil {
 		t.Fatal("nil mapper accepted")
 	}
-	combC := compiler.MustCompile(wcCombineSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	if _, err := RunTask(dev, combC, nil, nil, TaskConfig{}); err == nil {
 		t.Fatal("combiner-as-mapper accepted")
 	}
-	mapC := compiler.MustCompile(wcMapSrc)
+	mapC := mustCompile(t, wcMapSrc)
 	if _, err := RunTask(dev, mapC, mapC, testInput(5), TaskConfig{NumReducers: 2}); err == nil {
 		t.Fatal("mapper-as-combiner accepted")
 	}

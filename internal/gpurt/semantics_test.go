@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/compiler"
 	"repro/internal/kv"
 	"repro/internal/streaming"
 )
@@ -18,7 +17,7 @@ import (
 // parallelism, and the reducer restores it.
 func TestCombinerRelaxedEquivalenceExample(t *testing.T) {
 	dev := devK40(t)
-	combC := compiler.MustCompile(wcCombineSrc)
+	combC := mustCompile(t, wcCombineSrc)
 
 	schema := kv.Schema{KeyKind: kv.Bytes, ValKind: kv.Int, KeyLen: 30}
 	store, err := NewKVStore(schema, 4, 4, 1)
@@ -63,7 +62,7 @@ func TestCombinerRelaxedEquivalenceExample(t *testing.T) {
 
 	// The reducer (CPU merge + reduce filter) must restore the exact
 	// canonical result regardless of how the warps split the run.
-	reduceF := streaming.MustFilter("wc-reduce", wcReduceForTest)
+	reduceF := mustFilter(t, "wc-reduce", wcReduceForTest)
 	final, _, err := streaming.RunReduce(reduceF, schema, [][]kv.Pair{out}, streaming.XeonE52680())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ int main() {
 // distinct keys, with per-key sums intact.
 func TestWarpChunkingSplitsKeyRuns(t *testing.T) {
 	dev := devK40(t)
-	combC := compiler.MustCompile(wcCombineSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	schema := kv.Schema{KeyKind: kv.Bytes, ValKind: kv.Int, KeyLen: 30}
 
 	// 200 pairs of the same key: with many warps, the run must split.
@@ -184,8 +183,8 @@ func snapshotStore(s *KVStore) []byte {
 // leak into semantics).
 func TestEmissionOrderStableAcrossOptimizationSets(t *testing.T) {
 	dev := devK40(t)
-	mapC := compiler.MustCompile(wcMapSrc)
-	combC := compiler.MustCompile(wcCombineSrc)
+	mapC := mustCompile(t, wcMapSrc)
+	combC := mustCompile(t, wcCombineSrc)
 	input := testInput(35)
 	variants := []Options{
 		Baseline(),
@@ -220,4 +219,13 @@ func TestEmissionOrderStableAcrossOptimizationSets(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprint(ref)
+}
+
+func mustFilter(t *testing.T, name, src string) *streaming.Filter {
+	t.Helper()
+	f, err := streaming.NewFilter(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

@@ -237,7 +237,7 @@ func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 type Machine struct {
 	Prog *minic.Program
 
-	stdin    *tokenReader
+	stdin    tokenReader
 	stdout   io.Writer
 	cost     CostSink
 	builtins map[string]Builtin
@@ -280,6 +280,7 @@ type frame struct {
 func New(prog *minic.Program, opts Options) *Machine {
 	m := &Machine{
 		Prog:     prog,
+		stdin:    tokenReader{src: opts.Stdin},
 		stdout:   opts.Stdout,
 		cost:     opts.Cost,
 		space:    opts.DefaultSpace,
@@ -296,7 +297,6 @@ func New(prog *minic.Program, opts Options) *Machine {
 	if m.maxSteps == 0 {
 		m.maxSteps = 2_000_000_000
 	}
-	m.stdin = newTokenReader(opts.Stdin)
 	m.builtins = map[string]Builtin{}
 	for name, fn := range stdlib {
 		m.builtins[name] = fn

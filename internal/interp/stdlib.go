@@ -14,15 +14,32 @@ import (
 // tokenReader provides both line-oriented (getline) and token-oriented
 // (scanf) access over a single input stream, like C stdio.
 type tokenReader struct {
-	r   *bufio.Reader
+	src io.Reader
+	r   *bufio.Reader // created on the first read
 	eof bool
 }
 
-func newTokenReader(r io.Reader) *tokenReader {
-	if r == nil {
-		r = strings.NewReader("")
+// maxStdinBuf caps the read buffer. Only ReadString, ReadByte and
+// UnreadByte touch it, and none of them depends on its size.
+const maxStdinBuf = 64 << 10
+
+// reader returns the buffered reader, creating it on the first read so a
+// machine that never reads stdin (every simulated GPU thread) allocates no
+// buffer. The buffer is sized to the input when the reader reports its
+// length.
+func (t *tokenReader) reader() *bufio.Reader {
+	if t.r == nil {
+		src := t.src
+		if src == nil {
+			src = strings.NewReader("")
+		}
+		size := maxStdinBuf
+		if l, ok := src.(interface{ Len() int }); ok {
+			size = min(size, l.Len())
+		}
+		t.r = bufio.NewReaderSize(src, size)
 	}
-	return &tokenReader{r: bufio.NewReaderSize(r, 64<<10)}
+	return t.r
 }
 
 // readLine returns the next line including its trailing newline (if
@@ -31,7 +48,7 @@ func (t *tokenReader) readLine() (string, bool) {
 	if t.eof {
 		return "", false
 	}
-	line, err := t.r.ReadString('\n')
+	line, err := t.reader().ReadString('\n')
 	if err != nil {
 		t.eof = true
 		if len(line) == 0 {
@@ -46,7 +63,7 @@ func (t *tokenReader) readToken() (string, bool) {
 	var b strings.Builder
 	// Skip leading whitespace.
 	for {
-		c, err := t.r.ReadByte()
+		c, err := t.reader().ReadByte()
 		if err != nil {
 			t.eof = true
 			return "", false
@@ -57,7 +74,7 @@ func (t *tokenReader) readToken() (string, bool) {
 		}
 	}
 	for {
-		c, err := t.r.ReadByte()
+		c, err := t.reader().ReadByte()
 		if err != nil {
 			t.eof = true
 			break
@@ -72,7 +89,7 @@ func (t *tokenReader) readToken() (string, bool) {
 }
 
 func (t *tokenReader) readByte() (byte, bool) {
-	c, err := t.r.ReadByte()
+	c, err := t.reader().ReadByte()
 	if err != nil {
 		t.eof = true
 		return 0, false

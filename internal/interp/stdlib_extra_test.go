@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/minic"
 )
@@ -228,4 +231,77 @@ func TestStepCounterVisible(t *testing.T) {
 	if m.Steps() < 100 {
 		t.Fatalf("Steps = %d", m.Steps())
 	}
+}
+
+// TestStdinBufferLazyAndSized pins the stdin read buffer: none for a
+// machine that never reads, one sized to an input that reports its length
+// (capped at maxStdinBuf), and correct reads of a line longer than that
+// buffer and of an input that does not report its length.
+func TestStdinBufferLazyAndSized(t *testing.T) {
+	const echoLines = `
+int main() {
+	char *line;
+	size_t n = 4;
+	int read;
+	line = (char*) malloc(n * sizeof(char));
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		printf("%d %d\n", read, strlen(line));
+	}
+	return 0;
+}`
+	if m := runMachine(t, `int main() { return 0; }`, nil, nil); m.stdin.r != nil {
+		t.Fatal("machine with nil Stdin allocated a read buffer")
+	}
+
+	var out strings.Builder
+	long := strings.Repeat("x", maxStdinBuf+1000)
+	m := runMachine(t, echoLines, strings.NewReader(long+"\nab\n"), &out)
+	if want := fmt.Sprintf("%d %d\n3 3\n", len(long)+1, len(long)+1); out.String() != want {
+		t.Fatalf("long line: out = %q, want %q", out.String(), want)
+	}
+	if got := m.stdin.r.Size(); got != maxStdinBuf {
+		t.Fatalf("buffer for a %d-byte input = %d bytes, want the %d-byte cap", len(long)+4, got, maxStdinBuf)
+	}
+
+	out.Reset()
+	m = runMachine(t, echoLines, strings.NewReader("one\ntwo\n"), &out)
+	if out.String() != "4 4\n4 4\n" {
+		t.Fatalf("short input: out = %q", out.String())
+	}
+	if got := m.stdin.r.Size(); got >= maxStdinBuf {
+		t.Fatalf("buffer for an 8-byte input = %d bytes, want it sized to the input", got)
+	}
+
+	out.Reset()
+	m = runMachine(t, `
+int main() {
+	int a, b;
+	char *line;
+	size_t n = 8;
+	line = (char*) malloc(n * sizeof(char));
+	scanf("%d %d", &a, &b);
+	getline(&line, &n, stdin);
+	getline(&line, &n, stdin);
+	printf("%d %s", a + b, line);
+	return 0;
+}`, iotest.OneByteReader(strings.NewReader("3 4\nhello\n")), &out)
+	if out.String() != "7 hello\n" {
+		t.Fatalf("reader without Len: out = %q", out.String())
+	}
+	if got := m.stdin.r.Size(); got != maxStdinBuf {
+		t.Fatalf("buffer for a reader without Len = %d bytes, want %d", got, maxStdinBuf)
+	}
+}
+
+func runMachine(t *testing.T, src string, stdin io.Reader, stdout io.Writer) *Machine {
+	t.Helper()
+	prog, err := minic.ParseAndCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(prog, Options{Stdin: stdin, Stdout: stdout})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

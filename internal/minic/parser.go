@@ -57,16 +57,6 @@ func ParseFile(file, src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error; intended for tests and for the
-// built-in benchmark sources, which are compile-time constants.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 

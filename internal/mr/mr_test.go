@@ -160,7 +160,10 @@ func outputCounts(stats *JobStats) map[string]int64 {
 
 func referenceCounts(t *testing.T, lines int) map[string]int64 {
 	t.Helper()
-	f := streaming.MustFilter("ref", wcMapSrc)
+	f, err := streaming.NewFilter("ref", wcMapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, _, err := f.Run(corpus(lines))
 	if err != nil {
 		t.Fatal(err)

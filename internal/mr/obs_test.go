@@ -39,7 +39,7 @@ func runWCTail(t *testing.T, rec *obs.Recorder) (*JobStats, *FunctionalExecutor)
 func attrJSON(s *obs.Span, key string) string {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			return a.JSON
+			return a.JSON()
 		}
 	}
 	return ""

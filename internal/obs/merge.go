@@ -2,16 +2,21 @@ package obs
 
 import "sort"
 
-// Merge appends another tracer's spans (in their recording order) after
-// t's own and folds in its track names with keep-first semantics. Used by
-// parallel experiment sweeps: each concurrent job records into a private
-// tracer, and the driver merges them in the order a serial sweep would
-// have recorded them, so the Chrome trace dump stays byte-identical.
+// Merge appends another tracer's span chunks (in their recording order)
+// after t's own, without copying spans, and folds in its track names with
+// keep-first semantics. Used by parallel experiment sweeps: each
+// concurrent job records into a private tracer, and the driver merges them
+// in the order a serial sweep would have recorded them, so the Chrome
+// trace dump stays byte-identical.
 func (t *Tracer) Merge(other *Tracer) {
 	if t == nil || other == nil || t == other {
 		return
 	}
-	t.spans = append(t.spans, other.spans...)
+	// Clipping each chunk's capacity keeps t's next span out of other's
+	// storage.
+	for _, c := range other.chunks {
+		t.chunks = append(t.chunks, c[:len(c):len(c)])
+	}
 	if other.procNames == nil {
 		return
 	}

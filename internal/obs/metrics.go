@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -261,94 +260,113 @@ func (m *Registry) WriteProm(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	x := newExportWriter(w)
+	var labels []byte
 	for _, name := range names {
 		f := m.families[name]
 		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
+			x.buf = appendComment(x.buf, "HELP", f.name, f.help)
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-			return err
-		}
+		x.buf = appendComment(x.buf, "TYPE", f.name, f.typ)
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if err := writeSeries(w, f, f.series[k]); err != nil {
-				return err
-			}
+			s := f.series[k]
+			labels = appendLabels(labels[:0], s.labels)
+			x.buf = appendSeries(x.buf, f.name, labels, s)
+			x.endRecord()
 		}
 	}
-	return nil
+	return x.flush()
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+// appendComment renders a "# HELP name text" or "# TYPE name type" line.
+func appendComment(b []byte, kind, name, text string) []byte {
+	b = append(b, "# "...)
+	b = append(b, kind...)
+	b = append(b, ' ')
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, text...)
+	return append(b, '\n')
+}
+
+// appendLabels renders a series' labels as k="v",... without braces.
+func appendLabels(b []byte, ls []Label) []byte {
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Val)
+	}
+	return b
+}
+
+// appendSeries renders one series' sample lines; labels is the series'
+// appendLabels rendering.
+func appendSeries(b []byte, name string, labels []byte, s *series) []byte {
 	switch {
 	case s.ctr != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels, nil), formatFloat(s.ctr.v))
-		return err
+		b = appendSample(b, name, "", labels)
+		return appendFloatLine(b, s.ctr.v)
 	case s.gauge != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels, nil), formatFloat(s.gauge.v))
-		return err
+		b = appendSample(b, name, "", labels)
+		return appendFloatLine(b, s.gauge.v)
 	case s.hist != nil:
 		h := s.hist
 		var cum uint64
-		for i, b := range h.bounds {
+		for i, bound := range h.bounds {
 			cum += h.counts[i]
-			le := Label{Key: "le", Val: formatFloat(b)}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, renderLabels(s.labels, &le), cum); err != nil {
-				return err
-			}
+			b = appendBucket(b, name, labels, bound, cum)
 		}
 		cum += h.counts[len(h.bounds)]
-		le := Label{Key: "le", Val: "+Inf"}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, renderLabels(s.labels, &le), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, renderLabels(s.labels, nil), formatFloat(h.sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, renderLabels(s.labels, nil), h.n)
-		return err
+		b = appendBucket(b, name, labels, math.Inf(1), cum)
+		b = appendSample(b, name, "_sum", labels)
+		b = appendFloatLine(b, h.sum)
+		b = appendSample(b, name, "_count", labels)
+		return appendUintLine(b, h.n)
 	}
-	return nil
+	return b
 }
 
-// renderLabels renders {k="v",...}, appending extra (the `le` bound) last
-// as Prometheus convention allows.
-func renderLabels(ls []Label, extra *Label) string {
-	if len(ls) == 0 && extra == nil {
-		return ""
+// appendSample starts a sample line: name, suffix and {labels} (nothing
+// for an empty label set), then the space before the value.
+func appendSample(b []byte, name, suffix string, labels []byte) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", l.Key, strconv.Quote(l.Val))
-	}
-	if extra != nil {
-		if len(ls) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", extra.Key, strconv.Quote(extra.Val))
-	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, ' ')
 }
 
-func formatFloat(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
+// appendBucket renders one cumulative histogram bucket line, with the le
+// bound last as Prometheus convention allows. A rendered float needs no
+// escaping, so it is quoted directly.
+func appendBucket(b []byte, name string, labels []byte, bound float64, cum uint64) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	b = append(b, labels...)
+	if len(labels) > 0 {
+		b = append(b, ',')
 	}
-	if math.IsInf(v, -1) {
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	b = append(b, `le="`...)
+	b = appendFloat(b, bound)
+	b = append(b, `"} `...)
+	return appendUintLine(b, cum)
 }
 
-func formatInt(v int64) string { return strconv.FormatInt(v, 10) }
+func appendFloatLine(b []byte, v float64) []byte {
+	return append(appendFloat(b, v), '\n')
+}
+
+func appendUintLine(b []byte, v uint64) []byte {
+	return append(strconv.AppendUint(b, v, 10), '\n')
+}

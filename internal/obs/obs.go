@@ -12,7 +12,11 @@
 // the engine and the GPU runtime carry instrumentation unconditionally.
 package obs
 
-import "repro/internal/sim"
+import (
+	"strconv"
+
+	"repro/internal/sim"
+)
 
 // Span categories recorded by the MapReduce engine. Exported as constants
 // so tests and tools do not scatter string literals.
@@ -30,21 +34,45 @@ const (
 	CatRecovery     = "recovery"
 )
 
-// Attr is one key/value annotation on a span. The value is stored
-// pre-rendered as JSON so export is allocation-light and byte-stable.
+// Attr is one key/value annotation on a span. The value is stored typed
+// and rendered once, when the trace is exported.
 type Attr struct {
 	Key  string
-	JSON string
+	kind attrKind
+	i    int64
+	f    float64
+	s    string
 }
 
+type attrKind uint8
+
+const (
+	attrInt attrKind = iota
+	attrFloat
+	attrStr
+)
+
 // Str builds a string attribute.
-func Str(key, val string) Attr { return Attr{Key: key, JSON: quoteJSON(val)} }
+func Str(key, val string) Attr { return Attr{Key: key, kind: attrStr, s: val} }
 
 // Int builds an integer attribute.
-func Int(key string, val int) Attr { return Attr{Key: key, JSON: formatInt(int64(val))} }
+func Int(key string, val int) Attr { return Attr{Key: key, kind: attrInt, i: int64(val)} }
 
 // Float builds a float attribute.
-func Float(key string, val float64) Attr { return Attr{Key: key, JSON: formatFloat(val)} }
+func Float(key string, val float64) Attr { return Attr{Key: key, kind: attrFloat, f: val} }
+
+// JSON renders the attribute's value as it appears in the exported trace.
+func (a Attr) JSON() string { return string(a.appendJSON(nil)) }
+
+func (a Attr) appendJSON(b []byte) []byte {
+	switch a.kind {
+	case attrInt:
+		return strconv.AppendInt(b, a.i, 10)
+	case attrFloat:
+		return appendFloat(b, a.f)
+	}
+	return appendJSONString(b, a.s)
+}
 
 // Span is one recorded interval (or instant, when Begin == End and Instant
 // is set) of virtual time on a track.
@@ -59,10 +87,18 @@ type Span struct {
 	Attrs   []Attr
 }
 
+// Spans and their attributes are stored in fixed-size chunks, so recording
+// never copies what is already recorded.
+const (
+	spanChunk = 256
+	attrChunk = 512
+)
+
 // Tracer records spans in event order. The zero value is ready to use;
 // a nil *Tracer ignores every call.
 type Tracer struct {
-	spans       []Span
+	chunks      [][]Span // in recording order; only the last may have room
+	attrs       []Attr   // current attribute chunk; spans hold subslices
 	procNames   map[int]string
 	threadNames map[[2]int]string
 }
@@ -78,7 +114,7 @@ func (t *Tracer) Span(cat, name string, begin, end sim.Time, pid, tid int, attrs
 	if end < begin {
 		end = begin
 	}
-	t.spans = append(t.spans, Span{Cat: cat, Name: name, Begin: begin, End: end, PID: pid, TID: tid, Attrs: attrs})
+	t.add(Span{Cat: cat, Name: name, Begin: begin, End: end, PID: pid, TID: tid, Attrs: t.keepAttrs(attrs)})
 }
 
 // Instant records a zero-duration event.
@@ -86,7 +122,29 @@ func (t *Tracer) Instant(cat, name string, at sim.Time, pid, tid int, attrs ...A
 	if t == nil {
 		return
 	}
-	t.spans = append(t.spans, Span{Cat: cat, Name: name, Begin: at, End: at, PID: pid, TID: tid, Instant: true, Attrs: attrs})
+	t.add(Span{Cat: cat, Name: name, Begin: at, End: at, PID: pid, TID: tid, Instant: true, Attrs: t.keepAttrs(attrs)})
+}
+
+func (t *Tracer) add(s Span) {
+	if n := len(t.chunks); n == 0 || len(t.chunks[n-1]) == cap(t.chunks[n-1]) {
+		t.chunks = append(t.chunks, make([]Span, 0, spanChunk))
+	}
+	last := &t.chunks[len(t.chunks)-1]
+	*last = append(*last, s)
+}
+
+// keepAttrs copies a call's attributes into the tracer's own storage, so
+// the caller's variadic slice need not live on the heap.
+func (t *Tracer) keepAttrs(attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	if len(attrs) > cap(t.attrs)-len(t.attrs) {
+		t.attrs = make([]Attr, 0, max(attrChunk, len(attrs)))
+	}
+	start := len(t.attrs)
+	t.attrs = append(t.attrs, attrs...)
+	return t.attrs[start:len(t.attrs):len(t.attrs)]
 }
 
 // NameTrack labels a (pid, tid) pair for the trace viewer. Naming the same
@@ -108,13 +166,16 @@ func (t *Tracer) NameTrack(pid, tid int, process, thread string) {
 	}
 }
 
-// Spans returns the recorded spans in recording order. The caller must not
-// mutate the result.
+// Spans returns a copy of the recorded spans in recording order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	return t.spans
+	var out []Span
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Recorder bundles a tracer and a metrics registry for one job (or one

@@ -1,20 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 )
-
-// quoteJSON renders s as a JSON string literal.
-func quoteJSON(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return `""`
-	}
-	return string(b)
-}
 
 // WriteChromeTrace writes the recorded spans as a Chrome trace_event JSON
 // object (the "JSON Object Format": {"traceEvents": [...]}) that loads
@@ -28,17 +18,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
 		return err
 	}
-	var b strings.Builder
-	b.WriteString(`{"traceEvents":[`)
-	first := true
-	emit := func(line string) {
-		if !first {
-			b.WriteString(",\n")
-		} else {
-			b.WriteString("\n")
-			first = false
-		}
-		b.WriteString(line)
+	x := newExportWriter(w)
+	x.buf = append(x.buf, `{"traceEvents":[`...)
+	sep := "\n"
+	next := func() {
+		x.buf = append(x.buf, sep...)
+		sep = ",\n"
 	}
 
 	// Metadata events, sorted for determinism.
@@ -48,8 +33,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		emit(`{"ph":"M","pid":` + formatInt(int64(pid)) + `,"tid":0,"name":"process_name","args":{"name":` +
-			quoteJSON(t.procNames[pid]) + `}}`)
+		next()
+		x.buf = appendTrackName(x.buf, pid, 0, "process_name", t.procNames[pid])
+		x.endRecord()
 	}
 	tkeys := make([][2]int, 0, len(t.threadNames))
 	for k := range t.threadNames {
@@ -62,51 +48,66 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return tkeys[i][1] < tkeys[j][1]
 	})
 	for _, k := range tkeys {
-		emit(`{"ph":"M","pid":` + formatInt(int64(k[0])) + `,"tid":` + formatInt(int64(k[1])) +
-			`,"name":"thread_name","args":{"name":` + quoteJSON(t.threadNames[k]) + `}}`)
+		next()
+		x.buf = appendTrackName(x.buf, k[0], k[1], "thread_name", t.threadNames[k])
+		x.endRecord()
 	}
 
-	for i := range t.spans {
-		emit(renderSpan(&t.spans[i]))
+	for _, c := range t.chunks {
+		for i := range c {
+			next()
+			x.buf = appendSpan(x.buf, &c[i])
+			x.endRecord()
+		}
 	}
-	b.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	x.buf = append(x.buf, "\n],\"displayTimeUnit\":\"ms\"}\n"...)
+	return x.flush()
 }
 
-func renderSpan(s *Span) string {
-	var b strings.Builder
-	b.WriteString(`{"name":`)
-	b.WriteString(quoteJSON(s.Name))
-	b.WriteString(`,"cat":`)
-	b.WriteString(quoteJSON(s.Cat))
+// appendTrackName renders a process_name or thread_name metadata event.
+func appendTrackName(b []byte, pid, tid int, event, name string) []byte {
+	b = append(b, `{"ph":"M","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"name":"`...)
+	b = append(b, event...)
+	b = append(b, `","args":{"name":`...)
+	b = appendJSONString(b, name)
+	return append(b, `}}`...)
+}
+
+func appendSpan(b []byte, s *Span) []byte {
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, s.Name)
+	b = append(b, `,"cat":`...)
+	b = appendJSONString(b, s.Cat)
 	if s.Instant {
-		b.WriteString(`,"ph":"i","s":"t"`)
+		b = append(b, `,"ph":"i","s":"t"`...)
 	} else {
-		b.WriteString(`,"ph":"X"`)
+		b = append(b, `,"ph":"X"`...)
 	}
-	b.WriteString(`,"ts":`)
-	b.WriteString(formatFloat(float64(s.Begin) * 1e6))
+	b = append(b, `,"ts":`...)
+	b = appendFloat(b, float64(s.Begin)*1e6)
 	if !s.Instant {
-		b.WriteString(`,"dur":`)
-		b.WriteString(formatFloat(float64(s.End-s.Begin) * 1e6))
+		b = append(b, `,"dur":`...)
+		b = appendFloat(b, float64(s.End-s.Begin)*1e6)
 	}
-	b.WriteString(`,"pid":`)
-	b.WriteString(formatInt(int64(s.PID)))
-	b.WriteString(`,"tid":`)
-	b.WriteString(formatInt(int64(s.TID)))
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(s.PID), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(s.TID), 10)
 	if len(s.Attrs) > 0 {
-		b.WriteString(`,"args":{`)
+		b = append(b, `,"args":{`...)
 		for i, a := range s.Attrs {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(quoteJSON(a.Key))
-			b.WriteByte(':')
-			b.WriteString(a.JSON)
+			b = appendJSONString(b, a.Key)
+			b = append(b, ':')
+			b = a.appendJSON(b)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }

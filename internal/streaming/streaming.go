@@ -80,16 +80,6 @@ func NewFilter(name, src string) (*Filter, error) {
 	return &Filter{Name: name, Prog: prog, Code: code}, nil
 }
 
-// MustFilter parses a filter and panics on error (for built-in benchmark
-// sources).
-func MustFilter(name, src string) *Filter {
-	f, err := NewFilter(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Run executes the filter over input, returning its stdout and cost.
 func (f *Filter) Run(input []byte) (string, *interp.CountingSink, error) {
 	return f.RunCollect(input, nil)

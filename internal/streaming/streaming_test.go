@@ -61,7 +61,7 @@ int main() {
 var wcSchema = kv.Schema{KeyKind: kv.Bytes, ValKind: kv.Int, KeyLen: 30}
 
 func TestFilterRun(t *testing.T) {
-	f := MustFilter("wc-map", wcMap)
+	f := mustFilter(t, "wc-map", wcMap)
 	out, sink, err := f.Run([]byte("a b a\nc a\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestNewFilterRejectsBadSource(t *testing.T) {
 }
 
 func TestFilterNonZeroExitIsError(t *testing.T) {
-	f := MustFilter("fail", `int main() { return 2; }`)
+	f := mustFilter(t, "fail", `int main() { return 2; }`)
 	if _, _, err := f.Run(nil); err == nil || !strings.Contains(err.Error(), "status 2") {
 		t.Fatalf("err = %v", err)
 	}
@@ -102,8 +102,8 @@ func TestParseAndRenderKVLines(t *testing.T) {
 }
 
 func TestRunMapTaskPartitionsAndCombines(t *testing.T) {
-	mapF := MustFilter("wc-map", wcMap)
-	combF := MustFilter("wc-combine", wcCombine)
+	mapF := mustFilter(t, "wc-map", wcMap)
+	combF := mustFilter(t, "wc-combine", wcCombine)
 	input := []byte("the cat sat\nthe dog sat\nthe end\n")
 	res, err := RunMapTask(mapF, combF, input, MapTaskConfig{
 		Schema: wcSchema, NumReducers: 3, InputReadTime: 0.001,
@@ -147,7 +147,7 @@ func TestRunMapTaskPartitionsAndCombines(t *testing.T) {
 }
 
 func TestRunMapTaskWithoutCombiner(t *testing.T) {
-	mapF := MustFilter("wc-map", wcMap)
+	mapF := mustFilter(t, "wc-map", wcMap)
 	res, err := RunMapTask(mapF, nil, []byte("a a b\n"), MapTaskConfig{
 		Schema: wcSchema, NumReducers: 2,
 	})
@@ -186,7 +186,7 @@ int main() {
 	}
 	return 0;
 }`
-	mapF := MustFilter("bs-map", src)
+	mapF := mustFilter(t, "bs-map", src)
 	schema := kv.Schema{KeyKind: kv.Int, ValKind: kv.Float}
 	res, err := RunMapTask(mapF, nil, []byte("1\n2\n3\n"), MapTaskConfig{
 		Schema: schema, NumReducers: 0,
@@ -207,7 +207,7 @@ int main() {
 
 func TestRunReduceMergesAndReduces(t *testing.T) {
 	reduceSrc := wcCombine // wordcount reduce == combine
-	reduceF := MustFilter("wc-reduce", reduceSrc)
+	reduceF := mustFilter(t, "wc-reduce", reduceSrc)
 	inputs := [][]kv.Pair{
 		{{Key: kv.StringValue("a"), Val: kv.IntValue(2)}, {Key: kv.StringValue("c"), Val: kv.IntValue(1)}},
 		{{Key: kv.StringValue("a"), Val: kv.IntValue(3)}, {Key: kv.StringValue("b"), Val: kv.IntValue(1)}},
@@ -247,7 +247,7 @@ func TestMergeSortedHandlesUnsortedRuns(t *testing.T) {
 
 func TestCPUModelTimes(t *testing.T) {
 	cpu := XeonE52680()
-	f := MustFilter("wc-map", wcMap)
+	f := mustFilter(t, "wc-map", wcMap)
 	_, small, err := f.Run([]byte("a\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -265,4 +265,13 @@ func TestCPUModelTimes(t *testing.T) {
 	if cpu.SortTime(1, 30) != 0 || cpu.SortTime(0, 30) != 0 {
 		t.Fatal("degenerate sorts should be free")
 	}
+}
+
+func mustFilter(t *testing.T, name, src string) *Filter {
+	t.Helper()
+	f, err := NewFilter(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
