@@ -57,6 +57,23 @@ func TestParseDirectiveErrorMessages(t *testing.T) {
 			"mapreduce mapper key(a value(b)",
 			`compiler: unbalanced parentheses in pragma "mapreduce mapper key(a value(b)"`,
 		},
+		{
+			"mapreduce mapper key(a) $ value(b)",
+			`compiler: malformed pragma near "$ value(b)"`,
+		},
+		{
+			"mapreduce mapper key(a)) value(b)",
+			`compiler: malformed pragma near ") value(b)"`,
+		},
+		{
+			// The first malformed piece decides the message.
+			"mapreduce mapper $ key(a",
+			`compiler: malformed pragma near "$ key(a"`,
+		},
+		{
+			"mapreduce mapper key(a) value(b) threads(",
+			`compiler: unbalanced parentheses in pragma "mapreduce mapper key(a) value(b) threads("`,
+		},
 	}
 	for _, tc := range cases {
 		_, err := ParseDirective(tc.text)
