@@ -44,9 +44,12 @@ lint:
 
 # lint-go runs the determinism linter over the packages whose outputs
 # must be bit-reproducible (no math/rand, no time.Now, no unsorted map
-# iteration); see tools/detlint.
+# iteration); see tools/detlint. internal/interp, internal/bytecode and
+# internal/streaming are the MiniC stage packages, whose outputs and cost
+# charges must reproduce bit for bit.
 lint-go:
-	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler
+	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
+		internal/interp internal/bytecode internal/streaming
 
 # opt-report prints the SSA optimizer's per-pass rewrite counts for every
 # benchmark stage program (host and translated-kernel targets).

@@ -7,7 +7,7 @@
 //
 //	hdbench -exp all
 //	hdbench -exp fig4a -split-kb 32 -variants 3 -task-scale 1
-//	hdbench -exp fig6 -hdprof -prof-top 20
+//	hdbench -exp fig6 -hdprof              (engine-phase wall-clock table)
 //	hdbench -baseline                      (write BENCH_baseline.json)
 //	hdbench -check                         (compare, exit 1 on regression)
 //	hdbench -check -short -threshold 1.0   (cheap CI gate)
@@ -51,9 +51,7 @@ func main() {
 	allowEnvMismatch := flag.Bool("allow-env-mismatch", false, "compare across differing Go version / CPU count with a warning instead of an error")
 	optReport := flag.Bool("opt-report", false, "print per-pass SSA optimizer statistics for the benchmark programs and exit")
 
-	hdprof := flag.Bool("hdprof", false, "attach the wall-clock cost profiler to the experiment run and print the hot-path report")
-	profTop := flag.Int("prof-top", 15, "rows in the -hdprof hot-path table")
-	profFolded := flag.String("prof-folded", "", "write -hdprof folded-stack flamegraph lines to this file")
+	hdprof := flag.Bool("hdprof", false, "time the experiment run's engine phases in wall-clock time and print the phase table")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
@@ -95,7 +93,7 @@ func main() {
 		rec = obs.NewRecorder()
 	}
 	var prof *perf.Profiler
-	if *hdprof || *profFolded != "" {
+	if *hdprof {
 		prof = perf.New()
 	}
 	cfg := experiments.Config{
@@ -212,11 +210,8 @@ func main() {
 	}
 	if prof != nil {
 		snap := prof.Snapshot()
-		if *hdprof {
-			fmt.Println()
-			snap.WriteTable(os.Stdout, *profTop)
-		}
-		check(writeFolded(snap, *profFolded))
+		fmt.Println()
+		snap.WriteTable(os.Stdout)
 		if rec != nil {
 			rec.Metrics().RecordCostProfile(snap)
 		}
@@ -349,22 +344,6 @@ func writeHeapProfile(path string) error {
 	}
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeFolded dumps the flamegraph-ready folded stacks.
-func writeFolded(snap perf.Snapshot, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteFolded(f); err != nil {
 		f.Close()
 		return err
 	}

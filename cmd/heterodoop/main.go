@@ -41,9 +41,7 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style metrics dump to this file")
-	hdprof := flag.Bool("hdprof", false, "profile the run's wall-clock cost and print the hot-path report")
-	profTop := flag.Int("prof-top", 15, "rows in the -hdprof hot-path table")
-	profFolded := flag.String("prof-folded", "", "write -hdprof folded-stack flamegraph lines to this file")
+	hdprof := flag.Bool("hdprof", false, "time the run's engine phases in wall-clock time and print the phase table")
 	workers := flag.Int("workers", 1, "host worker-pool size for the run's task work; 1 = serial, results are byte-identical for every value")
 	flag.Parse()
 
@@ -75,7 +73,7 @@ func main() {
 	}
 
 	var prof *perf.Profiler
-	if *hdprof || *profFolded != "" {
+	if *hdprof {
 		prof = perf.New()
 	}
 	prog := b.JobFor(1)
@@ -162,23 +160,8 @@ func main() {
 	}
 	if prof != nil {
 		snap := prof.Snapshot()
-		if *hdprof {
-			fmt.Println()
-			snap.WriteTable(os.Stdout, *profTop)
-		}
-		if *profFolded != "" {
-			f, err := os.Create(*profFolded)
-			if err != nil {
-				fatal(err)
-			}
-			if err := snap.WriteFolded(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
+		fmt.Println()
+		snap.WriteTable(os.Stdout)
 		if rec != nil {
 			rec.Metrics().RecordCostProfile(snap)
 		}

@@ -59,7 +59,7 @@ type regionInfo struct {
 	pragma *minic.PragmaStmt
 	fn     *minic.FuncDecl
 
-	clauses  []clauseTok
+	clauses  []minic.Clause
 	combiner bool
 	// kindClauses counts mapper/combiner markers (pairing check).
 	kindClauses int
@@ -107,32 +107,32 @@ func (a *analyzer) mapreduceRegions() []*regionInfo {
 				return
 			}
 			r := &regionInfo{pragma: p, fn: fn, syms: a.visibleSymbols(fn)}
-			r.clauses = scanClauses(p.Text)
+			r.clauses = minic.ScanClauses(strings.TrimPrefix(strings.TrimSpace(p.Text), "mapreduce"))
 			for _, cl := range r.clauses {
-				switch cl.name {
+				switch cl.Name {
 				case "mapper":
 					r.kindClauses++
 				case "combiner":
 					r.combiner = true
 					r.kindClauses++
 				case "key":
-					r.key = cl.one()
+					r.key = one(cl)
 				case "value":
-					r.value = cl.one()
+					r.value = one(cl)
 				case "keyin":
-					r.keyIn = cl.one()
+					r.keyIn = one(cl)
 				case "valuein":
-					r.valueIn = cl.one()
+					r.valueIn = one(cl)
 				case "keylength":
-					r.keyLen = cl.oneInt()
+					r.keyLen = oneInt(cl)
 				case "vallength":
-					r.valLen = cl.oneInt()
+					r.valLen = oneInt(cl)
 				case "firstprivate":
-					r.firstPrivate = append(r.firstPrivate, cl.args...)
+					r.firstPrivate = append(r.firstPrivate, cl.Args...)
 				case "sharedRO", "sharedro":
-					r.sharedRO = append(r.sharedRO, cl.args...)
+					r.sharedRO = append(r.sharedRO, cl.Args...)
 				case "texture":
-					r.texture = append(r.texture, cl.args...)
+					r.texture = append(r.texture, cl.Args...)
 				}
 			}
 			out = append(out, r)
@@ -164,26 +164,20 @@ func (a *analyzer) visibleSymbols(fn *minic.FuncDecl) map[string]*minic.Symbol {
 	return out
 }
 
-// ---- Clause scanning ----
+// ---- Clause values ----
 
-// clauseTok is one `name(arg, ...)` group from a pragma line. Unlike the
-// translator's parser it keeps duplicates and malformed pieces so the
-// directive verifier can report them.
-type clauseTok struct {
-	name string
-	args []string
-	bad  bool // unbalanced parentheses or stray characters
-}
-
-func (c clauseTok) one() string {
-	if len(c.args) == 1 {
-		return c.args[0]
+// one returns a clause's sole argument, or "" when it has none or several.
+func one(c minic.Clause) string {
+	if len(c.Args) == 1 {
+		return c.Args[0]
 	}
 	return ""
 }
 
-func (c clauseTok) oneInt() int {
-	s := c.one()
+// oneInt returns a clause's sole argument as a non-negative integer, or 0
+// when it is not one.
+func oneInt(c minic.Clause) int {
+	s := one(c)
 	n := 0
 	for i := 0; i < len(s); i++ {
 		if s[i] < '0' || s[i] > '9' {
@@ -192,76 +186,6 @@ func (c clauseTok) oneInt() int {
 		n = n*10 + int(s[i]-'0')
 	}
 	return n
-}
-
-// scanClauses tokenizes the pragma text after "mapreduce".
-func scanClauses(text string) []clauseTok {
-	text = strings.TrimSpace(text)
-	text = strings.TrimPrefix(text, "mapreduce")
-	var out []clauseTok
-	i, n := 0, len(text)
-	for i < n {
-		for i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == ',') {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		start := i
-		for i < n && isWord(text[i]) {
-			i++
-		}
-		if i == start {
-			out = append(out, clauseTok{name: string(text[i]), bad: true})
-			i++
-			continue
-		}
-		cl := clauseTok{name: text[start:i]}
-		for i < n && text[i] == ' ' {
-			i++
-		}
-		if i < n && text[i] == '(' {
-			depth := 1
-			i++
-			argStart := i
-			for i < n && depth > 0 {
-				switch text[i] {
-				case '(':
-					depth++
-				case ')':
-					depth--
-				}
-				if depth > 0 {
-					i++
-				}
-			}
-			if depth != 0 {
-				cl.bad = true
-				cl.args = splitArgs(text[argStart:])
-				i = n
-			} else {
-				cl.args = splitArgs(text[argStart:i])
-				i++
-			}
-		}
-		out = append(out, cl)
-	}
-	return out
-}
-
-func splitArgs(raw string) []string {
-	var out []string
-	for _, a := range strings.Split(raw, ",") {
-		a = strings.TrimSpace(a)
-		if a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func isWord(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
 // ---- Access events ----

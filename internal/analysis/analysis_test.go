@@ -24,32 +24,6 @@ func codes(diags []Diagnostic) []string {
 	return out
 }
 
-func TestScanClausesKeepsDuplicates(t *testing.T) {
-	cls := scanClauses("mapreduce mapper key(a) key(b) firstprivate(x, y)")
-	var names []string
-	for _, c := range cls {
-		names = append(names, c.name)
-	}
-	want := "mapper key key firstprivate"
-	if got := strings.Join(names, " "); got != want {
-		t.Errorf("clause names = %q, want %q", got, want)
-	}
-	if got := strings.Join(cls[3].args, ","); got != "x,y" {
-		t.Errorf("firstprivate args = %q, want x,y", got)
-	}
-}
-
-func TestScanClausesMarksUnbalanced(t *testing.T) {
-	cls := scanClauses("mapreduce mapper key(a")
-	bad := false
-	for _, c := range cls {
-		bad = bad || c.bad
-	}
-	if !bad {
-		t.Errorf("unbalanced parens not marked bad: %+v", cls)
-	}
-}
-
 func TestSeverityOrderingAndClean(t *testing.T) {
 	diags := []Diagnostic{
 		{Code: "HD204", Severity: SevInfo},

@@ -67,28 +67,28 @@ func (a *analyzer) checkClauseSyntax(r *regionInfo) bool {
 	pos := r.pragma.Pos
 	n := len(a.diags)
 	for _, cl := range r.clauses {
-		spec, known := clauseSpecs[cl.name]
+		spec, known := clauseSpecs[cl.Name]
 		switch {
-		case cl.bad:
+		case cl.Stray || cl.Unclosed:
 			a.report("HD101", pos,
-				fmt.Sprintf("malformed clause %q in mapreduce pragma", cl.name),
+				fmt.Sprintf("malformed clause %q in mapreduce pragma", cl.Name),
 				"balance the clause's parentheses")
 		case !known:
 			a.report("HD101", pos,
-				fmt.Sprintf("unknown clause %q in mapreduce pragma", cl.name),
+				fmt.Sprintf("unknown clause %q in mapreduce pragma", cl.Name),
 				"valid clauses: mapper, combiner, key, value, keyin, valuein, keylength, vallength, kvpairs, blocks, threads, firstprivate, sharedRO, texture")
-		case spec.kind == clauseMarker && len(cl.args) > 0:
+		case spec.kind == clauseMarker && len(cl.Args) > 0:
 			a.report("HD101", pos,
-				fmt.Sprintf("clause %q takes no arguments", cl.name), "")
-		case (spec.kind == clauseIdent || spec.kind == clauseInt) && len(cl.args) != 1:
+				fmt.Sprintf("clause %q takes no arguments", cl.Name), "")
+		case (spec.kind == clauseIdent || spec.kind == clauseInt) && len(cl.Args) != 1:
 			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires exactly one argument, got %d", cl.name, len(cl.args)), "")
-		case spec.kind == clauseInt && len(cl.args) == 1 && cl.oneInt() <= 0:
+				fmt.Sprintf("clause %q requires exactly one argument, got %d", cl.Name, len(cl.Args)), "")
+		case spec.kind == clauseInt && len(cl.Args) == 1 && oneInt(cl) <= 0:
 			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires a positive integer argument, got %q", cl.name, cl.one()), "")
-		case spec.kind == clauseList && len(cl.args) == 0:
+				fmt.Sprintf("clause %q requires a positive integer argument, got %q", cl.Name, one(cl)), "")
+		case spec.kind == clauseList && len(cl.Args) == 0:
 			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires at least one variable", cl.name), "")
+				fmt.Sprintf("clause %q requires at least one variable", cl.Name), "")
 		}
 	}
 	return len(a.diags) > n
@@ -101,11 +101,11 @@ func (a *analyzer) checkClauseDuplicates(r *regionInfo) bool {
 	n := len(a.diags)
 	seen := map[string]bool{}
 	for _, cl := range r.clauses {
-		name := cl.name
+		name := cl.Name
 		if name == "sharedro" {
 			name = "sharedRO"
 		}
-		if spec := clauseSpecs[cl.name]; spec.kind == clauseList {
+		if spec := clauseSpecs[cl.Name]; spec.kind == clauseList {
 			continue
 		}
 		if seen[name] {
@@ -117,14 +117,14 @@ func (a *analyzer) checkClauseDuplicates(r *regionInfo) bool {
 	}
 	classified := map[string]string{}
 	for _, cl := range r.clauses {
-		name := cl.name
+		name := cl.Name
 		if name == "sharedro" {
 			name = "sharedRO"
 		}
-		if spec := clauseSpecs[cl.name]; spec.kind != clauseList {
+		if spec := clauseSpecs[cl.Name]; spec.kind != clauseList {
 			continue
 		}
-		for _, v := range cl.args {
+		for _, v := range cl.Args {
 			if prev, ok := classified[v]; ok {
 				a.report("HD102", pos,
 					fmt.Sprintf("variable %q classified twice: %s and %s", v, prev, name),
@@ -158,9 +158,9 @@ func (a *analyzer) checkRequiredClauses(r *regionInfo) bool {
 	n := len(a.diags)
 	if !r.combiner {
 		for _, cl := range r.clauses {
-			if spec, ok := clauseSpecs[cl.name]; ok && spec.combinerOnly {
+			if spec, ok := clauseSpecs[cl.Name]; ok && spec.combinerOnly {
 				a.report("HD105", pos,
-					fmt.Sprintf("clause %q is only valid on combiner regions", cl.name),
+					fmt.Sprintf("clause %q is only valid on combiner regions", cl.Name),
 					"remove the clause or mark the region combiner")
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // VM executes compiled bytecode against an interp.Machine, which keeps
@@ -17,10 +16,9 @@ type VM struct {
 	Prog *Program
 	m    *interp.Machine
 
-	// cost and col are refreshed from the machine on every entry: the GPU
-	// executor swaps the machine's cost sink per simulated thread.
+	// cost is refreshed from the machine on every entry: the GPU executor
+	// swaps the machine's cost sink per simulated thread.
 	cost interp.CostSink
-	col  *perf.Collector
 
 	// Per-pool caches resolved against this machine.
 	objs     []*interp.Object // by Syms index (globals; nil for locals)
@@ -116,10 +114,9 @@ func NewVM(m *interp.Machine, p *Program) *VM {
 	return vm
 }
 
-// refresh re-reads the machine's per-run mutable hooks.
+// refresh re-reads the machine's per-run cost sink.
 func (vm *VM) refresh() {
 	vm.cost = vm.m.Cost()
-	vm.col = vm.m.Prof()
 }
 
 // resolveGlobals binds global symbol indices to their storage. Must run
@@ -234,14 +231,10 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	code := fn.Code
 	regs := fr.regs
 	cost := vm.cost
-	col := vm.col
 	consts := vm.Prog.Consts
 	symSpace, symWidth, symConv := vm.symSpace, vm.symWidth, vm.symConv
 	for pc := 0; pc < len(code); pc++ {
 		in := code[pc]
-		if col != nil {
-			col.Enter(perf.CatOpcode, in.Op.Name())
-		}
 		switch in.Op {
 		case OpNop:
 		case OpCharge:
@@ -250,9 +243,6 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			}
 			if in.B > 0 {
 				if err := vm.m.AddSteps(int64(in.B)); err != nil {
-					if col != nil {
-						col.Exit()
-					}
 					return interp.Value{}, false, err
 				}
 			}
@@ -265,14 +255,8 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				pc = int(in.C) - 1
 			}
 		case OpRet:
-			if col != nil {
-				col.Exit()
-			}
 			return interp.ConvertFor(fn.Ret, regs[in.A]), true, nil
 		case OpRetZ:
-			if col != nil {
-				col.Exit()
-			}
 			return interp.Value{}, false, nil
 		case OpConst:
 			regs[in.A] = consts[in.B]
@@ -294,97 +278,64 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = interp.IntVal(l.I + r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpSubI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = interp.IntVal(l.I - r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpMulI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = interp.IntVal(l.I * r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpEqI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = boolReg(l.I == r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpNeI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = boolReg(l.I != r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpLtI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = boolReg(l.I < r.I)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpAddF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
 				regs[in.A] = interp.FloatVal(l.F + r.F)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpSubF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
 				regs[in.A] = interp.FloatVal(l.F - r.F)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpMulF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
 				regs[in.A] = interp.FloatVal(l.F * r.F)
 			} else if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI, OpLeI, OpGtI, OpGeI,
 			OpDivF, OpEqF, OpNeF, OpLtF, OpLeF, OpGtF, OpGeF:
 			if err := vm.binop(regs, in); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpBin:
 			v, err := interp.ApplyBinary(vm.Prog.Ops[in.D], regs[in.B], regs[in.C])
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 			regs[in.A] = v
@@ -445,9 +396,6 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		case OpLoadO:
 			obj, err := vm.object(fr, in.B)
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 			cost.Load(obj.Space, obj.Elem.Size())
@@ -458,17 +406,11 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				err = vm.m.StorePtr(interp.Pointer{Obj: obj}, regs[in.B])
 			}
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpAddrO:
 			obj, err := vm.object(fr, in.B)
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 			regs[in.A] = interp.PtrVal(interp.Pointer{Obj: obj})
@@ -483,48 +425,30 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		case OpLoadP:
 			v := regs[in.B]
 			if in.D != 0 && (v.Kind != interp.ValPtr || v.P.IsNull()) {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, fmt.Errorf("interp: %s: dereference of null or non-pointer", fn.Pos[pc])
 			}
 			lv, err := vm.m.LoadPtr(v.P)
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 			regs[in.A] = lv
 		case OpStoreP:
 			v := regs[in.A]
 			if in.D != 0 && (v.Kind != interp.ValPtr || v.P.IsNull()) {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, fmt.Errorf("interp: %s: store through null or non-pointer", fn.Pos[pc])
 			}
 			if err := vm.m.StorePtr(v.P, regs[in.B]); err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 		case OpChkP:
 			v := regs[in.B]
 			if v.Kind != interp.ValPtr || v.P.IsNull() {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, fmt.Errorf("interp: %s: store through null or non-pointer", fn.Pos[pc])
 			}
 			regs[in.A] = v
 		case OpIdx:
 			base := regs[in.C]
 			if base.Kind != interp.ValPtr || base.P.IsNull() {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, fmt.Errorf("interp: %s: index of null or non-pointer", fn.Pos[pc])
 			}
 			i := int(regs[in.B].AsInt())
@@ -539,22 +463,13 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		case OpCall:
 			v, err := vm.call(in.B, int(in.C))
 			if err != nil {
-				if col != nil {
-					col.Exit()
-				}
 				return interp.Value{}, false, err
 			}
 			// The callee may have grown the shared arg stack; regs stays
 			// valid (frame-owned), but re-read nothing else cached.
 			regs[in.A] = v
 		default:
-			if col != nil {
-				col.Exit()
-			}
 			return interp.Value{}, false, fmt.Errorf("bytecode: invalid opcode %d", in.Op)
-		}
-		if col != nil {
-			col.Exit()
 		}
 	}
 	return interp.Value{}, false, nil
@@ -759,7 +674,7 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 	switch lc.kind {
 	case ckBuiltin:
 		vm.cost.Op(2)
-		v, err = vm.m.CallBuiltin(vm.Prog.Callees[calleeIdx].Name, lc.impl, args)
+		v, err = lc.impl(vm.m, args)
 	case ckFn:
 		vm.cost.Op(4)
 		v, _, err = vm.callFn(lc.fnIdx, args)

@@ -10,7 +10,8 @@ package compiler
 import (
 	"fmt"
 	"strconv"
-	"strings"
+
+	"repro/internal/minic"
 )
 
 // RegionKind distinguishes the two directive-annotated region types.
@@ -66,11 +67,16 @@ type Directive struct {
 // ParseDirective parses the text of a mapreduce pragma (the part after
 // `#pragma`), e.g. `mapreduce mapper key(word) value(one) keylength(30)`.
 func ParseDirective(text string) (*Directive, error) {
-	fields, err := splitClauses(text)
-	if err != nil {
-		return nil, err
+	fields := minic.ScanClauses(text)
+	for _, cl := range fields {
+		switch {
+		case cl.Stray:
+			return nil, fmt.Errorf("compiler: malformed pragma near %q", text[cl.Off:])
+		case cl.Unclosed:
+			return nil, fmt.Errorf("compiler: unbalanced parentheses in pragma %q", text)
+		}
 	}
-	if len(fields) == 0 || fields[0].name != "mapreduce" {
+	if len(fields) == 0 || fields[0].Name != "mapreduce" {
 		return nil, fmt.Errorf("compiler: not a mapreduce pragma: %q", text)
 	}
 	d := &Directive{KeyLength: 0}
@@ -85,13 +91,14 @@ func ParseDirective(text string) (*Directive, error) {
 		seen[name] = true
 		return nil
 	}
+	var err error
 	for _, cl := range fields[1:] {
-		switch cl.name {
+		switch cl.Name {
 		case "mapper", "combiner":
 			if seenKind {
 				return nil, fmt.Errorf("compiler: pragma %q has more than one mapper/combiner clause", text)
 			}
-			if cl.name == "combiner" {
+			if cl.Name == "combiner" {
 				d.Kind = RegionCombiner
 			} else {
 				d.Kind = RegionMapper
@@ -99,58 +106,58 @@ func ParseDirective(text string) (*Directive, error) {
 			seenKind = true
 			continue
 		}
-		switch cl.name {
+		switch cl.Name {
 		case "key", "value", "keyin", "valuein", "keylength", "vallength",
 			"kvpairs", "blocks", "threads":
-			if err := once(cl.name); err != nil {
+			if err := once(cl.Name); err != nil {
 				return nil, err
 			}
 		}
-		switch cl.name {
+		switch cl.Name {
 		case "key":
-			if d.Key, err = cl.oneIdent(); err != nil {
+			if d.Key, err = oneIdent(cl); err != nil {
 				return nil, err
 			}
 		case "value":
-			if d.Value, err = cl.oneIdent(); err != nil {
+			if d.Value, err = oneIdent(cl); err != nil {
 				return nil, err
 			}
 		case "keyin":
-			if d.KeyIn, err = cl.oneIdent(); err != nil {
+			if d.KeyIn, err = oneIdent(cl); err != nil {
 				return nil, err
 			}
 		case "valuein":
-			if d.ValueIn, err = cl.oneIdent(); err != nil {
+			if d.ValueIn, err = oneIdent(cl); err != nil {
 				return nil, err
 			}
 		case "keylength":
-			if d.KeyLength, err = cl.oneInt(); err != nil {
+			if d.KeyLength, err = oneInt(cl); err != nil {
 				return nil, err
 			}
 		case "vallength":
-			if d.ValLength, err = cl.oneInt(); err != nil {
+			if d.ValLength, err = oneInt(cl); err != nil {
 				return nil, err
 			}
 		case "firstprivate":
-			d.FirstPrivate = append(d.FirstPrivate, cl.args...)
+			d.FirstPrivate = append(d.FirstPrivate, cl.Args...)
 		case "sharedRO", "sharedro":
-			d.SharedRO = append(d.SharedRO, cl.args...)
+			d.SharedRO = append(d.SharedRO, cl.Args...)
 		case "texture":
-			d.Texture = append(d.Texture, cl.args...)
+			d.Texture = append(d.Texture, cl.Args...)
 		case "kvpairs":
-			if d.KVPairs, err = cl.oneInt(); err != nil {
+			if d.KVPairs, err = oneInt(cl); err != nil {
 				return nil, err
 			}
 		case "blocks":
-			if d.Blocks, err = cl.oneInt(); err != nil {
+			if d.Blocks, err = oneInt(cl); err != nil {
 				return nil, err
 			}
 		case "threads":
-			if d.Threads, err = cl.oneInt(); err != nil {
+			if d.Threads, err = oneInt(cl); err != nil {
 				return nil, err
 			}
 		default:
-			return nil, fmt.Errorf("compiler: unknown clause %q in pragma %q", cl.name, text)
+			return nil, fmt.Errorf("compiler: unknown clause %q in pragma %q", cl.Name, text)
 		}
 	}
 	if !seenKind {
@@ -172,88 +179,24 @@ func ParseDirective(text string) (*Directive, error) {
 	return d, nil
 }
 
-type clause struct {
-	name string
-	args []string
-}
-
-func (c clause) oneIdent() (string, error) {
-	if len(c.args) != 1 {
-		return "", fmt.Errorf("compiler: clause %q wants exactly one argument, got %v", c.name, c.args)
+func oneIdent(c minic.Clause) (string, error) {
+	if len(c.Args) != 1 {
+		return "", fmt.Errorf("compiler: clause %q wants exactly one argument, got %v", c.Name, c.Args)
 	}
-	return c.args[0], nil
+	return c.Args[0], nil
 }
 
-func (c clause) oneInt() (int, error) {
-	s, err := c.oneIdent()
+func oneInt(c minic.Clause) (int, error) {
+	s, err := oneIdent(c)
 	if err != nil {
 		return 0, err
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil {
-		return 0, fmt.Errorf("compiler: clause %q wants an integer literal, got %q", c.name, s)
+		return 0, fmt.Errorf("compiler: clause %q wants an integer literal, got %q", c.Name, s)
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("compiler: clause %q must be non-negative, got %d", c.name, n)
+		return 0, fmt.Errorf("compiler: clause %q must be non-negative, got %d", c.Name, n)
 	}
 	return n, nil
-}
-
-// splitClauses tokenizes `name(arg, arg) name name(arg)` text.
-func splitClauses(text string) ([]clause, error) {
-	var out []clause
-	i := 0
-	n := len(text)
-	for i < n {
-		for i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == ',') {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		start := i
-		for i < n && isWordChar(text[i]) {
-			i++
-		}
-		if i == start {
-			return nil, fmt.Errorf("compiler: malformed pragma near %q", text[i:])
-		}
-		cl := clause{name: text[start:i]}
-		for i < n && text[i] == ' ' {
-			i++
-		}
-		if i < n && text[i] == '(' {
-			depth := 1
-			i++
-			argStart := i
-			for i < n && depth > 0 {
-				switch text[i] {
-				case '(':
-					depth++
-				case ')':
-					depth--
-				}
-				if depth > 0 {
-					i++
-				}
-			}
-			if depth != 0 {
-				return nil, fmt.Errorf("compiler: unbalanced parentheses in pragma %q", text)
-			}
-			raw := text[argStart:i]
-			i++ // closing paren
-			for _, a := range strings.Split(raw, ",") {
-				a = strings.TrimSpace(a)
-				if a != "" {
-					cl.args = append(cl.args, a)
-				}
-			}
-		}
-		out = append(out, cl)
-	}
-	return out, nil
-}
-
-func isWordChar(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }

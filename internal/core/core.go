@@ -118,8 +118,8 @@ type RunOptions struct {
 	MaxSkippedRecords int
 	// Obs, when non-nil, records the run's trace spans and metrics.
 	Obs *obs.Recorder
-	// Profile, when non-nil, receives the run's wall-clock cost profile:
-	// engine phases plus per-AST-node and per-builtin interpreter buckets.
+	// Profile, when non-nil, receives the run's wall-clock engine-phase
+	// times.
 	Profile *perf.Profiler
 	// Workers bounds host-side parallelism for the run's task work. 0 or 1
 	// reproduces the serial engine exactly; any value is byte-identical on

@@ -66,8 +66,7 @@ func Ablations(cfg Config) (*AblationResult, error) {
 		opts := gpurt.AllOptimizations()
 		opts.RecordStealing = steal
 		opts.GlobalStealing = global
-		opts.Prof = cfg.Prof
-		tr, err := gpurt.RunTask(dev, job.MapC, nil, input, gpurt.TaskConfig{NumReducers: 4, Opts: opts})
+		tr, err := gpurt.RunTask(dev, job.MapC, nil, input, gpurt.TaskConfig{NumReducers: 4, Opts: opts, Prof: cfg.Prof})
 		if err != nil {
 			return 0, err
 		}

@@ -41,8 +41,8 @@ type Config struct {
 	TaskScale float64
 	// Obs, when non-nil, records every experiment job's spans and metrics.
 	Obs *obs.Recorder
-	// Prof, when non-nil, receives wall-clock phase and interpreter
-	// hot-path buckets from every functionally sampled task.
+	// Prof, when non-nil, receives the wall-clock phase times of every
+	// compile and functionally sampled task.
 	Prof *perf.Profiler
 	// Workers bounds host-side parallelism across a sweep's independent
 	// jobs (and inside each job's task work). 0 or 1 runs everything
@@ -154,16 +154,13 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s cpu sample: %w", b.Code, err)
 		}
-		gpuOpts := opts
-		if gpuOpts.Prof == nil {
-			gpuOpts.Prof = cfg.Prof
-		}
 		gpuRes, err := gpurt.RunTask(dev, cj.MapC, cj.CombineC, input, gpurt.TaskConfig{
 			NumReducers:   job.NumReducers,
-			Opts:          gpuOpts,
+			Opts:          opts,
 			InputReadTime: readTime,
 			DiskWriteGBs:  setup.DiskWriteGBs,
 			HDFSWriteGBs:  setup.HDFSWriteGBs,
+			Prof:          cfg.Prof,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s gpu sample: %w", b.Code, err)
@@ -194,25 +191,31 @@ func (c Config) pool() (*sim.Pool, func()) {
 }
 
 // parallelRuns executes n independent runs on the pool — inline, in index
-// order, when the pool is serial — handing each run a private fork of the
-// base recorder and merging the forks back in index order afterwards.
-// Both paths fork and merge, so the recorded bytes are identical for every
-// worker count by construction. Results land in index order; the first
-// error (by index) wins.
-func parallelRuns[T any](pool *sim.Pool, base *obs.Recorder, n int,
-	run func(i int, rec *obs.Recorder) (T, error)) ([]T, error) {
+// order, when the pool is serial — handing each run a copy of cfg with a
+// private fork of cfg.Obs and, when cfg profiles, a private profiler, and
+// merging both back in index order afterwards. Runs on different
+// goroutines therefore never share a recorder or a profiler's phase
+// stack, and both paths fork and merge, so the recorded bytes and phase
+// counts are identical for every worker count by construction. Results
+// land in index order; the first error (by index) wins.
+func parallelRuns[T any](pool *sim.Pool, cfg Config, n int,
+	run func(i int, cfg Config) (T, error)) ([]T, error) {
 
 	type outcome struct {
 		val T
 		err error
 	}
-	recs := make([]*obs.Recorder, n)
+	cfgs := make([]Config, n)
 	tasks := make([]*sim.Task, n)
 	for i := 0; i < n; i++ {
 		i := i
-		recs[i] = base.Fork()
+		cfgs[i] = cfg
+		cfgs[i].Obs = cfg.Obs.Fork()
+		if cfg.Prof != nil {
+			cfgs[i].Prof = perf.New()
+		}
 		tasks[i] = pool.Submit(func() any {
-			v, err := run(i, recs[i])
+			v, err := run(i, cfgs[i])
 			return outcome{v, err}
 		})
 	}
@@ -220,7 +223,8 @@ func parallelRuns[T any](pool *sim.Pool, base *obs.Recorder, n int,
 	var firstErr error
 	for i := 0; i < n; i++ {
 		o := tasks[i].Wait().(outcome)
-		base.Merge(recs[i])
+		cfg.Obs.Merge(cfgs[i].Obs)
+		cfg.Prof.Merge(cfgs[i].Prof)
 		out[i] = o.val
 		if o.err != nil && firstErr == nil {
 			firstErr = o.err

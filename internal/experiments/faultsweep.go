@@ -152,10 +152,10 @@ func FaultSweep(cfg Config, custom *faults.Plan) ([]FaultSweepRow, error) {
 	// pool, one task per row, merged back in plan order. A row's failure is
 	// data (an Err row), not a sweep failure, so the run callbacks never
 	// return an error.
-	planRows, err := parallelRuns(pool, cfg.Obs, len(plans),
-		func(i int, rec *obs.Recorder) (FaultSweepRow, error) {
+	planRows, err := parallelRuns(pool, cfg, len(plans),
+		func(i int, c Config) (FaultSweepRow, error) {
 			p := plans[i]
-			res, err := run(input, p.plan, false, rec)
+			res, err := run(input, p.plan, false, c.Obs)
 			if err != nil {
 				return FaultSweepRow{Label: p.label, Err: err.Error()}, nil
 			}
@@ -179,13 +179,13 @@ func FaultSweep(cfg Config, custom *faults.Plan) ([]FaultSweepRow, error) {
 		res *core.Result
 		err error
 	}
-	skipRuns, err := parallelRuns(pool, cfg.Obs, 2,
-		func(i int, rec *obs.Recorder) (skipOut, error) {
+	skipRuns, err := parallelRuns(pool, cfg, 2,
+		func(i int, c Config) (skipOut, error) {
 			if i == 0 {
-				res, err := run(pruned, nil, false, rec)
+				res, err := run(pruned, nil, false, c.Obs)
 				return skipOut{res, err}, nil
 			}
-			res, err := run(input, skipPlan, true, rec)
+			res, err := run(input, skipPlan, true, c.Obs)
 			return skipOut{res, err}, nil
 		})
 	if err != nil {

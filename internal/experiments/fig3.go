@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mr"
-	"repro/internal/obs"
 )
 
 // Fig3Result reproduces the Figure-3 thought experiment: 19 equal tasks,
@@ -45,14 +44,14 @@ func Fig3(cfg Config) (Fig3Result, error) {
 	pool, release := cfg.pool()
 	defer release()
 	scheds := []mr.SchedulerKind{mr.GPUFirst, mr.TailSched}
-	stats, err := parallelRuns(pool, cfg.Obs, len(scheds),
-		func(i int, rec *obs.Recorder) (*mr.JobStats, error) {
+	stats, err := parallelRuns(pool, cfg, len(scheds),
+		func(i int, c Config) (*mr.JobStats, error) {
 			s := scheds[i]
 			return mr.RunJob(mr.ClusterConfig{
 				Name:   "fig3-" + s.String(),
 				Slaves: 1, Node: mr.NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
 				Scheduler: s, HeartbeatSec: 0.5,
-				Obs: rec,
+				Obs: c.Obs,
 			}, exec())
 		})
 	if err != nil {

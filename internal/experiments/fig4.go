@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gpurt"
 	"repro/internal/mr"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -65,10 +64,8 @@ func fig4Sweep(cfg Config, setup cluster.Setup, clusterIdx int, gpuCounts []int,
 
 	pool, release := cfg.pool()
 	defer release()
-	rows, err := parallelRuns(pool, cfg.Obs, len(benches),
-		func(i int, rec *obs.Recorder) (Fig4Row, error) {
-			bcfg := cfg
-			bcfg.Obs = rec
+	rows, err := parallelRuns(pool, cfg, len(benches),
+		func(i int, bcfg Config) (Fig4Row, error) {
 			b := benches[i]
 			sample, err := sampleBenchmark(b, setup, clusterIdx, gpurt.AllOptimizations(), bcfg)
 			if err != nil {

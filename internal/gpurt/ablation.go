@@ -5,7 +5,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interp"
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // execMapKernelGlobalSteal is the stealing-granularity ablation: all
@@ -23,13 +22,9 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	if totalLanes > len(records) {
 		totalLanes = len(records)
 	}
-	// The ablation executes every lane on the calling goroutine, so one
-	// collector serves the whole launch.
-	col := opts.Prof.Collector(perf.PhaseGPUMap)
-	defer col.Flush()
 	threads := make([]*mapThread, 0, totalLanes)
 	for lane := 0; lane < totalLanes; lane++ {
-		t, err := newMapThread(lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
+		t, err := newMapThread(lane, dev, comp, cap, shared, ipObj, records, store, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/kv"
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // CombineResult is the outcome of the combine kernels over all partitions.
@@ -56,11 +55,6 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 		warpsPerBlock = 1
 	}
 
-	// Partitions and warps execute sequentially on this goroutine, so one
-	// collector serves every warp machine.
-	col := opts.Prof.Collector(perf.PhaseGPUCombine)
-	defer col.Flush()
-
 	res := &CombineResult{Partitions: make([][]kv.Pair, len(partitions))}
 	for p, slots := range partitions {
 		if len(slots) == 0 {
@@ -81,7 +75,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 			if hi > len(slots) {
 				hi = len(slots)
 			}
-			out, cycles, bd, err := runCombineWarp(dev, comp, cap, store, slots[lo:hi], opts, col)
+			out, cycles, bd, err := runCombineWarp(dev, comp, cap, store, slots[lo:hi], opts)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +120,7 @@ type combineWarp struct {
 // a chunk of a sorted partition, returning the warp's output, total cycles,
 // and per-space cycle breakdown.
 func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	store *KVStore, slots []int32, opts Options, col *perf.Collector) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
+	store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 
 	spec := comp.Kernel
 	w := &combineWarp{cost: gpu.NewThreadCost(&dev.Config), slots: slots}
@@ -146,7 +140,6 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	outSchema := comp.Schema
 	m := interp.New(spec.Prog, interp.Options{
 		Cost:         w.cost,
-		Prof:         col,
 		DefaultSpace: interp.SpaceShared,
 		SpaceFor: func(sym *minic.Symbol) interp.MemSpace {
 			if sym.Type != nil && sym.Type.Kind == minic.TypeArray {

@@ -73,6 +73,8 @@ type TaskConfig struct {
 	// ChecksumGBs is the effective throughput of Hadoop-format framing +
 	// CRC computation on the host CPU. Zero selects the default.
 	ChecksumGBs float64
+	// Prof, when non-nil, receives the task's wall-clock phase times.
+	Prof *perf.Profiler
 }
 
 func (c *TaskConfig) fillDefaults() {
@@ -159,16 +161,13 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	}
 
 	// 4. Run the host program to its launch point, then the map kernel.
-	prof := cfg.Opts.Prof
-	endHost := prof.Phase(perf.PhaseGPUHost)
-	hcol := prof.Collector(perf.PhaseGPUHost)
-	cap, err := captureHostCol(mapC, io.Discard, hcol)
-	hcol.Flush()
+	endHost := cfg.Prof.Phase(perf.PhaseGPUHost)
+	cap, err := captureHost(mapC, io.Discard)
 	endHost()
 	if err != nil {
 		return nil, err
 	}
-	endMap := prof.Phase(perf.PhaseGPUMap)
+	endMap := cfg.Prof.Phase(perf.PhaseGPUMap)
 	mres, err := ExecMapKernel(dev, mapC, cap, input, records, store, cfg.Opts)
 	endMap()
 	if err != nil {
@@ -190,7 +189,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 
 	// Map-only job: write output straight to HDFS.
 	if cfg.NumReducers <= 0 {
-		endOut := prof.Phase(perf.PhaseGPUOutput)
+		endOut := cfg.Prof.Phase(perf.PhaseGPUOutput)
 		for _, slots := range store.Aggregate() {
 			for _, s := range slots {
 				res.MapOutput = append(res.MapOutput, store.SlotPair(int(s)))
@@ -203,7 +202,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	}
 
 	// 5. Aggregate: compact whitespace out of the indirection array.
-	endSortPhase := prof.Phase(perf.PhaseGPUSort)
+	endSortPhase := cfg.Prof.Phase(perf.PhaseGPUSort)
 	partitions := store.Aggregate()
 	sortSizes := make([]int, len(partitions))
 	for p := range partitions {
@@ -240,15 +239,13 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	endSortPhase()
 	res.Profiles = append(res.Profiles, obs.KernelProfile{Kernel: "sort", Seconds: res.Times.Sort})
 	if combineC != nil {
-		endCHost := prof.Phase(perf.PhaseGPUHost)
-		ccol := prof.Collector(perf.PhaseGPUHost)
-		ccap, err := captureHostCol(combineC, io.Discard, ccol)
-		ccol.Flush()
+		endCHost := cfg.Prof.Phase(perf.PhaseGPUHost)
+		ccap, err := captureHost(combineC, io.Discard)
 		endCHost()
 		if err != nil {
 			return nil, err
 		}
-		endCombine := prof.Phase(perf.PhaseGPUCombine)
+		endCombine := cfg.Prof.Phase(perf.PhaseGPUCombine)
 		cres, err := ExecCombineKernels(dev, combineC, ccap, store, partitions, cfg.Opts)
 		endCombine()
 		if err != nil {
@@ -277,7 +274,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	// format (the seqfile container: length-prefixed records with CRC32
 	// checksums). The serialization really runs — the byte count and
 	// checksum work in the timing model are those of the actual container.
-	endOut := prof.Phase(perf.PhaseGPUOutput)
+	endOut := cfg.Prof.Phase(perf.PhaseGPUOutput)
 	outBytes, err := serializeOutput(res.Partitions, combineSchema(mapC, combineC))
 	endOut()
 	if err != nil {

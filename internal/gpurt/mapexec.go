@@ -11,7 +11,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/kv"
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // Options toggles the compiler/runtime optimizations evaluated in the
@@ -37,11 +36,6 @@ type Options struct {
 	GlobalStealing bool
 	// Aggregation compacts KV-store whitespace before sorting (Fig. 7e).
 	Aggregation bool
-	// Prof is not an optimization: it is the wall-clock profiler the
-	// runtime charges its phases and per-thread interpreter buckets to.
-	// Nil (the zero value) disables profiling. It rides in Options so the
-	// kernel executors' signatures stay put.
-	Prof *perf.Profiler
 }
 
 // AllOptimizations returns the fully optimized configuration.
@@ -66,16 +60,9 @@ type hostCapture struct {
 // captureHost runs the translated program's main, intercepting the
 // mapreduce region, and returns the captured launch-point state.
 func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error) {
-	return captureHostCol(comp, stdout, nil)
-}
-
-// captureHostCol is captureHost with an optional profiling collector for
-// the host program's interpretation.
-func captureHostCol(comp *compiler.Compiled, stdout io.Writer, col *perf.Collector) (*hostCapture, error) {
 	cap := &hostCapture{}
 	m := interp.New(comp.Kernel.Prog, interp.Options{
 		Stdout: stdout,
-		Prof:   col,
 		OnPragma: func(p *minic.PragmaStmt, fr *interp.Frame) (bool, error) {
 			cap.frame = fr
 			cap.pragma = p
@@ -191,7 +178,7 @@ type mapThread struct {
 // mapSetup overhead.
 func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
-	records []Record, store *KVStore, opts Options, col *perf.Collector) (*mapThread, error) {
+	records []Record, store *KVStore, opts Options) (*mapThread, error) {
 
 	t := &mapThread{id: id, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
 	priv, err := privateBindings(comp.Kernel, cap, interp.SpaceLocal)
@@ -202,7 +189,6 @@ func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCap
 		Cost:         t.cost,
 		DefaultSpace: interp.SpaceLocal,
 		SpaceFor:     threadSpaceFor,
-		Prof:         col,
 		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
 	})
 	t.frame = t.machine.NewFrame()
@@ -422,17 +408,13 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	records []Record, store *KVStore, opts Options,
 	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
 
-	// One collector per block: this function runs on its own goroutine, and
-	// all the block's thread machines share it (they execute sequentially).
-	col := opts.Prof.Collector(perf.PhaseGPUMap)
-	defer col.Flush()
 	threads := make([]*mapThread, 0, tpb)
 	lanes := tpb
 	if lanes > len(records) {
 		lanes = len(records)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		t, err := newMapThread(block*tpb+lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
+		t, err := newMapThread(block*tpb+lane, dev, comp, cap, shared, ipObj, records, store, opts)
 		if err != nil {
 			return 0, gpu.CycleBreakdown{}, 0, err
 		}

@@ -63,7 +63,7 @@ func TestCombinerRelaxedEquivalenceExample(t *testing.T) {
 	// The reducer (CPU merge + reduce filter) must restore the exact
 	// canonical result regardless of how the warps split the run.
 	reduceF := mustFilter(t, "wc-reduce", wcReduceForTest)
-	final, _, err := streaming.RunReduce(reduceF, schema, [][]kv.Pair{out}, streaming.XeonE52680())
+	final, _, err := streaming.RunReduce(reduceF, schema, [][]kv.Pair{out}, streaming.XeonE52680(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

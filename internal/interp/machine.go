@@ -16,7 +16,6 @@ import (
 	"io"
 
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // MemSpace identifies which simulated memory an object lives in. The CPU
@@ -218,10 +217,6 @@ type Options struct {
 	// GPU driver uses it to capture host variable values at the kernel
 	// launch point and skip CPU execution of the region (handled=true).
 	OnPragma func(p *minic.PragmaStmt, fr *Frame) (handled bool, err error)
-	// Prof, when non-nil, receives wall-clock self-time buckets per AST
-	// node kind and per builtin. Nil (the default) costs one pointer check
-	// per statement/expression.
-	Prof *perf.Collector
 }
 
 // ErrMaxSteps is returned when the execution step budget is exhausted.
@@ -247,11 +242,6 @@ type Machine struct {
 	globals  map[*minic.Symbol]*Object
 	literals map[string]*Object
 	onPragma func(p *minic.PragmaStmt, fr *Frame) (bool, error)
-	prof     *perf.Collector
-	// profSkip is the latch the profiling wrappers use to re-enter the
-	// execStmt/eval dispatch bodies without recursing back into themselves;
-	// see execStmt.
-	profSkip bool
 
 	steps    int64
 	maxSteps int64
@@ -288,7 +278,6 @@ func New(prog *minic.Program, opts Options) *Machine {
 		globals:  map[*minic.Symbol]*Object{},
 		literals: map[string]*Object{},
 		onPragma: opts.OnPragma,
-		prof:     opts.Prof,
 		maxSteps: opts.MaxSteps,
 	}
 	if m.cost == nil {
@@ -301,6 +290,7 @@ func New(prog *minic.Program, opts Options) *Machine {
 	for name, fn := range stdlib {
 		m.builtins[name] = fn
 	}
+	//detlint:ignore map-iteration: copying into a fresh map, which iteration order cannot change
 	for name, fn := range opts.Intrinsics {
 		m.builtins[name] = fn
 	}
@@ -337,10 +327,6 @@ func (m *Machine) initGlobals() error {
 		return nil
 	}
 	m.globals[nil] = globalsDone
-	if m.prof != nil {
-		m.prof.Enter(perf.CatStmt, "GlobalInit")
-		defer m.prof.Exit()
-	}
 	f := &frame{vars: m.globals}
 	for _, g := range m.Prog.Globals {
 		if _, err := m.execDecl(f, g); err != nil {
@@ -387,23 +373,7 @@ func (m *Machine) execBlock(f *frame, b *minic.Block) (ctrl, error) {
 	return ctrl{}, nil
 }
 
-// execStmt carries the dispatch body itself so that with profiling off
-// (m.prof == nil, the default) the cost is one predictable branch — no
-// extra call frame, no defer. The obvious alternatives both fail the <2%
-// disabled-overhead budget on this hot path: a wrapper-function split
-// adds a real call (and a 56-byte result copy) per AST node (~8% on the
-// cluster benchmarks), and `defer m.prof.Exit()` cannot be open-coded
-// here (the body exceeds the compiler's NumReturns*NumDefers cap), so
-// every return would take the runtime's deferreturn/_panic walk (~25%).
-// When profiling is on, execStmtProfiled wraps exactly one re-entry of
-// this body via the profSkip latch.
 func (m *Machine) execStmt(f *frame, s minic.Stmt) (ctrl, error) {
-	if m.prof != nil {
-		if !m.profSkip {
-			return m.execStmtProfiled(f, s)
-		}
-		m.profSkip = false
-	}
 	m.steps++
 	if m.steps > m.maxSteps {
 		return ctrl{}, ErrMaxSteps
@@ -571,15 +541,8 @@ func (m *Machine) lookup(f *frame, sym *minic.Symbol) (*Object, error) {
 	return nil, fmt.Errorf("interp: unresolved symbol %q", sym.Name)
 }
 
-// eval evaluates an expression for its value. It mirrors execStmt's
-// profSkip latch; see the overhead note there.
+// eval evaluates an expression for its value.
 func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
-	if m.prof != nil {
-		if !m.profSkip {
-			return m.evalProfiled(f, e)
-		}
-		m.profSkip = false
-	}
 	m.cost.Op(1)
 	switch x := e.(type) {
 	case *minic.IntLit:
@@ -1064,9 +1027,6 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 	}
 	if impl, ok := m.builtins[x.Name]; ok && x.Builtin {
 		m.cost.Op(2)
-		if m.prof != nil {
-			return m.callBuiltinProfiled(x.Name, impl, args)
-		}
 		return impl(m, args)
 	}
 	fn := m.Prog.Func(x.Name)
@@ -1075,9 +1035,6 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 		// call sites).
 		if impl, ok := m.builtins[x.Name]; ok {
 			m.cost.Op(2)
-			if m.prof != nil {
-				return m.callBuiltinProfiled(x.Name, impl, args)
-			}
 			return impl(m, args)
 		}
 		return Value{}, fmt.Errorf("interp: call of unknown function %q", x.Name)

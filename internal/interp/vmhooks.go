@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/minic"
-	"repro/internal/perf"
 )
 
 // Hooks for the bytecode VM (package bytecode). The VM executes compiled
@@ -43,15 +42,6 @@ func (m *Machine) BuiltinNamed(name string) (Builtin, bool) {
 	return impl, ok
 }
 
-// CallBuiltin invokes a builtin implementation with profiling attribution
-// when enabled. The caller charges the call-overhead cost.
-func (m *Machine) CallBuiltin(name string, impl Builtin, args []Value) (Value, error) {
-	if m.prof != nil {
-		return m.callBuiltinProfiled(name, impl, args)
-	}
-	return impl(m, args)
-}
-
 // CallDecl invokes a function declaration with pre-built argument values,
 // propagating errors (including exit unwinding) unchanged. Kernel
 // fragments on the VM use it to call program functions.
@@ -65,9 +55,6 @@ func (m *Machine) LoadPtr(p Pointer) (Value, error) { return m.load(p) }
 // StorePtr stores v into the cell at p with bounds checking, cost
 // charging, and conversion to the object's element type.
 func (m *Machine) StorePtr(p Pointer, v Value) error { return m.store(p, v) }
-
-// Prof returns the machine's profiling collector (nil when off).
-func (m *Machine) Prof() *perf.Collector { return m.prof }
 
 // ExitStatus unwraps the control-flow error the exit() builtin raises,
 // reporting the exit code and whether err was an exit.

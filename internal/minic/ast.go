@@ -396,6 +396,85 @@ func (p *PragmaStmt) IsMapReduce() bool {
 	return strings.HasPrefix(strings.TrimSpace(p.Text), "mapreduce")
 }
 
+// Clause is one `name(arg, ...)` group of a pragma line.
+type Clause struct {
+	Name string
+	Args []string
+	// Off is the byte offset of the piece in the scanned text.
+	Off int
+	// Stray marks a character that starts no clause (Name holds it).
+	// Unclosed marks a clause whose parentheses never close (Args holds
+	// the rest of the text's arguments).
+	Stray, Unclosed bool
+}
+
+// ScanClauses splits `name(arg, arg) name name(arg)` pragma text into
+// clauses. It keeps duplicates and records malformed pieces instead of
+// failing, so the translator can reject the first one and the directive
+// verifier can report each one.
+func ScanClauses(text string) []Clause {
+	var out []Clause
+	i, n := 0, len(text)
+	for i < n {
+		for i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == ',') {
+			i++
+		}
+		if i >= n {
+			break
+		}
+		start := i
+		for i < n && isWordByte(text[i]) {
+			i++
+		}
+		if i == start {
+			out = append(out, Clause{Name: string(text[i]), Off: i, Stray: true})
+			i++
+			continue
+		}
+		cl := Clause{Name: text[start:i], Off: start}
+		for i < n && text[i] == ' ' {
+			i++
+		}
+		if i < n && text[i] == '(' {
+			depth := 1
+			i++
+			argStart := i
+			for i < n && depth > 0 {
+				switch text[i] {
+				case '(':
+					depth++
+				case ')':
+					depth--
+				}
+				if depth > 0 {
+					i++
+				}
+			}
+			cl.Args = splitClauseArgs(text[argStart:i])
+			if depth != 0 {
+				cl.Unclosed = true
+			}
+			i++ // closing paren, or past the end
+		}
+		out = append(out, cl)
+	}
+	return out
+}
+
+func splitClauseArgs(raw string) []string {
+	var out []string
+	for _, a := range strings.Split(raw, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func isWordByte(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+}
+
 // ---- Declarations ----
 
 // Param is a function parameter.

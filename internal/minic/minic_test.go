@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -464,5 +465,50 @@ func TestLexErrors(t *testing.T) {
 		if _, err := Lex(src); err == nil {
 			t.Errorf("Lex(%q) succeeded, want error", src)
 		}
+	}
+}
+
+func TestScanClausesKeepsDuplicates(t *testing.T) {
+	cls := ScanClauses("mapreduce mapper key(a) key(b) firstprivate(x, y)")
+	var names []string
+	for _, c := range cls {
+		names = append(names, c.Name)
+	}
+	want := "mapreduce mapper key key firstprivate"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("clause names = %q, want %q", got, want)
+	}
+	if got := strings.Join(cls[4].Args, ","); got != "x,y" {
+		t.Errorf("firstprivate args = %q, want x,y", got)
+	}
+	for _, c := range cls {
+		if c.Stray || c.Unclosed {
+			t.Errorf("well-formed clause %q marked bad", c.Name)
+		}
+	}
+}
+
+func TestScanClausesMarksUnbalanced(t *testing.T) {
+	cls := ScanClauses("mapreduce mapper key(a, b")
+	last := cls[len(cls)-1]
+	if !last.Unclosed || last.Stray || last.Name != "key" || last.Off != 17 {
+		t.Errorf("unclosed clause = %+v, want key at offset 17 marked Unclosed", last)
+	}
+	if got := strings.Join(last.Args, ","); got != "a,b" {
+		t.Errorf("unclosed clause args = %q, want a,b", got)
+	}
+}
+
+// TestScanClausesMarksStray: a character that starts no clause becomes its
+// own bad piece with its offset, and scanning resumes after it.
+func TestScanClausesMarksStray(t *testing.T) {
+	cls := ScanClauses("mapreduce mapper $ key(a))")
+	var got []string
+	for _, c := range cls {
+		got = append(got, fmt.Sprintf("%s@%d:%v", c.Name, c.Off, c.Stray))
+	}
+	want := "mapreduce@0:false mapper@10:false $@17:true key@19:false )@25:true"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("pieces = %q, want %q", s, want)
 	}
 }

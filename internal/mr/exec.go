@@ -103,8 +103,8 @@ type HardwareModel struct {
 	// DiskWriteGBs / HDFSWriteGBs feed the output-write model.
 	DiskWriteGBs float64
 	HDFSWriteGBs float64
-	// Prof, when non-nil, receives wall-clock phase and interpreter
-	// hot-path buckets from every task this hardware model executes.
+	// Prof, when non-nil, receives the wall-clock phase times of every
+	// task this hardware model executes.
 	Prof *perf.Profiler
 }
 
@@ -214,9 +214,7 @@ func (x *FunctionalExecutor) SetWorkerPool(p *sim.Pool) { x.pool = p }
 // prefetches are discarded wholesale, so a parallel run records exactly
 // the serial run's cache misses.
 func (x *FunctionalExecutor) PrefetchMaps(gpu bool) {
-	if !x.pool.Parallel() || x.HW.Opts.Prof != nil {
-		// An explicitly shared GPU profiler cannot be privatized per
-		// attempt; stay serial rather than race on it.
+	if !x.pool.Parallel() {
 		return
 	}
 	for split := range x.Splits {
@@ -391,16 +389,13 @@ func (x *FunctionalExecutor) computeMap(split int, onGPU bool, node int, prof *p
 	readTime := x.FS.ReadTime(sp, node)
 	var attempt MapAttempt
 	if onGPU {
-		opts := x.HW.Opts
-		if opts.Prof == nil {
-			opts.Prof = prof
-		}
 		res, err := gpurt.RunTask(x.HW.Device, x.Job.MapC, x.Job.CombineC, input, gpurt.TaskConfig{
 			NumReducers:   x.Job.Program.NumReducers,
-			Opts:          opts,
+			Opts:          x.HW.Opts,
 			InputReadTime: readTime,
 			DiskWriteGBs:  x.HW.DiskWriteGBs,
 			HDFSWriteGBs:  x.HW.HDFSWriteGBs,
+			Prof:          prof,
 		})
 		if err != nil {
 			return MapAttempt{}, err
@@ -468,7 +463,7 @@ func (x *FunctionalExecutor) computeReduce(inputs [][]kv.Pair, prof *perf.Profil
 	for _, in := range inputs {
 		bytes += int64(len(in)) * int64(x.Job.Schema.SlotKeyLen()+x.Job.Schema.SlotValLen()+12)
 	}
-	out, compute, err := streaming.RunReduceProf(x.Job.ReduceF, x.Job.Schema, inputs, x.HW.CPU, prof)
+	out, compute, err := streaming.RunReduce(x.Job.ReduceF, x.Job.Schema, inputs, x.HW.CPU, prof)
 	if err != nil {
 		return ReduceWork{}, err
 	}

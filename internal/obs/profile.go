@@ -73,18 +73,16 @@ func (m *Registry) RecordKernelProfiles(profiles []KernelProfile) {
 	}
 }
 
-// RecordCostProfile folds a wall-clock cost-profiler snapshot into the
-// registry under the hd_prof_* families, so the hot-path attribution ships
-// through the same metrics surface as the virtual-time counters.
+// RecordCostProfile folds a wall-clock phase-profiler snapshot into the
+// registry under the hd_prof_* families, so the phase attribution ships
+// through the same metrics surface as the virtual-time counters. Every
+// bucket is an engine phase, labeled cat="phase".
 func (m *Registry) RecordCostProfile(snap perf.Snapshot) {
 	if m == nil {
 		return
 	}
 	for _, e := range snap.Entries() {
-		labels := []Label{L("cat", e.Cat), L("name", e.Name)}
-		if e.Phase != "" {
-			labels = append(labels, L("phase", e.Phase))
-		}
+		labels := []Label{L("cat", "phase"), L("name", e.Name)}
 		m.Counter("hd_prof_self_seconds_total", "Wall-clock self time by cost bucket", labels...).
 			Add(float64(e.Nanos) / 1e9)
 		m.Counter("hd_prof_calls_total", "Invocations by cost bucket", labels...).

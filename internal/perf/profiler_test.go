@@ -9,16 +9,10 @@ import (
 
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
-	if p.Enabled() {
-		t.Fatal("nil profiler reports enabled")
-	}
 	end := p.Phase("cpu-map")
 	end()
-	if c := p.Collector("cpu-map"); c != nil {
-		t.Fatal("nil profiler returned non-nil collector")
-	}
-	var c *Collector
-	c.Flush() // must not panic
+	p.Merge(New())
+	New().Merge(p)
 	if n := len(p.Snapshot().Buckets); n != 0 {
 		t.Fatalf("nil profiler snapshot has %d buckets", n)
 	}
@@ -36,8 +30,8 @@ func TestPhaseExclusiveTime(t *testing.T) {
 	elapsed := time.Since(start)
 
 	s := p.Snapshot()
-	outer := s.Buckets[Key{Cat: CatPhase, Name: "outer"}]
-	inner := s.Buckets[Key{Cat: CatPhase, Name: "inner"}]
+	outer := s.Buckets["outer"]
+	inner := s.Buckets["inner"]
 	if outer.Count != 1 || inner.Count != 1 {
 		t.Fatalf("counts: outer=%d inner=%d, want 1/1", outer.Count, inner.Count)
 	}
@@ -55,112 +49,76 @@ func TestPhaseExclusiveTime(t *testing.T) {
 	}
 }
 
-func TestCollectorExclusiveTimeAndFlush(t *testing.T) {
-	p := New()
-	c := p.Collector(PhaseCPUMap)
-	c.Enter(CatStmt, "For")
-	c.Enter(CatExpr, "Binary")
-	c.Exit()
-	c.Enter(CatExpr, "Binary")
-	c.Exit()
-	c.Exit()
-	c.Flush()
-	c.Flush() // second flush is a no-op, not a double count
-
-	s := p.Snapshot()
-	bin := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatExpr, Name: "Binary"}]
-	if bin.Count != 2 {
-		t.Fatalf("Binary count = %d, want 2", bin.Count)
-	}
-	forB := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatStmt, Name: "For"}]
-	if forB.Count != 1 {
-		t.Fatalf("For count = %d, want 1", forB.Count)
-	}
-}
-
-func TestConcurrentCollectorsMerge(t *testing.T) {
+// TestConcurrentMergesSum: private profilers filled on their own
+// goroutines merge into one shared profiler without losing counts.
+func TestConcurrentMergesSum(t *testing.T) {
 	p := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := p.Collector(PhaseGPUMap)
+			own := New()
 			for i := 0; i < 1000; i++ {
-				c.Enter(CatExpr, "Ident")
-				c.Exit()
+				own.Phase(PhaseGPUMap)()
 			}
-			c.Flush()
+			p.Merge(own)
 		}()
 	}
 	wg.Wait()
-	b := p.Snapshot().Buckets[Key{Phase: PhaseGPUMap, Cat: CatExpr, Name: "Ident"}]
-	if b.Count != 8000 {
+	if b := p.Snapshot().Buckets[PhaseGPUMap]; b.Count != 8000 {
 		t.Fatalf("merged count = %d, want 8000", b.Count)
 	}
 }
 
 func TestUnbalancedExitIgnored(t *testing.T) {
 	p := New()
-	c := p.Collector(PhaseCPUMap)
-	c.Exit() // no matching Enter
-	c.Flush()
 	p.endPhase() // no open phase
 	if n := len(p.Snapshot().Buckets); n != 0 {
-		t.Fatalf("unbalanced exits created %d buckets", n)
+		t.Fatalf("unbalanced exit created %d buckets", n)
 	}
 }
 
 func TestReportOutputs(t *testing.T) {
 	p := New()
 	end := p.Phase(PhaseCPUMap)
-	c := p.Collector(PhaseCPUMap)
-	c.Enter(CatBuiltin, "emit")
 	time.Sleep(time.Millisecond)
-	c.Exit()
-	c.Flush()
 	end()
+	p.Phase(PhaseReduce)()
 
-	s := p.Snapshot()
 	var table strings.Builder
-	if err := s.WriteTable(&table, 10); err != nil {
+	if err := p.Snapshot().WriteTable(&table); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"engine phases", PhaseCPUMap, "interpreter hot paths", "emit"} {
+	for _, want := range []string{"engine phases", PhaseCPUMap, PhaseReduce} {
 		if !strings.Contains(table.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, table.String())
 		}
 	}
+	// The slower phase leads.
+	if strings.Index(table.String(), PhaseCPUMap) > strings.Index(table.String(), PhaseReduce) {
+		t.Fatalf("table not sorted by self time:\n%s", table.String())
+	}
 
-	var folded strings.Builder
-	if err := s.WriteFolded(&folded); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(folded.String(), "phases;cpu-map ") {
-		t.Fatalf("folded output missing phase line:\n%s", folded.String())
-	}
-	if !strings.Contains(folded.String(), "interp;cpu-map;builtin:emit ") {
-		t.Fatalf("folded output missing interp line:\n%s", folded.String())
+	var empty strings.Builder
+	if err := New().Snapshot().WriteTable(&empty); err != nil || empty.Len() != 0 {
+		t.Fatalf("empty profile wrote %q (err %v), want nothing", empty.String(), err)
 	}
 }
 
 func TestSnapshotEntriesDeterministic(t *testing.T) {
 	p := New()
 	for _, name := range []string{"b", "a", "c"} {
-		c := p.Collector("")
-		c.Enter(CatStmt, name)
-		c.Exit()
-		c.Flush()
+		p.Phase(name)()
 	}
 	s := p.Snapshot()
-	// Zero out times so ordering falls back to key order.
+	// Zero out times so ordering falls back to name order.
 	for k, b := range s.Buckets {
 		b.Nanos = 0
 		s.Buckets[k] = b
 	}
-	es := s.Entries()
 	var names []string
-	for _, e := range es {
+	for _, e := range s.Entries() {
 		names = append(names, e.Name)
 	}
 	if strings.Join(names, ",") != "a,b,c" {

@@ -82,19 +82,12 @@ func NewFilter(name, src string) (*Filter, error) {
 
 // Run executes the filter over input, returning its stdout and cost.
 func (f *Filter) Run(input []byte) (string, *interp.CountingSink, error) {
-	return f.RunCollect(input, nil)
-}
-
-// RunCollect is Run with an optional profiling collector attached to the
-// filter's interpreter (nil col means no profiling).
-func (f *Filter) RunCollect(input []byte, col *perf.Collector) (string, *interp.CountingSink, error) {
 	sink := &interp.CountingSink{}
 	var out bytes.Buffer
 	m := interp.New(f.Prog, interp.Options{
 		Stdin:  bytes.NewReader(input),
 		Stdout: &out,
 		Cost:   sink,
-		Prof:   col,
 	})
 	code, err := bytecode.NewVM(m, f.Code).Run()
 	if err != nil {
@@ -168,8 +161,7 @@ type MapTaskConfig struct {
 	// DiskWriteGBs / HDFSWriteGBs mirror the GPU driver's write model.
 	DiskWriteGBs float64
 	HDFSWriteGBs float64
-	// Prof, when non-nil, receives wall-clock phase and interpreter
-	// hot-path buckets for this task.
+	// Prof, when non-nil, receives this task's wall-clock phase times.
 	Prof *perf.Profiler
 }
 
@@ -194,9 +186,7 @@ func RunMapTask(mapF, combineF *Filter, input []byte, cfg MapTaskConfig) (*MapTa
 	res.Times.InputRead = cfg.InputReadTime
 
 	endMap := cfg.Prof.Phase(perf.PhaseCPUMap)
-	col := cfg.Prof.Collector(perf.PhaseCPUMap)
-	out, sink, err := mapF.RunCollect(input, col)
-	col.Flush()
+	out, sink, err := mapF.Run(input)
 	if err != nil {
 		endMap()
 		return nil, err
@@ -233,28 +223,24 @@ func RunMapTask(mapF, combineF *Filter, input []byte, cfg MapTaskConfig) (*MapTa
 
 	if combineF != nil {
 		endCombine := cfg.Prof.Phase(perf.PhaseCPUCombine)
-		ccol := cfg.Prof.Collector(perf.PhaseCPUCombine)
 		combined := make([][]kv.Pair, cfg.NumReducers)
 		for i, part := range parts {
 			if len(part) == 0 {
 				continue
 			}
-			cout, csink, err := combineF.RunCollect(RenderKVLines(part), ccol)
+			cout, csink, err := combineF.Run(RenderKVLines(part))
 			if err != nil {
-				ccol.Flush()
 				endCombine()
 				return nil, err
 			}
 			res.Times.Combine += cfg.CPU.Time(csink)
 			cpairs, err := ParseKVLines(cout, cfg.Schema)
 			if err != nil {
-				ccol.Flush()
 				endCombine()
 				return nil, fmt.Errorf("streaming: combine output: %w", err)
 			}
 			combined[i] = cpairs
 		}
-		ccol.Flush()
 		endCombine()
 		res.Partitions = combined
 	} else {
@@ -270,14 +256,9 @@ func RunMapTask(mapF, combineF *Filter, input []byte, cfg MapTaskConfig) (*MapTa
 
 // RunReduce merges sorted partition streams from all map tasks and runs
 // the reduce filter over them, returning the final output pairs and the
-// filter's cost.
-func RunReduce(reduceF *Filter, schema kv.Schema, inputs [][]kv.Pair, cpu CPUModel) ([]kv.Pair, float64, error) {
-	return RunReduceProf(reduceF, schema, inputs, cpu, nil)
-}
-
-// RunReduceProf is RunReduce with optional wall-clock profiling of the
-// shuffle merge and the reduce filter.
-func RunReduceProf(reduceF *Filter, schema kv.Schema, inputs [][]kv.Pair, cpu CPUModel, prof *perf.Profiler) ([]kv.Pair, float64, error) {
+// filter's cost. A non-nil prof receives the shuffle-merge and reduce
+// phase times.
+func RunReduce(reduceF *Filter, schema kv.Schema, inputs [][]kv.Pair, cpu CPUModel, prof *perf.Profiler) ([]kv.Pair, float64, error) {
 	endMerge := prof.Phase(perf.PhaseShuffleMerge)
 	merged := MergeSorted(inputs)
 	endMerge()
@@ -285,9 +266,7 @@ func RunReduceProf(reduceF *Filter, schema kv.Schema, inputs [][]kv.Pair, cpu CP
 		return merged, cpu.SortTime(len(merged), schema.SlotKeyLen()), nil
 	}
 	endReduce := prof.Phase(perf.PhaseReduce)
-	col := prof.Collector(perf.PhaseReduce)
-	out, sink, err := reduceF.RunCollect(RenderKVLines(merged), col)
-	col.Flush()
+	out, sink, err := reduceF.Run(RenderKVLines(merged))
 	endReduce()
 	if err != nil {
 		return nil, 0, err

@@ -212,7 +212,7 @@ func TestRunReduceMergesAndReduces(t *testing.T) {
 		{{Key: kv.StringValue("a"), Val: kv.IntValue(2)}, {Key: kv.StringValue("c"), Val: kv.IntValue(1)}},
 		{{Key: kv.StringValue("a"), Val: kv.IntValue(3)}, {Key: kv.StringValue("b"), Val: kv.IntValue(1)}},
 	}
-	out, cost, err := RunReduce(reduceF, wcSchema, inputs, XeonE52680())
+	out, cost, err := RunReduce(reduceF, wcSchema, inputs, XeonE52680(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

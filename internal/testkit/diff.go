@@ -88,7 +88,7 @@ func Reference(cj *mr.CompiledJob, input []byte) (string, error) {
 	var final []kv.Pair
 	for _, part := range parts {
 		kv.SortPairs(part)
-		outPairs, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{part}, streaming.XeonE52680())
+		outPairs, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{part}, streaming.XeonE52680(), nil)
 		if err != nil {
 			return "", fmt.Errorf("testkit: reference reduce: %w", err)
 		}
@@ -116,7 +116,7 @@ type ClusterOpts struct {
 	// skipping policy (poisoned-input metamorphic runs).
 	SkipBadRecords    bool
 	MaxSkippedRecords int
-	// Prof optionally attaches a wall-clock cost profiler to the run (the
+	// Prof optionally attaches a wall-clock phase profiler to the run (the
 	// profiler-determinism tests drive this).
 	Prof *perf.Profiler
 	// Obs optionally records the run's trace spans and metrics (the

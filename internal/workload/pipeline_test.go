@@ -34,7 +34,7 @@ func runPipeline(t *testing.T, b *Benchmark, inputBytes int) []kv.Pair {
 	}
 	var out []kv.Pair
 	for p := 0; p < job.NumReducers; p++ {
-		final, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{res.Partitions[p]}, streaming.XeonE52680())
+		final, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{res.Partitions[p]}, streaming.XeonE52680(), nil)
 		if err != nil {
 			t.Fatalf("reduce %d: %v", p, err)
 		}
