@@ -110,7 +110,7 @@ func constString(p *Program, i int32) string {
 	v := p.Consts[i]
 	switch v.Kind {
 	case interp.ValFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.F())
 	case interp.ValPtr:
 		return "ptr"
 	default:

@@ -450,7 +450,19 @@ int main() {
 		acc += sq(i) / (i + 1);
 	printf("%f\n", acc);
 	return 0;
-}`}
+}`, signedZeroSrc}
+
+// signedZeroSrc folds both zeros into constants. Float == treats them as
+// equal, so a constant pool keyed by value, not by bits, would hand -0.0
+// the slot of 0.0.
+const signedZeroSrc = `
+int main() {
+	double a = 0.0;
+	double b = -0.0;
+	printf("%f\n", a);
+	printf("%f %g\n", b, b);
+	return 0;
+}`
 
 // TestParityOptimized runs sources through the AST optimizer first: the
 // bytecode compiler consumes optimizer output in production.

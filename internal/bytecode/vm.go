@@ -234,7 +234,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	consts := vm.Prog.Consts
 	symSpace, symWidth, symConv := vm.symSpace, vm.symWidth, vm.symConv
 	for pc := 0; pc < len(code); pc++ {
-		in := code[pc]
+		in := &code[pc]
 		switch in.Op {
 		case OpNop:
 		case OpCharge:
@@ -312,19 +312,19 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			}
 		case OpAddF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
-				regs[in.A] = interp.FloatVal(l.F + r.F)
+				regs[in.A] = interp.FloatVal(l.F() + r.F())
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
 		case OpSubF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
-				regs[in.A] = interp.FloatVal(l.F - r.F)
+				regs[in.A] = interp.FloatVal(l.F() - r.F())
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
 		case OpMulF:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValFloat && r.Kind == interp.ValFloat {
-				regs[in.A] = interp.FloatVal(l.F * r.F)
+				regs[in.A] = interp.FloatVal(l.F() * r.F())
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
@@ -341,7 +341,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			regs[in.A] = v
 		case OpNeg:
 			if v := regs[in.B]; v.Kind == interp.ValFloat {
-				regs[in.A] = interp.FloatVal(-v.F)
+				regs[in.A] = interp.FloatVal(-v.F())
 			} else {
 				regs[in.A] = interp.IntVal(-v.AsInt())
 			}
@@ -479,7 +479,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 // picked the opcode; runtime kind guards keep exactness (assignment
 // expressions yield unconverted values, so kinds can drift) by falling
 // back to interp.ApplyBinary, which also owns all trap error strings.
-func (vm *VM) binop(regs []interp.Value, in Instr) error {
+func (vm *VM) binop(regs []interp.Value, in *Instr) error {
 	l, r := regs[in.B], regs[in.C]
 	bothInt := l.Kind == interp.ValInt && r.Kind == interp.ValInt
 	switch in.Op {
@@ -651,7 +651,7 @@ func boolReg(b bool) interp.Value {
 	return interp.IntVal(0)
 }
 
-func (vm *VM) slowBin(regs []interp.Value, in Instr, op string) error {
+func (vm *VM) slowBin(regs []interp.Value, in *Instr, op string) error {
 	v, err := interp.ApplyBinary(op, regs[in.B], regs[in.C])
 	if err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/minic"
 )
@@ -135,11 +136,13 @@ func (p Pointer) IsNull() bool { return p.Obj == nil }
 // InBounds reports whether p addresses a cell of its object.
 func (p Pointer) InBounds() bool { return p.Obj != nil && p.Off >= 0 && p.Off < len(p.Obj.Cells) }
 
-// Value is a runtime value.
+// Value is a runtime value. I holds an int, or a float's IEEE bits (read
+// them with F), so every .I read must first check Kind. Four machine words
+// is the most the Go compiler keeps in registers; a fifth makes every
+// register move, cell access and return a memory copy.
 type Value struct {
 	Kind ValKind
 	I    int64
-	F    float64
 	P    Pointer
 }
 
@@ -147,7 +150,10 @@ type Value struct {
 func IntVal(i int64) Value { return Value{Kind: ValInt, I: i} }
 
 // FloatVal builds a float value.
-func FloatVal(f float64) Value { return Value{Kind: ValFloat, F: f} }
+func FloatVal(f float64) Value { return Value{Kind: ValFloat, I: int64(math.Float64bits(f))} }
+
+// F reads a float value's payload; it is meaningless for other kinds.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // PtrVal builds a pointer value.
 func PtrVal(p Pointer) Value { return Value{Kind: ValPtr, P: p} }
@@ -158,7 +164,7 @@ func (v Value) AsInt() int64 {
 	case ValInt:
 		return v.I
 	case ValFloat:
-		return int64(v.F)
+		return int64(v.F())
 	case ValPtr:
 		if v.P.IsNull() {
 			return 0
@@ -174,7 +180,7 @@ func (v Value) AsFloat() float64 {
 	case ValInt:
 		return float64(v.I)
 	case ValFloat:
-		return v.F
+		return v.F()
 	}
 	return 0
 }
@@ -185,7 +191,7 @@ func (v Value) Truthy() bool {
 	case ValInt:
 		return v.I != 0
 	case ValFloat:
-		return v.F != 0
+		return v.F() != 0
 	case ValPtr:
 		return !v.P.IsNull()
 	}
@@ -650,7 +656,7 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 			return Value{}, err
 		}
 		if v.Kind == ValFloat {
-			return FloatVal(-v.F), nil
+			return FloatVal(-v.F()), nil
 		}
 		return IntVal(-v.AsInt()), nil
 	case "!":
@@ -693,7 +699,7 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 func addInt(v Value, d int64) Value {
 	switch v.Kind {
 	case ValFloat:
-		return FloatVal(v.F + float64(d))
+		return FloatVal(v.F() + float64(d))
 	case ValPtr:
 		return PtrVal(Pointer{Obj: v.P.Obj, Off: v.P.Off + int(d)})
 	default:
