@@ -34,6 +34,9 @@ func BenchmarkSpeculativeExecution(b *testing.B) {
 	benchsuite.SpeculativeExecution(b)
 }
 func BenchmarkMapTaskGPU(b *testing.B) { benchsuite.MapTaskGPU(b) }
+func BenchmarkLRMapVM(b *testing.B)    { benchsuite.LRMapVM(b) }
+func BenchmarkKMMapVM(b *testing.B)    { benchsuite.KMMapVM(b) }
+func BenchmarkBSMapVM(b *testing.B)    { benchsuite.BSMapVM(b) }
 
 // TestBenchSuiteNamesMatch pins the wrapper names above to the registry the
 // baseline pipeline measures — a drifted name would silently decouple
@@ -48,6 +51,7 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 		"BenchmarkFig7dRecordStealing": true, "BenchmarkFig7eAggregation": true,
 		"BenchmarkSchedulerAblation": true, "BenchmarkStealingGranularity": true,
 		"BenchmarkSpeculativeExecution": true, "BenchmarkMapTaskGPU": true,
+		"BenchmarkLRMapVM": true, "BenchmarkKMMapVM": true, "BenchmarkBSMapVM": true,
 	}
 	got := benchsuite.All()
 	if len(got) != len(want) {

@@ -54,6 +54,9 @@ func All() []Bench {
 		{Name: "BenchmarkStealingGranularity", Fn: StealingGranularity},
 		{Name: "BenchmarkSpeculativeExecution", Short: true, Fn: SpeculativeExecution},
 		{Name: "BenchmarkMapTaskGPU", Fn: MapTaskGPU},
+		{Name: "BenchmarkLRMapVM", Short: true, Fn: LRMapVM},
+		{Name: "BenchmarkKMMapVM", Short: true, Fn: KMMapVM},
+		{Name: "BenchmarkBSMapVM", Fn: BSMapVM},
 	}
 	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 	return bs
@@ -337,3 +340,26 @@ func MapTaskGPU(b *testing.B) {
 		}
 	}
 }
+
+// mapStage times one benchmark's map stage — a single sequential pass of
+// the compiled mapper over a 32 KB input on the bytecode VM. LR and KM
+// are cheap enough for the Short subset, so the CI gate runs MiniC; BS
+// (~0.15 s/op) is full-suite only.
+func mapStage(b *testing.B, bench *workload.Benchmark) {
+	b.ReportAllocs()
+	input := bench.Gen(7, 32<<10)
+	cj, err := mr.CompileJob(bench.JobFor(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cj.MapF.Run(input); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func LRMapVM(b *testing.B) { mapStage(b, workload.LinearRegression()) }
+func KMMapVM(b *testing.B) { mapStage(b, workload.Kmeans()) }
+func BSMapVM(b *testing.B) { mapStage(b, workload.BlackScholes()) }

@@ -126,10 +126,16 @@ func TestSelectShortAndFilter(t *testing.T) {
 	if len(short) == 0 || len(short) >= len(All()) {
 		t.Fatalf("short subset = %d of %d", len(short), len(All()))
 	}
+	runsVM := false
 	for _, b := range short {
 		if !b.Short {
 			t.Fatalf("%s in short subset without Short flag", b.Name)
 		}
+		runsVM = runsVM || strings.HasSuffix(b.Name, "MapVM")
+	}
+	// The CI gate must time MiniC on the VM, not only the scheduler.
+	if !runsVM {
+		t.Fatal("short subset runs no VM map stage")
 	}
 	f := Select(false, "fig7")
 	if len(f) != 5 {
