@@ -46,10 +46,13 @@ lint:
 # must be bit-reproducible (no math/rand, no time.Now, no unsorted map
 # iteration); see tools/detlint. internal/interp, internal/bytecode and
 # internal/streaming are the MiniC stage packages, whose outputs and cost
-# charges must reproduce bit for bit.
+# charges must reproduce bit for bit; internal/gpu (the SIMT cost model),
+# internal/kv (sort and merge), internal/seqfile (partition checksums) and
+# internal/hdfs (block placement) feed virtual time and output bytes.
 lint-go:
 	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
-		internal/interp internal/bytecode internal/streaming
+		internal/interp internal/bytecode internal/streaming \
+		internal/gpu internal/kv internal/seqfile internal/hdfs
 
 # opt-report prints the SSA optimizer's per-pass rewrite counts for every
 # benchmark stage program (host and translated-kernel targets).
