@@ -3,6 +3,7 @@ package analysis
 import (
 	"strings"
 
+	"repro/internal/interp"
 	"repro/internal/minic"
 )
 
@@ -482,48 +483,47 @@ func isConstExpr(e minic.Expr) bool {
 
 // constIntValue folds e to an integer constant when statically possible.
 func constIntValue(e minic.Expr) (int64, bool) {
+	v, ok := evalConst(e)
+	if !ok || v.Kind != interp.ValInt {
+		return 0, false
+	}
+	return v.I, true
+}
+
+// evalConst folds a literal expression with the interpreter's own
+// operators and scalar conversions; an operation that would trap does not
+// fold.
+func evalConst(e minic.Expr) (interp.Value, bool) {
+	var v interp.Value
+	var err error
 	switch x := e.(type) {
 	case *minic.IntLit:
-		return x.Value, true
+		return interp.IntVal(x.Value), true
 	case *minic.CharLit:
-		return int64(x.Value), true
+		return interp.IntVal(int64(x.Value)), true
+	case *minic.FloatLit:
+		return interp.FloatVal(x.Value), true
 	case *minic.Unary:
-		v, ok := constIntValue(x.X)
+		a, ok := evalConst(x.X)
 		if !ok {
-			return 0, false
+			return v, false
 		}
-		switch x.Op {
-		case "-":
-			return -v, true
-		case "~":
-			return ^v, true
-		}
-		return 0, false
+		v, err = interp.ApplyUnary(x.Op, a)
 	case *minic.Binary:
-		l, ok1 := constIntValue(x.L)
-		r, ok2 := constIntValue(x.R)
+		l, ok1 := evalConst(x.L)
+		r, ok2 := evalConst(x.R)
 		if !ok1 || !ok2 {
-			return 0, false
+			return v, false
 		}
-		switch x.Op {
-		case "+":
-			return l + r, true
-		case "-":
-			return l - r, true
-		case "*":
-			return l * r, true
-		case "/":
-			if r != 0 {
-				return l / r, true
-			}
-		case "%":
-			if r != 0 {
-				return l % r, true
-			}
-		}
-		return 0, false
+		v, err = interp.ApplyBinary(x.Op, l, r)
 	case *minic.Cast:
-		return constIntValue(x.X)
+		a, ok := evalConst(x.X)
+		if !ok || !x.To.IsNumeric() {
+			return v, false
+		}
+		v = interp.ConvertFor(x.To, a)
+	default:
+		return v, false
 	}
-	return 0, false
+	return v, err == nil
 }

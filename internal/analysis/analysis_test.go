@@ -200,19 +200,30 @@ func TestAnalyzeKernelTopLevelGetRecordLegal(t *testing.T) {
 	}
 }
 
+// constIntValue folds with the interpreter's operators and conversions:
+// (char)260 stores as 4, so table[(char)260] is in bounds for int[8].
 func TestConstIntValueFolding(t *testing.T) {
-	prog := mustParse(t, `int main() { int a[10]; a[0] = 2 * 3 + 1; return a[0]; }`)
-	var got int64
-	found := false
-	minic.WalkExprs(prog.Func("main").Body, func(e minic.Expr) bool {
-		if as, ok := e.(*minic.Assign); ok {
-			if v, ok2 := constIntValue(as.R); ok2 {
-				got, found = v, true
+	for _, tc := range []struct {
+		expr string
+		want int64
+		ok   bool
+	}{
+		{"2 * 3 + 1", 7, true},
+		{"(char)260", 4, true},
+		{"(int)2.9 + (1 << 3)", 10, true},
+		{"7 / 0", 0, false}, // traps at run time
+	} {
+		prog := mustParse(t, `int main() { int a[10]; a[0] = `+tc.expr+`; return a[0]; }`)
+		var got int64
+		found := false
+		minic.WalkExprs(prog.Func("main").Body, func(e minic.Expr) bool {
+			if as, ok := e.(*minic.Assign); ok {
+				got, found = constIntValue(as.R)
 			}
+			return true
+		})
+		if found != tc.ok || got != tc.want {
+			t.Errorf("constIntValue(%s) = %d, %v; want %d, %v", tc.expr, got, found, tc.want, tc.ok)
 		}
-		return true
-	})
-	if !found || got != 7 {
-		t.Errorf("constIntValue(2*3+1) = %d, %v; want 7, true", got, found)
 	}
 }

@@ -430,7 +430,7 @@ func addnDelta(in *ir.Instr) (int32, bool) {
 	if in.Op != ir.OpBinary || (in.OpStr != "+" && in.OpStr != "-") {
 		return 0, false
 	}
-	if len(in.Args) != 2 || in.Args[1].Op != ir.OpConst || in.Args[1].Val.Kind != ir.ConstInt {
+	if len(in.Args) != 2 || in.Args[1].Op != ir.OpConst || in.Args[1].Val.Kind != interp.ValInt {
 		return 0, false
 	}
 	c := in.Args[1].Val.I
@@ -814,7 +814,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		fb.emit(OpConst, dst, fb.b.constant(constValue(in.Val)), 0, 0)
+		fb.emit(OpConst, dst, fb.b.constant(in.Val), 0, 0)
 	case ir.OpDeclZero:
 		r, err := fb.reg(in)
 		if err != nil {
@@ -864,13 +864,6 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		return fmt.Errorf("unhandled IR op")
 	}
 	return nil
-}
-
-func constValue(c ir.Const) interp.Value {
-	if c.Kind == ir.ConstFloat {
-		return interp.FloatVal(c.F)
-	}
-	return interp.IntVal(c.I)
 }
 
 func (fb *fnBuilder) emitUnary(in *ir.Instr) error {

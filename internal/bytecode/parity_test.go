@@ -62,6 +62,21 @@ func compareRuns(t *testing.T, walker, vm coreRun) {
 	}
 }
 
+// compareOptimized asserts that the optimizer kept a program's observable
+// behaviour: an unoptimized run and an optimized one give the same output,
+// exit status, and error text. Step counts legitimately differ, so a run
+// that hit the step budget proves nothing and is skipped.
+func compareOptimized(t *testing.T, unopt, opt coreRun) {
+	t.Helper()
+	if budget := interp.ErrMaxSteps.Error(); unopt.err == budget || opt.err == budget {
+		return
+	}
+	if unopt.out != opt.out || unopt.code != opt.code || unopt.err != opt.err {
+		t.Fatalf("optimization changed behaviour:\nunoptimized: %q, exit %d, error %q\noptimized:   %q, exit %d, error %q",
+			unopt.out, unopt.code, unopt.err, opt.out, opt.code, opt.err)
+	}
+}
+
 // compileSrc parses and checks src, optionally optimizes it, and lowers it
 // to bytecode.
 func compileSrc(t *testing.T, src string, optimize bool) (*minic.Program, *Program) {
@@ -450,7 +465,7 @@ int main() {
 		acc += sq(i) / (i + 1);
 	printf("%f\n", acc);
 	return 0;
-}`, signedZeroSrc}
+}`, signedZeroSrc, signedZeroMergeSrc}
 
 // signedZeroSrc folds both zeros into constants. Float == treats them as
 // equal, so a constant pool keyed by value, not by bits, would hand -0.0
@@ -461,6 +476,19 @@ int main() {
 	double b = -0.0;
 	printf("%f\n", a);
 	printf("%f %g\n", b, b);
+	return 0;
+}`
+
+// signedZeroMergeSrc merges 0.0 and -0.0 at a phi and at a ?:. Neither is
+// a constant, so an optimizer lattice comparing floats by value rather
+// than by bits would fold both (on empty stdin it prints "0 -0").
+const signedZeroMergeSrc = `
+int main() {
+	int c = getchar();
+	double x;
+	if (c < 0) x = 0.0; else x = -0.0;
+	double y = c >= 0 ? 0.0 : -0.0;
+	printf("%g %g\n", x, y);
 	return 0;
 }`
 

@@ -63,7 +63,9 @@ func arrayCells(prog *minic.Program) int {
 // program that compiles must then run identically on the VM and on the
 // tree-walker under a small step budget — the same output, exit status,
 // and error text, and, when neither run errors, the same step count and
-// cost totals.
+// cost totals. Both of those runs execute the optimized program, so the
+// unoptimized program then runs on the walker too and must give the same
+// output, exit status, and error text (unless a run hit the step budget).
 func FuzzVMParity(f *testing.F) {
 	const stdin = "the quick brown fox\n17 4.5 -3\nzz top 9\n"
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "minic", "*.c"))
@@ -113,6 +115,12 @@ func FuzzVMParity(f *testing.F) {
 		if strings.Contains(src, "alloc") || hugePrecision.MatchString(src) || arrayCells(prog) > fuzzMaxCells {
 			return
 		}
-		compareRuns(t, runCore(prog, nil, stdin, fuzzMaxSteps), runCore(prog, code, stdin, fuzzMaxSteps))
+		walker := runCore(prog, nil, stdin, fuzzMaxSteps)
+		compareRuns(t, walker, runCore(prog, code, stdin, fuzzMaxSteps))
+		unopt, err := minic.ParseAndCheck(src)
+		if err != nil {
+			t.Fatalf("reparse: %v", err)
+		}
+		compareOptimized(t, runCore(unopt, nil, stdin, fuzzMaxSteps), walker)
 	})
 }

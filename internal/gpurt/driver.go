@@ -66,16 +66,19 @@ type TaskConfig struct {
 	// (replication included). Zero selects defaults.
 	DiskWriteGBs float64
 	HDFSWriteGBs float64
-	// AssumedKVPerRecord stands in for "allocate all free GPU memory" when
-	// the kvpairs clause is absent: the store is over-provisioned at this
-	// many slots per record. Zero selects the default (32).
-	AssumedKVPerRecord int
-	// ChecksumGBs is the effective throughput of Hadoop-format framing +
-	// CRC computation on the host CPU. Zero selects the default.
-	ChecksumGBs float64
 	// Prof, when non-nil, receives the task's wall-clock phase times.
 	Prof *perf.Profiler
 }
+
+const (
+	// assumedKVPerRecord stands in for "allocate all free GPU memory" when
+	// the kvpairs clause is absent: the store is over-provisioned at this
+	// many slots per record.
+	assumedKVPerRecord = 32
+	// checksumGBs is the effective throughput of Hadoop-format framing +
+	// CRC computation on the host CPU.
+	checksumGBs = 0.8
+)
 
 func (c *TaskConfig) fillDefaults() {
 	if c.DiskWriteGBs == 0 {
@@ -83,12 +86,6 @@ func (c *TaskConfig) fillDefaults() {
 	}
 	if c.HDFSWriteGBs == 0 {
 		c.HDFSWriteGBs = 0.12 // replicated pipeline write
-	}
-	if c.AssumedKVPerRecord == 0 {
-		c.AssumedKVPerRecord = 32
-	}
-	if c.ChecksumGBs == 0 {
-		c.ChecksumGBs = 0.8
 	}
 }
 
@@ -148,7 +145,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	numThreads := spec.Blocks * spec.Threads
 	perRecord := spec.KVPairs
 	if perRecord <= 0 {
-		perRecord = cfg.AssumedKVPerRecord
+		perRecord = assumedKVPerRecord
 	}
 	slotsPerThread := storeSlotsPerThread(len(records), perRecord, numThreads, spec.KVPairs > 0)
 	numReducers := cfg.NumReducers
@@ -197,7 +194,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 		}
 		res.OutputBytes = textBytes(res.MapOutput)
 		endOut()
-		res.Times.OutputWrite = writeTime(res.OutputBytes, cfg.ChecksumGBs, cfg.HDFSWriteGBs)
+		res.Times.OutputWrite = writeTime(res.OutputBytes, cfg.HDFSWriteGBs)
 		return res, nil
 	}
 
@@ -281,7 +278,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 		return nil, err
 	}
 	res.OutputBytes = outBytes
-	res.Times.OutputWrite = writeTime(outBytes, cfg.ChecksumGBs, cfg.DiskWriteGBs)
+	res.Times.OutputWrite = writeTime(outBytes, cfg.DiskWriteGBs)
 	return res, nil
 }
 
@@ -358,6 +355,6 @@ func combineSchema(mapC, combineC *compiler.Compiled) kv.Schema {
 // writeTime models output writing: Hadoop-format framing + CRC on the CPU
 // followed by the device->host copy-back and the disk write, which overlap
 // poorly in Hadoop 1.x and are modeled additively.
-func writeTime(bytes int64, checksumGBs, diskGBs float64) float64 {
+func writeTime(bytes int64, diskGBs float64) float64 {
 	return float64(bytes)/(checksumGBs*1e9) + float64(bytes)/(diskGBs*1e9)
 }

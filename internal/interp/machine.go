@@ -650,30 +650,12 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 			return Value{}, fmt.Errorf("interp: %s: dereference of null or non-pointer", x.Pos)
 		}
 		return m.load(v.P)
-	case "-":
+	case "-", "!", "~":
 		v, err := m.eval(f, x.X)
 		if err != nil {
 			return Value{}, err
 		}
-		if v.Kind == ValFloat {
-			return FloatVal(-v.F()), nil
-		}
-		return IntVal(-v.AsInt()), nil
-	case "!":
-		v, err := m.eval(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Truthy() {
-			return IntVal(0), nil
-		}
-		return IntVal(1), nil
-	case "~":
-		v, err := m.eval(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return IntVal(^v.AsInt()), nil
+		return ApplyUnary(x.Op, v)
 	case "++", "--":
 		ptr, err := m.evalLValue(f, x.X)
 		if err != nil {
@@ -694,6 +676,22 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 		return nv, nil
 	}
 	return Value{}, fmt.Errorf("interp: unhandled unary %q", x.Op)
+}
+
+// ApplyUnary applies -, ! or ~ with the interpreter's exact semantics.
+func ApplyUnary(op string, v Value) (Value, error) {
+	switch op {
+	case "-":
+		if v.Kind == ValFloat {
+			return FloatVal(-v.F()), nil
+		}
+		return IntVal(-v.AsInt()), nil
+	case "!":
+		return boolVal(!v.Truthy()), nil
+	case "~":
+		return IntVal(^v.AsInt()), nil
+	}
+	return Value{}, fmt.Errorf("interp: unhandled unary %q", op)
 }
 
 func addInt(v Value, d int64) Value {

@@ -158,6 +158,45 @@ var stdlib = map[string]Builtin{
 	"fmax":  mathFn2(math.Max),
 }
 
+// pureBuiltins is MiniC's one purity table: the builtins with no side
+// effects and no error paths (a domain error gives NaN, never an
+// interpreter error), each with its argument count and the one kind of
+// value it returns. The optimizer may fold, share and hoist their calls.
+var pureBuiltins = map[string]struct {
+	args int
+	kind ValKind
+}{
+	"sqrt": {1, ValFloat}, "fabs": {1, ValFloat}, "exp": {1, ValFloat}, "log": {1, ValFloat},
+	"log2": {1, ValFloat}, "floor": {1, ValFloat}, "ceil": {1, ValFloat}, "erf": {1, ValFloat},
+	"sin": {1, ValFloat}, "cos": {1, ValFloat},
+	"pow": {2, ValFloat}, "fmin": {2, ValFloat}, "fmax": {2, ValFloat},
+	"abs": {1, ValInt}, "isdigit": {1, ValInt}, "isalpha": {1, ValInt}, "isalnum": {1, ValInt},
+	"isspace": {1, ValInt}, "tolower": {1, ValInt}, "toupper": {1, ValInt},
+}
+
+// PureKind reports whether the builtin name is pure, and the kind of value
+// it returns.
+func PureKind(name string) (ValKind, bool) {
+	p, ok := pureBuiltins[name]
+	return p.kind, ok
+}
+
+// pureMachine runs CallPure. A pure builtin touches its machine only to
+// charge cost, which NopSink drops, so goroutines may share it.
+var pureMachine = &Machine{cost: NopSink{}}
+
+// CallPure calls the pure builtin name with the stdlib's own
+// implementation. ok is false when name is not pure or args has the wrong
+// length.
+func CallPure(name string, args []Value) (Value, bool) {
+	p, ok := pureBuiltins[name]
+	if !ok || len(args) != p.args {
+		return Value{}, false
+	}
+	v, err := stdlib[name](pureMachine, args)
+	return v, err == nil
+}
+
 func mathFn1(f func(float64) float64) Builtin {
 	return func(m *Machine, args []Value) (Value, error) {
 		m.cost.Op(8) // transcendental/FP-heavy op

@@ -68,14 +68,16 @@ func ExitStatus(err error) (int, bool) {
 
 // ApplyBinary applies a binary operator with the interpreter's exact
 // semantics (pointer arithmetic, float promotion, division-by-zero
-// errors).
+// errors). The optimizer folds constants with it too: an error means the
+// expression must be left to trap at run time.
 func ApplyBinary(op string, l, r Value) (Value, error) { return applyBinary(op, l, r) }
 
 // AddInt adds an integer delta to a value (used for ++/-- semantics:
 // floats add, pointers advance, integers add without width truncation).
 func AddInt(v Value, d int64) Value { return addInt(v, d) }
 
-// ConvertFor converts v to the storage representation of type t.
+// ConvertFor converts v to the storage representation of type t. The
+// optimizer folds casts and stores to scalar types with it.
 func ConvertFor(t *minic.Type, v Value) Value { return convertFor(t, v) }
 
 // FlattenArray reduces a possibly multi-dimensional array type to a total

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/interp"
 	"repro/internal/minic"
 )
 
@@ -33,7 +34,7 @@ type Facts struct {
 type ConstCond struct {
 	Stmt  minic.Stmt // the If/While/For statement
 	Cond  minic.Expr
-	Value Const
+	Value interp.Value
 }
 
 // RedundantPair is a repeated computation: Second recomputes First's value.
@@ -178,7 +179,7 @@ func (fx *Facts) redundant() {
 	classes := map[string][]*Instr{}
 	var order []string
 	for _, in := range fx.F.instrs {
-		v := factVN(fx.S, vn, in)
+		v := valueNumber(fx.S, vn, in)
 		vn[in] = v
 		switch in.Op {
 		case OpUnary, OpBinary, OpCast, OpCall:
@@ -234,8 +235,10 @@ func (fx *Facts) redundant() {
 	}
 }
 
-// factVN mirrors csePass's value numbering.
-func factVN(s *SCCP, vn map[*Instr]string, in *Instr) string {
+// valueNumber numbers in over SSA for csePass and the HD603 facts: equal
+// numbers mean equal runtime values wherever both instructions evaluate
+// with the same reaching definitions.
+func valueNumber(s *SCCP, vn map[*Instr]string, in *Instr) string {
 	key := func(op string) string {
 		k := op
 		for _, a := range in.Args {
@@ -248,10 +251,7 @@ func factVN(s *SCCP, vn map[*Instr]string, in *Instr) string {
 	}
 	switch in.Op {
 	case OpConst:
-		if in.Val.Kind == ConstFloat {
-			return fmt.Sprintf("k:f%x", in.Val.F)
-		}
-		return "k:i" + strconv.FormatInt(in.Val.I, 10)
+		return fmt.Sprintf("k:%d:%d", in.Val.Kind, in.Val.I)
 	case OpLoad:
 		if len(in.Args) > 0 && in.Args[0] != nil {
 			return "d:" + strconv.Itoa(in.Args[0].ID)
@@ -266,7 +266,7 @@ func factVN(s *SCCP, vn map[*Instr]string, in *Instr) string {
 		}
 		return key("b:" + in.OpStr)
 	case OpCast:
-		if in.To != nil && scalarKind(in.To.Kind) {
+		if in.To != nil && in.To.IsNumeric() {
 			return key("c:" + strconv.Itoa(int(in.To.Kind)))
 		}
 	case OpCall:
@@ -299,7 +299,7 @@ func (fx *Facts) oob() {
 			return true
 		}
 		c, ok := fx.S.ConstOf(in)
-		if !ok || c.Kind != ConstInt {
+		if !ok || c.Kind != interp.ValInt {
 			return true
 		}
 		if c.I < 0 || c.I >= int64(t.Len) {
@@ -327,7 +327,7 @@ func LoopInvariantEmits(fn *minic.FuncDecl) []*minic.Call {
 			case *minic.Ident:
 				return x.Sym != nil && !x.Sym.Global &&
 					(x.Sym.Kind == minic.SymVar || x.Sym.Kind == minic.SymParam) &&
-					x.Sym.Type != nil && scalarKind(x.Sym.Type.Kind) &&
+					x.Sym.Type != nil && x.Sym.Type.IsNumeric() &&
 					!demoted[x.Sym] && !assigned[x.Sym]
 			case *minic.Unary:
 				switch x.Op {

@@ -11,13 +11,15 @@
 // expression and statement it was lowered from, because the three backends
 // (interpreter, streaming, GPU) all execute MiniC ASTs — optimization here
 // means provably-equivalent smaller ASTs, not generated code. Semantic
-// equivalence is defined by internal/interp: folding replicates its exact
-// arithmetic (int64 wraparound, &63 shift masking, float promotion,
-// convertFor storage truncation) and never folds or deletes anything that
-// could trap (division by zero, out-of-bounds access).
+// equivalence is defined by internal/interp, which also does the
+// arithmetic: constants are interp.Values, SCCP folds them by calling the
+// interpreter's own operators, conversions and pure builtins, and the
+// lattice compares them bitwise. Nothing that could trap (division by
+// zero, out-of-bounds access) is folded or deleted.
 package ir
 
 import (
+	"repro/internal/interp"
 	"repro/internal/minic"
 )
 
@@ -61,8 +63,8 @@ const (
 	OpSelect
 	// OpCast converts to CastTo with convertFor semantics.
 	OpCast
-	// OpCall invokes a function or builtin; Pure marks math builtins that
-	// are side-effect- and trap-free.
+	// OpCall invokes a function or builtin; Pure marks the side-effect-
+	// and trap-free builtins of interp's purity table.
 	OpCall
 	// OpEffect is an opaque side effect: a store through memory, an
 	// increment of an untracked lvalue, or any write the IR does not
@@ -88,9 +90,9 @@ const (
 type Instr struct {
 	ID    int
 	Op    Op
-	OpStr string // operator for OpUnary/OpBinary/OpLogic, name for OpCall
-	Var   *Var   // for OpParam/OpDeclZero/OpLoad/OpStore/OpPhi
-	Val   Const  // for OpConst
+	OpStr string       // operator for OpUnary/OpBinary/OpLogic, name for OpCall
+	Var   *Var         // for OpParam/OpDeclZero/OpLoad/OpStore/OpPhi
+	Val   interp.Value // for OpConst: kind ValInt or ValFloat
 	To    *minic.Type
 	Args  []*Instr
 	Block *Block
@@ -107,7 +109,7 @@ type Instr struct {
 	Stmt minic.Stmt
 
 	// Pure marks OpCall instructions whose builtin is side-effect- and
-	// trap-free (the math functions).
+	// trap-free (see pureCall).
 	Pure bool
 	// Trap marks instructions that can abort execution: potentially
 	// out-of-bounds loads/derefs; division/modulo traps are derived from
@@ -307,7 +309,7 @@ func (lw *lowerer) trackedVar(sym *minic.Symbol) *Var {
 		return nil
 	}
 	t := sym.Type
-	if t == nil || !scalarKind(t.Kind) {
+	if t == nil || !t.IsNumeric() {
 		return nil
 	}
 	if v, ok := lw.f.varOf[sym]; ok {
@@ -317,14 +319,6 @@ func (lw *lowerer) trackedVar(sym *minic.Symbol) *Var {
 	lw.f.Vars = append(lw.f.Vars, v)
 	lw.f.varOf[sym] = v
 	return v
-}
-
-func scalarKind(k minic.TypeKind) bool {
-	switch k {
-	case minic.TypeChar, minic.TypeInt, minic.TypeLong, minic.TypeFloat, minic.TypeDouble:
-		return true
-	}
-	return false
 }
 
 func (lw *lowerer) newBlock() *Block {
@@ -353,12 +347,8 @@ func (lw *lowerer) emit(in *Instr) *Instr {
 // is that operand's last instruction.
 func (lw *lowerer) last() *Instr { return lw.cur.Instrs[len(lw.cur.Instrs)-1] }
 
-func (lw *lowerer) konst(c Const, e minic.Expr) *Instr {
-	in := lw.emit(&Instr{Op: OpConst, Val: c, Expr: e})
-	if e != nil {
-		lw.f.ExprInstr[e] = in
-	}
-	return in
+func (lw *lowerer) konst(c interp.Value) *Instr {
+	return lw.emit(&Instr{Op: OpConst, Val: c})
 }
 
 // lowerStmt lowers one statement into the current block, creating blocks
@@ -447,7 +437,7 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 		if st.Cond != nil {
 			c = lw.lowerExpr(st.Cond)
 		} else {
-			c = lw.konst(IntConst(1), nil)
+			c = lw.konst(interp.IntVal(1))
 		}
 		head := lw.cur
 		head.Cond = c
@@ -506,14 +496,11 @@ func (lw *lowerer) lowerExpr(e minic.Expr) *Instr {
 
 func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 	switch x := e.(type) {
-	case *minic.IntLit:
-		return lw.konst(IntConst(x.Value), nil)
-	case *minic.CharLit:
-		return lw.konst(IntConst(int64(x.Value)), nil)
-	case *minic.FloatLit:
-		return lw.konst(FloatConst(x.Value), nil)
+	case *minic.IntLit, *minic.CharLit, *minic.FloatLit:
+		c, _ := litConst(e)
+		return lw.konst(c)
 	case *minic.SizeofType:
-		return lw.konst(IntConst(int64(x.Of.Size())), nil)
+		return lw.konst(interp.IntVal(int64(x.Of.Size())))
 	case *minic.StrLit:
 		return lw.emit(&Instr{Op: OpLoadMem, Expr: e})
 	case *minic.Ident:
@@ -589,7 +576,7 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 		if x.Name == "__sizeof_var" {
 			if len(x.Args) == 1 {
 				if id, ok := x.Args[0].(*minic.Ident); ok && id.Sym != nil && id.Sym.Type != nil {
-					return lw.konst(IntConst(int64(id.Sym.Type.Size())), nil)
+					return lw.konst(interp.IntVal(int64(id.Sym.Type.Size())))
 				}
 			}
 			return lw.emit(&Instr{Op: OpEffect, Expr: e})
@@ -598,8 +585,7 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 		for i, a := range x.Args {
 			args[i] = lw.lowerExpr(a)
 		}
-		pure := x.Builtin && pureBuiltins[x.Name]
-		return lw.emit(&Instr{Op: OpCall, OpStr: x.Name, Args: args, Expr: e, Pure: pure})
+		return lw.emit(&Instr{Op: OpCall, OpStr: x.Name, Args: args, Expr: e, Pure: pureCall(x)})
 	}
 	return lw.emit(&Instr{Op: OpEffect, Expr: e})
 }
@@ -615,7 +601,7 @@ func (lw *lowerer) lowerIncDec(target minic.Expr, op string, postfix bool, e min
 	if id, ok := target.(*minic.Ident); ok {
 		if v := lw.trackedVar(id.Sym); v != nil {
 			old := lw.emit(&Instr{Op: OpLoad, Var: v})
-			one := lw.emit(&Instr{Op: OpConst, Val: IntConst(1)})
+			one := lw.konst(interp.IntVal(1))
 			nv := lw.emit(&Instr{Op: OpBinary, OpStr: bin, Args: []*Instr{old, one}, Expr: e})
 			lw.emit(&Instr{Op: OpStore, Var: v, Args: []*Instr{nv}, StoreKind: StoreCompound})
 			if postfix {
@@ -643,14 +629,8 @@ func (lw *lowerer) lowerLValueUses(e minic.Expr) {
 	}
 }
 
-// pureBuiltins are math builtins with no side effects and no error paths
-// (they map NaN/domain issues to NaN, never to interpreter errors). Their
-// constant folding must call the identical Go math functions the
-// interpreter stdlib uses.
-var pureBuiltins = map[string]bool{
-	"sqrt": true, "fabs": true, "exp": true, "log": true, "log2": true,
-	"floor": true, "ceil": true, "erf": true, "sin": true, "cos": true,
-	"pow": true, "fmin": true, "fmax": true, "abs": true,
-	"isdigit": true, "isalpha": true, "isalnum": true, "isspace": true,
-	"tolower": true, "toupper": true,
+// pureCall reports whether x calls a builtin on interp's purity table.
+func pureCall(x *minic.Call) bool {
+	_, ok := interp.PureKind(x.Name)
+	return x.Builtin && ok
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/interp"
 	"repro/internal/minic"
 )
 
@@ -144,29 +145,29 @@ func (o *optimizer) build(sccp bool) {
 
 // constOfExpr returns the proven constant value of e, requiring its
 // instruction to sit in reachable code.
-func (o *optimizer) constOfExpr(e minic.Expr) (Const, bool) {
+func (o *optimizer) constOfExpr(e minic.Expr) (interp.Value, bool) {
 	in := o.f.ExprInstr[e]
 	if in == nil || in.Block == nil || !o.s.Reachable(in.Block) {
-		return Const{}, false
+		return interp.Value{}, false
 	}
 	return o.s.ConstOf(in)
 }
 
 // litConst reads a literal's value directly (for conditions already folded
 // in an earlier round).
-func litConst(e minic.Expr) (Const, bool) {
+func litConst(e minic.Expr) (interp.Value, bool) {
 	switch x := e.(type) {
 	case *minic.IntLit:
-		return IntConst(x.Value), true
+		return interp.IntVal(x.Value), true
 	case *minic.CharLit:
-		return IntConst(int64(x.Value)), true
+		return interp.IntVal(int64(x.Value)), true
 	case *minic.FloatLit:
-		return FloatConst(x.Value), true
+		return interp.FloatVal(x.Value), true
 	}
-	return Const{}, false
+	return interp.Value{}, false
 }
 
-func (o *optimizer) condConst(e minic.Expr) (Const, bool) {
+func (o *optimizer) condConst(e minic.Expr) (interp.Value, bool) {
 	if c, ok := litConst(e); ok {
 		return c, true
 	}
@@ -222,7 +223,7 @@ func (o *optimizer) execFree(e minic.Expr) bool {
 		if x.Name == "__sizeof_var" {
 			return true // argument is not evaluated
 		}
-		if !x.Builtin || !pureBuiltins[x.Name] {
+		if !pureCall(x) {
 			return false
 		}
 		for _, a := range x.Args {
@@ -603,6 +604,7 @@ func (o *optimizer) dsePass() int {
 				}
 				seen := map[*Instr]bool{}
 				closure(L.Args[0], seen)
+				//detlint:ignore map-iteration: only clears flags, which visiting order cannot change
 				for d := range seen {
 					if i, ok := isCand[d]; ok && dead[i] {
 						dead[i] = false
@@ -722,7 +724,7 @@ func (o *optimizer) copyPropPass() int {
 // valueKind computes the runtime Value kind an instruction always
 // produces, mirroring the interpreter's promotion rules. ok is false when
 // the kind is not provable (then no temp may be typed for it).
-func valueKind(in *Instr) (ConstKind, bool) {
+func valueKind(in *Instr) (interp.ValKind, bool) {
 	switch in.Op {
 	case OpConst:
 		return in.Val.Kind, true
@@ -736,69 +738,52 @@ func valueKind(in *Instr) (ConstKind, bool) {
 		case OpDeclZero:
 			// An uninitialized cell reads as the zero Value: an int 0,
 			// regardless of the declared type.
-			return ConstInt, true
+			return interp.ValInt, true
 		}
-		if in.Var.Type.Kind == minic.TypeFloat || in.Var.Type.Kind == minic.TypeDouble {
-			return ConstFloat, true
-		}
-		return ConstInt, true
+		return typeKind(in.Var.Type), true
 	case OpUnary:
 		if in.OpStr == "-" {
 			return valueKind(in.Args[0])
 		}
-		return ConstInt, true
+		return interp.ValInt, true
 	case OpBinary:
 		switch in.OpStr {
 		case "==", "!=", "<", ">", "<=", ">=", "<<", ">>", "&", "|", "^":
-			return ConstInt, true
-		case "%":
-			// Modulo is int-only in the interpreter; float operands error.
+			return interp.ValInt, true
+		case "%", "+", "-", "*", "/":
 			lk, lok := valueKind(in.Args[0])
 			rk, rok := valueKind(in.Args[1])
-			if lok && rok && lk == ConstInt && rk == ConstInt {
-				return ConstInt, true
-			}
-			return 0, false
-		case "+", "-", "*", "/":
-			lk, lok := valueKind(in.Args[0])
-			rk, rok := valueKind(in.Args[1])
-			if !lok || !rok {
+			switch {
+			case !lok || !rok:
 				return 0, false
+			case lk == interp.ValInt && rk == interp.ValInt:
+				return interp.ValInt, true
 			}
-			if lk == ConstFloat || rk == ConstFloat {
-				return ConstFloat, true
-			}
-			return ConstInt, true
+			// Float promotion; modulo is int-only and errors on floats.
+			return interp.ValFloat, in.OpStr != "%"
 		}
 		return 0, false
 	case OpCast:
-		if in.To == nil {
+		if in.To == nil || !in.To.IsNumeric() {
 			return 0, false
 		}
-		switch in.To.Kind {
-		case minic.TypeChar, minic.TypeInt, minic.TypeLong:
-			return ConstInt, true
-		case minic.TypeFloat, minic.TypeDouble:
-			return ConstFloat, true
-		}
-		return 0, false
+		return typeKind(in.To), true
 	case OpCall:
-		if _, ok := pureFn1[in.OpStr]; ok {
-			return ConstFloat, true
-		}
-		if _, ok := pureFn2[in.OpStr]; ok {
-			return ConstFloat, true
-		}
-		switch in.OpStr {
-		case "abs", "isdigit", "isalpha", "isalnum", "isspace", "tolower", "toupper":
-			return ConstInt, true
-		}
+		return interp.PureKind(in.OpStr)
 	}
 	return 0, false
 }
 
-func tempType(k ConstKind) *minic.Type {
-	if k == ConstFloat {
+// typeKind is the kind of value a numeric type's cell holds once written.
+func typeKind(t *minic.Type) interp.ValKind {
+	if t.IsFloat() {
+		return interp.ValFloat
+	}
+	return interp.ValInt
+}
+
+func tempType(k interp.ValKind) *minic.Type {
+	if k == interp.ValFloat {
 		return minic.DoubleType
 	}
 	return minic.LongType
@@ -878,55 +863,11 @@ func identRead(sym *minic.Symbol, staticType *minic.Type, pos minic.Pos) *minic.
 
 func (o *optimizer) csePass() int {
 	o.build(true)
-	// Value numbers over SSA: identical numbers mean identical runtime
-	// values wherever both expressions are evaluated with the same
-	// reaching definitions.
 	vn := map[*Instr]string{}
-	num := func(in *Instr) string {
-		key := func(op string) string {
-			k := op
-			for _, a := range in.Args {
-				if a == nil {
-					return fmt.Sprintf("q:%d", in.ID)
-				}
-				k += "," + vn[a]
-			}
-			return k
-		}
-		switch in.Op {
-		case OpConst:
-			if in.Val.Kind == ConstFloat {
-				return fmt.Sprintf("k:f%x", in.Val.F)
-			}
-			return fmt.Sprintf("k:i%d", in.Val.I)
-		case OpLoad:
-			if len(in.Args) > 0 && in.Args[0] != nil {
-				return fmt.Sprintf("d:%d", in.Args[0].ID)
-			}
-		case OpUnary:
-			return key("u:" + in.OpStr)
-		case OpBinary:
-			if in.OpStr == "/" || in.OpStr == "%" {
-				if c, ok := o.s.ConstOf(in.Args[1]); !ok || !c.Truthy() {
-					break // may trap; never share
-				}
-			}
-			return key("b:" + in.OpStr)
-		case OpCast:
-			if in.To != nil && scalarKind(in.To.Kind) {
-				return key(fmt.Sprintf("c:%d", in.To.Kind))
-			}
-		case OpCall:
-			if in.Pure {
-				return key("f:" + in.OpStr)
-			}
-		}
-		return fmt.Sprintf("q:%d", in.ID)
-	}
 	classes := map[string][]*Instr{}
 	var classOrder []string
 	for _, in := range o.f.instrs {
-		v := num(in)
+		v := valueNumber(o.s, vn, in)
 		vn[in] = v
 		switch in.Op {
 		case OpUnary, OpBinary, OpCast, OpCall:
@@ -1156,7 +1097,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		case *minic.Ident:
 			return x.Sym != nil && !x.Sym.Global &&
 				(x.Sym.Kind == minic.SymVar || x.Sym.Kind == minic.SymParam) &&
-				x.Sym.Type != nil && scalarKind(x.Sym.Type.Kind) &&
+				x.Sym.Type != nil && x.Sym.Type.IsNumeric() &&
 				!demoted[x.Sym] && !assigned[x.Sym]
 		case *minic.Unary:
 			switch x.Op {
@@ -1176,7 +1117,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 			}
 			return invariant(x.L) && invariant(x.R)
 		case *minic.Call:
-			if !x.Builtin || !pureBuiltins[x.Name] {
+			if !pureCall(x) {
 				return false
 			}
 			for _, a := range x.Args {
@@ -1186,7 +1127,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 			}
 			return true
 		case *minic.Cast:
-			return x.To != nil && scalarKind(x.To.Kind) && invariant(x.X)
+			return x.To != nil && x.To.IsNumeric() && invariant(x.X)
 		}
 		return false
 	}
@@ -1194,61 +1135,41 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 	// kindCertain proves the runtime Value kind of an invariant expression.
 	// A float-typed variable is uncertain (an uninitialized cell reads as
 	// an int zero); certainty flows back through float promotion.
-	var kindCertain func(e minic.Expr) (ConstKind, bool)
-	kindCertain = func(e minic.Expr) (ConstKind, bool) {
+	var kindCertain func(e minic.Expr) (interp.ValKind, bool)
+	kindCertain = func(e minic.Expr) (interp.ValKind, bool) {
 		switch x := e.(type) {
-		case *minic.IntLit, *minic.CharLit:
-			return ConstInt, true
-		case *minic.FloatLit:
-			return ConstFloat, true
+		case *minic.IntLit, *minic.CharLit, *minic.FloatLit:
+			c, _ := litConst(e)
+			return c.Kind, true
 		case *minic.Ident:
-			switch x.Sym.Type.Kind {
-			case minic.TypeChar, minic.TypeInt, minic.TypeLong:
-				return ConstInt, true
-			}
-			return ConstFloat, false
+			k := typeKind(x.Sym.Type)
+			return k, k == interp.ValInt
 		case *minic.Unary:
 			if x.Op == "-" {
 				return kindCertain(x.X)
 			}
-			return ConstInt, true
+			return interp.ValInt, true
 		case *minic.Binary:
 			switch x.Op {
 			case "==", "!=", "<", ">", "<=", ">=", "<<", ">>", "&", "|", "^":
-				return ConstInt, true
+				return interp.ValInt, true
 			case "%":
 				lk, lok := kindCertain(x.L)
 				rk, rok := kindCertain(x.R)
-				if lok && rok && lk == ConstInt && rk == ConstInt {
-					return ConstInt, true
-				}
-				return 0, false
+				return interp.ValInt, lok && rok && lk == interp.ValInt && rk == interp.ValInt
 			case "+", "-", "*", "/":
 				lk, lok := kindCertain(x.L)
 				rk, rok := kindCertain(x.R)
-				if (lok && lk == ConstFloat) || (rok && rk == ConstFloat) {
-					return ConstFloat, true // promotion decides regardless
+				if (lok && lk == interp.ValFloat) || (rok && rk == interp.ValFloat) {
+					return interp.ValFloat, true // promotion decides regardless
 				}
-				if lok && rok {
-					return ConstInt, true
-				}
-				return 0, false
+				return interp.ValInt, lok && rok
 			}
 			return 0, false
 		case *minic.Call:
-			if _, ok := pureFn1[x.Name]; ok {
-				return ConstFloat, true
-			}
-			if _, ok := pureFn2[x.Name]; ok {
-				return ConstFloat, true
-			}
-			return ConstInt, true // abs/ctype helpers
+			return interp.PureKind(x.Name)
 		case *minic.Cast:
-			switch x.To.Kind {
-			case minic.TypeFloat, minic.TypeDouble:
-				return ConstFloat, true
-			}
-			return ConstInt, true
+			return typeKind(x.To), true
 		}
 		return 0, false
 	}

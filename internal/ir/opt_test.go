@@ -218,6 +218,21 @@ int main() {
 }`)
 }
 
+// A phi and a ?: that merge 0.0 with -0.0 are not constant: the lattice
+// compares float bits, not float values. getchar() reads -1 from the
+// empty stdin, so x is 0.0 and y is -0.0.
+func TestSignedZeroMergeNotFolded(t *testing.T) {
+	optEquiv(t, `
+int main() {
+	int c = getchar();
+	double x;
+	if (c < 0) x = 0.0; else x = -0.0;
+	double y = c >= 0 ? 0.0 : -0.0;
+	printf("%g %g\n", x, y);
+	return 0;
+}`)
+}
+
 // Arrays and pointers stay untouched: subscripts can trap, so loads and
 // stores through them are liveness roots.
 func TestArraysUntouched(t *testing.T) {

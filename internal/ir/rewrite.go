@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/interp"
 	"repro/internal/minic"
 )
 
@@ -271,9 +272,9 @@ func exprPos(e minic.Expr) minic.Pos {
 
 // literalFor builds the AST literal for a constant, preserving the
 // original expression's static type and position.
-func literalFor(c Const, orig minic.Expr) minic.Expr {
-	if c.Kind == ConstFloat {
-		l := &minic.FloatLit{Value: c.F}
+func literalFor(c interp.Value, orig minic.Expr) minic.Expr {
+	if c.Kind == interp.ValFloat {
+		l := &minic.FloatLit{Value: c.F()}
 		l.Pos = exprPos(orig)
 		l.SetType(orig.Type())
 		return l

@@ -1,5 +1,7 @@
 package ir
 
+import "repro/internal/interp"
+
 // Sparse conditional constant propagation (Wegman & Zadeck) over the SSA
 // form: a three-level lattice (unknown / constant / varying) per
 // instruction, propagated only along CFG edges proven executable. Branch
@@ -17,14 +19,26 @@ const (
 	latBottom // varying
 )
 
+// lattice holds a constant as an interpreter value of kind ValInt or
+// ValFloat. Values compare with ==, which is bitwise for floats (their
+// bits live in I), so 0.0 and -0.0 never merge into one constant.
 type lattice struct {
 	tag latTag
-	val Const
+	val interp.Value
 }
 
 var bottom = lattice{tag: latBottom}
 
-func constLat(c Const) lattice { return lattice{tag: latConst, val: c} }
+func constLat(c interp.Value) lattice { return lattice{tag: latConst, val: c} }
+
+// folded is the lattice value of an interpreter operation on constants.
+// An error means the operation traps at run time, so it is left unfolded.
+func folded(v interp.Value, err error) lattice {
+	if err != nil {
+		return bottom
+	}
+	return constLat(v)
+}
 
 // meetLat combines two lattice values.
 func meetLat(a, b lattice) lattice {
@@ -33,7 +47,7 @@ func meetLat(a, b lattice) lattice {
 		return b
 	case b.tag == latTop:
 		return a
-	case a.tag == latConst && b.tag == latConst && a.val.Equal(b.val):
+	case a.tag == latConst && b.tag == latConst && a.val == b.val:
 		return a
 	}
 	return bottom
@@ -54,11 +68,11 @@ type SCCP struct {
 func (s *SCCP) Lat(in *Instr) lattice { return in.lat }
 
 // ConstOf reports the constant value of in, if proven.
-func (s *SCCP) ConstOf(in *Instr) (Const, bool) {
+func (s *SCCP) ConstOf(in *Instr) (interp.Value, bool) {
 	if in != nil && in.lat.tag == latConst {
 		return in.lat.val, true
 	}
-	return Const{}, false
+	return interp.Value{}, false
 }
 
 // Reachable reports whether b was proven executable.
@@ -90,7 +104,7 @@ func Run(f *Func) *SCCP {
 		if nv.tag == latTop || in.lat.tag == latBottom {
 			return
 		}
-		if in.lat.tag == nv.tag && (nv.tag != latConst || in.lat.val.Equal(nv.val)) {
+		if in.lat.tag == nv.tag && (nv.tag != latConst || in.lat.val == nv.val) {
 			return
 		}
 		if in.lat.tag == latConst && nv.tag == latConst {
@@ -214,46 +228,36 @@ func (s *SCCP) eval(in *Instr) lattice {
 		return constLat(in.Val)
 	case OpDeclZero:
 		// Uninitialized cells read as the zero Value, i.e. int 0.
-		return constLat(IntConst(0))
+		return constLat(interp.IntVal(0))
 	case OpParam, OpLoadMem, OpEffect:
 		return bottom
 	case OpLoad:
 		return argLat(0)
-	case OpStore:
-		// The definition's observable value is the storage-converted rhs.
-		a := argLat(0)
-		if a.tag == latConst {
-			if c, ok := foldConvert(in.Var.Type, a.val); ok {
-				return constLat(c)
-			}
+	case OpStore, OpCast:
+		// Both yield the operand converted to the target type (a store's
+		// observable value is the cell it wrote). Only numeric targets
+		// fold: a constant is never a pointer.
+		a, to := argLat(0), in.To
+		if in.Op == OpStore {
+			to = in.Var.Type
+		}
+		if a.tag != latConst {
+			return a
+		}
+		if to != nil && !to.IsNumeric() {
 			return bottom
 		}
-		return a
-	case OpCast:
-		a := argLat(0)
-		if a.tag == latConst {
-			if c, ok := foldConvert(in.To, a.val); ok {
-				return constLat(c)
-			}
-			return bottom
-		}
-		return a
+		return constLat(interp.ConvertFor(to, a.val))
 	case OpUnary:
 		a := argLat(0)
 		if a.tag == latConst {
-			if c, ok := foldUnary(in.OpStr, a.val); ok {
-				return constLat(c)
-			}
-			return bottom
+			return folded(interp.ApplyUnary(in.OpStr, a.val))
 		}
 		return a
 	case OpBinary:
 		l, r := argLat(0), argLat(1)
 		if l.tag == latConst && r.tag == latConst {
-			if c, ok := foldBinary(in.OpStr, l.val, r.val); ok {
-				return constLat(c)
-			}
-			return bottom
+			return folded(interp.ApplyBinary(in.OpStr, l.val, r.val))
 		}
 		if l.tag == latTop || r.tag == latTop {
 			return lattice{}
@@ -265,13 +269,14 @@ func (s *SCCP) eval(in *Instr) lattice {
 		// short-circuits; the right side's value is then irrelevant.
 		if l.tag == latConst {
 			if in.OpStr == "&&" && !l.val.Truthy() {
-				return constLat(IntConst(0))
+				return constLat(interp.IntVal(0))
 			}
 			if in.OpStr == "||" && l.val.Truthy() {
-				return constLat(IntConst(1))
+				return constLat(interp.IntVal(1))
 			}
 			if r.tag == latConst {
-				return constLat(boolConst(r.val.Truthy()))
+				// Otherwise the result is the right side's truth, r != 0.
+				return folded(interp.ApplyBinary("!=", r.val, interp.IntVal(0)))
 			}
 			if r.tag == latTop {
 				return lattice{}
@@ -298,7 +303,7 @@ func (s *SCCP) eval(in *Instr) lattice {
 		if !in.Pure {
 			return bottom
 		}
-		args := make([]Const, len(in.Args))
+		args := make([]interp.Value, len(in.Args))
 		for i := range in.Args {
 			a := argLat(i)
 			if a.tag == latTop {
@@ -309,7 +314,7 @@ func (s *SCCP) eval(in *Instr) lattice {
 			}
 			args[i] = a.val
 		}
-		if c, ok := foldCall(in.OpStr, args); ok {
+		if c, ok := interp.CallPure(in.OpStr, args); ok {
 			return constLat(c)
 		}
 		return bottom

@@ -318,7 +318,7 @@ type jobTracker struct {
 	// be re-executed (Hadoop map-output-loss semantics).
 	reduceFetched []bool
 	// fetchReports counts fetch-failure notifications per map output; at
-	// FetchFailureNotices the output is declared lost. Reset when the map
+	// fetchFailureNotices the output is declared lost. Reset when the map
 	// recommits.
 	fetchReports []int
 	// lastMapDone is when the map phase ended (gates reducers).
@@ -1022,14 +1022,14 @@ func (e *engine) attemptFailed(run *attemptRun, attemptID int, duration float64)
 }
 
 // noteNodeFailure counts a task failure against the node and blacklists it
-// with exponential backoff once it accumulates NodeFailureLimit of them.
+// with exponential backoff once it accumulates nodeFailureLimit of them.
 func (e *engine) noteNodeFailure(tt *taskTracker) {
 	tt.failures++
-	if tt.failures < e.cfg.NodeFailureLimit {
+	if tt.failures < nodeFailureLimit {
 		return
 	}
 	tt.failures = 0
-	backoff := e.cfg.BlacklistBackoffSec
+	backoff := 4 * e.cfg.HeartbeatSec
 	for i := 0; i < tt.blacklists; i++ {
 		backoff *= 2
 	}
@@ -1306,7 +1306,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			e.trace.Instant(obs.CatFault, name, e.eng.Now(), tt.node, laneHeartbeat,
 				obs.Int("map", m), obs.Int("partition", p), obs.Int("attempt", att))
 			run.burst++
-			if run.burst >= e.cfg.FetchRetries {
+			if run.burst >= fetchRetries {
 				run.burst = 0
 				e.reportFetchFailure(run, m)
 				if e.err != nil {
@@ -1314,7 +1314,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 				}
 			}
 			// Capped exponential backoff before the retry.
-			backoff := e.cfg.FetchBackoffSec
+			backoff := e.cfg.HeartbeatSec / 4
 			for i := 0; i < att && i < 5; i++ {
 				backoff *= 2
 			}
@@ -1390,7 +1390,7 @@ func (e *engine) verifyFetch(p, m int) bool {
 }
 
 // reportFetchFailure delivers one reducer's fetch-failure notification for
-// map m to the JobTracker. At FetchFailureNotices notifications the output
+// map m to the JobTracker. At fetchFailureNotices notifications the output
 // is declared lost: the map re-executes (through the PR-4 recovery path)
 // and the serving node takes a failure toward blacklisting. A permanently
 // corrupt task exhausts MaxTaskAttempts and fails the job.
@@ -1402,7 +1402,7 @@ func (e *engine) reportFetchFailure(run *reduceRun, m int) {
 	jt.fetchReports[m]++
 	e.trace.Instant(obs.CatRecovery, "fetch-failure-report", e.eng.Now(), run.tt.node, laneHeartbeat,
 		obs.Int("map", m), obs.Int("partition", run.p), obs.Int("reports", jt.fetchReports[m]))
-	if jt.fetchReports[m] < e.cfg.FetchFailureNotices {
+	if jt.fetchReports[m] < fetchFailureNotices {
 		return
 	}
 	jt.fetchReports[m] = 0

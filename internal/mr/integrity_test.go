@@ -84,7 +84,7 @@ func TestCorruptionPlansPreserveOutput(t *testing.T) {
 				if s.Refetches == 0 {
 					t.Error("transient fetch failures caused no refetch")
 				}
-				// Two failures sit under the FetchRetries=3 report
+				// Two failures sit under the fetchRetries=3 report
 				// threshold: the retry must succeed without escalation.
 				if s.MapOutputsLost != 0 {
 					t.Errorf("MapOutputsLost = %d, want 0 (failures below report threshold)", s.MapOutputsLost)

@@ -88,24 +88,6 @@ type ClusterConfig struct {
 	// before declaring a TaskTracker dead, requeueing its running attempts
 	// and re-executing its committed map outputs. Default 10 heartbeats.
 	HeartbeatExpirySec float64
-	// NodeFailureLimit is the task-failure count that blacklists a node.
-	// Default 3.
-	NodeFailureLimit int
-	// BlacklistBackoffSec is the first blacklist duration; it doubles with
-	// each further blacklisting of the node. Default 4 heartbeats.
-	BlacklistBackoffSec float64
-	// FetchRetries is how many consecutive failures of one map-output fetch
-	// a reducer tolerates before reporting the output to the JobTracker
-	// (Hadoop's shuffle retry burst). The reducer keeps retrying with
-	// capped exponential backoff either way. Default 3.
-	FetchRetries int
-	// FetchBackoffSec is the base delay between fetch retries; it doubles
-	// per consecutive failure up to 32x. Default HeartbeatSec/4.
-	FetchBackoffSec float64
-	// FetchFailureNotices is how many fetch-failure reports a map output
-	// accumulates before the JobTracker declares it lost and re-executes
-	// the map (Hadoop's "too many fetch failures"). Default 3.
-	FetchFailureNotices int
 	// SkipBadRecords opts the job into Hadoop's skip-bad-records mode:
 	// poisoned input records are dropped (and accounted in JobStats)
 	// instead of crashing the map attempt.
@@ -137,6 +119,23 @@ type ClusterConfig struct {
 	Pool *sim.Pool
 }
 
+// Recovery thresholds. A node's first blacklisting lasts 4 heartbeats and
+// each further one doubles it; a failed fetch is retried after a quarter
+// heartbeat, doubling per consecutive failure up to 32x.
+const (
+	// nodeFailureLimit is the task-failure count that blacklists a node.
+	nodeFailureLimit = 3
+	// fetchRetries is how many consecutive failures of one map-output
+	// fetch a reducer tolerates before reporting the output to the
+	// JobTracker (Hadoop's shuffle retry burst). The reducer keeps
+	// retrying with capped exponential backoff either way.
+	fetchRetries = 3
+	// fetchFailureNotices is how many fetch-failure reports a map output
+	// accumulates before the JobTracker declares it lost and re-executes
+	// the map (Hadoop's "too many fetch failures").
+	fetchFailureNotices = 3
+)
+
 func (c *ClusterConfig) fillDefaults() {
 	if c.HeartbeatSec == 0 {
 		c.HeartbeatSec = 3.0
@@ -155,21 +154,6 @@ func (c *ClusterConfig) fillDefaults() {
 	}
 	if c.HeartbeatExpirySec == 0 {
 		c.HeartbeatExpirySec = 10 * c.HeartbeatSec
-	}
-	if c.NodeFailureLimit == 0 {
-		c.NodeFailureLimit = 3
-	}
-	if c.BlacklistBackoffSec == 0 {
-		c.BlacklistBackoffSec = 4 * c.HeartbeatSec
-	}
-	if c.FetchRetries == 0 {
-		c.FetchRetries = 3
-	}
-	if c.FetchBackoffSec == 0 {
-		c.FetchBackoffSec = c.HeartbeatSec / 4
-	}
-	if c.FetchFailureNotices == 0 {
-		c.FetchFailureNotices = 3
 	}
 	if c.MaxSkippedRecords == 0 {
 		c.MaxSkippedRecords = 64
