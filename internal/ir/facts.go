@@ -261,8 +261,11 @@ func valueNumber(s *SCCP, vn map[*Instr]string, in *Instr) string {
 	case OpBinary:
 		if in.OpStr == "/" || in.OpStr == "%" {
 			if c, ok := s.ConstOf(in.Args[1]); !ok || !c.Truthy() {
-				break
+				break // may trap; never share
 			}
+		}
+		if b, ok := in.Expr.(*minic.Binary); ok && operandsMayTrap(b) {
+			break
 		}
 		return key("b:" + in.OpStr)
 	case OpCast:

@@ -176,9 +176,10 @@ func (o *optimizer) condConst(e minic.Expr) (interp.Value, bool) {
 
 // execFree reports whether evaluating e has no side effects and cannot
 // trap: no assignments, increments, function calls (other than pure
-// builtins), memory loads through indices or pointers, and no division
-// whose divisor is not provably nonzero. Such expressions may be deleted
-// or evaluated fewer times without observable difference.
+// builtins), memory loads through indices or pointers, no division
+// whose divisor is not provably nonzero, and no operator its operands'
+// kinds may make fail. Such expressions may be deleted or evaluated fewer
+// times without observable difference.
 func (o *optimizer) execFree(e minic.Expr) bool {
 	switch x := e.(type) {
 	case *minic.IntLit, *minic.FloatLit, *minic.CharLit, *minic.StrLit, *minic.SizeofType, *minic.Ident:
@@ -210,7 +211,7 @@ func (o *optimizer) execFree(e minic.Expr) bool {
 				return false
 			}
 		}
-		return o.execFree(x.L) && o.execFree(x.R)
+		return !operandsMayTrap(x) && o.execFree(x.L) && o.execFree(x.R)
 	case *minic.Cond:
 		if c, ok := o.condConst(x.C); ok && o.execFree(x.C) {
 			if c.Truthy() {
@@ -236,6 +237,70 @@ func (o *optimizer) execFree(e minic.Expr) bool {
 		return o.execFree(x.X)
 	}
 	return false
+}
+
+// operandsMayTrap reports whether interp.ApplyBinary can reject x for the
+// kinds of value its operands may hold. MiniC's checker lets any operator
+// take any operand, but on a pointer every operator other than +, == and
+// != can fail, and %, <<, >>, &, | and ^ always fail on a float.
+func operandsMayTrap(x *minic.Binary) bool {
+	lp, lf := mayHold(x.L)
+	rp, rf := mayHold(x.R)
+	switch x.Op {
+	case "+", "==", "!=":
+		return false
+	case "%", "<<", ">>", "&", "|", "^":
+		return lp || rp || lf || rf
+	}
+	return lp || rp
+}
+
+// mayHold reports whether evaluating e can yield a pointer, and whether
+// it can yield a float. An expression it does not model, an assignment
+// among them (its value is the unconverted right-hand side), may yield
+// either.
+func mayHold(e minic.Expr) (ptr, float bool) {
+	switch x := e.(type) {
+	case *minic.IntLit, *minic.CharLit, *minic.SizeofType:
+		return false, false
+	case *minic.FloatLit:
+		return false, true
+	case *minic.Ident:
+		// A numeric cell only ever holds a value of its own kind or the
+		// int zero of an uninitialized cell.
+		if x.Sym != nil && x.Sym.Type != nil && x.Sym.Type.IsNumeric() {
+			return false, x.Sym.Type.IsFloat()
+		}
+	case *minic.Unary:
+		switch x.Op {
+		case "!", "~":
+			return false, false
+		case "-":
+			_, float = mayHold(x.X)
+			return false, float
+		}
+	case *minic.Binary:
+		switch x.Op {
+		case "+", "-", "*", "/":
+			lp, lf := mayHold(x.L)
+			rp, rf := mayHold(x.R)
+			return lp || rp, lf || rf
+		}
+		return false, false // comparisons and int-only operators
+	case *minic.Cond:
+		tp, tf := mayHold(x.T)
+		fp, ff := mayHold(x.F)
+		return tp || fp, tf || ff
+	case *minic.Call:
+		if k, ok := interp.PureKind(x.Name); ok && x.Builtin {
+			return false, k == interp.ValFloat
+		}
+	case *minic.Cast:
+		if x.To.IsNumeric() {
+			return false, x.To.IsFloat()
+		}
+	}
+	return true, true
 }
 
 // containsPragma reports whether s contains a pragma statement anywhere;
@@ -1115,7 +1180,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 					return false // divisor must be a provably-nonzero literal
 				}
 			}
-			return invariant(x.L) && invariant(x.R)
+			return !operandsMayTrap(x) && invariant(x.L) && invariant(x.R)
 		case *minic.Call:
 			if !pureCall(x) {
 				return false

@@ -165,6 +165,42 @@ int main() {
 	}
 }
 
+// The checker accepts any operand for any operator, and the interpreter
+// rejects a bitwise operator or % on a float or pointer and an ordering of
+// unrelated pointers. Such an expression traps exactly where and when it
+// did before optimization: an unused one, a dead store's or dead
+// initializer's is not deleted, one in a loop that never runs is not
+// hoisted, and one repeated after a side effect is not shared ahead of it.
+func TestOperandKindTrapsSurvive(t *testing.T) {
+	for _, src := range []string{`
+char msg;
+int main() { msg & ""; printf("unreached\n"); return 0; }`, `
+int main() { double d = 1.5; d << 1; printf("unreached\n"); return 0; }`, `
+char a;
+char b;
+int main() { &a < &b; printf("unreached\n"); return 0; }`, `
+int main() { double d = 2.5; int n; n = d % 2; printf("unreached\n"); return 0; }`, `
+int main() { double d = 2.5; int n = d | 1; printf("unreached\n"); return 0; }`, `
+int main() {
+	double d = 1.5;
+	long s = 0;
+	int n = getchar();
+	while (n > 0) { s = s + (d & 3) + 1; n--; }
+	printf("%ld\n", s);
+	return 0;
+}`, `
+int main() {
+	double d = 1.5;
+	int n;
+	n = putchar('a') + (d & 1) * 3 + (d & 1) * 3;
+	printf("%d\n", n);
+	return 0;
+}`,
+	} {
+		optEquiv(t, src)
+	}
+}
+
 // Short-circuit evaluation: the right side's side effects must survive
 // exactly when the left side does not decide.
 func TestShortCircuitPreserved(t *testing.T) {
