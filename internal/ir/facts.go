@@ -237,7 +237,8 @@ func (fx *Facts) redundant() {
 
 // valueNumber numbers in over SSA for csePass and the HD603 facts: equal
 // numbers mean equal runtime values wherever both instructions evaluate
-// with the same reaching definitions.
+// with the same reaching definitions. A binary that may trap gets a
+// number of its own, so it is never shared.
 func valueNumber(s *SCCP, vn map[*Instr]string, in *Instr) string {
 	key := func(op string) string {
 		k := op
@@ -261,7 +262,7 @@ func valueNumber(s *SCCP, vn map[*Instr]string, in *Instr) string {
 	case OpBinary:
 		if in.OpStr == "/" || in.OpStr == "%" {
 			if c, ok := s.ConstOf(in.Args[1]); !ok || !c.Truthy() {
-				break // may trap; never share
+				break
 			}
 		}
 		if b, ok := in.Expr.(*minic.Binary); ok && operandsMayTrap(b) {
