@@ -97,24 +97,24 @@ func OptimizeSelected(prog *minic.Program, passes Pass) *Stats {
 }
 
 func optimizeFunc(fn *minic.FuncDecl, st *Stats, temp *int, passes Pass) {
+	o := &optimizer{fn: fn, st: st, temp: temp, stale: true}
 	for round := 0; round < maxRounds; round++ {
 		st.Rounds++
-		o := &optimizer{fn: fn, st: st, temp: temp}
 		n := 0
 		if passes&PassFold != 0 {
-			n += o.foldPass()
+			n += o.rewrote(o.foldPass())
 		}
 		if passes&PassDSE != 0 {
-			n += o.dsePass()
+			n += o.rewrote(o.dsePass())
 		}
 		if passes&PassCopy != 0 {
-			n += o.copyPropPass()
+			n += o.rewrote(o.copyPropPass())
 		}
 		if passes&PassCSE != 0 {
-			n += o.csePass()
+			n += o.rewrote(o.csePass())
 		}
 		if passes&PassLICM != 0 {
-			n += o.licmPass()
+			n += o.rewrote(o.licmPass())
 		}
 		if n == 0 {
 			return
@@ -122,25 +122,40 @@ func optimizeFunc(fn *minic.FuncDecl, st *Stats, temp *int, passes Pass) {
 	}
 }
 
-// optimizer holds per-pass state; f/s/a are rebuilt by each pass because
-// every pass mutates the AST the next one reads.
+// optimizer carries one function through every round. f, s and a describe
+// the AST as the last build saw it; they are rebuilt only after a pass
+// reports a rewrite. A pass that returns 0 must leave the AST untouched,
+// so the passes after it can keep reading them.
 type optimizer struct {
-	fn   *minic.FuncDecl
-	f    *Func
-	s    *SCCP
-	a    *astInfo
-	st   *Stats
-	temp *int
+	fn    *minic.FuncDecl
+	f     *Func
+	s     *SCCP
+	a     *astInfo
+	stale bool // a pass has rewritten the AST since f and a were built
+	st    *Stats
+	temp  *int
 }
 
+// build brings f and a up to date with the AST, and s too when sccp is
+// set. SCCP runs at most once per lowering, for the first pass that
+// needs it.
 func (o *optimizer) build(sccp bool) {
-	o.f = Build(o.fn)
-	if sccp {
-		o.s = Run(o.f)
-	} else {
-		o.s = nil
+	if o.stale {
+		o.f, o.s, o.a = Build(o.fn), nil, indexAST(o.fn)
+		o.stale = false
 	}
-	o.a = indexAST(o.fn)
+	if sccp && o.s == nil {
+		o.s = Run(o.f)
+	}
+}
+
+// rewrote passes a pass's rewrite count through, marking f, s and a
+// stale when the pass changed the AST.
+func (o *optimizer) rewrote(n int) int {
+	if n > 0 {
+		o.stale = true
+	}
+	return n
 }
 
 // constOfExpr returns the proven constant value of e, requiring its
@@ -328,9 +343,11 @@ func (o *optimizer) foldPass() int {
 	o.build(true)
 	n := o.simplifyBranches()
 	n += o.trimUnreachable()
-	// Branch rewrites restructured statements; re-index before folding so
-	// expression setters point at the surviving tree.
-	o.a = indexAST(o.fn)
+	if n > 0 {
+		// Branch rewrites restructured statements; re-index before folding
+		// so expression setters point at the surviving tree.
+		o.a = indexAST(o.fn)
+	}
 	n += o.foldConsts()
 	n += o.cleanupPureStmts()
 	return n
@@ -1091,7 +1108,7 @@ func (o *optimizer) csePass() int {
 // ---- Pass 5: loop-invariant code motion ----
 
 func (o *optimizer) licmPass() int {
-	o.a = indexAST(o.fn)
+	o.build(false)
 	demoted := demotedSyms(o.fn)
 
 	var loops []minic.Stmt
