@@ -175,46 +175,7 @@ func (fx *Facts) unreachable() {
 // redundant surfaces the same dominance-scoped value-number classes the
 // CSE pass rewrites, as diagnostics.
 func (fx *Facts) redundant() {
-	vn := map[*Instr]string{}
-	classes := map[string][]*Instr{}
-	var order []string
-	for _, in := range fx.F.instrs {
-		v := valueNumber(fx.S, vn, in)
-		vn[in] = v
-		switch in.Op {
-		case OpUnary, OpBinary, OpCast, OpCall:
-			if v[0] != 'q' {
-				if len(classes[v]) == 0 {
-					order = append(order, v)
-				}
-				classes[v] = append(classes[v], in)
-			}
-		}
-	}
-	weight := func(in *Instr) bool {
-		ops, call := 0, false
-		var walk func(x *Instr)
-		walk = func(x *Instr) {
-			if x == nil {
-				return
-			}
-			switch x.Op {
-			case OpUnary, OpBinary, OpCast:
-				ops++
-			case OpCall:
-				call = true
-			case OpLoad, OpConst:
-				return
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-		walk(in)
-		return ops >= 2 || call
-	}
-	for _, k := range order {
-		class := classes[k]
+	for _, class := range vnClasses(fx.S, fx.F) {
 		if len(class) < 2 {
 			continue
 		}
@@ -228,11 +189,63 @@ func (fx *Facts) redundant() {
 				continue
 			}
 			sameBlock := lead.Block == in.Block && lead.ID < in.ID
-			if (sameBlock || dominates(lead.Block, in.Block) && lead.Block != in.Block) && weight(lead) {
+			if (sameBlock || dominates(lead.Block, in.Block) && lead.Block != in.Block) && worthSharing(lead) {
 				fx.Redundant = append(fx.Redundant, RedundantPair{First: lead.Expr, Second: in.Expr})
 			}
 		}
 	}
+}
+
+// vnClasses value-numbers f's instructions and groups the operators,
+// casts and calls that share a number, in order of first appearance. A
+// class of two or more is a repeated computation of one value.
+func vnClasses(s *SCCP, f *Func) [][]*Instr {
+	vn := map[*Instr]string{}
+	index := map[string]int{}
+	var classes [][]*Instr
+	for _, in := range f.instrs {
+		v := valueNumber(s, vn, in)
+		vn[in] = v
+		switch in.Op {
+		case OpUnary, OpBinary, OpCast, OpCall:
+			if v[0] == 'q' {
+				continue
+			}
+			i, ok := index[v]
+			if !ok {
+				i = len(classes)
+				index[v] = i
+				classes = append(classes, nil)
+			}
+			classes[i] = append(classes[i], in)
+		}
+	}
+	return classes
+}
+
+// worthSharing reports whether recomputing in costs enough to share its
+// value through a temp: it applies two or more operators, or calls.
+func worthSharing(in *Instr) bool {
+	ops, call := 0, false
+	var walk func(x *Instr)
+	walk = func(x *Instr) {
+		if x == nil {
+			return
+		}
+		switch x.Op {
+		case OpUnary, OpBinary, OpCast:
+			ops++
+		case OpCall:
+			call = true
+		case OpLoad, OpConst:
+			return
+		}
+		for _, a := range x.Args {
+			walk(a)
+		}
+	}
+	walk(in)
+	return ops >= 2 || call
 }
 
 // valueNumber numbers in over SSA for csePass and the HD603 facts: equal

@@ -945,23 +945,6 @@ func identRead(sym *minic.Symbol, staticType *minic.Type, pos minic.Pos) *minic.
 
 func (o *optimizer) csePass() int {
 	o.build(true)
-	vn := map[*Instr]string{}
-	classes := map[string][]*Instr{}
-	var classOrder []string
-	for _, in := range o.f.instrs {
-		v := valueNumber(o.s, vn, in)
-		vn[in] = v
-		switch in.Op {
-		case OpUnary, OpBinary, OpCast, OpCall:
-			if v[0] != 'q' {
-				if len(classes[v]) == 0 {
-					classOrder = append(classOrder, v)
-				}
-				classes[v] = append(classes[v], in)
-			}
-		}
-	}
-
 	dirty := map[minic.Expr]bool{}
 	markDirty := func(e minic.Expr) {
 		minic.Inspect(e, func(x minic.Expr) bool { dirty[x] = true; return true })
@@ -1021,33 +1004,9 @@ func (o *optimizer) csePass() int {
 		return ok
 	}
 
-	weight := func(in *Instr) bool {
-		ops, call := 0, false
-		var walk func(x *Instr)
-		walk = func(x *Instr) {
-			if x == nil {
-				return
-			}
-			switch x.Op {
-			case OpUnary, OpBinary, OpCast:
-				ops++
-			case OpCall:
-				call = true
-			case OpLoad, OpConst:
-				return
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-		walk(in)
-		return ops >= 2 || call
-	}
-
 	var pending []pendingInsert
 	n := 0
-	for _, key := range classOrder {
-		class := classes[key]
+	for _, class := range vnClasses(o.s, o.f) {
 		if len(class) < 2 {
 			continue
 		}
@@ -1079,7 +1038,7 @@ func (o *optimizer) csePass() int {
 				targets = append(targets, in)
 			}
 		}
-		if lead == nil || len(targets) == 0 || !weight(lead) {
+		if lead == nil || len(targets) == 0 || !worthSharing(lead) {
 			continue
 		}
 		kind, ok := valueKind(lead)
