@@ -37,6 +37,9 @@ func BenchmarkMapTaskGPU(b *testing.B) { benchsuite.MapTaskGPU(b) }
 func BenchmarkLRMapVM(b *testing.B)    { benchsuite.LRMapVM(b) }
 func BenchmarkKMMapVM(b *testing.B)    { benchsuite.KMMapVM(b) }
 func BenchmarkBSMapVM(b *testing.B)    { benchsuite.BSMapVM(b) }
+func BenchmarkCompileTable2(b *testing.B) {
+	benchsuite.CompileTable2(b)
+}
 
 // TestBenchSuiteNamesMatch pins the wrapper names above to the registry the
 // baseline pipeline measures — a drifted name would silently decouple
@@ -52,6 +55,7 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 		"BenchmarkSchedulerAblation": true, "BenchmarkStealingGranularity": true,
 		"BenchmarkSpeculativeExecution": true, "BenchmarkMapTaskGPU": true,
 		"BenchmarkLRMapVM": true, "BenchmarkKMMapVM": true, "BenchmarkBSMapVM": true,
+		"BenchmarkCompileTable2": true,
 	}
 	got := benchsuite.All()
 	if len(got) != len(want) {

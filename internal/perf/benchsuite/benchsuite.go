@@ -57,6 +57,7 @@ func All() []Bench {
 		{Name: "BenchmarkLRMapVM", Short: true, Fn: LRMapVM},
 		{Name: "BenchmarkKMMapVM", Short: true, Fn: KMMapVM},
 		{Name: "BenchmarkBSMapVM", Fn: BSMapVM},
+		{Name: "BenchmarkCompileTable2", Short: true, Fn: CompileTable2},
 	}
 	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 	return bs
@@ -363,3 +364,23 @@ func mapStage(b *testing.B, bench *workload.Benchmark) {
 func LRMapVM(b *testing.B) { mapStage(b, workload.LinearRegression()) }
 func KMMapVM(b *testing.B) { mapStage(b, workload.Kmeans()) }
 func BSMapVM(b *testing.B) { mapStage(b, workload.BlackScholes()) }
+
+// CompileTable2 compiles the eight Table-2 jobs as a job's set-up does:
+// mr.CompileJob parses each stage program, runs the SSA optimizer on the
+// host and kernel targets of every map and combine source and on the
+// reducer, and lowers the results to bytecode.
+func CompileTable2(b *testing.B) {
+	b.ReportAllocs()
+	var jobs []mr.JobProgram
+	for _, w := range workload.All() {
+		jobs = append(jobs, w.JobFor(1))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, job := range jobs {
+			if _, err := mr.CompileJob(job); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
