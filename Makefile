@@ -46,14 +46,15 @@ lint:
 # must be bit-reproducible (no math/rand, no time.Now, no unsorted map
 # iteration); see tools/detlint. internal/interp, internal/bytecode and
 # internal/streaming are the MiniC stage packages, whose outputs and cost
-# charges must reproduce bit for bit; internal/ir decides every optimized
-# AST, and so every op count, and internal/analysis every lint finding;
-# internal/gpu (the SIMT cost model), internal/kv (sort and merge),
-# internal/seqfile (partition checksums) and internal/hdfs (block
+# charges must reproduce bit for bit; internal/minic decides every AST
+# that the optimizer, the VM and the lints see; internal/ir decides every
+# optimized AST, and so every op count, and internal/analysis every lint
+# finding; internal/gpu (the SIMT cost model), internal/kv (sort and
+# merge), internal/seqfile (partition checksums) and internal/hdfs (block
 # placement) feed virtual time and output bytes.
 lint-go:
 	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
-		internal/interp internal/bytecode internal/streaming internal/ir internal/analysis \
+		internal/interp internal/bytecode internal/streaming internal/minic internal/ir internal/analysis \
 		internal/gpu internal/kv internal/seqfile internal/hdfs
 
 # opt-report prints the SSA optimizer's per-pass rewrite counts for every

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
@@ -20,8 +21,9 @@ func Analyze(prog *minic.Program) []Diagnostic {
 		a.directivePass(r)
 	}
 	for _, fn := range prog.Funcs {
-		a.dataflowPass(fn)
-		a.optPass(fn)
+		fx := ir.AnalyzeFunc(fn) // one lowering feeds HD2xx and HD6xx
+		a.dataflowPass(fx.F)
+		a.optPass(fx)
 	}
 	for _, r := range regions {
 		a.parallelPass(r)
@@ -227,8 +229,8 @@ type event struct {
 	consumed bool
 }
 
-// nodeEvents returns the ordered access events of one CFG node (a Stmt or
-// a condition/post Expr).
+// nodeEvents returns the ordered access events of one statement-level node
+// of an ir.Block (a Stmt or a condition/post Expr).
 func nodeEvents(n minic.Node) []event {
 	var out []event
 	switch x := n.(type) {

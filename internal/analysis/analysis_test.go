@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
@@ -91,9 +93,8 @@ func TestDiagnosticStringFormat(t *testing.T) {
 
 func TestEventExtractionCompoundAssign(t *testing.T) {
 	prog := mustParse(t, `int main() { int a = 1; a += 2; return a; }`)
-	cfg := minic.BuildCFG(prog.Func("main"))
 	var evs []event
-	for _, b := range cfg.Blocks {
+	for _, b := range ir.Build(prog.Func("main")).Blocks {
 		for _, n := range b.Nodes {
 			evs = append(evs, nodeEvents(n)...)
 		}
@@ -145,6 +146,39 @@ func TestUninitReportedOnOneBranchOnly(t *testing.T) {
 	diags := Analyze(prog)
 	if got := strings.Join(codes(diags), " "); got != "HD201" {
 		t.Errorf("diagnostics = %q, want HD201 (maybe-uninit through else branch)", got)
+	}
+}
+
+// TestInfiniteForFindings pins HD2xx on for(;;), which has no exit edge:
+// code after such a loop runs only when a break reaches it.
+func TestInfiniteForFindings(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`int main() {
+	int y;
+	for (;;) {
+		y = 1;
+	}
+	return y;
+}`, "4:5 HD204, 6:2 HD602"},
+		{`int main() {
+	int y;
+	int n = 0;
+	for (;;) {
+		n++;
+		if (n > 3) break;
+		y = n;
+	}
+	return y;
+}`, "9:9 HD201"},
+	}
+	for _, c := range cases {
+		var got []string
+		for _, d := range Analyze(mustParse(t, c.src)) {
+			got = append(got, fmt.Sprintf("%d:%d %s", d.Pos.Line, d.Pos.Col, d.Code))
+		}
+		if s := strings.Join(got, ", "); s != c.want {
+			t.Errorf("findings = %q, want %q for\n%s", s, c.want, c.src)
+		}
 	}
 }
 

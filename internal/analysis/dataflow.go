@@ -9,10 +9,11 @@ import (
 
 // This file implements the dataflow pass (HD201..HD204): a forward
 // maybe-uninitialized analysis and a backward liveness analysis over the
-// function's CFG (minic.BuildCFG), plus a simple unused-variable scan.
-// Both fixpoints run on the shared gen/kill solver (ir.SolveGenKill): each
-// block's ordered access-event list composes into one gen/kill pair, and a
-// replay over the solved block inputs produces the reports. Only
+// CFG that ir lowers the function to, the same graph the HD6xx facts come
+// from, plus a simple unused-variable scan. Both fixpoints run on the
+// shared gen/kill solver (ir.SolveGenKill): the access events of each
+// block's statement-level nodes (ir.Block.Nodes) compose into one gen/kill
+// pair, and a replay over the solved block inputs produces the reports. Only
 // function-local scalars and pointers are tracked; arrays are exempt from
 // initialization checks (element state is not modeled), and address escapes
 // (&x, array decay into calls) conservatively count as both a use and a
@@ -24,16 +25,15 @@ type symDecl struct {
 	pos minic.Pos
 }
 
-func (a *analyzer) dataflowPass(fn *minic.FuncDecl) {
-	cfg := minic.BuildCFG(fn)
-	events := make([][]event, len(cfg.Blocks))
-	for i, b := range cfg.Blocks {
+func (a *analyzer) dataflowPass(f *ir.Func) {
+	events := make([][]event, len(f.Blocks))
+	for i, b := range f.Blocks {
 		for _, n := range b.Nodes {
 			events[i] = append(events[i], nodeEvents(n)...)
 		}
 	}
 
-	decls := localDecls(fn)
+	decls := localDecls(f.Decl)
 	tracked := map[*minic.Symbol]bool{}
 	for _, d := range decls {
 		tracked[d.sym] = true
@@ -60,7 +60,7 @@ func (a *analyzer) dataflowPass(fn *minic.FuncDecl) {
 		}
 	}
 
-	fl := newFlowLattice(cfg, events)
+	fl := newFlowLattice(ir.BlockGraph(f), events)
 	a.checkUninit(fl, tracked, unused)
 	a.checkDeadStores(fl, tracked, unused)
 }
@@ -82,38 +82,24 @@ func localDecls(fn *minic.FuncDecl) []symDecl {
 	return out
 }
 
-// flowLattice numbers every symbol the function's events touch and adapts
-// the statement-granularity CFG into the solver's abstract graph, so both
-// HD2xx fixpoints share one bit-index space.
+// flowLattice pairs the block graph with each block's events and numbers
+// every symbol the events touch, so both HD2xx fixpoints share one
+// bit-index space.
 type flowLattice struct {
-	cfg    *minic.CFG
 	events [][]event
 	g      ir.Graph
 	idx    map[*minic.Symbol]int
 	n      int
 }
 
-func newFlowLattice(cfg *minic.CFG, events [][]event) *flowLattice {
-	fl := &flowLattice{cfg: cfg, events: events, idx: map[*minic.Symbol]int{}}
+func newFlowLattice(g ir.Graph, events [][]event) *flowLattice {
+	fl := &flowLattice{events: events, g: g, idx: map[*minic.Symbol]int{}}
 	for _, evs := range events {
 		for _, ev := range evs {
 			if _, ok := fl.idx[ev.sym]; !ok {
 				fl.idx[ev.sym] = fl.n
 				fl.n++
 			}
-		}
-	}
-	fl.g = ir.Graph{
-		N:     len(cfg.Blocks),
-		Succs: make([][]int, len(cfg.Blocks)),
-		Preds: make([][]int, len(cfg.Blocks)),
-	}
-	for i, b := range cfg.Blocks {
-		for _, s := range b.Succs {
-			fl.g.Succs[i] = append(fl.g.Succs[i], s.ID)
-		}
-		for _, p := range b.Preds {
-			fl.g.Preds[i] = append(fl.g.Preds[i], p.ID)
 		}
 	}
 	return fl
@@ -129,7 +115,7 @@ func (a *analyzer) checkUninit(fl *flowLattice, tracked, unused map[*minic.Symbo
 	// Reporting replay over the solved block inputs: first read position
 	// per symbol while applying the same event transfer in order.
 	firstRead := map[*minic.Symbol]minic.Pos{}
-	for i := range fl.cfg.Blocks {
+	for i := range fl.events {
 		s := in[i].Copy()
 		for _, ev := range fl.events[i] {
 			bit := fl.idx[ev.sym]
@@ -187,7 +173,7 @@ func (a *analyzer) checkDeadStores(fl *flowLattice, tracked, unused map[*minic.S
 		constRHS bool
 	}
 	var dead []deadStore
-	for i := range fl.cfg.Blocks {
+	for i := range fl.events {
 		s := liveOut[i].Copy()
 		evs := fl.events[i]
 		for j := len(evs) - 1; j >= 0; j-- {

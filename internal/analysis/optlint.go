@@ -52,8 +52,7 @@ func (a *analyzer) hd403Owned(regions []*regionInfo) map[*minic.Index]bool {
 }
 
 // optPass runs the HD6xx optimization-fact lints over one function.
-func (a *analyzer) optPass(fn *minic.FuncDecl) {
-	fx := ir.AnalyzeFunc(fn)
+func (a *analyzer) optPass(fx *ir.Facts) {
 	for _, cc := range fx.ConstConds {
 		truth := "false: the guarded code never runs"
 		if cc.Value.Truthy() {
@@ -74,7 +73,7 @@ func (a *analyzer) optPass(fn *minic.FuncDecl) {
 				minic.NodePos(rp.First).Line),
 			"store the first result in a variable and reuse it")
 	}
-	for _, call := range ir.LoopInvariantEmits(fn) {
+	for _, call := range ir.LoopInvariantEmits(fx.Fn) {
 		a.report("HD604", minic.NodePos(call),
 			fmt.Sprintf("%s emits values that never change across loop iterations", call.Name),
 			"hoist the emission out of the loop or make an argument loop-dependent")

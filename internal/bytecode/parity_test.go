@@ -448,6 +448,38 @@ func TestParityStepBudget(t *testing.T) {
 	compareRuns(t, walker, vm)
 }
 
+// infiniteForSrc is a for(;;) loop, whose header jumps straight to the
+// body; EXIT is replaced by the way the program leaves it.
+const infiniteForSrc = `
+int main() {
+	int i = 0;
+	for (;;) {
+		i++;
+		EXIT
+		printf("%d\n", i);
+	}
+	return 0;
+}`
+
+func TestParityInfiniteFor(t *testing.T) {
+	for _, tc := range []struct{ name, exit string }{
+		{"break", "if (i > 3) break;"},
+		{"continue", "if (i < 3) continue; if (i > 5) break;"},
+		{"return", "if (i > 3) return i;"},
+		{"exit", `if (i > 3) exit("done");`},
+		{"budget", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, code := compileSrc(t, strings.Replace(infiniteForSrc, "EXIT", tc.exit, 1), false)
+			walker, vm := runCore(prog, nil, "", 5000), runCore(prog, code, "", 5000)
+			if (walker.err != "") != (tc.name == "budget") {
+				t.Fatalf("walker error %q", walker.err)
+			}
+			compareRuns(t, walker, vm)
+		})
+	}
+}
+
 var optimizedSrcs = []string{assignInConditionalSrc, `
 int main() {
 	int sum = 0;

@@ -1,9 +1,6 @@
 package ir
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/interp"
 	"repro/internal/minic"
 )
@@ -200,24 +197,31 @@ func (fx *Facts) redundant() {
 // casts and calls that share a number, in order of first appearance. A
 // class of two or more is a repeated computation of one value.
 func vnClasses(s *SCCP, f *Func) [][]*Instr {
-	vn := map[*Instr]string{}
-	index := map[string]int{}
+	vn := make([]int, f.nextID) // value number per Instr.ID
+	numbers := map[vnKey]int{}
+	var classOf []int // class index per value number, -1 for none
 	var classes [][]*Instr
 	for _, in := range f.instrs {
-		v := valueNumber(s, vn, in)
-		vn[in] = v
+		k, shared := valueKey(s, vn, in)
+		v, ok := numbers[k]
+		if !ok || !shared { // a new key, or an instruction never shared
+			v = len(classOf)
+			classOf = append(classOf, -1)
+			if shared {
+				numbers[k] = v
+			}
+		}
+		vn[in.ID] = v
 		switch in.Op {
 		case OpUnary, OpBinary, OpCast, OpCall:
-			if v[0] == 'q' {
+			if !shared {
 				continue
 			}
-			i, ok := index[v]
-			if !ok {
-				i = len(classes)
-				index[v] = i
+			if classOf[v] < 0 {
+				classOf[v] = len(classes)
 				classes = append(classes, nil)
 			}
-			classes[i] = append(classes[i], in)
+			classes[classOf[v]] = append(classes[classOf[v]], in)
 		}
 	}
 	return classes
@@ -248,53 +252,65 @@ func worthSharing(in *Instr) bool {
 	return ops >= 2 || call
 }
 
-// valueNumber numbers in over SSA for csePass and the HD603 facts: equal
-// numbers mean equal runtime values wherever both instructions evaluate
-// with the same reaching definitions. A binary that may trap gets a
-// number of its own, so it is never shared.
-func valueNumber(s *SCCP, vn map[*Instr]string, in *Instr) string {
-	key := func(op string) string {
-		k := op
-		for _, a := range in.Args {
-			if a == nil {
-				return uniqueVN(in)
-			}
-			k += "," + vn[a]
-		}
-		return k
-	}
+// vnKey identifies a value number: equal keys mean equal runtime values
+// wherever both instructions evaluate with the same reaching definitions.
+type vnKey struct {
+	op   Op
+	name string // operator or builtin name
+	kind int    // constant kind or cast target kind
+	bits int64  // constant bits, or a load's reaching definition ID
+	args [2]int // operand value numbers, -1 when absent
+}
+
+// valueKey keys in over SSA for csePass and the HD603 facts, given the
+// value numbers vn of its operands. shared is false when in must get a
+// number of its own, so it is never shared: vnKey does not model it, or it
+// is a binary that may trap.
+func valueKey(s *SCCP, vn []int, in *Instr) (k vnKey, shared bool) {
+	k = vnKey{op: in.Op, name: in.OpStr, args: [2]int{-1, -1}}
 	switch in.Op {
 	case OpConst:
-		return fmt.Sprintf("k:%d:%d", in.Val.Kind, in.Val.I)
+		k.kind, k.bits = int(in.Val.Kind), in.Val.I
+		return k, true
 	case OpLoad:
 		if len(in.Args) > 0 && in.Args[0] != nil {
-			return "d:" + strconv.Itoa(in.Args[0].ID)
+			k.bits = int64(in.Args[0].ID)
+			return k, true
 		}
+		return k, false
 	case OpUnary:
-		return key("u:" + in.OpStr)
 	case OpBinary:
 		if in.OpStr == "/" || in.OpStr == "%" {
 			if c, ok := s.ConstOf(in.Args[1]); !ok || !c.Truthy() {
-				break
+				return k, false
 			}
 		}
 		if b, ok := in.Expr.(*minic.Binary); ok && operandsMayTrap(b) {
-			break
+			return k, false
 		}
-		return key("b:" + in.OpStr)
 	case OpCast:
-		if in.To != nil && in.To.IsNumeric() {
-			return key("c:" + strconv.Itoa(int(in.To.Kind)))
+		if in.To == nil || !in.To.IsNumeric() {
+			return k, false
 		}
+		k.kind = int(in.To.Kind)
 	case OpCall:
-		if in.Pure {
-			return key("f:" + in.OpStr)
+		if !in.Pure {
+			return k, false
 		}
+	default:
+		return k, false
 	}
-	return uniqueVN(in)
+	if len(in.Args) > len(k.args) {
+		return k, false
+	}
+	for i, a := range in.Args {
+		if a == nil {
+			return k, false
+		}
+		k.args[i] = vn[a.ID]
+	}
+	return k, true
 }
-
-func uniqueVN(in *Instr) string { return "q:" + strconv.Itoa(in.ID) }
 
 // oob finds constant subscripts provably outside a fixed-length array.
 func (fx *Facts) oob() {

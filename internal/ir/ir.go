@@ -104,7 +104,7 @@ type Instr struct {
 	Ends [2]*Instr
 
 	// Expr / Stmt anchor the instruction to its AST origin. Expr is nil
-	// for synthetic instructions (e.g. the implicit `for(;;)` condition).
+	// for synthetic instructions (e.g. the constant 1 of an increment).
 	Expr minic.Expr
 	Stmt minic.Stmt
 
@@ -147,6 +147,11 @@ type Block struct {
 	// Stmts lists the statements lowered (at least partly) into this
 	// block, for unreachable-code reporting.
 	Stmts []minic.Stmt
+	// Nodes lists the statement-level nodes evaluated in this block, in
+	// evaluation order: declarations, expression, empty and return
+	// statements, branch and loop conditions, and for-post expressions.
+	// The HD2xx dataflow lints read their access events from these.
+	Nodes []minic.Node
 
 	// Backstep marks a block whose unconditional successor edge is a loop
 	// back-edge that the interpreter charges one extra step for (the
@@ -174,6 +179,8 @@ type Func struct {
 	// ExprInstr maps each lowered AST expression to the instruction
 	// producing its value.
 	ExprInstr map[minic.Expr]*Instr
+	// ast is the rewrite index recorded during lowering.
+	ast astInfo
 
 	instrs []*Instr // all instructions, for iteration
 	nextID int
@@ -193,6 +200,7 @@ type lowerer struct {
 	// contStep parallels cont: true when a continue edge to the target is
 	// a While back-edge (which the interpreter charges a step for).
 	contStep []bool
+	region   *minic.PragmaStmt // innermost enclosing mapreduce region
 	demoted  map[*minic.Symbol]bool
 	// demoteFn, when non-nil, additionally demotes symbols (fragment
 	// builds demote everything declared outside the fragment).
@@ -201,7 +209,8 @@ type lowerer struct {
 
 // Build lowers fn into CFG+SSA form: basic blocks of instructions over
 // tracked scalar variables, minimal phi placement at iterated dominance
-// frontiers, and def-use chains via OpLoad/OpPhi arguments.
+// frontiers, and def-use chains via OpLoad/OpPhi arguments. The same walk
+// records the optimizer's rewrite index (astInfo).
 func Build(fn *minic.FuncDecl) *Func { return BuildFragment(fn, nil) }
 
 // BuildFragment is Build with an extra demotion predicate: any symbol for
@@ -213,6 +222,7 @@ func BuildFragment(fn *minic.FuncDecl, demote func(*minic.Symbol) bool) *Func {
 		Decl:      fn,
 		varOf:     map[*minic.Symbol]*Var{},
 		ExprInstr: map[minic.Expr]*Instr{},
+		ast:       astInfo{exprs: map[minic.Expr]*minic.Expr{}, stmts: map[minic.Stmt]stmtInfo{}},
 	}
 	lw := &lowerer{f: f, demoted: demotedSyms(fn), demoteFn: demote}
 	lw.cur = lw.newBlock()
@@ -225,7 +235,7 @@ func BuildFragment(fn *minic.FuncDecl, demote func(*minic.Symbol) bool) *Func {
 			lw.emit(&Instr{Op: OpParam, Var: v})
 		}
 	}
-	lw.lowerStmt(fn.Body)
+	lw.lowerStmt(fn.Body, stmtInfo{})
 
 	computeDominators(f)
 	placePhis(f)
@@ -351,9 +361,13 @@ func (lw *lowerer) konst(c interp.Value) *Instr {
 	return lw.emit(&Instr{Op: OpConst, Val: c})
 }
 
+// node appends a statement-level node to the current block.
+func (lw *lowerer) node(n minic.Node) { lw.cur.Nodes = append(lw.cur.Nodes, n) }
+
 // lowerStmt lowers one statement into the current block, creating blocks
-// as control flow requires.
-func (lw *lowerer) lowerStmt(s minic.Stmt) {
+// as control flow requires. at holds the statement's slot and block
+// position; lowerStmt completes it and records it in the rewrite index.
+func (lw *lowerer) lowerStmt(s minic.Stmt, at stmtInfo) {
 	if s == nil {
 		return
 	}
@@ -361,33 +375,47 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 	lw.stmt = s
 	defer func() { lw.stmt = prev }()
 	lw.cur.Stmts = append(lw.cur.Stmts, s)
+	at.region, at.depth = lw.region, len(lw.brk) // one break target per enclosing loop
+	if _, ok := s.(*minic.PragmaStmt); ok {
+		at.slot = nil // protected, like its body (see stmtInfo.slot)
+	}
+	lw.f.ast.stmts[s] = at
 
 	switch st := s.(type) {
 	case *minic.Block:
-		for _, inner := range st.Stmts {
-			lw.lowerStmt(inner)
+		for i := range st.Stmts {
+			lw.lowerStmt(st.Stmts[i], stmtInfo{slot: &st.Stmts[i], blk: st, idx: i})
 		}
 	case *minic.EmptyStmt:
+		lw.node(s)
 	case *minic.PragmaStmt:
-		lw.lowerStmt(st.Body)
+		outer := lw.region
+		if st.IsMapReduce() {
+			lw.region = st
+		}
+		lw.lowerStmt(st.Body, stmtInfo{})
+		lw.region = outer
 	case *minic.DeclStmt:
+		lw.node(s)
 		for _, d := range st.Decls {
 			v := lw.trackedVar(d.Sym)
 			switch {
 			case v != nil && d.Init != nil:
-				r := lw.lowerExpr(d.Init)
+				r := lw.lowerAt(&d.Init)
 				lw.emit(&Instr{Op: OpStore, Var: v, Args: []*Instr{r}, StoreKind: StoreDeclInit, Decl: d})
 			case v != nil:
 				lw.emit(&Instr{Op: OpDeclZero, Var: v})
 			case d.Init != nil:
-				r := lw.lowerExpr(d.Init)
+				r := lw.lowerAt(&d.Init)
 				lw.emit(&Instr{Op: OpEffect, Args: []*Instr{r}, Decl: d})
 			}
 		}
 	case *minic.ExprStmt:
-		lw.lowerExpr(st.X)
+		lw.node(s)
+		lw.lowerAt(&st.X)
 	case *minic.If:
-		c := lw.lowerExpr(st.Cond)
+		c := lw.lowerAt(&st.Cond)
+		lw.node(st.Cond)
 		condBlock := lw.cur
 		condBlock.Cond = c
 		thenB := lw.newBlock()
@@ -397,20 +425,21 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 			elseB := lw.newBlock()
 			edge(condBlock, elseB)
 			lw.cur = elseB
-			lw.lowerStmt(st.Else)
+			lw.lowerStmt(st.Else, stmtInfo{slot: &st.Else})
 			edge(lw.cur, join)
 		} else {
 			edge(condBlock, join)
 		}
 		lw.cur = thenB
-		lw.lowerStmt(st.Then)
+		lw.lowerStmt(st.Then, stmtInfo{slot: &st.Then})
 		edge(lw.cur, join)
 		lw.cur = join
 	case *minic.While:
 		header := lw.newBlock()
 		edge(lw.cur, header)
 		lw.cur = header
-		c := lw.lowerExpr(st.Cond)
+		c := lw.lowerAt(&st.Cond)
+		lw.node(st.Cond)
 		head := lw.cur // short-circuit lowering stays in one block
 		head.Cond = c
 		body := lw.newBlock()
@@ -421,7 +450,7 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 		lw.cont = append(lw.cont, header)
 		lw.contStep = append(lw.contStep, true)
 		lw.cur = body
-		lw.lowerStmt(st.Body)
+		lw.lowerStmt(st.Body, stmtInfo{slot: &st.Body})
 		lw.cur.Backstep = true
 		edge(lw.cur, header)
 		lw.brk = lw.brk[:len(lw.brk)-1]
@@ -429,32 +458,30 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 		lw.contStep = lw.contStep[:len(lw.contStep)-1]
 		lw.cur = exit
 	case *minic.For:
-		lw.lowerStmt(st.Init)
+		lw.lowerStmt(st.Init, stmtInfo{slot: &st.Init})
 		header := lw.newBlock()
 		edge(lw.cur, header)
 		lw.cur = header
-		var c *Instr
-		if st.Cond != nil {
-			c = lw.lowerExpr(st.Cond)
-		} else {
-			c = lw.konst(interp.IntVal(1))
-		}
-		head := lw.cur
-		head.Cond = c
 		body := lw.newBlock()
 		post := lw.newBlock()
 		exit := lw.newBlock()
-		edge(head, body)
-		edge(head, exit)
+		edge(header, body)
+		// for(;;) has no exit edge: only a break reaches exit.
+		if st.Cond != nil {
+			header.Cond = lw.lowerAt(&st.Cond)
+			lw.node(st.Cond)
+			edge(header, exit)
+		}
 		lw.brk = append(lw.brk, exit)
 		lw.cont = append(lw.cont, post)
 		lw.contStep = append(lw.contStep, false)
 		lw.cur = body
-		lw.lowerStmt(st.Body)
+		lw.lowerStmt(st.Body, stmtInfo{slot: &st.Body})
 		edge(lw.cur, post)
 		lw.cur = post
 		if st.Post != nil {
-			lw.lowerExpr(st.Post)
+			lw.lowerAt(&st.Post)
+			lw.node(st.Post)
 		}
 		lw.cur.Backstep = true
 		edge(lw.cur, header)
@@ -463,8 +490,9 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 		lw.contStep = lw.contStep[:len(lw.contStep)-1]
 		lw.cur = exit
 	case *minic.Return:
+		lw.node(s)
 		if st.X != nil {
-			r := lw.lowerExpr(st.X)
+			r := lw.lowerAt(&st.X)
 			lw.f.Rets = append(lw.f.Rets, r)
 		}
 		lw.cur = lw.newBlock() // unreachable continuation
@@ -484,8 +512,16 @@ func (lw *lowerer) lowerStmt(s minic.Stmt) {
 	}
 }
 
+// lowerAt lowers the rvalue expression held in *slot and records the slot
+// in the rewrite index, so a pass can replace the expression in place.
+func (lw *lowerer) lowerAt(slot *minic.Expr) *Instr {
+	lw.f.ast.exprs[*slot] = slot
+	return lw.lowerExpr(*slot)
+}
+
 // lowerExpr lowers an expression, returning the instruction producing its
 // value. Instructions are emitted in the interpreter's evaluation order.
+// The expression itself gets no slot; its rvalue operands do.
 func (lw *lowerer) lowerExpr(e minic.Expr) *Instr {
 	in := lw.lowerExprInner(e)
 	if e != nil && in != nil {
@@ -514,10 +550,10 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 			lw.lowerLValueUses(x.X)
 			return lw.emit(&Instr{Op: OpLoadMem, Expr: e})
 		case "*":
-			p := lw.lowerExpr(x.X)
+			p := lw.lowerAt(&x.X)
 			return lw.emit(&Instr{Op: OpLoadMem, Args: []*Instr{p}, Expr: e, Trap: true})
 		case "-", "!", "~":
-			a := lw.lowerExpr(x.X)
+			a := lw.lowerAt(&x.X)
 			return lw.emit(&Instr{Op: OpUnary, OpStr: x.Op, Args: []*Instr{a}, Expr: e})
 		case "++", "--":
 			return lw.lowerIncDec(x.X, x.Op, false, e)
@@ -527,23 +563,23 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 		return lw.lowerIncDec(x.X, x.Op, true, e)
 	case *minic.Binary:
 		if x.Op == "&&" || x.Op == "||" {
-			l := lw.lowerExpr(x.L)
+			l := lw.lowerAt(&x.L)
 			lEnd := lw.last()
-			r := lw.lowerExpr(x.R)
+			r := lw.lowerAt(&x.R)
 			return lw.emit(&Instr{Op: OpLogic, OpStr: x.Op, Args: []*Instr{l, r}, Ends: [2]*Instr{lEnd}, Expr: e})
 		}
-		l := lw.lowerExpr(x.L)
-		r := lw.lowerExpr(x.R)
+		l := lw.lowerAt(&x.L)
+		r := lw.lowerAt(&x.R)
 		return lw.emit(&Instr{Op: OpBinary, OpStr: x.Op, Args: []*Instr{l, r}, Expr: e})
 	case *minic.Assign:
 		if id, ok := x.L.(*minic.Ident); ok {
 			if v := lw.trackedVar(id.Sym); v != nil {
 				if x.Op == "=" {
-					r := lw.lowerExpr(x.R)
+					r := lw.lowerAt(&x.R)
 					lw.emit(&Instr{Op: OpStore, Var: v, Args: []*Instr{r}, Expr: e, StoreKind: StoreAssign, Assign: x})
 					return r
 				}
-				r := lw.lowerExpr(x.R)
+				r := lw.lowerAt(&x.R)
 				cur := lw.emit(&Instr{Op: OpLoad, Var: v})
 				rv := lw.emit(&Instr{Op: OpBinary, OpStr: x.Op[:len(x.Op)-1], Args: []*Instr{cur, r}, Expr: e})
 				lw.emit(&Instr{Op: OpStore, Var: v, Args: []*Instr{rv}, StoreKind: StoreCompound})
@@ -552,25 +588,25 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 		}
 		// Untracked target: lvalue uses, rhs, opaque memory store.
 		lw.lowerLValueUses(x.L)
-		r := lw.lowerExpr(x.R)
+		r := lw.lowerAt(&x.R)
 		eff := lw.emit(&Instr{Op: OpEffect, Args: []*Instr{r}, Expr: e})
 		if x.Op == "=" {
 			return r
 		}
 		return eff
 	case *minic.Cond:
-		c := lw.lowerExpr(x.C)
+		c := lw.lowerAt(&x.C)
 		cEnd := lw.last()
-		t := lw.lowerExpr(x.T)
+		t := lw.lowerAt(&x.T)
 		tEnd := lw.last()
-		f := lw.lowerExpr(x.F)
+		f := lw.lowerAt(&x.F)
 		return lw.emit(&Instr{Op: OpSelect, Args: []*Instr{c, t, f}, Ends: [2]*Instr{cEnd, tEnd}, Expr: e})
 	case *minic.Index:
-		idx := lw.lowerExpr(x.Idx)
-		base := lw.lowerExpr(x.X)
+		idx := lw.lowerAt(&x.Idx)
+		base := lw.lowerExpr(x.X) // a location: no slot
 		return lw.emit(&Instr{Op: OpLoadMem, Args: []*Instr{idx, base}, Expr: e, Trap: true})
 	case *minic.Cast:
-		a := lw.lowerExpr(x.X)
+		a := lw.lowerAt(&x.X)
 		return lw.emit(&Instr{Op: OpCast, To: x.To, Args: []*Instr{a}, Expr: e})
 	case *minic.Call:
 		if x.Name == "__sizeof_var" {
@@ -582,8 +618,8 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 			return lw.emit(&Instr{Op: OpEffect, Expr: e})
 		}
 		args := make([]*Instr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = lw.lowerExpr(a)
+		for i := range x.Args {
+			args[i] = lw.lowerAt(&x.Args[i])
 		}
 		return lw.emit(&Instr{Op: OpCall, OpStr: x.Name, Args: args, Expr: e, Pure: pureCall(x)})
 	}
@@ -620,11 +656,11 @@ func (lw *lowerer) lowerLValueUses(e minic.Expr) {
 	switch x := e.(type) {
 	case *minic.Ident:
 	case *minic.Index:
-		lw.lowerExpr(x.Idx)
+		lw.lowerAt(&x.Idx)
 		lw.lowerExpr(x.X)
 	case *minic.Unary:
 		if x.Op == "*" {
-			lw.lowerExpr(x.X)
+			lw.lowerAt(&x.X)
 		}
 	}
 }

@@ -122,26 +122,24 @@ func optimizeFunc(fn *minic.FuncDecl, st *Stats, temp *int, passes Pass) {
 	}
 }
 
-// optimizer carries one function through every round. f, s and a describe
-// the AST as the last build saw it; they are rebuilt only after a pass
-// reports a rewrite. A pass that returns 0 must leave the AST untouched,
-// so the passes after it can keep reading them.
+// optimizer carries one function through every round. f (with its rewrite
+// index) and s describe the AST as the last build saw it; they are rebuilt
+// only after a pass reports a rewrite. A pass that returns 0 must leave the
+// AST untouched, so the passes after it can keep reading them.
 type optimizer struct {
 	fn    *minic.FuncDecl
 	f     *Func
 	s     *SCCP
-	a     *astInfo
-	stale bool // a pass has rewritten the AST since f and a were built
+	stale bool // a pass has rewritten the AST since f was built
 	st    *Stats
 	temp  *int
 }
 
-// build brings f and a up to date with the AST, and s too when sccp is
-// set. SCCP runs at most once per lowering, for the first pass that
-// needs it.
+// build brings f up to date with the AST, and s too when sccp is set.
+// SCCP runs at most once per lowering, for the first pass that needs it.
 func (o *optimizer) build(sccp bool) {
 	if o.stale {
-		o.f, o.s, o.a = Build(o.fn), nil, indexAST(o.fn)
+		o.f, o.s = Build(o.fn), nil
 		o.stale = false
 	}
 	if sccp && o.s == nil {
@@ -149,8 +147,8 @@ func (o *optimizer) build(sccp bool) {
 	}
 }
 
-// rewrote passes a pass's rewrite count through, marking f, s and a
-// stale when the pass changed the AST.
+// rewrote passes a pass's rewrite count through, marking f and s stale
+// when the pass changed the AST.
 func (o *optimizer) rewrote(n int) int {
 	if n > 0 {
 		o.stale = true
@@ -344,9 +342,10 @@ func (o *optimizer) foldPass() int {
 	n := o.simplifyBranches()
 	n += o.trimUnreachable()
 	if n > 0 {
-		// Branch rewrites restructured statements; re-index before folding
-		// so expression setters point at the surviving tree.
-		o.a = indexAST(o.fn)
+		// Branch rewrites restructured statements; rebuild before folding
+		// so the slots and facts describe the surviving tree.
+		o.stale = true
+		o.build(true)
 	}
 	n += o.foldConsts()
 	n += o.cleanupPureStmts()
@@ -356,8 +355,8 @@ func (o *optimizer) foldPass() int {
 func (o *optimizer) simplifyBranches() int {
 	n := 0
 	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
-		set, ok := o.a.stmtSet[s]
-		if !ok || o.a.protected[s] || containsPragma(s) {
+		slot := o.f.ast.stmts[s].slot
+		if slot == nil || containsPragma(s) {
 			return
 		}
 		switch st := s.(type) {
@@ -374,11 +373,11 @@ func (o *optimizer) simplifyBranches() int {
 				taken = emptyAt(st.Pos)
 			}
 			if o.execFree(st.Cond) {
-				set(taken)
+				*slot = taken
 			} else {
 				wrap := &minic.Block{Stmts: []minic.Stmt{condStmt(st.Cond), taken}}
 				wrap.Pos = st.Pos
-				set(wrap)
+				*slot = wrap
 			}
 			o.st.Branches++
 			n++
@@ -390,9 +389,9 @@ func (o *optimizer) simplifyBranches() int {
 				return
 			}
 			if o.execFree(st.Cond) {
-				set(emptyAt(st.Pos))
+				*slot = emptyAt(st.Pos)
 			} else {
-				set(condStmt(st.Cond))
+				*slot = condStmt(st.Cond)
 			}
 			o.st.Branches++
 			n++
@@ -414,11 +413,11 @@ func (o *optimizer) simplifyBranches() int {
 				keep = append(keep, condStmt(st.Cond))
 			}
 			if len(keep) == 0 {
-				set(emptyAt(st.Pos))
+				*slot = emptyAt(st.Pos)
 			} else {
 				wrap := &minic.Block{Stmts: keep}
 				wrap.Pos = st.Pos
-				set(wrap)
+				*slot = wrap
 			}
 			o.st.Branches++
 			n++
@@ -429,7 +428,7 @@ func (o *optimizer) simplifyBranches() int {
 
 func condStmt(cond minic.Expr) minic.Stmt {
 	es := &minic.ExprStmt{X: cond}
-	es.Pos = exprPos(cond)
+	es.Pos = minic.NodePos(cond)
 	return es
 }
 
@@ -473,9 +472,9 @@ func (o *optimizer) foldConsts() int {
 		if e == nil || isLiteral(e) {
 			return
 		}
-		if set, ok := o.a.exprSet[e]; ok {
+		if slot := o.f.ast.exprs[e]; slot != nil {
 			if c, okc := o.constOfExpr(e); okc && o.execFree(e) {
-				set(literalFor(c, e))
+				*slot = literalFor(c, e)
 				o.st.Folded++
 				n++
 				return
@@ -522,17 +521,14 @@ func (o *optimizer) cleanupPureStmts() int {
 	n := 0
 	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		es, ok := s.(*minic.ExprStmt)
-		if !ok || o.a.protected[s] {
-			return
-		}
-		set, ok := o.a.stmtSet[s]
 		if !ok {
 			return
 		}
-		if !o.execFree(es.X) {
+		slot := o.f.ast.stmts[s].slot
+		if slot == nil || !o.execFree(es.X) {
 			return
 		}
-		set(emptyAt(es.Pos))
+		*slot = emptyAt(es.Pos)
 		o.st.Trimmed++
 		n++
 	})
@@ -604,13 +600,8 @@ func (o *optimizer) dsePass() int {
 			switch in.StoreKind {
 			case StoreAssign:
 				es, ok := in.Stmt.(*minic.ExprStmt)
-				if !ok || in.Assign == nil || es.X != in.Assign || o.a.protected[in.Stmt] {
-					continue
-				}
-				if _, ok := o.a.stmtSet[in.Stmt]; !ok {
-					continue
-				}
-				if _, ok := o.a.exprSet[in.Assign]; !ok {
+				if !ok || in.Assign == nil || es.X != in.Assign ||
+					o.f.ast.stmts[in.Stmt].slot == nil || o.f.ast.exprs[in.Assign] == nil {
 					continue
 				}
 				isCand[in] = len(cands)
@@ -705,10 +696,10 @@ func (o *optimizer) dsePass() int {
 		switch c.in.StoreKind {
 		case StoreAssign:
 			if c.full {
-				o.a.stmtSet[c.in.Stmt](emptyAt(stmtPos(c.in.Stmt)))
+				*o.f.ast.stmts[c.in.Stmt].slot = emptyAt(minic.NodePos(c.in.Stmt))
 			} else {
 				// Keep the rhs for its effects; drop only the store.
-				o.a.exprSet[c.in.Assign](c.in.Assign.R)
+				*o.f.ast.exprs[c.in.Assign] = c.in.Assign.R
 			}
 			o.st.Stores++
 		case StoreDeclInit:
@@ -767,7 +758,7 @@ func (o *optimizer) copyPropPass() int {
 		// between the copy and its uses; outside any loop (or a parameter)
 		// it runs at most once per call.
 		if wdef.Op != OpParam {
-			if wdef.Stmt == nil || o.a.loopDepth[wdef.Stmt] != 0 {
+			if wdef.Stmt == nil || o.f.ast.stmts[wdef.Stmt].depth != 0 {
 				continue
 			}
 		}
@@ -776,7 +767,7 @@ func (o *optimizer) copyPropPass() int {
 		}
 		var wdefRegion *minic.PragmaStmt
 		if wdef.Stmt != nil {
-			wdefRegion = o.a.regionOf[wdef.Stmt]
+			wdefRegion = o.f.ast.stmts[wdef.Stmt].region
 		}
 		for _, L := range o.f.instrs {
 			if L.Op != OpLoad || L.Var != S.Var || len(L.Args) == 0 || L.Args[0] != S {
@@ -788,7 +779,7 @@ func (o *optimizer) copyPropPass() int {
 			}
 			// Never introduce a cross-region reference: kernel frames bind
 			// only the symbols captured at translate time.
-			if L.Stmt == nil || o.a.regionOf[L.Stmt] != wdefRegion {
+			if L.Stmt == nil || o.f.ast.stmts[L.Stmt].region != wdefRegion {
 				continue
 			}
 			id.Name = w.Sym.Name
@@ -878,37 +869,35 @@ type pendingInsert struct {
 
 // applyInserts splices queued declarations in front of their anchors.
 // Block-resident anchors are handled back-to-front so recorded indices
-// stay valid; other anchors are wrapped in a synthetic block (reused when
-// several declarations target the same anchor).
+// stay valid (splices into different blocks are independent); other
+// anchors are wrapped in a synthetic block (reused when several
+// declarations target the same anchor).
 func (o *optimizer) applyInserts(pending []pendingInsert) {
-	type slotted struct {
+	type spliced struct {
 		pendingInsert
-		slot blockSlot
-		seq  int
+		at  stmtInfo
+		seq int
 	}
-	var inBlock []slotted
+	var inBlock []spliced
 	var wrapped []pendingInsert
 	for i, p := range pending {
-		if slot, ok := o.a.blockPos[p.anchor]; ok {
-			inBlock = append(inBlock, slotted{p, slot, i})
+		if at := o.f.ast.stmts[p.anchor]; at.blk != nil {
+			inBlock = append(inBlock, spliced{p, at, i})
 		} else {
 			wrapped = append(wrapped, p)
 		}
 	}
 	sort.Slice(inBlock, func(i, j int) bool {
-		if inBlock[i].slot.blk != inBlock[j].slot.blk {
-			return o.a.blockOrder[inBlock[i].slot.blk] < o.a.blockOrder[inBlock[j].slot.blk]
-		}
-		if inBlock[i].slot.idx != inBlock[j].slot.idx {
-			return inBlock[i].slot.idx > inBlock[j].slot.idx
+		if inBlock[i].at.idx != inBlock[j].at.idx {
+			return inBlock[i].at.idx > inBlock[j].at.idx
 		}
 		return inBlock[i].seq > inBlock[j].seq
 	})
 	for _, s := range inBlock {
-		blk := s.slot.blk
+		blk := s.at.blk
 		blk.Stmts = append(blk.Stmts, nil)
-		copy(blk.Stmts[s.slot.idx+1:], blk.Stmts[s.slot.idx:])
-		blk.Stmts[s.slot.idx] = s.decl
+		copy(blk.Stmts[s.at.idx+1:], blk.Stmts[s.at.idx:])
+		blk.Stmts[s.at.idx] = s.decl
 	}
 	wraps := map[minic.Stmt]*minic.Block{}
 	for _, p := range wrapped {
@@ -916,13 +905,13 @@ func (o *optimizer) applyInserts(pending []pendingInsert) {
 			wb.Stmts = append([]minic.Stmt{p.decl}, wb.Stmts...)
 			continue
 		}
-		set, ok := o.a.stmtSet[p.anchor]
-		if !ok || o.a.protected[p.anchor] {
+		slot := o.f.ast.stmts[p.anchor].slot
+		if slot == nil {
 			continue
 		}
 		wrap := &minic.Block{Stmts: []minic.Stmt{p.decl, p.anchor}}
-		wrap.Pos = stmtPos(p.anchor)
-		set(wrap)
+		wrap.Pos = minic.NodePos(p.anchor)
+		*slot = wrap
 		wraps[p.anchor] = wrap
 	}
 }
@@ -969,7 +958,7 @@ func (o *optimizer) csePass() int {
 		if in.Expr == nil || in.Stmt == nil || !o.s.Reachable(in.Block) {
 			return false
 		}
-		if _, ok := o.a.exprSet[in.Expr]; !ok {
+		if o.f.ast.exprs[in.Expr] == nil {
 			return false
 		}
 		switch in.Stmt.(type) {
@@ -1027,7 +1016,7 @@ func (o *optimizer) csePass() int {
 				lead = in
 				continue
 			}
-			if o.a.regionOf[in.Stmt] != o.a.regionOf[lead.Stmt] {
+			if o.f.ast.stmts[in.Stmt].region != o.f.ast.stmts[lead.Stmt].region {
 				continue
 			}
 			if lead.Block == in.Block {
@@ -1046,16 +1035,16 @@ func (o *optimizer) csePass() int {
 			continue
 		}
 		ty := tempType(kind)
-		pos := exprPos(lead.Expr)
+		pos := minic.NodePos(lead.Expr)
 		sym, decl := o.newTempDecl("cse", ty, lead.Expr, pos)
 		pending = append(pending, pendingInsert{anchor: lead.Stmt, decl: decl})
 		markDirty(lead.Expr)
-		o.a.exprSet[lead.Expr](identRead(sym, lead.Expr.Type(), pos))
+		*o.f.ast.exprs[lead.Expr] = identRead(sym, lead.Expr.Type(), pos)
 		for _, t := range targets {
 			markDirty(t.Expr)
-			id := identRead(sym, t.Expr.Type(), exprPos(t.Expr))
+			id := identRead(sym, t.Expr.Type(), minic.NodePos(t.Expr))
 			dirty[id] = true
-			o.a.exprSet[t.Expr](id)
+			*o.f.ast.exprs[t.Expr] = id
 		}
 		o.st.CSE++
 		n++
@@ -1074,7 +1063,7 @@ func (o *optimizer) licmPass() int {
 	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		switch s.(type) {
 		case *minic.While, *minic.For:
-			if _, ok := o.a.stmtSet[s]; ok {
+			if o.f.ast.stmts[s].slot != nil {
 				loops = append(loops, s)
 			}
 		}
@@ -1241,7 +1230,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		if e == nil || isLiteral(e) {
 			return
 		}
-		if _, ok := o.a.exprSet[e]; ok && invariant(e) && weight(e) {
+		if o.f.ast.exprs[e] != nil && invariant(e) && weight(e) {
 			if _, certain := kindCertain(e); certain {
 				k := exprKey(e)
 				g := groups[k]
@@ -1325,11 +1314,11 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		first := g.exprs[0]
 		kind, _ := kindCertain(first)
 		ty := tempType(kind)
-		pos := stmtPos(loop)
+		pos := minic.NodePos(loop)
 		sym, decl := o.newTempDecl("licm", ty, cloneExpr(first), pos)
 		*pending = append(*pending, pendingInsert{anchor: loop, decl: decl})
 		for _, e := range g.exprs {
-			o.a.exprSet[e](identRead(sym, e.Type(), exprPos(e)))
+			*o.f.ast.exprs[e] = identRead(sym, e.Type(), minic.NodePos(e))
 		}
 		o.st.LICM++
 		n++

@@ -130,10 +130,10 @@ func TestPassesReportEveryRewrite(t *testing.T) {
 }
 
 // TestOptimizeReusesSSA checks that a function the passes leave unchanged
-// is lowered, solved and indexed once: optimizing an already optimized
-// program costs less than twice the allocations of one Build, Run and
-// indexAST per function. The bound sits between one lowering plus the
-// passes' own work (about 1.1-1.5x) and a lowering per pass (about 4.5x).
+// is lowered (which indexes it) and solved once: optimizing an already
+// optimized program costs less than twice the allocations of one Build
+// and Run per function. The bound sits between one lowering plus the
+// passes' own work (about 1.1-1.3x) and a lowering per pass (about 4.5x).
 func TestOptimizeReusesSSA(t *testing.T) {
 	for _, c := range reuseCorpus(t) {
 		name, prog := c.name, c.prog
@@ -145,7 +145,6 @@ func TestOptimizeReusesSSA(t *testing.T) {
 			for _, fn := range prog.Funcs {
 				if fn.Body != nil {
 					Run(Build(fn))
-					indexAST(fn)
 				}
 			}
 		})

@@ -1,11 +1,11 @@
 package ir
 
-// Generic dataflow framework shared by the optimizer and the lint passes.
-// It operates over an abstract graph (node indices plus successor /
-// predecessor lists) so it works both on ir.Func blocks and on the
-// statement-granularity minic.BuildCFG blocks the HD2xx passes use. Two
-// forms are provided: a lattice solver parameterized by meet/transfer,
-// and a gen/kill bit-vector specialization for the common case.
+// Generic dataflow framework over an abstract graph (node indices plus
+// successor / predecessor lists). The HD2xx lint passes run it on an
+// ir.Func's blocks through BlockGraph: the CFG the optimizer, the bytecode
+// compiler and the HD6xx facts share. Two forms are provided: a lattice
+// solver parameterized by meet/transfer, and a gen/kill bit-vector
+// specialization for the common case.
 
 // Direction selects forward or backward propagation.
 type Direction int

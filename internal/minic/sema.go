@@ -137,6 +137,7 @@ func Check(prog *Program) error {
 		c.funcs[f.Name] = f
 	}
 	global := &scope{syms: map[string]*Symbol{}}
+	//detlint:ignore map-iteration: each unique name is defined into a fresh scope map, which visiting order cannot change
 	for name, t := range builtinIdents {
 		_ = global.define(&Symbol{Name: name, Kind: SymBuiltin, Type: t, Global: true})
 	}
