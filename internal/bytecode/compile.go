@@ -12,19 +12,37 @@ import (
 // The compiler lowers a fresh (unoptimized) ir.Build of each function's
 // final AST — the optimizer has already rewritten the AST in place, so the
 // IR reflects its output — into flat register code. Exact cost parity with
-// the tree-walker is the load-bearing property:
+// the tree-walker is the load-bearing property. Functions charge it under
+// one of two disciplines, picked per function by builder.perEvent:
 //
-//   - Per-expression Op(1) charges are recovered by inverting the IR's
-//     ExprInstr map: the number of expressions an instruction produces the
-//     value for is the number of eval-entry ops it carries.
-//   - Per-statement step+Op(1) charges come from merging each block's
-//     Stmts list into its instruction stream (a statement's charge fires
-//     before its first instruction).
-//   - Charges batch into pending counters flushed as one `charge`
-//     instruction before every call, conditional-region boundary, and
-//     block terminator — so at every call boundary (exit() terminations,
-//     getRecord record grants) the charged totals equal the walker's.
-//   - Load/Store charges ride on the memory opcodes themselves.
+//   - Batched (whole programs and kernel fragment bodies). Per-expression
+//     Op(1) charges are recovered by inverting the IR's ExprInstr map: the
+//     number of expressions an instruction produces the value for is the
+//     number of eval-entry ops it carries. Per-statement step+Op(1)
+//     charges come from merging each block's Stmts list into its
+//     instruction stream (a statement's charge fires before its first
+//     instruction). Charges batch into pending counters flushed as one
+//     `charge` instruction before every call, conditional-region boundary,
+//     and block terminator, so the charged totals equal the walker's at
+//     every block boundary. An entry op whose value instruction follows a
+//     call is charged after the call, where the walker charges it before,
+//     so the totals differ while such a call runs, and stay different if
+//     it never returns (exit()).
+//   - Per-event (the program functions a kernel fragment calls). Every
+//     step, entry op and memory access reaches the cost sink as its own
+//     event, where the walker charges it: a statement's step and op where
+//     the statement starts, and each instruction's ir.Instr.Entries (the
+//     entry ops of the expressions entered just before it) ahead of the
+//     instruction, through serial `charge` instructions. The event
+//     sequence, not only the totals, is the walker's.
+//
+// CPU programs count in integers, and a fragment body's batched float sums
+// are the recorded definition of GPU time, so both keep batching. The
+// recorded GPU time of a callee is the walker's one-event-at-a-time sum,
+// and the GPU's ThreadCost adds float cycles per event, so only callees
+// need the walker's order. When GPU cost is counted in integers, callees
+// can batch too and perEvent goes. Load/Store charges ride on the memory
+// opcodes themselves under both disciplines.
 //
 // A construct the compiler cannot lower exactly is a compile error that
 // names the function.
@@ -41,10 +59,10 @@ func Compile(prog *minic.Program) (*Program, error) {
 }
 
 // CompileFragmentExpr compiles a kernel condition expression (the mapper
-// while-loop condition) into a single-fn fragment program returning the
-// expression value. Free symbols resolve through host-populated frame
-// slots.
-func CompileFragmentExpr(cond minic.Expr) (*Program, error) {
+// while-loop condition) of prog into a fragment program whose entry
+// returns the expression value. Free symbols resolve through
+// host-populated frame slots.
+func CompileFragmentExpr(prog *minic.Program, cond minic.Expr) (*Program, error) {
 	if cond == nil {
 		return nil, fmt.Errorf("bytecode: fragment has no condition")
 	}
@@ -52,22 +70,32 @@ func CompileFragmentExpr(cond minic.Expr) (*Program, error) {
 	body := &minic.Block{Stmts: []minic.Stmt{ret}}
 	// EvalIn charges no statement steps for the synthesized wrapper.
 	skip := map[minic.Stmt]bool{body: true, ret: true}
-	return compileFragment(&minic.FuncDecl{Name: "<cond>", Body: body}, body, skip)
+	return compileFragment(prog, &minic.FuncDecl{Name: "<cond>", Body: body}, body, skip)
 }
 
-// CompileFragmentStmt compiles a kernel region statement (the mapper loop
-// body or the combiner region) into a fragment program. The statement
-// itself is charged (ExecIn charges it); only the wrapper block is not.
-func CompileFragmentStmt(region minic.Stmt) (*Program, error) {
+// CompileFragmentStmt compiles a kernel region statement of prog (the
+// mapper loop body or the combiner region) into a fragment program. The
+// statement itself is charged (ExecIn charges it); only the wrapper block
+// is not.
+func CompileFragmentStmt(prog *minic.Program, region minic.Stmt) (*Program, error) {
 	if region == nil {
 		return nil, fmt.Errorf("bytecode: fragment has no statement")
 	}
 	body := &minic.Block{Stmts: []minic.Stmt{region}}
 	skip := map[minic.Stmt]bool{body: true}
-	return compileFragment(&minic.FuncDecl{Name: "<region>", Body: body}, body, skip)
+	return compileFragment(prog, &minic.FuncDecl{Name: "<region>", Body: body}, body, skip)
 }
 
-func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
+// compileFragment compiles the fragment entry (Fns[0]) with batched
+// charges, then every function of prog it calls, directly or
+// transitively, with per-event charges, each once, in first-call order.
+// A call the VM binds to a program function names no builtin (sema
+// forbids the shadowing), so the unmarked callees that name a function
+// of prog are exactly those.
+func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
+	if prog == nil {
+		return nil, fmt.Errorf("bytecode: fragment has no program")
+	}
 	declared := map[*minic.Symbol]bool{}
 	minic.WalkStmts(body, func(s minic.Stmt) {
 		if d, ok := s.(*minic.DeclStmt); ok {
@@ -84,6 +112,20 @@ func compileFragment(decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stm
 	if err := b.addFn(decl, demote, skip); err != nil {
 		return nil, err
 	}
+	b.perEvent = true
+	compiled := map[*minic.FuncDecl]bool{}
+	// Compiling a callee can intern more callees: the loop reaches them.
+	for i := 0; i < len(b.prog.Callees); i++ {
+		c := b.prog.Callees[i]
+		fn := prog.Func(c.Name)
+		if c.Builtin || fn == nil || compiled[fn] {
+			continue
+		}
+		compiled[fn] = true
+		if err := b.addFn(fn, nil, nil); err != nil {
+			return nil, err
+		}
+	}
 	return b.prog, nil
 }
 
@@ -98,6 +140,9 @@ type builder struct {
 	allocIdx  map[*minic.Declarator]int32
 	opIdx     map[string]int32
 	calleeIdx map[Callee]int32
+	// perEvent selects the per-event charge discipline for the functions
+	// compiled next; see the comment at the top of this file.
+	perEvent bool
 }
 
 func newBuilder(fragment bool) *builder {
@@ -201,7 +246,7 @@ func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, s
 		return fmt.Errorf("bytecode: cannot lower function %q: %w", decl.Name, err)
 	}
 	b.prog.Fns = append(b.prog.Fns, fn)
-	if decl.Name == "main" {
+	if decl.Name == "main" && !b.prog.Fragment {
 		b.prog.Main = len(b.prog.Fns) - 1
 	}
 	return nil
@@ -220,8 +265,12 @@ type fnBuilder struct {
 	pendingOps   int32
 	pendingSteps int32
 
+	// perEvent copies builder.perEvent; fragment marks a fragment entry,
+	// whose free symbols the host binds (see objRef).
+	perEvent, fragment bool
 	// inv holds the eval-entry op count each instruction carries
-	// (inverted ExprInstr map), consumed as charges are batched.
+	// (inverted ExprInstr map), consumed as charges are batched. The
+	// per-event discipline reads ir.Instr.Entries instead.
 	inv map[*ir.Instr]int32
 	// skipConst marks constants absorbed into addn immediates.
 	skipConst map[*ir.Instr]bool
@@ -259,6 +308,8 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		b:         b,
 		f:         f,
 		plan:      plan,
+		perEvent:  b.perEvent,
+		fragment:  b.prog.Fragment && len(b.prog.Fns) == 0,
 		inv:       map[*ir.Instr]int32{},
 		skipConst: map[*ir.Instr]bool{},
 		skip:      skip,
@@ -268,9 +319,11 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		scratch0:  int32(plan.NumRegs),
 		scratch1:  int32(plan.NumRegs) + 1,
 	}
-	// Map iteration is safe here: counts accumulate commutatively.
-	for _, in := range f.ExprInstr {
-		fb.inv[in]++
+	if !fb.perEvent {
+		// Map iteration is safe here: counts accumulate commutatively.
+		for _, in := range f.ExprInstr {
+			fb.inv[in]++
+		}
 	}
 	fb.markAbsorbedConsts()
 
@@ -325,12 +378,12 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		}
 	}
 	// Free symbols (fragment slots never bound by alloc or parameter)
-	// must be host-populated; whole-program functions have none.
+	// must be host-populated; every other function has none.
 	for _, sym := range fb.slotSyms {
 		if fb.bound[sym] {
 			continue
 		}
-		if !b.prog.Fragment {
+		if !fb.fragment {
 			return nil, fmt.Errorf("unbound object slot for %q", sym.Name)
 		}
 		b.prog.Free = append(b.prog.Free, FreeRef{Sym: sym, Slot: fb.slotOf[sym]})
@@ -393,7 +446,7 @@ func addLValueUses(f *ir.Func) {
 
 // markAbsorbedConsts finds int constants consumed only as the rhs of a
 // +/- binary (lowered to addn immediates) so their const loads are
-// skipped. Their eval-entry charges still batch normally.
+// skipped. Their eval-entry charges are still made.
 func (fb *fnBuilder) markAbsorbedConsts() {
 	uses := map[*ir.Instr]int{}
 	for _, blk := range fb.f.Blocks {
@@ -456,8 +509,22 @@ func (fb *fnBuilder) flush() {
 	if fb.pendingOps == 0 && fb.pendingSteps == 0 {
 		return
 	}
-	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, 0, 0)
+	serial := int32(0)
+	if fb.perEvent {
+		serial = 1
+	}
+	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, 0, serial)
 	fb.pendingOps, fb.pendingSteps = 0, 0
+}
+
+// addStep adds one statement step to the pending charge. A serial charge
+// makes its steps before its ops, so under the per-event discipline the
+// ops already pending are flushed first.
+func (fb *fnBuilder) addStep() {
+	if fb.perEvent && fb.pendingOps > 0 {
+		fb.flush()
+	}
+	fb.pendingSteps++
 }
 
 // takeCharge moves an instruction's eval-entry ops into the pending batch.
@@ -504,14 +571,16 @@ func (fb *fnBuilder) slot(sym *minic.Symbol) int32 {
 }
 
 // objRef encodes where a symbol's object lives: global symbol pool index
-// (>= 0) or frame slot (< 0). Fragments route every free symbol through
-// the frame so host bindings (GPU privatized/shared objects) win, exactly
-// like the walker's frame-before-globals lookup order.
+// (>= 0) or frame slot (< 0). A fragment entry routes every free symbol
+// through the frame so host bindings (GPU privatized/shared objects) win,
+// exactly like the walker's frame-before-globals lookup order. Any other
+// function, a fragment's callees included, sees its own frame and then
+// the globals, as the walker's callee frame does.
 func (fb *fnBuilder) objRef(sym *minic.Symbol) (int32, error) {
 	if sym == nil {
 		return 0, fmt.Errorf("unresolved identifier")
 	}
-	if sym.Global && !fb.b.prog.Fragment {
+	if sym.Global && !fb.fragment {
 		return fb.b.sym(sym), nil
 	}
 	return -fb.slot(sym) - 1, nil
@@ -553,6 +622,20 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 		}
 	}
 
+	// Per-event code checks an assignment's index or pointer target where
+	// the walker does, before the right-hand side runs.
+	var targetEnd map[*ir.Instr]*ir.Instr
+	if fb.perEvent {
+		for _, in := range blk.Instrs {
+			if in.Op == ir.OpEffect && in.Ends[0] != nil {
+				if targetEnd == nil {
+					targetEnd = map[*ir.Instr]*ir.Instr{}
+				}
+				targetEnd[in.Ends[0]] = in
+			}
+		}
+	}
+
 	si := 0
 	var curStmt minic.Stmt
 	haveStmt := false
@@ -585,6 +668,12 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 		if err := fb.emitInstr(in); err != nil {
 			return err
 		}
+		if eff := targetEnd[in]; eff != nil {
+			fb.flush()
+			if err := fb.emitAddr(fb.scratch0, eff.Expr.(*minic.Assign).L); err != nil {
+				return err
+			}
+		}
 	}
 	for si < len(blk.Stmts) {
 		if err := fb.stmtEntry(blk.Stmts[si]); err != nil {
@@ -614,7 +703,7 @@ func (fb *fnBuilder) stmtEntry(st minic.Stmt) error {
 	if fb.skip[st] {
 		return nil
 	}
-	fb.pendingSteps++
+	fb.addStep()
 	fb.pendingOps++
 	d, ok := st.(*minic.DeclStmt)
 	if !ok {
@@ -654,8 +743,11 @@ func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 
 func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 	// The walker charges the node's eval-entry op before evaluating
-	// either operand; keep it in the unconditional segment.
-	fb.takeCharge(ev)
+	// either operand; keep it in the unconditional segment. (Per-event
+	// code charged it with the operand's first instruction.)
+	if !fb.perEvent {
+		fb.takeCharge(ev)
+	}
 	fb.flush()
 	c, err := fb.reg(ev.Args[0])
 	if err != nil {
@@ -766,7 +858,7 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 	case len(blk.Succs) == 1:
 		if blk.Backstep {
 			// The walker's per-iteration steps++ at the loop bottom.
-			fb.pendingSteps++
+			fb.addStep()
 		}
 		fb.flush()
 		pc := fb.emit(OpJmp, 0, 0, 0, 0)
@@ -799,10 +891,24 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 	switch in.Op {
 	case ir.OpLogic, ir.OpSelect:
-		// Entry charge was consumed at region open.
+		// Entry charge was consumed at region open (batched) or with the
+		// first operand's first instruction (per-event).
+		if in.Entries != 0 {
+			return fmt.Errorf("region close with entry charges")
+		}
 		return fb.closeRegion(in)
 	}
-	fb.takeCharge(in)
+	if fb.perEvent {
+		fb.pendingOps += in.Entries
+		switch in.Op {
+		case ir.OpParam, ir.OpPhi, ir.OpConst, ir.OpDeclZero:
+			// No events and no traps: the charge can wait.
+		default:
+			fb.flush()
+		}
+	} else {
+		fb.takeCharge(in)
+	}
 	switch in.Op {
 	case ir.OpParam, ir.OpPhi:
 		return nil

@@ -39,6 +39,9 @@ func operandString(p *Program, in Instr) string {
 	case OpNop, OpRetZ:
 		return ""
 	case OpCharge:
+		if in.D != 0 {
+			return fmt.Sprintf("ops=%d steps=%d serial", in.A, in.B)
+		}
 		return fmt.Sprintf("ops=%d steps=%d", in.A, in.B)
 	case OpJmp:
 		return fmt.Sprintf("-> %d", in.A)

@@ -1,0 +1,205 @@
+package bytecode
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/minic"
+)
+
+// costEvent is one call a run made on its cost sink.
+type costEvent struct {
+	kind  byte // 'o' Op, 'l' Load, 's' Store
+	space interp.MemSpace
+	width int
+	n     int
+}
+
+// eventSink records every cost event in order. Under a float cost model,
+// such as the GPU's, the order of events is part of the result.
+type eventSink struct{ events []costEvent }
+
+func (s *eventSink) Op(n int) { s.events = append(s.events, costEvent{kind: 'o', n: n}) }
+
+func (s *eventSink) Load(sp interp.MemSpace, w int) {
+	s.events = append(s.events, costEvent{kind: 'l', space: sp, width: w})
+}
+
+func (s *eventSink) Store(sp interp.MemSpace, w int) {
+	s.events = append(s.events, costEvent{kind: 's', space: sp, width: w})
+}
+
+// eventRun is everything one execution exposes, with its cost events.
+type eventRun struct {
+	out    string
+	code   int
+	err    string
+	steps  int64
+	events []costEvent
+}
+
+// compilePerEvent lowers every function of prog with the per-event charge
+// discipline that production uses only for a kernel fragment's callees.
+func compilePerEvent(prog *minic.Program) (*Program, error) {
+	b := newBuilder(false)
+	b.perEvent = true
+	for _, fn := range prog.Funcs {
+		if err := b.addFn(fn, nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	return b.prog, nil
+}
+
+// runEvents executes prog on the tree-walker (code == nil) or on the VM,
+// recording every cost event.
+func runEvents(prog *minic.Program, code *Program, stdin string, maxSteps int64) eventRun {
+	var r eventRun
+	var sink eventSink
+	var buf bytes.Buffer
+	m := interp.New(prog, interp.Options{
+		Stdin:    strings.NewReader(stdin),
+		Stdout:   &buf,
+		Cost:     &sink,
+		MaxSteps: maxSteps,
+	})
+	var err error
+	if code == nil {
+		r.code, err = m.Run()
+	} else {
+		r.code, err = NewVM(m, code).Run()
+	}
+	if err != nil {
+		r.err = err.Error()
+	}
+	r.out, r.steps, r.events = buf.String(), m.Steps(), sink.events
+	return r
+}
+
+// compareEvents asserts the per-event contract: the walker's output, exit
+// status, error text and step count, and its exact cost event sequence,
+// up to and including an abort.
+func compareEvents(t *testing.T, walker, vm eventRun) {
+	t.Helper()
+	if walker.out != vm.out {
+		t.Fatalf("output mismatch:\nwalker: %q\nvm:     %q", walker.out, vm.out)
+	}
+	if walker.code != vm.code || walker.err != vm.err {
+		t.Fatalf("outcome mismatch:\nwalker: exit %d, error %q\nvm:     exit %d, error %q", walker.code, walker.err, vm.code, vm.err)
+	}
+	if walker.steps != vm.steps {
+		t.Fatalf("steps mismatch: walker %d, vm %d", walker.steps, vm.steps)
+	}
+	for i := 0; i < len(walker.events) && i < len(vm.events); i++ {
+		if walker.events[i] != vm.events[i] {
+			t.Fatalf("cost event %d of %d/%d differs: walker %+v, vm %+v", i, len(walker.events), len(vm.events), walker.events[i], vm.events[i])
+		}
+	}
+	if len(walker.events) != len(vm.events) {
+		t.Fatalf("cost event count: walker %d, vm %d", len(walker.events), len(vm.events))
+	}
+}
+
+// checkEventParity compiles src with per-event charges, optimized first
+// when optimize is set, and requires the walker's exact run on stdin.
+// maxSteps 0 keeps the default budget.
+func checkEventParity(t *testing.T, src, stdin string, maxSteps int64, optimize bool) {
+	t.Helper()
+	prog, err := minic.ParseAndCheck(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if optimize {
+		ir.OptimizeProgram(prog)
+	}
+	code, err := compilePerEvent(prog)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	compareEvents(t, runEvents(prog, nil, stdin, maxSteps), runEvents(prog, code, stdin, maxSteps))
+}
+
+// TestPerEventParity runs the parity corpus, the runtime error cases and
+// the example mappers under per-event charges.
+func TestPerEventParity(t *testing.T) {
+	type tc struct {
+		name, src, stdin string
+		maxSteps         int64
+		optimize         bool
+	}
+	cases := []tc{
+		{"arithmetic", arithmeticSrc, "", 0, false},
+		{"floats", floatsSrc, "", 0, false},
+		{"control-flow", controlFlowSrc, "", 0, false},
+		{"short-circuit", shortCircuitSrc, "", 0, false},
+		{"assign-in-conditional", assignInConditionalSrc, "", 0, false},
+		{"calls-and-recursion", callsAndRecursionSrc, "", 0, false},
+		{"arrays-and-pointers", arraysAndPointersSrc, "", 0, false},
+		{"globals-and-strings", globalsAndStringsSrc, "", 0, false},
+		{"untracked-locals", untrackedLocalsSrc, "", 0, false},
+		{"conversions", conversionsSrc, "", 0, false},
+		{"exit", exitSrc, "", 0, false},
+		{"stdin-records", stdinRecordsSrc, "5\n10\n27\n", 0, false},
+		{"step-budget", stepBudgetSrc, "", 5000, false},
+	}
+	for _, exit := range []string{"if (i > 3) break;", "if (i < 3) continue; if (i > 5) break;",
+		"if (i > 3) return i;", `if (i > 3) exit("done");`, ""} {
+		cases = append(cases, tc{"infinite-for/" + exit, strings.Replace(infiniteForSrc, "EXIT", exit, 1), "", 5000, false})
+	}
+	for i, src := range optimizedSrcs {
+		cases = append(cases, tc{"optimized/" + string(rune('a'+i)), src, "", 0, true})
+	}
+	for _, rc := range runtimeErrorCases {
+		cases = append(cases, tc{"error/" + rc.name, rc.src, "", 0, false})
+	}
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "minic", "*.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(examples) == 0 {
+		t.Fatal("no example sources")
+	}
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const stdin = "the quick brown fox\n17 4.5 -3 8 1,2,3\nzz top 9\n"
+		cases = append(cases, tc{"example/" + filepath.Base(path), string(src), stdin, 0, true})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkEventParity(t, c.src, c.stdin, c.maxSteps, c.optimize)
+		})
+	}
+}
+
+// TestPerEventExitInOperand runs calls that never return (exit()) inside
+// operands. The walker charges an expression's entry op before its
+// operands, so the ops charged when exit() stops the run include those of
+// every enclosing expression. Batched code charges some of them after the
+// call and so falls short; per-event code must not.
+func TestPerEventExitInOperand(t *testing.T) {
+	for _, stmt := range []string{
+		`helper()%3;`,
+		`int x = helper()+1;`,
+		`int x = 1+helper();`,
+		`putchar(helper());`,
+		`if (helper() == 2) putchar(65);`,
+		`int x = (helper()+1)*2;`,
+		`int x; x = helper();`,
+		`helper()%("");`,
+		`int a[2]; a[helper()] = 1;`,
+		`int x = 1 && helper() ? 2 : 3;`,
+	} {
+		t.Run(stmt, func(t *testing.T) {
+			src := `int helper() { exit(""); } int main() { ` + stmt + ` return 0; }`
+			checkEventParity(t, src, "", 0, false)
+		})
+	}
+}

@@ -7,8 +7,7 @@
 // cost-model totals (ops/loads/stores per memory space), statement step
 // counts, and error strings all match, because goldens for simulated time
 // and deterministic GPU scheduling were recorded against the walker. The
-// walker remains the differential oracle in tests, and runs the program
-// functions a kernel fragment calls (see VM.resolve).
+// walker remains the differential oracle in tests.
 //
 // Everything stateful — object memory, globals, string literals, the
 // builtin table, cost charging, the step budget — stays in an
@@ -25,7 +24,12 @@ type Op uint8
 
 // Opcodes. Operand meaning is per-opcode (A..D are int32):
 //
-//	charge  A=ops B=steps      batched cost.Op / step-budget charge
+//	charge  A=ops B=steps D=serial
+//	                           D=0 (batched): cost.Op(A), then B steps
+//	                           against the step budget. D=1 (per-event
+//	                           code): the B steps, then A separate
+//	                           cost.Op(1) calls, since a float cost sink
+//	                           adding n·c at once is not n additions of c
 //	jmp     A=target
 //	br      A=cond B=true C=false
 //	ret     A=src              return ConvertFor(fn.Ret, r[A]); terminated
@@ -253,8 +257,11 @@ type Program struct {
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.
 	Main int
-	// Fragment marks a kernel-fragment program: one fn, no params, free
-	// symbols resolved through Free.
+	// Fragment marks a kernel-fragment program. Fns[0] is the fragment
+	// entry: no params, free symbols resolved through Free. The program
+	// functions it calls, directly or transitively, follow it, compiled
+	// with per-event charges (see compile.go); they resolve globals
+	// through Syms, as whole-program functions do.
 	Fragment bool
 	Free     []FreeRef
 }

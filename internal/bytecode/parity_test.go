@@ -561,11 +561,11 @@ int main() {
 		t.Fatal("no while loop found")
 	}
 
-	condProg, err := CompileFragmentExpr(loop.Cond)
+	condProg, err := CompileFragmentExpr(prog, loop.Cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyProg, err := CompileFragmentStmt(loop.Body)
+	bodyProg, err := CompileFragmentStmt(prog, loop.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

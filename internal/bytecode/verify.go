@@ -43,6 +43,10 @@ func Verify(p *Program) error {
 	if p.Main >= len(p.Fns) {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)
 	}
+	// A fragment's entry is Fns[0]; its callees may follow.
+	if p.Fragment && (len(p.Fns) == 0 || len(p.Fns[0].Params) != 0) {
+		return errors.New("bytecode: fragment without a parameterless entry")
+	}
 	for _, fn := range p.Fns {
 		for _, prm := range fn.Params {
 			if prm.Reg < 0 && prm.Slot < 0 {
@@ -95,6 +99,8 @@ func VerifyCode(code []Instr, b Bounds) error {
 		case OpCharge:
 			if in.A < 0 || in.B < 0 {
 				err = errors.New("negative charge")
+			} else if in.D != 0 && in.D != 1 {
+				err = fmt.Errorf("charge mode %d", in.D)
 			}
 		case OpJmp:
 			err = target(in.A)

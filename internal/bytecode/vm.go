@@ -72,7 +72,6 @@ const (
 	ckUnresolved calleeKind = iota
 	ckBuiltin
 	ckFn
-	ckDecl
 	ckUnknown
 )
 
@@ -80,7 +79,6 @@ type linkedCallee struct {
 	kind  calleeKind
 	impl  interp.Builtin
 	fnIdx int32
-	decl  *minic.FuncDecl
 }
 
 type vmFrame struct {
@@ -238,6 +236,19 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		switch in.Op {
 		case OpNop:
 		case OpCharge:
+			if in.D != 0 {
+				// Serial: the steps, then one Op(1) per op, in the
+				// walker's event order.
+				if in.B > 0 {
+					if err := vm.m.AddSteps(int64(in.B)); err != nil {
+						return interp.Value{}, false, err
+					}
+				}
+				for i := int32(0); i < in.A; i++ {
+					cost.Op(1)
+				}
+				continue
+			}
 			if in.A > 0 {
 				cost.Op(int(in.A))
 			}
@@ -678,9 +689,6 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 	case ckFn:
 		vm.cost.Op(4)
 		v, _, err = vm.callFn(lc.fnIdx, args)
-	case ckDecl:
-		vm.cost.Op(4)
-		v, err = vm.m.CallDecl(lc.decl, args)
 	default:
 		err = fmt.Errorf("interp: call of unknown function %q", vm.Prog.Callees[calleeIdx].Name)
 	}
@@ -690,10 +698,9 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 
 // resolve links one callee with evalCall's dispatch order: sema-marked
 // builtins first, then program functions, then intrinsics installed
-// without sema marking, else unknown. A kernel fragment compiles no
-// program functions, so its calls run on the walker (ckDecl): the GPU
-// thread cost adds float cycles at every charge, which makes the walker's
-// unbatched charge order part of virtual time.
+// without sema marking, else unknown. Every program function the code
+// calls is compiled into the program: a whole program holds all of them,
+// and a kernel fragment holds the functions it reaches.
 func (vm *VM) resolve(calleeIdx int32) {
 	c := vm.Prog.Callees[calleeIdx]
 	lc := &vm.linked[calleeIdx]
@@ -709,8 +716,6 @@ func (vm *VM) resolve(calleeIdx int32) {
 				return
 			}
 		}
-		lc.kind, lc.decl = ckDecl, decl
-		return
 	}
 	if hasBuiltin {
 		lc.kind, lc.impl = ckBuiltin, impl
@@ -721,18 +726,22 @@ func (vm *VM) resolve(calleeIdx int32) {
 
 // FragmentVM executes one compiled kernel fragment (a loop condition, a
 // loop body, or a combine region) repeatedly against host-bound storage.
-// The GPU executor builds one per simulated thread context and swaps the
-// machine's cost sink before each entry.
+// The fragment entry is the program's first function; the program
+// functions it calls follow it and run in the same VM. The GPU executor
+// builds one per simulated thread context and swaps the machine's cost
+// sink before each entry.
 type FragmentVM struct {
 	vm *VM
 	fr *vmFrame
 }
 
-// NewFragmentVM binds a fragment program to a machine, resolving every
-// free symbol through lookup (typically the thread frame first, then the
-// machine's globals). A nil resolution fails the construction.
+// NewFragmentVM binds a fragment program to a machine. It resolves every
+// free symbol of the entry through lookup (typically the thread frame
+// first, then the machine's globals); a nil resolution fails the
+// construction. The entry's callees see the machine's globals, as the
+// walker's callee frames do.
 func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *interp.Object) (*FragmentVM, error) {
-	if p == nil || !p.Fragment || len(p.Fns) != 1 {
+	if p == nil || !p.Fragment || len(p.Fns) == 0 {
 		return nil, fmt.Errorf("bytecode: not an executable fragment")
 	}
 	// EvalIn/ExecIn run global initializers on every entry (idempotent);
@@ -741,6 +750,7 @@ func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *in
 		return nil, err
 	}
 	vm := NewVM(m, p)
+	vm.resolveGlobals()
 	fn := p.Fns[0]
 	fr := &vmFrame{
 		regs: make([]interp.Value, fn.NumRegs),

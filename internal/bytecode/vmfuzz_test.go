@@ -61,11 +61,14 @@ func arrayCells(prog *minic.Program) int {
 // whole, and every while loop's condition and body as kernel fragments:
 // a construct the compiler cannot lower is an error, never a crash. A
 // program that compiles must then run identically on the VM and on the
-// tree-walker under a small step budget — the same output, exit status,
-// and error text, and, when neither run errors, the same step count and
-// cost totals. Both of those runs execute the optimized program, so the
-// unoptimized program then runs on the walker too and must give the same
-// output, exit status, and error text (unless a run hit the step budget).
+// tree-walker under a small step budget. Compiled with per-event charges,
+// it must give the walker's output, exit status, error text, step count
+// and exact cost event sequence. Compiled with batched charges, it must
+// give the same output, exit status, and error text, and, when neither run
+// errors, the same step count and cost totals. These runs execute the
+// optimized program, so the unoptimized program then runs on the walker
+// too and must give the same output, exit status, and error text (unless
+// a run hit the step budget).
 func FuzzVMParity(f *testing.F) {
 	const stdin = "the quick brown fox\n17 4.5 -3\nzz top 9\n"
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "minic", "*.c"))
@@ -103,8 +106,8 @@ func FuzzVMParity(f *testing.F) {
 		for _, fn := range prog.Funcs {
 			minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 				if w, ok := s.(*minic.While); ok {
-					_, _ = CompileFragmentExpr(w.Cond)
-					_, _ = CompileFragmentStmt(w.Body)
+					_, _ = CompileFragmentExpr(prog, w.Cond)
+					_, _ = CompileFragmentStmt(prog, w.Body)
 				}
 			})
 		}
@@ -115,6 +118,11 @@ func FuzzVMParity(f *testing.F) {
 		if strings.Contains(src, "alloc") || hugePrecision.MatchString(src) || arrayCells(prog) > fuzzMaxCells {
 			return
 		}
+		perEvent, err := compilePerEvent(prog)
+		if err != nil {
+			t.Fatalf("per-event compile failed where the batched one did not: %v", err)
+		}
+		compareEvents(t, runEvents(prog, nil, stdin, fuzzMaxSteps), runEvents(prog, perEvent, stdin, fuzzMaxSteps))
 		walker := runCore(prog, nil, stdin, fuzzMaxSteps)
 		compareRuns(t, walker, runCore(prog, code, stdin, fuzzMaxSteps))
 		unopt, err := minic.ParseAndCheck(src)

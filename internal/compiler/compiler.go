@@ -217,7 +217,7 @@ func (c *Compiled) compileBytecode() error {
 	}
 	spec := c.Kernel
 	if spec.Kind != RegionMapper {
-		if c.KernelRegion, err = bytecode.CompileFragmentStmt(spec.Region); err != nil {
+		if c.KernelRegion, err = bytecode.CompileFragmentStmt(spec.Prog, spec.Region); err != nil {
 			return fmt.Errorf("compiler: combiner kernel region: %w", err)
 		}
 		return nil
@@ -226,10 +226,10 @@ func (c *Compiled) compileBytecode() error {
 	if !ok {
 		return fmt.Errorf("compiler: mapper region is not a while loop")
 	}
-	if c.KernelCond, err = bytecode.CompileFragmentExpr(loop.Cond); err != nil {
+	if c.KernelCond, err = bytecode.CompileFragmentExpr(spec.Prog, loop.Cond); err != nil {
 		return fmt.Errorf("compiler: mapper kernel condition: %w", err)
 	}
-	if c.KernelBody, err = bytecode.CompileFragmentStmt(loop.Body); err != nil {
+	if c.KernelBody, err = bytecode.CompileFragmentStmt(spec.Prog, loop.Body); err != nil {
 		return fmt.Errorf("compiler: mapper kernel body: %w", err)
 	}
 	return nil

@@ -42,13 +42,6 @@ func (m *Machine) BuiltinNamed(name string) (Builtin, bool) {
 	return impl, ok
 }
 
-// CallDecl invokes a function declaration with pre-built argument values,
-// propagating errors (including exit unwinding) unchanged. Kernel
-// fragments on the VM use it to call program functions.
-func (m *Machine) CallDecl(fn *minic.FuncDecl, args []Value) (Value, error) {
-	return m.call(fn, args)
-}
-
 // LoadPtr loads the cell at p with bounds checking and cost charging.
 func (m *Machine) LoadPtr(p Pointer) (Value, error) { return m.load(p) }
 

@@ -100,7 +100,9 @@ type Instr struct {
 	// instruction of the left operand) and OpSelect (the last of the
 	// condition, then the last of the then arm). An operand's value need
 	// not be its last instruction: an assignment yields its right-hand
-	// side, then stores.
+	// side, then stores. For an OpEffect assignment through an index or a
+	// pointer, Ends[0] is the last instruction of the target's operands:
+	// the interpreter checks the target there, before the right-hand side.
 	Ends [2]*Instr
 
 	// Expr / Stmt anchor the instruction to its AST origin. Expr is nil
@@ -115,6 +117,13 @@ type Instr struct {
 	// out-of-bounds loads/derefs; division/modulo traps are derived from
 	// the divisor's lattice value instead (see canTrap).
 	Trap bool
+	// Entries is the number of eval-entry ops the interpreter charges just
+	// before this instruction's own events. It charges an expression's
+	// entry op when it enters the expression, before its operands, and
+	// the lowerer emits an expression's first instruction right after
+	// entering it, so each lowered expression adds one to the next
+	// instruction emitted. Phis and params carry 0.
+	Entries int32
 
 	// StoreKind/Decl describe OpStore AST shape for DSE rewriting.
 	StoreKind StoreKind
@@ -205,6 +214,8 @@ type lowerer struct {
 	// demoteFn, when non-nil, additionally demotes symbols (fragment
 	// builds demote everything declared outside the fragment).
 	demoteFn func(*minic.Symbol) bool
+	// entries counts the expressions entered since the last emit.
+	entries int32
 }
 
 // Build lowers fn into CFG+SSA form: basic blocks of instructions over
@@ -347,6 +358,7 @@ func (lw *lowerer) emit(in *Instr) *Instr {
 	lw.f.nextID++
 	in.Block = lw.cur
 	in.Stmt = lw.stmt
+	in.Entries, lw.entries = lw.entries, 0
 	lw.cur.Instrs = append(lw.cur.Instrs, in)
 	lw.f.instrs = append(lw.f.instrs, in)
 	return in
@@ -523,6 +535,7 @@ func (lw *lowerer) lowerAt(slot *minic.Expr) *Instr {
 // value. Instructions are emitted in the interpreter's evaluation order.
 // The expression itself gets no slot; its rvalue operands do.
 func (lw *lowerer) lowerExpr(e minic.Expr) *Instr {
+	lw.entries++
 	in := lw.lowerExprInner(e)
 	if e != nil && in != nil {
 		lw.f.ExprInstr[e] = in
@@ -587,9 +600,14 @@ func (lw *lowerer) lowerExprInner(e minic.Expr) *Instr {
 			}
 		}
 		// Untracked target: lvalue uses, rhs, opaque memory store.
+		n := len(lw.cur.Instrs)
 		lw.lowerLValueUses(x.L)
+		var target *Instr
+		if len(lw.cur.Instrs) > n {
+			target = lw.last()
+		}
 		r := lw.lowerAt(&x.R)
-		eff := lw.emit(&Instr{Op: OpEffect, Args: []*Instr{r}, Expr: e})
+		eff := lw.emit(&Instr{Op: OpEffect, Args: []*Instr{r}, Ends: [2]*Instr{target}, Expr: e})
 		if x.Op == "=" {
 			return r
 		}

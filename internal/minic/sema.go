@@ -142,7 +142,7 @@ func Check(prog *Program) error {
 		_ = global.define(&Symbol{Name: name, Kind: SymBuiltin, Type: t, Global: true})
 	}
 	for _, g := range prog.Globals {
-		c.checkDecl(global, g, true)
+		c.checkVarDecl(global, g, true)
 	}
 	for _, f := range prog.Funcs {
 		c.checkFunc(global, f)
@@ -181,7 +181,7 @@ func (c *checker) checkBlock(parent *scope, b *Block) {
 func (c *checker) checkStmt(sc *scope, s Stmt) {
 	switch st := s.(type) {
 	case *DeclStmt:
-		c.checkDecl(sc, st, false)
+		c.checkVarDecl(sc, st, false)
 	case *ExprStmt:
 		c.checkExpr(sc, st.X)
 	case *EmptyStmt:
@@ -231,7 +231,7 @@ func (c *checker) checkStmt(sc *scope, s Stmt) {
 	}
 }
 
-func (c *checker) checkDecl(sc *scope, d *DeclStmt, global bool) {
+func (c *checker) checkVarDecl(sc *scope, d *DeclStmt, global bool) {
 	for _, decl := range d.Decls {
 		if decl.Init != nil {
 			c.checkExpr(sc, decl.Init)
