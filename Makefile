@@ -49,13 +49,14 @@ lint:
 # charges must reproduce bit for bit; internal/minic decides every AST
 # that the optimizer, the VM and the lints see; internal/ir decides every
 # optimized AST, and so every op count, and internal/analysis every lint
-# finding; internal/gpu (the SIMT cost model), internal/kv (sort and
-# merge), internal/seqfile (partition checksums) and internal/hdfs (block
-# placement) feed virtual time and output bytes.
+# finding; internal/gpu (the SIMT cost model), internal/gpurt (the GPU
+# task runtime, which binds kernel fragments and runs threadblocks),
+# internal/kv (sort and merge), internal/seqfile (partition checksums) and
+# internal/hdfs (block placement) feed virtual time and output bytes.
 lint-go:
 	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
 		internal/interp internal/bytecode internal/streaming internal/minic internal/ir internal/analysis \
-		internal/gpu internal/kv internal/seqfile internal/hdfs
+		internal/gpu internal/gpurt internal/kv internal/seqfile internal/hdfs
 
 # opt-report prints the SSA optimizer's per-pass rewrite counts for every
 # benchmark stage program (host and translated-kernel targets).

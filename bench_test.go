@@ -37,6 +37,7 @@ func BenchmarkMapTaskGPU(b *testing.B) { benchsuite.MapTaskGPU(b) }
 func BenchmarkLRMapVM(b *testing.B)    { benchsuite.LRMapVM(b) }
 func BenchmarkKMMapVM(b *testing.B)    { benchsuite.KMMapVM(b) }
 func BenchmarkBSMapVM(b *testing.B)    { benchsuite.BSMapVM(b) }
+func BenchmarkBSMapGPU(b *testing.B)   { benchsuite.BSMapGPU(b) }
 func BenchmarkCompileTable2(b *testing.B) {
 	benchsuite.CompileTable2(b)
 }
@@ -55,7 +56,7 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 		"BenchmarkSchedulerAblation": true, "BenchmarkStealingGranularity": true,
 		"BenchmarkSpeculativeExecution": true, "BenchmarkMapTaskGPU": true,
 		"BenchmarkLRMapVM": true, "BenchmarkKMMapVM": true, "BenchmarkBSMapVM": true,
-		"BenchmarkCompileTable2": true,
+		"BenchmarkBSMapGPU": true, "BenchmarkCompileTable2": true,
 	}
 	got := benchsuite.All()
 	if len(got) != len(want) {

@@ -192,6 +192,7 @@ func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCap
 		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
 	})
 	t.frame = t.machine.NewFrame()
+	//detlint:ignore map-iteration: binds distinct symbols into a fresh frame, which visiting order cannot change
 	for sym, obj := range shared {
 		t.frame.Bind(sym, obj)
 	}
@@ -366,6 +367,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 			hi = len(records)
 		}
 		wg.Add(1)
+		//detlint:ignore bare-goroutine: each block writes only its own slots, and the results merge in block order
 		go func(b, lo, hi int) {
 			defer wg.Done()
 			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)

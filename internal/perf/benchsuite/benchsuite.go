@@ -57,6 +57,7 @@ func All() []Bench {
 		{Name: "BenchmarkLRMapVM", Short: true, Fn: LRMapVM},
 		{Name: "BenchmarkKMMapVM", Short: true, Fn: KMMapVM},
 		{Name: "BenchmarkBSMapVM", Fn: BSMapVM},
+		{Name: "BenchmarkBSMapGPU", Short: true, Fn: BSMapGPU},
 		{Name: "BenchmarkCompileTable2", Short: true, Fn: CompileTable2},
 	}
 	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
@@ -364,6 +365,31 @@ func mapStage(b *testing.B, bench *workload.Benchmark) {
 func LRMapVM(b *testing.B) { mapStage(b, workload.LinearRegression()) }
 func KMMapVM(b *testing.B) { mapStage(b, workload.Kmeans()) }
 func BSMapVM(b *testing.B) { mapStage(b, workload.BlackScholes()) }
+
+// BSMapGPU times one GPU map task: gpurt.RunTask of BlackScholes' map
+// kernel over a 4 KB split on Cluster2's M2090. The kernel's 30x64 threads
+// each run the region fragments and the CNDF function they call on the
+// VM, so the gate covers the SIMT model and fragment callees.
+func BSMapGPU(b *testing.B) {
+	b.ReportAllocs()
+	bench := workload.BlackScholes()
+	input := bench.Gen(7, 4<<10)
+	cj, err := mr.CompileJob(bench.JobFor(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev, err := gpu.NewDevice(gpu.TeslaM2090())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := gpurt.TaskConfig{Opts: gpurt.AllOptimizations()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gpurt.RunTask(dev, cj.MapC, nil, input, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // CompileTable2 compiles the eight Table-2 jobs as a job's set-up does:
 // mr.CompileJob parses each stage program, runs the SSA optimizer on the
