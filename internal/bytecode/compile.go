@@ -93,9 +93,6 @@ func CompileFragmentStmt(prog *minic.Program, region minic.Stmt) (*Program, erro
 // forbids the shadowing), so the unmarked callees that name a function
 // of prog are exactly those.
 func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("bytecode: fragment has no program")
-	}
 	declared := map[*minic.Symbol]bool{}
 	minic.WalkStmts(body, func(s minic.Stmt) {
 		if d, ok := s.(*minic.DeclStmt); ok {
@@ -246,7 +243,7 @@ func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, s
 		return fmt.Errorf("bytecode: cannot lower function %q: %w", decl.Name, err)
 	}
 	b.prog.Fns = append(b.prog.Fns, fn)
-	if decl.Name == "main" && !b.prog.Fragment {
+	if decl.Name == "main" {
 		b.prog.Main = len(b.prog.Fns) - 1
 	}
 	return nil
@@ -265,9 +262,9 @@ type fnBuilder struct {
 	pendingOps   int32
 	pendingSteps int32
 
-	// perEvent copies builder.perEvent; fragment marks a fragment entry,
-	// whose free symbols the host binds (see objRef).
-	perEvent, fragment bool
+	// fragment marks a fragment entry, whose free symbols the host binds
+	// (see objRef).
+	fragment bool
 	// inv holds the eval-entry op count each instruction carries
 	// (inverted ExprInstr map), consumed as charges are batched. The
 	// per-event discipline reads ir.Instr.Entries instead.
@@ -308,7 +305,6 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		b:         b,
 		f:         f,
 		plan:      plan,
-		perEvent:  b.perEvent,
 		fragment:  b.prog.Fragment && len(b.prog.Fns) == 0,
 		inv:       map[*ir.Instr]int32{},
 		skipConst: map[*ir.Instr]bool{},
@@ -319,7 +315,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		scratch0:  int32(plan.NumRegs),
 		scratch1:  int32(plan.NumRegs) + 1,
 	}
-	if !fb.perEvent {
+	if !fb.b.perEvent {
 		// Map iteration is safe here: counts accumulate commutatively.
 		for _, in := range f.ExprInstr {
 			fb.inv[in]++
@@ -510,7 +506,7 @@ func (fb *fnBuilder) flush() {
 		return
 	}
 	serial := int32(0)
-	if fb.perEvent {
+	if fb.b.perEvent {
 		serial = 1
 	}
 	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, 0, serial)
@@ -521,7 +517,7 @@ func (fb *fnBuilder) flush() {
 // makes its steps before its ops, so under the per-event discipline the
 // ops already pending are flushed first.
 func (fb *fnBuilder) addStep() {
-	if fb.perEvent && fb.pendingOps > 0 {
+	if fb.b.perEvent && fb.pendingOps > 0 {
 		fb.flush()
 	}
 	fb.pendingSteps++
@@ -625,7 +621,7 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 	// Per-event code checks an assignment's index or pointer target where
 	// the walker does, before the right-hand side runs.
 	var targetEnd map[*ir.Instr]*ir.Instr
-	if fb.perEvent {
+	if fb.b.perEvent {
 		for _, in := range blk.Instrs {
 			if in.Op == ir.OpEffect && in.Ends[0] != nil {
 				if targetEnd == nil {
@@ -745,7 +741,7 @@ func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 	// The walker charges the node's eval-entry op before evaluating
 	// either operand; keep it in the unconditional segment. (Per-event
 	// code charged it with the operand's first instruction.)
-	if !fb.perEvent {
+	if !fb.b.perEvent {
 		fb.takeCharge(ev)
 	}
 	fb.flush()
@@ -898,7 +894,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		}
 		return fb.closeRegion(in)
 	}
-	if fb.perEvent {
+	if fb.b.perEvent {
 		fb.pendingOps += in.Entries
 		switch in.Op {
 		case ir.OpParam, ir.OpPhi, ir.OpConst, ir.OpDeclZero:

@@ -534,15 +534,20 @@ func TestParityOptimized(t *testing.T) {
 }
 
 // TestFragmentParity compiles a loop body + condition as kernel fragments
-// and compares against ExecIn/EvalIn on the same machine state.
+// and compares against ExecIn/EvalIn on the same machine state. The body
+// calls a helper that reads the global g, which the host also binds in
+// the frame: the fragment reads the frame's object, and the helper, like
+// the walker's callee frame, the global.
 func TestFragmentParity(t *testing.T) {
 	src := `
+int g = 5;
+int helper(int x) { return x * x + g; }
 int main() {
 	int i;
 	int n;
 	int sum;
 	while (i < n) {
-		sum = sum + i * i;
+		sum = sum + helper(i) + g;
 		i = i + 1;
 	}
 	return 0;
@@ -590,6 +595,7 @@ int main() {
 		}
 		bind("i", 0)
 		bind("n", 25)
+		bind("g", 1000)
 		sumObj := bind("sum", 0)
 
 		if useVM {
@@ -632,6 +638,9 @@ int main() {
 
 	wSum, wSink, wSteps := run(false)
 	vSum, vSink, vSteps := run(true)
+	if want := int64(4900 + 25*5 + 25*1000); wSum != want {
+		t.Fatalf("walker sum %d, want %d", wSum, want)
+	}
 	if wSum != vSum {
 		t.Fatalf("sum mismatch: walker %d, vm %d", wSum, vSum)
 	}
