@@ -13,36 +13,44 @@ import (
 // final AST — the optimizer has already rewritten the AST in place, so the
 // IR reflects its output — into flat register code. Exact cost parity with
 // the tree-walker is the load-bearing property. Functions charge it under
-// one of two disciplines, picked per function by builder.perEvent:
+// one of three disciplines, picked per function by builder.disc, one for
+// each kind of cost sink the code runs against:
 //
-//   - Batched (whole programs and kernel fragment bodies). Per-expression
-//     Op(1) charges are recovered by inverting the IR's ExprInstr map: the
-//     number of expressions an instruction produces the value for is the
-//     number of eval-entry ops it carries. Per-statement step+Op(1)
-//     charges come from merging each block's Stmts list into its
-//     instruction stream (a statement's charge fires before its first
-//     instruction). Charges batch into pending counters flushed as one
-//     `charge` instruction before every call, conditional-region boundary,
-//     and block terminator, so the charged totals equal the walker's at
-//     every block boundary. An entry op whose value instruction follows a
-//     call is charged after the call, where the walker charges it before,
-//     so the totals differ while such a call runs, and stay different if
-//     it never returns (exit()).
+//   - Folded (whole programs: every CPU map, combine and reduce stage,
+//     whose interp.CountingSink counts in integers). Each instruction's
+//     ir.Instr.Entries (the eval-entry ops of the expressions entered just
+//     before it, in pre-order) and each statement's step+Op(1) (merged
+//     from the block's Stmts list, charged before the statement's first
+//     instruction) join pending counters, and so does every Load and
+//     Store of a tracked variable, counted per symbol. One `charge`
+//     flushes them before every call, conditional-region boundary and
+//     block terminator, so the charged totals equal the walker's at each
+//     of those points, exit() and getRecord grants included. A read of a
+//     tracked variable executes nothing when the register allocator
+//     forwards it, and is a move otherwise.
+//   - Batched (kernel fragment bodies). Per-expression Op(1) charges are
+//     recovered by inverting the IR's ExprInstr map: the number of
+//     expressions an instruction produces the value for is the number of
+//     eval-entry ops it carries. Ops and steps batch as in folded code,
+//     but load.v and store.v charge each access where it happens. An entry
+//     op whose value instruction follows a call is charged after the
+//     call, where the walker charges it before.
 //   - Per-event (the program functions a kernel fragment calls). Every
 //     step, entry op and memory access reaches the cost sink as its own
 //     event, where the walker charges it: a statement's step and op where
-//     the statement starts, and each instruction's ir.Instr.Entries (the
-//     entry ops of the expressions entered just before it) ahead of the
+//     the statement starts, and each instruction's Entries ahead of the
 //     instruction, through serial `charge` instructions. The event
 //     sequence, not only the totals, is the walker's.
 //
-// CPU programs count in integers, and a fragment body's batched float sums
-// are the recorded definition of GPU time, so both keep batching. The
-// recorded GPU time of a callee is the walker's one-event-at-a-time sum,
-// and the GPU's ThreadCost adds float cycles per event, so only callees
-// need the walker's order. When GPU cost is counted in integers, callees
-// can batch too and perEvent goes. Load/Store charges ride on the memory
-// opcodes themselves under both disciplines.
+// GPU time is the float sum gpu.ThreadCost adds event by event, on costs
+// that are not dyadic on the M2090, so moving a GPU charge can move its
+// bits: a fragment body's batch order and a callee's one-event-at-a-time
+// order are both the recorded definition of GPU time. Once GPU cost is
+// counted in integers, fragment bodies and callees can fold too, and the
+// batched and per-event disciplines go.
+//
+// Every discipline checks an assignment's index or pointer target after
+// the target's operands, before the right-hand side, as the walker does.
 //
 // A construct the compiler cannot lower exactly is a compile error that
 // names the function.
@@ -109,7 +117,7 @@ func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Bloc
 	if err := b.addFn(decl, demote, skip); err != nil {
 		return nil, err
 	}
-	b.perEvent = true
+	b.disc = perEvent
 	compiled := map[*minic.FuncDecl]bool{}
 	// Compiling a callee can intern more callees: the loop reaches them.
 	for i := 0; i < len(b.prog.Callees); i++ {
@@ -137,13 +145,29 @@ type builder struct {
 	allocIdx  map[*minic.Declarator]int32
 	opIdx     map[string]int32
 	calleeIdx map[Callee]int32
-	// perEvent selects the per-event charge discipline for the functions
-	// compiled next; see the comment at the top of this file.
-	perEvent bool
+	// disc is the charge discipline of the functions compiled next; see
+	// the comment at the top of this file.
+	disc discipline
+	// traffic backs every Program.Traffic list.
+	traffic []Access
 }
 
+// discipline is how a function's code charges the walker's cost.
+type discipline uint8
+
+const (
+	folded discipline = iota
+	batched
+	perEvent
+)
+
 func newBuilder(fragment bool) *builder {
+	disc := folded
+	if fragment {
+		disc = batched
+	}
 	return &builder{
+		disc:      disc,
 		prog:      &Program{Main: -1, Fragment: fragment},
 		constIdx:  map[interp.Value]int32{},
 		strIdx:    map[string]int32{},
@@ -215,6 +239,20 @@ func (b *builder) callee(c Callee) int32 {
 	return i
 }
 
+// trafficRef adds an access list to the pool and returns its charge
+// operand, 0 for an empty list. Lists share one backing array, so a
+// program's lists cost few allocations; one the array outgrew keeps the
+// old array, which never changes.
+func (b *builder) trafficRef(acc []Access) int32 {
+	if len(acc) == 0 {
+		return 0
+	}
+	start := len(b.traffic)
+	b.traffic = append(b.traffic, acc...)
+	b.prog.Traffic = append(b.prog.Traffic, b.traffic[start:len(b.traffic):len(b.traffic)])
+	return int32(len(b.prog.Traffic))
+}
+
 func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 	if i, ok := b.allocIdx[d]; ok {
 		return i, nil
@@ -261,13 +299,16 @@ type fnBuilder struct {
 
 	pendingOps   int32
 	pendingSteps int32
+	// pendingTraffic counts the tracked-variable accesses folded code
+	// has made since the last charge, per symbol in first-access order.
+	pendingTraffic []Access
 
 	// fragment marks a fragment entry, whose free symbols the host binds
 	// (see objRef).
 	fragment bool
 	// inv holds the eval-entry op count each instruction carries
-	// (inverted ExprInstr map), consumed as charges are batched. The
-	// per-event discipline reads ir.Instr.Entries instead.
+	// (inverted ExprInstr map), consumed as batched code charges. Folded
+	// and per-event code read ir.Instr.Entries instead.
 	inv map[*ir.Instr]int32
 	// skipConst marks constants absorbed into addn immediates.
 	skipConst map[*ir.Instr]bool
@@ -306,7 +347,6 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		f:         f,
 		plan:      plan,
 		fragment:  b.prog.Fragment && len(b.prog.Fns) == 0,
-		inv:       map[*ir.Instr]int32{},
 		skipConst: map[*ir.Instr]bool{},
 		skip:      skip,
 		slotOf:    map[*minic.Symbol]int32{},
@@ -315,7 +355,8 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		scratch0:  int32(plan.NumRegs),
 		scratch1:  int32(plan.NumRegs) + 1,
 	}
-	if !fb.b.perEvent {
+	if b.disc == batched {
+		fb.inv = map[*ir.Instr]int32{}
 		// Map iteration is safe here: counts accumulate commutatively.
 		for _, in := range f.ExprInstr {
 			fb.inv[in]++
@@ -502,25 +543,44 @@ func (fb *fnBuilder) emit(op Op, a, b, c, d int32) int {
 func (fb *fnBuilder) setPos(pc int, p minic.Pos) { fb.pos[pc] = p }
 
 func (fb *fnBuilder) flush() {
-	if fb.pendingOps == 0 && fb.pendingSteps == 0 {
+	if fb.pendingOps == 0 && fb.pendingSteps == 0 && len(fb.pendingTraffic) == 0 {
 		return
 	}
 	serial := int32(0)
-	if fb.b.perEvent {
+	if fb.b.disc == perEvent {
 		serial = 1
 	}
-	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, 0, serial)
+	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, fb.b.trafficRef(fb.pendingTraffic), serial)
 	fb.pendingOps, fb.pendingSteps = 0, 0
+	fb.pendingTraffic = fb.pendingTraffic[:0]
 }
 
 // addStep adds one statement step to the pending charge. A serial charge
 // makes its steps before its ops, so under the per-event discipline the
 // ops already pending are flushed first.
 func (fb *fnBuilder) addStep() {
-	if fb.b.perEvent && fb.pendingOps > 0 {
+	if fb.b.disc == perEvent && fb.pendingOps > 0 {
 		fb.flush()
 	}
 	fb.pendingSteps++
+}
+
+// addAccess folds one Load (store false) or Store of a tracked variable
+// into the pending charge.
+func (fb *fnBuilder) addAccess(v *ir.Var, store bool) {
+	sym := fb.b.sym(v.Sym)
+	i := 0
+	for i < len(fb.pendingTraffic) && fb.pendingTraffic[i].Sym != sym {
+		i++
+	}
+	if i == len(fb.pendingTraffic) {
+		fb.pendingTraffic = append(fb.pendingTraffic, Access{Sym: sym})
+	}
+	if store {
+		fb.pendingTraffic[i].Stores++
+	} else {
+		fb.pendingTraffic[i].Loads++
+	}
 }
 
 // takeCharge moves an instruction's eval-entry ops into the pending batch.
@@ -540,7 +600,7 @@ func (fb *fnBuilder) reg(in *ir.Instr) (int32, error) {
 		}
 		return int32(fb.plan.VarReg(in.Var)), nil
 	}
-	r, ok := fb.plan.TempReg(in)
+	r, ok := fb.plan.ValueReg(in)
 	if !ok {
 		return 0, fmt.Errorf("instruction without register")
 	}
@@ -618,17 +678,15 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 		}
 	}
 
-	// Per-event code checks an assignment's index or pointer target where
-	// the walker does, before the right-hand side runs.
+	// Check an assignment's index or pointer target where the walker
+	// does, before the right-hand side runs.
 	var targetEnd map[*ir.Instr]*ir.Instr
-	if fb.b.perEvent {
-		for _, in := range blk.Instrs {
-			if in.Op == ir.OpEffect && in.Ends[0] != nil {
-				if targetEnd == nil {
-					targetEnd = map[*ir.Instr]*ir.Instr{}
-				}
-				targetEnd[in.Ends[0]] = in
+	for _, in := range blk.Instrs {
+		if in.Op == ir.OpEffect && in.Ends[0] != nil {
+			if targetEnd == nil {
+				targetEnd = map[*ir.Instr]*ir.Instr{}
 			}
+			targetEnd[in.Ends[0]] = in
 		}
 	}
 
@@ -665,7 +723,9 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 			return err
 		}
 		if eff := targetEnd[in]; eff != nil {
-			fb.flush()
+			if fb.b.disc == perEvent {
+				fb.flush()
+			}
 			if err := fb.emitAddr(fb.scratch0, eff.Expr.(*minic.Assign).L); err != nil {
 				return err
 			}
@@ -739,9 +799,9 @@ func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 
 func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 	// The walker charges the node's eval-entry op before evaluating
-	// either operand; keep it in the unconditional segment. (Per-event
-	// code charged it with the operand's first instruction.)
-	if !fb.b.perEvent {
+	// either operand; keep it in the unconditional segment. (Folded and
+	// per-event code charged it with the operand's first instruction.)
+	if fb.b.disc == batched {
 		fb.takeCharge(ev)
 	}
 	fb.flush()
@@ -888,13 +948,18 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 	switch in.Op {
 	case ir.OpLogic, ir.OpSelect:
 		// Entry charge was consumed at region open (batched) or with the
-		// first operand's first instruction (per-event).
+		// first operand's first instruction (folded, per-event).
 		if in.Entries != 0 {
 			return fmt.Errorf("region close with entry charges")
 		}
 		return fb.closeRegion(in)
 	}
-	if fb.b.perEvent {
+	switch fb.b.disc {
+	case folded:
+		fb.pendingOps += in.Entries
+	case batched:
+		fb.takeCharge(in)
+	case perEvent:
 		fb.pendingOps += in.Entries
 		switch in.Op {
 		case ir.OpParam, ir.OpPhi, ir.OpConst, ir.OpDeclZero:
@@ -902,8 +967,6 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		default:
 			fb.flush()
 		}
-	} else {
-		fb.takeCharge(in)
 	}
 	switch in.Op {
 	case ir.OpParam, ir.OpPhi:
@@ -931,7 +994,15 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		if in.Var == nil {
 			return fmt.Errorf("load without variable")
 		}
-		fb.emit(OpLoadV, dst, int32(fb.plan.VarReg(in.Var)), fb.b.sym(in.Var.Sym), 0)
+		src := int32(fb.plan.VarReg(in.Var))
+		if fb.b.disc != folded {
+			fb.emit(OpLoadV, dst, src, fb.b.sym(in.Var.Sym), 0)
+			return nil
+		}
+		fb.addAccess(in.Var, false)
+		if dst != src {
+			fb.emit(OpMove, dst, src, 0, 0)
+		}
 	case ir.OpStore:
 		dst, err := fb.reg(in)
 		if err != nil {
@@ -941,7 +1012,12 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		fb.emit(OpStoreV, dst, src, fb.b.sym(in.Var.Sym), 0)
+		fold := int32(0)
+		if fb.b.disc == folded {
+			fb.addAccess(in.Var, true)
+			fold = 1
+		}
+		fb.emit(OpStoreV, dst, src, fb.b.sym(in.Var.Sym), fold)
 	case ir.OpUnary:
 		return fb.emitUnary(in)
 	case ir.OpBinary:

@@ -42,7 +42,7 @@ func operandString(p *Program, in Instr) string {
 		if in.D != 0 {
 			return fmt.Sprintf("ops=%d steps=%d serial", in.A, in.B)
 		}
-		return fmt.Sprintf("ops=%d steps=%d", in.A, in.B)
+		return fmt.Sprintf("ops=%d steps=%d", in.A, in.B) + trafficString(p, in.C)
 	case OpJmp:
 		return fmt.Sprintf("-> %d", in.A)
 	case OpBr:
@@ -64,7 +64,11 @@ func operandString(p *Program, in Instr) string {
 	case OpLoadV:
 		return fmt.Sprintf("r%d, r%d (%s)", in.A, in.B, symString(p, in.C))
 	case OpStoreV:
-		return fmt.Sprintf("r%d, r%d (%s)", in.A, in.B, symString(p, in.C))
+		s := fmt.Sprintf("r%d, r%d (%s)", in.A, in.B, symString(p, in.C))
+		if in.D != 0 {
+			s += " folded"
+		}
+		return s
 	case OpLoadO, OpAddrO:
 		return fmt.Sprintf("r%d, %s", in.A, objRefString(p, in.B))
 	case OpStoreO:
@@ -136,6 +140,40 @@ func symString(p *Program, i int32) string {
 		return "<bad sym>"
 	}
 	return p.Syms[i].Name
+}
+
+// trafficString lists a charge's folded accesses by symbol, loads then
+// stores, with a count past one: " load i*2 n store i".
+func trafficString(p *Program, c int32) string {
+	if c <= 0 || int(c) > len(p.Traffic) {
+		if c != 0 {
+			return " <bad traffic>"
+		}
+		return ""
+	}
+	var b strings.Builder
+	for _, store := range []bool{false, true} {
+		kind := " load"
+		if store {
+			kind = " store"
+		}
+		for _, a := range p.Traffic[c-1] {
+			n := a.Loads
+			if store {
+				n = a.Stores
+			}
+			if n == 0 {
+				continue
+			}
+			b.WriteString(kind)
+			kind = ""
+			b.WriteString(" " + symString(p, a.Sym))
+			if n > 1 {
+				fmt.Fprintf(&b, "*%d", n)
+			}
+		}
+	}
+	return b.String()
 }
 
 func objRefString(p *Program, ref int32) string {

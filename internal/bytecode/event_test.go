@@ -47,7 +47,7 @@ type eventRun struct {
 // discipline that production uses only for a kernel fragment's callees.
 func compilePerEvent(prog *minic.Program) (*Program, error) {
 	b := newBuilder(false)
-	b.perEvent = true
+	b.disc = perEvent
 	for _, fn := range prog.Funcs {
 		if err := b.addFn(fn, nil, nil); err != nil {
 			return nil, err
@@ -146,6 +146,8 @@ func TestPerEventParity(t *testing.T) {
 		{"exit", exitSrc, "", 0, false},
 		{"stdin-records", stdinRecordsSrc, "5\n10\n27\n", 0, false},
 		{"step-budget", stepBudgetSrc, "", 5000, false},
+		{"forwarding", forwardingSrc, "", 0, false},
+		{"forwarding-optimized", forwardingSrc, "", 0, true},
 	}
 	for _, exit := range []string{"if (i > 3) break;", "if (i < 3) continue; if (i > 5) break;",
 		"if (i > 3) return i;", `if (i > 3) exit("done");`, ""} {
@@ -179,27 +181,34 @@ func TestPerEventParity(t *testing.T) {
 	}
 }
 
-// TestPerEventExitInOperand runs calls that never return (exit()) inside
-// operands. The walker charges an expression's entry op before its
-// operands, so the ops charged when exit() stops the run include those of
-// every enclosing expression. Batched code charges some of them after the
-// call and so falls short; per-event code must not.
+// exitInOperandStmts run a call that never returns (helper calls exit())
+// inside an operand. The walker charges an expression's entry op before
+// its operands, so the ops charged when exit() stops the run include
+// those of every enclosing expression.
+var exitInOperandStmts = []string{
+	`helper()%3;`,
+	`int x = helper()+1;`,
+	`int x = 1+helper();`,
+	`putchar(helper());`,
+	`if (helper() == 2) putchar(65);`,
+	`int x = (helper()+1)*2;`,
+	`int x; x = helper();`,
+	`helper()%("");`,
+	`int a[2]; a[helper()] = 1;`,
+	`int x = 1 && helper() ? 2 : 3;`,
+}
+
+// exitInOperandSrc wraps one of exitInOperandStmts into a program.
+func exitInOperandSrc(stmt string) string {
+	return `int helper() { exit(""); } int main() { ` + stmt + ` return 0; }`
+}
+
+// TestPerEventExitInOperand requires the walker's exact event sequence
+// when exit() stops a run inside an operand.
 func TestPerEventExitInOperand(t *testing.T) {
-	for _, stmt := range []string{
-		`helper()%3;`,
-		`int x = helper()+1;`,
-		`int x = 1+helper();`,
-		`putchar(helper());`,
-		`if (helper() == 2) putchar(65);`,
-		`int x = (helper()+1)*2;`,
-		`int x; x = helper();`,
-		`helper()%("");`,
-		`int a[2]; a[helper()] = 1;`,
-		`int x = 1 && helper() ? 2 : 3;`,
-	} {
+	for _, stmt := range exitInOperandStmts {
 		t.Run(stmt, func(t *testing.T) {
-			src := `int helper() { exit(""); } int main() { ` + stmt + ` return 0; }`
-			checkEventParity(t, src, "", 0, false)
+			checkEventParity(t, exitInOperandSrc(stmt), "", 0, false)
 		})
 	}
 }

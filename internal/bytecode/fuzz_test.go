@@ -17,7 +17,7 @@ import (
 // both the accept and reject sides of every operand range check.
 var fuzzBounds = bytecode.Bounds{
 	NumRegs: 8, NumObjSlots: 2, Consts: 4, Strs: 2, Types: 2,
-	Syms: 4, Allocs: 2, Ops: 4, Callees: 2,
+	Syms: 4, Allocs: 2, Ops: 4, Callees: 2, Traffic: 2,
 }
 
 // sampleCode compiles a small MiniC program and returns its main

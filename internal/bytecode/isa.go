@@ -24,12 +24,15 @@ type Op uint8
 
 // Opcodes. Operand meaning is per-opcode (A..D are int32):
 //
-//	charge  A=ops B=steps D=serial
-//	                           D=0 (batched): cost.Op(A), then B steps
-//	                           against the step budget. D=1 (per-event
-//	                           code): the B steps, then A separate
-//	                           cost.Op(1) calls, since a float cost sink
-//	                           adding n·c at once is not n additions of c
+//	charge  A=ops B=steps C=traffic D=serial
+//	                           D=0 (folded or batched code): cost.Op(A),
+//	                           then the tracked-variable accesses of
+//	                           Traffic[C-1] (none when C=0), then B steps
+//	                           against the step budget.
+//	                           D=1 (per-event code, C=0): the B steps, then
+//	                           A separate cost.Op(1) calls, since a float
+//	                           cost sink adding n·c at once is not n
+//	                           additions of c
 //	jmp     A=target
 //	br      A=cond B=true C=false
 //	ret     A=src              return ConvertFor(fn.Ret, r[A]); terminated
@@ -46,7 +49,9 @@ type Op uint8
 //	addn    A=dst B=src C=delta r[A] = interp.AddInt(r[B], C)
 //	cvt     A=dst B=src C=type# r[A] = ConvertFor(types[C], r[B])
 //	load.v  A=dst B=varreg C=sym#  register read + Load cost charge
-//	store.v A=varreg B=src C=sym#  ConvertFor(sym type) + Store charge
+//	store.v A=varreg B=src C=sym# D=folded
+//	                           ConvertFor(sym type); D=0 also charges the
+//	                           Store, D=1 leaves it to a charge's traffic
 //	load.o  A=dst B=objref     scalar object read (cell 0) + Load charge
 //	store.o A=objref B=src     scalar object store via Machine.StorePtr
 //	addr.o  A=dst B=objref     r[A] = pointer to object (array decay, &x)
@@ -59,6 +64,11 @@ type Op uint8
 //	stdio   A=dst B=str#       stdin/stdout/stderr handle
 //	arg     A=src              push call argument
 //	call    A=dst B=callee# C=argc
+//
+// The variable opcodes charge only in GPU code (kernel fragments and their
+// callees). Whole programs emit no load.v: a read of a tracked variable
+// is its register, or a move out of it, and its Load, like every store.v's
+// Store, rides on the next charge as traffic.
 //
 // An objref encodes where an object lives: ref >= 0 is a program-global
 // symbol index resolved once per VM; ref < 0 is frame object slot
@@ -223,6 +233,13 @@ type Param struct {
 	Type *minic.Type
 }
 
+// Access counts the reads and writes of one tracked variable that a
+// charge instruction makes at once. Sym indexes Program.Syms.
+type Access struct {
+	Sym           int32
+	Loads, Stores int32
+}
+
 // FreeRef binds one free symbol of a fragment to the frame object slot the
 // host must populate before execution.
 type FreeRef struct {
@@ -254,6 +271,9 @@ type Program struct {
 	Allocs  []AllocSpec
 	Ops     []string
 	Callees []Callee
+	// Traffic holds the per-symbol access lists charge instructions
+	// reference (C = 1 + index).
+	Traffic [][]Access
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.
 	Main int

@@ -418,6 +418,20 @@ int main() {
 	printf("%f\n", x);
 	return 0;
 }`},
+	// The walker checks a store's target before it runs the right-hand
+	// side, so neither program prints.
+	{"null-store-before-rhs", `
+int main() {
+	int *p;
+	*p = printf("x");
+	return 0;
+}`},
+	{"null-index-before-rhs", `
+int main() {
+	int *p;
+	p[0] = printf("y");
+	return 0;
+}`},
 }
 
 func TestParityRuntimeErrors(t *testing.T) {
@@ -529,6 +543,51 @@ int main() {
 func TestParityOptimized(t *testing.T) {
 	for _, src := range optimizedSrcs {
 		prog, code := compileSrc(t, src, true)
+		compareRuns(t, runCore(prog, nil, "", 0), runCore(prog, code, "", 0))
+	}
+}
+
+// TestParityExitInOperand runs exit() inside operands in whole programs:
+// their charges batch, but the totals at a call equal the walker's.
+func TestParityExitInOperand(t *testing.T) {
+	for _, stmt := range exitInOperandStmts {
+		t.Run(stmt, func(t *testing.T) {
+			checkParity(t, exitInOperandSrc(stmt))
+		})
+	}
+}
+
+// forwardingSrc reads tracked variables that the same expression then
+// redefines, before the read is used: such a read must keep its own copy
+// of the value rather than read the variable's register in place.
+// region's x is assigned inside a conditional operand, so it is not
+// tracked; overlap reads x inside a ?: arm and then redefines it.
+const forwardingSrc = `
+int f(int a, int b) { return a * 10 + b; }
+int late(int x) { return x + (x = 1); }
+int region(int x) { return x || (x = 7) ? x : 9; }
+int overlap(int x, int k) {
+	int y = x + (x = 3);
+	printf("%d %d\n", x, y);
+	y = x++;
+	printf("%d %d\n", x, y);
+	y = x * (x += 2);
+	printf("%d %d\n", x, y);
+	printf("%d\n", f(x, x = 2));
+	y = (x > k ? x : k) + (x = 1);
+	printf("%d %d\n", x, y);
+	return x + y;
+}
+int main() {
+	printf("%d %d\n", overlap(5, 2), overlap(-4, 0));
+	printf("%d %d %d\n", late(4), region(0), region(3));
+	return 0;
+}`
+
+// TestParityForwarding runs forwardingSrc as written and optimized.
+func TestParityForwarding(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		prog, code := compileSrc(t, forwardingSrc, optimize)
 		compareRuns(t, runCore(prog, nil, "", 0), runCore(prog, code, "", 0))
 	}
 }

@@ -17,6 +17,7 @@ type Bounds struct {
 	Allocs      int32
 	Ops         int32
 	Callees     int32
+	Traffic     int32
 }
 
 // boundsFor derives verification bounds from a program and function.
@@ -31,6 +32,7 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 		Allocs:      int32(len(p.Allocs)),
 		Ops:         int32(len(p.Ops)),
 		Callees:     int32(len(p.Callees)),
+		Traffic:     int32(len(p.Traffic)),
 	}
 }
 
@@ -101,6 +103,8 @@ func VerifyCode(code []Instr, b Bounds) error {
 				err = errors.New("negative charge")
 			} else if in.D != 0 && in.D != 1 {
 				err = fmt.Errorf("charge mode %d", in.D)
+			} else if in.C < 0 || in.C > b.Traffic || (in.D == 1 && in.C != 0) {
+				err = fmt.Errorf("traffic operand %d out of range [0,%d]", in.C, b.Traffic)
 			}
 		case OpJmp:
 			err = target(in.A)
@@ -122,8 +126,13 @@ func VerifyCode(code []Instr, b Bounds) error {
 			err = firstErr(reg(in.A), reg(in.B))
 		case OpCvt:
 			err = firstErr(reg(in.A), reg(in.B), idx("type", in.C, b.Types))
-		case OpLoadV, OpStoreV:
+		case OpLoadV:
 			err = firstErr(reg(in.A), reg(in.B), idx("symbol", in.C, b.Syms))
+		case OpStoreV:
+			err = firstErr(reg(in.A), reg(in.B), idx("symbol", in.C, b.Syms))
+			if err == nil && in.D != 0 && in.D != 1 {
+				err = fmt.Errorf("store mode %d", in.D)
+			}
 		case OpLoadO, OpAddrO:
 			err = firstErr(reg(in.A), objRef(in.B))
 		case OpStoreO:

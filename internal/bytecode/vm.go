@@ -17,8 +17,11 @@ type VM struct {
 	m    *interp.Machine
 
 	// cost is refreshed from the machine on every entry: the GPU executor
-	// swaps the machine's cost sink per simulated thread.
-	cost interp.CostSink
+	// swaps the machine's cost sink per simulated thread. counting is cost
+	// when it is an *interp.CountingSink, which takes a charge's traffic
+	// in one call per symbol; nil otherwise.
+	cost     interp.CostSink
+	counting *interp.CountingSink
 
 	// Per-pool caches resolved against this machine.
 	objs     []*interp.Object // by Syms index (globals; nil for locals)
@@ -115,6 +118,7 @@ func NewVM(m *interp.Machine, p *Program) *VM {
 // refresh re-reads the machine's per-run cost sink.
 func (vm *VM) refresh() {
 	vm.cost = vm.m.Cost()
+	vm.counting, _ = vm.cost.(*interp.CountingSink)
 }
 
 // resolveGlobals binds global symbol indices to their storage. Must run
@@ -228,8 +232,8 @@ func (vm *VM) freeSlotName(slot int32) string {
 func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	code := fn.Code
 	regs := fr.regs
-	cost := vm.cost
-	consts := vm.Prog.Consts
+	cost, counting := vm.cost, vm.counting
+	consts, traffic := vm.Prog.Consts, vm.Prog.Traffic
 	symSpace, symWidth, symConv := vm.symSpace, vm.symWidth, vm.symConv
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
@@ -249,8 +253,22 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				}
 				continue
 			}
-			if in.A > 0 {
-				cost.Op(int(in.A))
+			if counting != nil {
+				// One call per symbol: the totals are all a
+				// CountingSink keeps.
+				counting.Op(int(in.A))
+				if in.C != 0 {
+					for _, a := range traffic[in.C-1] {
+						counting.Accesses(symSpace[a.Sym], symWidth[a.Sym], int64(a.Loads), int64(a.Stores))
+					}
+				}
+			} else {
+				if in.A > 0 {
+					cost.Op(int(in.A))
+				}
+				if in.C != 0 {
+					vm.chargeEach(traffic[in.C-1])
+				}
 			}
 			if in.B > 0 {
 				if err := vm.m.AddSteps(int64(in.B)); err != nil {
@@ -377,7 +395,9 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			cost.Load(symSpace[in.C], symWidth[in.C])
 			regs[in.A] = regs[in.B]
 		case OpStoreV:
-			cost.Store(symSpace[in.C], symWidth[in.C])
+			if in.D == 0 {
+				cost.Store(symSpace[in.C], symWidth[in.C])
+			}
 			v := regs[in.B]
 			switch symConv[in.C] {
 			case convLong:
@@ -484,6 +504,20 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		}
 	}
 	return interp.Value{}, false, nil
+}
+
+// chargeEach charges the tracked-variable accesses a charge folded one
+// Load or Store call at a time, for a sink other than a CountingSink.
+func (vm *VM) chargeEach(acc []Access) {
+	for _, a := range acc {
+		space, width := vm.symSpace[a.Sym], vm.symWidth[a.Sym]
+		for i := int32(0); i < a.Loads; i++ {
+			vm.cost.Load(space, width)
+		}
+		for i := int32(0); i < a.Stores; i++ {
+			vm.cost.Store(space, width)
+		}
+	}
 }
 
 // binop executes one typed arithmetic/comparison opcode. Static types

@@ -84,8 +84,11 @@ func FuzzVMParity(f *testing.F) {
 	}
 	for _, src := range []string{arithmeticSrc, floatsSrc, controlFlowSrc, shortCircuitSrc,
 		callsAndRecursionSrc, arraysAndPointersSrc, globalsAndStringsSrc, untrackedLocalsSrc,
-		conversionsSrc, exitSrc, stdinRecordsSrc, stepBudgetSrc} {
+		conversionsSrc, exitSrc, stdinRecordsSrc, stepBudgetSrc, forwardingSrc} {
 		f.Add(src, stdin)
+	}
+	for _, stmt := range exitInOperandStmts {
+		f.Add(exitInOperandSrc(stmt), "")
 	}
 	for _, tc := range runtimeErrorCases {
 		f.Add(tc.src, "")

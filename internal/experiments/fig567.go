@@ -91,6 +91,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 			}
 			row.Total += st.Total()
 		}
+		//detlint:ignore map-iteration: each fraction is divided in place by the same total, which visiting order cannot change
 		for name := range row.Fractions {
 			row.Fractions[name] /= row.Total
 		}

@@ -99,6 +99,16 @@ func (c *CountingSink) Load(s MemSpace, w int) { c.Loads++; c.LoadBytes[s] += in
 // Store implements CostSink.
 func (c *CountingSink) Store(s MemSpace, w int) { c.Stores++; c.StoreBytes[s] += int64(w) }
 
+// Accesses charges loads reads and stores writes of w bytes each in
+// space at once, as that many Load and Store calls would. The bytecode VM
+// adds a batch of tracked-variable accesses through it.
+func (c *CountingSink) Accesses(s MemSpace, w int, loads, stores int64) {
+	c.Loads += loads
+	c.Stores += stores
+	c.LoadBytes[s] += loads * int64(w)
+	c.StoreBytes[s] += stores * int64(w)
+}
+
 // ValKind tags runtime values.
 type ValKind uint8
 

@@ -11,12 +11,15 @@ package ir
 // register on every incoming edge), and no parallel-copy sequencing or
 // critical-edge splitting is needed.
 //
-// Every other value-producing instruction gets a temporary register.
-// Because expression lowering never opens a new block (short-circuit
-// operands become conditional instruction ranges inside the block), a
-// temporary's live range is contained in its block, so a simple
-// linear scan over [definition, last use] positions reuses temporaries
-// aggressively and keeps frames small.
+// Every other value-producing instruction gets a temporary register,
+// except a forwarded load: an OpLoad whose Var no OpStore or OpDeclZero
+// of its block redefines before the load's last use. The variable's own
+// register still holds the loaded value at every read, so the load reads
+// it in place and needs no copy. Because expression lowering never opens
+// a new block (short-circuit operands become conditional instruction
+// ranges inside the block), a temporary's live range is contained in its
+// block, so a simple linear scan over [definition, last use] positions
+// reuses temporaries aggressively and keeps frames small.
 
 // Reachable reports whether b is reachable from the function entry
 // (computed by the dominator pass during Build). Code generators skip
@@ -32,15 +35,16 @@ type RegPlan struct {
 	// NumVars is the tracked-variable register count.
 	NumVars int
 
-	temp map[*Instr]int
+	reg map[*Instr]int
 }
 
 // VarReg returns the frame register holding v.
 func (p *RegPlan) VarReg(v *Var) int { return v.ID }
 
-// TempReg returns the temporary register assigned to in's result, if any.
-func (p *RegPlan) TempReg(in *Instr) (int, bool) {
-	r, ok := p.temp[in]
+// ValueReg returns the register holding in's result, if any: a temporary,
+// or for a forwarded load its variable's register.
+func (p *RegPlan) ValueReg(in *Instr) (int, bool) {
+	r, ok := p.reg[in]
 	return r, ok
 }
 
@@ -57,7 +61,7 @@ func producesTemp(op Op) bool {
 
 // AllocateRegisters computes the out-of-SSA register plan for f.
 func AllocateRegisters(f *Func) *RegPlan {
-	p := &RegPlan{NumVars: len(f.Vars), temp: map[*Instr]int{}}
+	p := &RegPlan{NumVars: len(f.Vars), reg: map[*Instr]int{}}
 	rets := map[*Instr]bool{}
 	for _, r := range f.Rets {
 		rets[r] = true
@@ -65,34 +69,47 @@ func AllocateRegisters(f *Func) *RegPlan {
 
 	next := len(f.Vars)
 	var free []int
+	const noDef = int(^uint(0) >> 1)
+	nextDef := make([]int, len(f.Vars))
+	for v := range nextDef {
+		nextDef[v] = noDef
+	}
 	for _, b := range f.Blocks {
-		// Last-use position of each temporary within the block. Phi and
-		// OpLoad arguments are SSA def-use links, not runtime reads.
+		// Last-use position of each temporary within the block: walking
+		// backwards, the first use met. Phi and OpLoad arguments are SSA
+		// def-use links, not runtime reads. Block terminators and return
+		// values are consumed after the last instruction, at end. nextDef
+		// holds the index of each variable's next definition in the block,
+		// and a load last used before it is forwarded. Index order is
+		// conservative across short-circuit and ?: regions, which hold no
+		// tracked definitions.
 		last := map[*Instr]int{}
-		for i, in := range b.Instrs {
-			if producesTemp(in.Op) {
-				last[in] = i
+		end := len(b.Instrs) + 1
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := b.Instrs[i]
+			if in.Op == OpStore || in.Op == OpDeclZero {
+				nextDef[in.Var.ID] = i
+			} else if producesTemp(in.Op) {
+				l, used := last[in]
+				if in == b.Cond || rets[in] {
+					l = end
+				} else if !used {
+					l = i
+				}
+				if in.Op == OpLoad && l < nextDef[in.Var.ID] {
+					p.reg[in] = in.Var.ID
+					delete(last, in)
+				} else {
+					last[in] = l
+				}
 			}
-		}
-		for i, in := range b.Instrs {
 			if in.Op == OpPhi || in.Op == OpLoad {
 				continue
 			}
 			for _, a := range in.Args {
-				if l, ok := last[a]; ok && i > l {
+				if _, seen := last[a]; !seen && producesTemp(a.Op) {
 					last[a] = i
 				}
-			}
-		}
-		// Block terminators and return values are consumed after the last
-		// instruction; pin them to the block end.
-		end := len(b.Instrs) + 1
-		for _, in := range b.Instrs {
-			if _, ok := last[in]; !ok {
-				continue
-			}
-			if in == b.Cond || rets[in] {
-				last[in] = end
 			}
 		}
 
@@ -102,6 +119,9 @@ func AllocateRegisters(f *Func) *RegPlan {
 		}
 		var active []interval
 		for i, in := range b.Instrs {
+			if in.Op == OpStore || in.Op == OpDeclZero {
+				nextDef[in.Var.ID] = noDef
+			}
 			kept := active[:0]
 			for _, a := range active {
 				if a.last < i {
@@ -123,7 +143,7 @@ func AllocateRegisters(f *Func) *RegPlan {
 				r = next
 				next++
 			}
-			p.temp[in] = r
+			p.reg[in] = r
 			active = append(active, interval{reg: r, last: l})
 		}
 		// All temporaries die at the block boundary.
