@@ -19,7 +19,7 @@ type bcSection struct {
 // dumpBytecode compiles one built-in benchmark by code (WC, BS, ...) and
 // writes the register-bytecode disassembly of every interpreted stage: the
 // map and combine host programs, the reduce filter, and the GPU kernel
-// fragments the bytecode compiler produced for the map/combine regions.
+// programs the bytecode compiler produced for the map/combine regions.
 func dumpBytecode(w io.Writer, code string) error {
 	b := workload.ByCode(strings.ToUpper(code))
 	if b == nil {
@@ -31,13 +31,12 @@ func dumpBytecode(w io.Writer, code string) error {
 	}
 	sections := []bcSection{
 		{"map host program", cj.MapC.VM},
-		{"map kernel condition", cj.MapC.KernelCond},
-		{"map kernel body", cj.MapC.KernelBody},
+		{"map kernel", cj.MapC.KernelVM},
 	}
 	if cj.CombineC != nil {
 		sections = append(sections,
 			bcSection{"combine host program", cj.CombineC.VM},
-			bcSection{"combine kernel region", cj.CombineC.KernelRegion})
+			bcSection{"combine kernel", cj.CombineC.KernelVM})
 	}
 	if cj.ReduceF != nil {
 		sections = append(sections, bcSection{"reduce filter", cj.ReduceF.Code})

@@ -34,7 +34,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestDumpBytecodeGolden pins `hdbench -dump-bytecode` for every Table-2
-// benchmark: the optimized host programs, kernel fragments and reduce
+// benchmark: the optimized host programs, kernel programs and reduce
 // filter of each job, as the VM runs them. Any change to what the SSA
 // optimizer leaves behind shows up here as a byte diff.
 func TestDumpBytecodeGolden(t *testing.T) {

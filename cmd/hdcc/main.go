@@ -31,7 +31,7 @@ func main() {
 	plan := flag.Bool("plan", false, "print the variable classification plan")
 	demo := flag.Bool("demo", false, "compile the built-in wordcount mapper (paper Listing 1)")
 	lint := flag.Bool("lint", false, "run the static-analysis suite and print diagnostics to stderr")
-	dumpBC := flag.Bool("dump-bytecode", false, "print the register-bytecode disassembly of the host program and kernel fragments instead of CUDA")
+	dumpBC := flag.Bool("dump-bytecode", false, "print the register-bytecode disassembly of the host program and kernel program instead of CUDA")
 	flag.Parse()
 
 	var src, file string
@@ -92,21 +92,16 @@ func main() {
 }
 
 // dumpBytecode prints the register-bytecode disassembly of everything the
-// compiler lowered: the host program and the GPU kernel fragments.
+// compiler lowered: the host program and the GPU kernel program.
 func dumpBytecode(compiled *compiler.Compiled) {
 	sections := []struct {
 		title string
 		prog  *bytecode.Program
 	}{
 		{"host program", compiled.VM},
-		{"mapper kernel condition", compiled.KernelCond},
-		{"mapper kernel body", compiled.KernelBody},
-		{"combiner kernel region", compiled.KernelRegion},
+		{compiled.Kernel.Kind.String() + " kernel", compiled.KernelVM},
 	}
 	for _, s := range sections {
-		if s.prog == nil {
-			continue
-		}
 		fmt.Printf("== %s ==\n", s.title)
 		fmt.Print(bytecode.Disassemble(s.prog))
 		fmt.Println()

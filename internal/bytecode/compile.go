@@ -28,14 +28,15 @@ import (
 //     of those points, exit() and getRecord grants included. A read of a
 //     tracked variable executes nothing when the register allocator
 //     forwards it, and is a move otherwise.
-//   - Batched (kernel fragment bodies). Per-expression Op(1) charges are
+//   - Batched (kernel entries: a mapper region's loop condition and body,
+//     a combiner's region). Per-expression Op(1) charges are
 //     recovered by inverting the IR's ExprInstr map: the number of
 //     expressions an instruction produces the value for is the number of
 //     eval-entry ops it carries. Ops and steps batch as in folded code,
 //     but load.v and store.v charge each access where it happens. An entry
 //     op whose value instruction follows a call is charged after the
 //     call, where the walker charges it before.
-//   - Per-event (the program functions a kernel fragment calls). Every
+//   - Per-event (the program functions a kernel's entries call). Every
 //     step, entry op and memory access reaches the cost sink as its own
 //     event, where the walker charges it: a statement's step and op where
 //     the statement starts, and each instruction's Entries ahead of the
@@ -44,10 +45,15 @@ import (
 //
 // GPU time is the float sum gpu.ThreadCost adds event by event, on costs
 // that are not dyadic on the M2090, so moving a GPU charge can move its
-// bits: a fragment body's batch order and a callee's one-event-at-a-time
-// order are both the recorded definition of GPU time. Once GPU cost is
-// counted in integers, fragment bodies and callees can fold too, and the
-// batched and per-event disciplines go.
+// bits: an entry's batch order and a callee's one-event-at-a-time order
+// are both the recorded definition of GPU time. Once GPU cost is counted
+// in integers, entries and callees can fold too, and the batched and
+// per-event disciplines go.
+//
+// A translated region compiles into one kernel program (CompileKernel):
+// its entries come first and share one object-slot table, so the GPU
+// executor binds the host's objects once per simulated thread or warp,
+// and the program functions they call follow, each compiled once.
 //
 // Every discipline checks an assignment's index or pointer target after
 // the target's operands, before the right-hand side, as the walker does.
@@ -57,66 +63,64 @@ import (
 
 // Compile lowers every function of a semantically-analyzed program.
 func Compile(prog *minic.Program) (*Program, error) {
-	b := newBuilder(false)
+	b := newBuilder(folded)
 	for _, fn := range prog.Funcs {
-		if err := b.addFn(fn, nil, nil); err != nil {
+		if err := b.addFn(fn, nil, nil, nil); err != nil {
 			return nil, err
 		}
 	}
 	return b.prog, nil
 }
 
-// CompileFragmentExpr compiles a kernel condition expression (the mapper
-// while-loop condition) of prog into a fragment program whose entry
-// returns the expression value. Free symbols resolve through
-// host-populated frame slots.
-func CompileFragmentExpr(prog *minic.Program, cond minic.Expr) (*Program, error) {
-	if cond == nil {
-		return nil, fmt.Errorf("bytecode: fragment has no condition")
+// CompileKernel compiles one translated kernel region of prog into one
+// kernel program whose entries are Fns[0:len(entries)], in order. An
+// entry is a loop condition (a minic.Expr, whose value the entry returns)
+// or a region statement (a minic.Stmt). The entries are compiled with
+// batched charges and share one object-slot table: its slots that no
+// entry binds are the free symbols the host binds once (Program.Free).
+// Every function of prog the entries call, directly or transitively,
+// follows them, compiled once with per-event charges, in first-call
+// order. A call the VM binds to a program function names no builtin
+// (sema forbids the shadowing), so the unmarked callees that name a
+// function of prog are exactly those.
+func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error) {
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("bytecode: kernel has no entry")
 	}
-	ret := &minic.Return{X: cond}
-	body := &minic.Block{Stmts: []minic.Stmt{ret}}
-	// EvalIn charges no statement steps for the synthesized wrapper.
-	skip := map[minic.Stmt]bool{body: true, ret: true}
-	return compileFragment(prog, &minic.FuncDecl{Name: "<cond>", Body: body}, body, skip)
-}
-
-// CompileFragmentStmt compiles a kernel region statement of prog (the
-// mapper loop body or the combiner region) into a fragment program. The
-// statement itself is charged (ExecIn charges it); only the wrapper block
-// is not.
-func CompileFragmentStmt(prog *minic.Program, region minic.Stmt) (*Program, error) {
-	if region == nil {
-		return nil, fmt.Errorf("bytecode: fragment has no statement")
-	}
-	body := &minic.Block{Stmts: []minic.Stmt{region}}
-	skip := map[minic.Stmt]bool{body: true}
-	return compileFragment(prog, &minic.FuncDecl{Name: "<region>", Body: body}, body, skip)
-}
-
-// compileFragment compiles the fragment entry (Fns[0]) with batched
-// charges, then every function of prog it calls, directly or
-// transitively, with per-event charges, each once, in first-call order.
-// A call the VM binds to a program function names no builtin (sema
-// forbids the shadowing), so the unmarked callees that name a function
-// of prog are exactly those.
-func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
-	declared := map[*minic.Symbol]bool{}
-	minic.WalkStmts(body, func(s minic.Stmt) {
-		if d, ok := s.(*minic.DeclStmt); ok {
-			for _, dc := range d.Decls {
-				if dc.Sym != nil {
-					declared[dc.Sym] = true
-				}
-			}
+	b := newBuilder(batched)
+	b.prog.Entries = len(entries)
+	slots := newSlotTable()
+	for _, e := range entries {
+		var decl *minic.FuncDecl
+		var skip map[minic.Stmt]bool
+		switch e := e.(type) {
+		case minic.Expr:
+			// EvalIn charges no statement steps for the synthesized
+			// wrapper.
+			ret := &minic.Return{X: e}
+			body := &minic.Block{Stmts: []minic.Stmt{ret}}
+			decl, skip = &minic.FuncDecl{Name: "<cond>", Body: body}, map[minic.Stmt]bool{body: true, ret: true}
+		case minic.Stmt:
+			// The statement itself is charged (ExecIn charges it); only
+			// the wrapper block is not.
+			body := &minic.Block{Stmts: []minic.Stmt{e}}
+			decl, skip = &minic.FuncDecl{Name: "<region>", Body: body}, map[minic.Stmt]bool{body: true}
+		default:
+			return nil, fmt.Errorf("bytecode: kernel entry is neither an expression nor a statement")
 		}
-	})
-	demote := func(sym *minic.Symbol) bool { return !declared[sym] }
-
-	b := newBuilder(true)
-	if err := b.addFn(decl, demote, skip); err != nil {
-		return nil, err
+		if err := b.addFn(decl, declaredOutside(decl.Body), skip, slots); err != nil {
+			return nil, err
+		}
 	}
+	for _, sym := range slots.syms {
+		if !slots.bound[sym] {
+			b.prog.Free = append(b.prog.Free, FreeRef{Sym: sym, Slot: slots.of[sym]})
+		}
+	}
+	for _, fn := range b.prog.Fns {
+		fn.NumObjSlots = int32(len(slots.syms))
+	}
+
 	b.disc = perEvent
 	compiled := map[*minic.FuncDecl]bool{}
 	// Compiling a callee can intern more callees: the loop reaches them.
@@ -127,11 +131,27 @@ func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Bloc
 			continue
 		}
 		compiled[fn] = true
-		if err := b.addFn(fn, nil, nil); err != nil {
+		if err := b.addFn(fn, nil, nil, nil); err != nil {
 			return nil, err
 		}
 	}
 	return b.prog, nil
+}
+
+// declaredOutside demotes to object memory every symbol that body does
+// not declare: those live in host-bound slots.
+func declaredOutside(body *minic.Block) func(*minic.Symbol) bool {
+	declared := map[*minic.Symbol]bool{}
+	minic.WalkStmts(body, func(s minic.Stmt) {
+		if d, ok := s.(*minic.DeclStmt); ok {
+			for _, dc := range d.Decls {
+				if dc.Sym != nil {
+					declared[dc.Sym] = true
+				}
+			}
+		}
+	})
+	return func(sym *minic.Symbol) bool { return !declared[sym] }
 }
 
 // builder accumulates the shared pools of one Program. All interning is
@@ -161,14 +181,10 @@ const (
 	perEvent
 )
 
-func newBuilder(fragment bool) *builder {
-	disc := folded
-	if fragment {
-		disc = batched
-	}
+func newBuilder(disc discipline) *builder {
 	return &builder{
 		disc:      disc,
-		prog:      &Program{Main: -1, Fragment: fragment},
+		prog:      &Program{Main: -1},
 		constIdx:  map[interp.Value]int32{},
 		strIdx:    map[string]int32{},
 		typeIdx:   map[*minic.Type]int32{},
@@ -275,8 +291,10 @@ func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 	return i, nil
 }
 
-func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) error {
-	fn, err := b.compileFn(decl, demote, skip)
+// addFn compiles one function. slots is the object-slot table a kernel
+// entry shares with the others; nil gives the function its own.
+func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable) error {
+	fn, err := b.compileFn(decl, demote, skip, slots)
 	if err != nil {
 		return fmt.Errorf("bytecode: cannot lower function %q: %w", decl.Name, err)
 	}
@@ -303,9 +321,9 @@ type fnBuilder struct {
 	// has made since the last charge, per symbol in first-access order.
 	pendingTraffic []Access
 
-	// fragment marks a fragment entry, whose free symbols the host binds
-	// (see objRef).
-	fragment bool
+	// entry marks a kernel entry, whose free symbols the host binds (see
+	// objRef).
+	entry bool
 	// inv holds the eval-entry op count each instruction carries
 	// (inverted ExprInstr map), consumed as batched code charges. Folded
 	// and per-event code read ir.Instr.Entries instead.
@@ -314,15 +332,27 @@ type fnBuilder struct {
 	skipConst map[*ir.Instr]bool
 	skip      map[minic.Stmt]bool
 
-	slotOf   map[*minic.Symbol]int32
-	slotSyms []*minic.Symbol
-	bound    map[*minic.Symbol]bool
+	slots *slotTable
 
 	blockPC map[*ir.Block]int32
 	patches []patch
 	regions []regionFrame
 
 	scratch0, scratch1 int32
+}
+
+// slotTable numbers the object slots of a function's frame: symbols
+// whose storage is an object rather than a register. bound marks the
+// slots an alloc or a parameter fills; a kernel program's entries share
+// one table, and its unbound slots are the host-bound free symbols.
+type slotTable struct {
+	of    map[*minic.Symbol]int32
+	syms  []*minic.Symbol
+	bound map[*minic.Symbol]bool
+}
+
+func newSlotTable() *slotTable {
+	return &slotTable{of: map[*minic.Symbol]int32{}, bound: map[*minic.Symbol]bool{}}
 }
 
 type patch struct {
@@ -338,19 +368,22 @@ type regionFrame struct {
 	jmpPC     int // select: jmp after the then-arm, patched to region end
 }
 
-func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool) (*Fn, error) {
+func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable) (*Fn, error) {
 	f := ir.BuildFragment(decl, demote)
 	addLValueUses(f)
 	plan := ir.AllocateRegisters(f)
+	entry := slots != nil
+	if !entry {
+		slots = newSlotTable()
+	}
 	fb := &fnBuilder{
 		b:         b,
 		f:         f,
 		plan:      plan,
-		fragment:  b.prog.Fragment && len(b.prog.Fns) == 0,
+		entry:     entry,
 		skipConst: map[*ir.Instr]bool{},
 		skip:      skip,
-		slotOf:    map[*minic.Symbol]int32{},
-		bound:     map[*minic.Symbol]bool{},
+		slots:     slots,
 		blockPC:   map[*ir.Block]int32{},
 		scratch0:  int32(plan.NumRegs),
 		scratch1:  int32(plan.NumRegs) + 1,
@@ -387,7 +420,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 			prm.Reg = int32(plan.VarReg(v))
 		} else {
 			prm.Slot = fb.slot(p.Sym)
-			fb.bound[p.Sym] = true
+			fb.slots.bound[p.Sym] = true
 		}
 		fn.Params = append(fn.Params, prm)
 	}
@@ -414,20 +447,18 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 			fb.code[p.pc].C = pc
 		}
 	}
-	// Free symbols (fragment slots never bound by alloc or parameter)
-	// must be host-populated; every other function has none.
-	for _, sym := range fb.slotSyms {
-		if fb.bound[sym] {
-			continue
+	// Only a kernel entry has free symbols, which the host binds
+	// (CompileKernel lists them once every entry is compiled).
+	if !entry {
+		for _, sym := range slots.syms {
+			if !slots.bound[sym] {
+				return nil, fmt.Errorf("unbound object slot for %q", sym.Name)
+			}
 		}
-		if !fb.fragment {
-			return nil, fmt.Errorf("unbound object slot for %q", sym.Name)
-		}
-		b.prog.Free = append(b.prog.Free, FreeRef{Sym: sym, Slot: fb.slotOf[sym]})
 	}
 	fn.Code = fb.code
 	fn.Pos = fb.pos
-	fn.NumObjSlots = int32(len(fb.slotSyms))
+	fn.NumObjSlots = int32(len(slots.syms))
 	return fn, nil
 }
 
@@ -617,26 +648,27 @@ func (fb *fnBuilder) exprReg(e minic.Expr) (int32, error) {
 }
 
 func (fb *fnBuilder) slot(sym *minic.Symbol) int32 {
-	if s, ok := fb.slotOf[sym]; ok {
+	t := fb.slots
+	if s, ok := t.of[sym]; ok {
 		return s
 	}
-	s := int32(len(fb.slotSyms))
-	fb.slotOf[sym] = s
-	fb.slotSyms = append(fb.slotSyms, sym)
+	s := int32(len(t.syms))
+	t.of[sym] = s
+	t.syms = append(t.syms, sym)
 	return s
 }
 
 // objRef encodes where a symbol's object lives: global symbol pool index
-// (>= 0) or frame slot (< 0). A fragment entry routes every free symbol
+// (>= 0) or frame slot (< 0). A kernel entry routes every free symbol
 // through the frame so host bindings (GPU privatized/shared objects) win,
 // exactly like the walker's frame-before-globals lookup order. Any other
-// function, a fragment's callees included, sees its own frame and then
-// the globals, as the walker's callee frame does.
+// function, a kernel's callees included, sees its own frame and then the
+// globals, as the walker's callee frame does.
 func (fb *fnBuilder) objRef(sym *minic.Symbol) (int32, error) {
 	if sym == nil {
 		return 0, fmt.Errorf("unresolved identifier")
 	}
-	if sym.Global && !fb.fragment {
+	if sym.Global && !fb.entry {
 		return fb.b.sym(sym), nil
 	}
 	return -fb.slot(sym) - 1, nil
@@ -792,7 +824,7 @@ func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 		// Global declarations execute in initGlobals on the walker.
 		return fmt.Errorf("allocation of global %q", dc.Name)
 	}
-	fb.bound[dc.Sym] = true
+	fb.slots.bound[dc.Sym] = true
 	fb.emit(OpAlloc, -ref-1, spec, initReg, 0)
 	return nil
 }

@@ -8,9 +8,18 @@ import (
 )
 
 // Disassemble renders a compiled program as human-readable text, one
-// function per section. The format is stable: golden tests depend on it.
+// function per section. A kernel program opens with its entry count and
+// the slots of its free symbols. The format is stable: golden tests
+// depend on it.
 func Disassemble(p *Program) string {
 	var b strings.Builder
+	if p.Entries > 0 {
+		fmt.Fprintf(&b, "kernel entries=%d free", p.Entries)
+		for _, f := range p.Free {
+			fmt.Fprintf(&b, " slot%d=%s", f.Slot, f.Sym.Name)
+		}
+		b.WriteString("\n")
+	}
 	for i, fn := range p.Fns {
 		if i > 0 {
 			b.WriteByte('\n')

@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestDisassemblyGolden pins the exact disassembly of the paper's
 // wordcount map and combine stages — host programs and GPU kernel
-// fragments. The listing is the compiler-to-VM contract made visible:
+// programs. The listing is the compiler-to-VM contract made visible:
 // any change to lowering, out-of-SSA copy placement, register
 // assignment, or the instruction set shows up as a byte diff here.
 // (This lives in an external test package so it can compile a full
@@ -38,13 +38,8 @@ func TestDisassemblyGolden(t *testing.T) {
 			prog  *bytecode.Program
 		}{
 			{"host program", compiled.VM},
-			{"kernel condition", compiled.KernelCond},
-			{"kernel body", compiled.KernelBody},
-			{"kernel region", compiled.KernelRegion},
+			{"kernel", compiled.KernelVM},
 		} {
-			if sec.prog == nil {
-				continue
-			}
 			if err := bytecode.Verify(sec.prog); err != nil {
 				t.Errorf("%s %s: verifier rejected compiler output: %v", stage.name, sec.title, err)
 			}

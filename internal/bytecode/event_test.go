@@ -44,12 +44,11 @@ type eventRun struct {
 }
 
 // compilePerEvent lowers every function of prog with the per-event charge
-// discipline that production uses only for a kernel fragment's callees.
+// discipline that production uses only for a kernel program's callees.
 func compilePerEvent(prog *minic.Program) (*Program, error) {
-	b := newBuilder(false)
-	b.disc = perEvent
+	b := newBuilder(perEvent)
 	for _, fn := range prog.Funcs {
-		if err := b.addFn(fn, nil, nil); err != nil {
+		if err := b.addFn(fn, nil, nil, nil); err != nil {
 			return nil, err
 		}
 	}

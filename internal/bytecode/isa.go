@@ -65,15 +65,15 @@ type Op uint8
 //	arg     A=src              push call argument
 //	call    A=dst B=callee# C=argc
 //
-// The variable opcodes charge only in GPU code (kernel fragments and their
+// The variable opcodes charge only in GPU code (kernel entries and their
 // callees). Whole programs emit no load.v: a read of a tracked variable
 // is its register, or a move out of it, and its Load, like every store.v's
 // Store, rides on the next charge as traffic.
 //
 // An objref encodes where an object lives: ref >= 0 is a program-global
 // symbol index resolved once per VM; ref < 0 is frame object slot
-// (-ref - 1), populated by alloc, parameter binding, or (for GPU
-// fragments) the host before execution.
+// (-ref - 1), populated by alloc, parameter binding, or (for a kernel
+// program's free symbols) the host before execution.
 const (
 	OpNop Op = iota
 	OpCharge
@@ -240,8 +240,8 @@ type Access struct {
 	Loads, Stores int32
 }
 
-// FreeRef binds one free symbol of a fragment to the frame object slot the
-// host must populate before execution.
+// FreeRef binds one free symbol of a kernel program to the frame object
+// slot the host must populate before execution.
 type FreeRef struct {
 	Sym  *minic.Symbol
 	Slot int32
@@ -261,7 +261,7 @@ type Fn struct {
 	Pos []minic.Pos
 }
 
-// Program is a compiled translation unit (or a single kernel fragment)
+// Program is a compiled translation unit or one translated kernel region,
 // plus the constant pools its instructions index into.
 type Program struct {
 	Consts  []interp.Value
@@ -277,13 +277,16 @@ type Program struct {
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.
 	Main int
-	// Fragment marks a kernel-fragment program. Fns[0] is the fragment
-	// entry: no params, free symbols resolved through Free. The program
-	// functions it calls, directly or transitively, follow it, compiled
-	// with per-event charges (see compile.go); they resolve globals
-	// through Syms, as whole-program functions do.
-	Fragment bool
-	Free     []FreeRef
+	// Entries is a kernel program's entry count, 0 for a whole program.
+	// Fns[0:Entries] are the entries of one translated region (a mapper's
+	// loop condition and body, a combiner's region): parameterless, and
+	// sharing one object-slot table and one register frame. Free lists
+	// the table's slots the host binds, once, before any entry runs. The
+	// program functions the entries call, directly or transitively,
+	// follow them, compiled with per-event charges (see compile.go); they
+	// resolve globals through Syms, as whole-program functions do.
+	Entries int
+	Free    []FreeRef
 }
 
 // Fn returns the compiled function with the given name, or nil.

@@ -592,11 +592,11 @@ func TestParityForwarding(t *testing.T) {
 	}
 }
 
-// TestFragmentParity compiles a loop body + condition as kernel fragments
-// and compares against ExecIn/EvalIn on the same machine state. The body
-// calls a helper that reads the global g, which the host also binds in
-// the frame: the fragment reads the frame's object, and the helper, like
-// the walker's callee frame, the global.
+// TestFragmentParity compiles a loop condition and body as the two entries
+// of one kernel program and compares against EvalIn/ExecIn on the same
+// machine state. The body calls a helper that reads the global g, which
+// the host also binds in the frame: the entry reads the frame's object,
+// and the helper, like the walker's callee frame, the global.
 func TestFragmentParity(t *testing.T) {
 	src := `
 int g = 5;
@@ -625,12 +625,11 @@ int main() {
 		t.Fatal("no while loop found")
 	}
 
-	condProg, err := CompileFragmentExpr(prog, loop.Cond)
+	kernel, err := CompileKernel(prog, loop.Cond, loop.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyProg, err := CompileFragmentStmt(prog, loop.Body)
-	if err != nil {
+	if err := Verify(kernel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -658,23 +657,19 @@ int main() {
 		sumObj := bind("sum", 0)
 
 		if useVM {
-			cond, err := NewFragmentVM(m, condProg, fr.Object)
+			vm, err := NewFragmentVM(m, kernel, fr.Object)
 			if err != nil {
-				t.Fatalf("cond fragment: %v", err)
-			}
-			body, err := NewFragmentVM(m, bodyProg, fr.Object)
-			if err != nil {
-				t.Fatalf("body fragment: %v", err)
+				t.Fatalf("kernel: %v", err)
 			}
 			for {
-				v, _, err := cond.Run()
+				v, _, err := vm.Run(0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !v.Truthy() {
 					break
 				}
-				if _, _, err := body.Run(); err != nil {
+				if _, _, err := vm.Run(1); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -45,9 +45,21 @@ func Verify(p *Program) error {
 	if p.Main >= len(p.Fns) {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)
 	}
-	// A fragment's entry is Fns[0]; its callees may follow.
-	if p.Fragment && (len(p.Fns) == 0 || len(p.Fns[0].Params) != 0) {
-		return errors.New("bytecode: fragment without a parameterless entry")
+	// A kernel program's entries are Fns[0:Entries], parameterless and
+	// sharing one slot table, which every free symbol indexes; its
+	// callees may follow.
+	if p.Entries < 0 || p.Entries > len(p.Fns) {
+		return fmt.Errorf("bytecode: entry count %d out of range [0,%d]", p.Entries, len(p.Fns))
+	}
+	for _, fn := range p.Fns[:p.Entries] {
+		if len(fn.Params) != 0 || fn.NumObjSlots != p.Fns[0].NumObjSlots {
+			return fmt.Errorf("bytecode: %s: kernel entry with parameters or a slot table of its own", fn.Name)
+		}
+	}
+	for _, f := range p.Free {
+		if p.Entries == 0 || f.Slot < 0 || f.Slot >= p.Fns[0].NumObjSlots {
+			return fmt.Errorf("bytecode: free symbol %q outside the kernel slot table", f.Sym.Name)
+		}
 	}
 	for _, fn := range p.Fns {
 		for _, prm := range fn.Params {

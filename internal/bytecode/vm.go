@@ -16,10 +16,9 @@ type VM struct {
 	Prog *Program
 	m    *interp.Machine
 
-	// cost is refreshed from the machine on every entry: the GPU executor
-	// swaps the machine's cost sink per simulated thread. counting is cost
-	// when it is an *interp.CountingSink, which takes a charge's traffic
-	// in one call per symbol; nil otherwise.
+	// cost is read from the machine on every entry. counting is cost when
+	// it is an *interp.CountingSink, which takes a charge's traffic in one
+	// call per symbol; nil otherwise.
 	cost     interp.CostSink
 	counting *interp.CountingSink
 
@@ -207,7 +206,7 @@ func (vm *VM) object(fr *vmFrame, ref int32) (*interp.Object, error) {
 		if obj := fr.objs[-ref-1]; obj != nil {
 			return obj, nil
 		}
-		// A fragment slot the host did not populate, or (impossible for
+		// A kernel slot the host did not populate, or (impossible for
 		// compiled code) an unbound local.
 		return nil, fmt.Errorf("interp: unresolved symbol %q", vm.freeSlotName(-ref-1))
 	}
@@ -734,7 +733,7 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 // builtins first, then program functions, then intrinsics installed
 // without sema marking, else unknown. Every program function the code
 // calls is compiled into the program: a whole program holds all of them,
-// and a kernel fragment holds the functions it reaches.
+// and a kernel program holds the functions its entries reach.
 func (vm *VM) resolve(calleeIdx int32) {
 	c := vm.Prog.Callees[calleeIdx]
 	lc := &vm.linked[calleeIdx]
@@ -758,25 +757,25 @@ func (vm *VM) resolve(calleeIdx int32) {
 	lc.kind = ckUnknown
 }
 
-// FragmentVM executes one compiled kernel fragment (a loop condition, a
-// loop body, or a combine region) repeatedly against host-bound storage.
-// The fragment entry is the program's first function; the program
-// functions it calls follow it and run in the same VM. The GPU executor
-// builds one per simulated thread context and swaps the machine's cost
-// sink before each entry.
+// FragmentVM runs the entries of one kernel program (see
+// Program.Entries) repeatedly against host-bound storage, in one frame:
+// one object-slot table, whose free slots are bound once, and one
+// register file sized for the largest entry, since no register is live
+// across entries. The program functions the entries call run in the same
+// VM. The GPU executor builds one per simulated map thread and one per
+// combine warp.
 type FragmentVM struct {
 	vm *VM
 	fr *vmFrame
 }
 
-// NewFragmentVM binds a fragment program to a machine. It resolves every
-// free symbol of the entry through lookup (typically the thread frame
-// first, then the machine's globals); a nil resolution fails the
-// construction. The entry's callees see the machine's globals, as the
-// walker's callee frames do.
+// NewFragmentVM binds a kernel program to a machine. It resolves every
+// free symbol through lookup; a nil resolution fails the construction.
+// The entries' callees see the machine's globals, as the walker's callee
+// frames do.
 func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *interp.Object) (*FragmentVM, error) {
-	if p == nil || !p.Fragment || len(p.Fns) == 0 {
-		return nil, fmt.Errorf("bytecode: not an executable fragment")
+	if p == nil || p.Entries == 0 {
+		return nil, fmt.Errorf("bytecode: not a kernel program")
 	}
 	// EvalIn/ExecIn run global initializers on every entry (idempotent);
 	// run them once here so free globals are allocated before binding.
@@ -785,25 +784,28 @@ func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *in
 	}
 	vm := NewVM(m, p)
 	vm.resolveGlobals()
-	fn := p.Fns[0]
+	regs := int32(0)
+	for _, fn := range p.Fns[:p.Entries] {
+		regs = max(regs, fn.NumRegs)
+	}
 	fr := &vmFrame{
-		regs: make([]interp.Value, fn.NumRegs),
-		objs: make([]*interp.Object, fn.NumObjSlots),
+		regs: make([]interp.Value, regs),
+		objs: make([]*interp.Object, p.Fns[0].NumObjSlots),
 	}
 	for _, free := range p.Free {
 		obj := lookup(free.Sym)
 		if obj == nil {
-			return nil, fmt.Errorf("bytecode: unbound fragment symbol %q", free.Sym.Name)
+			return nil, fmt.Errorf("bytecode: unbound kernel symbol %q", free.Sym.Name)
 		}
 		fr.objs[free.Slot] = obj
 	}
 	return &FragmentVM{vm: vm, fr: fr}, nil
 }
 
-// Run executes the fragment once. The bool reports whether a return
-// statement terminated it (ExecIn's contract); condition fragments return
+// Run executes entry Fns[entry] once. The bool reports whether a return
+// statement terminated it (ExecIn's contract); a condition entry returns
 // the condition value.
-func (f *FragmentVM) Run() (interp.Value, bool, error) {
+func (f *FragmentVM) Run(entry int) (interp.Value, bool, error) {
 	f.vm.refresh()
-	return f.vm.exec(f.vm.Prog.Fns[0], f.fr)
+	return f.vm.exec(f.vm.Prog.Fns[entry], f.fr)
 }

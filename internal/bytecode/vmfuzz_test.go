@@ -58,7 +58,7 @@ func arrayCells(prog *minic.Program) int {
 
 // FuzzVMParity is the bytecode compiler's robustness contract. Any source
 // that parses and checks must optimize and compile without panicking —
-// whole, and every while loop's condition and body as kernel fragments:
+// whole, and every while loop's condition and body as a kernel program:
 // a construct the compiler cannot lower is an error, never a crash. A
 // program that compiles must then run identically on the VM and on the
 // tree-walker under a small step budget. Compiled with per-event charges,
@@ -109,8 +109,7 @@ func FuzzVMParity(f *testing.F) {
 		for _, fn := range prog.Funcs {
 			minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 				if w, ok := s.(*minic.While); ok {
-					_, _ = CompileFragmentExpr(prog, w.Cond)
-					_, _ = CompileFragmentStmt(prog, w.Body)
+					_, _ = CompileKernel(prog, w.Cond, w.Body)
 				}
 			})
 		}

@@ -125,14 +125,20 @@ type Compiled struct {
 	// VM is the host program lowered to register bytecode — the execution
 	// core of the streaming path.
 	VM *bytecode.Program
-	// KernelCond / KernelBody are the mapper region's loop condition and
-	// body as bytecode fragments for the GPU kernel executor (nil for a
-	// combiner); KernelRegion is the combiner region as one fragment (nil
-	// for a mapper).
-	KernelCond   *bytecode.Program
-	KernelBody   *bytecode.Program
-	KernelRegion *bytecode.Program
+	// KernelVM is the translated region lowered to one kernel program
+	// for the GPU kernel executor: a mapper's entries are EntryCond and
+	// EntryBody, a combiner's is EntryRegion.
+	KernelVM *bytecode.Program
 }
+
+// The entries of Compiled.KernelVM.
+const (
+	// EntryCond is a mapper's loop condition, EntryBody its loop body.
+	EntryCond = 0
+	EntryBody = 1
+	// EntryRegion is a combiner's region.
+	EntryRegion = 0
+)
 
 // Options configures CompileOpts.
 type Options struct {
@@ -208,8 +214,7 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
-// compileBytecode lowers the host program and the kernel region's
-// fragments.
+// compileBytecode lowers the host program and the kernel region.
 func (c *Compiled) compileBytecode() error {
 	var err error
 	if c.VM, err = bytecode.Compile(c.HostProg); err != nil {
@@ -217,8 +222,8 @@ func (c *Compiled) compileBytecode() error {
 	}
 	spec := c.Kernel
 	if spec.Kind != RegionMapper {
-		if c.KernelRegion, err = bytecode.CompileFragmentStmt(spec.Prog, spec.Region); err != nil {
-			return fmt.Errorf("compiler: combiner kernel region: %w", err)
+		if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, spec.Region); err != nil {
+			return fmt.Errorf("compiler: combiner kernel: %w", err)
 		}
 		return nil
 	}
@@ -226,11 +231,8 @@ func (c *Compiled) compileBytecode() error {
 	if !ok {
 		return fmt.Errorf("compiler: mapper region is not a while loop")
 	}
-	if c.KernelCond, err = bytecode.CompileFragmentExpr(spec.Prog, loop.Cond); err != nil {
-		return fmt.Errorf("compiler: mapper kernel condition: %w", err)
-	}
-	if c.KernelBody, err = bytecode.CompileFragmentStmt(spec.Prog, loop.Body); err != nil {
-		return fmt.Errorf("compiler: mapper kernel body: %w", err)
+	if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, loop.Cond, loop.Body); err != nil {
+		return fmt.Errorf("compiler: mapper kernel: %w", err)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package gpurt
 import (
 	"fmt"
 
-	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/interp"
@@ -55,6 +54,10 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 		warpsPerBlock = 1
 	}
 
+	shared, err := sharedBindings(spec, cap, opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &CombineResult{Partitions: make([][]kv.Pair, len(partitions))}
 	for p, slots := range partitions {
 		if len(slots) == 0 {
@@ -75,7 +78,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 			if hi > len(slots) {
 				hi = len(slots)
 			}
-			out, cycles, bd, err := runCombineWarp(dev, comp, cap, store, slots[lo:hi], opts)
+			out, cycles, bd, err := runCombineWarp(dev, comp, cap, shared, store, slots[lo:hi], opts)
 			if err != nil {
 				return nil, err
 			}
@@ -117,10 +120,12 @@ type combineWarp struct {
 }
 
 // runCombineWarp executes the combiner region once (warp-redundantly) over
-// a chunk of a sorted partition, returning the warp's output, total cycles,
-// and per-space cycle breakdown.
+// a chunk of a sorted partition, on one VM whose free symbols bind to the
+// warp's private objects, the launch's shared ones or the machine's
+// globals, returning the warp's output, total cycles, and per-space cycle
+// breakdown.
 func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
+	shared map[*minic.Symbol]*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 
 	spec := comp.Kernel
 	w := &combineWarp{cost: gpu.NewThreadCost(&dev.Config), slots: slots}
@@ -128,10 +133,6 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 
 	// Private arrays of combine kernels live in shared memory (paper §4.2).
 	priv, err := privateBindings(spec, cap, interp.SpaceShared)
-	if err != nil {
-		return nil, 0, gpu.CycleBreakdown{}, err
-	}
-	shared, err := sharedBindings(spec, cap, opts)
 	if err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, err
 	}
@@ -196,33 +197,14 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 			"strlenGPU": strLenGPU(w.cost, opts.VectorCombine),
 		},
 	})
-	fr := m.NewFrame()
-	for sym, obj := range shared {
-		fr.Bind(sym, obj)
+	vm, err := kernelVM(m, comp, priv, shared)
+	if err != nil {
+		return nil, 0, gpu.CycleBreakdown{}, fmt.Errorf("gpurt: combine kernel: %w", err)
 	}
-	for sym, obj := range priv {
-		fr.Bind(sym, obj)
-	}
-	if err := execCombineRegion(m, fr, comp.KernelRegion); err != nil {
+	if _, _, err := vm.Run(compiler.EntryRegion); err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, err
 	}
 	return w.output, w.cost.Cycles, w.cost.Breakdown, nil
-}
-
-// execCombineRegion runs the combiner region fragment on the bytecode VM.
-func execCombineRegion(m *interp.Machine, fr *interp.Frame, region *bytecode.Program) error {
-	lookup := func(sym *minic.Symbol) *interp.Object {
-		if obj := fr.Object(sym); obj != nil {
-			return obj
-		}
-		return m.GlobalObject(sym)
-	}
-	vm, err := bytecode.NewFragmentVM(m, region, lookup)
-	if err != nil {
-		return fmt.Errorf("gpurt: combine kernel region: %w", err)
-	}
-	_, _, err = vm.Run()
-	return err
 }
 
 // writeBack stores a typed KV value through a destination pointer (a char

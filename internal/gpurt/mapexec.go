@@ -161,21 +161,18 @@ func threadSpaceFor(sym *minic.Symbol) interp.MemSpace {
 
 // mapThread is one simulated GPU thread of the map kernel.
 type mapThread struct {
-	id      int // global thread id (block*threadsPerBlock + lane)
-	machine *interp.Machine
-	frame   *interp.Frame
-	cost    *gpu.ThreadCost
-	// condVM / bodyVM execute the region loop's condition and body.
-	condVM  *bytecode.FragmentVM
-	bodyVM  *bytecode.FragmentVM
+	id   int // global thread id (block*threadsPerBlock + lane)
+	cost *gpu.ThreadCost
+	// vm runs the kernel program's condition and body entries.
+	vm      *bytecode.FragmentVM
 	pending int // granted record index, -1 = none
 	ran     bool
 }
 
 // newMapThread builds map thread id of a launch: its machine with the GPU
-// map intrinsics over records, a frame binding the launch-shared objects
-// and fresh private copies, and the region's fragment VMs. It charges the
-// mapSetup overhead.
+// map intrinsics over records, and one VM for the kernel program, whose
+// free symbols bind to fresh private copies, the launch-shared objects or
+// the machine's globals, in that order. It charges the mapSetup overhead.
 func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options) (*mapThread, error) {
@@ -185,25 +182,32 @@ func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCap
 	if err != nil {
 		return nil, err
 	}
-	t.machine = interp.New(comp.Kernel.Prog, interp.Options{
+	m := interp.New(comp.Kernel.Prog, interp.Options{
 		Cost:         t.cost,
 		DefaultSpace: interp.SpaceLocal,
 		SpaceFor:     threadSpaceFor,
 		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
 	})
-	t.frame = t.machine.NewFrame()
-	//detlint:ignore map-iteration: binds distinct symbols into a fresh frame, which visiting order cannot change
-	for sym, obj := range shared {
-		t.frame.Bind(sym, obj)
-	}
-	for sym, obj := range priv {
-		t.frame.Bind(sym, obj)
-	}
-	if err := t.bindFragmentVMs(comp.KernelCond, comp.KernelBody); err != nil {
-		return nil, err
+	if t.vm, err = kernelVM(m, comp, priv, shared); err != nil {
+		return nil, fmt.Errorf("gpurt: map kernel: %w", err)
 	}
 	t.cost.Op(24) // mapSetup overhead
 	return t, nil
+}
+
+// kernelVM binds comp's kernel program to m, resolving each free symbol
+// to the thread's (or warp's) private object, else the launch's shared
+// object, else m's global.
+func kernelVM(m *interp.Machine, comp *compiler.Compiled, priv, shared map[*minic.Symbol]*interp.Object) (*bytecode.FragmentVM, error) {
+	return bytecode.NewFragmentVM(m, comp.KernelVM, func(sym *minic.Symbol) *interp.Object {
+		if obj := priv[sym]; obj != nil {
+			return obj
+		}
+		if obj := shared[sym]; obj != nil {
+			return obj
+		}
+		return m.GlobalObject(sym)
+	})
 }
 
 // pickThread returns the thread that steals the next record: the
@@ -239,15 +243,15 @@ func pickThread(threads []*mapThread, store *KVStore, kvBound int) (*mapThread, 
 func (t *mapThread) run(rec int) error {
 	t.pending = rec
 	t.ran = true
-	t.machine.SetCost(t.cost)
-	v, err := t.evalCond()
+	v, _, err := t.vm.Run(compiler.EntryCond)
 	if err != nil {
 		return err
 	}
 	if !v.Truthy() {
 		return fmt.Errorf("gpurt: map loop refused a granted record")
 	}
-	return t.execBody()
+	_, _, err = t.vm.Run(compiler.EntryBody)
+	return err
 }
 
 // finish runs the final loop-condition evaluation of a thread that ran:
@@ -258,42 +262,10 @@ func (t *mapThread) finish() error {
 		return nil
 	}
 	t.pending = -1
-	if _, err := t.evalCond(); err != nil {
+	if _, _, err := t.vm.Run(compiler.EntryCond); err != nil {
 		return err
 	}
 	t.cost.Op(16) // mapFinish bookkeeping
-	return nil
-}
-
-// evalCond evaluates the region loop condition.
-func (t *mapThread) evalCond() (interp.Value, error) {
-	v, _, err := t.condVM.Run()
-	return v, err
-}
-
-// execBody executes the region loop body.
-func (t *mapThread) execBody() error {
-	_, _, err := t.bodyVM.Run()
-	return err
-}
-
-// bindFragmentVMs attaches the compiled region fragments to the thread,
-// resolving free symbols against the thread frame first and the kernel
-// program's globals second.
-func (t *mapThread) bindFragmentVMs(cond, body *bytecode.Program) error {
-	lookup := func(sym *minic.Symbol) *interp.Object {
-		if obj := t.frame.Object(sym); obj != nil {
-			return obj
-		}
-		return t.machine.GlobalObject(sym)
-	}
-	var err error
-	if t.condVM, err = bytecode.NewFragmentVM(t.machine, cond, lookup); err != nil {
-		return fmt.Errorf("gpurt: map kernel condition: %w", err)
-	}
-	if t.bodyVM, err = bytecode.NewFragmentVM(t.machine, body, lookup); err != nil {
-		return fmt.Errorf("gpurt: map kernel body: %w", err)
-	}
 	return nil
 }
 

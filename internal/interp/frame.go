@@ -4,10 +4,10 @@ import (
 	"repro/internal/minic"
 )
 
-// Frame is an exported handle to one execution scope. The GPU executor
-// (package gpurt) builds a frame per simulated thread, binds the
-// translator's variable plan into it (shared read-only objects, per-thread
-// private copies), and then steps the kernel region inside it.
+// Frame is an exported handle to one execution scope. GPU host capture
+// (package gpurt) reads the host's variables from the frame that
+// Options.OnPragma hands it at the kernel launch point; the walker runs a
+// statement or an expression inside a frame that NewFrame and Bind build.
 type Frame struct {
 	f *frame
 }
@@ -49,23 +49,9 @@ func (m *Machine) ExecIn(fr *Frame, s minic.Stmt) (terminated bool, err error) {
 	return c.kind == ctrlReturn, nil
 }
 
-// SetCost swaps the machine's cost sink, returning the previous one. The
-// GPU executor points the machine at the current thread's accumulator.
-func (m *Machine) SetCost(c CostSink) CostSink {
-	old := m.cost
-	if c == nil {
-		c = NopSink{}
-	}
-	m.cost = c
-	return old
-}
-
 // Cost returns the active cost sink (for intrinsics that charge custom
 // costs).
 func (m *Machine) Cost() CostSink { return m.cost }
-
-// AllocSpace returns the machine's default allocation space.
-func (m *Machine) AllocSpace() MemSpace { return m.space }
 
 // GlobalObject returns the storage of a file-scope variable, or nil.
 func (m *Machine) GlobalObject(sym *minic.Symbol) *Object {

@@ -220,7 +220,8 @@ type Options struct {
 	// Cost receives cost events; nil installs NopSink.
 	Cost CostSink
 	// Intrinsics add or override builtin implementations (used by the GPU
-	// runtime to supply getRecord, emitKV, ...).
+	// runtime to supply getRecord, emitKV, ...). The machine reads the map
+	// in place, so it must not change while the machine runs.
 	Intrinsics map[string]Builtin
 	// DefaultSpace is the memory space for newly allocated objects.
 	DefaultSpace MemSpace
@@ -248,12 +249,12 @@ func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 type Machine struct {
 	Prog *minic.Program
 
-	stdin    tokenReader
-	stdout   io.Writer
-	cost     CostSink
-	builtins map[string]Builtin
-	space    MemSpace
-	spaceFor func(sym *minic.Symbol) MemSpace
+	stdin      tokenReader
+	stdout     io.Writer
+	cost       CostSink
+	intrinsics map[string]Builtin
+	space      MemSpace
+	spaceFor   func(sym *minic.Symbol) MemSpace
 
 	globals  map[*minic.Symbol]*Object
 	literals map[string]*Object
@@ -285,16 +286,17 @@ type frame struct {
 // New builds a machine for prog. The program must have passed minic.Check.
 func New(prog *minic.Program, opts Options) *Machine {
 	m := &Machine{
-		Prog:     prog,
-		stdin:    tokenReader{src: opts.Stdin},
-		stdout:   opts.Stdout,
-		cost:     opts.Cost,
-		space:    opts.DefaultSpace,
-		spaceFor: opts.SpaceFor,
-		globals:  map[*minic.Symbol]*Object{},
-		literals: map[string]*Object{},
-		onPragma: opts.OnPragma,
-		maxSteps: opts.MaxSteps,
+		Prog:       prog,
+		stdin:      tokenReader{src: opts.Stdin},
+		stdout:     opts.Stdout,
+		cost:       opts.Cost,
+		intrinsics: opts.Intrinsics,
+		space:      opts.DefaultSpace,
+		spaceFor:   opts.SpaceFor,
+		globals:    map[*minic.Symbol]*Object{},
+		literals:   map[string]*Object{},
+		onPragma:   opts.OnPragma,
+		maxSteps:   opts.MaxSteps,
 	}
 	if m.cost == nil {
 		m.cost = NopSink{}
@@ -302,15 +304,17 @@ func New(prog *minic.Program, opts Options) *Machine {
 	if m.maxSteps == 0 {
 		m.maxSteps = 2_000_000_000
 	}
-	m.builtins = map[string]Builtin{}
-	for name, fn := range stdlib {
-		m.builtins[name] = fn
-	}
-	//detlint:ignore map-iteration: copying into a fresh map, which iteration order cannot change
-	for name, fn := range opts.Intrinsics {
-		m.builtins[name] = fn
-	}
 	return m
+}
+
+// builtin looks a builtin implementation up by name: an intrinsic first,
+// so intrinsics override the standard library, then the standard library.
+func (m *Machine) builtin(name string) (Builtin, bool) {
+	if impl, ok := m.intrinsics[name]; ok {
+		return impl, true
+	}
+	impl, ok := stdlib[name]
+	return impl, ok
 }
 
 // Steps reports statements executed so far.
@@ -1039,7 +1043,7 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 		}
 		args[i] = v
 	}
-	if impl, ok := m.builtins[x.Name]; ok && x.Builtin {
+	if impl, ok := m.builtin(x.Name); ok && x.Builtin {
 		m.cost.Op(2)
 		return impl(m, args)
 	}
@@ -1047,7 +1051,7 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 	if fn == nil {
 		// Intrinsic installed without sema marking (translator-generated
 		// call sites).
-		if impl, ok := m.builtins[x.Name]; ok {
+		if impl, ok := m.builtin(x.Name); ok {
 			m.cost.Op(2)
 			return impl(m, args)
 		}

@@ -38,8 +38,7 @@ func (m *Machine) Stdio(name string) *Object { return m.stdioHandle(name) }
 
 // BuiltinNamed looks up a builtin/intrinsic implementation.
 func (m *Machine) BuiltinNamed(name string) (Builtin, bool) {
-	impl, ok := m.builtins[name]
-	return impl, ok
+	return m.builtin(name)
 }
 
 // LoadPtr loads the cell at p with bounds checking and cost charging.
