@@ -339,6 +339,9 @@ type fnBuilder struct {
 	regions []regionFrame
 
 	scratch0, scratch1 int32
+	// checked is the assignment target whose address its target check
+	// left in scratch0, nil once anything else has written scratch0.
+	checked minic.Expr
 }
 
 // slotTable numbers the object slots of a function's frame: symbols
@@ -676,6 +679,7 @@ func (fb *fnBuilder) objRef(sym *minic.Symbol) (int32, error) {
 
 func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 	fb.blockPC[blk] = int32(len(fb.code))
+	fb.checked = nil
 	openAt := map[int]*ir.Instr{}
 	switchAt := map[int]*ir.Instr{}
 	idxOf := map[*ir.Instr]int{}
@@ -758,9 +762,11 @@ func (fb *fnBuilder) emitBlock(blk *ir.Block) error {
 			if fb.b.disc == perEvent {
 				fb.flush()
 			}
-			if err := fb.emitAddr(fb.scratch0, eff.Expr.(*minic.Assign).L); err != nil {
+			lv := eff.Expr.(*minic.Assign).L
+			if err := fb.emitAddr(fb.scratch0, lv); err != nil {
 				return err
 			}
+			fb.checked = lv
 		}
 	}
 	for si < len(blk.Stmts) {
@@ -1357,6 +1363,19 @@ func (fb *fnBuilder) emitAddr(dst int32, lv minic.Expr) error {
 	return nil
 }
 
+// targetAddr puts the address of a store's target lv in scratch0, unless
+// lv's target check left it there and nothing has written scratch0 since.
+// A nested untracked store or increment in the right-hand side does; a
+// call does not, since the callee runs in a frame of its own.
+func (fb *fnBuilder) targetAddr(lv minic.Expr) error {
+	reuse := fb.checked == lv
+	fb.checked = nil
+	if reuse {
+		return nil
+	}
+	return fb.emitAddr(fb.scratch0, lv)
+}
+
 func (fb *fnBuilder) emitEffect(in *ir.Instr) error {
 	if in.Decl != nil && in.Expr == nil {
 		// Untracked declarator with initializer.
@@ -1396,7 +1415,7 @@ func (fb *fnBuilder) emitUntrackedAssign(in *ir.Instr, x *minic.Assign) error {
 			fb.emit(OpStoreO, ref, rhs, 0, 0)
 			return nil
 		default:
-			if err := fb.emitAddr(fb.scratch0, x.L); err != nil {
+			if err := fb.targetAddr(x.L); err != nil {
 				return err
 			}
 			fb.emit(OpStoreP, fb.scratch0, rhs, 0, 0)
@@ -1409,7 +1428,7 @@ func (fb *fnBuilder) emitUntrackedAssign(in *ir.Instr, x *minic.Assign) error {
 	if err != nil {
 		return err
 	}
-	if err := fb.emitAddr(fb.scratch0, x.L); err != nil {
+	if err := fb.targetAddr(x.L); err != nil {
 		return err
 	}
 	fb.emit(OpLoadP, fb.scratch1, fb.scratch0, 0, 0)
@@ -1429,7 +1448,7 @@ func (fb *fnBuilder) emitUntrackedIncDec(in *ir.Instr, target minic.Expr, op str
 	if err != nil {
 		return err
 	}
-	if err := fb.emitAddr(fb.scratch0, target); err != nil {
+	if err := fb.targetAddr(target); err != nil {
 		return err
 	}
 	delta := int32(1)

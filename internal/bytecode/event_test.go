@@ -147,6 +147,7 @@ func TestPerEventParity(t *testing.T) {
 		{"step-budget", stepBudgetSrc, "", 5000, false},
 		{"forwarding", forwardingSrc, "", 0, false},
 		{"forwarding-optimized", forwardingSrc, "", 0, true},
+		{"store-targets", storeTargetsSrc, "", 0, false},
 	}
 	for _, exit := range []string{"if (i > 3) break;", "if (i < 3) continue; if (i > 5) break;",
 		"if (i > 3) return i;", `if (i > 3) exit("done");`, ""} {

@@ -511,7 +511,43 @@ int main() {
 		acc += sq(i) / (i + 1);
 	printf("%f\n", acc);
 	return 0;
-}`, signedZeroSrc, signedZeroMergeSrc}
+}`, signedZeroSrc, signedZeroMergeSrc, storeTargetsSrc}
+
+// storeTargetsSrc stores through an index or a pointer whose right-hand
+// side writes the scratch register that holds the checked target address
+// (a nested indexed store, an increment through an index) or redefines
+// the index itself. g is a global, so g = 2 stores to memory.
+const storeTargetsSrc = `
+int g = 1;
+int main() {
+	int a[4];
+	int b[4];
+	int i = 1;
+	int j = 2;
+	int k = 0;
+	int x = 5;
+	int *p = &x;
+	a[i] = b[j] = x;
+	printf("%d %d\n", a[1], b[2]);
+	a[i] = (i = 3);
+	printf("%d %d %d\n", a[1], a[3], i);
+	a[g] = (g = 2);
+	printf("%d %d %d\n", a[1], a[2], g);
+	a[k] = 9;
+	*p = a[k]++;
+	printf("%d %d\n", x, a[0]);
+	a[i] += (a[j] = 2);
+	printf("%d %d\n", a[3], a[2]);
+	*p += (b[k] = 4);
+	printf("%d %d\n", x, b[0]);
+	return 0;
+}`
+
+// TestParityStoreTargets runs storeTargetsSrc as written; TestParityOptimized
+// and the per-event corpus run it optimized.
+func TestParityStoreTargets(t *testing.T) {
+	checkParity(t, storeTargetsSrc)
+}
 
 // signedZeroSrc folds both zeros into constants. Float == treats them as
 // equal, so a constant pool keyed by value, not by bits, would hand -0.0
