@@ -1,0 +1,74 @@
+package gpurt
+
+import (
+	"bytes"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/bytecode"
+	"repro/internal/compiler"
+	"repro/internal/interp"
+)
+
+// TestHostCaptureStopsAtLaunchPoint requires the map kernel to see the
+// host's variables as main leaves them at the mapreduce region, as the
+// CPU path does, and not as main leaves them at its end: each mapper
+// writes its firstprivate base after the region. The optimized variant
+// computes base in a loop and keeps the later write live, so neither is
+// folded away.
+func TestHostCaptureStopsAtLaunchPoint(t *testing.T) {
+	const region = `
+	#pragma mapreduce mapper key(key) value(one) firstprivate(base) kvpairs(1) blocks(1) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		key = atoi(line) + base;
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+`
+	const head = `
+int main() {
+	int key, one, read, base;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+`
+	for _, tc := range []struct {
+		name, src string
+		o0        bool
+	}{
+		{"O0", head + "\tbase = 7;\n" + region + "\tbase = 1000;\n\tfree(line);\n\treturn 0;\n}\n", true},
+		{"O2", head + "\tbase = 0;\n\tfor (int k = 0; k < 7; k++) base = base + 1;\n" + region +
+			"\tbase = base * 100;\n\tif (base == read) printf(\"x\");\n\tfree(line);\n\treturn 0;\n}\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, err := compiler.CompileOpts(tc.src, compiler.Options{DisableOpt: tc.o0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const input = "1\n2\n"
+			var out bytes.Buffer
+			m := interp.New(comp.HostProg, interp.Options{Stdin: strings.NewReader(input), Stdout: &out})
+			if _, err := bytecode.NewVM(m, comp.VM).Run(); err != nil {
+				t.Fatal(err)
+			}
+			cpu := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			res, err := RunTask(devK40(t), comp, nil, []byte(input), TaskConfig{Opts: AllOptimizations()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gpu []string
+			for _, p := range res.MapOutput {
+				gpu = append(gpu, p.Text())
+			}
+			sort.Strings(cpu)
+			sort.Strings(gpu)
+			if want := []string{"8\t1", "9\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+				t.Fatalf("CPU emitted %q, want %q", cpu, want)
+			}
+			if strings.Join(gpu, "|") != strings.Join(cpu, "|") {
+				t.Fatalf("GPU emitted %q, CPU %q", gpu, cpu)
+			}
+		})
+	}
+}

@@ -50,23 +50,21 @@ func Baseline() Options { return Options{} }
 // hostCapture is the host-side state of a translated program at its kernel
 // launch point: the paper's generated host code reaches the region with
 // all firstprivate/sharedRO values computed; we capture them by running
-// main with the region intercepted.
+// main up to the region.
 type hostCapture struct {
 	machine *interp.Machine
 	frame   *interp.Frame
-	pragma  *minic.PragmaStmt
 }
 
-// captureHost runs the translated program's main, intercepting the
+// captureHost runs the translated program's main until it reaches the
 // mapreduce region, and returns the captured launch-point state.
 func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error) {
 	cap := &hostCapture{}
 	m := interp.New(comp.Kernel.Prog, interp.Options{
 		Stdout: stdout,
-		OnPragma: func(p *minic.PragmaStmt, fr *interp.Frame) (bool, error) {
+		OnPragma: func(fr *interp.Frame) error {
 			cap.frame = fr
-			cap.pragma = p
-			return true, nil
+			return nil
 		},
 	})
 	cap.machine = m

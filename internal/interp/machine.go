@@ -230,14 +230,20 @@ type Options struct {
 	SpaceFor func(sym *minic.Symbol) MemSpace
 	// MaxSteps bounds the number of statements executed (0 = default cap).
 	MaxSteps int64
-	// OnPragma, when non-nil, intercepts mapreduce pragma statements. The
-	// GPU driver uses it to capture host variable values at the kernel
-	// launch point and skip CPU execution of the region (handled=true).
-	OnPragma func(p *minic.PragmaStmt, fr *Frame) (handled bool, err error)
+	// OnPragma, when non-nil, is called at the first mapreduce pragma
+	// statement the program reaches, with the frame that runs it, and Run
+	// then ends there: neither the region nor the rest of the program
+	// runs. The GPU driver uses it to capture host variable values at the
+	// kernel launch point.
+	OnPragma func(fr *Frame) error
 }
 
 // ErrMaxSteps is returned when the execution step budget is exhausted.
 var ErrMaxSteps = errors.New("interp: step budget exhausted (possible infinite loop)")
+
+// errLaunch unwinds a run that reached its kernel launch point (see
+// Options.OnPragma).
+var errLaunch = errors.New("interp: stopped at the kernel launch point")
 
 // errExit carries the exit() status through unwinding.
 type errExit struct{ code int }
@@ -258,7 +264,7 @@ type Machine struct {
 
 	globals  map[*minic.Symbol]*Object
 	literals map[string]*Object
-	onPragma func(p *minic.PragmaStmt, fr *Frame) (bool, error)
+	onPragma func(fr *Frame) error
 
 	steps    int64
 	maxSteps int64
@@ -333,6 +339,9 @@ func (m *Machine) Run() (int, error) {
 	var ex errExit
 	if errors.As(err, &ex) {
 		return ex.code, nil
+	}
+	if errors.Is(err, errLaunch) {
+		return 0, nil
 	}
 	if err != nil {
 		return 0, err
@@ -497,13 +506,10 @@ func (m *Machine) execStmt(f *frame, s minic.Stmt) (ctrl, error) {
 		return ctrl{kind: ctrlContinue}, nil
 	case *minic.PragmaStmt:
 		if m.onPragma != nil && st.IsMapReduce() {
-			handled, err := m.onPragma(st, &Frame{f: f})
-			if err != nil {
+			if err := m.onPragma(&Frame{f: f}); err != nil {
 				return ctrl{}, err
 			}
-			if handled {
-				return ctrl{}, nil
-			}
+			return ctrl{}, errLaunch
 		}
 		// On the CPU path, pragmas are comments: execute the body as-is.
 		return m.execStmt(f, st.Body)
