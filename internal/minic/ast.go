@@ -89,24 +89,25 @@ func (t *Type) IsPointerLike() bool {
 // ElemType returns the pointee/element type or nil.
 func (t *Type) ElemType() *Type { return t.Elem }
 
+// scalarSizes holds the storage size in bytes of every kind but arrays.
+var scalarSizes = [...]int{TypeChar: 1, TypeInt: 4, TypeFloat: 4, TypeLong: 8, TypeDouble: 8, TypePointer: 8}
+
 // Size returns the storage size in bytes used by the timing model (not the
-// interpreter, which uses one cell per element).
+// interpreter, which uses one cell per element). It is small enough to
+// inline into every object access; arrays take arraySize.
 func (t *Type) Size() int {
-	switch t.Kind {
-	case TypeChar:
-		return 1
-	case TypeInt, TypeFloat:
-		return 4
-	case TypeLong, TypeDouble, TypePointer:
-		return 8
-	case TypeArray:
-		if t.Len < 0 {
-			return 8
-		}
-		return t.Len * t.Elem.Size()
-	default:
-		return 0
+	if t.Kind == TypeArray {
+		return t.arraySize()
 	}
+	return scalarSizes[t.Kind]
+}
+
+// arraySize is Size for an array type.
+func (t *Type) arraySize() int {
+	if t.Len < 0 {
+		return 8
+	}
+	return t.Len * t.Elem.Size()
 }
 
 // String renders the type in C syntax.
