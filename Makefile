@@ -50,17 +50,18 @@ lint:
 # that the optimizer, the VM and the lints see; internal/ir decides every
 # optimized AST, and so every op count, and internal/analysis every lint
 # finding; internal/gpu (the SIMT cost model), internal/gpurt (the GPU
-# task runtime, which binds kernel fragments and runs threadblocks),
+# task runtime, which binds kernel programs and runs threadblocks),
 # internal/kv (sort and merge), internal/seqfile (partition checksums) and
 # internal/hdfs (block placement) feed virtual time and output bytes.
 # internal/core, internal/cluster and internal/experiments decide what
 # heterodoop and hdbench print, internal/workload generates every input,
-# and internal/testkit generates the differential corpus.
+# and internal/testkit generates the differential corpus. cmd/ holds the
+# five CLIs, which print what the goldens pin.
 lint-go:
 	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
 		internal/interp internal/bytecode internal/streaming internal/minic internal/ir internal/analysis \
 		internal/gpu internal/gpurt internal/kv internal/seqfile internal/hdfs \
-		internal/core internal/cluster internal/workload internal/testkit internal/experiments
+		internal/core internal/cluster internal/workload internal/testkit internal/experiments cmd
 
 # opt-report prints the SSA optimizer's per-pass rewrite counts for every
 # benchmark stage program (host and translated-kernel targets).

@@ -63,10 +63,6 @@ type SCCP struct {
 	users    map[*Instr][]*Instr
 }
 
-// Lat returns an instruction's final lattice value. Instructions in
-// unreachable code keep latTop; callers must consult Reachable.
-func (s *SCCP) Lat(in *Instr) lattice { return in.lat }
-
 // ConstOf reports the constant value of in, if proven.
 func (s *SCCP) ConstOf(in *Instr) (interp.Value, bool) {
 	if in != nil && in.lat.tag == latConst {

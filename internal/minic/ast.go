@@ -67,15 +67,6 @@ func (t *Type) IsNumeric() bool {
 	return false
 }
 
-// IsInteger reports whether t is an integer type.
-func (t *Type) IsInteger() bool {
-	switch t.Kind {
-	case TypeChar, TypeInt, TypeLong:
-		return true
-	}
-	return false
-}
-
 // IsFloat reports whether t is a floating type.
 func (t *Type) IsFloat() bool {
 	return t.Kind == TypeFloat || t.Kind == TypeDouble

@@ -215,17 +215,8 @@ func (d DiffResult) Agree() bool {
 	return d.Sequential == d.Streaming && d.Streaming == d.GPU
 }
 
-// RunDifferential compiles the program once and executes it through all
+// RunDifferentialCompiled executes an already-compiled job through all
 // three backends.
-func RunDifferential(p Program) (DiffResult, error) {
-	cj, err := Compile(p)
-	if err != nil {
-		return DiffResult{}, fmt.Errorf("testkit: seed %d: compile: %w", p.Seed, err)
-	}
-	return RunDifferentialCompiled(cj, p)
-}
-
-// RunDifferentialCompiled is RunDifferential for an already-compiled job.
 func RunDifferentialCompiled(cj *mr.CompiledJob, p Program) (DiffResult, error) {
 	var res DiffResult
 	var err error
