@@ -76,8 +76,9 @@ func Compile(prog *minic.Program) (*Program, error) {
 // kernel program whose entries are Fns[0:len(entries)], in order. An
 // entry is a loop condition (a minic.Expr, whose value the entry returns)
 // or a region statement (a minic.Stmt). The entries are compiled with
-// batched charges and share one object-slot table: its slots that no
-// entry binds are the free symbols the host binds once (Program.Free).
+// batched charges and share one object-slot table: every symbol they use
+// but do not declare lives in a slot, and the slots that no entry binds
+// are the free symbols the host binds once (Program.Free).
 // Every function of prog the entries call, directly or transitively,
 // follows them, compiled once with per-event charges, in first-call
 // order. A call the VM binds to a program function names no builtin
@@ -90,6 +91,8 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 	b := newBuilder(batched)
 	b.prog.Entries = len(entries)
 	slots := newSlotTable()
+	declared := map[*minic.Symbol]bool{}
+	demote := func(sym *minic.Symbol) bool { return !declared[sym] }
 	for _, e := range entries {
 		var decl *minic.FuncDecl
 		var skip map[minic.Stmt]bool
@@ -105,10 +108,19 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 			// the wrapper block is not.
 			body := &minic.Block{Stmts: []minic.Stmt{e}}
 			decl, skip = &minic.FuncDecl{Name: "<region>", Body: body}, map[minic.Stmt]bool{body: true}
+			minic.WalkStmts(e, func(s minic.Stmt) {
+				if d, ok := s.(*minic.DeclStmt); ok {
+					for _, dc := range d.Decls {
+						if dc.Sym != nil {
+							declared[dc.Sym] = true
+						}
+					}
+				}
+			})
 		default:
 			return nil, fmt.Errorf("bytecode: kernel entry is neither an expression nor a statement")
 		}
-		if err := b.addFn(decl, declaredOutside(decl.Body), skip, slots); err != nil {
+		if err := b.addFn(decl, demote, skip, slots); err != nil {
 			return nil, err
 		}
 	}
@@ -136,22 +148,6 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 		}
 	}
 	return b.prog, nil
-}
-
-// declaredOutside demotes to object memory every symbol that body does
-// not declare: those live in host-bound slots.
-func declaredOutside(body *minic.Block) func(*minic.Symbol) bool {
-	declared := map[*minic.Symbol]bool{}
-	minic.WalkStmts(body, func(s minic.Stmt) {
-		if d, ok := s.(*minic.DeclStmt); ok {
-			for _, dc := range d.Decls {
-				if dc.Sym != nil {
-					declared[dc.Sym] = true
-				}
-			}
-		}
-	})
-	return func(sym *minic.Symbol) bool { return !declared[sym] }
 }
 
 // builder accumulates the shared pools of one Program. All interning is

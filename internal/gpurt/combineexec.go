@@ -120,10 +120,8 @@ type combineWarp struct {
 }
 
 // runCombineWarp executes the combiner region once (warp-redundantly) over
-// a chunk of a sorted partition, on one VM whose free symbols bind to the
-// warp's private objects, the launch's shared ones or the machine's
-// globals, returning the warp's output, total cycles, and per-space cycle
-// breakdown.
+// a chunk of a sorted partition, on one VM, returning the warp's output,
+// total cycles, and per-space cycle breakdown.
 func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 

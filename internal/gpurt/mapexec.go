@@ -168,9 +168,8 @@ type mapThread struct {
 }
 
 // newMapThread builds map thread id of a launch: its machine with the GPU
-// map intrinsics over records, and one VM for the kernel program, whose
-// free symbols bind to fresh private copies, the launch-shared objects or
-// the machine's globals, in that order. It charges the mapSetup overhead.
+// map intrinsics over records, fresh private copies of the host objects,
+// and one VM for the kernel program. It charges the mapSetup overhead.
 func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options) (*mapThread, error) {
