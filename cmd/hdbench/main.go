@@ -9,14 +9,18 @@
 //	hdbench -exp fig4a -split-kb 32 -variants 3 -task-scale 1
 //	hdbench -exp fig6 -hdprof              (engine-phase wall-clock table)
 //	hdbench -baseline                      (write BENCH_baseline.json)
+//	hdbench -baseline -filter Table3       (re-record one entry in place)
 //	hdbench -check                         (compare, exit 1 on regression)
 //	hdbench -check -short -threshold 1.0   (cheap CI gate)
 //	hdbench -opt-report                    (per-pass SSA optimizer stats)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -246,15 +250,9 @@ func runBaseline(o baselineOpts) int {
 	cur := benchsuite.Measure(benches, o.repeat, o.short, nil, os.Stderr)
 
 	if o.compare {
-		f, err := os.Open(o.file)
+		base, err := readBaseline(o.file)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hdbench: -check: %v (run -baseline first)\n", err)
-			return 1
-		}
-		base, err := perf.DecodeBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hdbench: -check: %s: %v\n", o.file, err)
 			return 1
 		}
 		th := perf.DefaultThresholds()
@@ -273,23 +271,61 @@ func runBaseline(o baselineOpts) int {
 		}
 	}
 	if o.write {
-		f, err := os.Create(o.file)
+		whole := len(benches) == len(benchsuite.All())
+		n, err := writeBaseline(o.file, cur, whole)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hdbench: -baseline: %v\n", err)
 			return 1
 		}
-		if err := cur.Encode(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "hdbench: -baseline: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hdbench: -baseline: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s (%d benchmarks, %d samples each)\n", o.file, len(cur.Benchmarks), cur.Repeat)
+		fmt.Printf("wrote %s (%d of %d benchmarks measured, %d samples each)\n", o.file, len(cur.Benchmarks), n, cur.Repeat)
 	}
 	return 0
+}
+
+// readBaseline decodes the baseline file at path.
+func readBaseline(path string) (*perf.Baseline, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	base, err := perf.DecodeBaseline(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return base, nil
+}
+
+// writeBaseline stores a measurement in the baseline file and returns how
+// many entries the file holds. A run of the whole suite replaces the file.
+// A -short or -filter run merges its entries into the existing file,
+// keeping every other entry and the file's header, so re-recording one
+// benchmark never drops the rest; it refuses a file measured in another
+// environment, whose entries the new ones could not be compared with.
+func writeBaseline(path string, cur *perf.Baseline, whole bool) (int, error) {
+	out := cur
+	if !whole {
+		old, err := readBaseline(path)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			return 0, err
+		case old.Env != cur.Env:
+			return 0, fmt.Errorf("%s was measured in %+v, this run in %+v: re-record the whole suite", path, old.Env, cur.Env)
+		default:
+			maps.Copy(old.Benchmarks, cur.Benchmarks)
+			out = old
+		}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := out.Encode(f); err != nil {
+		f.Close()
+		return 0, err
+	}
+	return len(out.Benchmarks), f.Close()
 }
 
 // startPprof begins the requested Go runtime profiles and returns a stop
