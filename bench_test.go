@@ -41,6 +41,7 @@ func BenchmarkBSMapGPU(b *testing.B)   { benchsuite.BSMapGPU(b) }
 func BenchmarkCompileTable2(b *testing.B) {
 	benchsuite.CompileTable2(b)
 }
+func BenchmarkEngineTable2(b *testing.B) { benchsuite.EngineTable2(b) }
 
 // TestBenchSuiteNamesMatch pins the wrapper names above to the registry the
 // baseline pipeline measures — a drifted name would silently decouple
@@ -57,6 +58,7 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 		"BenchmarkSpeculativeExecution": true, "BenchmarkMapTaskGPU": true,
 		"BenchmarkLRMapVM": true, "BenchmarkKMMapVM": true, "BenchmarkBSMapVM": true,
 		"BenchmarkBSMapGPU": true, "BenchmarkCompileTable2": true,
+		"BenchmarkEngineTable2": true,
 	}
 	got := benchsuite.All()
 	if len(got) != len(want) {

@@ -128,6 +128,7 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 				e.jt.mapsDone, splits, e.jt.reducesDone, exec.NumReducers())}
 	}
 	e.stats.Makespan = float64(e.finish)
+	e.stats.Events = e.eng.Fired()
 	e.stats.MaxSpeedup = e.jt.maxSpeedup
 	e.collectOutput()
 	jobName := cfg.Name

@@ -339,4 +339,7 @@ type JobStats struct {
 	// RecordsSkipped counts poisoned input records dropped across the job
 	// in skip-bad-records mode (exact: one per poisoned record read).
 	RecordsSkipped int
+	// Events counts the discrete events the engine fired up to the job's
+	// end, the simulation's own work measure.
+	Events uint64
 }

@@ -10,10 +10,12 @@
 package benchsuite
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/gpurt"
@@ -59,6 +61,7 @@ func All() []Bench {
 		{Name: "BenchmarkBSMapVM", Fn: BSMapVM},
 		{Name: "BenchmarkBSMapGPU", Short: true, Fn: BSMapGPU},
 		{Name: "BenchmarkCompileTable2", Short: true, Fn: CompileTable2},
+		{Name: "BenchmarkEngineTable2", Short: true, Fn: EngineTable2},
 	}
 	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
 	return bs
@@ -321,6 +324,115 @@ func SpeculativeExecution(b *testing.B) {
 		on = run(true)
 	}
 	b.ReportMetric(off/on, "speculation-gain-x")
+}
+
+// table2Durations holds each Table-2 benchmark's sampled task durations on
+// Cluster1 (three 32 KB split variants on one CPU core and on one K40, in
+// seconds) and its mean map output bytes: the samples hostbench's
+// sched-table2 workload replays, fixed here so the benchmark runs no
+// MiniC.
+var table2Durations = map[string]struct {
+	cpu, gpu    []float64
+	outputBytes int64
+}{
+	"GR": {[]float64{0.001017278373015873, 0.0010121630793650796, 0.0010155726904761905},
+		[]float64{0.00017939765179903055, 0.0001773210791387025, 0.0001781434961316182}, 1788},
+	"HS": {[]float64{0.0008820988492063492, 0.0008819414206349206, 0.000883422865079365},
+		[]float64{0.00019226603821774794, 0.00019154982550335573, 0.00019122293829231912}, 6051},
+	"WC": {[]float64{0.0017135915873015873, 0.0017197817222222224, 0.0017205351904761904},
+		[]float64{0.0005283274236111111, 0.0005180861057979121, 0.0005159334116797168}, 33596},
+	"HR": {[]float64{0.0021434707777777777, 0.002146180706349206, 0.002145367865079365},
+		[]float64{0.00027595596700223716, 0.0002760609474272931, 0.0002757564099552573}, 4401},
+	"LR": {[]float64{0.002031271246031746, 0.0020322518253968257, 0.002029689380952381},
+		[]float64{0.00029330263443791947, 0.0002939339980192021, 0.00029203368428411627}, 14362},
+	"KM": {[]float64{0.008617193634920636, 0.008621500063492066, 0.008626116722222221},
+		[]float64{0.0007354432731170768, 0.0007332708859060403, 0.0007378968980238628}, 92884},
+	"CL": {[]float64{0.007917310492063493, 0.007922137992063493, 0.00792429565079365},
+		[]float64{0.0003986667227815063, 0.00039796433557046985, 0.00039867971681580906}, 31153},
+	"BS": {[]float64{0.010745670198412698, 0.010745553214285716, 0.010752570619047618},
+		[]float64{0.000405886952274422, 0.000406167247413311, 0.0004065241953299776}, 27249},
+}
+
+// engineJob is one job of the EngineTable2 sweep.
+type engineJob struct {
+	cfg  mr.ClusterConfig
+	exec func() *mr.SampledExecutor
+}
+
+// engineTable2Jobs lays out the sweep as experiments.Fig4a configures it:
+// every Table-2 benchmark at its Cluster1 task counts under cpu-only,
+// gpu-first and tail scheduling, over 32 KB splits.
+func engineTable2Jobs() []engineJob {
+	setup := cluster.Cluster1()
+	mean := func(xs []float64) float64 {
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s / float64(len(xs))
+	}
+	var jobs []engineJob
+	for _, w := range workload.All() {
+		d := table2Durations[w.Code]
+		pct := float64(w.PctMapCombine) / 100
+		mapPhaseCPU := mean(d.cpu) * float64(w.MapTasksC1) / float64(setup.Node.MapSlots*setup.Slaves)
+		reduceCompute := 0.0
+		if pct < 1 && w.ReduceTasksC1 > 0 {
+			reduceCompute = mapPhaseCPU * (1 - pct) / pct
+		}
+		exec := func() *mr.SampledExecutor {
+			return &mr.SampledExecutor{
+				Splits: w.MapTasksC1, Reducers: w.ReduceTasksC1, Slaves: setup.Slaves,
+				CPUDur: d.cpu, GPUDur: d.gpu,
+				RemoteReadPenalty: float64(32<<10) / (setup.HDFS.NetworkGBs * 1e9),
+				MapOutputBytes:    d.outputBytes,
+				ReduceCompute:     reduceCompute,
+				ShuffleGBs:        setup.HDFS.NetworkGBs,
+				Jitter:            0.35,
+			}
+		}
+		hb := mean(d.gpu) / 2
+		if hb < 1e-5 {
+			hb = 1e-5
+		}
+		for _, sched := range []mr.SchedulerKind{mr.CPUOnly, mr.GPUFirst, mr.TailSched} {
+			node := setup.Node
+			if sched == mr.CPUOnly {
+				node = setup.CPUOnlyNode()
+			}
+			jobs = append(jobs, engineJob{exec: exec, cfg: mr.ClusterConfig{
+				Name:   fmt.Sprintf("%s-%dgpu-%s", w.Code, node.GPUs, sched),
+				Slaves: setup.Slaves, Node: node, Scheduler: sched, HeartbeatSec: hb, Seed: 1,
+			}})
+		}
+	}
+	return jobs
+}
+
+// EngineTable2 is the discrete-event loop's layer benchmark: hostbench's
+// sched-table2 sweep without the trace and metrics export. Each op runs
+// the 24 jobs through mr.RunJob on sampled executors, with an obs recorder
+// attached, so the engine, the scheduler and span recording are all the
+// work there is. events/op, the events the engine fired, is exact.
+func EngineTable2(b *testing.B) {
+	b.ReportAllocs()
+	jobs := engineTable2Jobs()
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := obs.NewRecorder()
+		events = 0
+		for _, j := range jobs {
+			cfg := j.cfg
+			cfg.Obs = rec
+			stats, err := mr.RunJob(cfg, j.exec())
+			if err != nil {
+				b.Fatalf("%s: %v", cfg.Name, err)
+			}
+			events += stats.Events
+		}
+	}
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // MapTaskGPU measures the wall cost of one functional GPU task (translator
