@@ -11,8 +11,10 @@
 package repro_test
 
 import (
+	"os"
 	"testing"
 
+	"repro/internal/perf"
 	"repro/internal/perf/benchsuite"
 )
 
@@ -67,6 +69,27 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 	for _, b := range got {
 		if !want[b.Name] {
 			t.Errorf("suite benchmark %s has no go-test wrapper", b.Name)
+		}
+	}
+}
+
+// TestShortBenchmarksHaveBaselineEntries: `make bench-check` gates the
+// Short subset against BENCH_baseline.json, and perf.Compare only warns
+// about a measured benchmark that has no entry, so a missing entry would
+// silently stop gating it.
+func TestShortBenchmarksHaveBaselineEntries(t *testing.T) {
+	f, err := os.Open("BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := perf.DecodeBaseline(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range benchsuite.All() {
+		if _, ok := base.Benchmarks[b.Name]; b.Short && !ok {
+			t.Errorf("Short benchmark %s has no entry in BENCH_baseline.json", b.Name)
 		}
 	}
 }
