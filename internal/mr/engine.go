@@ -54,9 +54,9 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		stats:         &JobStats{},
 		jt:            newJobTracker(cfg, exec),
 		slaves:        make([]*taskTracker, cfg.Slaves),
-		attempts:      map[int][]*attemptRun{},
+		attempts:      make([][]*attemptRun, splits),
 		splitDone:     make([]bool, splits),
-		speculated:    map[int]bool{},
+		speculated:    make([]bool, splits),
 		attemptSeq:    make([]int, splits),
 		failCount:     make([]int, splits),
 		gpuDemoted:    make([]bool, splits),
@@ -66,6 +66,12 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		reduceRuns:    map[int]*reduceRun{},
 	}
 	e.summer, _ = exec.(partitionSummer)
+	// Two attempt slots per split (the original and one speculative
+	// backup) from one allocation; a third in flight would reallocate.
+	lists := make([]*attemptRun, 2*splits)
+	for i := range e.attempts {
+		e.attempts[i] = lists[2*i : 2*i : 2*i+2]
+	}
 	for i := range e.mapHost {
 		e.mapHost[i] = -1
 	}
@@ -87,7 +93,7 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		e.pre = pf
 	}
 	for n := 0; n < cfg.Slaves; n++ {
-		e.slaves[n] = &taskTracker{
+		tt := &taskTracker{
 			node:     n,
 			alive:    true,
 			cpuFree:  cfg.Node.MapSlots,
@@ -96,17 +102,19 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 			redFree:  cfg.Node.ReduceSlots,
 			speedup:  0,
 		}
+		tt.beat = heartbeatEvent{e: e, tt: tt}
+		tt.expiry = expiryEvent{e: e, tt: tt}
+		e.slaves[n] = tt
 	}
 	// Stagger initial heartbeats deterministically across the interval.
-	for n := 0; n < cfg.Slaves; n++ {
-		node := n
+	for n, tt := range e.slaves {
 		offset := cfg.HeartbeatSec * float64(n) / float64(cfg.Slaves)
-		e.slaves[n].hbEv = e.eng.At(sim.Time(offset), func() { e.heartbeat(node) })
+		tt.hbEv = e.eng.At(sim.Time(offset), &tt.beat)
 	}
 	// Install the scheduled faults; equal-time faults apply in plan order.
 	for _, f := range plan.Scheduled() {
 		f := f
-		e.eng.At(sim.Time(f.At), func() { e.applyFault(f) })
+		e.eng.At(sim.Time(f.At), sim.Func(func() { e.applyFault(f) }))
 	}
 	e.eng.Run()
 	if e.err != nil {
@@ -158,9 +166,12 @@ type engine struct {
 
 	// attempts tracks in-flight executions per split (more than one when
 	// speculative execution launches a backup).
-	attempts   map[int][]*attemptRun
+	attempts   [][]*attemptRun
 	splitDone  []bool
-	speculated map[int]bool
+	speculated []bool
+	// runs is the current chunk map attempts are carved from, one split
+	// count of them per allocation.
+	runs []attemptRun
 
 	// Fault-tolerance state.
 	attemptSeq []int  // next attempt id per split (keys failure draws)
@@ -267,14 +278,24 @@ func (e *engine) initObs() {
 	e.trace.NameTrack(e.cfg.Slaves, 0, "jobtracker", "job")
 }
 
-// attemptRun is one in-flight map task attempt.
+// attemptRun is one in-flight map task attempt, and the handler of its
+// completion event.
 type attemptRun struct {
+	e           *engine
 	split       int
+	attemptID   int
 	tt          *taskTracker
 	onGPU       bool
 	speculative bool
-	ev          *sim.Event
+	failed      bool // the plan fails this attempt partway
+	duration    float64
+	end         sim.Time // when the completion event fires
+	attempt     MapAttempt
+	ev          sim.Event
 }
+
+// Fire completes the attempt.
+func (run *attemptRun) Fire() { run.e.finishAttempt(run) }
 
 // pendingEntry is one split occurrence in a jobTracker queue. gen pins the
 // occurrence to the split's enqueue generation so stale entries (from
@@ -295,7 +316,7 @@ type pendingEntry struct {
 type jobTracker struct {
 	cfg          ClusterConfig
 	exec         Executor
-	pendingSet   map[int]bool
+	pendingSet   []bool // by split
 	numPending   int
 	gen          []int
 	byNode       [][]pendingEntry
@@ -332,7 +353,7 @@ func newJobTracker(cfg ClusterConfig, exec Executor) *jobTracker {
 		exec:            exec,
 		totalMaps:       exec.NumSplits(),
 		totalReduces:    exec.NumReducers(),
-		pendingSet:      map[int]bool{},
+		pendingSet:      make([]bool, exec.NumSplits()),
 		gen:             make([]int, exec.NumSplits()),
 		byNode:          make([][]pendingEntry, cfg.Slaves),
 		nodeHead:        make([]int, cfg.Slaves),
@@ -370,7 +391,7 @@ func (jt *jobTracker) live(e pendingEntry) bool {
 }
 
 func (jt *jobTracker) take(split int) {
-	delete(jt.pendingSet, split)
+	jt.pendingSet[split] = false
 	jt.numPending--
 }
 
@@ -453,19 +474,39 @@ type taskTracker struct {
 	remainingPerNode float64
 
 	// Fault state.
-	alive        bool       // the tracker process is running
-	deadDeclared bool       // the JobTracker has written the node off
-	lastHB       sim.Time   // last heartbeat the JobTracker saw
-	expiryArmed  bool       // an expiry check event is outstanding
-	hbEv         *sim.Event // the pending heartbeat event (canceled on crash)
-	hbLostUntil  sim.Time   // heartbeats suppressed until then
-	slowFactor   float64    // task-duration multiplier while slowed
+	alive        bool      // the tracker process is running
+	deadDeclared bool      // the JobTracker has written the node off
+	lastHB       sim.Time  // last heartbeat the JobTracker saw
+	expiryArmed  bool      // an expiry check event is outstanding
+	hbEv         sim.Event // the pending heartbeat event (canceled on crash)
+	hbLostUntil  sim.Time  // heartbeats suppressed until then
+	slowFactor   float64   // task-duration multiplier while slowed
 	slowUntil    sim.Time
 	permSlow     bool
 	failures     int // task failures since the last blacklist/reset
 	blacklists   int // times this node has been blacklisted
 	blacklisted  sim.Time
+
+	// The tracker's recurring events, built once.
+	beat   heartbeatEvent
+	expiry expiryEvent
 }
+
+// heartbeatEvent fires a tracker's next heartbeat.
+type heartbeatEvent struct {
+	e  *engine
+	tt *taskTracker
+}
+
+func (h *heartbeatEvent) Fire() { h.e.heartbeat(h.tt.node) }
+
+// expiryEvent fires a tracker's heartbeat-expiry check.
+type expiryEvent struct {
+	e  *engine
+	tt *taskTracker
+}
+
+func (x *expiryEvent) Fire() { x.e.checkExpiry(x.tt) }
 
 // slowdown returns the node's current task-duration multiplier.
 func (tt *taskTracker) slowdown(now sim.Time) float64 {
@@ -481,14 +522,15 @@ func (tt *taskTracker) slowdown(now sim.Time) float64 {
 type reduceRun struct {
 	p  int
 	tt *taskTracker
-	ev *sim.Event
-	// Shuffle fetch state: next is the map output being fetched, burst the
-	// consecutive failures of that fetch (reset on success and after each
-	// report), and fetchAttempt the monotonic per-map fetch counter keying
-	// the transient-failure draws.
-	next         int
-	burst        int
-	fetchAttempt []int
+	ev sim.Event
+	// Shuffle fetch state: next is the map output being fetched, tries
+	// how many times it has been fetched (keying the transient-failure
+	// draws; a fetched output is never fetched again, so one counter
+	// serves every map), and burst the consecutive failures of that fetch
+	// (reset on success and after each report).
+	next  int
+	tries int
+	burst int
 }
 
 func (tt *taskTracker) observe(duration float64, onGPU bool) {
@@ -518,7 +560,7 @@ func (e *engine) heartbeat(node int) {
 	now := e.eng.Now()
 	if now < tt.hbLostUntil {
 		// Heartbeats suppressed; resume when the loss window closes.
-		tt.hbEv = e.eng.At(tt.hbLostUntil, func() { e.heartbeat(node) })
+		tt.hbEv = e.eng.At(tt.hbLostUntil, &tt.beat)
 		return
 	}
 	if tt.deadDeclared {
@@ -591,7 +633,7 @@ func (e *engine) heartbeat(node int) {
 		}
 	}
 
-	tt.hbEv = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), func() { e.heartbeat(node) })
+	tt.hbEv = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), &tt.beat)
 }
 
 // armExpiry schedules (at most one outstanding) heartbeat-expiry check for
@@ -602,18 +644,21 @@ func (e *engine) armExpiry(tt *taskTracker) {
 		return
 	}
 	tt.expiryArmed = true
-	deadline := tt.lastHB + sim.Time(e.cfg.HeartbeatExpirySec)
-	e.eng.At(deadline, func() {
-		tt.expiryArmed = false
-		if e.err != nil || e.jt.done() || tt.deadDeclared {
-			return
-		}
-		if e.eng.Now() < tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec) {
-			e.armExpiry(tt) // a heartbeat arrived meanwhile; track it
-			return
-		}
-		e.declareDead(tt, "heartbeat-expired")
-	})
+	e.eng.At(tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec), &tt.expiry)
+}
+
+// checkExpiry is the armed expiry check: it re-arms while heartbeats keep
+// arriving and declares the node dead once they stop.
+func (e *engine) checkExpiry(tt *taskTracker) {
+	tt.expiryArmed = false
+	if e.err != nil || e.jt.done() || tt.deadDeclared {
+		return
+	}
+	if e.eng.Now() < tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec) {
+		e.armExpiry(tt) // a heartbeat arrived meanwhile; track it
+		return
+	}
+	e.declareDead(tt, "heartbeat-expired")
 }
 
 // reregister readmits a tracker the JobTracker had written off (restart
@@ -652,28 +697,23 @@ func (e *engine) declareDead(tt *taskTracker, cause string) {
 		if len(runs) == 0 {
 			continue
 		}
-		var kept []*attemptRun
-		lost := 0
+		kept := runs[:0]
 		for _, run := range runs {
 			if run.tt != tt {
 				kept = append(kept, run)
 				continue
 			}
 			run.ev.Cancel()
-			lost++
 			e.stats.LostAttempts++
 			e.met.failNodeLost.Inc()
 		}
-		if lost == 0 {
+		if len(kept) == len(runs) {
 			continue
 		}
-		if len(kept) == 0 {
-			delete(e.attempts, split)
-			if !e.splitDone[split] {
-				e.jt.requeue(split)
-			}
-		} else {
-			e.attempts[split] = kept
+		clear(runs[len(kept):])
+		e.attempts[split] = kept
+		if len(kept) == 0 && !e.splitDone[split] {
+			e.jt.requeue(split)
 		}
 	}
 	// Tasks parked in the node's GPU driver queue never started; requeue.
@@ -691,9 +731,7 @@ func (e *engine) declareDead(tt *taskTracker, cause string) {
 		if !ok || run.tt != tt {
 			continue
 		}
-		if run.ev != nil {
-			run.ev.Cancel()
-		}
+		run.ev.Cancel()
 		delete(e.reduceRuns, p)
 		e.jt.reducesAssigned[p] = false
 		e.jt.reduceFetched[p] = false
@@ -750,9 +788,7 @@ func (e *engine) applyFault(f faults.Fault) {
 			return
 		}
 		tt.alive = false
-		if tt.hbEv != nil {
-			tt.hbEv.Cancel()
-		}
+		tt.hbEv.Cancel()
 		// Its tasks die silently; the JobTracker only learns at expiry.
 		for split := 0; split < len(e.splitDone); split++ {
 			for _, run := range e.attempts[split] {
@@ -762,13 +798,13 @@ func (e *engine) applyFault(f faults.Fault) {
 			}
 		}
 		for p := 0; p < e.jt.totalReduces; p++ {
-			if run, ok := e.reduceRuns[p]; ok && run.tt == tt && run.ev != nil {
+			if run, ok := e.reduceRuns[p]; ok && run.tt == tt {
 				run.ev.Cancel()
 			}
 		}
 		if f.RestartAfter > 0 {
 			e.pendingRestarts++
-			e.eng.After(sim.Duration(f.RestartAfter), func() { e.restartNode(tt) })
+			e.eng.After(sim.Duration(f.RestartAfter), sim.Func(func() { e.restartNode(tt) }))
 		}
 	case faults.HeartbeatLoss:
 		if until := now + sim.Time(f.Duration); until > tt.hbLostUntil {
@@ -947,44 +983,62 @@ func (e *engine) startAttempt(tt *taskTracker, split int, onGPU, speculative boo
 	if failed {
 		duration *= 0.5 // detected mid-task
 	}
-	run := &attemptRun{split: split, tt: tt, onGPU: onGPU, speculative: speculative}
+	if len(e.runs) == 0 {
+		e.runs = make([]attemptRun, len(e.splitDone))
+	}
+	run := &e.runs[0]
+	e.runs = e.runs[1:]
+	*run = attemptRun{
+		e: e, split: split, attemptID: attemptID, tt: tt, onGPU: onGPU, speculative: speculative,
+		failed: failed, duration: duration, end: e.eng.Now(), attempt: attempt,
+	}
+	if duration > 0 { // a negative duration completes at once, as sim.After clamps it
+		run.end += sim.Time(duration)
+	}
 	e.attempts[split] = append(e.attempts[split], run)
-	run.ev = e.eng.After(sim.Duration(duration), func() {
-		if onGPU {
-			tt.gpuFree++
-		} else {
-			tt.cpuFree++
+	run.ev = e.eng.At(run.end, run)
+}
+
+// finishAttempt is a map attempt's completion event.
+func (e *engine) finishAttempt(run *attemptRun) {
+	split, tt, onGPU, speculative, duration := run.split, run.tt, run.onGPU, run.speculative, run.duration
+	attempt := run.attempt
+	run.attempt = MapAttempt{} // the chunk outlives the attempt; drop its output
+	if onGPU {
+		tt.gpuFree++
+	} else {
+		tt.cpuFree++
+	}
+	e.dropAttempt(run)
+	switch {
+	case e.splitDone[split]:
+		// A sibling attempt already finished; nothing to record.
+		e.recordMapSpan(tt, split, onGPU, speculative, duration, "lost")
+	case run.failed:
+		e.attemptFailed(run, run.attemptID, duration)
+	default:
+		e.splitDone[split] = true
+		if speculative {
+			e.stats.SpeculativeWon++
+			e.met.specWon.Inc()
 		}
-		e.dropAttempt(run)
-		switch {
-		case e.splitDone[split]:
-			// A sibling attempt already finished; nothing to record.
-			e.recordMapSpan(tt, split, onGPU, speculative, duration, "lost")
-		case failed:
-			e.attemptFailed(run, attemptID, duration)
-		default:
-			e.splitDone[split] = true
-			if speculative {
-				e.stats.SpeculativeWon++
-				e.met.specWon.Inc()
+		// Kill the losing sibling attempts and free their slots
+		// (Hadoop kills the slower attempt when one commits).
+		for _, o := range e.attempts[split] {
+			o.ev.Cancel()
+			if o.onGPU {
+				o.tt.gpuFree++
+			} else {
+				o.tt.cpuFree++
 			}
-			// Kill the losing sibling attempts and free their slots
-			// (Hadoop kills the slower attempt when one commits).
-			for _, o := range e.attempts[split] {
-				o.ev.Cancel()
-				if o.onGPU {
-					o.tt.gpuFree++
-				} else {
-					o.tt.cpuFree++
-				}
-				e.drainGPUQueue(o.tt)
-			}
-			delete(e.attempts, split)
-			e.commitAttempt[split] = attemptID
-			e.completeMap(tt, split, onGPU, speculative, duration, attempt)
+			e.drainGPUQueue(o.tt)
 		}
-		e.drainGPUQueue(tt)
-	})
+		clear(e.attempts[split])
+		e.attempts[split] = e.attempts[split][:0]
+		e.commitAttempt[split] = run.attemptID
+		e.completeMap(tt, split, onGPU, speculative, duration, attempt)
+	}
+	e.drainGPUQueue(tt)
 }
 
 // attemptFailed handles an injected attempt failure: retry accounting, GPU
@@ -1068,12 +1122,11 @@ func (e *engine) dropAttempt(run *attemptRun) {
 	runs := e.attempts[run.split]
 	for i, o := range runs {
 		if o == run {
-			e.attempts[run.split] = append(runs[:i], runs[i+1:]...)
-			break
+			copy(runs[i:], runs[i+1:])
+			runs[len(runs)-1] = nil
+			e.attempts[run.split] = runs[:len(runs)-1]
+			return
 		}
-	}
-	if len(e.attempts[run.split]) == 0 {
-		delete(e.attempts, run.split)
 	}
 }
 
@@ -1117,7 +1170,7 @@ func (e *engine) trySpeculate(tt *taskTracker) {
 		if err != nil {
 			continue
 		}
-		origEnd := float64(e.attempts[split][0].ev.Time())
+		origEnd := float64(e.attempts[split][0].end)
 		backupEnd := now + est.Duration
 		gain := origEnd - backupEnd
 		if gain > 0.2*est.Duration && gain > bestGain {
@@ -1202,13 +1255,7 @@ func (e *engine) hintReduces() {
 		if e.jt.reduceFetched[p] {
 			continue
 		}
-		inputs := make([][]kv.Pair, 0, e.jt.totalMaps)
-		for _, res := range e.jt.mapResults {
-			if res.Partitions != nil && p < len(res.Partitions) {
-				inputs = append(inputs, res.Partitions[p])
-			}
-		}
-		e.pre.PrefetchReduce(p, inputs)
+		e.pre.PrefetchReduce(p, e.reduceInputs(p))
 	}
 }
 
@@ -1256,7 +1303,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 	// the work until the map phase completes by polling on map completion
 	// via a gate event. The same poll covers outputs re-executing after
 	// fetch-failure declarations mid-shuffle.
-	var gate func()
+	var gate sim.Func
 	gate = func() {
 		if e.err != nil || e.reduceRuns[p] != run {
 			// Superseded: the attempt was canceled after its host died.
@@ -1277,11 +1324,8 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 				run.ev = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), gate)
 				return
 			}
-			if run.fetchAttempt == nil {
-				run.fetchAttempt = make([]int, e.jt.totalMaps)
-			}
-			att := run.fetchAttempt[m]
-			run.fetchAttempt[m]++
+			att := run.tries
+			run.tries++
 			if att > 0 {
 				e.stats.Refetches++
 				e.met.refetches.Inc()
@@ -1293,6 +1337,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			}
 			if !failed && !corrupt {
 				run.next++
+				run.tries = 0
 				run.burst = 0
 				continue
 			}
@@ -1323,13 +1368,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			return
 		}
 		e.jt.reduceFetched[p] = true
-		inputs := make([][]kv.Pair, 0, e.jt.totalMaps)
-		for _, res := range e.jt.mapResults {
-			if res.Partitions != nil && p < len(res.Partitions) {
-				inputs = append(inputs, res.Partitions[p])
-			}
-		}
-		work, err := e.exec.ReduceTask(p, inputs)
+		work, err := e.exec.ReduceTask(p, e.reduceInputs(p))
 		if err != nil {
 			e.fail(fmt.Errorf("mr: reduce task %d: %w", p, err))
 			return
@@ -1354,7 +1393,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			tt.node, lane, obs.Int("partition", p))
 		e.trace.Span(obs.CatReduce, "reduce-"+strconv.Itoa(p), sim.Time(shuffleDone),
 			sim.Time(shuffleDone+work.ComputeTime), tt.node, lane, obs.Int("partition", p))
-		run.ev = e.eng.At(sim.Time(shuffleDone+work.ComputeTime), func() {
+		run.ev = e.eng.At(sim.Time(shuffleDone+work.ComputeTime), sim.Func(func() {
 			if e.reduceRuns[p] != run {
 				return
 			}
@@ -1365,9 +1404,31 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			if e.jt.done() {
 				e.finishJob()
 			}
-		})
+		}))
 	}
 	gate()
+}
+
+// reduceInputs collects partition p of every committed map output, in
+// split order, for the reducer; nil when no map output has partitions
+// (timing-only executors), so nothing is built that nothing reads.
+func (e *engine) reduceInputs(p int) [][]kv.Pair {
+	n := 0
+	for _, res := range e.jt.mapResults {
+		if p < len(res.Partitions) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	inputs := make([][]kv.Pair, 0, n)
+	for _, res := range e.jt.mapResults {
+		if p < len(res.Partitions) {
+			inputs = append(inputs, res.Partitions[p])
+		}
+	}
+	return inputs
 }
 
 // verifyFetch checks partition p of map m's committed output on fetch:

@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
@@ -176,5 +178,58 @@ func TestSingleTaskJob(t *testing.T) {
 	}
 	if stats.MapsOnCPU+stats.MapsOnGPU != 1 {
 		t.Fatal("single task lost")
+	}
+}
+
+// TestSampledExecutorReusedAcrossJobs: the replica table Locations builds
+// once follows Splits and Slaves when they change between jobs, and jobs
+// sharing one executor concurrently stay race-free (run under -race) and
+// schedule alike.
+func TestSampledExecutorReusedAcrossJobs(t *testing.T) {
+	x := uniformExec(40, 2, 4, 10, 2)
+	check := func() {
+		t.Helper()
+		for split := -1; split <= x.Splits; split++ { // one split past each end
+			want := []int{0}
+			if n := x.Slaves; n > 1 {
+				want = []int{split % n, (split*7 + 3) % n, (split*13 + 5) % n}
+			}
+			if got := x.Locations(split); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Splits %d Slaves %d: Locations(%d) = %v, want %v", x.Splits, x.Slaves, split, got, want)
+			}
+		}
+	}
+	check()
+	x.Slaves = 7
+	check()
+	x.Splits = 90
+	check()
+	x.Slaves = 1
+	check()
+
+	x = uniformExec(64, 4, 4, 10, 2)
+	cfg := ClusterConfig{
+		Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
+		Scheduler: TailSched, HeartbeatSec: 0.5,
+	}
+	stats := make([]*JobStats, 4)
+	errs := make([]error, len(stats))
+	var wg sync.WaitGroup
+	for i := range stats {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stats[i], errs[i] = RunJob(cfg, x)
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range stats {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if s.Makespan != stats[0].Makespan || s.Events != stats[0].Events || s.DataLocalMaps != stats[0].DataLocalMaps {
+			t.Fatalf("job %d: makespan %v, %d events, %d local maps; job 0: %v, %d, %d",
+				i, s.Makespan, s.Events, s.DataLocalMaps, stats[0].Makespan, stats[0].Events, stats[0].DataLocalMaps)
+		}
 	}
 }

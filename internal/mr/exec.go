@@ -2,6 +2,7 @@ package mr
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/compiler"
@@ -508,6 +509,27 @@ type SampledExecutor struct {
 	// heterogeneity, the paper's stated future work: a value of 2.0 makes
 	// that node's tasks twice as slow). Missing/zero entries mean 1.0.
 	NodeSpeed []float64
+
+	// locs is every split's replica list, built on first use and rebuilt
+	// if Splits or Slaves change; atomic, so jobs sharing the executor
+	// may run concurrently.
+	locs atomic.Pointer[placement]
+}
+
+// placement is a SampledExecutor's replica lists for splits [0, splits)
+// over slaves nodes, width nodes per split.
+type placement struct {
+	splits, slaves, width int
+	nodes                 []int
+}
+
+// appendReplicas appends split's replica list to dst: an HDFS round-robin
+// primary with two deterministic extra replicas.
+func appendReplicas(dst []int, split, slaves int) []int {
+	if slaves <= 1 {
+		return append(dst, 0)
+	}
+	return append(dst, split%slaves, (split*7+3)%slaves, (split*13+5)%slaves)
 }
 
 // nodeFactor returns the duration multiplier for a node.
@@ -538,15 +560,26 @@ func (x *SampledExecutor) NumSplits() int { return x.Splits }
 func (x *SampledExecutor) NumReducers() int { return x.Reducers }
 
 // Locations implements Executor. Placement mimics HDFS round-robin
-// primaries with two deterministic extra replicas.
+// primaries with two deterministic extra replicas. The lists of splits
+// [0, Splits) are subslices of one table, which callers must not modify.
 func (x *SampledExecutor) Locations(split int) []int {
-	if x.Slaves <= 1 {
-		return []int{0}
+	t := x.locs.Load()
+	if t == nil || t.splits != x.Splits || t.slaves != x.Slaves {
+		t = &placement{splits: x.Splits, slaves: x.Slaves, width: 3}
+		if t.slaves <= 1 {
+			t.width = 1
+		}
+		t.nodes = make([]int, 0, t.splits*t.width)
+		for i := 0; i < t.splits; i++ {
+			t.nodes = appendReplicas(t.nodes, i, t.slaves)
+		}
+		x.locs.Store(t)
 	}
-	a := split % x.Slaves
-	b := (split*7 + 3) % x.Slaves
-	c := (split*13 + 5) % x.Slaves
-	return []int{a, b, c}
+	if split < 0 || split >= t.splits {
+		return appendReplicas(nil, split, t.slaves)
+	}
+	i := split * t.width
+	return t.nodes[i : i+t.width : i+t.width]
 }
 
 // MapTask implements Executor.

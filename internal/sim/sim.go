@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -16,57 +15,78 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// Event is a scheduled callback. Events with equal time fire in the order
-// of their sequence numbers (i.e., scheduling order), which keeps runs
-// deterministic.
+// Handler is an event's callback. Hot paths schedule a value built once
+// (a tracker's heartbeat, a map attempt), so scheduling and firing allocate
+// nothing; Func adapts a closure for the rest.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a function to a Handler.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a handle to a scheduled event: the slab slot holding its
+// handler and that slot's generation when it was scheduled. The zero Event
+// refers to nothing.
 type Event struct {
+	eng  *Engine
+	slot int32
+	gen  uint32
+}
+
+// Cancel keeps the event from firing. Once the event has fired or been
+// cancelled its slot's generation has moved on, so Cancel does nothing,
+// even after the slot holds a later event.
+func (ev Event) Cancel() {
+	e := ev.eng
+	if e == nil {
+		return
+	}
+	s := &e.slots[ev.slot]
+	if s.gen != ev.gen {
+		return
+	}
+	s.h = nil
+	s.gen++
+	e.live--
+}
+
+// entry is one queued event: it fires at at, ties broken by seq (the
+// scheduling order), and its handler sits in slot.
+type entry struct {
 	at   Time
 	seq  uint64
-	fn   func()
-	dead bool
-	idx  int
+	slot int32
 }
 
-// Time reports when the event fires (or was scheduled to fire).
-func (e *Event) Time() Time { return e.at }
-
-// Cancel marks the event so that it will not fire. Cancelling an already
-// fired or cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+func (a entry) less(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// slot holds a queued event's handler; h is nil once the event is
+// cancelled. gen counts the events the slot has fired or cancelled.
+type slot struct {
+	h   Handler
+	gen uint32
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
+//
+// The queue is a binary min-heap of entries ordered by (at, seq) over a
+// slab of handler slots with a free list. A cancelled entry stays in the
+// heap until it reaches the top; its slot returns to the free list then,
+// and a fired one's as it fires. seq is unique, so the order events fire
+// in does not depend on how the heap breaks ties.
 type Engine struct {
 	now    Time
-	queue  eventQueue
+	heap   []entry
+	slots  []slot
+	free   []int32
+	live   int // scheduled events neither fired nor cancelled
 	seq    uint64
 	fired  uint64
 	limit  uint64 // safety valve against runaway simulations; 0 = unlimited
@@ -88,25 +108,35 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // panics if it is exceeded. Zero disables the cap.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it indicates a logic error in the caller.
-func (e *Engine) At(t Time, fn func()) *Event {
+// At schedules h to fire at absolute virtual time t. Scheduling in the
+// past panics: it indicates a logic error in the caller.
+func (e *Engine) At(t Time, h Handler) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	s := &e.slots[i]
+	s.h = h
+	e.push(entry{at: t, seq: e.seq, slot: i})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	e.live++
+	return Event{eng: e, slot: i, gen: s.gen}
 }
 
-// After schedules fn to run d seconds from now. Negative delays are clamped
-// to zero.
-func (e *Engine) After(d Duration, fn func()) *Event {
+// After schedules h to fire d seconds from now. Negative delays are
+// clamped to zero.
+func (e *Engine) After(d Duration, h Handler) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.At(e.now+d, h)
 }
 
 // Halt stops the run loop after the current event completes.
@@ -116,59 +146,96 @@ func (e *Engine) Halt() { e.halted = true }
 // limit trips. It returns the final virtual time.
 func (e *Engine) Run() Time {
 	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
-			continue
-		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.fired++
-		if e.limit > 0 && e.fired > e.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.limit, e.now))
-		}
-		ev.fn()
+	for len(e.heap) > 0 && !e.halted {
+		e.fire(e.pop())
 	}
 	return e.now
 }
 
 // RunUntil executes events with firing times <= deadline, leaving later
-// events queued, and advances the clock to min(deadline, last event time).
+// events queued, and then advances the clock to the deadline. After Halt
+// the clock stays at the halting event, since events before the deadline
+// may still be queued.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
-		ev := e.queue[0]
-		if ev.at > deadline {
-			break
-		}
-		heap.Pop(&e.queue)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		if e.limit > 0 && e.fired > e.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.limit, e.now))
-		}
-		ev.fn()
+	for len(e.heap) > 0 && !e.halted && e.heap[0].at <= deadline {
+		e.fire(e.pop())
 	}
-	if e.now < deadline {
+	if !e.halted && e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
 }
 
-// Pending reports the number of live queued events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
+// fire runs a popped entry's handler unless it was cancelled, and frees
+// its slot either way.
+func (e *Engine) fire(top entry) {
+	s := &e.slots[top.slot]
+	h := s.h
+	e.free = append(e.free, top.slot)
+	if h == nil {
+		return
 	}
-	return n
+	s.h = nil
+	s.gen++
+	e.live--
+	if top.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = top.at
+	e.fired++
+	if e.limit > 0 && e.fired > e.limit {
+		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.limit, e.now))
+	}
+	h.Fire()
+}
+
+// Pending reports the number of live queued events.
+func (e *Engine) Pending() int { return e.live }
+
+// push adds x to the heap.
+func (e *Engine) push(x entry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	e.heap = h
+}
+
+// pop removes and returns the heap's minimum.
+func (e *Engine) pop() entry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	e.heap = h
+	return top
 }
 
 // RNG is a small, fast, seedable pseudo-random generator (xorshift64*),
