@@ -49,16 +49,15 @@ func TestFilteredBaselineMergesOneEntry(t *testing.T) {
 		t.Fatalf("committed baseline has no %s entry", x)
 	}
 	cur := filteredRun(x, before.Env)
-	n, err := writeBaseline(path, cur, false)
-	if err != nil {
+	if err := writeBaseline(path, cur, false); err != nil {
 		t.Fatal(err)
 	}
 	after, err := readBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(before.Benchmarks) || len(after.Benchmarks) != len(before.Benchmarks) {
-		t.Fatalf("entries: wrote %d, file holds %d, want %d", n, len(after.Benchmarks), len(before.Benchmarks))
+	if len(after.Benchmarks) != len(before.Benchmarks) {
+		t.Fatalf("file holds %d entries, want %d", len(after.Benchmarks), len(before.Benchmarks))
 	}
 	if after.Schema != before.Schema || after.Created != before.Created || after.Env != before.Env ||
 		after.Repeat != before.Repeat || after.Short != before.Short {
@@ -80,7 +79,7 @@ func TestBaselineWriteRefusesOtherEnv(t *testing.T) {
 	path, before := copyBaseline(t)
 	env := before.Env
 	env.NumCPU++
-	if _, err := writeBaseline(path, filteredRun("BenchmarkTable3", env), false); err == nil {
+	if err := writeBaseline(path, filteredRun("BenchmarkTable3", env), false); err == nil {
 		t.Fatal("merged a measurement from another environment")
 	}
 	after, err := readBaseline(path)
@@ -97,11 +96,11 @@ func TestBaselineWriteRefusesOtherEnv(t *testing.T) {
 func TestWholeSuiteBaselineReplacesFile(t *testing.T) {
 	path, before := copyBaseline(t)
 	cur := filteredRun("BenchmarkTable3", before.Env)
-	if _, err := writeBaseline(path, cur, true); err != nil {
+	if err := writeBaseline(path, cur, true); err != nil {
 		t.Fatal(err)
 	}
 	fresh := filepath.Join(t.TempDir(), "new.json")
-	if _, err := writeBaseline(fresh, cur, false); err != nil {
+	if err := writeBaseline(fresh, cur, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{path, fresh} {

@@ -271,13 +271,11 @@ func runBaseline(o baselineOpts) int {
 		}
 	}
 	if o.write {
-		whole := len(benches) == len(benchsuite.All())
-		n, err := writeBaseline(o.file, cur, whole)
-		if err != nil {
+		if err := writeBaseline(o.file, cur, len(benches) == len(benchsuite.All())); err != nil {
 			fmt.Fprintf(os.Stderr, "hdbench: -baseline: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s (%d of %d benchmarks measured, %d samples each)\n", o.file, len(cur.Benchmarks), n, cur.Repeat)
+		fmt.Printf("wrote %s (%d benchmarks measured, %d samples each)\n", o.file, len(cur.Benchmarks), cur.Repeat)
 	}
 	return 0
 }
@@ -296,22 +294,22 @@ func readBaseline(path string) (*perf.Baseline, error) {
 	return base, nil
 }
 
-// writeBaseline stores a measurement in the baseline file and returns how
-// many entries the file holds. A run of the whole suite replaces the file.
+// writeBaseline stores a measurement in the baseline file. A run of the
+// whole suite replaces the file.
 // A -short or -filter run merges its entries into the existing file,
 // keeping every other entry and the file's header, so re-recording one
 // benchmark never drops the rest; it refuses a file measured in another
 // environment, whose entries the new ones could not be compared with.
-func writeBaseline(path string, cur *perf.Baseline, whole bool) (int, error) {
+func writeBaseline(path string, cur *perf.Baseline, whole bool) error {
 	out := cur
 	if !whole {
 		old, err := readBaseline(path)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 		case err != nil:
-			return 0, err
+			return err
 		case old.Env != cur.Env:
-			return 0, fmt.Errorf("%s was measured in %+v, this run in %+v: re-record the whole suite", path, old.Env, cur.Env)
+			return fmt.Errorf("%s was measured in %+v, this run in %+v: re-record the whole suite", path, old.Env, cur.Env)
 		default:
 			maps.Copy(old.Benchmarks, cur.Benchmarks)
 			out = old
@@ -319,13 +317,13 @@ func writeBaseline(path string, cur *perf.Baseline, whole bool) (int, error) {
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := out.Encode(f); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
-	return len(out.Benchmarks), f.Close()
+	return f.Close()
 }
 
 // startPprof begins the requested Go runtime profiles and returns a stop

@@ -1413,9 +1413,10 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 // split order, for the reducer; nil when no map output has partitions
 // (timing-only executors), so nothing is built that nothing reads.
 func (e *engine) reduceInputs(p int) [][]kv.Pair {
+	results := e.jt.mapResults
 	n := 0
-	for _, res := range e.jt.mapResults {
-		if p < len(res.Partitions) {
+	for i := range results {
+		if p < len(results[i].Partitions) {
 			n++
 		}
 	}
@@ -1423,9 +1424,9 @@ func (e *engine) reduceInputs(p int) [][]kv.Pair {
 		return nil
 	}
 	inputs := make([][]kv.Pair, 0, n)
-	for _, res := range e.jt.mapResults {
-		if p < len(res.Partitions) {
-			inputs = append(inputs, res.Partitions[p])
+	for i := range results {
+		if p < len(results[i].Partitions) {
+			inputs = append(inputs, results[i].Partitions[p])
 		}
 	}
 	return inputs
