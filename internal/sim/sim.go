@@ -15,9 +15,8 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// Handler is an event's callback. Hot paths schedule a value built once
-// (a tracker's heartbeat, a map attempt), so scheduling and firing allocate
-// nothing; Func adapts a closure for the rest.
+// Handler is an event's callback. A caller that schedules values it built
+// once allocates nothing per event; Func adapts a closure for the rest.
 type Handler interface {
 	Fire()
 }
@@ -66,8 +65,9 @@ func (a entry) less(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// slot holds a queued event's handler; h is nil once the event is
-// cancelled. gen counts the events the slot has fired or cancelled.
+// slot holds a queued event's handler; h is nil once the event has fired
+// or been cancelled. gen counts the events the slot has fired or
+// cancelled.
 type slot struct {
 	h   Handler
 	gen uint32
