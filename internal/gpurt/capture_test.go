@@ -46,28 +46,141 @@ int main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const input = "1\n2\n"
-			var out bytes.Buffer
-			m := interp.New(comp.HostProg, interp.Options{Stdin: strings.NewReader(input), Stdout: &out})
-			if _, err := bytecode.NewVM(m, comp.VM).Run(); err != nil {
-				t.Fatal(err)
-			}
-			cpu := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-			res, err := RunTask(devK40(t), comp, nil, []byte(input), TaskConfig{Opts: AllOptimizations()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gpu []string
-			for _, p := range res.MapOutput {
-				gpu = append(gpu, p.Text())
-			}
-			sort.Strings(cpu)
-			sort.Strings(gpu)
+			cpu, gpu := cpuAndGPU(t, comp, "1\n2\n")
 			if want := []string{"8\t1", "9\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
 				t.Fatalf("CPU emitted %q, want %q", cpu, want)
 			}
 			if strings.Join(gpu, "|") != strings.Join(cpu, "|") {
 				t.Fatalf("GPU emitted %q, CPU %q", gpu, cpu)
+			}
+		})
+	}
+}
+
+// cpuAndGPU runs comp's mapper on the CPU path (the host program on the
+// VM) and as one GPU task on input, and returns both outputs sorted.
+func cpuAndGPU(t *testing.T, comp *compiler.Compiled, input string) (cpu, gpu []string) {
+	t.Helper()
+	var out bytes.Buffer
+	m := interp.New(comp.HostProg, interp.Options{Stdin: strings.NewReader(input), Stdout: &out})
+	if _, err := bytecode.NewVM(m, comp.VM).Run(); err != nil {
+		t.Fatal(err)
+	}
+	cpu = strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	res, err := RunTask(devK40(t), comp, nil, []byte(input), TaskConfig{Opts: AllOptimizations()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.MapOutput {
+		gpu = append(gpu, p.Text())
+	}
+	sort.Strings(cpu)
+	sort.Strings(gpu)
+	return cpu, gpu
+}
+
+// TestHostCaptureInCallee puts the mapreduce region in a function that
+// main calls, so the launch point is reached one frame down: the kernel
+// sees the callee's firstprivate parameter and a global.
+func TestHostCaptureInCallee(t *testing.T) {
+	const src = `
+int offset = 7;
+void mapper(int base) {
+	int key, one, read;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+	#pragma mapreduce mapper key(key) value(one) firstprivate(base) kvpairs(1) blocks(1) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		key = atoi(line) + base + offset;
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+	free(line);
+}
+int main() {
+	mapper(7);
+	return 0;
+}
+`
+	comp, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, gpu := cpuAndGPU(t, comp, "1\n2\n")
+	if want := []string{"15\t1", "16\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+		t.Fatalf("CPU emitted %q, want %q", cpu, want)
+	}
+	if strings.Join(gpu, "|") != strings.Join(cpu, "|") {
+		t.Fatalf("GPU emitted %q, CPU %q", gpu, cpu)
+	}
+}
+
+// TestHostCaptureInsideIf puts the mapreduce region inside an if in main.
+func TestHostCaptureInsideIf(t *testing.T) {
+	const src = `
+int main() {
+	int key, one, read, base;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+	base = 3;
+	if (base > 0) {
+		#pragma mapreduce mapper key(key) value(one) firstprivate(base) kvpairs(1) blocks(1) threads(32)
+		while ((read = getline(&line, &n, stdin)) != -1) {
+			key = atoi(line) + base;
+			one = 1;
+			printf("%d\t%d\n", key, one);
+		}
+	}
+	return 0;
+}
+`
+	comp, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, gpu := cpuAndGPU(t, comp, "1\n2\n")
+	if want := []string{"4\t1", "5\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+		t.Fatalf("CPU emitted %q, want %q", cpu, want)
+	}
+	if strings.Join(gpu, "|") != strings.Join(cpu, "|") {
+		t.Fatalf("GPU emitted %q, CPU %q", gpu, cpu)
+	}
+}
+
+// TestHostCaptureNeverReached requires a GPU task to fail when main ends,
+// by exit() or by an early return, before it reaches the region.
+func TestHostCaptureNeverReached(t *testing.T) {
+	const region = `
+	#pragma mapreduce mapper key(key) value(one) kvpairs(1) blocks(1) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		key = atoi(line);
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+	return 0;
+}
+`
+	const head = `
+int main() {
+	int key, one, read;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+`
+	for _, tc := range []struct{ name, stop string }{
+		{"exit", "\texit(0);\n"},
+		{"return", "\tif (n > 0) return 1;\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, err := compiler.Compile(head + tc.stop + region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunTask(devK40(t), comp, nil, []byte("1\n2\n"), TaskConfig{Opts: AllOptimizations()})
+			if err == nil || !strings.Contains(err.Error(), "never reached its mapreduce region") {
+				t.Fatalf("RunTask error %v, want one that says the region was never reached", err)
 			}
 		})
 	}

@@ -45,6 +45,35 @@ int main() {
 	return 0;
 }`
 
+// globalsSrc is a mapper that reads file-scope globals in its region and
+// in a callee. Every simulated thread runs the initializers, so their
+// charges, a builtin call and a program-function call among them, land in
+// each thread's cost before the region runs. mix is long enough that the
+// order of its charges shows in the M2090's cycle bits.
+const globalsSrc = `
+double root2 = sqrt(2.0);
+int base = 4;
+int twice(int x) { return 2 * x; }
+int scaled = twice(5);
+int shifted = base + 3;
+double mix = root2 * 1.5 + scaled / 3.0 - base * 0.7 + root2 * root2 / 1.3 + shifted * 0.11 - root2 / 7.0 + base * root2 * 0.9 + scaled * 0.37;
+int table[4];
+char *tag = "ab";
+int probe(int v) { return table[v % 4] + shifted + strlen(tag); }
+int main() {
+	int id, read; double val;
+	char *line;
+	size_t n = 1000;
+	line = (char*) malloc(1000);
+	#pragma mapreduce mapper key(id) value(val) kvpairs(1) blocks(2) threads(16)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		id = atoi(line) + scaled;
+		val = root2 * id + probe(id) + table[id % 4] + mix;
+		printf("%d\t%f\n", id, val);
+	}
+	return 0;
+}`
+
 // TestGPUVirtualTimeGolden pins the bits of GPU virtual time on both
 // devices. The K40's costs are multiples of 1/4, so its cycle sums are
 // exact in any order; the M2090's op cost (2.6) and register cost (0.3)
@@ -66,6 +95,7 @@ func TestGPUVirtualTimeGolden(t *testing.T) {
 		{"BS", workload.BlackScholesMap, "", workload.Options(3, 2<<10), 0},
 		{"KM", workload.KmeansMap, "", workload.MovieRatings(3, 3<<10), 2},
 		{"helper-chain", helperChainSrc, "", lines.Bytes(), 0},
+		{"globals", globalsSrc, "", lines.Bytes(), 0},
 	}
 	devices := []struct {
 		name string
