@@ -55,6 +55,23 @@ import (
 // executor binds the host's objects once per simulated thread or warp,
 // and the program functions they call follow, each compiled once.
 //
+// Two functions have no source of their own:
+//
+//   - <init> (addInit) runs a program's file-scope declarations in order,
+//     each defining its global once its initializer has run. Like the
+//     walker's initializers, it charges no statement step or op, only
+//     each initializer's entry ops and the store. It folds in whole
+//     programs and is per-event in kernel programs, since every simulated
+//     GPU thread runs it against its own cost sink. A program with no
+//     globals has none.
+//   - The host entry (addHost) is the function that holds a kernel's
+//     region, compiled into the kernel program with the region's pragma
+//     lowered to a launch point. Reaching it ends the run, in whatever
+//     frame, and hands the GPU executor the objects of the kernel's free
+//     symbols: the host entry keeps each of them in an object, not a
+//     register. main, and the functions it calls on the way, compile as
+//     ordinary program functions with folded charges.
+//
 // Every discipline checks an assignment's index or pointer target after
 // the target's operands, before the right-hand side, as the walker does.
 //
@@ -65,9 +82,12 @@ import (
 func Compile(prog *minic.Program) (*Program, error) {
 	b := newBuilder(folded)
 	for _, fn := range prog.Funcs {
-		if err := b.addFn(fn, nil, nil, nil); err != nil {
+		if err := b.addFn(fn, nil, nil, nil, nil); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.addInit(prog); err != nil {
+		return nil, err
 	}
 	return b.prog, nil
 }
@@ -79,12 +99,14 @@ func Compile(prog *minic.Program) (*Program, error) {
 // batched charges and share one object-slot table: every symbol they use
 // but do not declare lives in a slot, and the slots that no entry binds
 // are the free symbols the host binds once (Program.Free).
-// Every function of prog the entries call, directly or transitively,
-// follows them, compiled once with per-event charges, in first-call
-// order. A call the VM binds to a program function names no builtin
-// (sema forbids the shadowing), so the unmarked callees that name a
-// function of prog are exactly those.
-func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error) {
+// prog's <init> follows them, then every function of prog the entries or
+// <init> call, directly or transitively, compiled once with per-event
+// charges, in first-call order. A call the VM binds to a program function
+// names no builtin (sema forbids the shadowing), so the unmarked callees
+// that name a function of prog are exactly those. A non-nil host is the
+// function of prog that holds the region: the host part follows (see
+// addHost).
+func CompileKernel(prog *minic.Program, host *minic.FuncDecl, entries ...minic.Node) (*Program, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("bytecode: kernel has no entry")
 	}
@@ -98,14 +120,14 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 		var skip map[minic.Stmt]bool
 		switch e := e.(type) {
 		case minic.Expr:
-			// EvalIn charges no statement steps for the synthesized
-			// wrapper.
+			// The walker's EvalIn charges no statement steps for the
+			// synthesized wrapper.
 			ret := &minic.Return{X: e}
 			body := &minic.Block{Stmts: []minic.Stmt{ret}}
 			decl, skip = &minic.FuncDecl{Name: "<cond>", Body: body}, map[minic.Stmt]bool{body: true, ret: true}
 		case minic.Stmt:
-			// The statement itself is charged (ExecIn charges it); only
-			// the wrapper block is not.
+			// The statement itself is charged (the walker's ExecIn
+			// charges it); only the wrapper block is not.
 			body := &minic.Block{Stmts: []minic.Stmt{e}}
 			decl, skip = &minic.FuncDecl{Name: "<region>", Body: body}, map[minic.Stmt]bool{body: true}
 			minic.WalkStmts(e, func(s minic.Stmt) {
@@ -120,7 +142,7 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 		default:
 			return nil, fmt.Errorf("bytecode: kernel entry is neither an expression nor a statement")
 		}
-		if err := b.addFn(decl, demote, skip, slots); err != nil {
+		if err := b.addFn(decl, demote, skip, slots, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -134,7 +156,24 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 	}
 
 	b.disc = perEvent
+	if err := b.addInit(prog); err != nil {
+		return nil, err
+	}
 	compiled := map[*minic.FuncDecl]bool{}
+	if err := b.addCallees(prog, compiled); err != nil {
+		return nil, err
+	}
+	if host != nil {
+		if err := b.addHost(prog, host, compiled); err != nil {
+			return nil, err
+		}
+	}
+	return b.prog, nil
+}
+
+// addCallees compiles every function of prog that the code compiled so
+// far calls and compiled does not hold, each once, in first-call order.
+func (b *builder) addCallees(prog *minic.Program, compiled map[*minic.FuncDecl]bool) error {
 	// Compiling a callee can intern more callees: the loop reaches them.
 	for i := 0; i < len(b.prog.Callees); i++ {
 		c := b.prog.Callees[i]
@@ -143,11 +182,80 @@ func CompileKernel(prog *minic.Program, entries ...minic.Node) (*Program, error)
 			continue
 		}
 		compiled[fn] = true
-		if err := b.addFn(fn, nil, nil, nil); err != nil {
-			return nil, err
+		if err := b.addFn(fn, nil, nil, nil, nil); err != nil {
+			return err
 		}
 	}
-	return b.prog, nil
+	return nil
+}
+
+// addInit compiles prog's file-scope declarations into <init>, under the
+// builder's discipline, and records it as Program.Init. A declaration is
+// skipped as a statement: only its initializers and stores charge. A
+// global array of unspecified length traps where the walker does, before
+// its initializer runs, so <init> ends with it.
+func (b *builder) addInit(prog *minic.Program) error {
+	if len(prog.Globals) == 0 {
+		return nil
+	}
+	body := &minic.Block{}
+	skip := map[minic.Stmt]bool{}
+	for _, g := range prog.Globals {
+		d := g
+		for i, dc := range g.Decls {
+			if n, _ := interp.FlattenArray(dc.Type); n < 0 {
+				trap := *dc
+				trap.Init = nil
+				d = &minic.DeclStmt{Decls: append(g.Decls[:i:i], &trap)}
+				break
+			}
+		}
+		body.Stmts = append(body.Stmts, d)
+		skip[d] = true
+		if d != g {
+			break
+		}
+	}
+	if err := b.addFn(&minic.FuncDecl{Name: "<init>", Body: body}, nil, skip, nil, nil); err != nil {
+		return err
+	}
+	b.prog.Init = len(b.prog.Fns) - 1
+	return nil
+}
+
+// addHost compiles a kernel program's host part with folded charges:
+// first the host entry, host, whose mapreduce pragma lowers to a launch
+// point and which keeps every free symbol of the kernel in an object;
+// then main, and every program function the two call, each once.
+func (b *builder) addHost(prog *minic.Program, host *minic.FuncDecl, compiled map[*minic.FuncDecl]bool) error {
+	if compiled[host] {
+		return fmt.Errorf("bytecode: %s holds the kernel region and also runs in the kernel", host.Name)
+	}
+	var launch *minic.PragmaStmt
+	minic.WalkStmts(host.Body, func(s minic.Stmt) {
+		if p, ok := s.(*minic.PragmaStmt); ok && p.IsMapReduce() && launch == nil {
+			launch = p
+		}
+	})
+	if launch == nil {
+		return fmt.Errorf("bytecode: %s holds no mapreduce region", host.Name)
+	}
+	isFree := map[*minic.Symbol]bool{}
+	for _, f := range b.prog.Free {
+		isFree[f.Sym] = true
+	}
+	b.disc = folded
+	compiled[host] = true
+	if err := b.addFn(host, func(sym *minic.Symbol) bool { return isFree[sym] }, nil, nil, launch); err != nil {
+		return err
+	}
+	if main := prog.Func("main"); main != nil && !compiled[main] {
+		compiled[main] = true
+		if err := b.addFn(main, nil, nil, nil, nil); err != nil {
+			return err
+		}
+	}
+	return b.addCallees(prog, compiled)
 }
 
 // builder accumulates the shared pools of one Program. All interning is
@@ -180,7 +288,7 @@ const (
 func newBuilder(disc discipline) *builder {
 	return &builder{
 		disc:      disc,
-		prog:      &Program{Main: -1},
+		prog:      &Program{Main: -1, Init: -1},
 		constIdx:  map[interp.Value]int32{},
 		strIdx:    map[string]int32{},
 		typeIdx:   map[*minic.Type]int32{},
@@ -273,9 +381,15 @@ func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 	if d.Type != nil && d.Type.Kind == minic.TypeArray {
 		n, elem = interp.FlattenArray(d.Type)
 		if n < 0 {
-			// The walker raises this only if the declaration executes;
-			// the compiler rejects the whole function up front.
-			return 0, fmt.Errorf("array %q has unspecified length", d.Name)
+			if d.Sym != nil && d.Sym.Global {
+				// A file-scope declaration always executes: its define
+				// traps at run time (N < 0), as the walker does.
+				n, elem = -1, d.Type
+			} else {
+				// The walker raises this only if the declaration executes;
+				// the compiler rejects the whole function up front.
+				return 0, fmt.Errorf("array %q has unspecified length", d.Name)
+			}
 		}
 	}
 	if elem == nil {
@@ -288,9 +402,10 @@ func (b *builder) alloc(d *minic.Declarator) (int32, error) {
 }
 
 // addFn compiles one function. slots is the object-slot table a kernel
-// entry shares with the others; nil gives the function its own.
-func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable) error {
-	fn, err := b.compileFn(decl, demote, skip, slots)
+// entry shares with the others; nil gives the function its own. launch is
+// the pragma a host entry stops at, nil for any other function.
+func (b *builder) addFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable, launch *minic.PragmaStmt) error {
+	fn, err := b.compileFn(decl, demote, skip, slots, launch)
 	if err != nil {
 		return fmt.Errorf("bytecode: cannot lower function %q: %w", decl.Name, err)
 	}
@@ -367,8 +482,8 @@ type regionFrame struct {
 	jmpPC     int // select: jmp after the then-arm, patched to region end
 }
 
-func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable) (*Fn, error) {
-	f := ir.BuildFragment(decl, demote)
+func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) bool, skip map[minic.Stmt]bool, slots *slotTable, launch *minic.PragmaStmt) (*Fn, error) {
+	f := ir.BuildFragment(decl, demote, launch)
 	addLValueUses(f)
 	plan := ir.AllocateRegisters(f)
 	entry := slots != nil
@@ -396,7 +511,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 	}
 	fb.markAbsorbedConsts()
 
-	// The walker's m.call runs the function body's statement list without
+	// The walker's call runs the function body's statement list without
 	// charging the body block itself as a statement.
 	if fb.skip == nil {
 		fb.skip = map[minic.Stmt]bool{}
@@ -786,15 +901,15 @@ func stmtAhead(stmts []minic.Stmt, from int, s minic.Stmt) bool {
 	return false
 }
 
-// stmtEntry batches one statement's step+op entry charge and synthesizes
-// object allocations for untracked init-less declarators (the walker
-// allocates a fresh object every time the declaration executes).
+// stmtEntry batches one statement's step+op entry charge, unless the
+// statement is skipped, and synthesizes object allocations for untracked
+// init-less declarators (the walker allocates a fresh object every time
+// the declaration executes).
 func (fb *fnBuilder) stmtEntry(st minic.Stmt) error {
-	if fb.skip[st] {
-		return nil
+	if !fb.skip[st] {
+		fb.addStep()
+		fb.pendingOps++
 	}
-	fb.addStep()
-	fb.pendingOps++
 	d, ok := st.(*minic.DeclStmt)
 	if !ok {
 		return nil
@@ -823,8 +938,8 @@ func (fb *fnBuilder) emitAlloc(dc *minic.Declarator, initReg int32) error {
 		return err
 	}
 	if ref >= 0 {
-		// Global declarations execute in initGlobals on the walker.
-		return fmt.Errorf("allocation of global %q", dc.Name)
+		fb.emit(OpDefine, ref, spec, initReg, 0)
+		return nil
 	}
 	fb.slots.bound[dc.Sym] = true
 	fb.emit(OpAlloc, -ref-1, spec, initReg, 0)
@@ -933,6 +1048,9 @@ func (fb *fnBuilder) closeRegion(in *ir.Instr) error {
 
 func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 	switch {
+	case blk.Launch:
+		fb.flush()
+		return fb.emitLaunch()
 	case blk.Cond != nil:
 		if len(blk.Succs) != 2 {
 			return fmt.Errorf("conditional block without two successors")
@@ -975,6 +1093,22 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 	default:
 		return fmt.Errorf("unexpected block shape")
 	}
+	return nil
+}
+
+// emitLaunch ends a host entry at its kernel launch point: it pushes a
+// pointer to the object of each free symbol of the kernel, in
+// Program.Free order, and launches.
+func (fb *fnBuilder) emitLaunch() error {
+	for _, f := range fb.b.prog.Free {
+		ref, err := fb.objRef(f.Sym)
+		if err != nil {
+			return err
+		}
+		fb.emit(OpAddrO, fb.scratch0, ref, 0, 0)
+		fb.emit(OpArg, fb.scratch0, 0, 0, 0)
+	}
+	fb.emit(OpLaunch, int32(len(fb.b.prog.Free)), 0, 0, 0)
 	return nil
 }
 

@@ -106,6 +106,14 @@ func operandString(p *Program, in Instr) string {
 		return fmt.Sprintf("r%d, %q", in.A, pool(p.Strs, in.B))
 	case OpCall:
 		return fmt.Sprintf("r%d, %s, argc=%d", in.A, calleeString(p, in.B), in.C)
+	case OpDefine:
+		s := fmt.Sprintf("%s, %s", objRefString(p, in.A), allocString(p, in.B))
+		if in.C >= 0 {
+			s += fmt.Sprintf(", init=r%d", in.C)
+		}
+		return s
+	case OpLaunch:
+		return fmt.Sprintf("argc=%d", in.A)
 	default:
 		// Typed arithmetic/comparison family.
 		return fmt.Sprintf("r%d, r%d, r%d", in.A, in.B, in.C)

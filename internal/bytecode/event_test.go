@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -43,14 +44,18 @@ type eventRun struct {
 	events []costEvent
 }
 
-// compilePerEvent lowers every function of prog with the per-event charge
-// discipline that production uses only for a kernel program's callees.
+// compilePerEvent lowers every function of prog, and its <init>, with
+// the per-event charge discipline that production uses only for a kernel
+// program's callees and <init>.
 func compilePerEvent(prog *minic.Program) (*Program, error) {
 	b := newBuilder(perEvent)
 	for _, fn := range prog.Funcs {
-		if err := b.addFn(fn, nil, nil, nil); err != nil {
+		if err := b.addFn(fn, nil, nil, nil, nil); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.addInit(prog); err != nil {
+		return nil, err
 	}
 	return b.prog, nil
 }
@@ -69,7 +74,7 @@ func runEvents(prog *minic.Program, code *Program, stdin string, maxSteps int64)
 	})
 	var err error
 	if code == nil {
-		r.code, err = m.Run()
+		r.code, err = walker.Run(m)
 	} else {
 		r.code, err = NewVM(m, code).Run()
 	}
@@ -123,8 +128,43 @@ func checkEventParity(t *testing.T, src, stdin string, maxSteps int64, optimize 
 	compareEvents(t, runEvents(prog, nil, stdin, maxSteps), runEvents(prog, code, stdin, maxSteps))
 }
 
-// TestPerEventParity runs the parity corpus, the runtime error cases and
-// the example mappers under per-event charges.
+// initializerCases exercise file-scope initializers, which <init> runs:
+// folded in whole programs, per-event in kernel programs. err is the
+// error the run ends with, "" for none.
+var initializerCases = []struct{ name, src, err string }{
+	{"earlier-global", `
+int a = 3;
+int b = a * 2 + 1, c = b - a;
+char *s = "xy";
+int main() { printf("%d %d %d %s\n", a, b, c, s); return b; }`, ""},
+	{"builtin", `
+double r = sqrt(2.0);
+int n = strlen("abcd");
+int main() { printf("%f %d\n", r, n); return n; }`, ""},
+	{"program-function", `
+int base = 4;
+int sq(int x) { return x * x + base; }
+int s = sq(7);
+int t[3];
+int main() { t[1] = s; printf("%d %d\n", s, t[1] + t[0]); return 0; }`, ""},
+	{"later-global", `
+int peek() { return later + 1; }
+int early = peek();
+int later = 5;
+int main() { return early; }`, `interp: unresolved symbol "later"`},
+	{"divide-by-zero", `
+int zero = 0;
+int q = 10 / zero;
+int main() { printf("unreached\n"); return q; }`, "interp: integer division by zero"},
+	{"unspecified-array", `
+int ok = printf("a");
+int bad[] = printf("b");
+int main() { return 0; }`, `interp: array "bad" has unspecified length`},
+}
+
+// TestPerEventParity runs the parity corpus, the runtime error cases, the
+// initializer cases and the example mappers under per-event charges. The
+// initializer cases also run as whole programs, with folded charges.
 func TestPerEventParity(t *testing.T) {
 	type tc struct {
 		name, src, stdin string
@@ -158,6 +198,17 @@ func TestPerEventParity(t *testing.T) {
 	}
 	for _, rc := range runtimeErrorCases {
 		cases = append(cases, tc{"error/" + rc.name, rc.src, "", 0, false})
+	}
+	for _, ic := range initializerCases {
+		cases = append(cases, tc{"init/" + ic.name, ic.src, "", 0, false})
+		t.Run("init-whole/"+ic.name, func(t *testing.T) {
+			prog, code := compileSrc(t, ic.src, false)
+			walker := runCore(prog, nil, "", 0)
+			if walker.err != ic.err {
+				t.Fatalf("walker ended with error %q, want %q", walker.err, ic.err)
+			}
+			compareRuns(t, walker, runCore(prog, code, "", 0))
+		})
 	}
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "minic", "*.c"))
 	if err != nil {

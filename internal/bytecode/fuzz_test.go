@@ -17,7 +17,7 @@ import (
 // both the accept and reject sides of every operand range check.
 var fuzzBounds = bytecode.Bounds{
 	NumRegs: 8, NumObjSlots: 2, Consts: 4, Strs: 2, Types: 2,
-	Syms: 4, Allocs: 2, Ops: 4, Callees: 2, Traffic: 2,
+	Syms: 4, Allocs: 2, Ops: 4, Callees: 2, Traffic: 2, Free: 1,
 }
 
 // sampleCode compiles a small MiniC program and returns its main
@@ -62,6 +62,12 @@ func FuzzBytecodeRoundTrip(f *testing.F) {
 	f.Add(bytecode.EncodeInstrs([]bytecode.Instr{
 		{Op: bytecode.OpCharge, A: -1, B: 2},
 		{Op: bytecode.OpJmp, A: 99},
+	}))
+	f.Add(bytecode.EncodeInstrs([]bytecode.Instr{
+		{Op: bytecode.OpDefine, A: 3, B: 1, C: -1},
+		{Op: bytecode.OpAddrO, A: 0, B: 3},
+		{Op: bytecode.OpArg, A: 0},
+		{Op: bytecode.OpLaunch, A: 1},
 	}))
 	f.Add([]byte{0xff})
 

@@ -1,13 +1,14 @@
 // Package bytecode compiles MiniC (via the internal/ir SSA form) into a
 // register-based bytecode and executes it on a tight switch-dispatch VM.
 //
-// The VM is the execution core of every MiniC stage on all three backends
-// (sequential interpreter, streaming CPU path, GPU kernel executor). It is
-// an exact drop-in for the tree-walking interpreter: output bytes,
+// The VM is the only executor of MiniC: every stage on all three backends
+// (sequential interpreter, streaming CPU path, GPU kernel executor), the
+// file-scope initializers, and the host code a GPU task runs up to its
+// kernel launch point. It matches the tree-walking reference evaluator
+// (package interp/walker, which only tests import) exactly: output bytes,
 // cost-model totals (ops/loads/stores per memory space), statement step
-// counts, and error strings all match, because goldens for simulated time
-// and deterministic GPU scheduling were recorded against the walker. The
-// walker remains the differential oracle in tests.
+// counts, and error strings, because goldens for simulated time and
+// deterministic GPU scheduling were recorded against the walker.
 //
 // Everything stateful — object memory, globals, string literals, the
 // builtin table, cost charging, the step budget — stays in an
@@ -64,6 +65,11 @@ type Op uint8
 //	stdio   A=dst B=str#       stdin/stdout/stderr handle
 //	arg     A=src              push call argument
 //	call    A=dst B=callee# C=argc
+//	define  A=sym# B=spec# C=init-reg|-1  fresh object for a file-scope
+//	                           declarator, defined as global Syms[A]
+//	launch  A=argc             end the run at the kernel launch point,
+//	                           handing over the A pushed object pointers,
+//	                           one per free symbol in Program.Free order
 //
 // The variable opcodes charge only in GPU code (kernel entries and their
 // callees). Whole programs emit no load.v: a read of a tracked variable
@@ -131,6 +137,8 @@ const (
 	OpStdio
 	OpArg
 	OpCall
+	OpDefine
+	OpLaunch
 	opCount
 )
 
@@ -191,6 +199,8 @@ var opNames = [opCount]string{
 	OpStdio:  "stdio",
 	OpArg:    "arg",
 	OpCall:   "call",
+	OpDefine: "define",
+	OpLaunch: "launch",
 }
 
 // Name returns the opcode mnemonic.
@@ -277,6 +287,9 @@ type Program struct {
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.
 	Main int
+	// Init indexes Fns' <init>, which runs the file-scope declarations in
+	// order, each defining its global; -1 when the program has none.
+	Init int
 	// Entries is a kernel program's entry count, 0 for a whole program.
 	// Fns[0:Entries] are the entries of one translated region (a mapper's
 	// loop condition and body, a combiner's region): parameterless, and
@@ -284,7 +297,10 @@ type Program struct {
 	// the table's slots the host binds, once, before any entry runs. The
 	// program functions the entries call, directly or transitively,
 	// follow them, compiled with per-event charges (see compile.go); they
-	// resolve globals through Syms, as whole-program functions do.
+	// resolve globals through Syms, as whole-program functions do. Then
+	// come the host part's functions: the host entry, the function that
+	// holds the region, where a launch instruction stands for the region,
+	// and main and the functions main calls on the way to it.
 	Entries int
 	Free    []FreeRef
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -31,7 +32,7 @@ func runCore(prog *minic.Program, code *Program, stdin string, maxSteps int64) c
 	})
 	var err error
 	if code == nil {
-		r.code, err = m.Run()
+		r.code, err = walker.Run(m)
 	} else {
 		r.code, err = NewVM(m, code).Run()
 	}
@@ -629,8 +630,8 @@ func TestParityForwarding(t *testing.T) {
 }
 
 // TestFragmentParity compiles a loop condition and body as the two entries
-// of one kernel program and compares against EvalIn/ExecIn on the same
-// machine state. The body calls a helper that reads the global g, which
+// of one kernel program and compares against the walker's EvalIn/ExecIn
+// on the same machine state. The body calls a helper that reads the global g, which
 // the host also binds in the frame: the entry reads the frame's object,
 // and the helper, like the walker's callee frame, the global.
 func TestFragmentParity(t *testing.T) {
@@ -661,7 +662,7 @@ int main() {
 		t.Fatal("no while loop found")
 	}
 
-	kernel, err := CompileKernel(prog, loop.Cond, loop.Body)
+	kernel, err := CompileKernel(prog, nil, loop.Cond, loop.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +673,8 @@ int main() {
 	run := func(useVM bool) (int64, interp.CountingSink, int64) {
 		var sink interp.CountingSink
 		m := interp.New(prog, interp.Options{Cost: &sink})
-		fr := m.NewFrame()
+		w := walker.New(m)
+		fr := walker.NewFrame()
 		intT := loop.Cond.(*minic.Binary).L.Type()
 		bind := func(name string, v int64) *interp.Object {
 			var sym *minic.Symbol
@@ -693,7 +695,11 @@ int main() {
 		sumObj := bind("sum", 0)
 
 		if useVM {
-			vm, err := NewFragmentVM(m, kernel, fr.Object)
+			objs := make([]*interp.Object, kernel.Fns[0].NumObjSlots)
+			for _, f := range kernel.Free {
+				objs[f.Slot] = fr.Object(f.Sym)
+			}
+			vm, err := NewFragmentVM(m, kernel, objs)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}
@@ -711,14 +717,14 @@ int main() {
 			}
 		} else {
 			for {
-				v, err := m.EvalIn(fr, loop.Cond)
+				v, err := w.EvalIn(fr, loop.Cond)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !v.Truthy() {
 					break
 				}
-				if _, err := m.ExecIn(fr, loop.Body); err != nil {
+				if _, err := w.ExecIn(fr, loop.Body); err != nil {
 					t.Fatal(err)
 				}
 			}

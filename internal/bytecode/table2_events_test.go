@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/minic"
 	"repro/internal/workload"
 )
@@ -45,7 +46,7 @@ func sortedOutput(t *testing.T, src, stdin string) string {
 	}
 	var out bytes.Buffer
 	m := interp.New(prog, interp.Options{Stdin: strings.NewReader(stdin), Stdout: &out})
-	if _, err := m.Run(); err != nil {
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(out.String(), "\n")

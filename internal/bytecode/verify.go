@@ -18,10 +18,17 @@ type Bounds struct {
 	Ops         int32
 	Callees     int32
 	Traffic     int32
+	// Free is the argument count a launch must pass: a kernel program's
+	// free symbol count, -1 outside a kernel program, which cannot launch.
+	Free int32
 }
 
 // boundsFor derives verification bounds from a program and function.
 func boundsFor(p *Program, fn *Fn) Bounds {
+	free := int32(-1)
+	if p.Entries > 0 {
+		free = int32(len(p.Free))
+	}
 	return Bounds{
 		NumRegs:     fn.NumRegs,
 		NumObjSlots: fn.NumObjSlots,
@@ -33,6 +40,7 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 		Ops:         int32(len(p.Ops)),
 		Callees:     int32(len(p.Callees)),
 		Traffic:     int32(len(p.Traffic)),
+		Free:        free,
 	}
 }
 
@@ -44,6 +52,9 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 func Verify(p *Program) error {
 	if p.Main >= len(p.Fns) {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)
+	}
+	if p.Init >= len(p.Fns) || (p.Init >= 0 && (p.Init < p.Entries || len(p.Fns[p.Init].Params) != 0)) {
+		return fmt.Errorf("bytecode: <init> index %d is not a parameterless function", p.Init)
 	}
 	// A kernel program's entries are Fns[0:Entries], parameterless and
 	// sharing one slot table, which every free symbol indexes; its
@@ -164,6 +175,15 @@ func VerifyCode(code []Instr, b Bounds) error {
 			err = firstErr(reg(in.A), idx("callee", in.B, b.Callees))
 			if err == nil && in.C < 0 {
 				err = errors.New("negative arg count")
+			}
+		case OpDefine:
+			err = firstErr(idx("symbol", in.A, b.Syms), idx("alloc spec", in.B, b.Allocs))
+			if err == nil && in.C >= 0 {
+				err = reg(in.C)
+			}
+		case OpLaunch:
+			if in.A != b.Free {
+				err = fmt.Errorf("launch with %d objects, want one per free symbol (%d)", in.A, b.Free)
 			}
 		default:
 			err = fmt.Errorf("invalid opcode %d", in.Op)

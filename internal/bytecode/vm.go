@@ -23,12 +23,15 @@ type VM struct {
 	counting *interp.CountingSink
 
 	// Per-pool caches resolved against this machine.
-	objs     []*interp.Object // by Syms index (globals; nil for locals)
+	objs     []*interp.Object // by Syms index: a global once <init> defines it
 	symSpace []interp.MemSpace
 	symWidth []int
 	symType  []*minic.Type
 	symConv  []uint8
-	resolved bool
+	// started records that <init> ran (see start).
+	started bool
+	// launched holds the objects a launch instruction handed over.
+	launched []*interp.Object
 
 	linked []linkedCallee
 	pools  [][]*vmFrame
@@ -120,32 +123,29 @@ func (vm *VM) refresh() {
 	vm.counting, _ = vm.cost.(*interp.CountingSink)
 }
 
-// resolveGlobals binds global symbol indices to their storage. Must run
-// after InitGlobals; unresolved entries stay nil and trip the walker's
-// "unresolved symbol" error on access.
-func (vm *VM) resolveGlobals() {
-	if vm.resolved {
-		return
+// errStopAtLaunch ends a host part's run at its kernel launch point,
+// unwinding every frame; see Launch.
+var errStopAtLaunch = errors.New("bytecode: run stopped at its kernel launch point")
+
+// start readies the VM for a run: it re-reads the cost sink and, on the
+// first run, runs <init>, which defines every global in the machine and
+// in objs. A VM serves one machine, so <init> runs once per machine.
+func (vm *VM) start() error {
+	vm.refresh()
+	if vm.started {
+		return nil
 	}
-	vm.resolved = true
-	for i, sym := range vm.Prog.Syms {
-		if sym.Global {
-			vm.objs[i] = vm.m.GlobalObject(sym)
-		}
+	vm.started = true
+	if vm.Prog.Init < 0 {
+		return nil
 	}
+	_, _, err := vm.callFn(int32(vm.Prog.Init), nil)
+	return err
 }
 
-// Run mirrors Machine.Run: init globals, execute main, unwrap exit().
+// Run runs <init>, then main, and unwraps exit(), as the walker's Run.
 func (vm *VM) Run() (int, error) {
-	if err := vm.m.InitGlobals(); err != nil {
-		return 0, err
-	}
-	if vm.Prog.Main < 0 {
-		return 0, errors.New("interp: program has no main function")
-	}
-	vm.refresh()
-	vm.resolveGlobals()
-	v, _, err := vm.callFn(int32(vm.Prog.Main), nil)
+	v, err := vm.runMain()
 	if code, ok := interp.ExitStatus(err); ok {
 		return code, nil
 	}
@@ -153,6 +153,33 @@ func (vm *VM) Run() (int, error) {
 		return 0, err
 	}
 	return int(v.AsInt()), nil
+}
+
+func (vm *VM) runMain() (interp.Value, error) {
+	if err := vm.start(); err != nil {
+		return interp.Value{}, err
+	}
+	if vm.Prog.Main < 0 {
+		return interp.Value{}, errors.New("interp: program has no main function")
+	}
+	v, _, err := vm.callFn(int32(vm.Prog.Main), nil)
+	return v, err
+}
+
+// Launch runs a kernel program's host part: <init>, then main, up to the
+// launch point of the host entry (see CompileKernel). It returns the
+// objects the launch point hands over, indexed by kernel slot: Free[i]'s
+// object at Free[i].Slot. It returns nil objects and no error when main
+// ends, by a return or by exit(), without reaching the launch point.
+func (vm *VM) Launch() ([]*interp.Object, error) {
+	_, err := vm.runMain()
+	if errors.Is(err, errStopAtLaunch) {
+		return vm.launched, nil
+	}
+	if _, ok := interp.ExitStatus(err); ok {
+		err = nil
+	}
+	return nil, err
 }
 
 func (vm *VM) getFrame(fnIdx int32) *vmFrame {
@@ -227,7 +254,7 @@ func (vm *VM) freeSlotName(slot int32) string {
 
 // exec runs one function's code to completion. The returned bool reports
 // an explicit return (true) versus falling off the end (false) — the
-// distinction ExecIn exposes for kernel region statements.
+// distinction the walker's ExecIn reports for kernel region statements.
 func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	code := fn.Code
 	regs := fr.regs
@@ -445,13 +472,15 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			}
 			regs[in.A] = interp.PtrVal(interp.Pointer{Obj: obj})
 		case OpAlloc:
-			spec := vm.Prog.Allocs[in.B]
-			obj := interp.NewObject(spec.Name, spec.Elem, int(spec.N), vm.m.SpaceOf(spec.Sym))
-			fr.objs[in.A] = obj
-			if in.C >= 0 {
-				cost.Store(obj.Space, spec.Elem.Size())
-				obj.Cells[0] = interp.ConvertFor(spec.Elem, regs[in.C])
+			fr.objs[in.A] = vm.alloc(in, regs)
+		case OpDefine:
+			spec := &vm.Prog.Allocs[in.B]
+			if spec.N < 0 {
+				return interp.Value{}, false, fmt.Errorf("interp: array %q has unspecified length", spec.Name)
 			}
+			obj := vm.alloc(in, regs)
+			vm.objs[in.A] = obj
+			vm.m.DefineGlobal(spec.Sym, obj)
 		case OpLoadP:
 			v := regs[in.B]
 			if in.D != 0 && (v.Kind != interp.ValPtr || v.P.IsNull()) {
@@ -498,11 +527,36 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			// The callee may have grown the shared arg stack; regs stays
 			// valid (frame-owned), but re-read nothing else cached.
 			regs[in.A] = v
+		case OpLaunch:
+			vm.launch(int(in.A))
+			return interp.Value{}, false, errStopAtLaunch
 		default:
 			return interp.Value{}, false, fmt.Errorf("bytecode: invalid opcode %d", in.Op)
 		}
 	}
 	return interp.Value{}, false, nil
+}
+
+// alloc creates the object of an alloc or define instruction, storing and
+// charging its initializer if it has one.
+func (vm *VM) alloc(in *Instr, regs []interp.Value) *interp.Object {
+	spec := &vm.Prog.Allocs[in.B]
+	obj := interp.NewObject(spec.Name, spec.Elem, int(spec.N), vm.m.SpaceOf(spec.Sym))
+	if in.C >= 0 {
+		vm.cost.Store(obj.Space, spec.Elem.Size())
+		obj.Cells[0] = interp.ConvertFor(spec.Elem, regs[in.C])
+	}
+	return obj
+}
+
+// launch takes the argc object pointers a launch instruction pushed, one
+// per free symbol, into a slot-indexed slice for Launch to return.
+func (vm *VM) launch(argc int) {
+	objs := make([]*interp.Object, vm.Prog.Fns[0].NumObjSlots)
+	for i, f := range vm.Prog.Free[:argc] {
+		objs[f.Slot] = vm.args[len(vm.args)-argc+i].P.Obj
+	}
+	vm.launched = objs
 }
 
 // chargeEach charges the tracked-variable accesses a charge folded one
@@ -769,41 +823,37 @@ type FragmentVM struct {
 	fr *vmFrame
 }
 
-// NewFragmentVM binds a kernel program to a machine. It resolves every
-// free symbol through lookup; a nil resolution fails the construction.
-// The entries' callees see the machine's globals, as the walker's callee
-// frames do.
-func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *interp.Object) (*FragmentVM, error) {
+// NewFragmentVM binds a kernel program to a machine and runs <init> on
+// it. objs becomes the entries' object slots: it has one per slot of the
+// kernel's table, and every free slot (Program.Free) must hold an object,
+// or the construction fails. The entries' callees see the machine's
+// globals, as the walker's callee frames do.
+func NewFragmentVM(m *interp.Machine, p *Program, objs []*interp.Object) (*FragmentVM, error) {
 	if p == nil || p.Entries == 0 {
 		return nil, fmt.Errorf("bytecode: not a kernel program")
 	}
-	// EvalIn/ExecIn run global initializers on every entry (idempotent);
-	// run them once here so free globals are allocated before binding.
-	if err := m.InitGlobals(); err != nil {
-		return nil, err
+	if len(objs) != int(p.Fns[0].NumObjSlots) {
+		return nil, fmt.Errorf("bytecode: %d objects for a kernel of %d slots", len(objs), p.Fns[0].NumObjSlots)
 	}
 	vm := NewVM(m, p)
-	vm.resolveGlobals()
+	if err := vm.start(); err != nil {
+		return nil, err
+	}
+	for _, free := range p.Free {
+		if objs[free.Slot] == nil {
+			return nil, fmt.Errorf("bytecode: unbound kernel symbol %q", free.Sym.Name)
+		}
+	}
 	regs := int32(0)
 	for _, fn := range p.Fns[:p.Entries] {
 		regs = max(regs, fn.NumRegs)
 	}
-	fr := &vmFrame{
-		regs: make([]interp.Value, regs),
-		objs: make([]*interp.Object, p.Fns[0].NumObjSlots),
-	}
-	for _, free := range p.Free {
-		obj := lookup(free.Sym)
-		if obj == nil {
-			return nil, fmt.Errorf("bytecode: unbound kernel symbol %q", free.Sym.Name)
-		}
-		fr.objs[free.Slot] = obj
-	}
+	fr := &vmFrame{regs: make([]interp.Value, regs), objs: objs}
 	return &FragmentVM{vm: vm, fr: fr}, nil
 }
 
 // Run executes entry Fns[entry] once. The bool reports whether a return
-// statement terminated it (ExecIn's contract); a condition entry returns
+// statement terminated it (the walker's ExecIn contract); a condition entry returns
 // the condition value.
 func (f *FragmentVM) Run(entry int) (interp.Value, bool, error) {
 	f.vm.refresh()

@@ -93,6 +93,9 @@ func FuzzVMParity(f *testing.F) {
 	for _, tc := range runtimeErrorCases {
 		f.Add(tc.src, "")
 	}
+	for _, tc := range initializerCases {
+		f.Add(tc.src, "")
+	}
 	for _, src := range optimizedSrcs {
 		f.Add(src, "")
 	}
@@ -109,7 +112,7 @@ func FuzzVMParity(f *testing.F) {
 		for _, fn := range prog.Funcs {
 			minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 				if w, ok := s.(*minic.While); ok {
-					_, _ = CompileKernel(prog, w.Cond, w.Body)
+					_, _ = CompileKernel(prog, nil, w.Cond, w.Body)
 				}
 			})
 		}

@@ -127,7 +127,8 @@ type Compiled struct {
 	VM *bytecode.Program
 	// KernelVM is the translated region lowered to one kernel program
 	// for the GPU kernel executor: a mapper's entries are EntryCond and
-	// EntryBody, a combiner's is EntryRegion.
+	// EntryBody, a combiner's is EntryRegion. Its host part runs the
+	// translated program up to the region's launch point (VM.Launch).
 	KernelVM *bytecode.Program
 }
 
@@ -214,7 +215,8 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
-// compileBytecode lowers the host program and the kernel region.
+// compileBytecode lowers the host program and the kernel region, whose
+// program also holds the host part that runs up to the region.
 func (c *Compiled) compileBytecode() error {
 	var err error
 	if c.VM, err = bytecode.Compile(c.HostProg); err != nil {
@@ -222,7 +224,7 @@ func (c *Compiled) compileBytecode() error {
 	}
 	spec := c.Kernel
 	if spec.Kind != RegionMapper {
-		if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, spec.Region); err != nil {
+		if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, spec.Fn, spec.Region); err != nil {
 			return fmt.Errorf("compiler: combiner kernel: %w", err)
 		}
 		return nil
@@ -231,7 +233,7 @@ func (c *Compiled) compileBytecode() error {
 	if !ok {
 		return fmt.Errorf("compiler: mapper region is not a while loop")
 	}
-	if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, loop.Cond, loop.Body); err != nil {
+	if c.KernelVM, err = bytecode.CompileKernel(spec.Prog, spec.Fn, loop.Cond, loop.Body); err != nil {
 		return fmt.Errorf("compiler: mapper kernel: %w", err)
 	}
 	return nil

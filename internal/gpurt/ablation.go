@@ -4,7 +4,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/interp"
-	"repro/internal/minic"
 )
 
 // execMapKernelGlobalSteal is the stealing-granularity ablation: all
@@ -14,7 +13,7 @@ import (
 // modeled as contention growing with the thread count) is what the paper's
 // per-threadblock design avoids.
 func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
+	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
 	blocks, tpb, kvBound int) (*MapKernelResult, error) {
 

@@ -3,6 +3,7 @@ package gpurt
 import (
 	"fmt"
 
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/interp"
@@ -54,10 +55,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 		warpsPerBlock = 1
 	}
 
-	shared, err := sharedBindings(spec, cap, opts)
-	if err != nil {
-		return nil, err
-	}
+	shared := sharedBindings(comp, cap, opts)
 	res := &CombineResult{Partitions: make([][]kv.Pair, len(partitions))}
 	for p, slots := range partitions {
 		if len(slots) == 0 {
@@ -123,17 +121,11 @@ type combineWarp struct {
 // a chunk of a sorted partition, on one VM, returning the warp's output,
 // total cycles, and per-space cycle breakdown.
 func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	shared map[*minic.Symbol]*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
+	shared []*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 
 	spec := comp.Kernel
 	w := &combineWarp{cost: gpu.NewThreadCost(&dev.Config), slots: slots}
 	w.cost.Op(32) // combineSetup
-
-	// Private arrays of combine kernels live in shared memory (paper §4.2).
-	priv, err := privateBindings(spec, cap, interp.SpaceShared)
-	if err != nil {
-		return nil, 0, gpu.CycleBreakdown{}, err
-	}
 
 	mapSchema := store.Schema
 	outSchema := comp.Schema
@@ -195,7 +187,8 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 			"strlenGPU": strLenGPU(w.cost, opts.VectorCombine),
 		},
 	})
-	vm, err := kernelVM(m, comp, priv, shared)
+	// Private arrays of combine kernels live in shared memory (paper §4.2).
+	vm, err := bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, cap, shared, interp.SpaceShared))
 	if err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, fmt.Errorf("gpurt: combine kernel: %w", err)
 	}

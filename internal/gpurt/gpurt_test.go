@@ -10,6 +10,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/gpu"
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/kv"
 	"repro/internal/minic"
 )
@@ -95,7 +96,7 @@ func cpuWordCounts(t *testing.T, input []byte) map[string]int64 {
 	}
 	var out bytes.Buffer
 	m := interp.New(prog, interp.Options{Stdin: bytes.NewReader(input), Stdout: &out})
-	if _, err := m.Run(); err != nil {
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int64{}

@@ -50,51 +50,35 @@ func Baseline() Options { return Options{} }
 // hostCapture is the host-side state of a translated program at its kernel
 // launch point: the paper's generated host code reaches the region with
 // all firstprivate/sharedRO values computed; we capture them by running
-// main up to the region.
+// the kernel program's host part (<init>, then main) up to the region.
+// objs holds the host's object for each free symbol of the kernel
+// program, indexed by kernel slot (bytecode.Program.Free).
 type hostCapture struct {
-	machine *interp.Machine
-	frame   *interp.Frame
+	objs []*interp.Object
 }
 
-// captureHost runs the translated program's main until it reaches the
+// captureHost runs the translated program on the VM until it reaches the
 // mapreduce region, and returns the captured launch-point state.
 func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error) {
-	cap := &hostCapture{}
-	m := interp.New(comp.Kernel.Prog, interp.Options{
-		Stdout: stdout,
-		OnPragma: func(fr *interp.Frame) error {
-			cap.frame = fr
-			return nil
-		},
-	})
-	cap.machine = m
-	if _, err := m.Run(); err != nil {
+	m := interp.New(comp.Kernel.Prog, interp.Options{Stdout: stdout})
+	objs, err := bytecode.NewVM(m, comp.KernelVM).Launch()
+	if err != nil {
 		return nil, fmt.Errorf("gpurt: host program failed: %w", err)
 	}
-	if cap.frame == nil {
+	if objs == nil {
 		return nil, fmt.Errorf("gpurt: host program never reached its mapreduce region")
 	}
-	return cap, nil
+	return &hostCapture{objs: objs}, nil
 }
 
-// objectFor resolves a plan symbol to its host-side storage.
-func (h *hostCapture) objectFor(sym *minic.Symbol) (*interp.Object, error) {
-	if obj := h.frame.Object(sym); obj != nil {
-		return obj, nil
-	}
-	if obj := h.machine.GlobalObject(sym); obj != nil {
-		return obj, nil
-	}
-	return nil, fmt.Errorf("gpurt: no host storage for captured variable %q", sym.Name)
-}
-
-// sharedBindings builds the objects shared by all threads: sharedRO
-// scalars (constant memory) and arrays (global or texture).
-func sharedBindings(spec *compiler.KernelSpec, cap *hostCapture, opts Options) (map[*minic.Symbol]*interp.Object, error) {
-	out := map[*minic.Symbol]*interp.Object{}
-	for sym, cls := range spec.Plan {
+// sharedBindings builds the objects shared by all threads, indexed by
+// kernel slot: sharedRO scalars (constant memory) and arrays (global or
+// texture).
+func sharedBindings(comp *compiler.Compiled, cap *hostCapture, opts Options) []*interp.Object {
+	out := make([]*interp.Object, len(cap.objs))
+	for _, f := range comp.KernelVM.Free {
 		var space interp.MemSpace
-		switch cls {
+		switch comp.Kernel.Plan[f.Sym] {
 		case compiler.ClassROScalar:
 			space = interp.SpaceConstant
 		case compiler.ClassROArray:
@@ -108,44 +92,38 @@ func sharedBindings(spec *compiler.KernelSpec, cap *hostCapture, opts Options) (
 		default:
 			continue
 		}
-		host, err := cap.objectFor(sym)
-		if err != nil {
-			return nil, err
-		}
 		// Retag the host object's storage with the device space; the data
 		// itself was cudaMemcpy'd in (cells are shared, read-only).
-		out[sym] = &interp.Object{Cells: host.Cells, Elem: host.Elem, Space: space, Name: host.Name}
+		host := cap.objs[f.Slot]
+		out[f.Slot] = &interp.Object{Cells: host.Cells, Elem: host.Elem, Space: space, Name: host.Name}
 	}
-	return out, nil
+	return out
 }
 
-// privateBindings builds one thread's (or warp's) private and firstprivate
-// objects. arraySpace is SpaceLocal for map kernels and SpaceShared for
-// combine kernels (paper §4.2 places combiner private arrays in shared
-// memory).
-func privateBindings(spec *compiler.KernelSpec, cap *hostCapture, arraySpace interp.MemSpace) (map[*minic.Symbol]*interp.Object, error) {
-	out := map[*minic.Symbol]*interp.Object{}
-	for sym, cls := range spec.Plan {
-		switch cls {
-		case compiler.ClassPrivate, compiler.ClassFirstPrivate:
-		default:
+// privateBindings builds one thread's (or warp's) kernel slots: the
+// launch's shared objects, plus fresh private and firstprivate objects.
+// arraySpace is SpaceLocal for map kernels and SpaceShared for combine
+// kernels (paper §4.2 places combiner private arrays in shared memory).
+func privateBindings(comp *compiler.Compiled, cap *hostCapture, shared []*interp.Object, arraySpace interp.MemSpace) []*interp.Object {
+	out := make([]*interp.Object, len(shared))
+	copy(out, shared)
+	for _, f := range comp.KernelVM.Free {
+		cls := comp.Kernel.Plan[f.Sym]
+		if cls != compiler.ClassPrivate && cls != compiler.ClassFirstPrivate {
 			continue
 		}
-		host, err := cap.objectFor(sym)
-		if err != nil {
-			return nil, err
-		}
+		host := cap.objs[f.Slot]
 		space := interp.SpaceReg
 		if len(host.Cells) > 1 {
 			space = arraySpace
 		}
-		obj := interp.NewObject(sym.Name, host.Elem, len(host.Cells), space)
+		obj := interp.NewObject(f.Sym.Name, host.Elem, len(host.Cells), space)
 		if cls == compiler.ClassFirstPrivate {
 			copy(obj.Cells, host.Cells)
 		}
-		out[sym] = obj
+		out[f.Slot] = obj
 	}
-	return out, nil
+	return out
 }
 
 // threadSpaceFor places region-local declarations: arrays in local memory,
@@ -171,40 +149,22 @@ type mapThread struct {
 // map intrinsics over records, fresh private copies of the host objects,
 // and one VM for the kernel program. It charges the mapSetup overhead.
 func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
+	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options) (*mapThread, error) {
 
 	t := &mapThread{id: id, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-	priv, err := privateBindings(comp.Kernel, cap, interp.SpaceLocal)
-	if err != nil {
-		return nil, err
-	}
 	m := interp.New(comp.Kernel.Prog, interp.Options{
 		Cost:         t.cost,
 		DefaultSpace: interp.SpaceLocal,
 		SpaceFor:     threadSpaceFor,
 		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
 	})
-	if t.vm, err = kernelVM(m, comp, priv, shared); err != nil {
+	var err error
+	if t.vm, err = bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, cap, shared, interp.SpaceLocal)); err != nil {
 		return nil, fmt.Errorf("gpurt: map kernel: %w", err)
 	}
 	t.cost.Op(24) // mapSetup overhead
 	return t, nil
-}
-
-// kernelVM binds comp's kernel program to m, resolving each free symbol
-// to the thread's (or warp's) private object, else the launch's shared
-// object, else m's global.
-func kernelVM(m *interp.Machine, comp *compiler.Compiled, priv, shared map[*minic.Symbol]*interp.Object) (*bytecode.FragmentVM, error) {
-	return bytecode.NewFragmentVM(m, comp.KernelVM, func(sym *minic.Symbol) *interp.Object {
-		if obj := priv[sym]; obj != nil {
-			return obj
-		}
-		if obj := shared[sym]; obj != nil {
-			return obj
-		}
-		return m.GlobalObject(sym)
-	})
 }
 
 // pickThread returns the thread that steals the next record: the
@@ -295,10 +255,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	if spec.Kind != compiler.RegionMapper {
 		return nil, fmt.Errorf("gpurt: ExecMapKernel on a %v kernel", spec.Kind)
 	}
-	shared, err := sharedBindings(spec, cap, opts)
-	if err != nil {
-		return nil, err
-	}
+	shared := sharedBindings(comp, cap, opts)
 	// The input fileSplit lives in device global memory.
 	ipObj := interp.NewObject("ip", minic.CharType, len(input)+1, interp.SpaceGlobal)
 	for i, b := range input {
@@ -375,7 +332,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 // its total cycles (the max over its threads) plus the block's summed
 // per-space cycle breakdown.
 func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
+	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
 	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
 

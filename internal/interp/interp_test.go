@@ -1,10 +1,12 @@
-package interp
+package interp_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/minic"
 )
 
@@ -16,8 +18,8 @@ func run(t *testing.T, src, stdin string) (string, int) {
 		t.Fatalf("parse: %v", err)
 	}
 	var out bytes.Buffer
-	m := New(prog, Options{Stdin: strings.NewReader(stdin), Stdout: &out})
-	code, err := m.Run()
+	m := interp.New(prog, interp.Options{Stdin: strings.NewReader(stdin), Stdout: &out})
+	code, err := walker.Run(m)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -346,8 +348,8 @@ func TestDivisionByZeroError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err == nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err == nil {
 		t.Fatal("division by zero did not error")
 	}
 }
@@ -357,8 +359,8 @@ func TestOutOfBoundsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err == nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err == nil {
 		t.Fatal("out-of-bounds store did not error")
 	}
 }
@@ -368,8 +370,8 @@ func TestNullDereferenceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err == nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err == nil {
 		t.Fatal("null dereference did not error")
 	}
 }
@@ -379,8 +381,8 @@ func TestInfiniteLoopTripsStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{MaxSteps: 1000})
-	if _, err := m.Run(); err != ErrMaxSteps {
+	m := interp.New(prog, interp.Options{MaxSteps: 1000})
+	if _, err := walker.Run(m); err != interp.ErrMaxSteps {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
 }
@@ -397,9 +399,9 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &CountingSink{}
-	m := New(prog, Options{Cost: sink})
-	if _, err := m.Run(); err != nil {
+	sink := &interp.CountingSink{}
+	m := interp.New(prog, interp.Options{Cost: sink})
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Ops == 0 || sink.Loads == 0 || sink.Stores == 0 {
@@ -408,7 +410,7 @@ int main() {
 	if sink.Stores < 100 {
 		t.Fatalf("stores = %d, want >= 100 array writes", sink.Stores)
 	}
-	if sink.LoadBytes[SpaceRAM] == 0 {
+	if sink.LoadBytes[interp.SpaceRAM] == 0 {
 		t.Fatal("no RAM load bytes recorded")
 	}
 }
@@ -523,13 +525,13 @@ int main() {
 		t.Fatal(err)
 	}
 	called := 0
-	m := New(prog, Options{Intrinsics: map[string]Builtin{
-		"printf": func(m *Machine, args []Value) (Value, error) {
+	m := interp.New(prog, interp.Options{Intrinsics: map[string]interp.Builtin{
+		"printf": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
 			called++
-			return IntVal(0), nil
+			return interp.IntVal(0), nil
 		},
 	}})
-	if _, err := m.Run(); err != nil {
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	if called != 1 {
@@ -547,15 +549,15 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &CountingSink{}
-	m := New(prog, Options{
+	sink := &interp.CountingSink{}
+	m := interp.New(prog, interp.Options{
 		Cost:     sink,
-		SpaceFor: func(sym *minic.Symbol) MemSpace { return SpaceShared },
+		SpaceFor: func(sym *minic.Symbol) interp.MemSpace { return interp.SpaceShared },
 	})
-	if _, err := m.Run(); err != nil {
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
-	if sink.LoadBytes[SpaceShared] == 0 {
+	if sink.LoadBytes[interp.SpaceShared] == 0 {
 		t.Fatal("SpaceFor placement not honored in cost accounting")
 	}
 }
@@ -581,17 +583,17 @@ int main() {
 }
 
 func TestReadWriteCString(t *testing.T) {
-	obj := NewObject("buf", minic.CharType, 8, SpaceRAM)
-	p := Pointer{Obj: obj}
-	n := WriteCString(p, "hello")
+	obj := interp.NewObject("buf", minic.CharType, 8, interp.SpaceRAM)
+	p := interp.Pointer{Obj: obj}
+	n := interp.WriteCString(p, "hello")
 	if n != 5 {
 		t.Fatalf("wrote %d", n)
 	}
-	if got := ReadCString(p); got != "hello" {
+	if got := interp.ReadCString(p); got != "hello" {
 		t.Fatalf("read %q", got)
 	}
 	// Truncation clamps.
-	n = WriteCString(p, "averylongstring")
+	n = interp.WriteCString(p, "averylongstring")
 	if n != 8 {
 		t.Fatalf("clamped write = %d", n)
 	}

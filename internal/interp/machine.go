@@ -1,13 +1,17 @@
-// Package interp executes MiniC programs. It provides the CPU-side
-// execution of Hadoop Streaming map/combine/reduce filters and, re-hosted
-// with GPU intrinsics by package gpurt, the per-thread execution of
-// translated GPU kernels.
+// Package interp is the MiniC runtime: values, operators and conversions,
+// the standard library, and the Machine that holds one program run's
+// state. The bytecode VM (package bytecode) executes every MiniC stage
+// against a Machine: the CPU-side Hadoop Streaming map/combine/reduce
+// filters and, with GPU intrinsics from package gpurt, every simulated
+// thread of a translated GPU kernel. The tree-walking reference evaluator
+// the VM is tested against lives in interp/walker, which only tests use.
 //
-// The interpreter uses an addressable object memory model: every variable
-// is an Object of one or more cells, and pointers are (object, offset)
-// pairs, which supports &x, *p, pointer arithmetic, and char buffers. Every
-// object carries a memory-space tag so that a pluggable CostSink can charge
-// loads and stores to the right level of the simulated memory hierarchy.
+// The runtime uses an addressable object memory model: every variable is
+// an Object of one or more cells, and pointers are (object, offset) pairs,
+// which supports &x, *p, pointer arithmetic, and char buffers. Every
+// object carries a memory-space tag so that a pluggable CostSink can
+// charge loads and stores to the right level of the simulated memory
+// hierarchy.
 package interp
 
 import (
@@ -230,28 +234,20 @@ type Options struct {
 	SpaceFor func(sym *minic.Symbol) MemSpace
 	// MaxSteps bounds the number of statements executed (0 = default cap).
 	MaxSteps int64
-	// OnPragma, when non-nil, is called at the first mapreduce pragma
-	// statement the program reaches, with the frame that runs it, and Run
-	// then ends there: neither the region nor the rest of the program
-	// runs. The GPU driver uses it to capture host variable values at the
-	// kernel launch point.
-	OnPragma func(fr *Frame) error
 }
 
 // ErrMaxSteps is returned when the execution step budget is exhausted.
 var ErrMaxSteps = errors.New("interp: step budget exhausted (possible infinite loop)")
-
-// errLaunch unwinds a run that reached its kernel launch point (see
-// Options.OnPragma).
-var errLaunch = errors.New("interp: stopped at the kernel launch point")
 
 // errExit carries the exit() status through unwinding.
 type errExit struct{ code int }
 
 func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 
-// Machine executes one MiniC program instance. Machines are not safe for
-// concurrent use; create one per simulated thread.
+// Machine holds the state of one MiniC program run: object memory,
+// globals, interned literals, the builtin table, the streams, the cost
+// sink and the step budget. Machines are not safe for concurrent use;
+// create one per simulated thread.
 type Machine struct {
 	Prog *minic.Program
 
@@ -262,31 +258,13 @@ type Machine struct {
 	space      MemSpace
 	spaceFor   func(sym *minic.Symbol) MemSpace
 
+	// globals and literals are created on first use: most simulated GPU
+	// threads define no global and intern no literal.
 	globals  map[*minic.Symbol]*Object
 	literals map[string]*Object
-	onPragma func(fr *Frame) error
 
 	steps    int64
 	maxSteps int64
-}
-
-type ctrlKind uint8
-
-const (
-	ctrlNone ctrlKind = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-)
-
-type ctrl struct {
-	kind ctrlKind
-	val  Value
-}
-
-// frame is one function invocation's storage, keyed by resolved symbol.
-type frame struct {
-	vars map[*minic.Symbol]*Object
 }
 
 // New builds a machine for prog. The program must have passed minic.Check.
@@ -299,9 +277,6 @@ func New(prog *minic.Program, opts Options) *Machine {
 		intrinsics: opts.Intrinsics,
 		space:      opts.DefaultSpace,
 		spaceFor:   opts.SpaceFor,
-		globals:    map[*minic.Symbol]*Object{},
-		literals:   map[string]*Object{},
-		onPragma:   opts.OnPragma,
 		maxSteps:   opts.MaxSteps,
 	}
 	if m.cost == nil {
@@ -326,220 +301,11 @@ func (m *Machine) builtin(name string) (Builtin, bool) {
 // Steps reports statements executed so far.
 func (m *Machine) Steps() int64 { return m.steps }
 
-// Run initializes globals and executes main, returning its exit status.
-func (m *Machine) Run() (int, error) {
-	if err := m.initGlobals(); err != nil {
-		return 0, err
-	}
-	mainFn := m.Prog.Func("main")
-	if mainFn == nil {
-		return 0, errors.New("interp: program has no main function")
-	}
-	v, err := m.call(mainFn, nil)
-	var ex errExit
-	if errors.As(err, &ex) {
-		return ex.code, nil
-	}
-	if errors.Is(err, errLaunch) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return int(v.AsInt()), nil
-}
-
-var globalsDone = &Object{}
-
-func (m *Machine) initGlobals() error {
-	if m.globals[nil] == globalsDone {
-		return nil
-	}
-	m.globals[nil] = globalsDone
-	f := &frame{vars: m.globals}
-	for _, g := range m.Prog.Globals {
-		if _, err := m.execDecl(f, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (m *Machine) spaceOf(sym *minic.Symbol) MemSpace {
 	if m.spaceFor != nil {
 		return m.spaceFor(sym)
 	}
 	return m.space
-}
-
-func (m *Machine) call(fn *minic.FuncDecl, args []Value) (Value, error) {
-	if len(args) != len(fn.Params) {
-		return Value{}, fmt.Errorf("interp: %s called with %d args, want %d", fn.Name, len(args), len(fn.Params))
-	}
-	f := &frame{vars: map[*minic.Symbol]*Object{}}
-	for i, p := range fn.Params {
-		obj := NewObject(p.Name, p.Type, 1, m.spaceOf(p.Sym))
-		obj.Cells[0] = convertFor(p.Type, args[i])
-		f.vars[p.Sym] = obj
-	}
-	c, err := m.execBlock(f, fn.Body)
-	if err != nil {
-		return Value{}, err
-	}
-	if c.kind == ctrlReturn {
-		return convertFor(fn.Ret, c.val), nil
-	}
-	return Value{}, nil
-}
-
-func (m *Machine) execBlock(f *frame, b *minic.Block) (ctrl, error) {
-	for _, s := range b.Stmts {
-		c, err := m.execStmt(f, s)
-		if err != nil || c.kind != ctrlNone {
-			return c, err
-		}
-	}
-	return ctrl{}, nil
-}
-
-func (m *Machine) execStmt(f *frame, s minic.Stmt) (ctrl, error) {
-	m.steps++
-	if m.steps > m.maxSteps {
-		return ctrl{}, ErrMaxSteps
-	}
-	m.cost.Op(1)
-	switch st := s.(type) {
-	case *minic.DeclStmt:
-		return m.execDecl(f, st)
-	case *minic.ExprStmt:
-		_, err := m.eval(f, st.X)
-		return ctrl{}, err
-	case *minic.EmptyStmt:
-		return ctrl{}, nil
-	case *minic.Block:
-		return m.execBlock(f, st)
-	case *minic.If:
-		cond, err := m.eval(f, st.Cond)
-		if err != nil {
-			return ctrl{}, err
-		}
-		if cond.Truthy() {
-			return m.execStmt(f, st.Then)
-		}
-		if st.Else != nil {
-			return m.execStmt(f, st.Else)
-		}
-		return ctrl{}, nil
-	case *minic.While:
-		for {
-			cond, err := m.eval(f, st.Cond)
-			if err != nil {
-				return ctrl{}, err
-			}
-			if !cond.Truthy() {
-				return ctrl{}, nil
-			}
-			c, err := m.execStmt(f, st.Body)
-			if err != nil {
-				return ctrl{}, err
-			}
-			switch c.kind {
-			case ctrlBreak:
-				return ctrl{}, nil
-			case ctrlReturn:
-				return c, nil
-			}
-			m.steps++
-			if m.steps > m.maxSteps {
-				return ctrl{}, ErrMaxSteps
-			}
-		}
-	case *minic.For:
-		if st.Init != nil {
-			if _, err := m.execStmt(f, st.Init); err != nil {
-				return ctrl{}, err
-			}
-		}
-		for {
-			if st.Cond != nil {
-				cond, err := m.eval(f, st.Cond)
-				if err != nil {
-					return ctrl{}, err
-				}
-				if !cond.Truthy() {
-					return ctrl{}, nil
-				}
-			}
-			c, err := m.execStmt(f, st.Body)
-			if err != nil {
-				return ctrl{}, err
-			}
-			if c.kind == ctrlBreak {
-				return ctrl{}, nil
-			}
-			if c.kind == ctrlReturn {
-				return c, nil
-			}
-			if st.Post != nil {
-				if _, err := m.eval(f, st.Post); err != nil {
-					return ctrl{}, err
-				}
-			}
-			m.steps++
-			if m.steps > m.maxSteps {
-				return ctrl{}, ErrMaxSteps
-			}
-		}
-	case *minic.Return:
-		var v Value
-		if st.X != nil {
-			var err error
-			v, err = m.eval(f, st.X)
-			if err != nil {
-				return ctrl{}, err
-			}
-		}
-		return ctrl{kind: ctrlReturn, val: v}, nil
-	case *minic.Break:
-		return ctrl{kind: ctrlBreak}, nil
-	case *minic.Continue:
-		return ctrl{kind: ctrlContinue}, nil
-	case *minic.PragmaStmt:
-		if m.onPragma != nil && st.IsMapReduce() {
-			if err := m.onPragma(&Frame{f: f}); err != nil {
-				return ctrl{}, err
-			}
-			return ctrl{}, errLaunch
-		}
-		// On the CPU path, pragmas are comments: execute the body as-is.
-		return m.execStmt(f, st.Body)
-	default:
-		return ctrl{}, fmt.Errorf("interp: unhandled statement %T", s)
-	}
-}
-
-func (m *Machine) execDecl(f *frame, d *minic.DeclStmt) (ctrl, error) {
-	for _, decl := range d.Decls {
-		n := 1
-		elem := decl.Type
-		if decl.Type.Kind == minic.TypeArray {
-			n, elem = flattenArray(decl.Type)
-			if n < 0 {
-				return ctrl{}, fmt.Errorf("interp: array %q has unspecified length", decl.Name)
-			}
-		}
-		obj := NewObject(decl.Name, elem, n, m.spaceOf(decl.Sym))
-		if decl.Init != nil {
-			v, err := m.eval(f, decl.Init)
-			if err != nil {
-				return ctrl{}, err
-			}
-			obj.Cells[0] = convertFor(elem, v)
-			m.cost.Store(obj.Space, elem.Size())
-		}
-		f.vars[decl.Sym] = obj
-	}
-	return ctrl{}, nil
 }
 
 // flattenArray reduces a possibly multi-dimensional array type to a total
@@ -555,147 +321,6 @@ func flattenArray(t *minic.Type) (int, *minic.Type) {
 		t = t.Elem
 	}
 	return n, t
-}
-
-func (m *Machine) lookup(f *frame, sym *minic.Symbol) (*Object, error) {
-	if obj, ok := f.vars[sym]; ok {
-		return obj, nil
-	}
-	if obj, ok := m.globals[sym]; ok {
-		return obj, nil
-	}
-	return nil, fmt.Errorf("interp: unresolved symbol %q", sym.Name)
-}
-
-// eval evaluates an expression for its value.
-func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
-	m.cost.Op(1)
-	switch x := e.(type) {
-	case *minic.IntLit:
-		return IntVal(x.Value), nil
-	case *minic.FloatLit:
-		return FloatVal(x.Value), nil
-	case *minic.CharLit:
-		return IntVal(int64(x.Value)), nil
-	case *minic.StrLit:
-		return PtrVal(Pointer{Obj: m.internLiteral(x.Value)}), nil
-	case *minic.Ident:
-		if x.Sym != nil && x.Sym.Kind == minic.SymBuiltin {
-			// stdin/stdout/stderr: opaque handles; the stream builtins
-			// ignore them and use the machine's configured streams.
-			return PtrVal(Pointer{Obj: m.stdioHandle(x.Name)}), nil
-		}
-		obj, err := m.lookup(f, x.Sym)
-		if err != nil {
-			return Value{}, err
-		}
-		// Arrays decay to a pointer to their first cell.
-		if x.Sym.Type != nil && x.Sym.Type.Kind == minic.TypeArray {
-			return PtrVal(Pointer{Obj: obj}), nil
-		}
-		m.cost.Load(obj.Space, obj.Elem.Size())
-		return obj.Cells[0], nil
-	case *minic.Unary:
-		return m.evalUnary(f, x)
-	case *minic.Postfix:
-		ptr, err := m.evalLValue(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		old, err := m.load(ptr)
-		if err != nil {
-			return Value{}, err
-		}
-		delta := int64(1)
-		if x.Op == "--" {
-			delta = -1
-		}
-		if err := m.store(ptr, addInt(old, delta)); err != nil {
-			return Value{}, err
-		}
-		return old, nil
-	case *minic.Binary:
-		return m.evalBinary(f, x)
-	case *minic.Assign:
-		return m.evalAssign(f, x)
-	case *minic.Cond:
-		c, err := m.eval(f, x.C)
-		if err != nil {
-			return Value{}, err
-		}
-		if c.Truthy() {
-			return m.eval(f, x.T)
-		}
-		return m.eval(f, x.F)
-	case *minic.Index:
-		ptr, err := m.indexPointer(f, x)
-		if err != nil {
-			return Value{}, err
-		}
-		// An index expression of array type (a row of a multi-dimensional
-		// array) decays to a pointer rather than loading a cell.
-		if t := x.Type(); t != nil && t.Kind == minic.TypeArray {
-			return PtrVal(ptr), nil
-		}
-		return m.load(ptr)
-	case *minic.Cast:
-		v, err := m.eval(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return convertFor(x.To, v), nil
-	case *minic.SizeofType:
-		return IntVal(int64(x.Of.Size())), nil
-	case *minic.Call:
-		return m.evalCall(f, x)
-	default:
-		return Value{}, fmt.Errorf("interp: unhandled expression %T", e)
-	}
-}
-
-func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
-	switch x.Op {
-	case "&":
-		ptr, err := m.evalLValue(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return PtrVal(ptr), nil
-	case "*":
-		v, err := m.eval(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Kind != ValPtr || v.P.IsNull() {
-			return Value{}, fmt.Errorf("interp: %s: dereference of null or non-pointer", x.Pos)
-		}
-		return m.load(v.P)
-	case "-", "!", "~":
-		v, err := m.eval(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		return ApplyUnary(x.Op, v)
-	case "++", "--":
-		ptr, err := m.evalLValue(f, x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		old, err := m.load(ptr)
-		if err != nil {
-			return Value{}, err
-		}
-		delta := int64(1)
-		if x.Op == "--" {
-			delta = -1
-		}
-		nv := addInt(old, delta)
-		if err := m.store(ptr, nv); err != nil {
-			return Value{}, err
-		}
-		return nv, nil
-	}
-	return Value{}, fmt.Errorf("interp: unhandled unary %q", x.Op)
 }
 
 // ApplyUnary applies -, ! or ~ with the interpreter's exact semantics.
@@ -723,39 +348,6 @@ func addInt(v Value, d int64) Value {
 	default:
 		return IntVal(v.I + d)
 	}
-}
-
-func (m *Machine) evalBinary(f *frame, x *minic.Binary) (Value, error) {
-	// Short-circuit logicals first.
-	if x.Op == "&&" || x.Op == "||" {
-		l, err := m.eval(f, x.L)
-		if err != nil {
-			return Value{}, err
-		}
-		if x.Op == "&&" && !l.Truthy() {
-			return IntVal(0), nil
-		}
-		if x.Op == "||" && l.Truthy() {
-			return IntVal(1), nil
-		}
-		r, err := m.eval(f, x.R)
-		if err != nil {
-			return Value{}, err
-		}
-		if r.Truthy() {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	}
-	l, err := m.eval(f, x.L)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := m.eval(f, x.R)
-	if err != nil {
-		return Value{}, err
-	}
-	return applyBinary(x.Op, l, r)
 }
 
 func applyBinary(op string, l, r Value) (Value, error) {
@@ -890,85 +482,6 @@ func boolVal(b bool) Value {
 	return IntVal(0)
 }
 
-func (m *Machine) evalAssign(f *frame, x *minic.Assign) (Value, error) {
-	ptr, err := m.evalLValue(f, x.L)
-	if err != nil {
-		return Value{}, err
-	}
-	rhs, err := m.eval(f, x.R)
-	if err != nil {
-		return Value{}, err
-	}
-	if x.Op != "=" {
-		cur, err := m.load(ptr)
-		if err != nil {
-			return Value{}, err
-		}
-		op := x.Op[:len(x.Op)-1] // "+=" -> "+"
-		rhs, err = applyBinary(op, cur, rhs)
-		if err != nil {
-			return Value{}, err
-		}
-	}
-	if err := m.store(ptr, rhs); err != nil {
-		return Value{}, err
-	}
-	return rhs, nil
-}
-
-// evalLValue resolves an expression to a storage location.
-func (m *Machine) evalLValue(f *frame, e minic.Expr) (Pointer, error) {
-	switch x := e.(type) {
-	case *minic.Ident:
-		obj, err := m.lookup(f, x.Sym)
-		if err != nil {
-			return Pointer{}, err
-		}
-		return Pointer{Obj: obj}, nil
-	case *minic.Index:
-		return m.indexPointer(f, x)
-	case *minic.Unary:
-		if x.Op == "*" {
-			v, err := m.eval(f, x.X)
-			if err != nil {
-				return Pointer{}, err
-			}
-			if v.Kind != ValPtr || v.P.IsNull() {
-				return Pointer{}, fmt.Errorf("interp: %s: store through null or non-pointer", x.Pos)
-			}
-			return v.P, nil
-		}
-	}
-	return Pointer{}, fmt.Errorf("interp: expression %T is not an lvalue", e)
-}
-
-// indexPointer computes the cell location of x[idx], linearizing
-// multi-dimensional arrays.
-func (m *Machine) indexPointer(f *frame, x *minic.Index) (Pointer, error) {
-	idx, err := m.eval(f, x.Idx)
-	if err != nil {
-		return Pointer{}, err
-	}
-	i := int(idx.AsInt())
-	// Multi-dim: base expression type is array-of-array; scale the index.
-	bt := x.X.Type()
-	stride := 1
-	if bt != nil && bt.ElemType() != nil && bt.ElemType().Kind == minic.TypeArray {
-		n, _ := flattenArray(bt.ElemType())
-		if n > 0 {
-			stride = n
-		}
-	}
-	base, err := m.eval(f, x.X)
-	if err != nil {
-		return Pointer{}, err
-	}
-	if base.Kind != ValPtr || base.P.IsNull() {
-		return Pointer{}, fmt.Errorf("interp: %s: index of null or non-pointer", x.Pos)
-	}
-	return Pointer{Obj: base.P.Obj, Off: base.P.Off + i*stride}, nil
-}
-
 func (m *Machine) load(p Pointer) (Value, error) {
 	if p.IsNull() || p.Off < 0 || p.Off >= len(p.Obj.Cells) {
 		return Value{}, fmt.Errorf("interp: load out of bounds (%s[%d] of %d)", objName(p.Obj), p.Off, objLen(p.Obj))
@@ -1032,41 +545,6 @@ func convertFor(t *minic.Type, v Value) Value {
 	}
 }
 
-func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
-	// __sizeof_var takes its argument unevaluated.
-	if x.Name == "__sizeof_var" {
-		id, ok := x.Args[0].(*minic.Ident)
-		if !ok || id.Sym == nil {
-			return Value{}, fmt.Errorf("interp: sizeof of non-variable")
-		}
-		return IntVal(int64(id.Sym.Type.Size())), nil
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := m.eval(f, a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	if impl, ok := m.builtin(x.Name); ok && x.Builtin {
-		m.cost.Op(2)
-		return impl(m, args)
-	}
-	fn := m.Prog.Func(x.Name)
-	if fn == nil {
-		// Intrinsic installed without sema marking (translator-generated
-		// call sites).
-		if impl, ok := m.builtin(x.Name); ok {
-			m.cost.Op(2)
-			return impl(m, args)
-		}
-		return Value{}, fmt.Errorf("interp: call of unknown function %q", x.Name)
-	}
-	m.cost.Op(4) // call overhead
-	return m.call(fn, args)
-}
-
 // stdioHandle returns a stable opaque object for a stdio stream name.
 func (m *Machine) stdioHandle(name string) *Object {
 	key := "\x00stdio:" + name
@@ -1074,6 +552,9 @@ func (m *Machine) stdioHandle(name string) *Object {
 		return obj
 	}
 	obj := NewObject(name, minic.CharType, 1, m.space)
+	if m.literals == nil {
+		m.literals = map[string]*Object{}
+	}
 	m.literals[key] = obj
 	return obj
 }
@@ -1088,6 +569,9 @@ func (m *Machine) internLiteral(s string) *Object {
 		obj.Cells[i] = IntVal(int64(s[i]))
 	}
 	obj.Cells[len(s)] = IntVal(0)
+	if m.literals == nil {
+		m.literals = map[string]*Object{}
+	}
 	m.literals[s] = obj
 	return obj
 }

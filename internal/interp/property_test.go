@@ -1,4 +1,4 @@
-package interp
+package interp_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/minic"
 	"repro/internal/sim"
 )
@@ -87,8 +89,8 @@ func TestRandomExpressionsMatchReference(t *testing.T) {
 			t.Fatalf("case %d: parse %q: %v", i, e.text, err)
 		}
 		var out bytes.Buffer
-		m := New(prog, Options{Stdout: &out})
-		if _, err := m.Run(); err != nil {
+		m := interp.New(prog, interp.Options{Stdout: &out})
+		if _, err := walker.Run(m); err != nil {
 			t.Fatalf("case %d: run %q: %v", i, e.text, err)
 		}
 		got := strings.TrimSpace(out.String())
@@ -128,8 +130,8 @@ int main() {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	m := New(prog, Options{Stdin: bytes.NewReader(input.Bytes()), Stdout: &out})
-	if _, err := m.Run(); err != nil {
+	m := interp.New(prog, interp.Options{Stdin: bytes.NewReader(input.Bytes()), Stdout: &out})
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("%d %d\n", n, wantSum)
@@ -172,8 +174,8 @@ int main() {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		var out bytes.Buffer
-		m := New(prog, Options{Stdout: &out})
-		if _, err := m.Run(); err != nil {
+		m := interp.New(prog, interp.Options{Stdout: &out})
+		if _, err := walker.Run(m); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		sign := 0
@@ -209,8 +211,8 @@ func TestAtoiAtofAgainstGo(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		m := New(prog, Options{Stdout: &out})
-		if _, err := m.Run(); err != nil {
+		m := interp.New(prog, interp.Options{Stdout: &out})
+		if _, err := walker.Run(m); err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("%d\n", c.wantInt)
@@ -232,8 +234,8 @@ func TestAtoiAtofAgainstGo(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		m := New(prog, Options{Stdout: &out})
-		if _, err := m.Run(); err != nil {
+		m := interp.New(prog, interp.Options{Stdout: &out})
+		if _, err := walker.Run(m); err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("%.4f\n", c.want)
@@ -262,12 +264,12 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &CountingSink{}
+	sink := &interp.CountingSink{}
 	var out bytes.Buffer
-	m := New(prog, Options{Stdout: &out, Cost: sink})
+	m := interp.New(prog, interp.Options{Stdout: &out, Cost: sink})
 	before := func() int64 { return sink.Ops }
 	_ = before
-	if _, err := m.Run(); err != nil {
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "42") {

@@ -1,14 +1,14 @@
-package interp
+package interp_test
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
-	"sync"
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/minic"
 )
 
@@ -19,8 +19,8 @@ func runSrc(t *testing.T, src, stdin string) string {
 		t.Fatalf("parse: %v", err)
 	}
 	var out strings.Builder
-	m := New(prog, Options{Stdin: strings.NewReader(stdin), Stdout: &out})
-	if _, err := m.Run(); err != nil {
+	m := interp.New(prog, interp.Options{Stdin: strings.NewReader(stdin), Stdout: &out})
+	if _, err := walker.Run(m); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return out.String()
@@ -51,8 +51,8 @@ func TestPrintfErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(prog, Options{})
-		if _, err := m.Run(); err == nil {
+		m := interp.New(prog, interp.Options{})
+		if _, err := walker.Run(m); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
@@ -78,8 +78,8 @@ func TestBuiltinsRejectOutOfObjectPointers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(prog, Options{Stdin: strings.NewReader("7 8\n")})
-		if _, err := m.Run(); err == nil {
+		m := interp.New(prog, interp.Options{Stdin: strings.NewReader("7 8\n")})
+		if _, err := walker.Run(m); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
@@ -185,8 +185,8 @@ func TestMallocNegativeFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err == nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err == nil {
 		t.Fatal("negative malloc accepted")
 	}
 }
@@ -215,8 +215,8 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err == nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err == nil {
 		t.Fatal("cross-object pointer subtraction accepted")
 	}
 }
@@ -226,8 +226,8 @@ func TestStepCounterVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{})
-	if _, err := m.Run(); err != nil {
+	m := interp.New(prog, interp.Options{})
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Steps() < 100 {
@@ -251,18 +251,18 @@ int main() {
 	}
 	return 0;
 }`
-	if m := runMachine(t, `int main() { return 0; }`, nil, nil); m.stdin.r != nil {
+	if m := runMachine(t, `int main() { return 0; }`, nil, nil); interp.StdinBufSize(m) != 0 {
 		t.Fatal("machine with nil Stdin allocated a read buffer")
 	}
 
 	var out strings.Builder
-	long := strings.Repeat("x", maxStdinBuf+1000)
+	long := strings.Repeat("x", interp.MaxStdinBuf+1000)
 	m := runMachine(t, echoLines, strings.NewReader(long+"\nab\n"), &out)
 	if want := fmt.Sprintf("%d %d\n3 3\n", len(long)+1, len(long)+1); out.String() != want {
 		t.Fatalf("long line: out = %q, want %q", out.String(), want)
 	}
-	if got := m.stdin.r.Size(); got != maxStdinBuf {
-		t.Fatalf("buffer for a %d-byte input = %d bytes, want the %d-byte cap", len(long)+4, got, maxStdinBuf)
+	if got := interp.StdinBufSize(m); got != interp.MaxStdinBuf {
+		t.Fatalf("buffer for a %d-byte input = %d bytes, want the %d-byte cap", len(long)+4, got, interp.MaxStdinBuf)
 	}
 
 	out.Reset()
@@ -270,7 +270,7 @@ int main() {
 	if out.String() != "4 4\n4 4\n" {
 		t.Fatalf("short input: out = %q", out.String())
 	}
-	if got := m.stdin.r.Size(); got >= maxStdinBuf {
+	if got := interp.StdinBufSize(m); got >= interp.MaxStdinBuf {
 		t.Fatalf("buffer for an 8-byte input = %d bytes, want it sized to the input", got)
 	}
 
@@ -290,70 +290,20 @@ int main() {
 	if out.String() != "7 hello\n" {
 		t.Fatalf("reader without Len: out = %q", out.String())
 	}
-	if got := m.stdin.r.Size(); got != maxStdinBuf {
-		t.Fatalf("buffer for a reader without Len = %d bytes, want %d", got, maxStdinBuf)
+	if got := interp.StdinBufSize(m); got != interp.MaxStdinBuf {
+		t.Fatalf("buffer for a reader without Len = %d bytes, want %d", got, interp.MaxStdinBuf)
 	}
 }
 
-func runMachine(t *testing.T, src string, stdin io.Reader, stdout io.Writer) *Machine {
+func runMachine(t *testing.T, src string, stdin io.Reader, stdout io.Writer) *interp.Machine {
 	t.Helper()
 	prog, err := minic.ParseAndCheck(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, Options{Stdin: stdin, Stdout: stdout})
-	if _, err := m.Run(); err != nil {
+	m := interp.New(prog, interp.Options{Stdin: stdin, Stdout: stdout})
+	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// Every entry of the purity table is a stdlib builtin that CallPure runs
-// to a value of the declared kind; CallPure refuses a wrong argument count
-// and impure builtins.
-func TestCallPure(t *testing.T) {
-	for name, sig := range pureBuiltins {
-		if _, ok := stdlib[name]; !ok {
-			t.Errorf("pure builtin %q is not in the stdlib", name)
-			continue
-		}
-		args := make([]Value, sig.args)
-		for i := range args {
-			args[i] = FloatVal(65.5)
-		}
-		if v, ok := CallPure(name, args); !ok || v.Kind != sig.kind {
-			t.Errorf("CallPure(%q) = %+v, %v; want kind %d", name, v, ok, sig.kind)
-		}
-		if _, ok := CallPure(name, append(args, IntVal(1))); ok {
-			t.Errorf("CallPure(%q) accepted %d args", name, sig.args+1)
-		}
-	}
-	if v, ok := CallPure("toupper", []Value{IntVal('a')}); !ok || v != IntVal('A') {
-		t.Errorf("CallPure(toupper, 'a') = %+v, %v", v, ok)
-	}
-	if v, ok := CallPure("fmin", []Value{FloatVal(0), FloatVal(math.Copysign(0, -1))}); !ok || v != FloatVal(math.Copysign(0, -1)) {
-		t.Errorf("CallPure(fmin, 0, -0) = %+v, %v; want -0", v, ok)
-	}
-	if _, ok := CallPure("putchar", []Value{IntVal('a')}); ok {
-		t.Error("CallPure ran the impure putchar")
-	}
-}
-
-// CallPure shares one machine across goroutines, so that machine must
-// stay read-only: concurrent callers must not race on it.
-func TestCallPureConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if v, ok := CallPure("sqrt", []Value{FloatVal(16)}); !ok || v != FloatVal(4) {
-					t.Errorf("CallPure(sqrt, 16) = %+v, %v; want 4", v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -167,6 +167,10 @@ type Block struct {
 	// per-iteration steps++ at the bottom of While/For bodies). The
 	// bytecode backend replicates the step-budget accounting from it.
 	Backstep bool
+	// Launch marks a block that ends at a kernel launch point (see
+	// BuildFragment): it has no successors, and a run that reaches its
+	// end stops there.
+	Launch bool
 
 	// Dominator-tree fields, filled by computeDominators.
 	idom     *Block
@@ -214,6 +218,8 @@ type lowerer struct {
 	// demoteFn, when non-nil, additionally demotes symbols (fragment
 	// builds demote everything declared outside the fragment).
 	demoteFn func(*minic.Symbol) bool
+	// launch is the pragma that lowers to a launch point, or nil.
+	launch *minic.PragmaStmt
 	// entries counts the expressions entered since the last emit.
 	entries int32
 }
@@ -222,20 +228,24 @@ type lowerer struct {
 // tracked scalar variables, minimal phi placement at iterated dominance
 // frontiers, and def-use chains via OpLoad/OpPhi arguments. The same walk
 // records the optimizer's rewrite index (astInfo).
-func Build(fn *minic.FuncDecl) *Func { return BuildFragment(fn, nil) }
+func Build(fn *minic.FuncDecl) *Func { return BuildFragment(fn, nil, nil) }
 
-// BuildFragment is Build with an extra demotion predicate: any symbol for
-// which demote returns true is kept untracked (object-backed). The
-// bytecode backend uses it to lower GPU kernel fragments whose free
-// variables live in a host-populated frame rather than SSA registers.
-func BuildFragment(fn *minic.FuncDecl, demote func(*minic.Symbol) bool) *Func {
+// BuildFragment is Build with an extra demotion predicate and a launch
+// point. Any symbol for which demote returns true is kept untracked
+// (object-backed): the bytecode backend lowers GPU kernel fragments whose
+// free variables live in a host-populated frame rather than SSA
+// registers, and a kernel's host entry, which hands those variables'
+// objects over at its launch point. launch, when non-nil, is a pragma of
+// fn that lowers to that launch point: the block that reaches it is
+// marked Launch and ends there, and the pragma's body is not lowered.
+func BuildFragment(fn *minic.FuncDecl, demote func(*minic.Symbol) bool, launch *minic.PragmaStmt) *Func {
 	f := &Func{
 		Decl:      fn,
 		varOf:     map[*minic.Symbol]*Var{},
 		ExprInstr: map[minic.Expr]*Instr{},
 		ast:       astInfo{exprs: map[minic.Expr]*minic.Expr{}, stmts: map[minic.Stmt]stmtInfo{}},
 	}
-	lw := &lowerer{f: f, demoted: demotedSyms(fn), demoteFn: demote}
+	lw := &lowerer{f: f, demoted: demotedSyms(fn), demoteFn: demote, launch: launch}
 	lw.cur = lw.newBlock()
 	f.Entry = lw.cur
 
@@ -401,6 +411,11 @@ func (lw *lowerer) lowerStmt(s minic.Stmt, at stmtInfo) {
 	case *minic.EmptyStmt:
 		lw.node(s)
 	case *minic.PragmaStmt:
+		if st == lw.launch {
+			lw.cur.Launch = true
+			lw.cur = lw.newBlock() // unreachable continuation
+			break
+		}
 		outer := lw.region
 		if st.IsMapReduce() {
 			lw.region = st

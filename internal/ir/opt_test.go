@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/minic"
 )
 
@@ -14,7 +15,7 @@ func runProg(t *testing.T, prog *minic.Program) (string, int, error) {
 	t.Helper()
 	var out bytes.Buffer
 	m := interp.New(prog, interp.Options{Stdout: &out})
-	code, err := m.Run()
+	code, err := walker.Run(m)
 	return out.String(), code, err
 }
 
@@ -350,10 +351,10 @@ int main() {
 	var o1, o2 bytes.Buffer
 	m1 := interp.New(p1, interp.Options{Stdout: &o1})
 	m2 := interp.New(p2, interp.Options{Stdout: &o2})
-	if _, err := m1.Run(); err != nil {
+	if _, err := walker.Run(m1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Run(); err != nil {
+	if _, err := walker.Run(m2); err != nil {
 		t.Fatal(err)
 	}
 	if o1.String() != o2.String() {
@@ -390,7 +391,7 @@ int main() {
 		var out bytes.Buffer
 		cost := &interp.CountingSink{}
 		m := interp.New(prog, interp.Options{Stdout: &out, Cost: cost})
-		if _, err := m.Run(); err != nil {
+		if _, err := walker.Run(m); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(out.String(), "\n") {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/interp"
+	"repro/internal/interp/walker"
 	"repro/internal/kv"
 	"repro/internal/streaming"
 )
@@ -31,7 +32,7 @@ func runStage(f *streaming.Filter, input []byte, onVM bool) stageRun {
 	if onVM {
 		r.code, err = bytecode.NewVM(m, f.Code).Run()
 	} else {
-		r.code, err = m.Run()
+		r.code, err = walker.Run(m)
 	}
 	if err != nil {
 		r.err = err.Error()
