@@ -192,7 +192,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 				res.MapOutput = append(res.MapOutput, store.SlotPair(int(s)))
 			}
 		}
-		res.OutputBytes = textBytes(res.MapOutput)
+		res.OutputBytes = kv.TextBytes(res.MapOutput)
 		endOut()
 		res.Times.OutputWrite = writeTime(res.OutputBytes, cfg.HDFSWriteGBs)
 		return res, nil
@@ -333,16 +333,6 @@ func storeSlotsPerThread(records, perRecord, numThreads int, exact bool) int {
 		per = perRecord
 	}
 	return per
-}
-
-// textBytes is the size of pairs rendered as text lines (map-only HDFS
-// output).
-func textBytes(pairs []kv.Pair) int64 {
-	var n int64
-	for _, p := range pairs {
-		n += int64(len(p.Text())) + 1
-	}
-	return n
 }
 
 func combineSchema(mapC, combineC *compiler.Compiled) kv.Schema {

@@ -60,18 +60,25 @@ func IntValue(i int64) Value { return Value{Kind: Int, I: i} }
 // FloatValue builds a Float-kind value.
 func FloatValue(f float64) Value { return Value{Kind: Float, F: f} }
 
-// Text renders the value the way Hadoop Streaming would print it.
-func (v Value) Text() string {
+// AppendText appends the value's text, the way Hadoop Streaming would
+// print it, to b.
+func (v Value) AppendText(b []byte) []byte {
 	switch v.Kind {
 	case Bytes:
-		return string(v.B)
+		return append(b, v.B...)
 	case Int:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(b, v.I, 10)
 	case Float:
-		return strconv.FormatFloat(v.F, 'g', 12, 64)
+		return strconv.AppendFloat(b, v.F, 'g', 12, 64)
 	default:
-		return ""
+		return b
 	}
+}
+
+// Text renders the value the way Hadoop Streaming would print it.
+func (v Value) Text() string {
+	var buf [64]byte
+	return string(v.AppendText(buf[:0]))
 }
 
 // ParseValue parses a streaming text field into a value of the given kind.
@@ -136,7 +143,29 @@ type Pair struct {
 }
 
 // Text renders the pair as a tab-separated streaming line (no newline).
-func (p Pair) Text() string { return p.Key.Text() + "\t" + p.Val.Text() }
+func (p Pair) Text() string {
+	var buf [64]byte
+	return string(p.AppendText(buf[:0]))
+}
+
+// AppendText appends the pair's streaming line, without its newline, to b.
+func (p Pair) AppendText(b []byte) []byte {
+	b = p.Key.AppendText(b)
+	b = append(b, '\t')
+	return p.Val.AppendText(b)
+}
+
+// TextBytes returns the bytes pairs take as streaming lines, newlines
+// included. It formats every pair into one reused buffer.
+func TextBytes(pairs []Pair) int64 {
+	var n int64
+	var buf []byte
+	for _, p := range pairs {
+		buf = p.AppendText(buf[:0])
+		n += int64(len(buf)) + 1
+	}
+	return n
+}
 
 // ParsePair splits a streaming line at the first tab and parses both sides.
 // A line with no tab becomes a pair with an empty value of valKind's zero.

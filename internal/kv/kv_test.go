@@ -8,19 +8,45 @@ import (
 	"testing/quick"
 )
 
+// TestValueText pins the streaming text of every value kind, through
+// Text and through AppendText onto a prefix, and of pairs of them.
 func TestValueText(t *testing.T) {
 	cases := []struct {
 		v    Value
 		want string
 	}{
 		{StringValue("hello"), "hello"},
+		{StringValue(""), ""},
+		{BytesValue([]byte("a\tb c")), "a\tb c"},
 		{IntValue(-42), "-42"},
 		{IntValue(0), "0"},
+		{IntValue(math.MaxInt64), "9223372036854775807"},
+		{IntValue(math.MinInt64), "-9223372036854775808"},
 		{FloatValue(1.5), "1.5"},
+		{FloatValue(-2.25), "-2.25"},
+		{FloatValue(1.0 / 3), "0.333333333333"},
+		{FloatValue(123456789012345), "1.23456789012e+14"},
+		{FloatValue(5e-324), "4.94065645841e-324"},
+		{FloatValue(1e-7), "1e-07"},
+		{FloatValue(math.MaxFloat64), "1.79769313486e+308"},
+		{FloatValue(math.Copysign(0, -1)), "-0"},
+		{FloatValue(math.NaN()), "NaN"},
+		{FloatValue(math.Inf(1)), "+Inf"},
+		{FloatValue(math.Inf(-1)), "-Inf"},
 	}
 	for _, c := range cases {
 		if got := c.v.Text(); got != c.want {
 			t.Errorf("Text(%v) = %q, want %q", c.v, got, c.want)
+		}
+		if got := string(c.v.AppendText([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendText(%v) = %q, want %q", c.v, got, "x="+c.want)
+		}
+		p := Pair{Key: IntValue(7), Val: c.v}
+		if got, want := p.Text(), "7\t"+c.want; got != want {
+			t.Errorf("Pair.Text = %q, want %q", got, want)
+		}
+		if got, want := TextBytes([]Pair{p, p}), int64(2*(len(c.want)+3)); got != want {
+			t.Errorf("TextBytes of two %q pairs = %d, want %d", p.Text(), got, want)
 		}
 	}
 }

@@ -118,12 +118,12 @@ func ParseKVLines(out string, schema kv.Schema) ([]kv.Pair, error) {
 // RenderKVLines converts typed pairs back to streaming text (the input of
 // combine and reduce filters).
 func RenderKVLines(pairs []kv.Pair) []byte {
-	var b bytes.Buffer
+	var b []byte
 	for _, p := range pairs {
-		b.WriteString(p.Text())
-		b.WriteByte('\n')
+		b = p.AppendText(b)
+		b = append(b, '\n')
 	}
-	return b.Bytes()
+	return b
 }
 
 // MapTaskTimes is the CPU task's stage breakdown (mirroring the GPU task's
@@ -201,9 +201,7 @@ func RunMapTask(mapF, combineF *Filter, input []byte, cfg MapTaskConfig) (*MapTa
 
 	if cfg.NumReducers <= 0 {
 		res.MapOutput = pairs
-		for _, p := range pairs {
-			res.OutputBytes += int64(len(p.Text())) + 1
-		}
+		res.OutputBytes = kv.TextBytes(pairs)
 		res.Times.OutputWrite = float64(res.OutputBytes) / (cfg.HDFSWriteGBs * 1e9)
 		return res, nil
 	}
