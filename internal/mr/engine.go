@@ -723,7 +723,7 @@ func (e *engine) declareDead(tt *taskTracker, cause string) {
 			e.jt.requeue(q.split)
 		}
 	}
-	tt.gpuQueue = nil
+	tt.gpuQueue = tt.gpuQueue[:0]
 
 	// Restart the node's reduce attempts elsewhere.
 	for p := 0; p < e.jt.totalReduces; p++ {
@@ -866,7 +866,7 @@ func (e *engine) retireGPU(tt *taskTracker) {
 				e.jt.requeue(q.split)
 			}
 		}
-		tt.gpuQueue = nil
+		tt.gpuQueue = tt.gpuQueue[:0]
 	}
 }
 
@@ -1137,8 +1137,10 @@ func (e *engine) drainGPUQueue(tt *taskTracker) {
 		return
 	}
 	if tt.gpuFree > 0 && len(tt.gpuQueue) > 0 {
+		// Pop in place, so the tracker keeps one array for its queue.
 		next := tt.gpuQueue[0]
-		tt.gpuQueue = tt.gpuQueue[1:]
+		n := copy(tt.gpuQueue, tt.gpuQueue[1:])
+		tt.gpuQueue = tt.gpuQueue[:n]
 		now := e.eng.Now()
 		wait := float64(now - next.at)
 		e.stats.GPUQueueWaitSec += wait
