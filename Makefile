@@ -46,8 +46,9 @@ lint:
 # must be bit-reproducible (no math/rand, no time.Now, no unsorted map
 # iteration); see tools/detlint. internal/interp, internal/bytecode and
 # internal/streaming are the MiniC stage packages, whose outputs and cost
-# charges must reproduce bit for bit; internal/minic decides every AST
-# that the optimizer, the VM and the lints see; internal/ir decides every
+# charges must reproduce bit for bit, and internal/interp/walker is the
+# reference evaluator they are checked against; internal/minic decides
+# every AST that the optimizer, the VM and the lints see; internal/ir decides every
 # optimized AST, and so every op count, and internal/analysis every lint
 # finding; internal/gpu (the SIMT cost model), internal/gpurt (the GPU
 # task runtime, which binds kernel programs and runs threadblocks),
@@ -59,7 +60,7 @@ lint:
 # five CLIs, which print what the goldens pin.
 lint-go:
 	$(GO) run ./tools/detlint internal/sim internal/mr internal/faults internal/obs internal/compiler \
-		internal/interp internal/bytecode internal/streaming internal/minic internal/ir internal/analysis \
+		internal/interp internal/interp/walker internal/bytecode internal/streaming internal/minic internal/ir internal/analysis \
 		internal/gpu internal/gpurt internal/kv internal/seqfile internal/hdfs \
 		internal/core internal/cluster internal/workload internal/testkit internal/experiments cmd
 
@@ -93,7 +94,9 @@ cover:
 	}; \
 	check ./internal/minic 80; \
 	check ./internal/compiler 80; \
-	check ./internal/mr 87
+	check ./internal/mr 87; \
+	check ./internal/bytecode 77; \
+	check ./internal/gpurt 80
 
 # ci ends with hostbench's own tests (a separate module that ./... never
 # reaches), so a change that moves a recorded seed-1 digest or virtual
