@@ -12,7 +12,7 @@ import (
 // is perfect across blocks, but the atomic cost (and its serialization,
 // modeled as contention growing with the thread count) is what the paper's
 // per-threadblock design avoids.
-func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
 	blocks, tpb, kvBound int) (*MapKernelResult, error) {
@@ -23,7 +23,7 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	}
 	threads := make([]*mapThread, 0, totalLanes)
 	for lane := 0; lane < totalLanes; lane++ {
-		t, err := newMapThread(lane, dev, comp, cap, shared, ipObj, records, store, opts)
+		t, err := newMapThread(lane, dev, comp, host, shared, ipObj, records, store, opts)
 		if err != nil {
 			return nil, err
 		}

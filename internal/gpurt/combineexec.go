@@ -38,7 +38,7 @@ type CombineResult struct {
 // cooperate only on vectorized getKV/storeKV (paper §4.2). Splitting a
 // key run across two warps yields partial combines — the relaxed
 // functional equivalence the paper describes, which the reducers restore.
-func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	store *KVStore, partitions [][]int32, opts Options) (*CombineResult, error) {
 
 	spec := comp.Kernel
@@ -55,7 +55,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 		warpsPerBlock = 1
 	}
 
-	shared := sharedBindings(comp, cap, opts)
+	shared := sharedBindings(comp, host, opts)
 	res := &CombineResult{Partitions: make([][]kv.Pair, len(partitions))}
 	for p, slots := range partitions {
 		if len(slots) == 0 {
@@ -76,7 +76,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 			if hi > len(slots) {
 				hi = len(slots)
 			}
-			out, cycles, bd, err := runCombineWarp(dev, comp, cap, shared, store, slots[lo:hi], opts)
+			out, cycles, bd, err := runCombineWarp(dev, comp, host, shared, store, slots[lo:hi], opts)
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +120,7 @@ type combineWarp struct {
 // runCombineWarp executes the combiner region once (warp-redundantly) over
 // a chunk of a sorted partition, on one VM, returning the warp's output,
 // total cycles, and per-space cycle breakdown.
-func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	shared []*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 
 	spec := comp.Kernel
@@ -188,7 +188,7 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		},
 	})
 	// Private arrays of combine kernels live in shared memory (paper §4.2).
-	vm, err := bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, cap, shared, interp.SpaceShared))
+	vm, err := bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, host, shared, interp.SpaceShared))
 	if err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, fmt.Errorf("gpurt: combine kernel: %w", err)
 	}

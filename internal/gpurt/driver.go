@@ -159,13 +159,13 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 
 	// 4. Run the host program to its launch point, then the map kernel.
 	endHost := cfg.Prof.Phase(perf.PhaseGPUHost)
-	cap, err := captureHost(mapC, io.Discard)
+	host, err := captureHost(mapC, io.Discard)
 	endHost()
 	if err != nil {
 		return nil, err
 	}
 	endMap := cfg.Prof.Phase(perf.PhaseGPUMap)
-	mres, err := ExecMapKernel(dev, mapC, cap, input, records, store, cfg.Opts)
+	mres, err := ExecMapKernel(dev, mapC, host, input, records, store, cfg.Opts)
 	endMap()
 	if err != nil {
 		return nil, &AbortError{Kernel: "map", Cause: err}
@@ -237,13 +237,13 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	res.Profiles = append(res.Profiles, obs.KernelProfile{Kernel: "sort", Seconds: res.Times.Sort})
 	if combineC != nil {
 		endCHost := cfg.Prof.Phase(perf.PhaseGPUHost)
-		ccap, err := captureHost(combineC, io.Discard)
+		chost, err := captureHost(combineC, io.Discard)
 		endCHost()
 		if err != nil {
 			return nil, err
 		}
 		endCombine := cfg.Prof.Phase(perf.PhaseGPUCombine)
-		cres, err := ExecCombineKernels(dev, combineC, ccap, store, partitions, cfg.Opts)
+		cres, err := ExecCombineKernels(dev, combineC, chost, store, partitions, cfg.Opts)
 		endCombine()
 		if err != nil {
 			return nil, &AbortError{Kernel: "combine", Cause: err}

@@ -47,19 +47,13 @@ func AllOptimizations() Options {
 // "base" bars of Fig. 5).
 func Baseline() Options { return Options{} }
 
-// hostCapture is the host-side state of a translated program at its kernel
-// launch point: the paper's generated host code reaches the region with
-// all firstprivate/sharedRO values computed; we capture them by running
-// the kernel program's host part (<init>, then main) up to the region.
-// objs holds the host's object for each free symbol of the kernel
-// program, indexed by kernel slot (bytecode.Program.Free).
-type hostCapture struct {
-	objs []*interp.Object
-}
-
-// captureHost runs the translated program on the VM until it reaches the
-// mapreduce region, and returns the captured launch-point state.
-func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error) {
+// captureHost captures the host-side state of a translated program at its
+// kernel launch point: the paper's generated host code reaches the region
+// with all firstprivate/sharedRO values computed; we capture them by
+// running the kernel program's host part (<init>, then main) on the VM up
+// to the region. It returns the host's object for each free symbol of the
+// kernel program, indexed by kernel slot (bytecode.Program.Free).
+func captureHost(comp *compiler.Compiled, stdout io.Writer) ([]*interp.Object, error) {
 	m := interp.New(comp.Kernel.Prog, interp.Options{Stdout: stdout})
 	objs, err := bytecode.NewVM(m, comp.KernelVM).Launch()
 	if err != nil {
@@ -68,14 +62,14 @@ func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error
 	if objs == nil {
 		return nil, fmt.Errorf("gpurt: host program never reached its mapreduce region")
 	}
-	return &hostCapture{objs: objs}, nil
+	return objs, nil
 }
 
 // sharedBindings builds the objects shared by all threads, indexed by
 // kernel slot: sharedRO scalars (constant memory) and arrays (global or
 // texture).
-func sharedBindings(comp *compiler.Compiled, cap *hostCapture, opts Options) []*interp.Object {
-	out := make([]*interp.Object, len(cap.objs))
+func sharedBindings(comp *compiler.Compiled, host []*interp.Object, opts Options) []*interp.Object {
+	out := make([]*interp.Object, len(host))
 	for _, f := range comp.KernelVM.Free {
 		var space interp.MemSpace
 		switch comp.Kernel.Plan[f.Sym] {
@@ -94,8 +88,8 @@ func sharedBindings(comp *compiler.Compiled, cap *hostCapture, opts Options) []*
 		}
 		// Retag the host object's storage with the device space; the data
 		// itself was cudaMemcpy'd in (cells are shared, read-only).
-		host := cap.objs[f.Slot]
-		out[f.Slot] = &interp.Object{Cells: host.Cells, Elem: host.Elem, Space: space, Name: host.Name}
+		h := host[f.Slot]
+		out[f.Slot] = &interp.Object{Cells: h.Cells, Elem: h.Elem, Space: space, Name: h.Name}
 	}
 	return out
 }
@@ -104,7 +98,7 @@ func sharedBindings(comp *compiler.Compiled, cap *hostCapture, opts Options) []*
 // launch's shared objects, plus fresh private and firstprivate objects.
 // arraySpace is SpaceLocal for map kernels and SpaceShared for combine
 // kernels (paper §4.2 places combiner private arrays in shared memory).
-func privateBindings(comp *compiler.Compiled, cap *hostCapture, shared []*interp.Object, arraySpace interp.MemSpace) []*interp.Object {
+func privateBindings(comp *compiler.Compiled, host, shared []*interp.Object, arraySpace interp.MemSpace) []*interp.Object {
 	out := make([]*interp.Object, len(shared))
 	copy(out, shared)
 	for _, f := range comp.KernelVM.Free {
@@ -112,14 +106,14 @@ func privateBindings(comp *compiler.Compiled, cap *hostCapture, shared []*interp
 		if cls != compiler.ClassPrivate && cls != compiler.ClassFirstPrivate {
 			continue
 		}
-		host := cap.objs[f.Slot]
+		h := host[f.Slot]
 		space := interp.SpaceReg
-		if len(host.Cells) > 1 {
+		if len(h.Cells) > 1 {
 			space = arraySpace
 		}
-		obj := interp.NewObject(f.Sym.Name, host.Elem, len(host.Cells), space)
+		obj := interp.NewObject(f.Sym.Name, h.Elem, len(h.Cells), space)
 		if cls == compiler.ClassFirstPrivate {
-			copy(obj.Cells, host.Cells)
+			copy(obj.Cells, h.Cells)
 		}
 		out[f.Slot] = obj
 	}
@@ -148,7 +142,7 @@ type mapThread struct {
 // newMapThread builds map thread id of a launch: its machine with the GPU
 // map intrinsics over records, fresh private copies of the host objects,
 // and one VM for the kernel program. It charges the mapSetup overhead.
-func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options) (*mapThread, error) {
 
@@ -160,7 +154,7 @@ func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCap
 		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
 	})
 	var err error
-	if t.vm, err = bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, cap, shared, interp.SpaceLocal)); err != nil {
+	if t.vm, err = bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, host, shared, interp.SpaceLocal)); err != nil {
 		return nil, fmt.Errorf("gpurt: map kernel: %w", err)
 	}
 	t.cost.Op(24) // mapSetup overhead
@@ -248,14 +242,14 @@ type MapKernelResult struct {
 // opts.RecordStealing is on, emulated deterministically by always granting
 // the next record to the least-loaded thread — the thread that would reach
 // the shared-memory counter first.
-func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	input []byte, records []Record, store *KVStore, opts Options) (*MapKernelResult, error) {
 
 	spec := comp.Kernel
 	if spec.Kind != compiler.RegionMapper {
 		return nil, fmt.Errorf("gpurt: ExecMapKernel on a %v kernel", spec.Kind)
 	}
-	shared := sharedBindings(comp, cap, opts)
+	shared := sharedBindings(comp, host, opts)
 	// The input fileSplit lives in device global memory.
 	ipObj := interp.NewObject("ip", minic.CharType, len(input)+1, interp.SpaceGlobal)
 	for i, b := range input {
@@ -273,7 +267,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	}
 
 	if opts.RecordStealing && opts.GlobalStealing {
-		return execMapKernelGlobalSteal(dev, comp, cap, shared, ipObj, records, store, opts, blocks, tpb, kvBound)
+		return execMapKernelGlobalSteal(dev, comp, host, shared, ipObj, records, store, opts, blocks, tpb, kvBound)
 	}
 
 	perBlock := (len(records) + blocks - 1) / blocks
@@ -296,7 +290,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		//detlint:ignore bare-goroutine: each block writes only its own slots, and the results merge in block order
 		go func(b, lo, hi int) {
 			defer wg.Done()
-			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)
+			cycles, bd, steals, err := runMapBlock(dev, comp, host, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)
 			blockCycles[b] = cycles
 			blockSteals[b] = steals
 			blockBreakdowns[b] = bd
@@ -331,7 +325,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 // runMapBlock executes one threadblock's share of the records and returns
 // its total cycles (the max over its threads) plus the block's summed
 // per-space cycle breakdown.
-func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
 	shared []*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
 	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
@@ -342,7 +336,7 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		lanes = len(records)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		t, err := newMapThread(block*tpb+lane, dev, comp, cap, shared, ipObj, records, store, opts)
+		t, err := newMapThread(block*tpb+lane, dev, comp, host, shared, ipObj, records, store, opts)
 		if err != nil {
 			return 0, gpu.CycleBreakdown{}, 0, err
 		}
