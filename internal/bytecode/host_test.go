@@ -125,3 +125,28 @@ int main() {
 		}
 	}
 }
+
+// TestRegionCallingItsHostIsRefused: the function that holds a region
+// compiles once, as the host entry, so kernel code that calls it back is
+// a compile error rather than a second copy that would never launch.
+func TestRegionCallingItsHostIsRefused(t *testing.T) {
+	const src = `
+int main() {
+	int key, v;
+	char *line;
+	size_t n = 8;
+	line = (char*) malloc(8);
+	#pragma mapreduce mapper key(key) value(v) kvpairs(1)
+	while (getline(&line, &n, stdin) != -1) {
+		key = atoi(line);
+		if (key < 0) key = main();
+		v = 1;
+		printf("%d\t%d\n", key, v);
+	}
+	return 0;
+}`
+	_, err := compiler.Compile(src)
+	if err == nil || !strings.Contains(err.Error(), "main holds the kernel region and also runs in the kernel") {
+		t.Fatalf("Compile error %v, want the region calling its host refused", err)
+	}
+}
