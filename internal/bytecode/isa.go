@@ -294,13 +294,14 @@ type Program struct {
 	// Fns[0:Entries] are the entries of one translated region (a mapper's
 	// loop condition and body, a combiner's region): parameterless, and
 	// sharing one object-slot table and one register frame. Free lists
-	// the table's slots the host binds, once, before any entry runs. The
-	// program functions the entries call, directly or transitively,
-	// follow them, compiled with per-event charges (see compile.go); they
-	// resolve globals through Syms, as whole-program functions do. Then
-	// come the host part's functions: the host entry, the function that
-	// holds the region, where a launch instruction stands for the region,
-	// and main and the functions main calls on the way to it.
+	// the table's slots the host binds, once, before any entry runs.
+	// <init>, if any, and the program functions the entries or <init>
+	// call, directly or transitively, follow them, compiled with
+	// per-event charges (see compile.go); they resolve globals through
+	// Syms, as whole-program functions do. Then come the host part's
+	// functions: the host entry, the function that holds the region,
+	// where a launch instruction stands for the region, and main and the
+	// functions main calls on the way to it.
 	Entries int
 	Free    []FreeRef
 }
