@@ -18,10 +18,13 @@ race:
 # pool's edge cases, and the worker-count invariance crossing with
 # recovering-fault and corruption plans. Goroutine schedules differ on
 # every -count repetition, so 20 repetitions explore 20 interleavings of
-# the same virtual-time schedule.
+# the same virtual-time schedule. The GPU map kernel's threadblock
+# goroutines share one launch image, and its goldens and host-capture
+# tests run several blocks, some over copied globals.
 stress:
 	$(GO) test -race -count=20 ./internal/sim -run 'Pool|Task|Cancel|RunUntil|Wait|Discard|Close'
 	$(GO) test -race -count=20 ./internal/testkit -run 'TestWorkerInvarianceUnder'
+	$(GO) test -race -count=20 ./internal/gpurt -run 'TestGPUVirtualTimeGolden|TestHostCapture'
 
 # vet also covers hostbench/, a separate module (its go.mod replaces
 # repro with ..) that the root ./... pattern never compiles.

@@ -60,17 +60,17 @@ import (
 //   - <init> (addInit) runs a program's file-scope declarations in order,
 //     each defining its global once its initializer has run. Like the
 //     walker's initializers, it charges no statement step or op, only
-//     each initializer's entry ops and the store. It folds in whole
-//     programs and is per-event in kernel programs, since every simulated
-//     GPU thread runs it against its own cost sink. A program with no
-//     globals has none.
+//     each initializer's entry ops and the store. It folds in every
+//     program: it runs once per machine, and in a kernel program on the
+//     host only, whose globals every simulated GPU thread copies at the
+//     launch point (VM.Launch). A program with no globals has none.
 //   - The host entry (addHost) is the function that holds a kernel's
 //     region, compiled into the kernel program with the region's pragma
 //     lowered to a launch point. Reaching it ends the run, in whatever
 //     frame, and hands the GPU executor the objects of the kernel's free
-//     symbols: the host entry keeps each of them in an object, not a
-//     register. main, and the functions it calls on the way, compile as
-//     ordinary program functions with folded charges.
+//     symbols and of the globals: the host entry keeps each free symbol
+//     in an object, not a register. main, and the functions it calls on
+//     the way, compile as ordinary program functions with folded charges.
 //
 // Every discipline checks an assignment's index or pointer target after
 // the target's operands, before the right-hand side, as the walker does.
@@ -99,13 +99,14 @@ func Compile(prog *minic.Program) (*Program, error) {
 // batched charges and share one object-slot table: every symbol they use
 // but do not declare lives in a slot, and the slots that no entry binds
 // are the free symbols the host binds once (Program.Free).
-// prog's <init> follows them, then every function of prog the entries or
-// <init> call, directly or transitively, compiled once with per-event
-// charges, in first-call order. A call the VM binds to a program function
-// names no builtin (sema forbids the shadowing), so the unmarked callees
-// that name a function of prog are exactly those. A non-nil host is the
-// function of prog that holds the region: the host part follows (see
-// addHost).
+// Every function of prog the entries call, directly or transitively,
+// follows them, compiled once with per-event charges, in first-call
+// order. A call the VM binds to a program function names no builtin
+// (sema forbids the shadowing), so the unmarked callees that name a
+// function of prog are exactly those. The host part follows, compiled
+// with folded charges: prog's <init>; for a non-nil host, the function of
+// prog that holds the region (see addHost), and main; then every function
+// of prog they call that is not compiled yet.
 func CompileKernel(prog *minic.Program, host *minic.FuncDecl, entries ...minic.Node) (*Program, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("bytecode: kernel has no entry")
@@ -156,17 +157,21 @@ func CompileKernel(prog *minic.Program, host *minic.FuncDecl, entries ...minic.N
 	}
 
 	b.disc = perEvent
-	if err := b.addInit(prog); err != nil {
-		return nil, err
-	}
 	compiled := map[*minic.FuncDecl]bool{}
 	if err := b.addCallees(prog, compiled); err != nil {
+		return nil, err
+	}
+	b.disc = folded
+	if err := b.addInit(prog); err != nil {
 		return nil, err
 	}
 	if host != nil {
 		if err := b.addHost(prog, host, compiled); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.addCallees(prog, compiled); err != nil {
+		return nil, err
 	}
 	return b.prog, nil
 }
@@ -223,10 +228,9 @@ func (b *builder) addInit(prog *minic.Program) error {
 	return nil
 }
 
-// addHost compiles a kernel program's host part with folded charges:
-// first the host entry, host, whose mapreduce pragma lowers to a launch
-// point and which keeps every free symbol of the kernel in an object;
-// then main, and every program function the two call, each once.
+// addHost compiles the host entry, host, whose mapreduce pragma lowers
+// to a launch point and which keeps every free symbol of the kernel in an
+// object, and then main, each once, under the builder's discipline.
 func (b *builder) addHost(prog *minic.Program, host *minic.FuncDecl, compiled map[*minic.FuncDecl]bool) error {
 	if compiled[host] {
 		return fmt.Errorf("bytecode: %s holds the kernel region and also runs in the kernel", host.Name)
@@ -244,18 +248,15 @@ func (b *builder) addHost(prog *minic.Program, host *minic.FuncDecl, compiled ma
 	for _, f := range b.prog.Free {
 		isFree[f.Sym] = true
 	}
-	b.disc = folded
 	compiled[host] = true
 	if err := b.addFn(host, func(sym *minic.Symbol) bool { return isFree[sym] }, nil, nil, launch); err != nil {
 		return err
 	}
 	if main := prog.Func("main"); main != nil && !compiled[main] {
 		compiled[main] = true
-		if err := b.addFn(main, nil, nil, nil, nil); err != nil {
-			return err
-		}
+		return b.addFn(main, nil, nil, nil, nil)
 	}
-	return b.addCallees(prog, compiled)
+	return nil
 }
 
 // builder accumulates the shared pools of one Program. All interning is

@@ -44,9 +44,10 @@ type eventRun struct {
 	events []costEvent
 }
 
-// compilePerEvent lowers every function of prog, and its <init>, with
-// the per-event charge discipline that production uses only for a kernel
-// program's callees and <init>.
+// compilePerEvent lowers every function of prog with the per-event
+// charge discipline that production uses only for a kernel program's
+// callees, and its <init> too, so that the whole run's event sequence is
+// the walker's.
 func compilePerEvent(prog *minic.Program) (*Program, error) {
 	b := newBuilder(perEvent)
 	for _, fn := range prog.Funcs {
@@ -128,9 +129,9 @@ func checkEventParity(t *testing.T, src, stdin string, maxSteps int64, optimize 
 	compareEvents(t, runEvents(prog, nil, stdin, maxSteps), runEvents(prog, code, stdin, maxSteps))
 }
 
-// initializerCases exercise file-scope initializers, which <init> runs:
-// folded in whole programs, per-event in kernel programs. err is the
-// error the run ends with, "" for none.
+// initializerCases exercise file-scope initializers, which <init> runs
+// with folded charges in every program. err is the error the run ends
+// with, "" for none.
 var initializerCases = []struct{ name, src, err string }{
 	{"earlier-global", `
 int a = 3;

@@ -41,7 +41,8 @@ func TestVerifyDefineAndLaunch(t *testing.T) {
 
 // TestInitListing pins how <init> lists: it follows the program's
 // functions, charges no statement step, and defines each global in turn.
-// A program with no globals has no <init>.
+// A kernel program's <init> runs only on the host, so it folds there too,
+// ahead of the host entry. A program with no globals has no <init>.
 func TestInitListing(t *testing.T) {
 	prog, err := minic.ParseAndCheck(`int a = 3; int t[2]; int main() { return a + t[1]; }`)
 	if err != nil {
@@ -65,6 +66,28 @@ func TestInitListing(t *testing.T) {
 	if i := strings.Index(got, "fn <init>"); i < 0 || got[i:] != want || p.Fns[p.Init].Name != "<init>" {
 		t.Fatalf("listing:\n%s\nwant it to end with:\n%s", got, want)
 	}
+	comp, err := compiler.CompileOpts(`int a = 3; int t[2];
+int main() {
+	int key, v;
+	char *line;
+	size_t n = 8;
+	line = (char*) malloc(8);
+	#pragma mapreduce mapper key(key) value(v) kvpairs(1)
+	while (getline(&line, &n, stdin) != -1) {
+		key = atoi(line) + a + t[1];
+		v = 1;
+		printf("%d\t%d\n", key, v);
+	}
+	return 0;
+}`, compiler.Options{DisableOpt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = bytecode.Disassemble(comp.KernelVM)
+	i := strings.Index(got, "fn <init>")
+	if i < 0 || !strings.HasPrefix(got[i:], want+"\nfn main ") {
+		t.Fatalf("kernel listing:\n%s\nwant <init> before the host entry main:\n%s", got, want)
+	}
 	p, err = bytecode.Compile(&minic.Program{Funcs: prog.Funcs})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +98,9 @@ func TestInitListing(t *testing.T) {
 }
 
 // TestLaunchStopsOnlyAtTheRegion runs a kernel program's host part: the
-// launch point hands over the host's objects for the free symbols as main
-// leaves them there, and a main that returns first hands over none.
+// launch point hands over the host's objects for the free symbols and
+// the globals as main leaves them there, and a main that returns first
+// hands over none.
 func TestLaunchStopsOnlyAtTheRegion(t *testing.T) {
 	const region = `
 	#pragma mapreduce mapper key(key) value(v) kvpairs(1)
@@ -104,23 +128,28 @@ int main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		objs, err := bytecode.NewVM(interp.New(comp.Kernel.Prog, interp.Options{}), comp.KernelVM).Launch()
+		lp, err := bytecode.NewVM(interp.New(comp.Kernel.Prog, interp.Options{}), comp.KernelVM).Launch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (objs != nil) != tc.reached {
-			t.Fatalf("stop %q: launch objects %v, want reached %v", tc.stop, objs, tc.reached)
+		if (lp != nil) != tc.reached {
+			t.Fatalf("stop %q: launch point %v, want reached %v", tc.stop, lp, tc.reached)
+		}
+		if !tc.reached {
+			continue
 		}
 		for _, f := range comp.KernelVM.Free {
-			if !tc.reached {
-				break
-			}
-			obj := objs[f.Slot]
+			obj := lp.Slots[f.Slot]
 			if obj == nil {
 				t.Fatalf("no launch object for %s", f.Sym.Name)
 			}
 			if f.Sym.Name == "base" && obj.Cells[0].AsInt() != 7 {
 				t.Fatalf("base at the launch point = %d, want 7", obj.Cells[0].AsInt())
+			}
+		}
+		for i, sym := range comp.KernelVM.Syms {
+			if sym.Global && (lp.Globals[i] == nil || lp.Globals[i].Cells[0].AsInt() != 7) {
+				t.Fatalf("global %s at the launch point = %v, want 7", sym.Name, lp.Globals[i])
 			}
 		}
 	}

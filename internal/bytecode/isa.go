@@ -10,9 +10,10 @@
 // counts, and error strings, because goldens for simulated time and
 // deterministic GPU scheduling were recorded against the walker.
 //
-// Everything stateful — object memory, globals, string literals, the
+// Everything else stateful — object memory, string literals, the
 // builtin table, cost charging, the step budget — stays in an
-// interp.Machine; the bytecode layer only replaces the AST walk.
+// interp.Machine; the bytecode layer replaces the AST walk and keeps the
+// globals' objects.
 package bytecode
 
 import (
@@ -288,20 +289,23 @@ type Program struct {
 	// Main indexes Fns, -1 when the program has no main.
 	Main int
 	// Init indexes Fns' <init>, which runs the file-scope declarations in
-	// order, each defining its global; -1 when the program has none.
+	// order, each defining its global; -1 when the program has none. It
+	// is compiled with folded charges and runs once per machine, before
+	// main; in a kernel program, only on the host.
 	Init int
 	// Entries is a kernel program's entry count, 0 for a whole program.
 	// Fns[0:Entries] are the entries of one translated region (a mapper's
 	// loop condition and body, a combiner's region): parameterless, and
 	// sharing one object-slot table and one register frame. Free lists
 	// the table's slots the host binds, once, before any entry runs.
-	// <init>, if any, and the program functions the entries or <init>
-	// call, directly or transitively, follow them, compiled with
-	// per-event charges (see compile.go); they resolve globals through
-	// Syms, as whole-program functions do. Then come the host part's
-	// functions: the host entry, the function that holds the region,
-	// where a launch instruction stands for the region, and main and the
-	// functions main calls on the way to it.
+	// The program functions the entries call, directly or transitively,
+	// follow them, compiled with per-event charges (see compile.go); they
+	// resolve globals through Syms, as whole-program functions do, to the
+	// thread's copies of the globals at the launch point. Then come the
+	// host part's functions, with folded charges: <init>, if any, the
+	// host entry, the function that holds the region, where a launch
+	// instruction stands for the region, main, and the functions they
+	// call on the way to it.
 	Entries int
 	Free    []FreeRef
 }

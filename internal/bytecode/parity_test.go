@@ -633,7 +633,8 @@ func TestParityForwarding(t *testing.T) {
 // of one kernel program and compares against the walker's EvalIn/ExecIn
 // on the same machine state. The body calls a helper that reads the global g, which
 // the host also binds in the frame: the entry reads the frame's object,
-// and the helper, like the walker's callee frame, the global.
+// and the helper, like the walker's callee frame, the global, which the
+// thread copies from the host's after the host's <init> ran.
 func TestFragmentParity(t *testing.T) {
 	src := `
 int g = 5;
@@ -699,7 +700,13 @@ int main() {
 			for _, f := range kernel.Free {
 				objs[f.Slot] = fr.Object(f.Sym)
 			}
-			vm, err := NewFragmentVM(m, kernel, objs)
+			// The host runs <init> on the same machine, so that both
+			// sides charge the initializers once.
+			host := NewVM(m, kernel)
+			if err := host.start(); err != nil {
+				t.Fatal(err)
+			}
+			vm, err := NewFragmentVM(m, NewImage(m, kernel, host.objs), objs)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}

@@ -8,13 +8,15 @@ import (
 	"repro/internal/minic"
 )
 
-// VM executes compiled bytecode against an interp.Machine, which keeps
-// owning all state: object memory, globals, the builtin table, cost
-// charging, and the step budget. One VM serves one machine; it is not
-// safe for concurrent use (neither is the machine).
+// VM executes compiled bytecode against an interp.Machine, which owns
+// object memory, string literals, the builtin table, cost charging, and
+// the step budget. The VM keeps the globals' objects, and reads what
+// depends only on the program and its linking from an Image. One VM
+// serves one machine; it is not safe for concurrent use (neither is the
+// machine).
 type VM struct {
-	Prog *Program
-	m    *interp.Machine
+	*Image
+	m *interp.Machine
 
 	// cost is read from the machine on every entry. counting is cost when
 	// it is an *interp.CountingSink, which takes a charge's traffic in one
@@ -22,20 +24,36 @@ type VM struct {
 	cost     interp.CostSink
 	counting *interp.CountingSink
 
-	// Per-pool caches resolved against this machine.
-	objs     []*interp.Object // by Syms index: a global once <init> defines it
-	symSpace []interp.MemSpace
-	symWidth []int
-	symType  []*minic.Type
-	symConv  []uint8
+	// objs holds the globals' objects by Syms index: defined by <init>,
+	// or a kernel thread's copies of its launch image's.
+	objs []*interp.Object
 	// started records that <init> ran (see start).
 	started bool
-	// launched holds the objects a launch instruction handed over.
-	launched []*interp.Object
+	// launched is what a launch instruction handed over.
+	launched *LaunchPoint
 
-	linked []linkedCallee
-	pools  [][]*vmFrame
-	args   []interp.Value
+	pools [][]*vmFrame
+	args  []interp.Value
+}
+
+// Image is the part of a VM that depends only on its program and on how
+// a machine links it: each symbol's storage traits, each callee's target
+// and, for a kernel launch, the global objects at the launch point. It is
+// read-only once built, so every simulated thread and warp of one kernel
+// launch, in any threadblock goroutine, shares one.
+type Image struct {
+	Prog    *Program
+	syms    []symInfo // by Syms index
+	linked  []linkedCallee
+	globals []*interp.Object // by Syms index; see NewFragmentVM
+}
+
+// symInfo is what the variable opcodes need of one symbol: its storage's
+// memory space and width, and its conversion code.
+type symInfo struct {
+	space interp.MemSpace
+	width int
+	conv  uint8
 }
 
 // Conversion codes precomputed per symbol so OpStoreV's hot path skips
@@ -74,8 +92,7 @@ func convCodeFor(t *minic.Type) uint8 {
 type calleeKind uint8
 
 const (
-	ckUnresolved calleeKind = iota
-	ckBuiltin
+	ckBuiltin calleeKind = iota
 	ckFn
 	ckUnknown
 )
@@ -91,30 +108,65 @@ type vmFrame struct {
 	objs []*interp.Object
 }
 
-// NewVM builds an executor binding p to m. Call targets are resolved
-// lazily on first call, so builtins installed after NewVM still resolve.
-func NewVM(m *interp.Machine, p *Program) *VM {
-	vm := &VM{
-		Prog:     p,
-		m:        m,
-		linked:   make([]linkedCallee, len(p.Callees)),
-		pools:    make([][]*vmFrame, len(p.Fns)),
-		args:     make([]interp.Value, 0, 16),
-		objs:     make([]*interp.Object, len(p.Syms)),
-		symSpace: make([]interp.MemSpace, len(p.Syms)),
-		symWidth: make([]int, len(p.Syms)),
-		symType:  make([]*minic.Type, len(p.Syms)),
-		symConv:  make([]uint8, len(p.Syms)),
+// NewImage links p against m: it places each symbol's storage in m's
+// memory spaces and binds each callee to one of m's builtins or to a
+// function of p. globals, by Syms index, are what the threads of a
+// kernel launch copy (LaunchPoint.Globals); nil when VMs run <init>.
+func NewImage(m *interp.Machine, p *Program, globals []*interp.Object) *Image {
+	img := &Image{
+		Prog:    p,
+		syms:    make([]symInfo, len(p.Syms)),
+		linked:  make([]linkedCallee, len(p.Callees)),
+		globals: globals,
 	}
 	for i, sym := range p.Syms {
-		vm.symSpace[i] = m.SpaceOf(sym)
-		vm.symType[i] = sym.Type
-		vm.symConv[i] = convCodeFor(sym.Type)
+		s := &img.syms[i]
+		s.space, s.conv = m.SpaceOf(sym), convCodeFor(sym.Type)
 		if sym.Type != nil {
-			vm.symWidth[i] = sym.Type.Size()
+			s.width = sym.Type.Size()
 		}
 	}
+	for i, c := range p.Callees {
+		img.linked[i] = link(m, p, c)
+	}
+	return img
+}
+
+// link binds one callee with evalCall's dispatch order: sema-marked
+// builtins first, then program functions, then intrinsics installed
+// without sema marking, else unknown. Every program function the code
+// calls is compiled into the program: a whole program holds all of them,
+// and a kernel program holds the functions its entries reach.
+func link(m *interp.Machine, p *Program, c Callee) linkedCallee {
+	impl, hasBuiltin := m.BuiltinNamed(c.Name)
+	if hasBuiltin && c.Builtin {
+		return linkedCallee{kind: ckBuiltin, impl: impl}
+	}
+	for i, f := range p.Fns {
+		if f.Name == c.Name {
+			return linkedCallee{kind: ckFn, fnIdx: int32(i)}
+		}
+	}
+	if hasBuiltin {
+		return linkedCallee{kind: ckBuiltin, impl: impl}
+	}
+	return linkedCallee{kind: ckUnknown}
+}
+
+// NewVM builds an executor binding p to m, which runs <init> before its
+// first run.
+func NewVM(m *interp.Machine, p *Program) *VM {
+	vm := &VM{}
+	vm.bind(m, NewImage(m, p, nil))
+	vm.objs = make([]*interp.Object, len(p.Syms))
 	return vm
+}
+
+// bind readies vm to run img's code on m.
+func (vm *VM) bind(m *interp.Machine, img *Image) {
+	vm.Image, vm.m = img, m
+	vm.pools = make([][]*vmFrame, len(img.Prog.Fns))
+	vm.args = make([]interp.Value, 0, 16)
 }
 
 // refresh re-reads the machine's per-run cost sink.
@@ -128,8 +180,8 @@ func (vm *VM) refresh() {
 var errStopAtLaunch = errors.New("bytecode: run stopped at its kernel launch point")
 
 // start readies the VM for a run: it re-reads the cost sink and, on the
-// first run, runs <init>, which defines every global in the machine and
-// in objs. A VM serves one machine, so <init> runs once per machine.
+// first run, runs <init>, which defines every global in objs. A VM
+// serves one machine, so <init> runs once per machine.
 func (vm *VM) start() error {
 	vm.refresh()
 	if vm.started {
@@ -166,12 +218,19 @@ func (vm *VM) runMain() (interp.Value, error) {
 	return v, err
 }
 
+// LaunchPoint is what a kernel program's host part hands over at its
+// launch point: the host's objects as main leaves them there, the free
+// symbols' by kernel slot (Free[i]'s at Free[i].Slot) and the globals'
+// by Syms index.
+type LaunchPoint struct {
+	Slots, Globals []*interp.Object
+}
+
 // Launch runs a kernel program's host part: <init>, then main, up to the
-// launch point of the host entry (see CompileKernel). It returns the
-// objects the launch point hands over, indexed by kernel slot: Free[i]'s
-// object at Free[i].Slot. It returns nil objects and no error when main
+// launch point of the host entry (see CompileKernel), and returns what
+// the launch point hands over. It returns nil and no error when main
 // ends, by a return or by exit(), without reaching the launch point.
-func (vm *VM) Launch() ([]*interp.Object, error) {
+func (vm *VM) Launch() (*LaunchPoint, error) {
 	_, err := vm.runMain()
 	if errors.Is(err, errStopAtLaunch) {
 		return vm.launched, nil
@@ -260,7 +319,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	regs := fr.regs
 	cost, counting := vm.cost, vm.counting
 	consts, traffic := vm.Prog.Consts, vm.Prog.Traffic
-	symSpace, symWidth, symConv := vm.symSpace, vm.symWidth, vm.symConv
+	syms := vm.syms
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		switch in.Op {
@@ -285,7 +344,8 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				counting.Op(int(in.A))
 				if in.C != 0 {
 					for _, a := range traffic[in.C-1] {
-						counting.Accesses(symSpace[a.Sym], symWidth[a.Sym], int64(a.Loads), int64(a.Stores))
+						s := &syms[a.Sym]
+						counting.Accesses(s.space, s.width, int64(a.Loads), int64(a.Stores))
 					}
 				}
 			} else {
@@ -418,14 +478,16 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			regs[in.A] = interp.ConvertFor(vm.Prog.Types[in.C], regs[in.B])
 
 		case OpLoadV:
-			cost.Load(symSpace[in.C], symWidth[in.C])
+			s := &syms[in.C]
+			cost.Load(s.space, s.width)
 			regs[in.A] = regs[in.B]
 		case OpStoreV:
+			s := &syms[in.C]
 			if in.D == 0 {
-				cost.Store(symSpace[in.C], symWidth[in.C])
+				cost.Store(s.space, s.width)
 			}
 			v := regs[in.B]
-			switch symConv[in.C] {
+			switch s.conv {
 			case convLong:
 				if v.Kind != interp.ValInt {
 					v = interp.IntVal(v.AsInt())
@@ -442,13 +504,13 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				regs[in.A] = interp.IntVal(int64(byte(v.AsInt())))
 			case convPtr:
 				if v.Kind != interp.ValPtr {
-					v = interp.ConvertFor(vm.symType[in.C], v)
+					v = interp.ConvertFor(vm.Prog.Syms[in.C].Type, v)
 				}
 				regs[in.A] = v
 			case convNone:
 				regs[in.A] = v
 			default:
-				regs[in.A] = interp.ConvertFor(vm.symType[in.C], v)
+				regs[in.A] = interp.ConvertFor(vm.Prog.Syms[in.C].Type, v)
 			}
 		case OpLoadO:
 			obj, err := vm.object(fr, in.B)
@@ -478,9 +540,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			if spec.N < 0 {
 				return interp.Value{}, false, fmt.Errorf("interp: array %q has unspecified length", spec.Name)
 			}
-			obj := vm.alloc(in, regs)
-			vm.objs[in.A] = obj
-			vm.m.DefineGlobal(spec.Sym, obj)
+			vm.objs[in.A] = vm.alloc(in, regs)
 		case OpLoadP:
 			v := regs[in.B]
 			if in.D != 0 && (v.Kind != interp.ValPtr || v.P.IsNull()) {
@@ -550,25 +610,26 @@ func (vm *VM) alloc(in *Instr, regs []interp.Value) *interp.Object {
 }
 
 // launch takes the argc object pointers a launch instruction pushed, one
-// per free symbol, into a slot-indexed slice for Launch to return.
+// per free symbol, into a slot-indexed slice, and the globals, for Launch
+// to return.
 func (vm *VM) launch(argc int) {
 	objs := make([]*interp.Object, vm.Prog.Fns[0].NumObjSlots)
 	for i, f := range vm.Prog.Free[:argc] {
 		objs[f.Slot] = vm.args[len(vm.args)-argc+i].P.Obj
 	}
-	vm.launched = objs
+	vm.launched = &LaunchPoint{Slots: objs, Globals: vm.objs}
 }
 
 // chargeEach charges the tracked-variable accesses a charge folded one
 // Load or Store call at a time, for a sink other than a CountingSink.
 func (vm *VM) chargeEach(acc []Access) {
 	for _, a := range acc {
-		space, width := vm.symSpace[a.Sym], vm.symWidth[a.Sym]
+		s := &vm.syms[a.Sym]
 		for i := int32(0); i < a.Loads; i++ {
-			vm.cost.Load(space, width)
+			vm.cost.Load(s.space, s.width)
 		}
 		for i := int32(0); i < a.Stores; i++ {
-			vm.cost.Store(space, width)
+			vm.cost.Store(s.space, s.width)
 		}
 	}
 }
@@ -764,9 +825,6 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 	base := len(vm.args) - argc
 	args := vm.args[base:]
 	lc := &vm.linked[calleeIdx]
-	if lc.kind == ckUnresolved {
-		vm.resolve(calleeIdx)
-	}
 	var v interp.Value
 	var err error
 	switch lc.kind {
@@ -783,61 +841,34 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 	return v, err
 }
 
-// resolve links one callee with evalCall's dispatch order: sema-marked
-// builtins first, then program functions, then intrinsics installed
-// without sema marking, else unknown. Every program function the code
-// calls is compiled into the program: a whole program holds all of them,
-// and a kernel program holds the functions its entries reach.
-func (vm *VM) resolve(calleeIdx int32) {
-	c := vm.Prog.Callees[calleeIdx]
-	lc := &vm.linked[calleeIdx]
-	impl, hasBuiltin := vm.m.BuiltinNamed(c.Name)
-	if hasBuiltin && c.Builtin {
-		lc.kind, lc.impl = ckBuiltin, impl
-		return
-	}
-	if decl := vm.m.Prog.Func(c.Name); decl != nil {
-		for i, f := range vm.Prog.Fns {
-			if f.Decl == decl {
-				lc.kind, lc.fnIdx = ckFn, int32(i)
-				return
-			}
-		}
-	}
-	if hasBuiltin {
-		lc.kind, lc.impl = ckBuiltin, impl
-		return
-	}
-	lc.kind = ckUnknown
-}
-
 // FragmentVM runs the entries of one kernel program (see
 // Program.Entries) repeatedly against host-bound storage, in one frame:
 // one object-slot table, whose free slots are bound once, and one
 // register file sized for the largest entry, since no register is live
 // across entries. The program functions the entries call run in the same
 // VM. The GPU executor builds one per simulated map thread and one per
-// combine warp.
+// combine warp, all over the launch's Image.
 type FragmentVM struct {
-	vm *VM
-	fr *vmFrame
+	vm VM
+	fr vmFrame
 }
 
-// NewFragmentVM binds a kernel program to a machine and runs <init> on
-// it. objs becomes the entries' object slots: it has one per slot of the
+// NewFragmentVM binds one thread of a kernel launch to the launch's
+// image. m is the thread's machine: its cost sink, step budget and
+// memory spaces, which must place storage as the image's machine does.
+// objs becomes the entries' object slots: it has one per slot of the
 // kernel's table, and every free slot (Program.Free) must hold an object,
-// or the construction fails. The entries' callees see the machine's
-// globals, as the walker's callee frames do.
-func NewFragmentVM(m *interp.Machine, p *Program, objs []*interp.Object) (*FragmentVM, error) {
-	if p == nil || p.Entries == 0 {
+// or the construction fails. The entries' callees read and write the
+// thread's own copy of the image's globals: a fresh object per global,
+// in the thread's memory space for it, holding the launch point's cells.
+// No thread runs <init>, so initializers charge the device nothing.
+func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*FragmentVM, error) {
+	p := img.Prog
+	if p.Entries == 0 {
 		return nil, fmt.Errorf("bytecode: not a kernel program")
 	}
 	if len(objs) != int(p.Fns[0].NumObjSlots) {
 		return nil, fmt.Errorf("bytecode: %d objects for a kernel of %d slots", len(objs), p.Fns[0].NumObjSlots)
-	}
-	vm := NewVM(m, p)
-	if err := vm.start(); err != nil {
-		return nil, err
 	}
 	for _, free := range p.Free {
 		if objs[free.Slot] == nil {
@@ -848,8 +879,29 @@ func NewFragmentVM(m *interp.Machine, p *Program, objs []*interp.Object) (*Fragm
 	for _, fn := range p.Fns[:p.Entries] {
 		regs = max(regs, fn.NumRegs)
 	}
-	fr := &vmFrame{regs: make([]interp.Value, regs), objs: objs}
-	return &FragmentVM{vm: vm, fr: fr}, nil
+	f := &FragmentVM{fr: vmFrame{regs: make([]interp.Value, regs), objs: objs}}
+	f.vm.bind(m, img)
+	if p.Init >= 0 {
+		f.vm.objs = make([]*interp.Object, len(p.Syms))
+		for i, g := range img.globals {
+			if g != nil {
+				f.vm.objs[i] = interp.NewObject(g.Name, g.Elem, len(g.Cells), img.syms[i].space)
+			}
+		}
+		for i, obj := range f.vm.objs {
+			for j := 0; obj != nil && j < len(obj.Cells); j++ {
+				c := img.globals[i].Cells[j]
+				// A pointer to a global points at the thread's copy.
+				for k, g := range img.globals {
+					if c.Kind == interp.ValPtr && g != nil && c.P.Obj == g {
+						c.P.Obj = f.vm.objs[k]
+					}
+				}
+				obj.Cells[j] = c
+			}
+		}
+	}
+	return f, nil
 }
 
 // Run executes entry Fns[entry] once. The bool reports whether a return
@@ -857,5 +909,5 @@ func NewFragmentVM(m *interp.Machine, p *Program, objs []*interp.Object) (*Fragm
 // the condition value.
 func (f *FragmentVM) Run(entry int) (interp.Value, bool, error) {
 	f.vm.refresh()
-	return f.vm.exec(f.vm.Prog.Fns[entry], f.fr)
+	return f.vm.exec(f.vm.Prog.Fns[entry], &f.fr)
 }

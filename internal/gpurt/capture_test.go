@@ -185,3 +185,84 @@ int main() {
 		})
 	}
 }
+
+// TestHostCaptureCalleeReadsLaunchGlobals requires a kernel callee to
+// read a global as main leaves it at the launch point, as the region and
+// the CPU path do, and not as its initializer leaves it. Two threadblocks
+// run the callee, so two block goroutines read the launch's globals.
+func TestHostCaptureCalleeReadsLaunchGlobals(t *testing.T) {
+	const src = `
+int scale = 1;
+int helper(int x) { return x * scale; }
+int main() {
+	int key, one, read;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+	scale = 5;
+	#pragma mapreduce mapper key(key) value(one) kvpairs(1) blocks(2) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		key = helper(atoi(line));
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+	free(line);
+	return 0;
+}
+`
+	for _, tc := range []struct {
+		name string
+		o0   bool
+	}{{"O0", true}, {"O2", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, err := compiler.CompileOpts(src, compiler.Options{DisableOpt: tc.o0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu, gpu := cpuAndGPU(t, comp, "1\n2\n")
+			if want := []string{"10\t1", "5\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+				t.Fatalf("CPU emitted %q, want %q", cpu, want)
+			}
+			if strings.Join(gpu, "|") != strings.Join(cpu, "|") {
+				t.Fatalf("GPU emitted %q, CPU %q", gpu, cpu)
+			}
+		})
+	}
+}
+
+// TestCalleeWritesThroughGlobalPointerStayPerThread: in a thread's copy of
+// the launch's globals, a global that points at a global points at the
+// thread's copy, so a callee's write through it stays the thread's, as a
+// direct write does, and two threadblock goroutines never share the
+// host's object. Each thread here takes one record, so the GPU emits the
+// records themselves, while the CPU accumulates across records (ROADMAP
+// item 6: kernel code that writes a global).
+func TestCalleeWritesThroughGlobalPointerStayPerThread(t *testing.T) {
+	const src = `
+int x = 0;
+int *p = &x;
+int bump(int v) { *p = *p + v; return x; }
+int main() {
+	int key, one, read;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+	#pragma mapreduce mapper key(key) value(one) kvpairs(1) blocks(2) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		key = bump(atoi(line));
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+	free(line);
+	return 0;
+}
+`
+	comp, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gpu := cpuAndGPU(t, comp, "1\n2\n3\n4\n")
+	if want := []string{"1\t1", "2\t1", "3\t1", "4\t1"}; strings.Join(gpu, "|") != strings.Join(want, "|") {
+		t.Fatalf("GPU emitted %q, want %q", gpu, want)
+	}
+}

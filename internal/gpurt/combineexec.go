@@ -8,7 +8,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interp"
 	"repro/internal/kv"
-	"repro/internal/minic"
 )
 
 // CombineResult is the outcome of the combine kernels over all partitions.
@@ -38,7 +37,7 @@ type CombineResult struct {
 // cooperate only on vectorized getKV/storeKV (paper §4.2). Splitting a
 // key run across two warps yields partial combines — the relaxed
 // functional equivalence the paper describes, which the reducers restore.
-func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
+func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host *bytecode.LaunchPoint,
 	store *KVStore, partitions [][]int32, opts Options) (*CombineResult, error) {
 
 	spec := comp.Kernel
@@ -55,7 +54,8 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host []*interp
 		warpsPerBlock = 1
 	}
 
-	shared := sharedBindings(comp, host, opts)
+	// Every partition's launch runs the same kernel image.
+	l := newKernelLaunch(comp, host, opts, interp.SpaceShared, combineIntrinsics(store, comp.Schema, opts))
 	res := &CombineResult{Partitions: make([][]kv.Pair, len(partitions))}
 	for p, slots := range partitions {
 		if len(slots) == 0 {
@@ -76,13 +76,13 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host []*interp
 			if hi > len(slots) {
 				hi = len(slots)
 			}
-			out, cycles, bd, err := runCombineWarp(dev, comp, host, shared, store, slots[lo:hi], opts)
+			w, err := runCombineWarp(dev, l, slots[lo:hi])
 			if err != nil {
 				return nil, err
 			}
-			res.Partitions[p] = append(res.Partitions[p], out...)
-			warpCycles = append(warpCycles, cycles)
-			res.Breakdown.Add(bd)
+			res.Partitions[p] = append(res.Partitions[p], w.output...)
+			warpCycles = append(warpCycles, w.Cycles)
+			res.Breakdown.Add(w.Breakdown)
 			res.Warps++
 		}
 		// Group warps into blocks; a block finishes with its slowest warp.
@@ -109,93 +109,86 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host []*interp
 	return res, nil
 }
 
-// combineWarp is the execution state of one warp-chunk.
+// combineWarp is the execution state of one warp-chunk. It is its
+// machine's cost sink, through which the launch's intrinsics find it.
 type combineWarp struct {
-	cost   *gpu.ThreadCost
+	gpu.ThreadCost
 	slots  []int32
 	next   int
 	output []kv.Pair
 }
 
 // runCombineWarp executes the combiner region once (warp-redundantly) over
-// a chunk of a sorted partition, on one VM, returning the warp's output,
-// total cycles, and per-space cycle breakdown.
-func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
-	shared []*interp.Object, store *KVStore, slots []int32, opts Options) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
-
-	spec := comp.Kernel
-	w := &combineWarp{cost: gpu.NewThreadCost(&dev.Config), slots: slots}
-	w.cost.Op(32) // combineSetup
-
-	mapSchema := store.Schema
-	outSchema := comp.Schema
-	m := interp.New(spec.Prog, interp.Options{
-		Cost:         w.cost,
-		DefaultSpace: interp.SpaceShared,
-		SpaceFor: func(sym *minic.Symbol) interp.MemSpace {
-			if sym.Type != nil && sym.Type.Kind == minic.TypeArray {
-				return interp.SpaceShared
-			}
-			return interp.SpaceReg
-		},
-		Intrinsics: map[string]interp.Builtin{
-			// getKV(&keyin, &valuein): load the next KV pair of the chunk
-			// through the indirection array. Lanes load cooperatively when
-			// vectorization is on.
-			"getKV": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
-				if len(args) != 2 {
-					return interp.Value{}, fmt.Errorf("gpurt: getKV wants (keyin, valuein)")
-				}
-				if w.next >= len(w.slots) {
-					return interp.IntVal(-1), nil
-				}
-				pair := store.SlotPair(int(w.slots[w.next]))
-				w.next++
-				if err := writeBack(args[0], pair.Key); err != nil {
-					return interp.Value{}, fmt.Errorf("gpurt: getKV key: %w", err)
-				}
-				if err := writeBack(args[1], pair.Val); err != nil {
-					return interp.Value{}, fmt.Errorf("gpurt: getKV value: %w", err)
-				}
-				chargeKVBytes(w.cost, mapSchema.SlotKeyLen(), opts.VectorCombine)
-				chargeKVBytes(w.cost, mapSchema.SlotValLen(), opts.VectorCombine)
-				w.cost.Op(6) // indirection fetch
-				return interp.IntVal(2), nil
-			},
-			// storeKV(key, value): append a combined pair to the warp's
-			// output region.
-			"storeKV": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
-				if len(args) != 2 {
-					return interp.Value{}, fmt.Errorf("gpurt: storeKV wants (key, value)")
-				}
-				key, err := valueOf(outSchema.KeyKind, args[0])
-				if err != nil {
-					return interp.Value{}, fmt.Errorf("gpurt: storeKV key: %w", err)
-				}
-				val, err := valueOf(outSchema.ValKind, args[1])
-				if err != nil {
-					return interp.Value{}, fmt.Errorf("gpurt: storeKV value: %w", err)
-				}
-				w.output = append(w.output, kv.Pair{Key: key, Val: val})
-				chargeKVBytes(w.cost, outSchema.SlotKeyLen(), opts.VectorCombine)
-				chargeKVBytes(w.cost, outSchema.SlotValLen(), opts.VectorCombine)
-				w.cost.Op(8)
-				return interp.Value{}, nil
-			},
-			"strcmpGPU": strCmpGPU(w.cost, opts.VectorCombine),
-			"strcpyGPU": strCpyGPU(w.cost, opts.VectorCombine),
-			"strlenGPU": strLenGPU(w.cost, opts.VectorCombine),
-		},
-	})
-	// Private arrays of combine kernels live in shared memory (paper §4.2).
-	vm, err := bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, host, shared, interp.SpaceShared))
+// a chunk of a sorted partition, on one VM, and returns the warp, which
+// holds its output, total cycles, and per-space cycle breakdown.
+func runCombineWarp(dev *gpu.Device, l *kernelLaunch, slots []int32) (*combineWarp, error) {
+	w := &combineWarp{ThreadCost: *gpu.NewThreadCost(&dev.Config), slots: slots}
+	w.Op(32) // combineSetup
+	vm, err := l.bind(w)
 	if err != nil {
-		return nil, 0, gpu.CycleBreakdown{}, fmt.Errorf("gpurt: combine kernel: %w", err)
+		return nil, fmt.Errorf("gpurt: combine kernel: %w", err)
 	}
 	if _, _, err := vm.Run(compiler.EntryRegion); err != nil {
-		return nil, 0, gpu.CycleBreakdown{}, err
+		return nil, err
 	}
-	return w.output, w.cost.Cycles, w.cost.Breakdown, nil
+	return w, nil
+}
+
+// combineIntrinsics binds the GPU runtime functions of one combine
+// launch over a KV store of map output. They find the calling warp
+// through their machine's cost sink.
+func combineIntrinsics(store *KVStore, outSchema kv.Schema, opts Options) map[string]interp.Builtin {
+	mapSchema := store.Schema
+	return map[string]interp.Builtin{
+		// getKV(&keyin, &valuein): load the next KV pair of the chunk
+		// through the indirection array. Lanes load cooperatively when
+		// vectorization is on.
+		"getKV": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
+			if len(args) != 2 {
+				return interp.Value{}, fmt.Errorf("gpurt: getKV wants (keyin, valuein)")
+			}
+			w := m.Cost().(*combineWarp)
+			if w.next >= len(w.slots) {
+				return interp.IntVal(-1), nil
+			}
+			pair := store.SlotPair(int(w.slots[w.next]))
+			w.next++
+			if err := writeBack(args[0], pair.Key); err != nil {
+				return interp.Value{}, fmt.Errorf("gpurt: getKV key: %w", err)
+			}
+			if err := writeBack(args[1], pair.Val); err != nil {
+				return interp.Value{}, fmt.Errorf("gpurt: getKV value: %w", err)
+			}
+			chargeKVBytes(w, mapSchema.SlotKeyLen(), opts.VectorCombine)
+			chargeKVBytes(w, mapSchema.SlotValLen(), opts.VectorCombine)
+			w.Op(6) // indirection fetch
+			return interp.IntVal(2), nil
+		},
+		// storeKV(key, value): append a combined pair to the warp's
+		// output region.
+		"storeKV": func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
+			if len(args) != 2 {
+				return interp.Value{}, fmt.Errorf("gpurt: storeKV wants (key, value)")
+			}
+			key, err := valueOf(outSchema.KeyKind, args[0])
+			if err != nil {
+				return interp.Value{}, fmt.Errorf("gpurt: storeKV key: %w", err)
+			}
+			val, err := valueOf(outSchema.ValKind, args[1])
+			if err != nil {
+				return interp.Value{}, fmt.Errorf("gpurt: storeKV value: %w", err)
+			}
+			w := m.Cost().(*combineWarp)
+			w.output = append(w.output, kv.Pair{Key: key, Val: val})
+			chargeKVBytes(w, outSchema.SlotKeyLen(), opts.VectorCombine)
+			chargeKVBytes(w, outSchema.SlotValLen(), opts.VectorCombine)
+			w.Op(8)
+			return interp.Value{}, nil
+		},
+		"strcmpGPU": strCmpGPU(opts.VectorCombine),
+		"strcpyGPU": strCpyGPU(opts.VectorCombine),
+		"strlenGPU": strLenGPU(opts.VectorCombine),
+	}
 }
 
 // writeBack stores a typed KV value through a destination pointer (a char

@@ -51,25 +51,57 @@ func Baseline() Options { return Options{} }
 // kernel launch point: the paper's generated host code reaches the region
 // with all firstprivate/sharedRO values computed; we capture them by
 // running the kernel program's host part (<init>, then main) on the VM up
-// to the region. It returns the host's object for each free symbol of the
-// kernel program, indexed by kernel slot (bytecode.Program.Free).
-func captureHost(comp *compiler.Compiled, stdout io.Writer) ([]*interp.Object, error) {
+// to the region. It returns the host's objects for the kernel program's
+// free symbols and globals there.
+func captureHost(comp *compiler.Compiled, stdout io.Writer) (*bytecode.LaunchPoint, error) {
 	m := interp.New(comp.Kernel.Prog, interp.Options{Stdout: stdout})
-	objs, err := bytecode.NewVM(m, comp.KernelVM).Launch()
+	lp, err := bytecode.NewVM(m, comp.KernelVM).Launch()
 	if err != nil {
 		return nil, fmt.Errorf("gpurt: host program failed: %w", err)
 	}
-	if objs == nil {
+	if lp == nil {
 		return nil, fmt.Errorf("gpurt: host program never reached its mapreduce region")
 	}
-	return objs, nil
+	return lp, nil
 }
 
-// sharedBindings builds the objects shared by all threads, indexed by
-// kernel slot: sharedRO scalars (constant memory) and arrays (global or
-// texture).
-func sharedBindings(comp *compiler.Compiled, host []*interp.Object, opts Options) []*interp.Object {
-	out := make([]*interp.Object, len(host))
+// kernelLaunch is what every simulated thread (or warp) of one kernel
+// launch shares, read-only, across threadblock goroutines: the kernel's
+// image, the host's objects at the launch point, the objects all threads
+// share, and a thread's machine options, all but its cost sink.
+type kernelLaunch struct {
+	comp    *compiler.Compiled
+	img     *bytecode.Image
+	host    []*interp.Object // by kernel slot
+	shared  []*interp.Object // by kernel slot: the sharedRO objects
+	machine interp.Options
+}
+
+// newKernelLaunch links comp's kernel program for one launch, with the
+// GPU runtime functions intrinsics. A thread places its arrays in
+// arraySpace (§4.2 puts combiner private arrays in shared memory) and its
+// scalars in registers. sharedRO scalars go to constant memory, arrays to
+// global or texture memory, as the host's cells, which no thread writes.
+func newKernelLaunch(comp *compiler.Compiled, host *bytecode.LaunchPoint, opts Options,
+	arraySpace interp.MemSpace, intrinsics map[string]interp.Builtin) *kernelLaunch {
+
+	machine := interp.Options{
+		DefaultSpace: arraySpace,
+		SpaceFor: func(sym *minic.Symbol) interp.MemSpace {
+			if sym.Type != nil && sym.Type.Kind == minic.TypeArray {
+				return arraySpace
+			}
+			return interp.SpaceReg
+		},
+		Intrinsics: intrinsics,
+	}
+	l := &kernelLaunch{
+		comp:    comp,
+		img:     bytecode.NewImage(interp.New(comp.Kernel.Prog, machine), comp.KernelVM, host.Globals),
+		host:    host.Slots,
+		shared:  make([]*interp.Object, len(host.Slots)),
+		machine: machine,
+	}
 	for _, f := range comp.KernelVM.Free {
 		var space interp.MemSpace
 		switch comp.Kernel.Plan[f.Sym] {
@@ -86,79 +118,59 @@ func sharedBindings(comp *compiler.Compiled, host []*interp.Object, opts Options
 		default:
 			continue
 		}
-		// Retag the host object's storage with the device space; the data
-		// itself was cudaMemcpy'd in (cells are shared, read-only).
-		h := host[f.Slot]
-		out[f.Slot] = &interp.Object{Cells: h.Cells, Elem: h.Elem, Space: space, Name: h.Name}
+		h := host.Slots[f.Slot]
+		l.shared[f.Slot] = &interp.Object{Cells: h.Cells, Elem: h.Elem, Space: space, Name: h.Name}
 	}
-	return out
+	return l
 }
 
-// privateBindings builds one thread's (or warp's) kernel slots: the
-// launch's shared objects, plus fresh private and firstprivate objects.
-// arraySpace is SpaceLocal for map kernels and SpaceShared for combine
-// kernels (paper §4.2 places combiner private arrays in shared memory).
-func privateBindings(comp *compiler.Compiled, host, shared []*interp.Object, arraySpace interp.MemSpace) []*interp.Object {
-	out := make([]*interp.Object, len(shared))
-	copy(out, shared)
-	for _, f := range comp.KernelVM.Free {
-		cls := comp.Kernel.Plan[f.Sym]
+// bind builds the VM of one thread or warp whose cost sink is sink: its
+// own machine and globals, and kernel slots holding the launch's shared
+// objects plus fresh private and firstprivate ones.
+func (l *kernelLaunch) bind(sink interp.CostSink) (*bytecode.FragmentVM, error) {
+	objs := make([]*interp.Object, len(l.shared))
+	copy(objs, l.shared)
+	for _, f := range l.comp.KernelVM.Free {
+		cls := l.comp.Kernel.Plan[f.Sym]
 		if cls != compiler.ClassPrivate && cls != compiler.ClassFirstPrivate {
 			continue
 		}
-		h := host[f.Slot]
+		h := l.host[f.Slot]
 		space := interp.SpaceReg
 		if len(h.Cells) > 1 {
-			space = arraySpace
+			space = l.machine.DefaultSpace
 		}
 		obj := interp.NewObject(f.Sym.Name, h.Elem, len(h.Cells), space)
 		if cls == compiler.ClassFirstPrivate {
 			copy(obj.Cells, h.Cells)
 		}
-		out[f.Slot] = obj
+		objs[f.Slot] = obj
 	}
-	return out
+	opts := l.machine
+	opts.Cost = sink
+	return bytecode.NewFragmentVM(interp.New(l.comp.Kernel.Prog, opts), l.img, objs)
 }
 
-// threadSpaceFor places region-local declarations: arrays in local memory,
-// scalars in registers.
-func threadSpaceFor(sym *minic.Symbol) interp.MemSpace {
-	if sym.Type != nil && sym.Type.Kind == minic.TypeArray {
-		return interp.SpaceLocal
-	}
-	return interp.SpaceReg
-}
-
-// mapThread is one simulated GPU thread of the map kernel.
+// mapThread is one simulated GPU thread of the map kernel. It is its
+// machine's cost sink, through which the launch's intrinsics find it.
 type mapThread struct {
-	id   int // global thread id (block*threadsPerBlock + lane)
-	cost *gpu.ThreadCost
+	gpu.ThreadCost
+	id int // global thread id (block*threadsPerBlock + lane)
 	// vm runs the kernel program's condition and body entries.
-	vm      *bytecode.FragmentVM
-	pending int // granted record index, -1 = none
+	vm *bytecode.FragmentVM
+	// pending is the record the next getRecord returns, nil for none.
+	pending *Record
 	ran     bool
 }
 
-// newMapThread builds map thread id of a launch: its machine with the GPU
-// map intrinsics over records, fresh private copies of the host objects,
-// and one VM for the kernel program. It charges the mapSetup overhead.
-func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
-	shared []*interp.Object, ipObj *interp.Object,
-	records []Record, store *KVStore, opts Options) (*mapThread, error) {
-
-	t := &mapThread{id: id, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-	m := interp.New(comp.Kernel.Prog, interp.Options{
-		Cost:         t.cost,
-		DefaultSpace: interp.SpaceLocal,
-		SpaceFor:     threadSpaceFor,
-		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
-	})
-	var err error
-	if t.vm, err = bytecode.NewFragmentVM(m, comp.KernelVM, privateBindings(comp, host, shared, interp.SpaceLocal)); err != nil {
-		return nil, fmt.Errorf("gpurt: map kernel: %w", err)
-	}
-	t.cost.Op(24) // mapSetup overhead
-	return t, nil
+// mapLaunch is one map kernel launch: what its threads share, and the
+// device, KV store and launch geometry they run with.
+type mapLaunch struct {
+	*kernelLaunch
+	cfg     *gpu.DeviceConfig
+	store   *KVStore
+	tpb     int // threads per block
+	kvBound int
 }
 
 // pickThread returns the thread that steals the next record: the
@@ -173,13 +185,13 @@ func pickThread(threads []*mapThread, store *KVStore, kvBound int) (*mapThread, 
 		if store.Remaining(t.id) < kvBound {
 			continue
 		}
-		if pick == nil || t.cost.Cycles < pick.cost.Cycles {
+		if pick == nil || t.Cycles < pick.Cycles {
 			pick = t
 		}
 	}
 	if pick == nil {
 		for _, t := range threads {
-			if store.Remaining(t.id) > 0 && (pick == nil || t.cost.Cycles < pick.cost.Cycles) {
+			if store.Remaining(t.id) > 0 && (pick == nil || t.Cycles < pick.Cycles) {
 				pick = t
 			}
 		}
@@ -191,7 +203,7 @@ func pickThread(threads []*mapThread, store *KVStore, kvBound int) (*mapThread, 
 }
 
 // run executes one iteration of the region loop on granted record rec.
-func (t *mapThread) run(rec int) error {
+func (t *mapThread) run(rec *Record) error {
 	t.pending = rec
 	t.ran = true
 	v, _, err := t.vm.Run(compiler.EntryCond)
@@ -212,11 +224,11 @@ func (t *mapThread) finish() error {
 	if !t.ran {
 		return nil
 	}
-	t.pending = -1
+	t.pending = nil
 	if _, _, err := t.vm.Run(compiler.EntryCond); err != nil {
 		return err
 	}
-	t.cost.Op(16) // mapFinish bookkeeping
+	t.Op(16) // mapFinish bookkeeping
 	return nil
 }
 
@@ -242,14 +254,13 @@ type MapKernelResult struct {
 // opts.RecordStealing is on, emulated deterministically by always granting
 // the next record to the least-loaded thread — the thread that would reach
 // the shared-memory counter first.
-func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
+func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, host *bytecode.LaunchPoint,
 	input []byte, records []Record, store *KVStore, opts Options) (*MapKernelResult, error) {
 
 	spec := comp.Kernel
 	if spec.Kind != compiler.RegionMapper {
 		return nil, fmt.Errorf("gpurt: ExecMapKernel on a %v kernel", spec.Kind)
 	}
-	shared := sharedBindings(comp, host, opts)
 	// The input fileSplit lives in device global memory.
 	ipObj := interp.NewObject("ip", minic.CharType, len(input)+1, interp.SpaceGlobal)
 	for i, b := range input {
@@ -265,49 +276,35 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Obje
 	if kvBound <= 0 {
 		kvBound = 1
 	}
-
-	if opts.RecordStealing && opts.GlobalStealing {
-		return execMapKernelGlobalSteal(dev, comp, host, shared, ipObj, records, store, opts, blocks, tpb, kvBound)
+	l := &mapLaunch{
+		kernelLaunch: newKernelLaunch(comp, host, opts, interp.SpaceLocal, mapIntrinsics(ipObj, store, comp.Schema, opts)),
+		cfg:          &dev.Config,
+		store:        store,
+		tpb:          tpb,
+		kvBound:      kvBound,
 	}
 
-	perBlock := (len(records) + blocks - 1) / blocks
-	blockCycles := make([]float64, blocks)
-	blockErrs := make([]error, blocks)
-	blockSteals := make([]int64, blocks)
-	blockBreakdowns := make([]gpu.CycleBreakdown, blocks)
-
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		lo := b * perBlock
-		if lo >= len(records) {
-			break
-		}
-		hi := lo + perBlock
-		if hi > len(records) {
-			hi = len(records)
-		}
-		wg.Add(1)
-		//detlint:ignore bare-goroutine: each block writes only its own slots, and the results merge in block order
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			cycles, bd, steals, err := runMapBlock(dev, comp, host, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)
-			blockCycles[b] = cycles
-			blockSteals[b] = steals
-			blockBreakdowns[b] = bd
-			blockErrs[b] = err
-		}(b, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range blockErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var steals int64
+	var blockCycles []float64
 	var breakdown gpu.CycleBreakdown
-	for b, s := range blockSteals {
-		steals += s
-		breakdown.Add(blockBreakdowns[b])
+	var steals int64
+	var err error
+	if opts.RecordStealing && opts.GlobalStealing {
+		// The stealing-granularity ablation: one device-wide record queue
+		// balances the blocks, but each steal serializes on its global
+		// counter (modeled linearly in the thread count, floored at 1).
+		lanes := min(blocks*tpb, len(records))
+		contention := int(max(float64(lanes)/float64(dev.Config.WarpSize), 1))
+		blockCycles = make([]float64, (lanes+tpb-1)/tpb)
+		breakdown, steals, err = l.runLanes(records, 0, lanes, blockCycles, func(t *mapThread) {
+			for i := 0; i < contention; i++ {
+				t.Atomic(interp.SpaceGlobal)
+			}
+		})
+	} else {
+		blockCycles, breakdown, steals, err = l.runBlocks(records, blocks, opts.RecordStealing)
+	}
+	if err != nil {
+		return nil, err
 	}
 	sched := dev.AggregateBlocksProfile(blockCycles)
 	return &MapKernelResult{
@@ -322,68 +319,97 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Obje
 	}, nil
 }
 
-// runMapBlock executes one threadblock's share of the records and returns
-// its total cycles (the max over its threads) plus the block's summed
-// per-space cycle breakdown.
-func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, host []*interp.Object,
-	shared []*interp.Object, ipObj *interp.Object,
-	records []Record, store *KVStore, opts Options,
-	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
-
-	threads := make([]*mapThread, 0, tpb)
-	lanes := tpb
-	if lanes > len(records) {
-		lanes = len(records)
+// runBlocks splits the records statically across the launch's
+// threadblocks and runs each block's share on its own goroutine, its
+// threads stealing through the block's shared-memory record counter when
+// stealing is on. It returns every block's cycles, the per-space cycle
+// breakdown summed block by block, and the steals.
+func (l *mapLaunch) runBlocks(records []Record, blocks int, stealing bool) ([]float64, gpu.CycleBreakdown, int64, error) {
+	var steal func(*mapThread)
+	if stealing {
+		steal = func(t *mapThread) { t.Atomic(interp.SpaceShared) }
 	}
-	for lane := 0; lane < lanes; lane++ {
-		t, err := newMapThread(block*tpb+lane, dev, comp, host, shared, ipObj, records, store, opts)
+	perBlock := (len(records) + blocks - 1) / blocks
+	blockCycles := make([]float64, blocks)
+	blockErrs := make([]error, blocks)
+	blockSteals := make([]int64, blocks)
+	blockBreakdowns := make([]gpu.CycleBreakdown, blocks)
+
+	var wg sync.WaitGroup
+	for b := 0; b < blocks; b++ {
+		lo := b * perBlock
+		if lo >= len(records) {
+			break
+		}
+		hi := min(lo+perBlock, len(records))
+		wg.Add(1)
+		//detlint:ignore bare-goroutine: each block writes only its own slots, and the results merge in block order
+		go func(b, lo, hi int) {
+			defer wg.Done()
+			blockBreakdowns[b], blockSteals[b], blockErrs[b] = l.runLanes(records[lo:hi], b*l.tpb, min(l.tpb, hi-lo), blockCycles[b:b+1], steal)
+		}(b, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range blockErrs {
 		if err != nil {
-			return 0, gpu.CycleBreakdown{}, 0, err
+			return nil, gpu.CycleBreakdown{}, 0, err
 		}
-		threads = append(threads, t)
 	}
-
 	var steals int64
-	if opts.RecordStealing {
-		// Dynamic distribution through the shared-memory record counter.
-		for rec := 0; rec < len(records); rec++ {
-			pick, err := pickThread(threads, store, kvBound)
-			if err != nil {
-				return 0, gpu.CycleBreakdown{}, 0, err
-			}
-			pick.cost.Atomic(interp.SpaceShared) // recordIndex counter
-			steals++
-			if err := pick.run(rec); err != nil {
-				return 0, gpu.CycleBreakdown{}, 0, err
-			}
-		}
-	} else {
-		// Static partitioning: record i goes to lane i % lanes.
-		for rec := 0; rec < len(records); rec++ {
-			if err := threads[rec%lanes].run(rec); err != nil {
-				return 0, gpu.CycleBreakdown{}, 0, err
-			}
-		}
-	}
-
-	maxCycles := 0.0
 	var breakdown gpu.CycleBreakdown
-	for _, t := range threads {
-		if err := t.finish(); err != nil {
-			return 0, gpu.CycleBreakdown{}, 0, err
-		}
-		if t.cost.Cycles > maxCycles {
-			maxCycles = t.cost.Cycles
-		}
-		breakdown.Add(t.cost.Breakdown)
+	for b, s := range blockSteals {
+		steals += s
+		breakdown.Add(blockBreakdowns[b])
 	}
-	return maxCycles, breakdown, steals, nil
+	return blockCycles, breakdown, steals, nil
 }
 
-// mapIntrinsics binds the GPU runtime functions for one map thread.
-func mapIntrinsics(t *mapThread, ipObj *interp.Object, records []Record,
-	store *KVStore, schema kv.Schema, opts Options) map[string]interp.Builtin {
+// runLanes runs records on the launch's threads first..first+n-1. With a
+// nil steal, record i goes to lane i % n; otherwise each record goes to
+// the least-loaded thread, which steal charges for the atomic that won
+// it. The threads group in lane order into threadblocks of tpb: runLanes
+// writes each block's cycles (its slowest thread's) into blockCycles and
+// returns the threads' per-space cycle breakdown, summed lane by lane,
+// and the steals.
+func (l *mapLaunch) runLanes(records []Record, first, n int, blockCycles []float64, steal func(*mapThread)) (gpu.CycleBreakdown, int64, error) {
+	threads := make([]*mapThread, n)
+	var err error
+	for i := range threads {
+		t := &mapThread{ThreadCost: *gpu.NewThreadCost(l.cfg), id: first + i}
+		if t.vm, err = l.bind(t); err != nil {
+			return gpu.CycleBreakdown{}, 0, fmt.Errorf("gpurt: map kernel: %w", err)
+		}
+		t.Op(24) // mapSetup overhead
+		threads[i] = t
+	}
+	var steals int64
+	for rec := range records {
+		pick := threads[rec%n]
+		if steal != nil {
+			if pick, err = pickThread(threads, l.store, l.kvBound); err != nil {
+				return gpu.CycleBreakdown{}, 0, err
+			}
+			steal(pick)
+			steals++
+		}
+		if err := pick.run(&records[rec]); err != nil {
+			return gpu.CycleBreakdown{}, 0, err
+		}
+	}
+	var breakdown gpu.CycleBreakdown
+	for i, t := range threads {
+		if err := t.finish(); err != nil {
+			return gpu.CycleBreakdown{}, 0, err
+		}
+		blockCycles[i/l.tpb] = max(blockCycles[i/l.tpb], t.Cycles)
+		breakdown.Add(t.Breakdown)
+	}
+	return breakdown, steals, nil
+}
 
+// mapIntrinsics binds the GPU runtime functions of one map launch. They
+// find the calling thread through their machine's cost sink.
+func mapIntrinsics(ipObj *interp.Object, store *KVStore, schema kv.Schema, opts Options) map[string]interp.Builtin {
 	return map[string]interp.Builtin{
 		// getRecord(&line): point *line at the granted record inside the
 		// input buffer and return its length, or -1 when the thread has no
@@ -392,13 +418,14 @@ func mapIntrinsics(t *mapThread, ipObj *interp.Object, records []Record,
 			if len(args) < 1 || args[0].Kind != interp.ValPtr || !args[0].P.InBounds() {
 				return interp.Value{}, fmt.Errorf("gpurt: getRecord needs &line")
 			}
-			if t.pending < 0 {
+			t := m.Cost().(*mapThread)
+			rec := t.pending
+			if rec == nil {
 				return interp.IntVal(-1), nil
 			}
-			rec := records[t.pending]
-			t.pending = -1
+			t.pending = nil
 			args[0].P.Obj.Cells[args[0].P.Off] = interp.PtrVal(interp.Pointer{Obj: ipObj, Off: int(rec.Start)})
-			t.cost.Op(6)
+			t.Op(6)
 			return interp.IntVal(int64(rec.Len)), nil
 		},
 		// emitKV(key, value): serialize into the thread's KV store portion.
@@ -414,17 +441,18 @@ func mapIntrinsics(t *mapThread, ipObj *interp.Object, records []Record,
 			if err != nil {
 				return interp.Value{}, fmt.Errorf("gpurt: emitKV value: %w", err)
 			}
+			t := m.Cost().(*mapThread)
 			if _, err := store.Emit(t.id, key, val); err != nil {
 				return interp.Value{}, err
 			}
-			chargeKVBytes(t.cost, schema.SlotKeyLen(), opts.VectorMap)
-			chargeKVBytes(t.cost, schema.SlotValLen(), opts.VectorMap)
-			t.cost.Op(8) // partition hash + index bookkeeping
+			chargeKVBytes(t, schema.SlotKeyLen(), opts.VectorMap)
+			chargeKVBytes(t, schema.SlotValLen(), opts.VectorMap)
+			t.Op(8) // partition hash + index bookkeeping
 			return interp.Value{}, nil
 		},
-		"strcmpGPU": strCmpGPU(t.cost, opts.VectorMap),
-		"strcpyGPU": strCpyGPU(t.cost, opts.VectorMap),
-		"strlenGPU": strLenGPU(t.cost, opts.VectorMap),
+		"strcmpGPU": strCmpGPU(opts.VectorMap),
+		"strcpyGPU": strCpyGPU(opts.VectorMap),
+		"strlenGPU": strLenGPU(opts.VectorMap),
 	}
 }
 
@@ -445,9 +473,17 @@ func valueOf(kind kv.Kind, v interp.Value) (kv.Value, error) {
 	}
 }
 
+// kernelCost is the cost model a map thread or a combine warp embeds:
+// what the GPU intrinsics charge, through their machine's cost sink.
+type kernelCost interface {
+	Load(space interp.MemSpace, width int)
+	CoalescedAccess(n, width int)
+	StridedAccess(n int)
+}
+
 // chargeKVBytes charges a KV field's global-memory traffic, vectorized
 // (char4 transactions) or strided.
-func chargeKVBytes(cost *gpu.ThreadCost, n int, vectorized bool) {
+func chargeKVBytes(cost kernelCost, n int, vectorized bool) {
 	if vectorized {
 		cost.CoalescedAccess(n, 4)
 	} else {
@@ -458,7 +494,7 @@ func chargeKVBytes(cost *gpu.ThreadCost, n int, vectorized bool) {
 // strCmpGPU, strCpyGPU, strLenGPU are the GPU string intrinsics the
 // translator substitutes; functionally identical to the C versions but
 // charged per the vectorization model.
-func strCmpGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
+func strCmpGPU(vectorized bool) interp.Builtin {
 	return func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
 		a, b, err := twoPtrs(args, "strcmpGPU")
 		if err != nil {
@@ -469,6 +505,7 @@ func strCmpGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
 		if len(sb) > n {
 			n = len(sb)
 		}
+		cost := m.Cost().(kernelCost)
 		chargeStringAccess(cost, a, n+1, vectorized)
 		chargeStringAccess(cost, b, n+1, vectorized)
 		switch {
@@ -481,7 +518,7 @@ func strCmpGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
 	}
 }
 
-func strCpyGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
+func strCpyGPU(vectorized bool) interp.Builtin {
 	return func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
 		dst, src, err := twoPtrs(args, "strcpyGPU")
 		if err != nil {
@@ -489,19 +526,20 @@ func strCpyGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
 		}
 		s := interp.ReadCString(src)
 		interp.WriteCString(dst, s)
+		cost := m.Cost().(kernelCost)
 		chargeStringAccess(cost, src, len(s)+1, vectorized)
 		chargeStringAccess(cost, dst, len(s)+1, vectorized)
 		return args[0], nil
 	}
 }
 
-func strLenGPU(cost *gpu.ThreadCost, vectorized bool) interp.Builtin {
+func strLenGPU(vectorized bool) interp.Builtin {
 	return func(m *interp.Machine, args []interp.Value) (interp.Value, error) {
 		if len(args) != 1 || args[0].Kind != interp.ValPtr || args[0].P.IsNull() {
 			return interp.Value{}, fmt.Errorf("gpurt: strlenGPU wants a string pointer")
 		}
 		s := interp.ReadCString(args[0].P)
-		chargeStringAccess(cost, args[0].P, len(s)+1, vectorized)
+		chargeStringAccess(m.Cost().(kernelCost), args[0].P, len(s)+1, vectorized)
 		return interp.IntVal(int64(len(s))), nil
 	}
 }
@@ -517,7 +555,7 @@ func twoPtrs(args []interp.Value, fn string) (a, b interp.Pointer, err error) {
 // chargeStringAccess charges n bytes touched at p: vectorized char4
 // transactions when enabled, otherwise per-byte at the object's memory
 // space cost.
-func chargeStringAccess(cost *gpu.ThreadCost, p interp.Pointer, n int, vectorized bool) {
+func chargeStringAccess(cost kernelCost, p interp.Pointer, n int, vectorized bool) {
 	if vectorized {
 		cost.CoalescedAccess(n, 4)
 		return

@@ -46,10 +46,13 @@ int main() {
 }`
 
 // globalsSrc is a mapper that reads file-scope globals in its region and
-// in a callee. Every simulated thread runs the initializers, so their
-// charges, a builtin call and a program-function call among them, land in
-// each thread's cost before the region runs. mix is long enough that the
-// order of its charges shows in the M2090's cycle bits.
+// in a callee. The initializers, a builtin call and a program-function
+// call among them, run once, on the host, and charge no thread. The
+// region reads the globals as free symbols, and the callee reads its
+// thread's copy of the host's globals at the launch point, whose tag
+// points at the host's literal: probe's strlen charges its load in host
+// memory, at the global-memory cost. mix is long enough that the order
+// of its charges would show in the M2090's cycle bits.
 const globalsSrc = `
 double root2 = sqrt(2.0);
 int base = 4;

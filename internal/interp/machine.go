@@ -245,9 +245,9 @@ type errExit struct{ code int }
 func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 
 // Machine holds the state of one MiniC program run: object memory,
-// globals, interned literals, the builtin table, the streams, the cost
-// sink and the step budget. Machines are not safe for concurrent use;
-// create one per simulated thread.
+// interned literals, the builtin table, the streams, the cost sink and
+// the step budget. Machines are not safe for concurrent use; create one
+// per simulated thread.
 type Machine struct {
 	Prog *minic.Program
 
@@ -258,9 +258,8 @@ type Machine struct {
 	space      MemSpace
 	spaceFor   func(sym *minic.Symbol) MemSpace
 
-	// globals and literals are created on first use: most simulated GPU
-	// threads define no global and intern no literal.
-	globals  map[*minic.Symbol]*Object
+	// literals is created on first use: most simulated GPU threads
+	// intern no literal.
 	literals map[string]*Object
 
 	steps    int64

@@ -8,25 +8,11 @@ import (
 
 // Hooks for the executors: the bytecode VM (package bytecode), and the
 // reference walker its tests compare it against (package interp/walker).
-// An executor runs code but delegates everything stateful — object
-// memory, globals, string literals, the builtin table, cost charging, the
-// step budget — to a Machine, so both share one runtime and produce
-// identical observable behavior (output bytes, cost totals, step counts,
-// error strings).
-
-// DefineGlobal installs obj as the storage of the file-scope variable
-// sym. A program's file-scope initializers define each global in
-// declaration order, once its initializer has run.
-func (m *Machine) DefineGlobal(sym *minic.Symbol, obj *Object) {
-	if m.globals == nil {
-		m.globals = map[*minic.Symbol]*Object{}
-	}
-	m.globals[sym] = obj
-}
-
-// GlobalObject returns the storage of a file-scope variable, or nil
-// before its definition.
-func (m *Machine) GlobalObject(sym *minic.Symbol) *Object { return m.globals[sym] }
+// An executor runs code and keeps its globals' objects, but delegates all
+// other state — object memory, string literals, the builtin table, cost
+// charging, the step budget — to a Machine, so both share one runtime and
+// produce identical observable behavior (output bytes, cost totals, step
+// counts, error strings).
 
 // Cost returns the active cost sink (for intrinsics that charge custom
 // costs).

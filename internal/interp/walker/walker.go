@@ -1,9 +1,10 @@
 // Package walker is MiniC's reference evaluator: it executes a checked
 // AST directly, one node at a time, against an interp.Machine, through
-// the same hooks the bytecode VM uses plus Machine.DefineGlobal. Every
-// MiniC stage runs on the VM (package bytecode); the walker is the oracle
-// the VM's parity tests, FuzzVMParity and the 220-seed stage check compare
-// it against, so only _test.go files import this package.
+// the same hooks the bytecode VM uses, and keeps the globals' objects
+// itself, as the VM does. Every MiniC stage runs on the VM (package
+// bytecode); the walker is the oracle the VM's parity tests, FuzzVMParity
+// and the 220-seed stage check compare it against, so only _test.go files
+// import this package.
 //
 // The walker defines the abstract cost the VM must charge: one step and
 // one op per executed statement, one op on entering each expression
@@ -25,12 +26,15 @@ import (
 type Walker struct {
 	m    *interp.Machine
 	cost interp.CostSink
-	// inited records that the file-scope initializers ran.
-	inited bool
+	// inited records that the initializers ran, defining globals.
+	inited  bool
+	globals map[*minic.Symbol]*interp.Object
 }
 
 // New returns a walker over m.
-func New(m *interp.Machine) *Walker { return &Walker{m: m, cost: m.Cost()} }
+func New(m *interp.Machine) *Walker {
+	return &Walker{m: m, cost: m.Cost(), globals: map[*minic.Symbol]*interp.Object{}}
+}
 
 // Run runs m's program on a new walker: see Walker.Run.
 func Run(m *interp.Machine) (int, error) { return New(m).Run() }
@@ -252,7 +256,7 @@ func (w *Walker) execDecl(f *frame, d *minic.DeclStmt) (ctrl, error) {
 			w.cost.Store(obj.Space, elem.Size())
 		}
 		if f == nil {
-			w.m.DefineGlobal(decl.Sym, obj)
+			w.globals[decl.Sym] = obj
 		} else {
 			f.vars[decl.Sym] = obj
 		}
@@ -266,7 +270,7 @@ func (w *Walker) lookup(f *frame, sym *minic.Symbol) (*interp.Object, error) {
 			return obj, nil
 		}
 	}
-	if obj := w.m.GlobalObject(sym); obj != nil {
+	if obj := w.globals[sym]; obj != nil {
 		return obj, nil
 	}
 	return nil, fmt.Errorf("interp: unresolved symbol %q", sym.Name)
