@@ -891,9 +891,9 @@ func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*Fragm
 		for i, obj := range f.vm.objs {
 			for j := 0; obj != nil && j < len(obj.Cells); j++ {
 				c := img.globals[i].Cells[j]
-				// A pointer to a global points at the thread's copy.
-				for k, g := range img.globals {
-					if c.Kind == interp.ValPtr && g != nil && c.P.Obj == g {
+				for k := 0; c.Kind == interp.ValPtr && k < len(img.globals); k++ {
+					// A pointer to a global points at the thread's copy.
+					if g := img.globals[k]; g != nil && c.P.Obj == g {
 						c.P.Obj = f.vm.objs[k]
 					}
 				}
