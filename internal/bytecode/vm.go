@@ -45,7 +45,7 @@ type Image struct {
 	Prog    *Program
 	syms    []symInfo // by Syms index
 	linked  []linkedCallee
-	globals []*interp.Object // by Syms index; see NewFragmentVM
+	globals []*interp.Object // by Syms index; see copyGlobals
 }
 
 // symInfo is what the variable opcodes need of one symbol: its storage's
@@ -859,9 +859,8 @@ type FragmentVM struct {
 // objs becomes the entries' object slots: it has one per slot of the
 // kernel's table, and every free slot (Program.Free) must hold an object,
 // or the construction fails. The entries' callees read and write the
-// thread's own copy of the image's globals: a fresh object per global,
-// in the thread's memory space for it, holding the launch point's cells.
-// No thread runs <init>, so initializers charge the device nothing.
+// thread's own copy of the image's globals (see copyGlobals). No thread
+// runs <init>, so initializers charge the device nothing.
 func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*FragmentVM, error) {
 	p := img.Prog
 	if p.Entries == 0 {
@@ -882,26 +881,46 @@ func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*Fragm
 	f := &FragmentVM{fr: vmFrame{regs: make([]interp.Value, regs), objs: objs}}
 	f.vm.bind(m, img)
 	if p.Init >= 0 {
-		f.vm.objs = make([]*interp.Object, len(p.Syms))
-		for i, g := range img.globals {
-			if g != nil {
-				f.vm.objs[i] = interp.NewObject(g.Name, g.Elem, len(g.Cells), img.syms[i].space)
-			}
-		}
-		for i, obj := range f.vm.objs {
-			for j := 0; obj != nil && j < len(obj.Cells); j++ {
-				c := img.globals[i].Cells[j]
-				for k := 0; c.Kind == interp.ValPtr && k < len(img.globals); k++ {
-					// A pointer to a global points at the thread's copy.
-					if g := img.globals[k]; g != nil && c.P.Obj == g {
-						c.P.Obj = f.vm.objs[k]
-					}
-				}
-				obj.Cells[j] = c
-			}
-		}
+		f.vm.copyGlobals(img.globals)
 	}
 	return f, nil
+}
+
+// copyGlobals gives the VM its own copy of the host's globals, by Syms
+// index, and of every object they reach through pointer cells: an object
+// an initializer or main allocated, a literal, one of main's locals. A
+// global's copy is in the machine's memory space for its symbol, any
+// other copy where the machine allocates. Copied pointers keep their
+// offsets and point at the copies, so no write of the VM reaches a host
+// object, and two VMs copying one launch's globals share nothing.
+func (vm *VM) copyGlobals(globals []*interp.Object) {
+	vm.objs = make([]*interp.Object, len(vm.Prog.Syms))
+	copies := map[*interp.Object]*interp.Object{}
+	var todo []*interp.Object // host objects whose copies await their cells
+	for i, g := range globals {
+		if g != nil {
+			vm.objs[i] = interp.NewObject(g.Name, g.Elem, len(g.Cells), vm.syms[i].space)
+			copies[g] = vm.objs[i]
+			todo = append(todo, g)
+		}
+	}
+	for len(todo) > 0 {
+		h := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		cells := copies[h].Cells
+		for j, c := range h.Cells {
+			if c.Kind == interp.ValPtr && c.P.Obj != nil {
+				to, ok := copies[c.P.Obj]
+				if !ok {
+					to = interp.NewObject(c.P.Obj.Name, c.P.Obj.Elem, len(c.P.Obj.Cells), vm.m.DefaultSpace())
+					copies[c.P.Obj] = to
+					todo = append(todo, c.P.Obj)
+				}
+				c.P.Obj = to
+			}
+			cells[j] = c
+		}
+	}
 }
 
 // Run executes entry Fns[entry] once. The bool reports whether a return

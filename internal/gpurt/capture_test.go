@@ -230,23 +230,31 @@ int main() {
 	}
 }
 
-// TestCalleeWritesThroughGlobalPointerStayPerThread: in a thread's copy of
-// the launch's globals, a global that points at a global points at the
-// thread's copy, so a callee's write through it stays the thread's, as a
-// direct write does, and two threadblock goroutines never share the
-// host's object. Each thread here takes one record, so the GPU emits the
-// records themselves, while the CPU accumulates across records (ROADMAP
-// item 6: kernel code that writes a global).
-func TestCalleeWritesThroughGlobalPointerStayPerThread(t *testing.T) {
-	const src = `
-int x = 0;
-int *p = &x;
-int bump(int v) { *p = *p + v; return x; }
+// TestHostCaptureCalleeWritesStayPerThread: a thread's copy of the
+// launch's globals holds its own copy of every object a global reaches
+// through a pointer (another global, an object an initializer allocated,
+// a buffer main allocated, one of main's locals), so a callee's write
+// through the pointer stays the thread's, as a direct write does, and two
+// threadblock goroutines never write a host object (go test -race). Each
+// thread here takes one record, so the GPU emits the records themselves,
+// while the CPU accumulates across records (ROADMAP item 6: kernel code
+// that writes a global).
+func TestHostCaptureCalleeWritesStayPerThread(t *testing.T) {
+	for _, tc := range []struct{ name, globals, setup, ret string }{
+		{"global", "int x = 0;\nint *p = &x;", "", "x"},
+		{"initializer-calloc", "int *p = (int*) calloc(1, sizeof(int));", "", "*p"},
+		{"main-malloc", "int *p;", "p = (int*) malloc(sizeof(int));\n\t*p = 0;", "*p"},
+		{"main-local", "int *p;", "p = &acc;", "*p"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.globals + `
+int bump(int v) { *p = *p + v; return ` + tc.ret + `; }
 int main() {
-	int key, one, read;
+	int key, one, read, acc = 0;
 	char *line;
 	size_t n = 100;
 	line = (char*) malloc(100);
+	` + tc.setup + `
 	#pragma mapreduce mapper key(key) value(one) kvpairs(1) blocks(2) threads(32)
 	while ((read = getline(&line, &n, stdin)) != -1) {
 		key = bump(atoi(line));
@@ -257,12 +265,17 @@ int main() {
 	return 0;
 }
 `
-	comp, err := compiler.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, gpu := cpuAndGPU(t, comp, "1\n2\n3\n4\n")
-	if want := []string{"1\t1", "2\t1", "3\t1", "4\t1"}; strings.Join(gpu, "|") != strings.Join(want, "|") {
-		t.Fatalf("GPU emitted %q, want %q", gpu, want)
+			comp, err := compiler.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu, gpu := cpuAndGPU(t, comp, "1\n2\n3\n4\n")
+			if want := []string{"1\t1", "10\t1", "3\t1", "6\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+				t.Fatalf("CPU emitted %q, want %q", cpu, want)
+			}
+			if want := []string{"1\t1", "2\t1", "3\t1", "4\t1"}; strings.Join(gpu, "|") != strings.Join(want, "|") {
+				t.Fatalf("GPU emitted %q, want %q", gpu, want)
+			}
+		})
 	}
 }

@@ -50,9 +50,10 @@ int main() {
 // call among them, run once, on the host, and charge no thread. The
 // region reads the globals as free symbols, and the callee reads its
 // thread's copy of the host's globals at the launch point, whose tag
-// points at the host's literal: probe's strlen charges its load in host
-// memory, at the global-memory cost. mix is long enough that the order
-// of its charges would show in the M2090's cycle bits.
+// points at the thread's copy of the host's literal, in local memory,
+// where the thread's machine allocates: probe's strlen charges its loads
+// there. mix is long enough that the order of its charges would show in
+// the M2090's cycle bits.
 const globalsSrc = `
 double root2 = sqrt(2.0);
 int base = 4;

@@ -32,6 +32,10 @@ func (m *Machine) AddSteps(n int64) error {
 // SpaceOf returns the memory space a symbol's storage is placed in.
 func (m *Machine) SpaceOf(sym *minic.Symbol) MemSpace { return m.spaceOf(sym) }
 
+// DefaultSpace returns the memory space the machine allocates objects in
+// (malloc, calloc, string literals).
+func (m *Machine) DefaultSpace() MemSpace { return m.space }
+
 // InternLiteral returns the shared object for a string literal.
 func (m *Machine) InternLiteral(s string) *Object { return m.internLiteral(s) }
 
