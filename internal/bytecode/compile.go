@@ -104,9 +104,10 @@ func Compile(prog *minic.Program) (*Program, error) {
 // order. A call the VM binds to a program function names no builtin
 // (sema forbids the shadowing), so the unmarked callees that name a
 // function of prog are exactly those. The host part follows, compiled
-// with folded charges: prog's <init>; for a non-nil host, the function of
-// prog that holds the region (see addHost), and main; then every function
-// of prog they call that is not compiled yet.
+// with folded charges: prog's <init> and every function it calls; for a
+// non-nil host, the function of prog that holds the region (see addHost),
+// which neither the entries nor <init> may call, and main; then every
+// function of prog they call that is not compiled yet.
 func CompileKernel(prog *minic.Program, host *minic.FuncDecl, entries ...minic.Node) (*Program, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("bytecode: kernel has no entry")
@@ -163,6 +164,9 @@ func CompileKernel(prog *minic.Program, host *minic.FuncDecl, entries ...minic.N
 	}
 	b.disc = folded
 	if err := b.addInit(prog); err != nil {
+		return nil, err
+	}
+	if err := b.addCallees(prog, compiled); err != nil {
 		return nil, err
 	}
 	if host != nil {
@@ -233,7 +237,7 @@ func (b *builder) addInit(prog *minic.Program) error {
 // object, and then main, each once, under the builder's discipline.
 func (b *builder) addHost(prog *minic.Program, host *minic.FuncDecl, compiled map[*minic.FuncDecl]bool) error {
 	if compiled[host] {
-		return fmt.Errorf("bytecode: %s holds the kernel region and also runs in the kernel", host.Name)
+		return fmt.Errorf("bytecode: %s holds the kernel region and also runs in the kernel or an initializer", host.Name)
 	}
 	var launch *minic.PragmaStmt
 	minic.WalkStmts(host.Body, func(s minic.Stmt) {

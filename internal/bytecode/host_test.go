@@ -157,10 +157,12 @@ int main() {
 
 // TestRegionCallingItsHostIsRefused: the function that holds a region
 // compiles once, as the host entry, so kernel code that calls it back is
-// a compile error rather than a second copy that would never launch.
+// a compile error rather than a second copy that would never launch. So
+// is an initializer that calls it: the host part runs <init> before
+// main, so it would reach the launch point before main ran, with that
+// global and every later one undefined.
 func TestRegionCallingItsHostIsRefused(t *testing.T) {
-	const src = `
-int main() {
+	const region = `
 	int key, v;
 	char *line;
 	size_t n = 8;
@@ -168,14 +170,19 @@ int main() {
 	#pragma mapreduce mapper key(key) value(v) kvpairs(1)
 	while (getline(&line, &n, stdin) != -1) {
 		key = atoi(line);
-		if (key < 0) key = main();
+		if (key < 0) key = HOST();
 		v = 1;
 		printf("%d\t%d\n", key, v);
 	}
 	return 0;
 }`
-	_, err := compiler.Compile(src)
-	if err == nil || !strings.Contains(err.Error(), "main holds the kernel region and also runs in the kernel") {
-		t.Fatalf("Compile error %v, want the region calling its host refused", err)
+	for _, tc := range []struct{ host, src string }{
+		{"main", "int main() {" + strings.ReplaceAll(region, "HOST()", "main()")},
+		{"run", "int run() {" + strings.ReplaceAll(region, "HOST()", "0") + "\nint g = run();\nint main() { return g; }"},
+	} {
+		_, err := compiler.Compile(tc.src)
+		if want := tc.host + " holds the kernel region and also runs in the kernel"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Compile error %v, want %q", err, want)
+		}
 	}
 }
