@@ -44,15 +44,8 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host *bytecode
 	if spec.Kind != compiler.RegionCombiner {
 		return nil, fmt.Errorf("gpurt: ExecCombineKernels on a %v kernel", spec.Kind)
 	}
-	warpSize := dev.Config.WarpSize
-	totalWarps := spec.Blocks * spec.Threads / warpSize
-	if totalWarps < 1 {
-		totalWarps = 1
-	}
-	warpsPerBlock := spec.Threads / warpSize
-	if warpsPerBlock < 1 {
-		warpsPerBlock = 1
-	}
+	totalWarps := max(spec.Blocks*spec.Threads/dev.Config.WarpSize, 1)
+	warpsPerBlock := max(spec.Threads/dev.Config.WarpSize, 1)
 
 	// Every partition's launch runs the same kernel image.
 	l := newKernelLaunch(comp, host, opts, interp.SpaceShared, combineIntrinsics(store, comp.Schema, opts))
@@ -61,41 +54,21 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, host *bytecode
 		if len(slots) == 0 {
 			continue
 		}
-		warps := totalWarps
-		if warps > len(slots) {
-			warps = len(slots)
-		}
+		warps := min(totalWarps, len(slots))
 		chunk := (len(slots) + warps - 1) / warps
-		var warpCycles []float64
-		for w := 0; w < warps; w++ {
-			lo := w * chunk
-			if lo >= len(slots) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(slots) {
-				hi = len(slots)
-			}
-			w, err := runCombineWarp(dev, l, slots[lo:hi])
+		warps = (len(slots) + chunk - 1) / chunk // those a chunk is left for
+		// Warps group into blocks; a block finishes with its slowest warp.
+		blockCycles := make([]float64, (warps+warpsPerBlock-1)/warpsPerBlock)
+		for i := 0; i < warps; i++ {
+			w, err := runCombineWarp(dev, l, slots[i*chunk:min((i+1)*chunk, len(slots))])
 			if err != nil {
 				return nil, err
 			}
 			res.Partitions[p] = append(res.Partitions[p], w.output...)
-			warpCycles = append(warpCycles, w.Cycles)
+			blockCycles[i/warpsPerBlock] = max(blockCycles[i/warpsPerBlock], w.Cycles)
 			res.Breakdown.Add(w.Breakdown)
-			res.Warps++
 		}
-		// Group warps into blocks; a block finishes with its slowest warp.
-		var blockCycles []float64
-		for i := 0; i < len(warpCycles); i += warpsPerBlock {
-			max := 0.0
-			for j := i; j < i+warpsPerBlock && j < len(warpCycles); j++ {
-				if warpCycles[j] > max {
-					max = warpCycles[j]
-				}
-			}
-			blockCycles = append(blockCycles, max)
-		}
+		res.Warps += warps
 		sched := dev.AggregateBlocksProfile(blockCycles)
 		res.Time += sched.Seconds
 		res.Blocks += len(blockCycles)
