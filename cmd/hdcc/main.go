@@ -9,9 +9,9 @@
 //	hdcc -demo                      (compiles the paper's Listing 1 wordcount)
 //	hdcc -dump-bytecode file.c      (prints the register-bytecode disassembly)
 //
-// With -lint, the static-analysis suite runs alongside compilation and its
-// diagnostics print to stderr; error-severity findings exit 2 (the kernel
-// is still printed — analysis never changes compiler output).
+// With -lint, hdcc also prints to stderr what hdlint prints for the same
+// file; error-severity findings exit 2 (the kernel is still printed: the
+// linter reads the translator's output and never changes it).
 package main
 
 import (
@@ -54,7 +54,7 @@ func main() {
 		src = string(data)
 	}
 
-	compiled, err := compiler.CompileOpts(src, compiler.Options{Analyze: *lint, File: file})
+	compiled, err := compiler.CompileOpts(src, compiler.Options{File: file})
 	if err != nil {
 		fatal(err)
 	}
@@ -82,10 +82,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hdcc: warning: %s\n", w)
 	}
 	if *lint {
-		for _, d := range compiled.Diagnostics {
+		diags := analysis.Lint(file, src)
+		for _, d := range diags {
 			fmt.Fprintln(os.Stderr, d.String())
 		}
-		if analysis.HasErrors(compiled.Diagnostics) {
+		if analysis.HasErrors(diags) {
 			os.Exit(2)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/compiler"
 	"repro/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func main() {
 
 	if *printCodes {
 		fmt.Println("hdlint diagnostic catalog:")
-		catalog := append([]analysis.CodeInfo(nil), compiler.LintCatalog()...)
+		catalog := append([]analysis.CodeInfo(nil), analysis.Catalog...)
 		sort.Slice(catalog, func(i, j int) bool { return catalog[i].Code < catalog[j].Code })
 		for _, c := range catalog {
 			fmt.Printf("  %s  %-7s  %s\n", c.Code, c.Severity, c.Summary)
@@ -45,7 +44,7 @@ func main() {
 
 	worst := analysis.SevInfo
 	lint := func(name, src string) {
-		diags := compiler.Lint(name, src)
+		diags := analysis.Lint(name, src)
 		for _, d := range diags {
 			fmt.Println(d.String())
 		}

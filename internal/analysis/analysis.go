@@ -3,24 +3,58 @@ package analysis
 import (
 	"strings"
 
+	"repro/internal/compiler"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
 
+// Lint runs the full static-analysis suite over one source without
+// stopping at the first problem: frontend failures surface as HD001,
+// kernel-translation failures as HD002, and directive-free sources (plain
+// streaming reducers) get the source-level passes only. When those find
+// no error, compiler.Translate rewrites the same parse into its kernel
+// and the GPU-safety passes check the translator's output.
+func Lint(file, src string) []Diagnostic {
+	prog, err := minic.ParseAndCheckFile(file, src)
+	if err != nil {
+		return []Diagnostic{frontendDiag(file, err)}
+	}
+	a := &analyzer{prog: prog, file: file}
+	regions := a.sourcePasses()
+	if len(regions) == 1 && !HasErrors(a.diags) {
+		if spec, _, err := compiler.Translate(file, prog); err != nil {
+			a.report("HD002", regions[0].pragma.Pos,
+				"directive region fails to translate: "+stripPosPrefix(file, err.Error()), "")
+		} else {
+			a.diags = append(a.diags, AnalyzeKernel(spec)...)
+		}
+	}
+	Sort(a.diags)
+	return a.diags
+}
+
 // Analyze runs every source-level pass over a parsed-and-checked program:
 // the directive verifier (HD1xx), dataflow (HD2xx), parallel legality
-// (HD3xx), and IO purity (HD5xx). Kernel-level passes (HD4xx) run
-// separately via AnalyzeKernel because they need the translator's variable
-// placement plan. The program is never mutated.
+// (HD3xx), IO purity (HD5xx) and the optimization lints (HD6xx).
+// Kernel-level passes (HD4xx) run separately via AnalyzeKernel because
+// they need the translator's variable placement plan. The program is
+// never mutated.
 func Analyze(prog *minic.Program) []Diagnostic {
 	a := &analyzer{prog: prog, file: prog.File}
+	a.sourcePasses()
+	Sort(a.diags)
+	return a.diags
+}
+
+// sourcePasses runs Analyze's passes and returns the program's regions.
+func (a *analyzer) sourcePasses() []*regionInfo {
 	regions := a.mapreduceRegions()
 	a.oobOwned = a.hd403Owned(regions)
 	for _, r := range regions {
 		a.directivePass(r)
 	}
-	for _, fn := range prog.Funcs {
+	for _, fn := range a.prog.Funcs {
 		fx := ir.AnalyzeFunc(fn) // one lowering feeds HD2xx and HD6xx
 		a.dataflowPass(fx.F)
 		a.optPass(fx)
@@ -29,8 +63,7 @@ func Analyze(prog *minic.Program) []Diagnostic {
 		a.parallelPass(r)
 		a.ioPurityPass(r)
 	}
-	Sort(a.diags)
-	return a.diags
+	return regions
 }
 
 type analyzer struct {
@@ -57,7 +90,7 @@ func (a *analyzer) report(code string, pos minic.Pos, msg, fix string) {
 
 // regionInfo is one `#pragma mapreduce` region with its clause list
 // re-scanned (duplicates preserved, unlike the translator's Directive) and
-// names resolved against visible symbols.
+// names resolved against the symbols the translator resolves them to.
 type regionInfo struct {
 	pragma *minic.PragmaStmt
 	fn     *minic.FuncDecl
@@ -109,7 +142,7 @@ func (a *analyzer) mapreduceRegions() []*regionInfo {
 			if !ok || !p.IsMapReduce() {
 				return
 			}
-			r := &regionInfo{pragma: p, fn: fn, syms: a.visibleSymbols(fn)}
+			r := &regionInfo{pragma: p, fn: fn, syms: compiler.VisibleSymbols(fn, a.prog)}
 			r.clauses = minic.ScanClauses(strings.TrimPrefix(strings.TrimSpace(p.Text), "mapreduce"))
 			for _, cl := range r.clauses {
 				switch cl.Name {
@@ -141,29 +174,6 @@ func (a *analyzer) mapreduceRegions() []*regionInfo {
 			out = append(out, r)
 		})
 	}
-	return out
-}
-
-// visibleSymbols maps names to symbols visible inside fn: file-scope
-// globals, parameters, and every nested declaration (mirrors the
-// translator's resolution rules).
-func (a *analyzer) visibleSymbols(fn *minic.FuncDecl) map[string]*minic.Symbol {
-	out := map[string]*minic.Symbol{}
-	for _, g := range a.prog.Globals {
-		for _, d := range g.Decls {
-			out[d.Name] = d.Sym
-		}
-	}
-	for _, p := range fn.Params {
-		out[p.Name] = p.Sym
-	}
-	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				out[d.Name] = d.Sym
-			}
-		}
-	})
 	return out
 }
 

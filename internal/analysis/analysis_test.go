@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compiler"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -200,6 +201,17 @@ func TestLoopCarriedNotFlaggedForWriteFirst(t *testing.T) {
 	}
 }
 
+// kernelOver is a translated kernel whose region is main's body, with no
+// clause and no placement.
+func kernelOver(prog *minic.Program) *compiler.KernelSpec {
+	return &compiler.KernelSpec{
+		Directive: &compiler.Directive{},
+		Prog:      prog,
+		Region:    prog.Func("main").Body,
+		Plan:      map[*minic.Symbol]compiler.VarClass{},
+	}
+}
+
 func TestAnalyzeKernelFlagsNestedGetRecord(t *testing.T) {
 	// Build a fake kernel region: while (flag) { if (getRecord(&line)) {} }
 	prog := mustParse(t, `int main() {
@@ -210,9 +222,7 @@ func TestAnalyzeKernelFlagsNestedGetRecord(t *testing.T) {
 	}
 	return 0;
 }`)
-	fn := prog.Func("main")
-	k := &Kernel{File: "k.c", Region: fn.Body, Spaces: map[*minic.Symbol]MemSpace{}}
-	diags := AnalyzeKernel(k)
+	diags := AnalyzeKernel(kernelOver(prog))
 	if got := strings.Join(codes(diags), " "); got != "HD401" {
 		t.Errorf("diagnostics = %q, want HD401", got)
 	}
@@ -227,9 +237,7 @@ func TestAnalyzeKernelTopLevelGetRecordLegal(t *testing.T) {
 	}
 	return 0;
 }`)
-	fn := prog.Func("main")
-	k := &Kernel{File: "k.c", Region: fn.Body, Spaces: map[*minic.Symbol]MemSpace{}}
-	if diags := AnalyzeKernel(k); len(diags) != 0 {
+	if diags := AnalyzeKernel(kernelOver(prog)); len(diags) != 0 {
 		t.Errorf("top-level getRecord flagged: %v", codes(diags))
 	}
 }

@@ -20,6 +20,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/minic"
 )
@@ -160,4 +161,48 @@ func catalogSeverity(code string) Severity {
 		}
 	}
 	return SevError
+}
+
+// frontendDiag wraps a parse/sema error as an HD001 diagnostic, recovering
+// the position from the error's "file:line:col:" prefix when present.
+func frontendDiag(file string, err error) Diagnostic {
+	msg := err.Error()
+	pos := minic.Pos{}
+	for _, prefix := range []string{file + ":", "minic: "} {
+		if prefix == ":" || !strings.HasPrefix(msg, prefix) {
+			continue
+		}
+		rest := msg[len(prefix):]
+		var l, c int
+		var tail string
+		if n, _ := fmt.Sscanf(rest, "%d:%d: %s", &l, &c, &tail); n >= 2 {
+			pos = minic.Pos{Line: l, Col: c}
+			if i := strings.Index(rest, ": "); i >= 0 {
+				msg = rest[i+2:]
+			}
+		}
+		break
+	}
+	return Diagnostic{
+		Code:     "HD001",
+		Severity: SevError,
+		File:     file,
+		Pos:      pos,
+		Message:  msg,
+	}
+}
+
+// stripPosPrefix removes a leading position prefix from nested error text
+// so HD002 messages don't repeat the location twice.
+func stripPosPrefix(file, msg string) string {
+	if file != "" && strings.HasPrefix(msg, file+":") {
+		rest := msg[len(file)+1:]
+		var l, c int
+		if n, _ := fmt.Sscanf(rest, "%d:%d:", &l, &c); n == 2 {
+			if i := strings.Index(rest, ": "); i >= 0 {
+				return rest[i+2:]
+			}
+		}
+	}
+	return msg
 }

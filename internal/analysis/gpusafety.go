@@ -3,67 +3,21 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/compiler"
 	"repro/internal/minic"
 )
 
 // This file implements the GPU-safety pass (HD401..HD403). Unlike the
-// source-level passes it inspects the *translated* kernel: the region after
-// stdio rewriting, together with the memory-space placement the translator
-// computed with Algorithm 1. The compiler package adapts its KernelSpec
-// into a Kernel; hdlint gets these checks through compiler.Lint.
+// source-level passes it inspects the translator's output: the region
+// after stdio rewriting, together with the memory-space placement the
+// translator computed with Algorithm 1 (compiler.KernelSpec.Plan).
 
-// MemSpace is the GPU memory space a kernel variable was placed in
-// (mirrors the translator's variable classification).
-type MemSpace int
-
-// Memory spaces.
-const (
-	// SpaceLocal is a variable declared inside the region (per-thread).
-	SpaceLocal MemSpace = iota
-	// SpacePrivate is a written-first region variable (per-thread copy).
-	SpacePrivate
-	// SpaceFirstPrivate is a read-first variable copied in per thread.
-	SpaceFirstPrivate
-	// SpaceConstScalar is a read-only scalar in constant memory.
-	SpaceConstScalar
-	// SpaceGlobalRO is a read-only array in global memory.
-	SpaceGlobalRO
-	// SpaceTexture is a texture-fetched read-only array.
-	SpaceTexture
-)
-
-func (m MemSpace) String() string {
-	switch m {
-	case SpaceLocal:
-		return "local"
-	case SpacePrivate:
-		return "private"
-	case SpaceFirstPrivate:
-		return "firstprivate"
-	case SpaceConstScalar:
-		return "constant"
-	case SpaceGlobalRO:
-		return "global read-only"
-	case SpaceTexture:
-		return "texture"
-	default:
-		return "?"
-	}
-}
-
-// Kernel is the analyzable view of one translated directive region.
-type Kernel struct {
-	File string
-	// Combiner distinguishes combiner kernels from mapper kernels.
-	Combiner bool
-	// Region is the rewritten region statement (GPU intrinsics in place).
-	Region minic.Stmt
-	// Spaces is the translator's placement plan for region variables.
-	Spaces map[*minic.Symbol]MemSpace
-	// ClauseRO names variables declared read-only by directive clauses;
-	// writes to those are already reported at source level (HD302), so the
-	// kernel pass skips them.
-	ClauseRO map[string]bool
+// sharedSpaces names the placements all threads of a kernel share
+// read-only, as HD402 and HD403 print them.
+var sharedSpaces = map[compiler.VarClass]string{
+	compiler.ClassROScalar: "constant",
+	compiler.ClassROArray:  "global read-only",
+	compiler.ClassTexture:  "texture",
 }
 
 // warpSyncCalls are runtime intrinsics executed cooperatively by a warp:
@@ -72,11 +26,11 @@ type Kernel struct {
 var warpSyncCalls = map[string]bool{"getRecord": true, "getKV": true}
 
 // AnalyzeKernel runs the GPU-safety checks over one translated kernel.
-func AnalyzeKernel(k *Kernel) []Diagnostic {
-	a := &analyzer{file: k.File}
-	a.checkWarpSync(k)
-	a.checkSharedWrites(k)
-	a.checkStaticBounds(k)
+func AnalyzeKernel(spec *compiler.KernelSpec) []Diagnostic {
+	a := &analyzer{file: spec.Prog.File}
+	a.checkWarpSync(spec.Region)
+	a.checkSharedWrites(spec)
+	a.checkStaticBounds(spec)
 	Sort(a.diags)
 	return a.diags
 }
@@ -85,7 +39,7 @@ func AnalyzeKernel(k *Kernel) []Diagnostic {
 // anywhere but the condition of a top-level region loop. Nested under
 // divergent control flow, part of a warp would skip the call and the
 // cooperative read deadlocks (or reads garbage).
-func (a *analyzer) checkWarpSync(k *Kernel) {
+func (a *analyzer) checkWarpSync(region minic.Stmt) {
 	legal := map[*minic.Call]bool{}
 	var markTop func(s minic.Stmt)
 	markTop = func(s minic.Stmt) {
@@ -105,8 +59,8 @@ func (a *analyzer) checkWarpSync(k *Kernel) {
 			})
 		}
 	}
-	markTop(k.Region)
-	minic.WalkExprs(k.Region, func(e minic.Expr) bool {
+	markTop(region)
+	minic.WalkExprs(region, func(e minic.Expr) bool {
 		if c, ok := e.(*minic.Call); ok && warpSyncCalls[c.Name] && !legal[c] {
 			a.report("HD401", c.Pos,
 				fmt.Sprintf("warp-synchronous %q is called under thread-divergent control flow", c.Name),
@@ -120,15 +74,17 @@ func (a *analyzer) checkWarpSync(k *Kernel) {
 // translator placed in a read-only shared space (constant, global
 // read-only, texture): every thread would race on the same location, and
 // the read-only placement means the write silently has no host-visible
-// semantics.
-func (a *analyzer) checkSharedWrites(k *Kernel) {
+// semantics. Writes to variables a sharedRO or texture clause names are
+// reported at source level (HD302), so this pass skips them.
+func (a *analyzer) checkSharedWrites(spec *compiler.KernelSpec) {
+	d := spec.Directive
 	reported := map[*minic.Symbol]bool{}
-	for _, ev := range regionEvents(k.Region) {
-		if ev.sym == nil || reported[ev.sym] || k.ClauseRO[ev.sym.Name] {
+	for _, ev := range regionEvents(spec.Region) {
+		if ev.sym == nil || reported[ev.sym] || contains(d.SharedRO, ev.sym.Name) || contains(d.Texture, ev.sym.Name) {
 			continue
 		}
-		space, ok := k.Spaces[ev.sym]
-		if !ok || (space != SpaceConstScalar && space != SpaceGlobalRO && space != SpaceTexture) {
+		space, ok := sharedSpaces[spec.Plan[ev.sym]]
+		if !ok {
 			continue
 		}
 		switch ev.kind {
@@ -145,8 +101,8 @@ func (a *analyzer) checkSharedWrites(k *Kernel) {
 // outside the declared bounds of a constant/texture/global read-only
 // array. Out-of-bounds texture fetches clamp silently on the device, so
 // the bug is invisible at runtime.
-func (a *analyzer) checkStaticBounds(k *Kernel) {
-	minic.WalkExprs(k.Region, func(e minic.Expr) bool {
+func (a *analyzer) checkStaticBounds(spec *compiler.KernelSpec) {
+	minic.WalkExprs(spec.Region, func(e minic.Expr) bool {
 		ix, ok := e.(*minic.Index)
 		if !ok {
 			return true
@@ -155,8 +111,8 @@ func (a *analyzer) checkStaticBounds(k *Kernel) {
 		if base == nil || base.Sym == nil {
 			return true
 		}
-		space, tracked := k.Spaces[base.Sym]
-		if !tracked || (space != SpaceGlobalRO && space != SpaceTexture && space != SpaceConstScalar) {
+		space, shared := sharedSpaces[spec.Plan[base.Sym]]
+		if !shared {
 			return true
 		}
 		t := base.Sym.Type

@@ -2,9 +2,7 @@ package compiler
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/bytecode"
 	"repro/internal/ir"
 	"repro/internal/kv"
@@ -113,10 +111,6 @@ type Compiled struct {
 	Schema kv.Schema
 	// CUDA is the CUDA-flavoured rendering of the generated kernel.
 	CUDA string
-	// Diagnostics holds the static-analysis findings when compilation ran
-	// with Options.Analyze (nil otherwise). Analysis is strictly read-only:
-	// it never changes the generated kernel.
-	Diagnostics []analysis.Diagnostic
 	// HostOpt / KernelOpt are the SSA optimizer's per-pass statistics for
 	// the host program and the translated kernel program (nil when
 	// compilation ran with Options.DisableOpt).
@@ -143,10 +137,6 @@ const (
 
 // Options configures CompileOpts.
 type Options struct {
-	// Analyze runs the hdlint static-analysis suite (directive, dataflow,
-	// parallel-legality, GPU-safety, and IO-purity passes) over the source
-	// and the translated kernel, filling Compiled.Diagnostics.
-	Analyze bool
 	// File names the source in error messages and diagnostics.
 	File string
 	// DisableOpt turns off the SSA optimizer (-O0). The zero value
@@ -172,7 +162,12 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	endXlate := opts.Prof.Phase(perf.PhaseGPUTranslate)
-	spec, schema, err := translateSource(opts.File, src)
+	gpu, err := minic.ParseAndCheckFile(opts.File, src)
+	if err != nil {
+		endXlate()
+		return nil, err
+	}
+	spec, schema, err := Translate(opts.File, gpu)
 	if err != nil {
 		endXlate()
 		return nil, err
@@ -186,18 +181,9 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 		Schema:   schema,
 		CUDA:     cuda,
 	}
-	if opts.Analyze {
-		diags := analysis.Analyze(host)
-		diags = append(diags, analysis.AnalyzeKernel(kernelView(opts.File, spec))...)
-		analysis.Sort(diags)
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		c.Diagnostics = diags
-	}
-	// Optimize last: lints and the CUDA rendering see the program as
-	// written, while all three executing backends (interpreter, streaming,
-	// GPU) receive the optimized ASTs.
+	// Optimize last: the CUDA rendering sees the program as written,
+	// while all three executing backends (interpreter, streaming, GPU)
+	// receive the optimized ASTs.
 	if !opts.DisableOpt {
 		endOpt := opts.Prof.Phase(perf.PhaseOptimize)
 		c.HostOpt = ir.OptimizeProgram(host)
@@ -239,14 +225,13 @@ func (c *Compiled) compileBytecode() error {
 	return nil
 }
 
-// translateSource runs the GPU side of compilation: a private parse, region
-// extraction, call substitution, classification, and schema derivation.
-func translateSource(file, src string) (*KernelSpec, kv.Schema, error) {
-	gpu, err := minic.ParseAndCheckFile(file, src)
-	if err != nil {
-		return nil, kv.Schema{}, err
-	}
-	pragmas := mapreducePragmas(gpu)
+// Translate runs the GPU side of compilation over prog, a parsed and
+// checked program of file that it rewrites in place: region extraction,
+// call substitution, classification, and schema derivation. prog must be
+// a private parse: the host program and the lints see the source as
+// written.
+func Translate(file string, prog *minic.Program) (*KernelSpec, kv.Schema, error) {
+	pragmas := mapreducePragmas(prog)
 	if len(pragmas) == 0 {
 		return nil, kv.Schema{}, fmt.Errorf("compiler: source has no mapreduce pragma")
 	}
@@ -257,7 +242,7 @@ func translateSource(file, src string) (*KernelSpec, kv.Schema, error) {
 	if err != nil {
 		return nil, kv.Schema{}, fmt.Errorf("%s: %w", minic.ErrPrefix(file, pragmas[0].Pos), err)
 	}
-	spec, err := translate(gpu, pragmas[0], d)
+	spec, err := translate(prog, pragmas[0], d)
 	if err != nil {
 		return nil, kv.Schema{}, err
 	}
@@ -266,120 +251,6 @@ func translateSource(file, src string) (*KernelSpec, kv.Schema, error) {
 		return nil, kv.Schema{}, err
 	}
 	return spec, schema, nil
-}
-
-// kernelView adapts a translated KernelSpec into the analysis package's
-// kernel model for the GPU-safety pass.
-func kernelView(file string, spec *KernelSpec) *analysis.Kernel {
-	spaces := map[*minic.Symbol]analysis.MemSpace{}
-	//detlint:ignore map-iteration: copies one map into another; order is not observable
-	for sym, cls := range spec.Plan {
-		switch cls {
-		case ClassLocal:
-			spaces[sym] = analysis.SpaceLocal
-		case ClassPrivate:
-			spaces[sym] = analysis.SpacePrivate
-		case ClassFirstPrivate:
-			spaces[sym] = analysis.SpaceFirstPrivate
-		case ClassROScalar:
-			spaces[sym] = analysis.SpaceConstScalar
-		case ClassROArray:
-			spaces[sym] = analysis.SpaceGlobalRO
-		case ClassTexture:
-			spaces[sym] = analysis.SpaceTexture
-		}
-	}
-	clauseRO := map[string]bool{}
-	for _, name := range spec.Directive.SharedRO {
-		clauseRO[name] = true
-	}
-	for _, name := range spec.Directive.Texture {
-		clauseRO[name] = true
-	}
-	return &analysis.Kernel{
-		File:     file,
-		Combiner: spec.Kind == RegionCombiner,
-		Region:   spec.Region,
-		Spaces:   spaces,
-		ClauseRO: clauseRO,
-	}
-}
-
-// Lint runs the full static-analysis suite over one source without
-// stopping at the first problem: frontend failures surface as HD001,
-// kernel-translation failures as HD002, and directive-free sources (plain
-// streaming reducers) get the source-level passes only. The kernel passes
-// run when the source compiles and no source-level pass found an error.
-func Lint(file, src string) []analysis.Diagnostic {
-	prog, err := minic.ParseAndCheckFile(file, src)
-	if err != nil {
-		return []analysis.Diagnostic{frontendDiag(file, err)}
-	}
-	diags := analysis.Analyze(prog)
-	pragmas := mapreducePragmas(prog)
-	if len(pragmas) == 1 && !analysis.HasErrors(diags) {
-		if spec, _, err := translateSource(file, src); err != nil {
-			diags = append(diags, analysis.Diagnostic{
-				Code:     "HD002",
-				Severity: analysis.SevError,
-				File:     file,
-				Pos:      pragmas[0].Pos,
-				Message:  fmt.Sprintf("directive region fails to translate: %v", stripPosPrefix(file, err.Error())),
-			})
-		} else {
-			diags = append(diags, analysis.AnalyzeKernel(kernelView(file, spec))...)
-		}
-	}
-	analysis.Sort(diags)
-	return diags
-}
-
-// LintCatalog returns the documented diagnostic codes (re-exported so
-// tools driving Lint need not import the analysis package).
-func LintCatalog() []analysis.CodeInfo { return analysis.Catalog }
-
-// frontendDiag wraps a parse/sema error as an HD001 diagnostic, recovering
-// the position from the error's "file:line:col:" prefix when present.
-func frontendDiag(file string, err error) analysis.Diagnostic {
-	msg := err.Error()
-	pos := minic.Pos{}
-	for _, prefix := range []string{file + ":", "minic: "} {
-		if prefix == ":" || !strings.HasPrefix(msg, prefix) {
-			continue
-		}
-		rest := msg[len(prefix):]
-		var l, c int
-		var tail string
-		if n, _ := fmt.Sscanf(rest, "%d:%d: %s", &l, &c, &tail); n >= 2 {
-			pos = minic.Pos{Line: l, Col: c}
-			if i := strings.Index(rest, ": "); i >= 0 {
-				msg = rest[i+2:]
-			}
-		}
-		break
-	}
-	return analysis.Diagnostic{
-		Code:     "HD001",
-		Severity: analysis.SevError,
-		File:     file,
-		Pos:      pos,
-		Message:  msg,
-	}
-}
-
-// stripPosPrefix removes a leading position prefix from nested error text
-// so HD002 messages don't repeat the location twice.
-func stripPosPrefix(file, msg string) string {
-	if file != "" && strings.HasPrefix(msg, file+":") {
-		rest := msg[len(file)+1:]
-		var l, c int
-		if n, _ := fmt.Sscanf(rest, "%d:%d:", &l, &c); n == 2 {
-			if i := strings.Index(rest, ": "); i >= 0 {
-				return rest[i+2:]
-			}
-		}
-	}
-	return msg
 }
 
 func mapreducePragmas(prog *minic.Program) []*minic.PragmaStmt {
@@ -433,7 +304,7 @@ func translate(prog *minic.Program, pragma *minic.PragmaStmt, d *Directive) (*Ke
 	}
 
 	// Resolve the directive's named variables against region symbols.
-	syms := visibleSymbols(fn, prog)
+	syms := VisibleSymbols(fn, prog)
 	resolve := func(name, clause string, required bool) (*minic.Symbol, error) {
 		if name == "" {
 			if required {
@@ -514,11 +385,12 @@ func enclosingFunc(prog *minic.Program, pragma *minic.PragmaStmt) *minic.FuncDec
 	return nil
 }
 
-// visibleSymbols maps names to symbols declared in fn (params and all
-// nested declarations) plus file-scope globals. Inner declarations win over
-// outer ones with the same name only if encountered later, which matches
-// the benchmarks' usage (unique names).
-func visibleSymbols(fn *minic.FuncDecl, prog *minic.Program) map[string]*minic.Symbol {
+// VisibleSymbols maps names to symbols declared in fn (params and all
+// nested declarations) plus file-scope globals: the names a directive's
+// clauses resolve against. Inner declarations win over outer ones with
+// the same name only if encountered later, which matches the benchmarks'
+// usage (unique names).
+func VisibleSymbols(fn *minic.FuncDecl, prog *minic.Program) map[string]*minic.Symbol {
 	out := map[string]*minic.Symbol{}
 	for _, g := range prog.Globals {
 		for _, dcl := range g.Decls {

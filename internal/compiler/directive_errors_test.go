@@ -1,11 +1,6 @@
 package compiler
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/analysis"
-)
+import "testing"
 
 // TestParseDirectiveErrorMessages pins the exact diagnostic for every
 // malformed-pragma class: the messages are part of the user interface
@@ -84,40 +79,5 @@ func TestParseDirectiveErrorMessages(t *testing.T) {
 		if err.Error() != tc.want {
 			t.Errorf("ParseDirective(%q):\n got %q\nwant %q", tc.text, err.Error(), tc.want)
 		}
-	}
-}
-
-// TestBadPragmaPositionReported: a malformed pragma inside a full program
-// surfaces as a positioned HD101 diagnostic pointing at the pragma's own
-// line, not at some later token.
-func TestBadPragmaPositionReported(t *testing.T) {
-	src := `int main() {
-	int k, v;
-	#pragma mapreduce mapper key(k) value(v) bogus(x)
-	{
-		k = 1; v = 2;
-		printf("%d\t%d\n", k, v);
-	}
-	return 0;
-}`
-	diags := Lint("job.c", src)
-	var hit *analysis.Diagnostic
-	for i := range diags {
-		if diags[i].Code == "HD101" {
-			hit = &diags[i]
-			break
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no HD101 diagnostic for a bogus clause; got %v", diags)
-	}
-	if hit.Pos.Line != 3 {
-		t.Errorf("HD101 points at line %d, want 3", hit.Pos.Line)
-	}
-	if !strings.Contains(hit.String(), "job.c:3") {
-		t.Errorf("rendered diagnostic does not carry job.c:3: %q", hit.String())
-	}
-	if !strings.Contains(hit.Message, `"bogus"`) {
-		t.Errorf("diagnostic does not name the bad clause: %q", hit.Message)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/compiler"
+	"repro/internal/analysis"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -23,7 +23,7 @@ func TestLintGoldenDiagnostics(t *testing.T) {
 	var buf bytes.Buffer
 	for _, c := range lintCorpus {
 		fmt.Fprintf(&buf, "== %s ==\n", c.code)
-		for _, d := range compiler.Lint(c.code+".c", c.src) {
+		for _, d := range analysis.Lint(c.code+".c", c.src) {
 			fmt.Fprintln(&buf, d.String())
 		}
 	}

@@ -23,7 +23,7 @@ func TestBenchmarksLintClean(t *testing.T) {
 			if src == "" {
 				continue
 			}
-			diags := compiler.Lint(b.Code+"-"+stage+".c", src)
+			diags := analysis.Lint(b.Code+"-"+stage+".c", src)
 			if !analysis.Clean(diags) {
 				var lines []string
 				for _, d := range diags {
@@ -39,7 +39,7 @@ func TestBenchmarksLintClean(t *testing.T) {
 // Listing 1's defensive `linePtr = 0` is kept for paper fidelity and
 // reported at info severity (HD204), which does not affect cleanliness.
 func TestWordcountRedundantInitInfo(t *testing.T) {
-	diags := compiler.Lint("wc-map.c", workload.WordcountMap)
+	diags := analysis.Lint("wc-map.c", workload.WordcountMap)
 	found := false
 	for _, d := range diags {
 		if d.Code == "HD204" {
@@ -57,41 +57,6 @@ func TestWordcountRedundantInitInfo(t *testing.T) {
 	}
 }
 
-// TestAnalyzeGoldenParity asserts that enabling analysis changes no
-// compiler output: same CUDA bytes, same schema, same plan size.
-func TestAnalyzeGoldenParity(t *testing.T) {
-	for _, b := range workload.All() {
-		for stage, src := range map[string]string{"map": b.Job.MapSrc, "combine": b.Job.CombineSrc} {
-			if src == "" {
-				continue
-			}
-			plain, err := compiler.Compile(src)
-			if err != nil {
-				t.Fatalf("%s %s: Compile: %v", b.Code, stage, err)
-			}
-			analyzed, err := compiler.CompileOpts(src, compiler.Options{Analyze: true, File: "x.c"})
-			if err != nil {
-				t.Fatalf("%s %s: CompileOpts: %v", b.Code, stage, err)
-			}
-			if plain.CUDA != analyzed.CUDA {
-				t.Errorf("%s %s: CUDA output differs with Analyze enabled", b.Code, stage)
-			}
-			if plain.Schema != analyzed.Schema {
-				t.Errorf("%s %s: schema differs with Analyze enabled", b.Code, stage)
-			}
-			if len(plain.Kernel.Plan) != len(analyzed.Kernel.Plan) {
-				t.Errorf("%s %s: plan size differs with Analyze enabled", b.Code, stage)
-			}
-			if analyzed.Diagnostics == nil {
-				t.Errorf("%s %s: Analyze did not fill Diagnostics", b.Code, stage)
-			}
-			if plain.Diagnostics != nil {
-				t.Errorf("%s %s: plain compile filled Diagnostics", b.Code, stage)
-			}
-		}
-	}
-}
-
 // TestDuplicateClauseRejected covers the ParseDirective duplicate-clause
 // check added alongside the lint suite.
 func TestDuplicateClauseRejected(t *testing.T) {
@@ -102,5 +67,40 @@ func TestDuplicateClauseRejected(t *testing.T) {
 	if _, err := compiler.ParseDirective("mapreduce mapper combiner key(a) value(c)"); err == nil ||
 		!strings.Contains(err.Error(), "more than one mapper/combiner") {
 		t.Errorf("double kind: err = %v, want kind error", err)
+	}
+}
+
+// TestBadPragmaPositionReported: a malformed pragma inside a full program
+// surfaces as a positioned HD101 diagnostic pointing at the pragma's own
+// line, not at some later token.
+func TestBadPragmaPositionReported(t *testing.T) {
+	src := `int main() {
+	int k, v;
+	#pragma mapreduce mapper key(k) value(v) bogus(x)
+	{
+		k = 1; v = 2;
+		printf("%d\t%d\n", k, v);
+	}
+	return 0;
+}`
+	diags := analysis.Lint("job.c", src)
+	var hit *analysis.Diagnostic
+	for i := range diags {
+		if diags[i].Code == "HD101" {
+			hit = &diags[i]
+			break
+		}
+	}
+	if hit == nil {
+		t.Fatalf("no HD101 diagnostic for a bogus clause; got %v", diags)
+	}
+	if hit.Pos.Line != 3 {
+		t.Errorf("HD101 points at line %d, want 3", hit.Pos.Line)
+	}
+	if !strings.Contains(hit.String(), "job.c:3") {
+		t.Errorf("rendered diagnostic does not carry job.c:3: %q", hit.String())
+	}
+	if !strings.Contains(hit.Message, `"bogus"`) {
+		t.Errorf("diagnostic does not name the bad clause: %q", hit.Message)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/compiler"
+	"repro/internal/analysis"
 )
 
 // This file is the hdlint bug corpus: one minimal MiniC program per
@@ -542,7 +542,7 @@ int main() {
 func TestLintCorpus(t *testing.T) {
 	for _, c := range lintCorpus {
 		t.Run(c.code, func(t *testing.T) {
-			diags := compiler.Lint(c.code+".c", c.src)
+			diags := analysis.Lint(c.code+".c", c.src)
 			if len(diags) != 1 {
 				var lines []string
 				for _, d := range diags {
@@ -557,7 +557,7 @@ func TestLintCorpus(t *testing.T) {
 			if diags[0].Pos.Line == 0 && c.code != "HD001" {
 				t.Errorf("%s: diagnostic carries no position: %s", c.code, diags[0])
 			}
-			clean := compiler.Lint(c.code+"-clean.c", c.clean)
+			clean := analysis.Lint(c.code+"-clean.c", c.clean)
 			if len(clean) != 0 {
 				var lines []string
 				for _, d := range clean {
@@ -576,7 +576,7 @@ func TestLintCorpusCoversCatalog(t *testing.T) {
 	for _, c := range lintCorpus {
 		covered[c.code] = true
 	}
-	for _, info := range compiler.LintCatalog() {
+	for _, info := range analysis.Catalog {
 		if !covered[info.Code] {
 			t.Errorf("catalog code %s has no corpus entry", info.Code)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
-	"repro/internal/compiler"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/gpurt"
@@ -49,7 +48,7 @@ func Lint(p Program) []analysis.Diagnostic {
 		if st.src == "" {
 			continue
 		}
-		for _, d := range compiler.Lint(p.Name+"-"+st.name, st.src) {
+		for _, d := range analysis.Lint(p.Name+"-"+st.name, st.src) {
 			if d.Severity >= analysis.SevWarning {
 				bad = append(bad, d)
 			}
