@@ -706,7 +706,7 @@ int main() {
 			if err := host.start(); err != nil {
 				t.Fatal(err)
 			}
-			vm, err := NewFragmentVM(m, NewImage(m, kernel, host.objs), objs)
+			vm, err := NewFragmentVM(m, NewImage(m, kernel, host.objs), objs, nil)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}

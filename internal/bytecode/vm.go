@@ -45,7 +45,7 @@ type Image struct {
 	Prog    *Program
 	syms    []symInfo // by Syms index
 	linked  []linkedCallee
-	globals []*interp.Object // by Syms index; see copyGlobals
+	globals []*interp.Object // by Syms index; see copyIn
 }
 
 // symInfo is what the variable opcodes need of one symbol: its storage's
@@ -858,10 +858,13 @@ type FragmentVM struct {
 // memory spaces, which must place storage as the image's machine does.
 // objs becomes the entries' object slots: it has one per slot of the
 // kernel's table, and every free slot (Program.Free) must hold an object,
-// or the construction fails. The entries' callees read and write the
-// thread's own copy of the image's globals (see copyGlobals). No thread
-// runs <init>, so initializers charge the device nothing.
-func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*FragmentVM, error) {
+// or the construction fails. firstPrivate holds, by slot, the host
+// objects whose cells the thread's fresh slot objects start with (nil
+// where a slot starts with none). The entries and their callees read and
+// write the thread's own copy of the image's globals and of everything
+// these cells reach (see copyIn). No thread runs <init>, so initializers
+// charge the device nothing.
+func NewFragmentVM(m *interp.Machine, img *Image, objs, firstPrivate []*interp.Object) (*FragmentVM, error) {
 	p := img.Prog
 	if p.Entries == 0 {
 		return nil, fmt.Errorf("bytecode: not a kernel program")
@@ -880,47 +883,87 @@ func NewFragmentVM(m *interp.Machine, img *Image, objs []*interp.Object) (*Fragm
 	}
 	f := &FragmentVM{fr: vmFrame{regs: make([]interp.Value, regs), objs: objs}}
 	f.vm.bind(m, img)
+	var globals []*interp.Object
 	if p.Init >= 0 {
-		f.vm.copyGlobals(img.globals)
+		globals = img.globals
 	}
+	f.vm.copyIn(globals, firstPrivate, objs)
 	return f, nil
 }
 
-// copyGlobals gives the VM its own copy of the host's globals, by Syms
-// index, and of every object they reach through pointer cells: an object
-// an initializer or main allocated, a literal, one of main's locals. A
-// global's copy is in the machine's memory space for its symbol, any
-// other copy where the machine allocates. Copied pointers keep their
-// offsets and point at the copies, so no write of the VM reaches a host
-// object, and two VMs copying one launch's globals share nothing.
-func (vm *VM) copyGlobals(globals []*interp.Object) {
-	vm.objs = make([]*interp.Object, len(vm.Prog.Syms))
-	copies := map[*interp.Object]*interp.Object{}
-	var todo []*interp.Object // host objects whose copies await their cells
+// copyIn gives the VM its own copy of what a launch hands one thread:
+// each host global, by Syms index, in a fresh object in the machine's
+// memory space for its symbol; each host object in from, by slot, in the
+// thread's object at that slot of to; and every object these reach
+// through pointer cells (an object an initializer or main allocated, a
+// literal, one of main's locals), where the machine allocates. Copied
+// pointers keep their offsets and point at the copies, through one
+// host-to-copy map, built only when a copied cell holds a pointer. So no
+// write of the VM reaches a host object, and two VMs of one launch share
+// nothing.
+func (vm *VM) copyIn(globals, from, to []*interp.Object) {
+	pointers := false
+	if globals != nil {
+		vm.objs = make([]*interp.Object, len(vm.Prog.Syms))
+	}
 	for i, g := range globals {
 		if g != nil {
 			vm.objs[i] = interp.NewObject(g.Name, g.Elem, len(g.Cells), vm.syms[i].space)
+			pointers = copyCells(vm.objs[i], g) || pointers
+		}
+	}
+	for i, h := range from {
+		if h != nil {
+			pointers = copyCells(to[i], h) || pointers
+		}
+	}
+	if !pointers {
+		return
+	}
+	copies := map[*interp.Object]*interp.Object{}
+	var todo []*interp.Object // copies whose pointer cells still hold host objects
+	for i, g := range globals {
+		if g != nil {
 			copies[g] = vm.objs[i]
-			todo = append(todo, g)
+			todo = append(todo, vm.objs[i])
+		}
+	}
+	for i, h := range from {
+		if h != nil {
+			copies[h] = to[i]
+			todo = append(todo, to[i])
 		}
 	}
 	for len(todo) > 0 {
-		h := todo[len(todo)-1]
+		c := todo[len(todo)-1]
 		todo = todo[:len(todo)-1]
-		cells := copies[h].Cells
-		for j, c := range h.Cells {
-			if c.Kind == interp.ValPtr && c.P.Obj != nil {
-				to, ok := copies[c.P.Obj]
-				if !ok {
-					to = interp.NewObject(c.P.Obj.Name, c.P.Obj.Elem, len(c.P.Obj.Cells), vm.m.DefaultSpace())
-					copies[c.P.Obj] = to
-					todo = append(todo, c.P.Obj)
-				}
-				c.P.Obj = to
+		for j := range c.Cells {
+			p := &c.Cells[j].P
+			if c.Cells[j].Kind != interp.ValPtr || p.Obj == nil {
+				continue
 			}
-			cells[j] = c
+			cp, ok := copies[p.Obj]
+			if !ok {
+				cp = interp.NewObject(p.Obj.Name, p.Obj.Elem, len(p.Obj.Cells), vm.m.DefaultSpace())
+				copyCells(cp, p.Obj)
+				copies[p.Obj] = cp
+				todo = append(todo, cp)
+			}
+			p.Obj = cp
 		}
 	}
+}
+
+// copyCells copies h's cells into c and reports whether one is a pointer
+// to an object.
+func copyCells(c, h *interp.Object) bool {
+	copy(c.Cells, h.Cells)
+	for _, v := range h.Cells {
+		if v.Kind == interp.ValPtr && v.P.Obj != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Run executes entry Fns[entry] once. The bool reports whether a return

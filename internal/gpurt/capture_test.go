@@ -279,3 +279,42 @@ int main() {
 		})
 	}
 }
+
+// TestHostCaptureFirstPrivatePointerStaysPerThread requires a
+// firstprivate pointer to give each thread its own copy of what it points
+// at, as copied globals do: a thread's write through it stays the
+// thread's, and two threadblock goroutines never write the host's buffer
+// (go test -race). Each thread here takes one record, so the GPU emits
+// the records themselves, while the CPU accumulates across records.
+func TestHostCaptureFirstPrivatePointerStaysPerThread(t *testing.T) {
+	const src = `
+int main() {
+	int key, one, read;
+	int *acc;
+	char *line;
+	size_t n = 100;
+	line = (char*) malloc(100);
+	acc = (int*) calloc(1, sizeof(int));
+	#pragma mapreduce mapper key(key) value(one) firstprivate(acc) kvpairs(1) blocks(2) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		*acc = *acc + atoi(line);
+		key = *acc;
+		one = 1;
+		printf("%d\t%d\n", key, one);
+	}
+	free(line);
+	return 0;
+}
+`
+	comp, err := compiler.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, gpu := cpuAndGPU(t, comp, "1\n2\n3\n4\n")
+	if want := []string{"1\t1", "10\t1", "3\t1", "6\t1"}; strings.Join(cpu, "|") != strings.Join(want, "|") {
+		t.Fatalf("CPU emitted %q, want %q", cpu, want)
+	}
+	if want := []string{"1\t1", "2\t1", "3\t1", "4\t1"}; strings.Join(gpu, "|") != strings.Join(want, "|") {
+		t.Fatalf("GPU emitted %q, want %q", gpu, want)
+	}
+}

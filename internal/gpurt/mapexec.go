@@ -70,11 +70,12 @@ func captureHost(comp *compiler.Compiled, stdout io.Writer) (*bytecode.LaunchPoi
 // image, the host's objects at the launch point, the objects all threads
 // share, and a thread's machine options, all but its cost sink.
 type kernelLaunch struct {
-	comp    *compiler.Compiled
-	img     *bytecode.Image
-	host    []*interp.Object // by kernel slot
-	shared  []*interp.Object // by kernel slot: the sharedRO objects
-	machine interp.Options
+	comp         *compiler.Compiled
+	img          *bytecode.Image
+	host         []*interp.Object // by kernel slot
+	shared       []*interp.Object // by kernel slot: the sharedRO objects
+	firstPrivate []*interp.Object // by kernel slot: the host objects each thread copies
+	machine      interp.Options
 }
 
 // newKernelLaunch links comp's kernel program for one launch, with the
@@ -96,15 +97,19 @@ func newKernelLaunch(comp *compiler.Compiled, host *bytecode.LaunchPoint, opts O
 		Intrinsics: intrinsics,
 	}
 	l := &kernelLaunch{
-		comp:    comp,
-		img:     bytecode.NewImage(interp.New(comp.Kernel.Prog, machine), comp.KernelVM, host.Globals),
-		host:    host.Slots,
-		shared:  make([]*interp.Object, len(host.Slots)),
-		machine: machine,
+		comp:         comp,
+		img:          bytecode.NewImage(interp.New(comp.Kernel.Prog, machine), comp.KernelVM, host.Globals),
+		host:         host.Slots,
+		shared:       make([]*interp.Object, len(host.Slots)),
+		firstPrivate: make([]*interp.Object, len(host.Slots)),
+		machine:      machine,
 	}
 	for _, f := range comp.KernelVM.Free {
 		var space interp.MemSpace
 		switch comp.Kernel.Plan[f.Sym] {
+		case compiler.ClassFirstPrivate:
+			l.firstPrivate[f.Slot] = host.Slots[f.Slot]
+			continue
 		case compiler.ClassROScalar:
 			space = interp.SpaceConstant
 		case compiler.ClassROArray:
@@ -126,7 +131,9 @@ func newKernelLaunch(comp *compiler.Compiled, host *bytecode.LaunchPoint, opts O
 
 // bind builds the VM of one thread or warp whose cost sink is sink: its
 // own machine and globals, and kernel slots holding the launch's shared
-// objects plus fresh private and firstprivate ones.
+// objects plus fresh private and firstprivate ones. A firstprivate slot
+// starts with the host's cells, and what a pointer among them reaches is
+// the thread's own copy, as for the globals.
 func (l *kernelLaunch) bind(sink interp.CostSink) (*bytecode.FragmentVM, error) {
 	objs := make([]*interp.Object, len(l.shared))
 	copy(objs, l.shared)
@@ -140,15 +147,11 @@ func (l *kernelLaunch) bind(sink interp.CostSink) (*bytecode.FragmentVM, error) 
 		if len(h.Cells) > 1 {
 			space = l.machine.DefaultSpace
 		}
-		obj := interp.NewObject(f.Sym.Name, h.Elem, len(h.Cells), space)
-		if cls == compiler.ClassFirstPrivate {
-			copy(obj.Cells, h.Cells)
-		}
-		objs[f.Slot] = obj
+		objs[f.Slot] = interp.NewObject(f.Sym.Name, h.Elem, len(h.Cells), space)
 	}
 	opts := l.machine
 	opts.Cost = sink
-	return bytecode.NewFragmentVM(interp.New(l.comp.Kernel.Prog, opts), l.img, objs)
+	return bytecode.NewFragmentVM(interp.New(l.comp.Kernel.Prog, opts), l.img, objs, l.firstPrivate)
 }
 
 // mapThread is one simulated GPU thread of the map kernel. It is its
