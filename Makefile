@@ -47,7 +47,9 @@ lint:
 
 # lint-go runs the determinism linter over the packages whose outputs
 # must be bit-reproducible (no math/rand, no time.Now, no unsorted map
-# iteration); see tools/detlint. internal/interp, internal/bytecode and
+# iteration); see tools/detlint. It type-checks each package, and what
+# it imports, from source, so it sees every range over a map whichever
+# package declares the map's type. internal/interp, internal/bytecode and
 # internal/streaming are the MiniC stage packages, whose outputs and cost
 # charges must reproduce bit for bit, and internal/interp/walker is the
 # reference evaluator they are checked against; internal/minic decides

@@ -509,7 +509,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 	}
 	if b.disc == batched {
 		fb.inv = map[*ir.Instr]int32{}
-		// Map iteration is safe here: counts accumulate commutatively.
+		//detlint:ignore map-iteration: the counts add commutatively, and folding GPU charges as CPU ones are folded deletes the table
 		for _, in := range f.ExprInstr {
 			fb.inv[in]++
 		}

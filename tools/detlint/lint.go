@@ -1,12 +1,14 @@
 // Command detlint is a determinism linter for the simulation engine and
 // its satellites: packages whose outputs must be bit-reproducible across
-// runs and Go releases. It is stdlib-only (go/ast + go/parser) and flags
-// three hazard classes:
+// runs and Go releases. It is stdlib-only (go/parser, and go/types over
+// the source importer, so it needs no compiled export data) and flags
+// five hazard classes:
 //
 //  1. importing math/rand (seeded or not, stream stability is not
 //     guaranteed across Go releases; the repo uses its own splitmix64),
 //  2. calling time.Now (wall-clock reads make virtual-time runs diverge),
-//  3. ranging over a map (iteration order is randomized) — except the
+//  3. ranging over any map-typed expression, wherever its type is
+//     declared (iteration order is randomized) — except the
 //     collect-keys-then-sort idiom, where the loop body is a single
 //     `xs = append(xs, k)` statement,
 //  4. launching a bare goroutine (`go f()`) — unsynchronized concurrency
@@ -24,8 +26,8 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -40,19 +42,23 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.pos.Filename, f.pos.Line, f.rule, f.msg)
 }
 
-// lintSource parses one Go file and returns its findings.
-func lintSource(name, src string) ([]finding, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, name, src, parser.ParseComments)
-	if err != nil {
+// lintPackage type-checks one package's files, resolving their imports
+// with imp, and returns the files' findings.
+func lintPackage(fset *token.FileSet, files []*ast.File, imp types.Importer) ([]finding, error) {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(files[0].Name.Name, fset, files, info); err != nil {
 		return nil, err
 	}
-	l := &linter{fset: fset, file: file}
-	l.collectIgnores()
-	l.collectTimeName()
-	l.collectMapNames()
-	l.run()
-	return l.findings, nil
+	var out []finding
+	for _, file := range files {
+		l := &linter{fset: fset, file: file, info: info}
+		l.collectIgnores()
+		l.collectTimeName()
+		l.run()
+		out = append(out, l.findings...)
+	}
+	return out, nil
 }
 
 type linter struct {
@@ -68,9 +74,8 @@ type linter struct {
 	// syncName is the local import name of the "sync" package ("" if not
 	// imported).
 	syncName string
-	// mapNames are identifiers (variables and struct field names) with
-	// file-local syntactic evidence of a map type.
-	mapNames map[string]bool
+	// info holds the type of every expression of the file's package.
+	info *types.Info
 }
 
 func (l *linter) report(pos token.Pos, rule, msg string) {
@@ -111,77 +116,6 @@ func (l *linter) collectTimeName() {
 	}
 }
 
-// collectMapNames gathers identifiers with syntactic map-type evidence:
-// `var x map[...]`, `x := make(map[...]...)`, `x := map[...]{...}`, struct
-// fields and function parameters/results declared with a map type.
-func (l *linter) collectMapNames() {
-	l.mapNames = map[string]bool{}
-	isMapType := func(e ast.Expr) bool {
-		_, ok := e.(*ast.MapType)
-		return ok
-	}
-	isMapExpr := func(e ast.Expr) bool {
-		switch x := e.(type) {
-		case *ast.CallExpr:
-			if fn, ok := x.Fun.(*ast.Ident); ok && fn.Name == "make" && len(x.Args) >= 1 {
-				return isMapType(x.Args[0])
-			}
-		case *ast.CompositeLit:
-			return x.Type != nil && isMapType(x.Type)
-		}
-		return false
-	}
-	addField := func(f *ast.Field) {
-		if !isMapType(f.Type) {
-			return
-		}
-		for _, n := range f.Names {
-			l.mapNames[n.Name] = true
-		}
-	}
-	ast.Inspect(l.file, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.ValueSpec:
-			if x.Type != nil && isMapType(x.Type) {
-				for _, id := range x.Names {
-					l.mapNames[id.Name] = true
-				}
-			}
-			for i, v := range x.Values {
-				if i < len(x.Names) && isMapExpr(v) {
-					l.mapNames[x.Names[i].Name] = true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range x.Rhs {
-				if i < len(x.Lhs) && isMapExpr(rhs) {
-					if id, ok := x.Lhs[i].(*ast.Ident); ok {
-						l.mapNames[id.Name] = true
-					}
-				}
-			}
-		case *ast.StructType:
-			if x.Fields != nil {
-				for _, f := range x.Fields.List {
-					addField(f)
-				}
-			}
-		case *ast.FuncType:
-			if x.Params != nil {
-				for _, f := range x.Params.List {
-					addField(f)
-				}
-			}
-			if x.Results != nil {
-				for _, f := range x.Results.List {
-					addField(f)
-				}
-			}
-		}
-		return true
-	})
-}
-
 func (l *linter) run() {
 	for _, imp := range l.file.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
@@ -219,17 +153,15 @@ func (l *linter) run() {
 	})
 }
 
-// rangesOverMap reports whether e has file-local evidence of being a map:
-// a known map identifier, or a selector whose field name is a known map
-// field.
+// rangesOverMap reports whether e's type is a map, whichever package
+// declares it.
 func (l *linter) rangesOverMap(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return l.mapNames[x.Name]
-	case *ast.SelectorExpr:
-		return l.mapNames[x.Sel.Name]
+	t := l.info.TypeOf(e)
+	if t == nil {
+		return false
 	}
-	return false
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // isCollectKeysBody recognizes the allowed idiom: a body consisting of a

@@ -1,15 +1,31 @@
 package main
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
 
+// testFset and testImporter are shared by every case, so each imported
+// package is type-checked from source once.
+var (
+	testFset     = token.NewFileSet()
+	testImporter = importer.ForCompiler(testFset, "source", nil)
+)
+
+// lintOK lints src as the only file of its package.
 func lintOK(t *testing.T, src string) []finding {
 	t.Helper()
-	fs, err := lintSource("test.go", src)
+	file, err := parser.ParseFile(testFset, "test.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
+	}
+	fs, err := lintPackage(testFset, []*ast.File{file}, testImporter)
+	if err != nil {
+		t.Fatalf("type-check: %v", err)
 	}
 	return fs
 }
@@ -76,6 +92,41 @@ import "fmt"
 type s struct{ series map[string]int }
 func f(x *s) {
 	for k := range x.series {
+		fmt.Println(k)
+	}
+}
+`)
+	if len(fs) != 1 || fs[0].rule != "map-iteration" {
+		t.Fatalf("want one map-iteration finding, got %v", fs)
+	}
+}
+
+// TestFlagsMapTypeFromAnotherPackage needs the types: net/url declares
+// url.Values as a map, which nothing in this file's syntax shows.
+func TestFlagsMapTypeFromAnotherPackage(t *testing.T) {
+	fs := lintOK(t, `package p
+import (
+	"fmt"
+	"net/url"
+)
+func f(v url.Values) {
+	for k := range v {
+		fmt.Println(k)
+	}
+}
+`)
+	if len(fs) != 1 || fs[0].rule != "map-iteration" {
+		t.Fatalf("want one map-iteration finding, got %v", fs)
+	}
+}
+
+func TestFlagsNamedMapTypeRange(t *testing.T) {
+	fs := lintOK(t, `package p
+import "fmt"
+type set map[string]bool
+func members() set { return set{"a": true} }
+func f() {
+	for k := range members() {
 		fmt.Println(k)
 	}
 }
