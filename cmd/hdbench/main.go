@@ -220,7 +220,7 @@ func main() {
 			rec.Metrics().RecordCostProfile(snap)
 		}
 	}
-	check(writeObs(rec, *tracePath, *metricsPath))
+	check(rec.WriteFiles(*tracePath, *metricsPath))
 	check(stopProfiles())
 	check(writeHeapProfile(*memProfile))
 }
@@ -382,40 +382,6 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeObs dumps the recorder's trace and metrics to the requested files.
-func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
-	if rec == nil {
-		return nil
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Tracer().WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Metrics().WriteProm(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func check(err error) {

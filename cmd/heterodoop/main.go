@@ -166,7 +166,7 @@ func main() {
 			rec.Metrics().RecordCostProfile(snap)
 		}
 	}
-	if err := writeObs(rec, *tracePath, *metricsPath); err != nil {
+	if err := rec.WriteFiles(*tracePath, *metricsPath); err != nil {
 		fatal(err)
 	}
 	if *tracePath != "" {
@@ -180,38 +180,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "heterodoop:", err)
 	os.Exit(1)
-}
-
-// writeObs dumps the recorder's trace and metrics to the requested files.
-func writeObs(rec *obs.Recorder, tracePath, metricsPath string) error {
-	if rec == nil {
-		return nil
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Tracer().WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := rec.Metrics().WriteProm(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -9,7 +9,9 @@ package gpurt
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/kv"
 )
@@ -139,63 +141,17 @@ func (s *KVStore) Aggregate() [][]int32 {
 
 // SortPartition orders a partition's indirection array by serialized key
 // (bytewise, which the order-preserving encoding makes equivalent to the
-// CPU's typed comparison), stably. Only the index array is permuted; the
-// KV data never moves — this is the paper's indirection-based merge sort.
+// CPU's typed comparison), then by slot, so equal keys keep their
+// emission order. Only the index array is permuted; the KV data never
+// moves, as in the paper's indirection-based merge sort. The order is
+// total, so it does not depend on the sorting algorithm.
 func (s *KVStore) SortPartition(slots []int32) {
-	mergeSortIndices(slots, func(a, b int32) bool {
-		c := bytes.Compare(s.SlotKeyBytes(int(a)), s.SlotKeyBytes(int(b)))
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(slots, func(a, b int32) int {
+		if c := bytes.Compare(s.SlotKeyBytes(int(a)), s.SlotKeyBytes(int(b))); c != 0 {
+			return c
 		}
-		return a < b // stable: slot order breaks ties
+		return cmp.Compare(a, b)
 	})
-}
-
-// mergeSortIndices is a bottom-up merge sort mirroring the GPU
-// implementation's pass structure.
-func mergeSortIndices(a []int32, less func(x, y int32) bool) {
-	n := len(a)
-	if n < 2 {
-		return
-	}
-	buf := make([]int32, n)
-	src, dst := a, buf
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if !less(src[j], src[i]) {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				dst[k] = src[i]
-				i++
-				k++
-			}
-			for j < hi {
-				dst[k] = src[j]
-				j++
-				k++
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
 }
 
 // Record is one input record located by the record-counting kernel.

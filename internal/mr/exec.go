@@ -616,10 +616,3 @@ func (x *SampledExecutor) ReduceTask(p int, inputs [][]kv.Pair) (ReduceWork, err
 		ComputeTime: x.ReduceCompute,
 	}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

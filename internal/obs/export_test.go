@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,6 +158,51 @@ func TestExportReportsWriteErrors(t *testing.T) {
 	reg.Counter("c", "").Inc()
 	if err := reg.WriteProm(failingWriter{}); !errors.Is(err, errSink) {
 		t.Fatalf("WriteProm error = %v, want %v", err, errSink)
+	}
+}
+
+// TestRecorderWriteFiles pins what the CLIs' -trace and -metrics flags
+// write: each dump in its own file, nothing for an empty path or a nil
+// recorder, and the error of a file that cannot be created.
+func TestRecorderWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	trace, metrics := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom")
+	var nilRec *Recorder
+	if err := nilRec.WriteFiles(trace, metrics); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("nil recorder wrote %s (stat: %v)", trace, err)
+	}
+	rec := NewRecorder()
+	rec.Metrics().Counter("c_total", "one").Inc()
+	if err := rec.WriteFiles(trace, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+		t.Fatalf("empty metrics path wrote %s (stat: %v)", metrics, err)
+	}
+	if err := rec.WriteFiles(trace, metrics); err != nil {
+		t.Fatal(err)
+	}
+	var wantTrace, wantProm bytes.Buffer
+	if err := rec.Tracer().WriteChromeTrace(&wantTrace); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Metrics().WriteProm(&wantProm); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{trace: wantTrace.Bytes(), metrics: wantProm.Bytes()} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s holds %q, want %q", path, got, want)
+		}
+	}
+	if err := rec.WriteFiles(filepath.Join(dir, "missing", "t.json"), ""); err == nil {
+		t.Error("unwritable trace path: no error")
 	}
 }
 

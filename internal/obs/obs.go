@@ -13,6 +13,8 @@
 package obs
 
 import (
+	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/sim"
@@ -204,4 +206,33 @@ func (r *Recorder) Metrics() *Registry {
 		return nil
 	}
 	return r.metrics
+}
+
+// WriteFiles writes the recorder's Chrome trace to tracePath and its
+// metrics dump to metricsPath, skipping an empty path. A nil recorder
+// writes nothing.
+func (r *Recorder) WriteFiles(tracePath, metricsPath string) error {
+	if r == nil {
+		return nil
+	}
+	if err := writeFile(tracePath, r.trace.WriteChromeTrace); err != nil {
+		return err
+	}
+	return writeFile(metricsPath, r.metrics.WriteProm)
+}
+
+// writeFile creates path and fills it with write, unless path is empty.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
