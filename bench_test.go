@@ -39,6 +39,7 @@ func BenchmarkMapTaskGPU(b *testing.B) { benchsuite.MapTaskGPU(b) }
 func BenchmarkLRMapVM(b *testing.B)    { benchsuite.LRMapVM(b) }
 func BenchmarkKMMapVM(b *testing.B)    { benchsuite.KMMapVM(b) }
 func BenchmarkBSMapVM(b *testing.B)    { benchsuite.BSMapVM(b) }
+func BenchmarkWCMapVM(b *testing.B)    { benchsuite.WCMapVM(b) }
 func BenchmarkBSMapGPU(b *testing.B)   { benchsuite.BSMapGPU(b) }
 func BenchmarkCompileTable2(b *testing.B) {
 	benchsuite.CompileTable2(b)
@@ -59,7 +60,7 @@ func TestBenchSuiteNamesMatch(t *testing.T) {
 		"BenchmarkSchedulerAblation": true, "BenchmarkStealingGranularity": true,
 		"BenchmarkSpeculativeExecution": true, "BenchmarkMapTaskGPU": true,
 		"BenchmarkLRMapVM": true, "BenchmarkKMMapVM": true, "BenchmarkBSMapVM": true,
-		"BenchmarkBSMapGPU": true, "BenchmarkCompileTable2": true,
+		"BenchmarkWCMapVM": true, "BenchmarkBSMapGPU": true, "BenchmarkCompileTable2": true,
 		"BenchmarkEngineTable2": true,
 	}
 	got := benchsuite.All()

@@ -59,6 +59,7 @@ func All() []Bench {
 		{Name: "BenchmarkLRMapVM", Short: true, Fn: LRMapVM},
 		{Name: "BenchmarkKMMapVM", Short: true, Fn: KMMapVM},
 		{Name: "BenchmarkBSMapVM", Fn: BSMapVM},
+		{Name: "BenchmarkWCMapVM", Short: true, Fn: WCMapVM},
 		{Name: "BenchmarkBSMapGPU", Short: true, Fn: BSMapGPU},
 		{Name: "BenchmarkCompileTable2", Short: true, Fn: CompileTable2},
 		{Name: "BenchmarkEngineTable2", Short: true, Fn: EngineTable2},
@@ -456,9 +457,10 @@ func MapTaskGPU(b *testing.B) {
 }
 
 // mapStage times one benchmark's map stage — a single sequential pass of
-// the compiled mapper over a 32 KB input on the bytecode VM. LR and KM
-// are cheap enough for the Short subset, so the CI gate runs MiniC; BS
-// (~0.15 s/op) is full-suite only.
+// the compiled mapper over a 32 KB input on the bytecode VM. LR, KM and
+// WC are cheap enough for the Short subset, so the CI gate runs MiniC;
+// BS (~0.15 s/op) is full-suite only. WC calls getWord and printf once
+// per word, so its allocations gate per-call host cost.
 func mapStage(b *testing.B, bench *workload.Benchmark) {
 	b.ReportAllocs()
 	input := bench.Gen(7, 32<<10)
@@ -477,6 +479,7 @@ func mapStage(b *testing.B, bench *workload.Benchmark) {
 func LRMapVM(b *testing.B) { mapStage(b, workload.LinearRegression()) }
 func KMMapVM(b *testing.B) { mapStage(b, workload.Kmeans()) }
 func BSMapVM(b *testing.B) { mapStage(b, workload.BlackScholes()) }
+func WCMapVM(b *testing.B) { mapStage(b, workload.Wordcount()) }
 
 // BSMapGPU times one GPU map task: gpurt.RunTask of BlackScholes' map
 // kernel over a 4 KB split on Cluster2's M2090. The kernel's 30x64 threads
