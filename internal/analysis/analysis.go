@@ -22,10 +22,15 @@ func Lint(file, src string) []Diagnostic {
 	}
 	a := &analyzer{prog: prog, file: file}
 	regions := a.sourcePasses()
-	if len(regions) == 1 && !HasErrors(a.diags) {
+	if len(regions) > 0 && !HasErrors(a.diags) {
 		if spec, _, err := compiler.Translate(file, prog); err != nil {
-			a.report("HD002", regions[0].pragma.Pos,
-				"directive region fails to translate: "+stripPosPrefix(file, err.Error()), "")
+			at := regions[0].pragma.Pos
+			if len(regions) > 1 {
+				// The translator takes one region per file, so it
+				// refuses the second.
+				at = regions[1].pragma.Pos
+			}
+			a.report("HD002", at, "directive region fails to translate: "+stripPosPrefix(file, err.Error()), "")
 		} else {
 			a.diags = append(a.diags, AnalyzeKernel(spec)...)
 		}

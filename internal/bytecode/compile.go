@@ -532,7 +532,8 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		NumRegs: int32(plan.NumRegs) + 2,
 	}
 	// Parameters: tracked scalars arrive in registers, demoted ones in
-	// fresh per-call objects (the walker allocates one per parameter).
+	// objects: fresh per call (the walker allocates one per parameter)
+	// unless the code cannot point at them (Param.Kept, set below).
 	for _, p := range decl.Params {
 		prm := Param{Reg: -1, Slot: -1, Sym: p.Sym, Type: p.Type}
 		if v := f.VarFor(p.Sym); v != nil {
@@ -578,7 +579,21 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 	fn.Code = fb.code
 	fn.Pos = fb.pos
 	fn.NumObjSlots = int32(len(slots.syms))
+	for i, prm := range fn.Params {
+		fn.Params[i].Kept = prm.Slot >= 0 && !slotEscapes(fn.Code, prm.Slot)
+	}
 	return fn, nil
+}
+
+// slotEscapes reports whether code takes the address of object slot or
+// allocates a fresh object into it.
+func slotEscapes(code []Instr, slot int32) bool {
+	for _, in := range code {
+		if (in.Op == OpAddrO && in.B == -slot-1) || (in.Op == OpAlloc && in.A == slot) {
+			return true
+		}
+	}
+	return false
 }
 
 // addLValueUses registers the hidden register reads of opaque lvalue

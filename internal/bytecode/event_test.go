@@ -197,6 +197,9 @@ func TestPerEventParity(t *testing.T) {
 	for i, src := range optimizedSrcs {
 		cases = append(cases, tc{"optimized/" + string(rune('a'+i)), src, "", 0, true})
 	}
+	for _, ps := range paramSrcs {
+		cases = append(cases, tc{"params/" + ps.name, ps.src, ps.stdin, 0, true})
+	}
 	for _, rc := range runtimeErrorCases {
 		cases = append(cases, tc{"error/" + rc.name, rc.src, "", 0, false})
 	}

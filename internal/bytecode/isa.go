@@ -236,10 +236,14 @@ type AllocSpec struct {
 }
 
 // Param binds one function parameter to its frame location: a register for
-// tracked scalars, an object slot for demoted parameters.
+// tracked scalars, an object slot for demoted parameters. Kept marks a
+// demoted parameter whose slot the function never takes the address of
+// (no addr.o) nor allocates: nothing can point at its object, so a pooled
+// frame keeps the object from call to call and only rewrites its cell.
 type Param struct {
 	Reg  int32 // register index, or -1
 	Slot int32 // frame object slot, or -1
+	Kept bool
 	Sym  *minic.Symbol
 	Type *minic.Type
 }

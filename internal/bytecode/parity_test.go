@@ -575,12 +575,109 @@ int main() {
 	return 0;
 }`
 
+// paramSrcs call helpers with demoted (pointer, or address-taken)
+// parameters, whose objects a pooled frame keeps from call to call unless
+// the helper takes the parameter's address (Param.Kept); each runs on its
+// stdin.
+var paramSrcs = []struct{ name, src, stdin string }{
+	// count and fill are called in a loop and advance their pointer
+	// parameters: an assignment writes a kept object's cell, and src++
+	// takes src's address, so src gets a fresh object per call.
+	{"loop", `
+int count(char *s, char c) {
+	int n = 0;
+	while (*s) {
+		if (*s == c) n++;
+		s = s + 1;
+	}
+	return n;
+}
+void fill(char *dst, char *src, int k) {
+	while (k > 0 && *src) {
+		*dst = *src;
+		dst = dst + 1; src++; k--;
+	}
+	*dst = '\0';
+}
+int main() {
+	char buf[16];
+	int i;
+	for (i = 0; i < 8; i++) {
+		fill(buf, "abcabcab", i);
+		printf("%d %d %s\n", i, count(buf, 'a') + count(buf, 'b'), buf);
+	}
+	return 0;
+}`, ""},
+	// rev reads s after its recursive call returns, so every active call
+	// needs its own parameter objects.
+	{"recursive", `
+int rev(char *s, char *out, int n) {
+	if (*s == '\0') return n;
+	int k = rev(s + 1, out, n);
+	out[k] = *s;
+	return k + 1;
+}
+int main() {
+	char out[16];
+	int k = rev("recursion", out, 0);
+	out[k] = '\0';
+	printf("%d %s\n", k, out);
+	k = rev("ab", out, 0);
+	printf("%d %s\n", k, out);
+	return 0;
+}`, ""},
+	// keep stores &s and &x on every call, and main reads them back after
+	// the loop: each call's objects must stay distinct.
+	{"address-taken", `
+char **saved[4];
+int *ints[4];
+void keep(char *s, int x, int i) {
+	saved[i] = &s;
+	ints[i] = &x;
+}
+int main() {
+	char *words[4];
+	int i;
+	words[0] = "zero"; words[1] = "one"; words[2] = "two"; words[3] = "three";
+	for (i = 0; i < 4; i++)
+		keep(words[i], i * 10, i);
+	for (i = 0; i < 4; i++)
+		printf("%s %d\n", *saved[i], *ints[i]);
+	return 0;
+}`, ""},
+	// next scanfs into &v, its parameter, and word into w.
+	{"scanf-param", `
+int next(int v, char *w) {
+	if (scanf("%s %d", w, &v) != 2) return -1;
+	return v;
+}
+int main() {
+	char w[16];
+	int v, sum = 0;
+	while ((v = next(0, w)) >= 0) {
+		sum += v;
+		printf("%s %d %d\n", w, v, sum);
+	}
+	return 0;
+}`, "apple 3\npear 14\nfig 159\n"},
+}
+
 // TestParityOptimized runs sources through the AST optimizer first: the
 // bytecode compiler consumes optimizer output in production.
 func TestParityOptimized(t *testing.T) {
 	for _, src := range optimizedSrcs {
 		prog, code := compileSrc(t, src, true)
 		compareRuns(t, runCore(prog, nil, "", 0), runCore(prog, code, "", 0))
+	}
+	for _, ps := range paramSrcs {
+		t.Run(ps.name, func(t *testing.T) {
+			prog, code := compileSrc(t, ps.src, true)
+			walker := runCore(prog, nil, ps.stdin, 0)
+			if walker.err != "" || walker.out == "" {
+				t.Fatalf("walker: output %q, error %q", walker.out, walker.err)
+			}
+			compareRuns(t, walker, runCore(prog, code, ps.stdin, 0))
+		})
 	}
 }
 

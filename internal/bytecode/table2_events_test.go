@@ -9,6 +9,7 @@ import (
 	"repro/internal/bytecode"
 	"repro/internal/interp"
 	"repro/internal/interp/walker"
+	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/workload"
 )
@@ -33,6 +34,51 @@ func TestPerEventParityTable2(t *testing.T) {
 				input = sortedOutput(t, st.src, input)
 			}
 		})
+	}
+}
+
+// TestFoldedTrafficTable2 checks the charge vectors a CountingSink takes
+// against per-access charging: for every stage program of the eight
+// Table-2 benchmarks, as written and optimized, each Traffic list folded
+// over the image's symbols must give the totals of its accesses charged
+// one Load or Store at a time. A CPU machine places every symbol in RAM;
+// the second machine spreads them over the memory spaces, so that
+// vectors fold several.
+func TestFoldedTrafficTable2(t *testing.T) {
+	spread := func(sym *minic.Symbol) interp.MemSpace { return interp.MemSpace(len(sym.Name) % 7) }
+	lists := 0
+	for _, b := range workload.All() {
+		for _, src := range []string{b.Job.MapSrc, b.Job.CombineSrc, b.Job.ReduceSrc} {
+			for _, optimize := range []bool{false, true} {
+				if src == "" {
+					continue
+				}
+				prog, err := minic.ParseAndCheck(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if optimize {
+					ir.OptimizeProgram(prog)
+				}
+				code, err := bytecode.Compile(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, spaceFor := range []func(*minic.Symbol) interp.MemSpace{nil, spread} {
+					m := interp.New(prog, interp.Options{Cost: &interp.CountingSink{}, SpaceFor: spaceFor})
+					folded, each := bytecode.TrafficTotals(m, code)
+					for i := range folded {
+						if folded[i] != each[i] {
+							t.Fatalf("%s: traffic list %d: folded %+v, per access %+v", b.Code, i, folded[i], each[i])
+						}
+					}
+					lists += len(folded)
+				}
+			}
+		}
+	}
+	if lists == 0 {
+		t.Fatal("no traffic lists")
 	}
 }
 

@@ -45,8 +45,8 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 }
 
 // Verify checks every compiled function's code for well-formedness:
-// operand indices inside their pools, registers inside the frame, and
-// jump targets inside the code. The compiler always emits verifiable
+// operand indices inside their pools, registers inside the frame, jump
+// targets inside the code, and no kept parameter's object escaping. The compiler always emits verifiable
 // code; the check guards decoded/fuzzed instruction streams and catches
 // compiler regressions in tests.
 func Verify(p *Program) error {
@@ -79,6 +79,9 @@ func Verify(p *Program) error {
 			}
 			if prm.Reg >= fn.NumRegs || prm.Slot >= fn.NumObjSlots {
 				return fmt.Errorf("bytecode: %s: parameter location out of range", fn.Name)
+			}
+			if prm.Kept && (prm.Slot < 0 || slotEscapes(fn.Code, prm.Slot)) {
+				return fmt.Errorf("bytecode: %s: parameter %s is kept, but its object can escape", fn.Name, prm.Sym.Name)
 			}
 		}
 		if err := VerifyCode(fn.Code, boundsFor(p, fn)); err != nil {

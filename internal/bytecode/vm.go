@@ -19,8 +19,8 @@ type VM struct {
 	m *interp.Machine
 
 	// cost is read from the machine on every entry. counting is cost when
-	// it is an *interp.CountingSink, which takes a charge's traffic in one
-	// call per symbol; nil otherwise.
+	// it is an *interp.CountingSink and the image folded its traffic,
+	// which a charge then adds as one vector; nil otherwise.
 	cost     interp.CostSink
 	counting *interp.CountingSink
 
@@ -46,6 +46,62 @@ type Image struct {
 	syms    []symInfo // by Syms index
 	linked  []linkedCallee
 	globals []*interp.Object // by Syms index; see copyIn
+	// vecs holds Prog.Traffic folded over syms, by list, when the linking
+	// machine charges an *interp.CountingSink; nil otherwise, as for
+	// every GPU image, whose sinks take each access in order.
+	vecs []trafficVec
+}
+
+// trafficVec is one Program.Traffic list folded over an image's symbols:
+// its loads, its stores, and the bytes they move in each memory space.
+// Integer sums do not depend on order, so adding it to a CountingSink
+// gives the totals of its accesses charged one at a time.
+type trafficVec struct {
+	loads, stores int64
+	bytes         []spaceBytes // one per space, in first-access order
+}
+
+type spaceBytes struct {
+	space       interp.MemSpace
+	load, store int64
+}
+
+// addTo charges the vector to c.
+func (v *trafficVec) addTo(c *interp.CountingSink) {
+	c.Loads += v.loads
+	c.Stores += v.stores
+	for _, b := range v.bytes {
+		c.LoadBytes[b.space] += b.load
+		c.StoreBytes[b.space] += b.store
+	}
+}
+
+// foldTraffic builds img.vecs, every vector's bytes in one backing array.
+func (img *Image) foldTraffic() {
+	n := 0
+	for _, acc := range img.Prog.Traffic {
+		n += len(acc)
+	}
+	all := make([]spaceBytes, 0, n)
+	img.vecs = make([]trafficVec, len(img.Prog.Traffic))
+	for i, acc := range img.Prog.Traffic {
+		v, start := &img.vecs[i], len(all)
+		for _, a := range acc {
+			s := &img.syms[a.Sym]
+			v.loads += int64(a.Loads)
+			v.stores += int64(a.Stores)
+			j := start
+			for j < len(all) && all[j].space != s.space {
+				j++
+			}
+			if j == len(all) {
+				all = append(all, spaceBytes{space: s.space})
+			}
+			all[j].load += int64(a.Loads) * int64(s.width)
+			all[j].store += int64(a.Stores) * int64(s.width)
+		}
+		v.bytes = all[start:len(all):len(all)]
+	}
 }
 
 // symInfo is what the variable opcodes need of one symbol: its storage's
@@ -129,6 +185,9 @@ func NewImage(m *interp.Machine, p *Program, globals []*interp.Object) *Image {
 	for i, c := range p.Callees {
 		img.linked[i] = link(m, p, c)
 	}
+	if _, ok := m.Cost().(*interp.CountingSink); ok {
+		img.foldTraffic()
+	}
 	return img
 }
 
@@ -172,7 +231,10 @@ func (vm *VM) bind(m *interp.Machine, img *Image) {
 // refresh re-reads the machine's per-run cost sink.
 func (vm *VM) refresh() {
 	vm.cost = vm.m.Cost()
-	vm.counting, _ = vm.cost.(*interp.CountingSink)
+	vm.counting = nil
+	if c, ok := vm.cost.(*interp.CountingSink); ok && vm.vecs != nil {
+		vm.counting = c
+	}
 }
 
 // errStopAtLaunch ends a host part's run at its kernel launch point,
@@ -255,17 +317,34 @@ func (vm *VM) getFrame(fnIdx int32) *vmFrame {
 	}
 }
 
-func (vm *VM) putFrame(fnIdx int32, fr *vmFrame) {
-	// Registers need no clearing (every read is dominated by a write);
-	// object slots are nilled so pooled frames don't retain dead arrays.
-	for i := range fr.objs {
-		fr.objs[i] = nil
+// putFrame returns fn's frame fr to its pool. Registers need no clearing
+// (every read is dominated by a write). A kept parameter's object stays in
+// its slot with its cell cleared, and every other slot is nilled, so a
+// pooled frame retains no dead array and no caller's buffer.
+func (vm *VM) putFrame(fn *Fn, fnIdx int32, fr *vmFrame) {
+	for i, obj := range fr.objs {
+		if obj != nil && kept(fn, int32(i)) {
+			obj.Cells[0] = interp.Value{}
+		} else {
+			fr.objs[i] = nil
+		}
 	}
 	vm.pools[fnIdx] = append(vm.pools[fnIdx], fr)
 }
 
+// kept reports whether slot holds one of fn's kept parameters.
+func kept(fn *Fn, slot int32) bool {
+	for _, p := range fn.Params {
+		if p.Kept && p.Slot == slot {
+			return true
+		}
+	}
+	return false
+}
+
 // callFn invokes a compiled function with the walker's exact call
-// semantics: arity check, per-parameter conversion, no store charges.
+// semantics: arity check, per-parameter conversion, no store charges. A
+// demoted parameter's slot is empty unless the frame kept its object.
 func (vm *VM) callFn(fnIdx int32, args []interp.Value) (interp.Value, bool, error) {
 	fn := vm.Prog.Fns[fnIdx]
 	if len(args) != len(fn.Params) {
@@ -273,16 +352,20 @@ func (vm *VM) callFn(fnIdx int32, args []interp.Value) (interp.Value, bool, erro
 	}
 	fr := vm.getFrame(fnIdx)
 	for i, p := range fn.Params {
+		v := interp.ConvertFor(p.Type, args[i])
 		if p.Reg >= 0 {
-			fr.regs[p.Reg] = interp.ConvertFor(p.Type, args[i])
+			fr.regs[p.Reg] = v
 			continue
 		}
-		obj := interp.NewObject(p.Sym.Name, p.Type, 1, vm.m.SpaceOf(p.Sym))
-		obj.Cells[0] = interp.ConvertFor(p.Type, args[i])
-		fr.objs[p.Slot] = obj
+		obj := fr.objs[p.Slot]
+		if obj == nil {
+			obj = interp.NewObject(p.Sym.Name, p.Type, 1, vm.m.SpaceOf(p.Sym))
+			fr.objs[p.Slot] = obj
+		}
+		obj.Cells[0] = v
 	}
 	v, term, err := vm.exec(fn, fr)
-	vm.putFrame(fnIdx, fr)
+	vm.putFrame(fn, fnIdx, fr)
 	return v, term, err
 }
 
@@ -318,7 +401,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	code := fn.Code
 	regs := fr.regs
 	cost, counting := vm.cost, vm.counting
-	consts, traffic := vm.Prog.Consts, vm.Prog.Traffic
+	consts, traffic, vecs := vm.Prog.Consts, vm.Prog.Traffic, vm.vecs
 	syms := vm.syms
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
@@ -339,14 +422,11 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				continue
 			}
 			if counting != nil {
-				// One call per symbol: the totals are all a
-				// CountingSink keeps.
+				// The totals are all a CountingSink keeps: add the
+				// list's folded vector.
 				counting.Op(int(in.A))
 				if in.C != 0 {
-					for _, a := range traffic[in.C-1] {
-						s := &syms[a.Sym]
-						counting.Accesses(s.space, s.width, int64(a.Loads), int64(a.Stores))
-					}
+					vecs[in.C-1].addTo(counting)
 				}
 			} else {
 				if in.A > 0 {
@@ -621,7 +701,8 @@ func (vm *VM) launch(argc int) {
 }
 
 // chargeEach charges the tracked-variable accesses a charge folded one
-// Load or Store call at a time, for a sink other than a CountingSink.
+// Load or Store call at a time, for a sink the image folded no vectors
+// for.
 func (vm *VM) chargeEach(acc []Access) {
 	for _, a := range acc {
 		s := &vm.syms[a.Sym]

@@ -99,6 +99,9 @@ func FuzzVMParity(f *testing.F) {
 	for _, src := range optimizedSrcs {
 		f.Add(src, "")
 	}
+	for _, ps := range paramSrcs {
+		f.Add(ps.src, ps.stdin)
+	}
 
 	f.Fuzz(func(t *testing.T, src, stdin string) {
 		if len(src) > fuzzMaxSrcSize || len(stdin) > fuzzMaxStdin {

@@ -104,3 +104,34 @@ func TestBadPragmaPositionReported(t *testing.T) {
 		t.Errorf("diagnostic does not name the bad clause: %q", hit.Message)
 	}
 }
+
+// TestTwoRegionsRefusedAsHD002: the translator takes one mapreduce region
+// per file, so a source with two lint-clean mapper loops is an HD002
+// error at the second pragma, the refusal hdcc and mr.CompileJob report.
+func TestTwoRegionsRefusedAsHD002(t *testing.T) {
+	const region = `
+	#pragma mapreduce mapper key(k) value(v) blocks(2) threads(32)
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		k = atoi(line);
+		v = 1;
+		printf("%d\t%d\n", k, v);
+	}`
+	src := `int main() {
+	char *line;
+	size_t n = 100;
+	int read, k, v;
+	line = (char*) malloc(n * sizeof(char));` + region + region + `
+	free(line);
+	return 0;
+}`
+	if _, err := compiler.Compile(src); err == nil || !strings.Contains(err.Error(), "source has 2 mapreduce pragmas") {
+		t.Fatalf("compile: err = %v, want the two-pragma refusal", err)
+	}
+	diags := analysis.Lint("two.c", src)
+	if len(diags) != 1 || diags[0].Code != "HD002" || diags[0].Severity != analysis.SevError {
+		t.Fatalf("diagnostics = %v, want one HD002 error", diags)
+	}
+	if d := diags[0]; d.Pos.Line != 12 || !strings.Contains(d.Message, "source has 2 mapreduce pragmas, want 1 per file") {
+		t.Errorf("HD002 at line %d with %q, want line 12 and the translator's refusal", d.Pos.Line, d.Message)
+	}
+}

@@ -8,8 +8,8 @@ const MaxStdinBuf = maxStdinBuf
 // StdinBufSize reports the size of m's stdin read buffer, 0 before the
 // machine's first read.
 func StdinBufSize(m *Machine) int {
-	if m.stdin.r == nil {
+	if m.std == nil || m.std.in.r == nil {
 		return 0
 	}
-	return m.stdin.r.Size()
+	return m.std.in.r.Size()
 }

@@ -103,16 +103,6 @@ func (c *CountingSink) Load(s MemSpace, w int) { c.Loads++; c.LoadBytes[s] += in
 // Store implements CostSink.
 func (c *CountingSink) Store(s MemSpace, w int) { c.Stores++; c.StoreBytes[s] += int64(w) }
 
-// Accesses charges loads reads and stores writes of w bytes each in
-// space at once, as that many Load and Store calls would. The bytecode VM
-// adds a batch of tracked-variable accesses through it.
-func (c *CountingSink) Accesses(s MemSpace, w int, loads, stores int64) {
-	c.Loads += loads
-	c.Stores += stores
-	c.LoadBytes[s] += loads * int64(w)
-	c.StoreBytes[s] += stores * int64(w)
-}
-
 // ValKind tags runtime values.
 type ValKind uint8
 
@@ -251,26 +241,48 @@ func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 type Machine struct {
 	Prog *minic.Program
 
-	stdin      tokenReader
+	stdin      io.Reader
 	stdout     io.Writer
 	cost       CostSink
 	intrinsics map[string]Builtin
 	space      MemSpace
 	spaceFor   func(sym *minic.Symbol) MemSpace
 
-	// literals is created on first use: most simulated GPU threads
-	// intern no literal.
+	// literals and std are created on first use: most simulated GPU
+	// threads intern no literal and make no stdio call.
 	literals map[string]*Object
+	std      *stdio
 
 	steps    int64
 	maxSteps int64
+}
+
+// stdio is a machine's standard I/O state: the buffered input, the
+// stream handles, and the scratch bytes the stdio and string builtins
+// reuse from call to call, so that a call allocates nothing once they
+// have grown to its strings.
+type stdio struct {
+	in      tokenReader
+	handles []*Object // one per stream name (its Name), made on first use
+	// fmt holds a format string, buf a call's other bytes: a formatted
+	// line, a token, a line that outgrew the input buffer, or the strings
+	// a string builtin reads.
+	fmt, buf []byte
+}
+
+// stdio returns the machine's stdio state, creating it on the first call.
+func (m *Machine) stdio() *stdio {
+	if m.std == nil {
+		m.std = &stdio{in: tokenReader{src: m.stdin}}
+	}
+	return m.std
 }
 
 // New builds a machine for prog. The program must have passed minic.Check.
 func New(prog *minic.Program, opts Options) *Machine {
 	m := &Machine{
 		Prog:       prog,
-		stdin:      tokenReader{src: opts.Stdin},
+		stdin:      opts.Stdin,
 		stdout:     opts.Stdout,
 		cost:       opts.Cost,
 		intrinsics: opts.Intrinsics,
@@ -546,15 +558,14 @@ func convertFor(t *minic.Type, v Value) Value {
 
 // stdioHandle returns a stable opaque object for a stdio stream name.
 func (m *Machine) stdioHandle(name string) *Object {
-	key := "\x00stdio:" + name
-	if obj, ok := m.literals[key]; ok {
-		return obj
+	s := m.stdio()
+	for _, h := range s.handles {
+		if h.Name == name {
+			return h
+		}
 	}
 	obj := NewObject(name, minic.CharType, 1, m.space)
-	if m.literals == nil {
-		m.literals = map[string]*Object{}
-	}
-	m.literals[key] = obj
+	s.handles = append(s.handles, obj)
 	return obj
 }
 
@@ -577,11 +588,14 @@ func (m *Machine) internLiteral(s string) *Object {
 
 // ReadCString reads a NUL-terminated string starting at p. A pointer
 // before its object reads as the empty string, like one past its end.
-func ReadCString(p Pointer) string {
+func ReadCString(p Pointer) string { return string(appendCString(nil, p)) }
+
+// appendCString appends the NUL-terminated string at p to b, as
+// ReadCString reads it.
+func appendCString(b []byte, p Pointer) []byte {
 	if p.IsNull() || p.Off < 0 {
-		return ""
+		return b
 	}
-	var b []byte
 	for i := p.Off; i < len(p.Obj.Cells); i++ {
 		c := byte(p.Obj.Cells[i].AsInt())
 		if c == 0 {
@@ -589,14 +603,30 @@ func ReadCString(p Pointer) string {
 		}
 		b = append(b, c)
 	}
-	return string(b)
+	return b
+}
+
+// cstrlen counts the bytes of the NUL-terminated string at p, as
+// ReadCString reads it.
+func cstrlen(p Pointer) int {
+	if p.IsNull() || p.Off < 0 {
+		return 0
+	}
+	n := 0
+	for i := p.Off; i < len(p.Obj.Cells) && byte(p.Obj.Cells[i].AsInt()) != 0; i++ {
+		n++
+	}
+	return n
 }
 
 // WriteCString writes s plus a NUL terminator at p. It reports the number
 // of bytes written (excluding the NUL) and fails silently by truncation if
 // the object is too small, like a C buffer overflow would be UB — here we
 // clamp instead (a pointer before its object writes nothing).
-func WriteCString(p Pointer, s string) int {
+func WriteCString(p Pointer, s string) int { return writeC(p, s) }
+
+// writeC is WriteCString for a string or a byte slice.
+func writeC[S string | []byte](p Pointer, s S) int {
 	if p.IsNull() || p.Off < 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -19,8 +20,8 @@ type tokenReader struct {
 	eof bool
 }
 
-// maxStdinBuf caps the read buffer. Only ReadString, ReadByte and
-// UnreadByte touch it, and none of them depends on its size.
+// maxStdinBuf caps the read buffer. readLine gathers a longer line in
+// scratch bytes, so no read depends on the buffer's size.
 const maxStdinBuf = 64 << 10
 
 // reader returns the buffered reader, creating it on the first read so a
@@ -43,33 +44,44 @@ func (t *tokenReader) reader() *bufio.Reader {
 }
 
 // readLine returns the next line including its trailing newline (if
-// present) and false at EOF.
-func (t *tokenReader) readLine() (string, bool) {
+// present) and false at EOF. The line is valid until the next read: it
+// is the reader's buffer, or, for a line that outgrows the buffer,
+// *scratch, grown to hold it.
+func (t *tokenReader) readLine(scratch *[]byte) ([]byte, bool) {
 	if t.eof {
-		return "", false
+		return nil, false
 	}
-	line, err := t.reader().ReadString('\n')
+	r := t.reader()
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		b := append((*scratch)[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			b = append(b, line...)
+		}
+		*scratch, line = b, b
+	}
 	if err != nil {
 		t.eof = true
 		if len(line) == 0 {
-			return "", false
+			return nil, false
 		}
 	}
 	return line, true
 }
 
-// readToken skips whitespace then reads a run of non-whitespace bytes.
-func (t *tokenReader) readToken() (string, bool) {
-	var b strings.Builder
+// readToken skips whitespace then appends a run of non-whitespace bytes
+// to b.
+func (t *tokenReader) readToken(b []byte) ([]byte, bool) {
 	// Skip leading whitespace.
 	for {
 		c, err := t.reader().ReadByte()
 		if err != nil {
 			t.eof = true
-			return "", false
+			return b, false
 		}
 		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			b.WriteByte(c)
+			b = append(b, c)
 			break
 		}
 	}
@@ -83,9 +95,9 @@ func (t *tokenReader) readToken() (string, bool) {
 			_ = t.r.UnreadByte()
 			break
 		}
-		b.WriteByte(c)
+		b = append(b, c)
 	}
-	return b.String(), true
+	return b, true
 }
 
 func (t *tokenReader) readByte() (byte, bool) {
@@ -238,7 +250,8 @@ func biGetline(m *Machine, args []Value) (Value, error) {
 	if linePP.Kind != ValPtr || !linePP.P.InBounds() {
 		return Value{}, fmt.Errorf("interp: getline: bad line pointer")
 	}
-	line, ok := m.stdin.readLine()
+	std := m.stdio()
+	line, ok := std.in.readLine(&std.buf)
 	if !ok {
 		return IntVal(-1), nil
 	}
@@ -255,7 +268,7 @@ func biGetline(m *Machine, args []Value) (Value, error) {
 			sizeP.P.Obj.Cells[sizeP.P.Off] = IntVal(int64(need))
 		}
 	}
-	WriteCString(target, line)
+	writeC(target, line)
 	m.cost.Op(len(line))                   // per-byte copy work
 	m.cost.Load(SpaceRAM, len(line))       // stream read
 	m.cost.Store(target.Obj.Space, need-1) // buffer fill
@@ -268,13 +281,15 @@ func biPrintf(m *Machine, args []Value) (Value, error) {
 	if len(args) == 0 || args[0].Kind != ValPtr {
 		return Value{}, fmt.Errorf("interp: printf: missing format")
 	}
-	format := ReadCString(args[0].P)
-	out, err := formatC(format, args[1:])
+	std := m.stdio()
+	std.fmt = appendCString(std.fmt[:0], args[0].P)
+	out, err := appendFormat(std.buf[:0], std.fmt, args[1:])
+	std.buf = out
 	if err != nil {
 		return Value{}, err
 	}
 	if m.stdout != nil {
-		if _, err := io.WriteString(m.stdout, out); err != nil {
+		if _, err := m.stdout.Write(out); err != nil {
 			return Value{}, err
 		}
 	}
@@ -283,29 +298,20 @@ func biPrintf(m *Machine, args []Value) (Value, error) {
 	return IntVal(int64(len(out))), nil
 }
 
-func formatC(format string, args []Value) (string, error) {
-	var b strings.Builder
+// appendFormat appends printf's output for format and args to b.
+func appendFormat(b, format []byte, args []Value) ([]byte, error) {
 	ai := 0
-	next := func() (Value, error) {
-		if ai >= len(args) {
-			return Value{}, fmt.Errorf("interp: printf: not enough arguments for format %q", format)
-		}
-		v := args[ai]
-		ai++
-		return v, nil
-	}
 	for i := 0; i < len(format); i++ {
 		c := format[i]
 		if c != '%' {
-			b.WriteByte(c)
+			b = append(b, c)
 			continue
 		}
 		i++
 		if i >= len(format) {
-			return "", fmt.Errorf("interp: printf: dangling %% in %q", format)
+			return b, fmt.Errorf("interp: printf: dangling %% in %q", format)
 		}
 		// Parse %[flags][width][.prec][length]verb
-		start := i
 		for i < len(format) && (format[i] == '-' || format[i] == '+' || format[i] == '0' || format[i] == ' ') {
 			i++
 		}
@@ -326,69 +332,43 @@ func formatC(format string, args []Value) (string, error) {
 			i++
 		}
 		if i >= len(format) {
-			return "", fmt.Errorf("interp: printf: truncated verb in %q", format)
+			return b, fmt.Errorf("interp: printf: truncated verb in %q", format)
 		}
-		_ = start
 		verb := format[i]
+		if verb == '%' {
+			b = append(b, '%')
+			continue
+		}
+		if !strings.ContainsRune("diuxcsfeg", rune(verb)) {
+			return b, fmt.Errorf("interp: printf: unsupported verb %%%c", verb)
+		}
+		if ai >= len(args) {
+			return b, fmt.Errorf("interp: printf: not enough arguments for format %q", format)
+		}
+		v := args[ai]
+		ai++
 		switch verb {
-		case '%':
-			b.WriteByte('%')
 		case 'd', 'i', 'u':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(strconv.FormatInt(v.AsInt(), 10))
+			b = strconv.AppendInt(b, v.AsInt(), 10)
 		case 'x':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(strconv.FormatInt(v.AsInt(), 16))
+			b = strconv.AppendInt(b, v.AsInt(), 16)
 		case 'c':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			b.WriteByte(byte(v.AsInt()))
+			b = append(b, byte(v.AsInt()))
 		case 's':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
 			if v.Kind != ValPtr {
-				return "", fmt.Errorf("interp: printf: %%s argument is not a string")
+				return b, fmt.Errorf("interp: printf: %%s argument is not a string")
 			}
-			b.WriteString(ReadCString(v.P))
-		case 'f':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
+			b = appendCString(b, v.P)
+		case 'f', 'e':
 			if prec < 0 {
 				prec = 6
 			}
-			b.WriteString(strconv.FormatFloat(v.AsFloat(), 'f', prec, 64))
-		case 'e':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			if prec < 0 {
-				prec = 6
-			}
-			b.WriteString(strconv.FormatFloat(v.AsFloat(), 'e', prec, 64))
+			b = strconv.AppendFloat(b, v.AsFloat(), verb, prec, 64)
 		case 'g':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(strconv.FormatFloat(v.AsFloat(), 'g', 12, 64))
-		default:
-			return "", fmt.Errorf("interp: printf: unsupported verb %%%c", verb)
+			b = strconv.AppendFloat(b, v.AsFloat(), 'g', 12, 64)
 		}
 	}
-	return b.String(), nil
+	return b, nil
 }
 
 // biScanf implements a scanf subset: %s %d %ld %f %lf %c tokens separated
@@ -398,7 +378,9 @@ func biScanf(m *Machine, args []Value) (Value, error) {
 	if len(args) == 0 || args[0].Kind != ValPtr {
 		return Value{}, fmt.Errorf("interp: scanf: missing format")
 	}
-	format := ReadCString(args[0].P)
+	std := m.stdio()
+	std.fmt = appendCString(std.fmt[:0], args[0].P)
+	format := std.fmt
 	ai := 1
 	assigned := 0
 	for i := 0; i < len(format); i++ {
@@ -427,20 +409,22 @@ func biScanf(m *Machine, args []Value) (Value, error) {
 		}
 		switch format[i] {
 		case 's':
-			tok, ok := m.stdin.readToken()
+			tok, ok := std.in.readToken(std.buf[:0])
+			std.buf = tok
 			if !ok {
 				return scanfResult(assigned), nil
 			}
-			WriteCString(dst.P, tok)
+			writeC(dst.P, tok)
 			m.cost.Op(len(tok))
 			m.cost.Load(SpaceRAM, len(tok))
 			assigned++
 		case 'd', 'i', 'u':
-			tok, ok := m.stdin.readToken()
+			tok, ok := std.in.readToken(std.buf[:0])
+			std.buf = tok
 			if !ok {
 				return scanfResult(assigned), nil
 			}
-			n, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
+			n, err := strconv.ParseInt(string(bytes.TrimSpace(tok)), 10, 64)
 			if err != nil {
 				return scanfResult(assigned), nil
 			}
@@ -448,11 +432,12 @@ func biScanf(m *Machine, args []Value) (Value, error) {
 			m.cost.Op(len(tok))
 			assigned++
 		case 'f', 'g', 'e':
-			tok, ok := m.stdin.readToken()
+			tok, ok := std.in.readToken(std.buf[:0])
+			std.buf = tok
 			if !ok {
 				return scanfResult(assigned), nil
 			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+			f, err := strconv.ParseFloat(string(bytes.TrimSpace(tok)), 64)
 			if err != nil {
 				return scanfResult(assigned), nil
 			}
@@ -460,7 +445,7 @@ func biScanf(m *Machine, args []Value) (Value, error) {
 			m.cost.Op(len(tok))
 			assigned++
 		case 'c':
-			b, ok := m.stdin.readByte()
+			b, ok := std.in.readByte()
 			if !ok {
 				return scanfResult(assigned), nil
 			}
@@ -481,7 +466,7 @@ func scanfResult(assigned int) Value {
 }
 
 func biGetchar(m *Machine, args []Value) (Value, error) {
-	b, ok := m.stdin.readByte()
+	b, ok := m.stdio().in.readByte()
 	if !ok {
 		return IntVal(-1), nil
 	}
@@ -563,8 +548,10 @@ func biStrcpy(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	s := ReadCString(src)
-	WriteCString(dst, s)
+	std := m.stdio()
+	std.buf = appendCString(std.buf[:0], src)
+	s := std.buf
+	writeC(dst, s)
 	m.cost.Op(len(s))
 	m.cost.Load(src.Obj.Space, len(s)+1)
 	m.cost.Store(dst.Obj.Space, len(s)+1)
@@ -581,11 +568,13 @@ func biStrncpy(m *Machine, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	n := int(args[2].AsInt())
-	s := ReadCString(src)
+	std := m.stdio()
+	std.buf = appendCString(std.buf[:0], src)
+	s := std.buf
 	if len(s) > n {
 		s = s[:n]
 	}
-	WriteCString(dst, s)
+	writeC(dst, s)
 	m.cost.Op(n)
 	m.cost.Load(src.Obj.Space, n)
 	m.cost.Store(dst.Obj.Space, n)
@@ -597,10 +586,10 @@ func biStrlen(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	s := ReadCString(p)
-	m.cost.Op(len(s))
-	m.cost.Load(p.Obj.Space, len(s)+1)
-	return IntVal(int64(len(s))), nil
+	n := cstrlen(p)
+	m.cost.Op(n)
+	m.cost.Load(p.Obj.Space, n+1)
+	return IntVal(int64(n)), nil
 }
 
 func biStrstr(m *Machine, args []Value) (Value, error) {
@@ -612,12 +601,15 @@ func biStrstr(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	h := ReadCString(hay)
-	n := ReadCString(needle)
+	std := m.stdio()
+	std.buf = appendCString(std.buf[:0], hay)
+	nh := len(std.buf)
+	std.buf = appendCString(std.buf, needle)
+	h, n := std.buf[:nh], std.buf[nh:]
 	m.cost.Op(len(h) + len(n))
 	m.cost.Load(hay.Obj.Space, len(h))
 	m.cost.Load(needle.Obj.Space, len(n))
-	idx := strings.Index(h, n)
+	idx := bytes.Index(h, n)
 	if idx < 0 {
 		return PtrVal(Pointer{}), nil
 	}
@@ -633,10 +625,11 @@ func biStrcat(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	d := ReadCString(dst)
-	s := ReadCString(src)
-	WriteCString(Pointer{Obj: dst.Obj, Off: dst.Off + len(d)}, s)
-	m.cost.Op(len(s))
+	d := cstrlen(dst)
+	std := m.stdio()
+	std.buf = appendCString(std.buf[:0], src)
+	writeC(Pointer{Obj: dst.Obj, Off: dst.Off + d}, std.buf)
+	m.cost.Op(len(std.buf))
 	return args[0], nil
 }
 

@@ -307,3 +307,31 @@ func runMachine(t *testing.T, src string, stdin io.Reader, stdout io.Writer) *in
 	}
 	return m
 }
+
+// TestGetlineLongerThanBuffer: getline returns the whole line when it
+// outgrows the stdin reader's buffer several times over, then the lines
+// after it, the last without a newline.
+func TestGetlineLongerThanBuffer(t *testing.T) {
+	const echoLengths = `
+int main() {
+	char *line;
+	size_t n = 4;
+	int read;
+	line = (char*) malloc(n * sizeof(char));
+	while ((read = getline(&line, &n, stdin)) != -1) {
+		printf("%d %d %c\n", read, strlen(line), line[read - 1]);
+	}
+	return 0;
+}`
+	long := strings.Repeat("y", 3*interp.MaxStdinBuf+17)
+	var out strings.Builder
+	// A reader that does not report its length gets the capped buffer.
+	m := runMachine(t, echoLengths, struct{ io.Reader }{strings.NewReader(long + "z\nab\ncd")}, &out)
+	if got := interp.StdinBufSize(m); got != interp.MaxStdinBuf {
+		t.Fatalf("buffer = %d bytes, want %d", got, interp.MaxStdinBuf)
+	}
+	n := len(long) + 2
+	if want := fmt.Sprintf("%d %d \n\n3 3 \n\n2 2 d\n", n, n); out.String() != want {
+		t.Fatalf("out = %q, want %q", out.String(), want)
+	}
+}

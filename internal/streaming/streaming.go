@@ -99,16 +99,26 @@ func (f *Filter) Run(input []byte) (string, *interp.CountingSink, error) {
 	return out.String(), sink, nil
 }
 
-// ParseKVLines converts filter stdout into typed pairs.
+// ParseKVLines converts filter stdout into typed pairs, one per non-empty
+// line. The pairs are allocated once, for as many lines as out holds.
 func ParseKVLines(out string, schema kv.Schema) ([]kv.Pair, error) {
 	var pairs []kv.Pair
-	for _, line := range strings.Split(out, "\n") {
+	for len(out) > 0 {
+		line := out
+		if i := strings.IndexByte(out, '\n'); i >= 0 {
+			line, out = out[:i], out[i+1:]
+		} else {
+			out = ""
+		}
 		if line == "" {
 			continue
 		}
 		p, err := kv.ParsePair(schema.KeyKind, schema.ValKind, line)
 		if err != nil {
 			return nil, err
+		}
+		if pairs == nil {
+			pairs = make([]kv.Pair, 0, strings.Count(out, "\n")+2)
 		}
 		pairs = append(pairs, p)
 	}
