@@ -56,7 +56,7 @@ func TestVerifyRejectsEscapingKeptParam(t *testing.T) {
 // TestWarmCallsAllocateNothing pins the per-call host cost of the CPU
 // stages' hottest calls: once a VM and its machine are warm, a helper
 // call with two pointer parameters, printf, scanf and getline allocate
-// nothing.
+// nothing, and the frames they return to the pool hold no values.
 func TestWarmCallsAllocateNothing(t *testing.T) {
 	const src = `
 int two(char *a, char *b) { return a[0] + b[1]; }
@@ -113,6 +113,15 @@ int main() { return 0; }`
 			}
 			if allocs != 0 {
 				t.Errorf("%s: %v allocations per warm call, want 0", c.fn, allocs)
+			}
+			// A pooled frame keeps its parameter objects, but no value,
+			// so it keeps no caller's buffer alive.
+			for _, fr := range vm.pools[fnIdx] {
+				for _, obj := range fr.objs {
+					if obj != nil && obj.Cells[0] != (interp.Value{}) {
+						t.Errorf("%s: pooled frame's %s holds %+v", c.fn, obj.Name, obj.Cells[0])
+					}
+				}
 			}
 		})
 	}

@@ -539,6 +539,14 @@ func strcmpCore(m *Machine, a, b Pointer, n int) (Value, error) {
 	}
 }
 
+// scratchCString reads the NUL-terminated string at p into the machine's
+// scratch bytes, which the next stdio or string builtin reuses.
+func (m *Machine) scratchCString(p Pointer) []byte {
+	std := m.stdio()
+	std.buf = appendCString(std.buf[:0], p)
+	return std.buf
+}
+
 func biStrcpy(m *Machine, args []Value) (Value, error) {
 	dst, err := ptrArg(args, 0, "strcpy")
 	if err != nil {
@@ -548,9 +556,7 @@ func biStrcpy(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	std := m.stdio()
-	std.buf = appendCString(std.buf[:0], src)
-	s := std.buf
+	s := m.scratchCString(src)
 	writeC(dst, s)
 	m.cost.Op(len(s))
 	m.cost.Load(src.Obj.Space, len(s)+1)
@@ -568,9 +574,7 @@ func biStrncpy(m *Machine, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	n := int(args[2].AsInt())
-	std := m.stdio()
-	std.buf = appendCString(std.buf[:0], src)
-	s := std.buf
+	s := m.scratchCString(src)
 	if len(s) > n {
 		s = s[:n]
 	}
@@ -602,10 +606,9 @@ func biStrstr(m *Machine, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	std := m.stdio()
-	std.buf = appendCString(std.buf[:0], hay)
-	nh := len(std.buf)
-	std.buf = appendCString(std.buf, needle)
-	h, n := std.buf[:nh], std.buf[nh:]
+	h := appendCString(std.buf[:0], hay)
+	std.buf = appendCString(h, needle)
+	h, n := std.buf[:len(h)], std.buf[len(h):]
 	m.cost.Op(len(h) + len(n))
 	m.cost.Load(hay.Obj.Space, len(h))
 	m.cost.Load(needle.Obj.Space, len(n))
@@ -626,10 +629,9 @@ func biStrcat(m *Machine, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	d := cstrlen(dst)
-	std := m.stdio()
-	std.buf = appendCString(std.buf[:0], src)
-	writeC(Pointer{Obj: dst.Obj, Off: dst.Off + d}, std.buf)
-	m.cost.Op(len(std.buf))
+	s := m.scratchCString(src)
+	writeC(Pointer{Obj: dst.Obj, Off: dst.Off + d}, s)
+	m.cost.Op(len(s))
 	return args[0], nil
 }
 

@@ -150,6 +150,25 @@ int main() {
 	}
 }
 
+// TestOverlappingStringCopies: strcpy and strcat read their whole source
+// before they write, so a copy into the source's own buffer copies the
+// string as it stood.
+func TestOverlappingStringCopies(t *testing.T) {
+	out := runSrc(t, `
+int main() {
+	char buf[16];
+	strcpy(buf, "abc");
+	strcpy(buf + 1, buf);
+	printf("%s\n", buf);
+	strcat(buf, buf + 2);
+	printf("%s\n", buf);
+	return 0;
+}`, "")
+	if out != "aabc\naabcbc\n" {
+		t.Fatalf("out = %q", out)
+	}
+}
+
 func TestCallocZeroes(t *testing.T) {
 	out := runSrc(t, `
 int main() {

@@ -118,7 +118,8 @@ func ParseKVLines(out string, schema kv.Schema) ([]kv.Pair, error) {
 			return nil, err
 		}
 		if pairs == nil {
-			pairs = make([]kv.Pair, 0, strings.Count(out, "\n")+2)
+			// This pair, and at most one per line left in out.
+			pairs = make([]kv.Pair, 0, 2+strings.Count(out, "\n"))
 		}
 		pairs = append(pairs, p)
 	}
