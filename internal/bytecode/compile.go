@@ -279,6 +279,13 @@ type builder struct {
 	disc discipline
 	// traffic backs every Program.Traffic list.
 	traffic []Access
+	// Scratch that one function's passes reuse from function to function:
+	// use counts by ir.Instr.ID, the pcs of the brs whose condition dies
+	// there, flags by pc, and tighten's work list and pc map.
+	uses  []int32
+	dies  []int32
+	flags []uint8
+	pcs   []int32
 }
 
 // discipline is how a function's code charges the walker's cost.
@@ -444,9 +451,16 @@ type fnBuilder struct {
 	// (inverted ExprInstr map), consumed as batched code charges. Folded
 	// and per-event code read ir.Instr.Entries instead.
 	inv map[*ir.Instr]int32
-	// skipConst marks constants absorbed into addn immediates.
-	skipConst map[*ir.Instr]bool
-	skip      map[minic.Stmt]bool
+	// uses counts each IR value's uses by ir.Instr.ID (see countUses).
+	uses []int32
+	skip map[minic.Stmt]bool
+	// ident is the variable read whose addr.o or load.o is at identPC; a
+	// subscript can fuse with it while it is the last instruction.
+	ident   *ir.Instr
+	identPC int
+	// dies lists the pcs of the brs whose condition register is dead once
+	// they branch (see tighten).
+	dies []int32
 
 	slots *slotTable
 
@@ -496,16 +510,16 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		slots = newSlotTable()
 	}
 	fb := &fnBuilder{
-		b:         b,
-		f:         f,
-		plan:      plan,
-		entry:     entry,
-		skipConst: map[*ir.Instr]bool{},
-		skip:      skip,
-		slots:     slots,
-		blockPC:   map[*ir.Block]int32{},
-		scratch0:  int32(plan.NumRegs),
-		scratch1:  int32(plan.NumRegs) + 1,
+		b:        b,
+		f:        f,
+		plan:     plan,
+		entry:    entry,
+		skip:     skip,
+		slots:    slots,
+		blockPC:  map[*ir.Block]int32{},
+		dies:     b.dies[:0],
+		scratch0: int32(plan.NumRegs),
+		scratch1: int32(plan.NumRegs) + 1,
 	}
 	if b.disc == batched {
 		fb.inv = map[*ir.Instr]int32{}
@@ -514,7 +528,7 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 			fb.inv[in]++
 		}
 	}
-	fb.markAbsorbedConsts()
+	fb.countUses()
 
 	// The walker's call runs the function body's statement list without
 	// charging the body block itself as a statement.
@@ -567,6 +581,8 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 			fb.code[p.pc].C = pc
 		}
 	}
+	fb.tighten()
+	b.dies = fb.dies
 	// Only a kernel entry has free symbols, which the host binds
 	// (CompileKernel lists them once every entry is compiled).
 	if !entry {
@@ -583,6 +599,189 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 		fn.Params[i].Kept = prm.Slot >= 0 && !slotEscapes(fn.Code, prm.Slot)
 	}
 	return fn, nil
+}
+
+// Flags tighten keeps by pc.
+const (
+	pcDies     uint8 = 1 << iota // a br whose condition register dies there
+	pcTargeted                   // a jump or branch lands here
+	pcReached                    // reachable from the function's entry
+	pcDeleted                    // dropped when the code is compacted
+)
+
+// tighten removes from the function's patched code the dispatches that do
+// no MiniC work. In order, it
+//
+//   - threads short-circuit values into the br that tests them: where rD
+//     dies at `br rD ? T : F` at L (fb.dies), `bool rD, rS; jmp L`
+//     becomes `br rS ? T : F`, and a `const rD, k` that falls into the
+//     br, past at most one untargeted charge, becomes `jmp T` or `jmp F`,
+//     after the charge, whose events it does not reorder. A bool that
+//     becomes a br keeps its dies mark, which closeRegion sets when rS
+//     dies at the bool, so nested && and || chains thread through;
+//   - retargets every jump and branch that lands on a jmp, along chains of
+//     at most len(code) jmps, so that a cycle ends;
+//   - drops every unreachable instruction and each jmp to the next
+//     instruction kept;
+//   - folds each charge into the jmp or br that directly follows it when
+//     no jump lands on that transfer, which makes the charge first;
+//   - renumbers the targets, len(code), the fall-off exit, included, and
+//     Fn.Pos.
+func (fb *fnBuilder) tighten() {
+	code, pos := fb.code, fb.pos
+	n := int32(len(code))
+	flags := fb.b.flags
+	if cap(flags) < int(n) {
+		flags = make([]uint8, n)
+	}
+	flags = flags[:n]
+	clear(flags)
+	fb.b.flags = flags
+	for _, pc := range fb.dies {
+		flags[pc] |= pcDies
+	}
+	markTargets := func() {
+		for pc, in := range code {
+			if flags[pc]&pcDeleted != 0 {
+				continue
+			}
+			switch in.Op {
+			case OpJmp:
+				if in.A < n {
+					flags[in.A] |= pcTargeted
+				}
+			case OpBr:
+				for _, t := range [2]int32{in.B, in.C} {
+					if t < n {
+						flags[t] |= pcTargeted
+					}
+				}
+			}
+		}
+	}
+	markTargets()
+
+	// From the end, so that a bool the next one lands on is a br by then.
+	consts := fb.b.prog.Consts
+	for pc := n - 2; pc >= 0; pc-- {
+		switch in := &code[pc]; in.Op {
+		case OpBool:
+			j := code[pc+1]
+			if j.Op != OpJmp || j.A >= n {
+				continue
+			}
+			if br := code[j.A]; br.Op == OpBr && flags[j.A]&pcDies != 0 && br.A == in.A {
+				*in = Instr{Op: OpBr, A: in.B, B: br.B, C: br.C}
+			}
+		case OpConst:
+			at := pc + 1
+			if code[at].Op == OpCharge && flags[at]&pcTargeted == 0 && at+1 < n {
+				at++
+			}
+			br := code[at]
+			if br.Op != OpBr || flags[at]&pcDies == 0 || br.A != in.A {
+				continue
+			}
+			t := br.C
+			if consts[in.B].Truthy() {
+				t = br.B
+			}
+			if at > pc+1 {
+				code[pc], code[pc+1] = code[pc+1], Instr{Op: OpJmp, A: t}
+			} else {
+				code[pc] = Instr{Op: OpJmp, A: t}
+			}
+		}
+	}
+
+	follow := func(t int32) int32 {
+		for hops := int32(0); t < n && code[t].Op == OpJmp && hops < n; hops++ {
+			t = code[t].A
+		}
+		return t
+	}
+	for pc := range code {
+		switch in := &code[pc]; in.Op {
+		case OpJmp:
+			in.A = follow(in.A)
+		case OpBr:
+			in.B, in.C = follow(in.B), follow(in.C)
+		}
+	}
+
+	work := fb.b.pcs[:0]
+	reach := func(t int32) {
+		if t < n && flags[t]&pcReached == 0 {
+			flags[t] |= pcReached
+			work = append(work, t)
+		}
+	}
+	reach(0)
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch in := code[pc]; in.Op {
+		case OpJmp:
+			reach(in.A)
+		case OpBr:
+			reach(in.B)
+			reach(in.C)
+		case OpRet, OpRetZ, OpLaunch:
+		default:
+			reach(pc + 1)
+		}
+	}
+	next := n // the first instruction kept after pc
+	for pc := n - 1; pc >= 0; pc-- {
+		if in := code[pc]; flags[pc]&pcReached == 0 || in.Op == OpJmp && in.A == next {
+			flags[pc] |= pcDeleted
+			continue
+		}
+		next = pc
+	}
+
+	for pc := range flags {
+		flags[pc] &^= pcTargeted
+	}
+	markTargets()
+	for pc := int32(0); pc < n; pc++ {
+		if flags[pc]&pcDeleted != 0 || code[pc].Op != OpCharge {
+			continue
+		}
+		t := pc + 1
+		for t < n && flags[t]&pcDeleted != 0 {
+			t++
+		}
+		if t < n && (code[t].Op == OpJmp || code[t].Op == OpBr) && code[t].D == 0 && flags[t]&pcTargeted == 0 {
+			code[t].D = code[pc].D
+			flags[pc] |= pcDeleted
+		}
+	}
+
+	newPC, kept := work[:0], int32(0)
+	for pc := range flags {
+		newPC = append(newPC, kept)
+		if flags[pc]&pcDeleted == 0 {
+			kept++
+		}
+	}
+	newPC = append(newPC, kept)
+	fb.b.pcs = newPC
+	kept = 0
+	for pc, in := range code {
+		if flags[pc]&pcDeleted != 0 {
+			continue
+		}
+		switch in.Op {
+		case OpJmp:
+			in.A = newPC[in.A]
+		case OpBr:
+			in.B, in.C = newPC[in.B], newPC[in.C]
+		}
+		code[kept], pos[kept] = in, pos[pc]
+		kept++
+	}
+	fb.code, fb.pos = code[:kept], pos[:kept]
 }
 
 // slotEscapes reports whether code takes the address of object slot or
@@ -646,35 +845,49 @@ func addLValueUses(f *ir.Func) {
 	}
 }
 
-// markAbsorbedConsts finds int constants consumed only as the rhs of a
-// +/- binary (lowered to addn immediates) so their const loads are
-// skipped. Their eval-entry charges are still made.
-func (fb *fnBuilder) markAbsorbedConsts() {
-	uses := map[*ir.Instr]int{}
+// countUses counts, by ir.Instr.ID, the uses of each value of the
+// function: as an argument (hidden lvalue reads included, so it runs after
+// addLValueUses), a branch condition or a return value. Phis and variable
+// loads name definitions, not uses. An int constant that only addn
+// immediates consume (see addnDelta) ends with no use, so its const is
+// never emitted; its eval-entry charge still is.
+func (fb *fnBuilder) countUses() {
+	n := 0
+	for _, blk := range fb.f.Blocks {
+		for _, in := range blk.Instrs {
+			n = max(n, in.ID+1)
+			for _, a := range in.Args {
+				n = max(n, a.ID+1)
+			}
+		}
+	}
+	uses := fb.b.uses
+	if cap(uses) < n {
+		uses = make([]int32, n)
+	}
+	uses = uses[:n]
+	clear(uses)
+	fb.b.uses, fb.uses = uses, uses
 	for _, blk := range fb.f.Blocks {
 		for _, in := range blk.Instrs {
 			if in.Op == ir.OpPhi || in.Op == ir.OpLoad {
 				continue
 			}
 			for _, a := range in.Args {
-				uses[a]++
+				uses[a.ID]++
 			}
 		}
 		if blk.Cond != nil {
-			uses[blk.Cond]++
+			uses[blk.Cond.ID]++
 		}
 	}
 	for _, r := range fb.f.Rets {
-		uses[r]++
+		uses[r.ID]++
 	}
 	for _, blk := range fb.f.Blocks {
 		for _, in := range blk.Instrs {
 			if _, ok := addnDelta(in); ok {
-				c := in.Args[1]
-				uses[c]--
-				if uses[c] == 0 {
-					fb.skipConst[c] = true
-				}
+				uses[in.Args[1].ID]--
 			}
 		}
 	}
@@ -711,11 +924,14 @@ func (fb *fnBuilder) flush() {
 	if fb.pendingOps == 0 && fb.pendingSteps == 0 && len(fb.pendingTraffic) == 0 {
 		return
 	}
-	serial := int32(0)
-	if fb.b.disc == perEvent {
-		serial = 1
-	}
-	fb.emit(OpCharge, fb.pendingOps, fb.pendingSteps, fb.b.trafficRef(fb.pendingTraffic), serial)
+	b := fb.b
+	b.prog.Charges = append(b.prog.Charges, Charge{
+		Ops:     fb.pendingOps,
+		Steps:   fb.pendingSteps,
+		Traffic: b.trafficRef(fb.pendingTraffic),
+		Serial:  b.disc == perEvent,
+	})
+	fb.emit(OpCharge, 0, 0, 0, int32(len(b.prog.Charges)))
 	fb.pendingOps, fb.pendingSteps = 0, 0
 	fb.pendingTraffic = fb.pendingTraffic[:0]
 }
@@ -978,9 +1194,12 @@ func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 	if err != nil {
 		return err
 	}
+	pc := fb.emit(OpBr, c, 0, 0, 0)
+	if fb.uses[ev.Args[0].ID] == 1 && fb.temp(c) {
+		fb.dies = append(fb.dies, int32(pc))
+	}
 	switch ev.Op {
 	case ir.OpLogic:
-		pc := fb.emit(OpBr, c, 0, 0, 0)
 		fr := regionFrame{in: ev, brPC: pc, jmpPC: -1}
 		if ev.OpStr == "&&" {
 			fb.code[pc].B = int32(pc + 1)
@@ -991,7 +1210,6 @@ func (fb *fnBuilder) openRegion(ev *ir.Instr) error {
 		}
 		fb.regions = append(fb.regions, fr)
 	case ir.OpSelect:
-		pc := fb.emit(OpBr, c, 0, 0, 0)
 		fb.code[pc].B = int32(pc + 1)
 		fb.regions = append(fb.regions, regionFrame{in: ev, brPC: pc, brOperand: 2, jmpPC: -1})
 	default:
@@ -1038,7 +1256,11 @@ func (fb *fnBuilder) closeRegion(in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		fb.emit(OpBool, dst, r, 0, 0)
+		pc := fb.emit(OpBool, dst, r, 0, 0)
+		if fb.uses[in.Args[1].ID] == 1 && fb.temp(r) {
+			// Should tighten turn the bool into a br, r dies there.
+			fb.dies = append(fb.dies, int32(pc))
+		}
 		jend := fb.emit(OpJmp, 0, 0, 0, 0)
 		short := int32(len(fb.code))
 		if fr.brOperand == 1 {
@@ -1081,6 +1303,10 @@ func (fb *fnBuilder) emitTerminator(blk *ir.Block) error {
 		}
 		fb.flush()
 		pc := fb.emit(OpBr, c, 0, 0, 0)
+		if fb.temp(c) {
+			// Temporaries are block-local.
+			fb.dies = append(fb.dies, int32(pc))
+		}
 		fb.patches = append(fb.patches, patch{pc: pc, operand: 1, target: blk.Succs[0]})
 		fb.patches = append(fb.patches, patch{pc: pc, operand: 2, target: blk.Succs[1]})
 	case len(blk.Succs) == 1:
@@ -1160,7 +1386,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 	case ir.OpParam, ir.OpPhi:
 		return nil
 	case ir.OpConst:
-		if fb.skipConst[in] {
+		if fb.uses[in.ID] == 0 {
 			return nil
 		}
 		dst, err := fb.reg(in)
@@ -1411,7 +1637,10 @@ func (fb *fnBuilder) emitLoadMem(in *ir.Instr) error {
 	case *minic.StrLit:
 		fb.emit(OpStr, dst, fb.b.str(x.Value), 0, 0)
 	case *minic.Ident:
-		return fb.emitIdentLoad(dst, x)
+		if err := fb.emitIdentLoad(dst, x); err != nil {
+			return err
+		}
+		fb.ident, fb.identPC = in, len(fb.code)-1
 	case *minic.Unary:
 		switch x.Op {
 		case "*":
@@ -1435,9 +1664,17 @@ func (fb *fnBuilder) emitLoadMem(in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
+		row := x.Type() != nil && x.Type().Kind == minic.TypeArray
+		if op := fb.fusedLoad(in.Args[1]); op != OpNop && !row {
+			// The base's addr.o or load.o becomes the whole load.
+			pc := len(fb.code) - 1
+			fb.code[pc] = Instr{Op: op, A: dst, B: idx, C: fb.code[pc].B, D: indexStride(x)}
+			fb.setPos(pc, x.Pos)
+			return nil
+		}
 		pc := fb.emit(OpIdx, dst, idx, base, indexStride(x))
 		fb.setPos(pc, x.Pos)
-		if t := x.Type(); t != nil && t.Kind == minic.TypeArray {
+		if row {
 			// A row of a multi-dimensional array decays to a pointer.
 			return nil
 		}
@@ -1463,6 +1700,30 @@ func (fb *fnBuilder) emitIdentLoad(dst int32, x *minic.Ident) error {
 	}
 	fb.emit(OpLoadO, dst, ref, 0, 0)
 	return nil
+}
+
+// fusedLoad returns the opcode that loads a subscript of base in one
+// instruction, fused with base's addr.o (load.ai) or load.o (load.pi),
+// when that is the last instruction emitted and the subscript is base's
+// only use; OpNop otherwise.
+func (fb *fnBuilder) fusedLoad(base *ir.Instr) Op {
+	pc := len(fb.code) - 1
+	if fb.ident != base || fb.identPC != pc || fb.uses[base.ID] != 1 {
+		return OpNop
+	}
+	switch fb.code[pc].Op {
+	case OpAddrO:
+		return OpLoadAI
+	case OpLoadO:
+		return OpLoadPI
+	}
+	return OpNop
+}
+
+// temp reports whether register r holds instruction temporaries, whose
+// live ranges are block-local, rather than a tracked variable or scratch.
+func (fb *fnBuilder) temp(r int32) bool {
+	return r >= int32(fb.plan.NumVars) && r < fb.scratch0
 }
 
 // indexStride mirrors the walker's multi-dimensional index scaling.

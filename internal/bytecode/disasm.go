@@ -48,14 +48,11 @@ func operandString(p *Program, in Instr) string {
 	case OpNop, OpRetZ:
 		return ""
 	case OpCharge:
-		if in.D != 0 {
-			return fmt.Sprintf("ops=%d steps=%d serial", in.A, in.B)
-		}
-		return fmt.Sprintf("ops=%d steps=%d", in.A, in.B) + trafficString(p, in.C)
+		return chargeString(p, in.D)
 	case OpJmp:
-		return fmt.Sprintf("-> %d", in.A)
+		return fmt.Sprintf("-> %d", in.A) + carried(p, in.D)
 	case OpBr:
-		return fmt.Sprintf("r%d ? %d : %d", in.A, in.B, in.C)
+		return fmt.Sprintf("r%d ? %d : %d", in.A, in.B, in.C) + carried(p, in.D)
 	case OpRet, OpArg:
 		return fmt.Sprintf("r%d", in.A)
 	case OpConst:
@@ -102,6 +99,12 @@ func operandString(p *Program, in Instr) string {
 		return s
 	case OpIdx:
 		return fmt.Sprintf("r%d, r%d, r%d, stride=%d", in.A, in.B, in.C, in.D)
+	case OpLoadAI, OpLoadPI:
+		s := fmt.Sprintf("r%d, %s[r%d]", in.A, objRefString(p, in.C), in.B)
+		if in.D != 1 {
+			s += fmt.Sprintf(", stride=%d", in.D)
+		}
+		return s
 	case OpStr, OpStdio:
 		return fmt.Sprintf("r%d, %q", in.A, pool(p.Strs, in.B))
 	case OpCall:
@@ -157,6 +160,28 @@ func symString(p *Program, i int32) string {
 		return "<bad sym>"
 	}
 	return p.Syms[i].Name
+}
+
+// chargeString renders charge-table entry c-1 as a charge instruction
+// lists it: "ops=4 steps=1 load i", or "ops=2 steps=1 serial".
+func chargeString(p *Program, c int32) string {
+	if c <= 0 || int(c) > len(p.Charges) {
+		return "<bad charge>"
+	}
+	ch := p.Charges[c-1]
+	if ch.Serial {
+		return fmt.Sprintf("ops=%d steps=%d serial", ch.Ops, ch.Steps)
+	}
+	return fmt.Sprintf("ops=%d steps=%d", ch.Ops, ch.Steps) + trafficString(p, ch.Traffic)
+}
+
+// carried renders the charge a transfer carries, if any, after its
+// operands: "  charge ops=4 steps=0 load i".
+func carried(p *Program, c int32) string {
+	if c == 0 {
+		return ""
+	}
+	return "  charge " + chargeString(p, c)
 }
 
 // trafficString lists a charge's folded accesses by symbol, loads then

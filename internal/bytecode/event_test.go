@@ -203,6 +203,10 @@ func TestPerEventParity(t *testing.T) {
 	for _, rc := range runtimeErrorCases {
 		cases = append(cases, tc{"error/" + rc.name, rc.src, "", 0, false})
 	}
+	for _, tt := range tightCases {
+		cases = append(cases, tc{"tight/" + tt.name, tt.src, "", tt.maxSteps, false},
+			tc{"tight-optimized/" + tt.name, tt.src, "", tt.maxSteps, true})
+	}
 	for _, ic := range initializerCases {
 		cases = append(cases, tc{"init/" + ic.name, ic.src, "", 0, false})
 		t.Run("init-whole/"+ic.name, func(t *testing.T) {

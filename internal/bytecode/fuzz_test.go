@@ -17,19 +17,24 @@ import (
 // both the accept and reject sides of every operand range check.
 var fuzzBounds = bytecode.Bounds{
 	NumRegs: 8, NumObjSlots: 2, Consts: 4, Strs: 2, Types: 2,
-	Syms: 4, Allocs: 2, Ops: 4, Callees: 2, Traffic: 2, Free: 1,
+	Syms: 4, Allocs: 2, Ops: 4, Callees: 2, Charges: 2, Free: 1,
 }
 
 // sampleCode compiles a small MiniC program and returns its main
-// function's instruction stream — a realistic, verifiable seed.
+// function's instruction stream — a realistic, verifiable seed, with
+// fused subscript loads of an array and through a pointer, and charges
+// its jumps and branches carry.
 func sampleCode(tb testing.TB) []bytecode.Instr {
 	tb.Helper()
 	prog, err := minic.ParseAndCheck(`
 int main() {
+	int a[10];
+	char *p = "abcdefghij";
 	int i = 0;
 	int s = 0;
-	while (i < 10) {
-		s = s + i;
+	while (i < 10 && p[i]) {
+		a[i] = p[i];
+		s = s + a[i] * i;
 		i = i + 1;
 	}
 	printf("%d\n", s);

@@ -39,6 +39,62 @@ func TestVerifyDefineAndLaunch(t *testing.T) {
 	}
 }
 
+// TestVerifyChargesAndFusedLoads checks the verifier on the forms that
+// cut dispatches: charge operands name a charge-table entry (1 + index;
+// a jmp or br may name none), targets run up to len(code), the fall-off
+// exit, and a fused subscript load names two registers and an object.
+func TestVerifyChargesAndFusedLoads(t *testing.T) {
+	for _, tc := range []struct {
+		in     bytecode.Instr
+		accept bool
+	}{
+		{bytecode.Instr{Op: bytecode.OpCharge, D: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpCharge, D: 2}, true},
+		{bytecode.Instr{Op: bytecode.OpCharge, D: 0}, false},
+		{bytecode.Instr{Op: bytecode.OpCharge, D: 3}, false},
+		{bytecode.Instr{Op: bytecode.OpCharge, D: -1}, false},
+		{bytecode.Instr{Op: bytecode.OpJmp, A: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpJmp, A: 1, D: 2}, true},
+		{bytecode.Instr{Op: bytecode.OpJmp, A: 2}, false},
+		{bytecode.Instr{Op: bytecode.OpJmp, A: 0, D: 3}, false},
+		{bytecode.Instr{Op: bytecode.OpBr, A: 7, B: 0, C: 1, D: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpBr, A: 7, B: 2, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpBr, A: 7, B: 0, C: 1, D: -2}, false},
+		{bytecode.Instr{Op: bytecode.OpLoadAI, A: 0, B: 7, C: -2, D: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpLoadPI, A: 7, B: 0, C: 3, D: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpLoadAI, A: 8, B: 0, C: 0, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpLoadPI, A: 0, B: -1, C: 0, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpLoadAI, A: 0, B: 0, C: -3, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpLoadPI, A: 0, B: 0, C: 4, D: 1}, false},
+	} {
+		err := bytecode.VerifyCode([]bytecode.Instr{tc.in}, fuzzBounds)
+		if (err == nil) != tc.accept {
+			t.Errorf("VerifyCode(%+v) = %v, want accept %v", tc.in, err, tc.accept)
+		}
+	}
+	for _, tc := range []struct {
+		charge bytecode.Charge
+		accept bool
+	}{
+		{bytecode.Charge{Ops: 2, Steps: 1, Traffic: 1}, true},
+		{bytecode.Charge{Ops: 2, Steps: 1, Serial: true}, true},
+		{bytecode.Charge{Ops: -1}, false},
+		{bytecode.Charge{Steps: -1}, false},
+		{bytecode.Charge{Traffic: 2}, false},
+		{bytecode.Charge{Ops: 1, Traffic: 1, Serial: true}, false},
+	} {
+		p := &bytecode.Program{
+			Main: -1, Init: -1,
+			Traffic: [][]bytecode.Access{{{Sym: 0, Loads: 1}}},
+			Charges: []bytecode.Charge{tc.charge},
+			Fns:     []*bytecode.Fn{{Name: "f", Code: []bytecode.Instr{{Op: bytecode.OpCharge, D: 1}, {Op: bytecode.OpRetZ}}}},
+		}
+		if err := bytecode.Verify(p); (err == nil) != tc.accept {
+			t.Errorf("Verify(charge %+v) = %v, want accept %v", tc.charge, err, tc.accept)
+		}
+	}
+}
+
 // TestInitListing pins how <init> lists: it follows the program's
 // functions, charges no statement step, and defines each global in turn.
 // A kernel program's <init> runs only on the host, so it folds there too,

@@ -26,17 +26,10 @@ type Op uint8
 
 // Opcodes. Operand meaning is per-opcode (A..D are int32):
 //
-//	charge  A=ops B=steps C=traffic D=serial
-//	                           D=0 (folded or batched code): cost.Op(A),
-//	                           then the tracked-variable accesses of
-//	                           Traffic[C-1] (none when C=0), then B steps
-//	                           against the step budget.
-//	                           D=1 (per-event code, C=0): the B steps, then
-//	                           A separate cost.Op(1) calls, since a float
-//	                           cost sink adding n·c at once is not n
-//	                           additions of c
-//	jmp     A=target
-//	br      A=cond B=true C=false
+//	charge  D=charge#          makes Charges[D-1] (see Charge)
+//	jmp     A=target D=charge# makes Charges[D-1] first (none when D=0)
+//	br      A=cond B=true C=false D=charge#
+//	                           makes Charges[D-1] first (none when D=0)
 //	ret     A=src              return ConvertFor(fn.Ret, r[A]); terminated
 //	ret.z   -                  fall-off return: raw zero value
 //	const   A=dst B=const#     r[A] = consts[B]
@@ -62,6 +55,14 @@ type Op uint8
 //	store.p A=ptr B=src D=chk  bounds-checked store; D=1 adds lvalue check
 //	chk.p   A=dst B=src        store-through null/non-pointer check
 //	idx     A=dst B=idx C=base D=stride  region-array subscript pointer
+//	load.ai A=dst B=idx C=objref D=stride
+//	                           addr.o, idx and load.p in one: element
+//	                           r[B]*D of the array object C
+//	load.pi A=dst B=idx C=objref D=stride
+//	                           load.o, idx and load.p in one: element
+//	                           r[B]*D past the pointer in object C, with
+//	                           load.o's Load charge and idx's null or
+//	                           non-pointer check (at Fn.Pos) in between
 //	str     A=dst B=str#       interned string literal pointer
 //	stdio   A=dst B=str#       stdin/stdout/stderr handle
 //	arg     A=src              push call argument
@@ -76,6 +77,10 @@ type Op uint8
 // callees). Whole programs emit no load.v: a read of a tracked variable
 // is its register, or a move out of it, and its Load, like every store.v's
 // Store, rides on the next charge as traffic.
+//
+// A transfer carries the charge the compiler flushed directly before it
+// when no jump lands on the transfer itself, so a block's closing charge
+// costs no dispatch of its own.
 //
 // An objref encodes where an object lives: ref >= 0 is a program-global
 // symbol index resolved once per VM; ref < 0 is frame object slot
@@ -140,6 +145,8 @@ const (
 	OpCall
 	OpDefine
 	OpLaunch
+	OpLoadAI
+	OpLoadPI
 	opCount
 )
 
@@ -202,6 +209,8 @@ var opNames = [opCount]string{
 	OpCall:   "call",
 	OpDefine: "define",
 	OpLaunch: "launch",
+	OpLoadAI: "load.ai",
+	OpLoadPI: "load.pi",
 }
 
 // Name returns the opcode mnemonic.
@@ -248,6 +257,18 @@ type Param struct {
 	Type *minic.Type
 }
 
+// Charge is one entry of a program's charge table: what a charge
+// instruction, or a transfer that carries one, charges. Folded and
+// batched code make cost.Op(Ops), then the tracked-variable accesses of
+// Traffic[Traffic-1] (none when Traffic is 0), then Steps against the step
+// budget. A Serial entry (per-event code, no traffic) makes the Steps,
+// then Ops separate cost.Op(1) calls, since a float cost sink adding n·c
+// at once is not n additions of c.
+type Charge struct {
+	Ops, Steps, Traffic int32
+	Serial              bool
+}
+
 // Access counts the reads and writes of one tracked variable that a
 // charge instruction makes at once. Sym indexes Program.Syms.
 type Access struct {
@@ -286,8 +307,11 @@ type Program struct {
 	Allocs  []AllocSpec
 	Ops     []string
 	Callees []Callee
-	// Traffic holds the per-symbol access lists charge instructions
-	// reference (C = 1 + index).
+	// Charges is the charge table charge instructions and transfers
+	// name (D = 1 + index).
+	Charges []Charge
+	// Traffic holds the per-symbol access lists charges reference
+	// (Charge.Traffic = 1 + index).
 	Traffic [][]Access
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -660,6 +661,172 @@ int main() {
 	}
 	return 0;
 }`, "apple 3\npear 14\nfig 159\n"},
+}
+
+// tightCases exercise the forms that cut dispatches: fused subscript
+// loads (load.ai, load.pi), charges a jmp or br carries, and short-circuit
+// values threaded into the branch that tests them. Each runs with its
+// step budget (0 for the default) on empty stdin.
+var tightCases = []struct {
+	name, src string
+	maxSteps  int64
+}{
+	{"fused-oob-array", `
+int main() {
+	int a[3];
+	int i = 2;
+	a[i] = 7;
+	printf("%d\n", a[i]);
+	i = i + 3;
+	return a[i];
+}`, 0},
+	{"fused-oob-pointer", `
+int main() {
+	int a[3];
+	int *p = a;
+	int i = -1;
+	printf("%d\n", p[0] + p[2]);
+	return p[i];
+}`, 0},
+	{"fused-null-pointer", `
+int main() {
+	int *p = 0;
+	int i = 1;
+	printf("before\n");
+	return i +
+		p[i];
+}`, 0},
+	{"fused-non-pointer", `
+int main() {
+	char *s;
+	int i = 0;
+	printf("before\n");
+	if (i == 0)
+		return s[i];
+	return 0;
+}`, 0},
+	// Compound assignments and increments through an index read their
+	// target's base and index again: hidden lvalue reads.
+	{"hidden-lvalue-reads", `
+int main() {
+	int a[4];
+	int b[4];
+	char buf[8];
+	char *p = buf;
+	int i, j = 1;
+	for (i = 0; i < 4; i++) { a[i] = i * 3; b[i] = a[i] + 1; }
+	for (i = 0; i < 8; i++) p[i] = 'a' + i;
+	a[j] += a[j + 1];
+	a[j]++;
+	++b[a[0]];
+	b[j] -= b[j]--;
+	p[j] += 2;
+	p[j + 1]++;
+	printf("%d %d %d %d %c %c\n", a[1], a[2], b[0], b[1], p[1], buf[2]);
+	return a[j] + p[0];
+}`, 0},
+	// The loop's only step charge rides on its back-edge jmp.
+	{"budget-at-carried-charge", `
+int main() {
+	int i = 0;
+	int s = 0;
+	printf("start\n");
+	while (1) {
+		s = s + i;
+		i++;
+	}
+	return s;
+}`, 3000},
+	{"value-outlives-branch", `
+int main() {
+	int a = 3, b = 0, c = 5;
+	int x = a && b;
+	int y = a || b;
+	if (x) printf("x\n");
+	if (y) printf("y %d\n", y);
+	x = (a > 2 && c) || b;
+	while (x) { printf("x %d\n", x); x = x && b; }
+	printf("%d %d\n", x, y);
+	return x + y;
+}`, 0},
+	{"while-1", `
+int main() {
+	int i = 0;
+	while (1) {
+		i++;
+		if (i > 6) break;
+		if (i % 2) continue;
+		printf("%d\n", i);
+	}
+	for (;;) { if (i-- < 3) break; }
+	return i;
+}`, 0},
+	{"nested-conditions", `
+int pick(int a, int b, int c) {
+	if ((a && b) || (c && !a)) return 1;
+	if (a ? b || c : !b && c) return 2;
+	return a && (b || c) ? 3 : 4;
+}
+int main() {
+	char s[8];
+	int a, b, c, n = 0;
+	strcpy(s, " \t x");
+	while (n < 8 && (s[n] == ' ' || s[n] == '\t')) n++;
+	for (a = 0; a < 2; a++)
+		for (b = 0; b < 2; b++)
+			for (c = 0; c < 2; c++)
+				printf("%d%d%d %d\n", a, b, c, pick(a, b, c));
+	printf("%d %d\n", n, (n > 1 && (s[n] == 'x' || s[0] == 'y')) ? n : -n);
+	return 0;
+}`, 0},
+}
+
+// TestParityTight runs tightCases as written and optimized.
+func TestParityTight(t *testing.T) {
+	for _, tc := range tightCases {
+		for _, optimize := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/opt=%v", tc.name, optimize), func(t *testing.T) {
+				prog, code := compileSrc(t, tc.src, optimize)
+				compareRuns(t, runCore(prog, nil, "", tc.maxSteps), runCore(prog, code, "", tc.maxSteps))
+			})
+		}
+	}
+}
+
+// TestStepBudgetAtCarriedCharge pins that budget-at-carried-charge's loop,
+// from its back edge's target to its back edge, charges steps only on
+// transfers, so the budget runs out at a carried charge, with the
+// walker's output and error.
+func TestStepBudgetAtCarriedCharge(t *testing.T) {
+	tc := tightCases[5]
+	for _, optimize := range []bool{false, true} {
+		prog, code := compileSrc(t, tc.src, optimize)
+		main := code.Fns[code.Main]
+		var loop []Instr
+		for pc, in := range main.Code {
+			if in.Op == OpJmp && int(in.A) <= pc {
+				loop = main.Code[in.A : pc+1]
+			}
+		}
+		carried := 0
+		for _, in := range loop {
+			if in.D == 0 || code.Charges[in.D-1].Steps == 0 {
+				continue
+			}
+			if in.Op == OpCharge {
+				t.Fatalf("optimize %v: a charge instruction in the loop makes steps:\n%s", optimize, Disassemble(code))
+			}
+			carried++
+		}
+		if carried == 0 {
+			t.Fatalf("optimize %v: no transfer in the loop carries steps:\n%s", optimize, Disassemble(code))
+		}
+		walker, vm := runCore(prog, nil, "", tc.maxSteps), runCore(prog, code, "", tc.maxSteps)
+		if walker.err != interp.ErrMaxSteps.Error() || walker.out != "start\n" {
+			t.Fatalf("walker: output %q, error %q", walker.out, walker.err)
+		}
+		compareRuns(t, walker, vm)
+	}
 }
 
 // TestParityOptimized runs sources through the AST optimizer first: the

@@ -17,7 +17,7 @@ type Bounds struct {
 	Allocs      int32
 	Ops         int32
 	Callees     int32
-	Traffic     int32
+	Charges     int32
 	// Free is the argument count a launch must pass: a kernel program's
 	// free symbol count, -1 outside a kernel program, which cannot launch.
 	Free int32
@@ -39,15 +39,15 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 		Allocs:      int32(len(p.Allocs)),
 		Ops:         int32(len(p.Ops)),
 		Callees:     int32(len(p.Callees)),
-		Traffic:     int32(len(p.Traffic)),
+		Charges:     int32(len(p.Charges)),
 		Free:        free,
 	}
 }
 
 // Verify checks every compiled function's code for well-formedness:
 // operand indices inside their pools, registers inside the frame, jump
-// targets inside the code, and no kept parameter whose object the code
-// can point at. The compiler always emits verifiable code; the check
+// targets inside the code, charge-table entries that make sense, and no
+// kept parameter whose object the code can point at. The compiler always emits verifiable code; the check
 // guards decoded/fuzzed instruction streams and catches compiler
 // regressions in tests.
 func Verify(p *Program) error {
@@ -71,6 +71,17 @@ func Verify(p *Program) error {
 	for _, f := range p.Free {
 		if p.Entries == 0 || f.Slot < 0 || f.Slot >= p.Fns[0].NumObjSlots {
 			return fmt.Errorf("bytecode: free symbol %q outside the kernel slot table", f.Sym.Name)
+		}
+	}
+	for i, c := range p.Charges {
+		var err error
+		if c.Ops < 0 || c.Steps < 0 {
+			err = errors.New("negative charge")
+		} else if c.Traffic < 0 || int(c.Traffic) > len(p.Traffic) || (c.Serial && c.Traffic != 0) {
+			err = fmt.Errorf("traffic %d out of range [0,%d]", c.Traffic, len(p.Traffic))
+		}
+		if err != nil {
+			return fmt.Errorf("bytecode: charge %d: %w", i+1, err)
 		}
 	}
 	for _, fn := range p.Fns {
@@ -120,23 +131,28 @@ func VerifyCode(code []Instr, b Bounds) error {
 		}
 		return idx("symbol", ref, b.Syms)
 	}
+	// charge checks a charge operand, 1 + a charge-table index; a
+	// transfer may name none (0).
+	charge := func(c int32, optional bool) error {
+		if c == 0 && optional {
+			return nil
+		}
+		if c < 1 || c > b.Charges {
+			return fmt.Errorf("charge %d out of range [1,%d]", c, b.Charges)
+		}
+		return nil
+	}
 
 	for pc, in := range code {
 		var err error
 		switch in.Op {
 		case OpNop, OpRetZ:
 		case OpCharge:
-			if in.A < 0 || in.B < 0 {
-				err = errors.New("negative charge")
-			} else if in.D != 0 && in.D != 1 {
-				err = fmt.Errorf("charge mode %d", in.D)
-			} else if in.C < 0 || in.C > b.Traffic || (in.D == 1 && in.C != 0) {
-				err = fmt.Errorf("traffic operand %d out of range [0,%d]", in.C, b.Traffic)
-			}
+			err = charge(in.D, false)
 		case OpJmp:
-			err = target(in.A)
+			err = firstErr(target(in.A), charge(in.D, true))
 		case OpBr:
-			err = firstErr(reg(in.A), target(in.B), target(in.C))
+			err = firstErr(reg(in.A), target(in.B), target(in.C), charge(in.D, true))
 		case OpRet, OpArg, OpZero:
 			err = reg(in.A)
 		case OpConst:
@@ -173,6 +189,8 @@ func VerifyCode(code []Instr, b Bounds) error {
 			err = firstErr(reg(in.A), reg(in.B))
 		case OpIdx:
 			err = firstErr(reg(in.A), reg(in.B), reg(in.C))
+		case OpLoadAI, OpLoadPI:
+			err = firstErr(reg(in.A), reg(in.B), objRef(in.C))
 		case OpStr, OpStdio:
 			err = firstErr(reg(in.A), idx("string", in.B, b.Strs))
 		case OpCall:

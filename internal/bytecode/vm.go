@@ -50,6 +50,11 @@ type Image struct {
 	// machine charges an *interp.CountingSink; nil otherwise, as for
 	// every GPU image, whose sinks take each access in order.
 	vecs []trafficVec
+	// What one VM allocates up front (see callDepth): the argument stack
+	// depth of a run of main and <init> (args), and for a kernel thread,
+	// of its entries (threadArgs) and how many functions, by index, its
+	// frame pools cover (threadFns: one past the last callee).
+	args, threadArgs, threadFns int32
 }
 
 // trafficVec is one Program.Traffic list folded over an image's symbols:
@@ -188,7 +193,51 @@ func NewImage(m *interp.Machine, p *Program, globals []*interp.Object) *Image {
 	if _, ok := m.Cost().(*interp.CountingSink); ok {
 		img.foldTraffic()
 	}
+	var buf [16]int32
+	memo := buf[:0]
+	if len(p.Fns) > len(buf) {
+		memo = make([]int32, 0, len(p.Fns))
+	}
+	memo = memo[:len(p.Fns)]
+	last := int32(-1)
+	for i := range p.Fns {
+		d := img.callDepth(i, memo, &last)
+		if i < p.Entries {
+			img.threadArgs = max(img.threadArgs, d)
+			img.threadFns = last + 1
+		}
+		img.args = max(img.args, d)
+	}
 	return img
+}
+
+// callDepth returns the most argument values a run of Fns[fn] can hold on
+// a VM's argument stack at once: a call's arguments stay pushed while its
+// callee runs. A recursive call counts its own arguments only, and
+// append grows the stack past that. It raises *last to the index of each
+// program function the run can call. memo holds 1 + each finished
+// function's depth, and -1 while one is on the call path.
+func (img *Image) callDepth(fn int, memo []int32, last *int32) int32 {
+	if memo[fn] != 0 {
+		return max(memo[fn]-1, 0)
+	}
+	memo[fn] = -1
+	d := int32(0)
+	for _, in := range img.Prog.Fns[fn].Code {
+		switch in.Op {
+		case OpLaunch:
+			d = max(d, in.A)
+		case OpCall:
+			callee := int32(0)
+			if lc := img.linked[in.B]; lc.kind == ckFn {
+				*last = max(*last, lc.fnIdx)
+				callee = img.callDepth(int(lc.fnIdx), memo, last)
+			}
+			d = max(d, in.C+callee)
+		}
+	}
+	memo[fn] = d + 1
+	return d
 }
 
 // link binds one callee with evalCall's dispatch order: sema-marked
@@ -216,16 +265,18 @@ func link(m *interp.Machine, p *Program, c Callee) linkedCallee {
 // first run.
 func NewVM(m *interp.Machine, p *Program) *VM {
 	vm := &VM{}
-	vm.bind(m, NewImage(m, p, nil))
+	img := NewImage(m, p, nil)
+	vm.bind(m, img, len(p.Fns), img.args)
 	vm.objs = make([]*interp.Object, len(p.Syms))
 	return vm
 }
 
-// bind readies vm to run img's code on m.
-func (vm *VM) bind(m *interp.Machine, img *Image) {
+// bind readies vm to run img's code on m, with frame pools for Fns[:fns]
+// and room for args argument values.
+func (vm *VM) bind(m *interp.Machine, img *Image, fns int, args int32) {
 	vm.Image, vm.m = img, m
-	vm.pools = make([][]*vmFrame, len(img.Prog.Fns))
-	vm.args = make([]interp.Value, 0, 16)
+	vm.pools = make([][]*vmFrame, fns)
+	vm.args = make([]interp.Value, 0, args)
 }
 
 // refresh re-reads the machine's per-run cost sink.
@@ -400,50 +451,30 @@ func (vm *VM) freeSlotName(slot int32) string {
 func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	code := fn.Code
 	regs := fr.regs
-	cost, counting := vm.cost, vm.counting
-	consts, traffic, vecs := vm.Prog.Consts, vm.Prog.Traffic, vm.vecs
+	cost := vm.cost
+	consts := vm.Prog.Consts
 	syms := vm.syms
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		switch in.Op {
 		case OpNop:
 		case OpCharge:
+			if err := vm.charge(in.D); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpJmp:
 			if in.D != 0 {
-				// Serial: the steps, then one Op(1) per op, in the
-				// walker's event order.
-				if in.B > 0 {
-					if err := vm.m.AddSteps(int64(in.B)); err != nil {
-						return interp.Value{}, false, err
-					}
-				}
-				for i := int32(0); i < in.A; i++ {
-					cost.Op(1)
-				}
-				continue
-			}
-			if counting != nil {
-				// The totals are all a CountingSink keeps: add the
-				// list's folded vector.
-				counting.Op(int(in.A))
-				if in.C != 0 {
-					vecs[in.C-1].addTo(counting)
-				}
-			} else {
-				if in.A > 0 {
-					cost.Op(int(in.A))
-				}
-				if in.C != 0 {
-					vm.chargeEach(traffic[in.C-1])
-				}
-			}
-			if in.B > 0 {
-				if err := vm.m.AddSteps(int64(in.B)); err != nil {
+				if err := vm.charge(in.D); err != nil {
 					return interp.Value{}, false, err
 				}
 			}
-		case OpJmp:
 			pc = int(in.A) - 1
 		case OpBr:
+			if in.D != 0 {
+				if err := vm.charge(in.D); err != nil {
+					return interp.Value{}, false, err
+				}
+			}
 			if regs[in.A].Truthy() {
 				pc = int(in.B) - 1
 			} else {
@@ -597,8 +628,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			if err != nil {
 				return interp.Value{}, false, err
 			}
-			cost.Load(obj.Space, obj.Elem.Size())
-			regs[in.A] = obj.Cells[0]
+			regs[in.A] = vm.cell(obj)
 		case OpStoreO:
 			obj, err := vm.object(fr, in.A)
 			if err == nil {
@@ -646,12 +676,37 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			}
 			regs[in.A] = v
 		case OpIdx:
-			base := regs[in.C]
-			if base.Kind != interp.ValPtr || base.P.IsNull() {
-				return interp.Value{}, false, fmt.Errorf("interp: %s: index of null or non-pointer", fn.Pos[pc])
+			p, ok := elem(regs[in.C], regs[in.B], in.D)
+			if !ok {
+				return interp.Value{}, false, errIndex(fn, pc)
 			}
-			i := int(regs[in.B].AsInt())
-			regs[in.A] = interp.PtrVal(interp.Pointer{Obj: base.P.Obj, Off: base.P.Off + i*int(in.D)})
+			regs[in.A] = interp.PtrVal(p)
+		case OpLoadAI:
+			// addr.o, idx and load.p: an array's pointer is never null.
+			obj, err := vm.object(fr, in.C)
+			if err != nil {
+				return interp.Value{}, false, err
+			}
+			v, err := vm.m.LoadPtr(interp.Pointer{Obj: obj, Off: int(regs[in.B].AsInt()) * int(in.D)})
+			if err != nil {
+				return interp.Value{}, false, err
+			}
+			regs[in.A] = v
+		case OpLoadPI:
+			// load.o, idx and load.p, in their event order.
+			obj, err := vm.object(fr, in.C)
+			if err != nil {
+				return interp.Value{}, false, err
+			}
+			p, ok := elem(vm.cell(obj), regs[in.B], in.D)
+			if !ok {
+				return interp.Value{}, false, errIndex(fn, pc)
+			}
+			v, err := vm.m.LoadPtr(p)
+			if err != nil {
+				return interp.Value{}, false, err
+			}
+			regs[in.A] = v
 		case OpStr:
 			regs[in.A] = interp.PtrVal(interp.Pointer{Obj: vm.m.InternLiteral(vm.Prog.Strs[in.B])})
 		case OpStdio:
@@ -698,6 +753,64 @@ func (vm *VM) launch(argc int) {
 		objs[f.Slot] = vm.args[len(vm.args)-argc+i].P.Obj
 	}
 	vm.launched = &LaunchPoint{Slots: objs, Globals: vm.objs}
+}
+
+// charge makes the charge that a charge instruction or a transfer names:
+// c is 1 + its index in the program's charge table.
+func (vm *VM) charge(c int32) error {
+	ch := &vm.Prog.Charges[c-1]
+	if ch.Serial {
+		// The steps, then one Op(1) per op, in the walker's event order.
+		if ch.Steps > 0 {
+			if err := vm.m.AddSteps(int64(ch.Steps)); err != nil {
+				return err
+			}
+		}
+		for i := int32(0); i < ch.Ops; i++ {
+			vm.cost.Op(1)
+		}
+		return nil
+	}
+	if counting := vm.counting; counting != nil {
+		// The totals are all a CountingSink keeps: add the list's
+		// folded vector.
+		counting.Ops += int64(ch.Ops)
+		if ch.Traffic != 0 {
+			vm.vecs[ch.Traffic-1].addTo(counting)
+		}
+	} else {
+		if ch.Ops > 0 {
+			vm.cost.Op(int(ch.Ops))
+		}
+		if ch.Traffic != 0 {
+			vm.chargeEach(vm.Prog.Traffic[ch.Traffic-1])
+		}
+	}
+	if ch.Steps > 0 {
+		return vm.m.AddSteps(int64(ch.Steps))
+	}
+	return nil
+}
+
+// cell reads a scalar object's one cell and charges the Load (load.o).
+func (vm *VM) cell(obj *interp.Object) interp.Value {
+	vm.cost.Load(obj.Space, obj.Elem.Size())
+	return obj.Cells[0]
+}
+
+// elem returns the pointer i elements of stride cells past base (idx),
+// and false for a null or non-pointer base.
+func elem(base, i interp.Value, stride int32) (interp.Pointer, bool) {
+	if base.Kind != interp.ValPtr || base.P.IsNull() {
+		return interp.Pointer{}, false
+	}
+	return interp.Pointer{Obj: base.P.Obj, Off: base.P.Off + int(i.AsInt())*int(stride)}, true
+}
+
+// errIndex is the error of subscripting a null or non-pointer at fn's
+// instruction pc.
+func errIndex(fn *Fn, pc int) error {
+	return fmt.Errorf("interp: %s: index of null or non-pointer", fn.Pos[pc])
 }
 
 // chargeEach charges the tracked-variable accesses a charge folded one
@@ -963,7 +1076,7 @@ func NewFragmentVM(m *interp.Machine, img *Image, objs, firstPrivate []*interp.O
 		regs = max(regs, fn.NumRegs)
 	}
 	f := &FragmentVM{fr: vmFrame{regs: make([]interp.Value, regs), objs: objs}}
-	f.vm.bind(m, img)
+	f.vm.bind(m, img, int(img.threadFns), img.threadArgs)
 	var globals []*interp.Object
 	if p.Init >= 0 {
 		globals = img.globals

@@ -102,6 +102,9 @@ func FuzzVMParity(f *testing.F) {
 	for _, ps := range paramSrcs {
 		f.Add(ps.src, ps.stdin)
 	}
+	for _, tc := range tightCases {
+		f.Add(tc.src, "")
+	}
 
 	f.Fuzz(func(t *testing.T, src, stdin string) {
 		if len(src) > fuzzMaxSrcSize || len(stdin) > fuzzMaxStdin {

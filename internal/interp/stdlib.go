@@ -573,7 +573,10 @@ func biStrncpy(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	n := int(args[2].AsInt())
+	n, err := countArg(args, 2, "strncpy")
+	if err != nil {
+		return Value{}, err
+	}
 	s := m.scratchCString(src)
 	if len(s) > n {
 		s = s[:n]
@@ -641,7 +644,10 @@ func biMemset(m *Machine, args []Value) (Value, error) {
 		return Value{}, err
 	}
 	v := byte(args[1].AsInt())
-	n := int(args[2].AsInt())
+	n, err := countArg(args, 2, "memset")
+	if err != nil {
+		return Value{}, err
+	}
 	for i := 0; i < n && p.Off+i < len(p.Obj.Cells); i++ {
 		p.Obj.Cells[p.Off+i] = IntVal(int64(v))
 	}
@@ -659,7 +665,10 @@ func biMemcpy(m *Machine, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	n := int(args[2].AsInt())
+	n, err := countArg(args, 2, "memcpy")
+	if err != nil {
+		return Value{}, err
+	}
 	for i := 0; i < n; i++ {
 		if dst.Off+i >= len(dst.Obj.Cells) || src.Off+i >= len(src.Obj.Cells) {
 			break
@@ -670,6 +679,16 @@ func biMemcpy(m *Machine, args []Value) (Value, error) {
 	m.cost.Load(src.Obj.Space, n)
 	m.cost.Store(dst.Obj.Space, n)
 	return args[0], nil
+}
+
+// countArg reads the byte count args[i] of a memory builtin. A negative
+// count, which C would take as a huge size_t, is a runtime error.
+func countArg(args []Value, i int, name string) (int, error) {
+	n := int(args[i].AsInt())
+	if n < 0 {
+		return 0, fmt.Errorf("interp: %s of negative count %d", name, n)
+	}
+	return n, nil
 }
 
 // charAt reads the byte at p+i, or 0 past the object's end.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/bytecode"
 	"repro/internal/interp"
 	"repro/internal/interp/walker"
 	"repro/internal/minic"
@@ -87,6 +88,48 @@ func TestBuiltinsRejectOutOfObjectPointers(t *testing.T) {
 	out := runSrc(t, `int main() { char a[4]; printf("[%s]\n", a - 3); return 0; }`, "")
 	if out != "[]\n" {
 		t.Errorf("printf %%s before the object = %q, want \"[]\\n\"", out)
+	}
+}
+
+// TestMemoryBuiltinsRejectNegativeCounts pins that a negative count to
+// strncpy, memset or memcpy is a runtime error on the walker and on the
+// VM alike, before anything is written or charged, and never a host
+// panic. strncmp is not among them: there a negative count is C's huge
+// size_t, which compares the whole strings.
+func TestMemoryBuiltinsRejectNegativeCounts(t *testing.T) {
+	for _, tc := range []struct{ src, err string }{
+		{`int main() { char a[4]; strncpy(a, "xy", -1); return 0; }`, "interp: strncpy of negative count -1"},
+		{`int main() { char a[4]; memset(a, 0, -2); return 0; }`, "interp: memset of negative count -2"},
+		{`int main() { char a[4]; char b[4]; memcpy(b, a, -3); return 0; }`, "interp: memcpy of negative count -3"},
+	} {
+		prog, err := minic.ParseAndCheck(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := bytecode.Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			name string
+			run  func(*interp.Machine) (int, error)
+		}{
+			{"walker", walker.Run},
+			{"vm", func(m *interp.Machine) (int, error) { return bytecode.NewVM(m, code).Run() }},
+		} {
+			cost := &interp.CountingSink{}
+			m := interp.New(prog, interp.Options{Cost: cost})
+			if _, err := run.run(m); err == nil || err.Error() != tc.err {
+				t.Errorf("%s: %q: error %v, want %q", run.name, tc.src, err, tc.err)
+			}
+			if cost.Stores != 0 {
+				t.Errorf("%s: %q: charged %d stores before the error", run.name, tc.src, cost.Stores)
+			}
+		}
+	}
+	out := runSrc(t, `int main() { printf("%d\n", strncmp("ab", "ab", -1)); return 0; }`, "")
+	if out != "0\n" {
+		t.Errorf("strncmp with a negative count = %q, want \"0\\n\"", out)
 	}
 }
 
