@@ -47,9 +47,9 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 // Verify checks every compiled function's code for well-formedness:
 // operand indices inside their pools, registers inside the frame, jump
 // targets inside the code, charge-table entries that make sense, and no
-// kept parameter whose object the code can point at. The compiler always emits verifiable code; the check
-// guards decoded/fuzzed instruction streams and catches compiler
-// regressions in tests.
+// kept parameter whose object the code can point at. The compiler always
+// emits verifiable code; the check guards decoded/fuzzed instruction
+// streams and catches compiler regressions in tests.
 func Verify(p *Program) error {
 	if p.Main >= len(p.Fns) {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)

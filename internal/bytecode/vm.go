@@ -774,7 +774,7 @@ func (vm *VM) charge(c int32) error {
 	if counting := vm.counting; counting != nil {
 		// The totals are all a CountingSink keeps: add the list's
 		// folded vector.
-		counting.Ops += int64(ch.Ops)
+		counting.Op(int(ch.Ops))
 		if ch.Traffic != 0 {
 			vm.vecs[ch.Traffic-1].addTo(counting)
 		}
