@@ -3,6 +3,7 @@ package bytecode
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -831,6 +832,63 @@ func TestStepBudgetAtCarriedCharge(t *testing.T) {
 			t.Fatalf("walker: output %q, error %q", walker.out, walker.err)
 		}
 		compareRuns(t, walker, vm)
+	}
+}
+
+// TestTightenGuards pins the two conditions tighten's rewrites rest on: a
+// short-circuit value threads into the br that tests it only when it dies
+// there, and a charge moves onto a transfer only when no jump lands on
+// the transfer. No Table-2 program or test source reaches either guard,
+// so the code is written by hand.
+func TestTightenGuards(t *testing.T) {
+	shortCircuit := []Instr{
+		{Op: OpBr, A: 3, B: 1, C: 3},
+		{Op: OpBool, A: 1, B: 2},
+		{Op: OpJmp, A: 4},
+		{Op: OpConst, A: 1, B: 0},
+		{Op: OpBr, A: 1, B: 5, C: 6},
+		{Op: OpRet, A: 1},
+		{Op: OpRetZ},
+	}
+	targeted := []Instr{
+		{Op: OpBr, A: 3, B: 1, C: 2},
+		{Op: OpCharge, D: 1},
+		{Op: OpBr, A: 1, B: 3, C: 4},
+		{Op: OpRet, A: 1},
+		{Op: OpRetZ},
+	}
+	untargeted := append([]Instr{{Op: OpBr, A: 3, B: 1, C: 3}}, targeted[1:]...)
+	for _, tc := range []struct {
+		name string
+		code []Instr
+		dies []int32
+		want []Instr
+	}{
+		{"value-read-after-br", shortCircuit, nil, shortCircuit},
+		{"value-dies-at-br", shortCircuit, []int32{4}, []Instr{
+			{Op: OpBr, A: 3, B: 1, C: 3},
+			{Op: OpBr, A: 2, B: 2, C: 3},
+			{Op: OpRet, A: 1},
+			{Op: OpRetZ},
+		}},
+		{"charge-before-targeted-br", targeted, nil, targeted},
+		{"charge-before-untargeted-br", untargeted, nil, []Instr{
+			{Op: OpBr, A: 3, B: 1, C: 2},
+			{Op: OpBr, A: 1, B: 2, C: 3, D: 1},
+			{Op: OpRet, A: 1},
+			{Op: OpRetZ},
+		}},
+	} {
+		fb := &fnBuilder{
+			b:    &builder{prog: &Program{Consts: []interp.Value{interp.IntVal(0)}}},
+			code: slices.Clone(tc.code),
+			pos:  make([]minic.Pos, len(tc.code)),
+			dies: tc.dies,
+		}
+		fb.tighten()
+		if !slices.Equal(fb.code, tc.want) {
+			t.Errorf("%s: tighten gave\n%v\nwant\n%v", tc.name, fb.code, tc.want)
+		}
 	}
 }
 
