@@ -322,6 +322,24 @@ func TestCheckRejectsBreakOutsideLoop(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsInitializedEmptyArray pins that an array of no cells
+// cannot take an initializer, which both executors store in its first
+// cell; one without an initializer is still accepted.
+func TestCheckRejectsInitializedEmptyArray(t *testing.T) {
+	for _, src := range []string{
+		`int main() { int A[0] = (""); return 0; }`,
+		`int g[2][0] = 1; int main() { return 0; }`,
+	} {
+		_, err := ParseAndCheck(src)
+		if err == nil || !strings.Contains(err.Error(), "of length 0 has an initializer") {
+			t.Errorf("%q: err = %v", src, err)
+		}
+	}
+	if _, err := ParseAndCheck(`int main() { int A[0]; return 0; }`); err != nil {
+		t.Errorf("empty array without an initializer: %v", err)
+	}
+}
+
 func TestCheckRejectsAssignToNonLvalue(t *testing.T) {
 	_, err := ParseAndCheck(`int main() { int a; (a + 1) = 2; return 0; }`)
 	if err == nil {

@@ -235,6 +235,14 @@ func (c *checker) checkVarDecl(sc *scope, d *DeclStmt, global bool) {
 	for _, decl := range d.Decls {
 		if decl.Init != nil {
 			c.checkExpr(sc, decl.Init)
+			for t := decl.Type; t.Kind == TypeArray; t = t.Elem {
+				if t.Len == 0 {
+					// An initializer fills an array's first cell, and
+					// this one has none.
+					c.errf(d.Pos, "array %q of length 0 has an initializer", decl.Name)
+					break
+				}
+			}
 		}
 		sym := &Symbol{Name: decl.Name, Kind: SymVar, Type: decl.Type, Global: global}
 		decl.Sym = sym
