@@ -22,7 +22,7 @@ race:
 # goroutines share one launch image, and its goldens and host-capture
 # tests run several blocks, some over copied globals.
 stress:
-	$(GO) test -race -count=20 ./internal/sim -run 'Pool|Task|Cancel|RunUntil|Wait|Discard|Close'
+	$(GO) test -race -count=20 ./internal/sim -run 'Pool|Task|Cancel|Wait|Discard|Close'
 	$(GO) test -race -count=20 ./internal/testkit -run 'TestWorkerInvarianceUnder'
 	$(GO) test -race -count=20 ./internal/gpurt -run 'TestGPUVirtualTimeGolden|TestHostCapture'
 
@@ -101,7 +101,8 @@ cover:
 	check ./internal/compiler 80; \
 	check ./internal/mr 87; \
 	check ./internal/bytecode 77; \
-	check ./internal/gpurt 80
+	check ./internal/gpurt 80; \
+	check ./internal/ir 74
 
 # ci ends with hostbench's own tests (a separate module that ./... never
 # reaches), so a change that moves a recorded seed-1 digest or virtual

@@ -5,8 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/workload"
 )
 
@@ -58,4 +60,26 @@ func TestOptReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "opt-report.golden", buf.Bytes())
+}
+
+// TestEveryOptimizerPassRewritesABenchmark sums each ir.Stats rewrite
+// counter over every Table-2 stage's host and kernel targets, as the opt
+// report's TOTAL row does, and fails on a counter that stays 0: the
+// benchmark programs are the whole traffic, so a rewrite that none of them
+// exercises is not kept.
+func TestEveryOptimizerPassRewritesABenchmark(t *testing.T) {
+	total := &ir.Stats{}
+	if err := eachOptStats(func(_, _ string, st *ir.Stats) { total.Add(st) }); err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(*total)
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "Funcs", "Rounds", "NodesBefore", "NodesAfter":
+		default:
+			if v.Field(i).Int() == 0 {
+				t.Errorf("ir.Stats.%s is 0 over every benchmark program: none exercises its rewrite", name)
+			}
+		}
+	}
 }

@@ -14,23 +14,38 @@ import (
 	"repro/internal/workload"
 )
 
-// runOptReport compiles every benchmark stage program with the SSA
-// optimizer enabled and prints one row of per-pass rewrite counts per
-// optimized program: map/combine stages yield a host row and a kernel
-// row (the translated GPU program is optimized separately), reduce
-// stages a single host row, matching what internal/mr actually executes.
+// runOptReport prints one row of per-pass rewrite counts per optimized
+// benchmark program (see eachOptStats), their TOTAL, and the cumulative
+// cost table.
 func runOptReport(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "program\ttarget\tfold\tbranch\ttrim\tdse\tdeadinit\tcopy\tcse\tlicm\tnodes")
+	fmt.Fprintln(tw, "program\ttarget\tfold\tdse\tdeadinit\tlicm\tnodes")
 	total := &ir.Stats{}
-	row := func(name, target string, st *ir.Stats) {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d->%d\n",
-			name, target, st.Folded, st.Branches, st.Trimmed, st.Stores,
-			st.Inits, st.Copies, st.CSE, st.LICM, st.NodesBefore, st.NodesAfter)
+	err := eachOptStats(func(name, target string, st *ir.Stats) {
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d->%d\n",
+			name, target, st.Folded, st.Stores, st.Inits, st.LICM, st.NodesBefore, st.NodesAfter)
 		total.Add(st)
 		total.NodesBefore += st.NodesBefore
 		total.NodesAfter += st.NodesAfter
+	})
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(tw, "TOTAL\t\t%d\t%d\t%d\t%d\t%d->%d\n",
+		total.Folded, total.Stores, total.Inits, total.LICM, total.NodesBefore, total.NodesAfter)
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return runOptCost(w)
+}
+
+// eachOptStats compiles every benchmark stage program with the SSA
+// optimizer enabled and passes each optimized program's stats to row:
+// map/combine stages yield a host row and a kernel row (the translated GPU
+// program is optimized separately), reduce stages a single host row,
+// matching what internal/mr actually executes.
+func eachOptStats(row func(name, target string, st *ir.Stats)) error {
 	for _, b := range workload.All() {
 		stages := []struct{ suffix, src string }{
 			{"map", b.Job.MapSrc},
@@ -60,15 +75,7 @@ func runOptReport(w io.Writer) error {
 			row(name, "kernel", c.KernelOpt)
 		}
 	}
-	fmt.Fprintf(tw, "TOTAL\t\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d->%d\n",
-		total.Folded, total.Branches, total.Trimmed, total.Stores,
-		total.Inits, total.Copies, total.CSE, total.LICM,
-		total.NodesBefore, total.NodesAfter)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return runOptCost(w)
+	return nil
 }
 
 // optCostInput sizes the per-benchmark sample fed to the interpreter for
@@ -89,8 +96,6 @@ func runOptCost(w io.Writer) error {
 		{"none", 0},
 		{"+fold", ir.PassFold},
 		{"+dse", ir.PassFold | ir.PassDSE},
-		{"+copy", ir.PassFold | ir.PassDSE | ir.PassCopy},
-		{"+cse", ir.PassFold | ir.PassDSE | ir.PassCopy | ir.PassCSE},
 		{"+licm", ir.AllPasses},
 	}
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)

@@ -30,7 +30,7 @@ import (
 //     forwards it, and is a move otherwise.
 //   - Batched (kernel entries: a mapper region's loop condition and body,
 //     a combiner's region). Per-expression Op(1) charges are
-//     recovered by inverting the IR's ExprInstr map: the number of
+//     recovered by inverting the IR's Exprs map: the number of
 //     expressions an instruction produces the value for is the number of
 //     eval-entry ops it carries. Ops and steps batch as in folded code,
 //     but load.v and store.v charge each access where it happens. An entry
@@ -448,7 +448,7 @@ type fnBuilder struct {
 	// objRef).
 	entry bool
 	// inv holds the eval-entry op count each instruction carries
-	// (inverted ExprInstr map), consumed as batched code charges. Folded
+	// (inverted Exprs map), consumed as batched code charges. Folded
 	// and per-event code read ir.Instr.Entries instead.
 	inv map[*ir.Instr]int32
 	// uses counts each IR value's uses by ir.Instr.ID (see countUses).
@@ -524,8 +524,8 @@ func (b *builder) compileFn(decl *minic.FuncDecl, demote func(*minic.Symbol) boo
 	if b.disc == batched {
 		fb.inv = map[*ir.Instr]int32{}
 		//detlint:ignore map-iteration: the counts add commutatively, and folding GPU charges as CPU ones are folded deletes the table
-		for _, in := range f.ExprInstr {
-			fb.inv[in]++
+		for _, l := range f.Exprs {
+			fb.inv[l.Instr]++
 		}
 	}
 	fb.countUses()
@@ -837,8 +837,8 @@ func addLValueUses(f *ir.Func) {
 				continue
 			}
 			for _, c := range components(lv) {
-				if ci, ok := f.ExprInstr[c]; ok {
-					in.Args = append(in.Args, ci)
+				if l, ok := f.Exprs[c]; ok {
+					in.Args = append(in.Args, l.Instr)
 				}
 			}
 		}
@@ -990,11 +990,11 @@ func (fb *fnBuilder) reg(in *ir.Instr) (int32, error) {
 
 // exprReg returns the register holding a lowered AST expression's value.
 func (fb *fnBuilder) exprReg(e minic.Expr) (int32, error) {
-	in, ok := fb.f.ExprInstr[e]
+	l, ok := fb.f.Exprs[e]
 	if !ok {
 		return 0, fmt.Errorf("expression %T not lowered", e)
 	}
-	return fb.reg(in)
+	return fb.reg(l.Instr)
 }
 
 func (fb *fnBuilder) slot(sym *minic.Symbol) int32 {

@@ -89,13 +89,6 @@ func Cluster2() Setup {
 	}
 }
 
-// WithGPUs returns a copy of the setup using n GPUs per node (Cluster2's
-// 1/2/3-GPU scaling runs).
-func (s Setup) WithGPUs(n int) Setup {
-	s.Node.GPUs = n
-	return s
-}
-
 // WithSlaves returns a copy of the setup shrunk (or grown) to n slave
 // nodes, keeping the HDFS datanode count in step and clamping replication
 // to the cluster size (small fault-tolerance and test runs).

@@ -55,19 +55,6 @@ func TestCluster2MatchesTable3(t *testing.T) {
 	}
 }
 
-func TestWithGPUs(t *testing.T) {
-	c := Cluster2()
-	for _, n := range []int{1, 2, 3} {
-		if got := c.WithGPUs(n).Node.GPUs; got != n {
-			t.Errorf("WithGPUs(%d).GPUs = %d", n, got)
-		}
-	}
-	// Original untouched (value semantics).
-	if c.Node.GPUs != 3 {
-		t.Error("WithGPUs mutated the receiver")
-	}
-}
-
 func TestCPUOnlyNode(t *testing.T) {
 	c := Cluster1()
 	n := c.CPUOnlyNode()

@@ -290,14 +290,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	return &Device{Config: cfg}, nil
 }
 
-// AggregateBlocks converts per-threadblock cycle totals into kernel time:
-// blocks are list-scheduled (longest-processing-time-first) onto the SMs
-// and the kernel finishes when the most loaded SM drains.
-func (d *Device) AggregateBlocks(blockCycles []float64) float64 {
-	p := d.AggregateBlocksProfile(blockCycles)
-	return p.Seconds
-}
-
 // BlockSchedule is the profiled outcome of one block-level aggregation:
 // the kernel time plus the balance diagnostics the observability layer
 // attaches to kernel spans.
@@ -311,8 +303,10 @@ type BlockSchedule struct {
 	StragglerSkew float64
 }
 
-// AggregateBlocksProfile is AggregateBlocks plus occupancy and straggler
-// diagnostics for kernel profiling.
+// AggregateBlocksProfile converts per-threadblock cycle totals into kernel
+// time: blocks are list-scheduled (longest-processing-time-first) onto the
+// SMs and the kernel finishes when the most loaded SM drains. It also
+// reports occupancy and straggler diagnostics for kernel profiling.
 func (d *Device) AggregateBlocksProfile(blockCycles []float64) BlockSchedule {
 	if len(blockCycles) == 0 {
 		return BlockSchedule{Seconds: d.Config.KernelLaunchUS * 1e-6, Occupancy: 0, StragglerSkew: 1}

@@ -113,7 +113,7 @@ func TestAggregateBlocksSingleBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := d.AggregateBlocks([]float64{745e3}) // 1ms of cycles
+	tm := d.AggregateBlocksProfile([]float64{745e3}).Seconds // 1ms of cycles
 	if tm < 0.001 || tm > 0.0011 {
 		t.Fatalf("single block time = %v", tm)
 	}
@@ -126,13 +126,13 @@ func TestAggregateBlocksParallelism(t *testing.T) {
 	for i := range equal {
 		equal[i] = 1e6
 	}
-	t15 := d.AggregateBlocks(equal)
+	t15 := d.AggregateBlocksProfile(equal).Seconds
 	// 30 blocks should take ~2x.
 	double := make([]float64, 30)
 	for i := range double {
 		double[i] = 1e6
 	}
-	t30 := d.AggregateBlocks(double)
+	t30 := d.AggregateBlocksProfile(double).Seconds
 	if ratio := t30 / t15; ratio < 1.8 || ratio > 2.2 {
 		t.Fatalf("30/15 block ratio = %v, want ~2", ratio)
 	}
@@ -145,7 +145,7 @@ func TestAggregateBlocksImbalance(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		blocks = append(blocks, 1e3)
 	}
-	tm := d.AggregateBlocks(blocks)
+	tm := d.AggregateBlocksProfile(blocks).Seconds
 	want := d.Config.CyclesToSeconds(1e9)
 	if tm < want {
 		t.Fatalf("time %v less than dominant block %v", tm, want)
@@ -157,7 +157,7 @@ func TestAggregateBlocksImbalance(t *testing.T) {
 
 func TestAggregateBlocksEmptyAndMonotone(t *testing.T) {
 	d, _ := NewDevice(TeslaK40())
-	if d.AggregateBlocks(nil) <= 0 {
+	if d.AggregateBlocksProfile(nil).Seconds <= 0 {
 		t.Error("empty launch should still cost launch overhead")
 	}
 	if err := quick.Check(func(seed uint8) bool {
@@ -166,8 +166,8 @@ func TestAggregateBlocksEmptyAndMonotone(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = float64((i*7919+int(seed))%1000) * 1e3
 		}
-		t1 := d.AggregateBlocks(blocks)
-		t2 := d.AggregateBlocks(append(blocks, 5e6))
+		t1 := d.AggregateBlocksProfile(blocks).Seconds
+		t2 := d.AggregateBlocksProfile(append(blocks, 5e6)).Seconds
 		return t2 >= t1 // adding work never speeds the kernel up
 	}, nil); err != nil {
 		t.Fatal(err)

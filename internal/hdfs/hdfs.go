@@ -1,9 +1,9 @@
 // Package hdfs simulates the Hadoop Distributed File System as HeteroDoop
 // uses it: files are stored as replicated blocks on datanodes, map tasks
 // read one fileSplit each (with line-boundary adjustment exactly like
-// Hadoop's LineRecordReader), and read/write times follow a
-// locality-aware bandwidth model. Data is held in memory; times are
-// computed, never measured.
+// Hadoop's LineRecordReader), and read times follow a locality-aware
+// bandwidth model. Data is held in memory; times are computed, never
+// measured.
 package hdfs
 
 import (
@@ -130,15 +130,6 @@ func (fs *FS) placeReplicas() []int {
 	return replicas
 }
 
-// Exists reports whether path is stored.
-func (fs *FS) Exists(path string) bool {
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Delete removes a path (no-op if absent).
-func (fs *FS) Delete(path string) { delete(fs.files, path) }
-
 // Size returns a file's byte length.
 func (fs *FS) Size(path string) (int64, error) {
 	f, ok := fs.files[path]
@@ -229,14 +220,4 @@ func (fs *FS) ReadTime(sp Split, node int) float64 {
 	}
 	net := bytes / (fs.cfg.NetworkGBs * 1e9)
 	return 2*seek + disk + net
-}
-
-// WriteTime models writing n bytes with pipeline replication: the writer
-// streams at disk speed while each extra replica adds a network hop that
-// overlaps all but a fraction of the transfer.
-func (fs *FS) WriteTime(n int64) float64 {
-	bytes := float64(n)
-	t := bytes / (fs.cfg.DiskWriteGBs * 1e9)
-	extra := bytes / (fs.cfg.NetworkGBs * 1e9) * 0.25
-	return t + float64(fs.cfg.Replication-1)*extra
 }

@@ -50,9 +50,6 @@ func TestWriteAndReadAll(t *testing.T) {
 	if size != int64(len(data)) {
 		t.Fatalf("size = %d", size)
 	}
-	if !fs.Exists("/data/input") || fs.Exists("/nope") {
-		t.Fatal("Exists wrong")
-	}
 }
 
 func TestDoubleWriteRejected(t *testing.T) {
@@ -60,15 +57,6 @@ func TestDoubleWriteRejected(t *testing.T) {
 	fs.Write("/a", []byte("x"))
 	if err := fs.Write("/a", []byte("y")); err == nil {
 		t.Fatal("double write accepted")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	fs := testFS(t, 64, 1, 2)
-	fs.Write("/a", []byte("x"))
-	fs.Delete("/a")
-	if fs.Exists("/a") {
-		t.Fatal("delete failed")
 	}
 }
 
@@ -202,14 +190,6 @@ func TestLocalReadFasterThanRemote(t *testing.T) {
 	if fs.ReadTime(sp, local) >= fs.ReadTime(sp, remote) {
 		t.Fatalf("local read (%v) not faster than remote (%v)",
 			fs.ReadTime(sp, local), fs.ReadTime(sp, remote))
-	}
-}
-
-func TestReplicationMakesWritesSlower(t *testing.T) {
-	fs1 := testFS(t, 1<<20, 1, 4)
-	fs3 := testFS(t, 1<<20, 3, 4)
-	if fs3.WriteTime(1<<20) <= fs1.WriteTime(1<<20) {
-		t.Fatal("replication-3 write not slower than replication-1")
 	}
 }
 

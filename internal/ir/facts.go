@@ -79,7 +79,7 @@ func (fx *Facts) constConds() {
 		if _, lit := litConst(cond); lit {
 			return // `while (1)` idioms are intentional
 		}
-		in := fx.F.ExprInstr[cond]
+		in := fx.F.Exprs[cond].Instr
 		if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
 			return
 		}
@@ -327,7 +327,7 @@ func (fx *Facts) oob() {
 		if t.Kind != minic.TypeArray || t.Len <= 0 || t.Elem == nil || t.Elem.Kind == minic.TypeArray {
 			return true // only single-dimension fixed arrays
 		}
-		in := fx.F.ExprInstr[ix.Idx]
+		in := fx.F.Exprs[ix.Idx].Instr
 		if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
 			return true
 		}

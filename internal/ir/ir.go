@@ -1,21 +1,22 @@
 // Package ir lowers MiniC functions into a CFG+SSA intermediate form with
-// a reusable dataflow framework, and implements the analysis-driven
-// optimizations the compiler applies before handing ASTs to the backends:
-// sparse conditional constant propagation and folding, dead-code and
-// dead-store elimination, copy propagation, common-subexpression
-// elimination, and loop-invariant hoisting. The same fact base feeds the
-// HD6xx optimization lints in internal/analysis, so the linter and the
-// optimizer can never disagree about what is constant, dead, or invariant.
+// a reusable dataflow framework, and implements the three analysis-driven
+// rewrites the compiler applies to a program's AST before compiling it to
+// bytecode: constant folding driven by sparse conditional constant
+// propagation, dead-store and dead-initializer elimination, and
+// loop-invariant hoisting. The same fact base feeds the HD6xx optimization
+// lints in internal/analysis, so the linter and the optimizer can never
+// disagree about what is constant or unreachable.
 //
 // The IR is deliberately AST-anchored: every instruction remembers the
-// expression and statement it was lowered from, because the three backends
-// (interpreter, streaming, GPU) all execute MiniC ASTs — optimization here
-// means provably-equivalent smaller ASTs, not generated code. Semantic
-// equivalence is defined by internal/interp, which also does the
-// arithmetic: constants are interp.Values, SCCP folds them by calling the
-// interpreter's own operators, conversions and pure builtins, and the
-// lattice compares them bitwise. Nothing that could trap (division by
-// zero, out-of-bounds access) is folded or deleted.
+// expression and statement it was lowered from. The optimizer rewrites
+// the AST into a provably equivalent smaller one, and internal/bytecode
+// lowers the optimized AST through this package again into the register
+// code that every stage, CPU or GPU, runs. Semantic equivalence is
+// defined by internal/interp, which also does the arithmetic: constants
+// are interp.Values, SCCP folds them by calling the interpreter's own
+// operators, conversions and pure builtins, and the lattice compares them
+// bitwise. Nothing that could trap (division by zero, out-of-bounds
+// access) is folded or deleted.
 package ir
 
 import (
@@ -189,14 +190,25 @@ type Func struct {
 	Rets []*Instr
 
 	varOf map[*minic.Symbol]*Var
-	// ExprInstr maps each lowered AST expression to the instruction
-	// producing its value.
-	ExprInstr map[minic.Expr]*Instr
-	// ast is the rewrite index recorded during lowering.
-	ast astInfo
+	// Exprs maps each lowered AST expression to what lowering recorded
+	// for it.
+	Exprs map[minic.Expr]Lowered
+	// stmts is the rewrite index's record of each lowered statement.
+	stmts map[minic.Stmt]stmtInfo
 
 	instrs []*Instr // all instructions, for iteration
 	nextID int
+}
+
+// Lowered is what lowering recorded for one AST expression.
+type Lowered struct {
+	// Instr produces the expression's value.
+	Instr *Instr
+	// slot holds an rvalue expression, so a pass can replace it with a
+	// literal or a temp read. Lvalue positions (assignment, inc/dec and &
+	// targets, index bases) and __sizeof_var arguments get none and are
+	// never replaced.
+	slot *minic.Expr
 }
 
 // VarFor returns the tracked Var for a symbol, or nil if the symbol is
@@ -213,7 +225,6 @@ type lowerer struct {
 	// contStep parallels cont: true when a continue edge to the target is
 	// a While back-edge (which the interpreter charges a step for).
 	contStep []bool
-	region   *minic.PragmaStmt // innermost enclosing mapreduce region
 	demoted  map[*minic.Symbol]bool
 	// demoteFn, when non-nil, additionally demotes symbols (fragment
 	// builds demote everything declared outside the fragment).
@@ -227,7 +238,8 @@ type lowerer struct {
 // Build lowers fn into CFG+SSA form: basic blocks of instructions over
 // tracked scalar variables, minimal phi placement at iterated dominance
 // frontiers, and def-use chains via OpLoad/OpPhi arguments. The same walk
-// records the optimizer's rewrite index (astInfo).
+// records the optimizer's rewrite index: each rvalue's slot in Exprs, and
+// each statement's in stmts.
 func Build(fn *minic.FuncDecl) *Func { return BuildFragment(fn, nil, nil) }
 
 // BuildFragment is Build with an extra demotion predicate and a launch
@@ -240,10 +252,10 @@ func Build(fn *minic.FuncDecl) *Func { return BuildFragment(fn, nil, nil) }
 // marked Launch and ends there, and the pragma's body is not lowered.
 func BuildFragment(fn *minic.FuncDecl, demote func(*minic.Symbol) bool, launch *minic.PragmaStmt) *Func {
 	f := &Func{
-		Decl:      fn,
-		varOf:     map[*minic.Symbol]*Var{},
-		ExprInstr: map[minic.Expr]*Instr{},
-		ast:       astInfo{exprs: map[minic.Expr]*minic.Expr{}, stmts: map[minic.Stmt]stmtInfo{}},
+		Decl:  fn,
+		varOf: map[*minic.Symbol]*Var{},
+		Exprs: map[minic.Expr]Lowered{},
+		stmts: map[minic.Stmt]stmtInfo{},
 	}
 	lw := &lowerer{f: f, demoted: demotedSyms(fn), demoteFn: demote, launch: launch}
 	lw.cur = lw.newBlock()
@@ -397,11 +409,10 @@ func (lw *lowerer) lowerStmt(s minic.Stmt, at stmtInfo) {
 	lw.stmt = s
 	defer func() { lw.stmt = prev }()
 	lw.cur.Stmts = append(lw.cur.Stmts, s)
-	at.region, at.depth = lw.region, len(lw.brk) // one break target per enclosing loop
 	if _, ok := s.(*minic.PragmaStmt); ok {
 		at.slot = nil // protected, like its body (see stmtInfo.slot)
 	}
-	lw.f.ast.stmts[s] = at
+	lw.f.stmts[s] = at
 
 	switch st := s.(type) {
 	case *minic.Block:
@@ -416,12 +427,7 @@ func (lw *lowerer) lowerStmt(s minic.Stmt, at stmtInfo) {
 			lw.cur = lw.newBlock() // unreachable continuation
 			break
 		}
-		outer := lw.region
-		if st.IsMapReduce() {
-			lw.region = st
-		}
 		lw.lowerStmt(st.Body, stmtInfo{})
-		lw.region = outer
 	case *minic.DeclStmt:
 		lw.node(s)
 		for _, d := range st.Decls {
@@ -541,19 +547,19 @@ func (lw *lowerer) lowerStmt(s minic.Stmt, at stmtInfo) {
 
 // lowerAt lowers the rvalue expression held in *slot and records the slot
 // in the rewrite index, so a pass can replace the expression in place.
-func (lw *lowerer) lowerAt(slot *minic.Expr) *Instr {
-	lw.f.ast.exprs[*slot] = slot
-	return lw.lowerExpr(*slot)
-}
+func (lw *lowerer) lowerAt(slot *minic.Expr) *Instr { return lw.lower(*slot, slot) }
 
-// lowerExpr lowers an expression, returning the instruction producing its
-// value. Instructions are emitted in the interpreter's evaluation order.
-// The expression itself gets no slot; its rvalue operands do.
-func (lw *lowerer) lowerExpr(e minic.Expr) *Instr {
+// lowerExpr lowers an expression that gets no slot.
+func (lw *lowerer) lowerExpr(e minic.Expr) *Instr { return lw.lower(e, nil) }
+
+// lower lowers e, held in slot when that is non-nil, and returns the
+// instruction producing its value. Instructions are emitted in the
+// interpreter's evaluation order. The rvalue operands of e get slots.
+func (lw *lowerer) lower(e minic.Expr, slot *minic.Expr) *Instr {
 	lw.entries++
 	in := lw.lowerExprInner(e)
 	if e != nil && in != nil {
-		lw.f.ExprInstr[e] = in
+		lw.f.Exprs[e] = Lowered{Instr: in, slot: slot}
 	}
 	return in
 }

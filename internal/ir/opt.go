@@ -10,16 +10,12 @@ import (
 
 // Stats reports what the optimizer did to one program.
 type Stats struct {
-	Funcs    int
-	Rounds   int
-	Folded   int // expressions replaced by literals
-	Branches int // constant branches simplified
-	Trimmed  int // unreachable statements removed
-	Stores   int // dead assignments removed
-	Inits    int // dead declaration initializers removed
-	Copies   int // variable reads redirected to copy sources
-	CSE      int // common subexpressions shared through temps
-	LICM     int // loop-invariant expressions hoisted
+	Funcs  int
+	Rounds int
+	Folded int // expressions replaced by literals
+	Stores int // dead assignments removed
+	Inits  int // dead declaration initializers removed
+	LICM   int // loop-invariant expressions hoisted
 
 	NodesBefore int
 	NodesAfter  int
@@ -27,7 +23,7 @@ type Stats struct {
 
 // Changed reports whether any rewrite was applied.
 func (st *Stats) Changed() bool {
-	return st.Folded+st.Branches+st.Trimmed+st.Stores+st.Inits+st.Copies+st.CSE+st.LICM > 0
+	return st.Folded+st.Stores+st.Inits+st.LICM > 0
 }
 
 // Add accumulates other into st (per-pass counters and rounds; node counts
@@ -36,46 +32,38 @@ func (st *Stats) Add(o *Stats) {
 	st.Funcs += o.Funcs
 	st.Rounds += o.Rounds
 	st.Folded += o.Folded
-	st.Branches += o.Branches
-	st.Trimmed += o.Trimmed
 	st.Stores += o.Stores
 	st.Inits += o.Inits
-	st.Copies += o.Copies
-	st.CSE += o.CSE
 	st.LICM += o.LICM
 }
 
 func (st *Stats) String() string {
-	return fmt.Sprintf("fold=%d branch=%d trim=%d dse=%d deadinit=%d copy=%d cse=%d licm=%d nodes=%d->%d",
-		st.Folded, st.Branches, st.Trimmed, st.Stores, st.Inits, st.Copies, st.CSE, st.LICM,
-		st.NodesBefore, st.NodesAfter)
+	return fmt.Sprintf("fold=%d dse=%d deadinit=%d licm=%d nodes=%d->%d",
+		st.Folded, st.Stores, st.Inits, st.LICM, st.NodesBefore, st.NodesAfter)
 }
 
-// maxRounds bounds the fold→DSE→copy→CSE→LICM pipeline iterations per
-// function; each round only runs if the previous one changed something.
+// maxRounds bounds the fold→DSE→LICM rounds per function; each round only
+// runs if the previous one changed something.
 const maxRounds = 3
 
 // Pass selects optimizer passes for OptimizeSelected. OptimizeProgram
-// runs AllPasses; partial masks exist for per-pass effect measurement
-// (make opt-report) and ablation, not as a user-facing -O level.
+// runs AllPasses; partial masks exist for the per-pass cost table of
+// hdbench -opt-report, not as a user-facing -O level.
 type Pass uint
 
 const (
-	PassFold Pass = 1 << iota // SCCP folding, branch simplification, unreachable trim
+	PassFold Pass = 1 << iota // SCCP constant folding
 	PassDSE                   // dead stores and dead declaration initializers
-	PassCopy                  // copy propagation
-	PassCSE                   // common-subexpression elimination
 	PassLICM                  // loop-invariant code motion
 
-	AllPasses = PassFold | PassDSE | PassCopy | PassCSE | PassLICM
+	AllPasses = PassFold | PassDSE | PassLICM
 )
 
-// OptimizeProgram rewrites prog in place: constant folding and branch
-// simplification driven by SCCP, dead-store and dead-init elimination,
-// copy propagation, dominator-scoped common-subexpression elimination, and
-// loop-invariant code motion. Every rewrite preserves internal/interp
-// semantics exactly (including trap behavior and evaluation order of
-// side effects); only the interpreter's per-node cost shrinks.
+// OptimizeProgram rewrites prog in place: constant folding driven by SCCP,
+// dead-store and dead-init elimination, and loop-invariant code motion.
+// Every rewrite preserves internal/interp semantics exactly (including
+// trap behavior and evaluation order of side effects); only the
+// interpreter's per-node cost shrinks.
 func OptimizeProgram(prog *minic.Program) *Stats {
 	return OptimizeSelected(prog, AllPasses)
 }
@@ -107,12 +95,6 @@ func optimizeFunc(fn *minic.FuncDecl, st *Stats, temp *int, passes Pass) {
 		if passes&PassDSE != 0 {
 			n += o.rewrote(o.dsePass())
 		}
-		if passes&PassCopy != 0 {
-			n += o.rewrote(o.copyPropPass())
-		}
-		if passes&PassCSE != 0 {
-			n += o.rewrote(o.csePass())
-		}
 		if passes&PassLICM != 0 {
 			n += o.rewrote(o.licmPass())
 		}
@@ -122,10 +104,12 @@ func optimizeFunc(fn *minic.FuncDecl, st *Stats, temp *int, passes Pass) {
 	}
 }
 
-// optimizer carries one function through every round. f (with its rewrite
-// index) and s describe the AST as the last build saw it; they are rebuilt
-// only after a pass reports a rewrite. A pass that returns 0 must leave the
-// AST untouched, so the passes after it can keep reading them.
+// optimizer carries one function through every round of SCCP folding,
+// DSE and LICM. f (with its rewrite index) and s describe the AST as the
+// last build saw it. Each pass builds once, before it rewrites anything,
+// and only when an earlier pass has reported a rewrite. A pass that
+// returns 0 must leave the AST untouched, so the passes after it can keep
+// reading them.
 type optimizer struct {
 	fn    *minic.FuncDecl
 	f     *Func
@@ -159,7 +143,7 @@ func (o *optimizer) rewrote(n int) int {
 // constOfExpr returns the proven constant value of e, requiring its
 // instruction to sit in reachable code.
 func (o *optimizer) constOfExpr(e minic.Expr) (interp.Value, bool) {
-	in := o.f.ExprInstr[e]
+	in := o.f.Exprs[e].Instr
 	if in == nil || in.Block == nil || !o.s.Reachable(in.Block) {
 		return interp.Value{}, false
 	}
@@ -316,153 +300,17 @@ func mayHold(e minic.Expr) (ptr, float bool) {
 	return true, true
 }
 
-// containsPragma reports whether s contains a pragma statement anywhere;
-// such subtrees are never restructured because kernel specs hold pointers
-// into them.
-func containsPragma(s minic.Stmt) bool {
-	found := false
-	minic.WalkStmts(s, func(st minic.Stmt) {
-		if _, ok := st.(*minic.PragmaStmt); ok {
-			found = true
-		}
-	})
-	return found
-}
-
 func emptyAt(pos minic.Pos) minic.Stmt {
 	e := &minic.EmptyStmt{}
 	e.Pos = pos
 	return e
 }
 
-// ---- Pass 1: SCCP-driven folding, branch simplification, trimming ----
+// ---- Pass 1: SCCP-driven constant folding ----
 
 func (o *optimizer) foldPass() int {
 	o.build(true)
-	n := o.simplifyBranches()
-	n += o.trimUnreachable()
-	if n > 0 {
-		// Branch rewrites restructured statements; rebuild before folding
-		// so the slots and facts describe the surviving tree.
-		o.stale = true
-		o.build(true)
-	}
-	n += o.foldConsts()
-	n += o.cleanupPureStmts()
-	return n
-}
-
-func (o *optimizer) simplifyBranches() int {
-	n := 0
-	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
-		slot := o.f.ast.stmts[s].slot
-		if slot == nil || containsPragma(s) {
-			return
-		}
-		switch st := s.(type) {
-		case *minic.If:
-			c, ok := o.condConst(st.Cond)
-			if !ok {
-				return
-			}
-			taken := st.Then
-			if !c.Truthy() {
-				taken = st.Else
-			}
-			if taken == nil {
-				taken = emptyAt(st.Pos)
-			}
-			if o.execFree(st.Cond) {
-				*slot = taken
-			} else {
-				wrap := &minic.Block{Stmts: []minic.Stmt{condStmt(st.Cond), taken}}
-				wrap.Pos = st.Pos
-				*slot = wrap
-			}
-			o.st.Branches++
-			n++
-		case *minic.While:
-			// Only a provably-false condition simplifies: the condition is
-			// still evaluated once before the loop exits.
-			c, ok := o.condConst(st.Cond)
-			if !ok || c.Truthy() {
-				return
-			}
-			if o.execFree(st.Cond) {
-				*slot = emptyAt(st.Pos)
-			} else {
-				*slot = condStmt(st.Cond)
-			}
-			o.st.Branches++
-			n++
-		case *minic.For:
-			if st.Cond == nil {
-				return
-			}
-			c, ok := o.condConst(st.Cond)
-			if !ok || c.Truthy() {
-				return
-			}
-			// Body and post never run; init runs, then the condition is
-			// evaluated once.
-			var keep []minic.Stmt
-			if st.Init != nil {
-				keep = append(keep, st.Init)
-			}
-			if !o.execFree(st.Cond) {
-				keep = append(keep, condStmt(st.Cond))
-			}
-			if len(keep) == 0 {
-				*slot = emptyAt(st.Pos)
-			} else {
-				wrap := &minic.Block{Stmts: keep}
-				wrap.Pos = st.Pos
-				*slot = wrap
-			}
-			o.st.Branches++
-			n++
-		}
-	})
-	return n
-}
-
-func condStmt(cond minic.Expr) minic.Stmt {
-	es := &minic.ExprStmt{X: cond}
-	es.Pos = minic.NodePos(cond)
-	return es
-}
-
-// trimUnreachable drops statements that follow an unconditional
-// return/break/continue inside the same block.
-func (o *optimizer) trimUnreachable() int {
-	n := 0
-	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
-		blk, ok := s.(*minic.Block)
-		if !ok {
-			return
-		}
-		for i, inner := range blk.Stmts {
-			switch inner.(type) {
-			case *minic.Return, *minic.Break, *minic.Continue:
-			default:
-				continue
-			}
-			if i+1 >= len(blk.Stmts) {
-				return
-			}
-			tail := blk.Stmts[i+1:]
-			for _, t := range tail {
-				if containsPragma(t) {
-					return
-				}
-			}
-			n += len(tail)
-			o.st.Trimmed += len(tail)
-			blk.Stmts = blk.Stmts[:i+1]
-			return
-		}
-	})
-	return n
+	return o.foldConsts()
 }
 
 func (o *optimizer) foldConsts() int {
@@ -472,7 +320,7 @@ func (o *optimizer) foldConsts() int {
 		if e == nil || isLiteral(e) {
 			return
 		}
-		if slot := o.f.ast.exprs[e]; slot != nil {
+		if slot := o.f.Exprs[e].slot; slot != nil {
 			if c, okc := o.constOfExpr(e); okc && o.execFree(e) {
 				*slot = literalFor(c, e)
 				o.st.Folded++
@@ -511,26 +359,6 @@ func (o *optimizer) foldConsts() int {
 	}
 	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		minic.StmtExprs(s, fold)
-	})
-	return n
-}
-
-// cleanupPureStmts deletes expression statements whose evaluation has no
-// effect (typically left behind by folding).
-func (o *optimizer) cleanupPureStmts() int {
-	n := 0
-	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
-		es, ok := s.(*minic.ExprStmt)
-		if !ok {
-			return
-		}
-		slot := o.f.ast.stmts[s].slot
-		if slot == nil || !o.execFree(es.X) {
-			return
-		}
-		*slot = emptyAt(es.Pos)
-		o.st.Trimmed++
-		n++
 	})
 	return n
 }
@@ -601,7 +429,7 @@ func (o *optimizer) dsePass() int {
 			case StoreAssign:
 				es, ok := in.Stmt.(*minic.ExprStmt)
 				if !ok || in.Assign == nil || es.X != in.Assign ||
-					o.f.ast.stmts[in.Stmt].slot == nil || o.f.ast.exprs[in.Assign] == nil {
+					o.f.stmts[in.Stmt].slot == nil || o.f.Exprs[in.Assign].slot == nil {
 					continue
 				}
 				isCand[in] = len(cands)
@@ -696,10 +524,10 @@ func (o *optimizer) dsePass() int {
 		switch c.in.StoreKind {
 		case StoreAssign:
 			if c.full {
-				*o.f.ast.stmts[c.in.Stmt].slot = emptyAt(minic.NodePos(c.in.Stmt))
+				*o.f.stmts[c.in.Stmt].slot = emptyAt(minic.NodePos(c.in.Stmt))
 			} else {
 				// Keep the rhs for its effects; drop only the store.
-				*o.f.ast.exprs[c.in.Assign] = c.in.Assign.R
+				*o.f.Exprs[c.in.Assign].slot = c.in.Assign.R
 			}
 			o.st.Stores++
 		case StoreDeclInit:
@@ -711,141 +539,7 @@ func (o *optimizer) dsePass() int {
 	return n
 }
 
-// ---- Pass 3: copy propagation ----
-
-// kindCompatCopy reports whether reading w instead of v yields an
-// identical value given that v was assigned w's value: storing into v must
-// be an identity conversion for every value w's cell can hold.
-func kindCompatCopy(v, w *minic.Type) bool {
-	if v.Kind == w.Kind {
-		return true
-	}
-	switch v.Kind {
-	case minic.TypeLong:
-		return w.Kind == minic.TypeChar || w.Kind == minic.TypeInt
-	case minic.TypeInt:
-		return w.Kind == minic.TypeChar
-	case minic.TypeDouble:
-		return w.Kind == minic.TypeFloat
-	}
-	return false
-}
-
-func (o *optimizer) copyPropPass() int {
-	o.build(false)
-	defCount := map[*Var]int{}
-	for _, in := range o.f.instrs {
-		switch in.Op {
-		case OpStore, OpDeclZero, OpParam:
-			defCount[in.Var]++
-		}
-	}
-	n := 0
-	for _, S := range o.f.instrs {
-		if S.Op != OpStore || len(S.Args) == 0 {
-			continue
-		}
-		ld := S.Args[0]
-		if ld == nil || ld.Op != OpLoad || ld.Var == S.Var || len(ld.Args) == 0 {
-			continue
-		}
-		w := ld.Var
-		wdef := ld.Args[0]
-		if wdef == nil || defCount[w] != 1 {
-			continue
-		}
-		// The source's single definition must not be able to re-execute
-		// between the copy and its uses; outside any loop (or a parameter)
-		// it runs at most once per call.
-		if wdef.Op != OpParam {
-			if wdef.Stmt == nil || o.f.ast.stmts[wdef.Stmt].depth != 0 {
-				continue
-			}
-		}
-		if !kindCompatCopy(S.Var.Type, w.Type) {
-			continue
-		}
-		var wdefRegion *minic.PragmaStmt
-		if wdef.Stmt != nil {
-			wdefRegion = o.f.ast.stmts[wdef.Stmt].region
-		}
-		for _, L := range o.f.instrs {
-			if L.Op != OpLoad || L.Var != S.Var || len(L.Args) == 0 || L.Args[0] != S {
-				continue
-			}
-			id, ok := L.Expr.(*minic.Ident)
-			if !ok {
-				continue
-			}
-			// Never introduce a cross-region reference: kernel frames bind
-			// only the symbols captured at translate time.
-			if L.Stmt == nil || o.f.ast.stmts[L.Stmt].region != wdefRegion {
-				continue
-			}
-			id.Name = w.Sym.Name
-			id.Sym = w.Sym
-			id.SetType(w.Sym.Type)
-			o.st.Copies++
-			n++
-		}
-	}
-	return n
-}
-
-// ---- Pass 4: common-subexpression elimination ----
-
-// valueKind computes the runtime Value kind an instruction always
-// produces, mirroring the interpreter's promotion rules. ok is false when
-// the kind is not provable (then no temp may be typed for it).
-func valueKind(in *Instr) (interp.ValKind, bool) {
-	switch in.Op {
-	case OpConst:
-		return in.Val.Kind, true
-	case OpLoad:
-		if len(in.Args) == 0 || in.Args[0] == nil {
-			return 0, false
-		}
-		switch in.Args[0].Op {
-		case OpPhi:
-			return 0, false
-		case OpDeclZero:
-			// An uninitialized cell reads as the zero Value: an int 0,
-			// regardless of the declared type.
-			return interp.ValInt, true
-		}
-		return typeKind(in.Var.Type), true
-	case OpUnary:
-		if in.OpStr == "-" {
-			return valueKind(in.Args[0])
-		}
-		return interp.ValInt, true
-	case OpBinary:
-		switch in.OpStr {
-		case "==", "!=", "<", ">", "<=", ">=", "<<", ">>", "&", "|", "^":
-			return interp.ValInt, true
-		case "%", "+", "-", "*", "/":
-			lk, lok := valueKind(in.Args[0])
-			rk, rok := valueKind(in.Args[1])
-			switch {
-			case !lok || !rok:
-				return 0, false
-			case lk == interp.ValInt && rk == interp.ValInt:
-				return interp.ValInt, true
-			}
-			// Float promotion; modulo is int-only and errors on floats.
-			return interp.ValFloat, in.OpStr != "%"
-		}
-		return 0, false
-	case OpCast:
-		if in.To == nil || !in.To.IsNumeric() {
-			return 0, false
-		}
-		return typeKind(in.To), true
-	case OpCall:
-		return interp.PureKind(in.OpStr)
-	}
-	return 0, false
-}
+// ---- Pass 3: loop-invariant code motion ----
 
 // typeKind is the kind of value a numeric type's cell holds once written.
 func typeKind(t *minic.Type) interp.ValKind {
@@ -881,7 +575,7 @@ func (o *optimizer) applyInserts(pending []pendingInsert) {
 	var inBlock []spliced
 	var wrapped []pendingInsert
 	for i, p := range pending {
-		if at := o.f.ast.stmts[p.anchor]; at.blk != nil {
+		if at := o.f.stmts[p.anchor]; at.blk != nil {
 			inBlock = append(inBlock, spliced{p, at, i})
 		} else {
 			wrapped = append(wrapped, p)
@@ -905,7 +599,7 @@ func (o *optimizer) applyInserts(pending []pendingInsert) {
 			wb.Stmts = append([]minic.Stmt{p.decl}, wb.Stmts...)
 			continue
 		}
-		slot := o.f.ast.stmts[p.anchor].slot
+		slot := o.f.stmts[p.anchor].slot
 		if slot == nil {
 			continue
 		}
@@ -932,129 +626,6 @@ func identRead(sym *minic.Symbol, staticType *minic.Type, pos minic.Pos) *minic.
 	return id
 }
 
-func (o *optimizer) csePass() int {
-	o.build(true)
-	dirty := map[minic.Expr]bool{}
-	markDirty := func(e minic.Expr) {
-		minic.Inspect(e, func(x minic.Expr) bool { dirty[x] = true; return true })
-	}
-	isDirty := func(e minic.Expr) bool {
-		found := false
-		minic.Inspect(e, func(x minic.Expr) bool {
-			if dirty[x] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-
-	// eligible vets one instruction for sharing: a rewritable expression in
-	// reachable code whose operand loads are all available immediately
-	// before its statement (concrete non-phi definitions from earlier
-	// statements), anchored to a statement that executes exactly once per
-	// evaluation of the expression.
-	eligible := func(in *Instr) bool {
-		if in.Expr == nil || in.Stmt == nil || !o.s.Reachable(in.Block) {
-			return false
-		}
-		if o.f.ast.exprs[in.Expr] == nil {
-			return false
-		}
-		switch in.Stmt.(type) {
-		case *minic.While, *minic.For:
-			// Condition/post expressions evaluate once per iteration while
-			// a hoisted temp would not.
-			return false
-		}
-		if isDirty(in.Expr) {
-			return false
-		}
-		ok := true
-		var walk func(x *Instr)
-		seen := map[*Instr]bool{}
-		walk = func(x *Instr) {
-			if x == nil || seen[x] || !ok {
-				return
-			}
-			seen[x] = true
-			if x.Op == OpLoad {
-				d := x.Args[0]
-				if d == nil || d.Op == OpPhi || (d.Stmt != nil && d.Stmt == in.Stmt) {
-					ok = false
-				}
-				return
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
-		}
-		walk(in)
-		return ok
-	}
-
-	var pending []pendingInsert
-	n := 0
-	for _, class := range vnClasses(o.s, o.f) {
-		if len(class) < 2 {
-			continue
-		}
-		sort.Slice(class, func(i, j int) bool {
-			bi, bj := class[i].Block, class[j].Block
-			if bi != bj {
-				return bi.rpo < bj.rpo
-			}
-			return class[i].ID < class[j].ID
-		})
-		var lead *Instr
-		var targets []*Instr
-		for _, in := range class {
-			if !eligible(in) {
-				continue
-			}
-			if lead == nil {
-				lead = in
-				continue
-			}
-			if o.f.ast.stmts[in.Stmt].region != o.f.ast.stmts[lead.Stmt].region {
-				continue
-			}
-			if lead.Block == in.Block {
-				if lead.ID < in.ID {
-					targets = append(targets, in)
-				}
-			} else if dominates(lead.Block, in.Block) {
-				targets = append(targets, in)
-			}
-		}
-		if lead == nil || len(targets) == 0 || !worthSharing(lead) {
-			continue
-		}
-		kind, ok := valueKind(lead)
-		if !ok {
-			continue
-		}
-		ty := tempType(kind)
-		pos := minic.NodePos(lead.Expr)
-		sym, decl := o.newTempDecl("cse", ty, lead.Expr, pos)
-		pending = append(pending, pendingInsert{anchor: lead.Stmt, decl: decl})
-		markDirty(lead.Expr)
-		*o.f.ast.exprs[lead.Expr] = identRead(sym, lead.Expr.Type(), pos)
-		for _, t := range targets {
-			markDirty(t.Expr)
-			id := identRead(sym, t.Expr.Type(), minic.NodePos(t.Expr))
-			dirty[id] = true
-			*o.f.ast.exprs[t.Expr] = id
-		}
-		o.st.CSE++
-		n++
-	}
-	o.applyInserts(pending)
-	return n
-}
-
-// ---- Pass 5: loop-invariant code motion ----
-
 func (o *optimizer) licmPass() int {
 	o.build(false)
 	demoted := demotedSyms(o.fn)
@@ -1063,7 +634,7 @@ func (o *optimizer) licmPass() int {
 	minic.WalkStmts(o.fn.Body, func(s minic.Stmt) {
 		switch s.(type) {
 		case *minic.While, *minic.For:
-			if o.f.ast.stmts[s].slot != nil {
+			if o.f.stmts[s].slot != nil {
 				loops = append(loops, s)
 			}
 		}
@@ -1230,7 +801,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		if e == nil || isLiteral(e) {
 			return
 		}
-		if o.f.ast.exprs[e] != nil && invariant(e) && weight(e) {
+		if o.f.Exprs[e].slot != nil && invariant(e) && weight(e) {
 			if _, certain := kindCertain(e); certain {
 				k := exprKey(e)
 				g := groups[k]
@@ -1318,7 +889,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		sym, decl := o.newTempDecl("licm", ty, cloneExpr(first), pos)
 		*pending = append(*pending, pendingInsert{anchor: loop, decl: decl})
 		for _, e := range g.exprs {
-			*o.f.ast.exprs[e] = identRead(sym, e.Type(), minic.NodePos(e))
+			*o.f.Exprs[e].slot = identRead(sym, e.Type(), minic.NodePos(e))
 		}
 		o.st.LICM++
 		n++

@@ -106,8 +106,6 @@ func TestPassesReportEveryRewrite(t *testing.T) {
 			}{
 				{"fold", o.foldPass},
 				{"dse", o.dsePass},
-				{"copy", o.copyPropPass},
-				{"cse", o.csePass},
 				{"licm", o.licmPass},
 			}
 			for round := 0; round < maxRounds; round++ {
@@ -133,7 +131,7 @@ func TestPassesReportEveryRewrite(t *testing.T) {
 // is lowered (which indexes it) and solved once: optimizing an already
 // optimized program costs less than twice the allocations of one Build
 // and Run per function. The bound sits between one lowering plus the
-// passes' own work (about 1.1-1.3x) and a lowering per pass (about 4.5x).
+// passes' own work (about 1.0-1.2x) and a lowering per pass (about 2.8x).
 func TestOptimizeReusesSSA(t *testing.T) {
 	for _, c := range reuseCorpus(t) {
 		name, prog := c.name, c.prog

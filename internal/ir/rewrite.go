@@ -8,17 +8,9 @@ import (
 	"repro/internal/minic"
 )
 
-// astInfo is the rewrite index the lowerer records as it walks a function
-// body: the slot holding each rvalue expression, so a pass can replace a
-// subexpression with a literal or a temp read, and a record per statement.
-// Lvalue positions (assignment, inc/dec and & targets, index bases) and
-// __sizeof_var arguments get no slot and are never replaced.
-type astInfo struct {
-	exprs map[minic.Expr]*minic.Expr
-	stmts map[minic.Stmt]stmtInfo
-}
-
-// stmtInfo is the rewrite index's record of one statement.
+// stmtInfo is the rewrite index's record of one statement, which the
+// lowerer records as it walks a function body (Lowered holds an
+// expression's).
 type stmtInfo struct {
 	// slot holds the statement, so it can be deleted, substituted or
 	// wrapped. Pragma statements and their region bodies get none: the
@@ -29,14 +21,6 @@ type stmtInfo struct {
 	// insert-before splicing; blk is nil elsewhere.
 	blk *minic.Block
 	idx int
-	// region is the innermost enclosing mapreduce region (nil = host
-	// code). Hoists and shared temps must stay within one region: the GPU
-	// path executes only the region node, so a temp defined outside it
-	// would never be computed there.
-	region *minic.PragmaStmt
-	// depth counts enclosing While/For loops; copy propagation uses it to
-	// ensure a source definition cannot re-execute.
-	depth int
 }
 
 // literalFor builds the AST literal for a constant, preserving the

@@ -152,21 +152,6 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil executes events with firing times <= deadline, leaving later
-// events queued, and then advances the clock to the deadline. After Halt
-// the clock stays at the halting event, since events before the deadline
-// may still be queued.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.halted = false
-	for len(e.heap) > 0 && !e.halted && e.heap[0].at <= deadline {
-		e.fire(e.pop())
-	}
-	if !e.halted && e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // fire runs a popped entry's handler unless it was cancelled, and frees
 // its slot either way.
 func (e *Engine) fire(top entry) {

@@ -101,25 +101,6 @@ func TestEngineCancelAfterFiring(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntilDeadlineEquality(t *testing.T) {
-	// An event scheduled exactly at the deadline fires (the contract is
-	// firing times <= deadline), and one epsilon later does not.
-	e := NewEngine()
-	var got []Time
-	e.At(3, Func(func() { got = append(got, 3) }))
-	e.At(Time(math.Nextafter(3, 4)), Func(func() { t.Fatal("event after deadline fired") }))
-	e.RunUntil(3)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("got %v, want [3]", got)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestEngineHalt(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -133,37 +114,6 @@ func TestEngineHalt(t *testing.T) {
 	e.Run()
 	if len(got) != 2 {
 		t.Fatalf("resume failed, got %v", got)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
-		e.At(at, Func(func() { got = append(got, at) }))
-	}
-	e.RunUntil(3)
-	if len(got) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", len(got))
-	}
-	if e.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("Run after RunUntil fired %d total, want 5", len(got))
-	}
-}
-
-func TestEngineRunUntilAdvancesClockWithoutEvents(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(42)
-	if e.Now() != 42 {
-		t.Fatalf("Now = %v, want 42", e.Now())
 	}
 }
 
@@ -410,13 +360,10 @@ func (r *refQueue) cancel(id int) {
 	}
 }
 
-func (r *refQueue) run(until bool, deadline Time) {
+func (r *refQueue) run() {
 	r.halted = false
 	for len(r.queue) > 0 && !r.halted {
 		id := r.queue[0]
-		if until && r.at[id] > deadline {
-			break
-		}
 		r.queue = r.queue[1:]
 		r.now = r.at[id]
 		r.fired++
@@ -431,9 +378,6 @@ func (r *refQueue) run(until bool, deadline Time) {
 		case scriptHalt:
 			r.halted = true
 		}
-	}
-	if until && !r.halted && r.now < deadline {
-		r.now = deadline
 	}
 }
 
@@ -489,7 +433,7 @@ func (h *engineHarness) cancel(id int) {
 
 // TestEngineMatchesSortedReference interleaves At, After, Cancel (of live,
 // fired, cancelled and reused-slot handles, from outside and from inside
-// handlers, the firing event's own included), Halt, RunUntil and Run, and
+// handlers, the firing event's own included), Halt and Run, and
 // checks the fire order, Fired, Pending and Now against a sorted-slice
 // model after every step. Times are multiples of 0.5, so many events tie.
 func TestEngineMatchesSortedReference(t *testing.T) {
@@ -500,7 +444,7 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 		r := NewRNG(seed)
 		for step := 0; step < 3000; step++ {
 			d := Time(r.Intn(10)) / 2
-			switch op := r.Intn(10); {
+			switch op := r.Intn(8); {
 			case op < 3:
 				h.schedule(h.e.Now()+d, false)
 				ref.schedule(ref.now + d)
@@ -515,12 +459,9 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 					h.cancel(id)
 					ref.cancel(id)
 				}
-			case op < 9:
-				h.e.RunUntil(h.e.Now() + d)
-				ref.run(true, ref.now+d)
 			default:
 				h.e.Run()
-				ref.run(false, 0)
+				ref.run()
 			}
 			if len(h.log) != len(ref.log) || h.e.Fired() != ref.fired || h.e.Pending() != len(ref.queue) || h.e.Now() != ref.now {
 				t.Fatalf("seed %d step %d: engine fired %d (Fired %d, Pending %d, Now %v), reference fired %d (Pending %d, Now %v)",
@@ -560,7 +501,6 @@ func TestEngineSchedulingAllocatesNothing(t *testing.T) {
 				ev.Cancel()
 			}
 		}
-		e.RunUntil(e.Now() + 3)
 		e.Run()
 	}
 	round()
