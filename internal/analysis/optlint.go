@@ -3,9 +3,9 @@ package analysis
 // This file implements the optimization-fact pass (HD601..HD605). It reads
 // the same SSA/SCCP facts the optimizer acts on (package ir), so the
 // diagnostics and the rewrites can never disagree about what is constant
-// or unreachable. The optimizer folds what HD601 reports and hoists
-// invariants, but it leaves HD602's unreachable statements and HD603's
-// repeated computations to the programmer. The pass never mutates the
+// or unreachable. The optimizer folds the trap-free conditions HD601
+// reports and hoists invariants, but it leaves HD602's unreachable
+// statements and HD603's repeated computations to the programmer. The pass never mutates the
 // program: ir's AnalyzeFunc lowers a private CFG+SSA view.
 //
 //	HD601  a non-literal branch condition is provably constant

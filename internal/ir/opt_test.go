@@ -269,6 +269,43 @@ int main() {
 }`)
 }
 
+// TestUnrewrittenShapesKeepOutput optimizes a constant branch, a repeated
+// computation, a copy and code after a return, and requires the same
+// output. The optimizer may fold the branch condition, but it keeps the
+// branch, the repeated computation, the copy and the dead code.
+func TestUnrewrittenShapesKeepOutput(t *testing.T) {
+	for _, src := range []string{`
+int main() {
+	int flag = 0;
+	if (flag) { printf("never\n"); } else { printf("always\n"); }
+	return 0;
+}`, `
+int getval() { return 3; }
+int main() {
+	int v = getval();
+	int a = v * 100 + 7;
+	int b = v * 100 + 7;
+	printf("%d %d\n", a, b);
+	return 0;
+}`, `
+int getval() { return 4; }
+int main() {
+	int base = getval() * 10;
+	int alias = base;
+	printf("%d %d %d\n", alias + 1, alias + 2, base);
+	return 0;
+}`, `
+int main() {
+	printf("live\n");
+	return 0;
+	printf("dead\n");
+	return 1;
+}`,
+	} {
+		optEquiv(t, src)
+	}
+}
+
 // The optimizer is deterministic: optimizing the same source twice gives
 // structurally identical programs (same stats, same node counts).
 func TestOptimizeDeterministic(t *testing.T) {
