@@ -269,17 +269,47 @@ int main() {
 }`)
 }
 
-// TestUnrewrittenShapesKeepOutput optimizes a constant branch, a repeated
-// computation, a copy and code after a return, and requires the same
-// output. The optimizer may fold the branch condition, but it keeps the
-// branch, the repeated computation, the copy and the dead code.
-func TestUnrewrittenShapesKeepOutput(t *testing.T) {
-	for _, src := range []string{`
+// mainFacts derives the lint facts for src's main function.
+func mainFacts(t *testing.T, src string) *Facts {
+	t.Helper()
+	prog, err := minic.ParseAndCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range prog.Funcs {
+		if f.Name == "main" {
+			return AnalyzeFunc(f)
+		}
+	}
+	t.Fatal("no main")
+	return nil
+}
+
+// SCCP folds a constant branch condition to a literal and DSE drops the
+// initializer it read. The branch itself stays: its condition is a proven
+// constant for HD601 and its dead arm is unreachable for HD602.
+func TestSimplifyConstantBranch(t *testing.T) {
+	src := `
 int main() {
 	int flag = 0;
 	if (flag) { printf("never\n"); } else { printf("always\n"); }
 	return 0;
-}`, `
+}`
+	st := optEquiv(t, src)
+	if st.Folded == 0 || st.Inits == 0 {
+		t.Fatalf("expected the condition folded and its initializer removed, stats %v", st)
+	}
+	if fx := mainFacts(t, src); len(fx.ConstConds) != 1 || len(fx.Unreachable) != 1 {
+		t.Fatalf("expected one constant condition and one unreachable arm, got %d and %d",
+			len(fx.ConstConds), len(fx.Unreachable))
+	}
+}
+
+// The optimizer has no CSE: a repeated computation keeps its output and
+// every node, and the fact base pairs the two copies for HD603, which
+// leaves sharing them to the programmer.
+func TestCSESharesRepeatedComputation(t *testing.T) {
+	src := `
 int getval() { return 3; }
 int main() {
 	int v = getval();
@@ -287,22 +317,48 @@ int main() {
 	int b = v * 100 + 7;
 	printf("%d %d\n", a, b);
 	return 0;
-}`, `
+}`
+	st := optEquiv(t, src)
+	if st.Changed() || st.NodesAfter != st.NodesBefore {
+		t.Fatalf("expected the repeated computation left in place, stats %v", st)
+	}
+	if fx := mainFacts(t, src); len(fx.Redundant) != 1 {
+		t.Fatalf("expected one redundant pair, got %d", len(fx.Redundant))
+	}
+}
+
+// The optimizer has no copy propagation: a copy and its readers keep
+// their output and every node.
+func TestCopyPropagation(t *testing.T) {
+	st := optEquiv(t, `
 int getval() { return 4; }
 int main() {
 	int base = getval() * 10;
 	int alias = base;
 	printf("%d %d %d\n", alias + 1, alias + 2, base);
 	return 0;
-}`, `
+}`)
+	if st.Changed() || st.NodesAfter != st.NodesBefore {
+		t.Fatalf("expected the copy left in place, stats %v", st)
+	}
+}
+
+// The optimizer does not trim statements: code after a return keeps the
+// output and every node, and the fact base reports it for HD602.
+func TestUnreachableAfterReturnTrimmed(t *testing.T) {
+	src := `
 int main() {
 	printf("live\n");
 	return 0;
 	printf("dead\n");
 	return 1;
-}`,
-	} {
-		optEquiv(t, src)
+}`
+	st := optEquiv(t, src)
+	if st.Changed() || st.NodesAfter != st.NodesBefore {
+		t.Fatalf("expected the code after return left in place, stats %v", st)
+	}
+	if fx := mainFacts(t, src); len(fx.Unreachable) != 1 {
+		t.Fatalf("expected one unreachable region, got %d", len(fx.Unreachable))
 	}
 }
 
@@ -390,7 +446,7 @@ int main() {
 }
 
 func TestFactsConstCondAndOOB(t *testing.T) {
-	prog, err := minic.ParseAndCheck(`
+	fx := mainFacts(t, `
 int main() {
 	int a[8];
 	int n = 3;
@@ -399,16 +455,6 @@ int main() {
 	printf("%d\n", a[0]);
 	return 0;
 }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fn *minic.FuncDecl
-	for _, f := range prog.Funcs {
-		if f.Name == "main" {
-			fn = f
-		}
-	}
-	fx := AnalyzeFunc(fn)
 	if len(fx.ConstConds) == 0 {
 		t.Fatal("n > 10 should be a proven-constant condition")
 	}
