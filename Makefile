@@ -100,9 +100,11 @@ cover:
 	check ./internal/minic 80; \
 	check ./internal/compiler 80; \
 	check ./internal/mr 87; \
-	check ./internal/bytecode 77; \
+	check ./internal/bytecode 80; \
 	check ./internal/gpurt 80; \
-	check ./internal/ir 74
+	check ./internal/ir 74; \
+	check ./internal/interp 82; \
+	check ./internal/streaming 81
 
 # ci ends with hostbench's own tests (a separate module that ./... never
 # reaches), so a change that moves a recorded seed-1 digest or virtual

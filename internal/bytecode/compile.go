@@ -454,10 +454,12 @@ type fnBuilder struct {
 	// uses counts each IR value's uses by ir.Instr.ID (see countUses).
 	uses []int32
 	skip map[minic.Stmt]bool
-	// ident is the variable read whose addr.o or load.o is at identPC; a
-	// subscript can fuse with it while it is the last instruction.
-	ident   *ir.Instr
-	identPC int
+	// last is the IR instruction whose value the instruction at lastPC
+	// computes: a variable read's addr.o or load.o, a const, or an
+	// arithmetic instruction. While it is the last instruction emitted,
+	// the instruction that reads the value can fuse with it (see fusable).
+	last   *ir.Instr
+	lastPC int
 	// dies lists the pcs of the brs whose condition register is dead once
 	// they branch (see tighten).
 	dies []int32
@@ -925,12 +927,17 @@ func (fb *fnBuilder) flush() {
 		return
 	}
 	b := fb.b
-	b.prog.Charges = append(b.prog.Charges, Charge{
+	ch := Charge{
 		Ops:     fb.pendingOps,
 		Steps:   fb.pendingSteps,
 		Traffic: b.trafficRef(fb.pendingTraffic),
 		Serial:  b.disc == perEvent,
-	})
+	}
+	for _, a := range fb.pendingTraffic {
+		ch.Loads += a.Loads
+		ch.Stores += a.Stores
+	}
+	b.prog.Charges = append(b.prog.Charges, ch)
 	fb.emit(OpCharge, 0, 0, 0, int32(len(b.prog.Charges)))
 	fb.pendingOps, fb.pendingSteps = 0, 0
 	fb.pendingTraffic = fb.pendingTraffic[:0]
@@ -1394,6 +1401,7 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 			return err
 		}
 		fb.emit(OpConst, dst, fb.b.constant(in.Val), 0, 0)
+		fb.last, fb.lastPC = in, len(fb.code)-1
 	case ir.OpDeclZero:
 		r, err := fb.reg(in)
 		if err != nil {
@@ -1429,6 +1437,9 @@ func (fb *fnBuilder) emitInstr(in *ir.Instr) error {
 		fold := int32(0)
 		if fb.b.disc == folded {
 			fb.addAccess(in.Var, true)
+			if fb.fuseStore(in.Args[0], in.Var, dst) {
+				return nil
+			}
 			fold = 1
 		}
 		fb.emit(OpStoreV, dst, src, fb.b.sym(in.Var.Sym), fold)
@@ -1494,6 +1505,7 @@ func (fb *fnBuilder) emitBinary(in *ir.Instr) error {
 		// value kind (int wrap, float add, pointer offset), so +/- with
 		// an int immediate skips the const load entirely.
 		fb.emit(OpAddN, dst, l, d, 0)
+		fb.last, fb.lastPC = in, len(fb.code)-1
 		return nil
 	}
 	r, err := fb.reg(in.Args[1])
@@ -1514,10 +1526,66 @@ func (fb *fnBuilder) emitBinary(in *ir.Instr) error {
 	op := typedBinOp(in.OpStr, lt, rt)
 	if op == OpBin {
 		fb.emit(OpBin, dst, l, r, fb.b.operator(in.OpStr))
+	} else if k, ok := fb.immediate(in.Args[1]); ok && immCompare[op] != OpNop {
+		// The right operand's const becomes the compare's operand C.
+		fb.code[len(fb.code)-1] = Instr{Op: immCompare[op], A: dst, B: l, C: k}
 	} else {
 		fb.emit(op, dst, l, r, 0)
 	}
+	fb.last, fb.lastPC = in, len(fb.code)-1
 	return nil
+}
+
+// immediate returns the value of v, an int constant in int32 range, when
+// its const is the last instruction emitted and nothing else uses v.
+func (fb *fnBuilder) immediate(v *ir.Instr) (int32, bool) {
+	k := v.Val
+	if v.Op != ir.OpConst || k.Kind != interp.ValInt || k.I < math.MinInt32 || k.I > math.MaxInt32 {
+		return 0, false
+	}
+	if in := fb.fusable(v); in == nil || in.Op != OpConst {
+		return 0, false
+	}
+	return int32(k.I), true
+}
+
+// immCompare maps each typed int compare to the opcode that compares
+// with a constant.
+var immCompare = [opCount]Op{
+	OpEqI: OpEqIC, OpNeI: OpNeIC, OpLtI: OpLtIC, OpLeI: OpLeIC, OpGtI: OpGtIC, OpGeI: OpGeIC,
+}
+
+// fuseStore makes the last instruction emitted store the value of src
+// into the tracked variable v, whose home register is dst, in place of a
+// store.v: it does when that instruction is add, sub or mul (.i or .f) or
+// addn computing src's value, which nothing else uses, and it makes the
+// store's conversion inline: an integer result into a long or an int, a
+// float one into a double (see the ISA's operand D). It reports whether
+// it did.
+func (fb *fnBuilder) fuseStore(src *ir.Instr, v *ir.Var, dst int32) bool {
+	in := fb.fusable(src)
+	if in == nil || v.Sym.Type == nil {
+		return false
+	}
+	d := fb.b.sym(v.Sym) + 1
+	switch kind := v.Sym.Type.Kind; in.Op {
+	case OpAddI, OpSubI, OpMulI, OpAddN:
+		switch kind {
+		case minic.TypeInt:
+			d = -d
+		case minic.TypeLong:
+		default:
+			return false
+		}
+	case OpAddF, OpSubF, OpMulF:
+		if kind != minic.TypeDouble {
+			return false
+		}
+	default:
+		return false
+	}
+	in.A, in.D = dst, d
+	return true
 }
 
 func floatish(t *minic.Type) bool {
@@ -1640,7 +1708,7 @@ func (fb *fnBuilder) emitLoadMem(in *ir.Instr) error {
 		if err := fb.emitIdentLoad(dst, x); err != nil {
 			return err
 		}
-		fb.ident, fb.identPC = in, len(fb.code)-1
+		fb.last, fb.lastPC = in, len(fb.code)-1
 	case *minic.Unary:
 		switch x.Op {
 		case "*":
@@ -1707,17 +1775,26 @@ func (fb *fnBuilder) emitIdentLoad(dst int32, x *minic.Ident) error {
 // when that is the last instruction emitted and the subscript is base's
 // only use; OpNop otherwise.
 func (fb *fnBuilder) fusedLoad(base *ir.Instr) Op {
-	pc := len(fb.code) - 1
-	if fb.ident != base || fb.identPC != pc || fb.uses[base.ID] != 1 {
-		return OpNop
-	}
-	switch fb.code[pc].Op {
-	case OpAddrO:
-		return OpLoadAI
-	case OpLoadO:
-		return OpLoadPI
+	if in := fb.fusable(base); in != nil {
+		switch in.Op {
+		case OpAddrO:
+			return OpLoadAI
+		case OpLoadO:
+			return OpLoadPI
+		}
 	}
 	return OpNop
+}
+
+// fusable returns the last instruction emitted when it computes v's value
+// (see fnBuilder.last) and v has no other use, so that the instruction
+// reading v can take its place; nil otherwise.
+func (fb *fnBuilder) fusable(v *ir.Instr) *Instr {
+	pc := len(fb.code) - 1
+	if fb.last != v || fb.lastPC != pc || fb.uses[v.ID] != 1 {
+		return nil
+	}
+	return &fb.code[pc]
 }
 
 // temp reports whether register r holds instruction temporaries, whose

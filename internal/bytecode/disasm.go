@@ -64,7 +64,9 @@ func operandString(p *Program, in Instr) string {
 	case OpBin:
 		return fmt.Sprintf("r%d, r%d, r%d, %q", in.A, in.B, in.C, pool(p.Ops, in.D))
 	case OpAddN:
-		return fmt.Sprintf("r%d, r%d, %+d", in.A, in.B, in.C)
+		return fmt.Sprintf("r%d, r%d, %+d", in.A, in.B, in.C) + storedString(p, in)
+	case OpEqIC, OpNeIC, OpLtIC, OpLeIC, OpGtIC, OpGeIC:
+		return fmt.Sprintf("r%d, r%d, %d", in.A, in.B, in.C)
 	case OpCvt:
 		return fmt.Sprintf("r%d, r%d, %s", in.A, in.B, typeString(p, in.C))
 	case OpLoadV:
@@ -117,10 +119,21 @@ func operandString(p *Program, in Instr) string {
 		return s
 	case OpLaunch:
 		return fmt.Sprintf("argc=%d", in.A)
+	case OpAddI, OpSubI, OpMulI, OpAddF, OpSubF, OpMulF:
+		return fmt.Sprintf("r%d, r%d, r%d", in.A, in.B, in.C) + storedString(p, in)
 	default:
-		// Typed arithmetic/comparison family.
+		// The rest of the typed arithmetic/comparison family.
 		return fmt.Sprintf("r%d, r%d, r%d", in.A, in.B, in.C)
 	}
+}
+
+// storedString names the variable an arithmetic instruction stores into,
+// as store.v does: " (i)"; "" when it stores into none.
+func storedString(p *Program, in Instr) string {
+	if in.D == 0 {
+		return ""
+	}
+	return " (" + symString(p, max(in.D, -in.D)-1) + ")"
 }
 
 func pool(ss []string, i int32) string {

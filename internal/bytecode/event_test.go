@@ -207,6 +207,10 @@ func TestPerEventParity(t *testing.T) {
 		cases = append(cases, tc{"tight/" + tt.name, tt.src, "", tt.maxSteps, false},
 			tc{"tight-optimized/" + tt.name, tt.src, "", tt.maxSteps, true})
 	}
+	for _, fc := range fusedCases {
+		cases = append(cases, tc{"fused/" + fc.name, fc.src, "", fc.maxSteps, false},
+			tc{"fused-optimized/" + fc.name, fc.src, "", fc.maxSteps, true})
+	}
 	for _, ic := range initializerCases {
 		cases = append(cases, tc{"init/" + ic.name, ic.src, "", 0, false})
 		t.Run("init-whole/"+ic.name, func(t *testing.T) {

@@ -22,8 +22,9 @@ var fuzzBounds = bytecode.Bounds{
 
 // sampleCode compiles a small MiniC program and returns its main
 // function's instruction stream — a realistic, verifiable seed, with
-// fused subscript loads of an array and through a pointer, and charges
-// its jumps and branches carry.
+// fused subscript loads of an array and through a pointer, charges its
+// jumps and branches carry, arithmetic that stores into its variable,
+// and a compare with a constant.
 func sampleCode(tb testing.TB) []bytecode.Instr {
 	tb.Helper()
 	prog, err := minic.ParseAndCheck(`

@@ -41,8 +41,12 @@ func TestVerifyDefineAndLaunch(t *testing.T) {
 
 // TestVerifyChargesAndFusedLoads checks the verifier on the forms that
 // cut dispatches: charge operands name a charge-table entry (1 + index;
-// a jmp or br may name none), targets run up to len(code), the fall-off
-// exit, and a fused subscript load names two registers and an object.
+// a jmp or br may name none), whose totals are its traffic list's sums;
+// targets run up to len(code), the fall-off exit; a fused subscript load
+// names two registers and an object; a compare with a constant names two
+// registers; and the variable an arithmetic instruction stores into (its
+// operand D, 1 + a symbol index, negated for an int) is in range and of
+// the type whose conversion the opcode makes.
 func TestVerifyChargesAndFusedLoads(t *testing.T) {
 	for _, tc := range []struct {
 		in     bytecode.Instr
@@ -66,6 +70,26 @@ func TestVerifyChargesAndFusedLoads(t *testing.T) {
 		{bytecode.Instr{Op: bytecode.OpLoadPI, A: 0, B: -1, C: 0, D: 1}, false},
 		{bytecode.Instr{Op: bytecode.OpLoadAI, A: 0, B: 0, C: -3, D: 1}, false},
 		{bytecode.Instr{Op: bytecode.OpLoadPI, A: 0, B: 0, C: 4, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpEqIC, A: 0, B: 7, C: -2147483648}, true},
+		{bytecode.Instr{Op: bytecode.OpNeIC, A: 7, B: 0, C: 2147483647}, true},
+		{bytecode.Instr{Op: bytecode.OpLtIC, A: 1, B: 2, C: 10}, true},
+		{bytecode.Instr{Op: bytecode.OpLeIC, A: 1, B: 2, C: 0}, true},
+		{bytecode.Instr{Op: bytecode.OpGtIC, A: 1, B: 2, C: 32}, true},
+		{bytecode.Instr{Op: bytecode.OpGeIC, A: 1, B: 2, C: -1}, true},
+		{bytecode.Instr{Op: bytecode.OpEqIC, A: 8, B: 0, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpNeIC, A: 0, B: -1, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpLtIC, A: -1, B: 0, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpLeIC, A: 0, B: 8, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpGtIC, A: 9, B: 0, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpGeIC, A: 0, B: 12, C: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpAddI, A: 0, B: 1, C: 2, D: 4}, true},
+		{bytecode.Instr{Op: bytecode.OpSubI, A: 0, B: 1, C: 2, D: -4}, true},
+		{bytecode.Instr{Op: bytecode.OpMulF, A: 0, B: 1, C: 2, D: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpAddN, A: 0, B: 1, C: -7, D: -1}, true},
+		{bytecode.Instr{Op: bytecode.OpMulI, A: 0, B: 1, C: 2, D: 5}, false},
+		{bytecode.Instr{Op: bytecode.OpAddI, A: 0, B: 1, C: 2, D: -5}, false},
+		{bytecode.Instr{Op: bytecode.OpAddF, A: 0, B: 1, C: 2, D: -1}, false},
+		{bytecode.Instr{Op: bytecode.OpAddN, A: 0, B: 1, C: 1, D: -2147483648}, false},
 	} {
 		err := bytecode.VerifyCode([]bytecode.Instr{tc.in}, fuzzBounds)
 		if (err == nil) != tc.accept {
@@ -76,21 +100,53 @@ func TestVerifyChargesAndFusedLoads(t *testing.T) {
 		charge bytecode.Charge
 		accept bool
 	}{
-		{bytecode.Charge{Ops: 2, Steps: 1, Traffic: 1}, true},
+		{bytecode.Charge{Ops: 2, Steps: 1, Traffic: 1, Loads: 3, Stores: 1}, true},
 		{bytecode.Charge{Ops: 2, Steps: 1, Serial: true}, true},
 		{bytecode.Charge{Ops: -1}, false},
 		{bytecode.Charge{Steps: -1}, false},
 		{bytecode.Charge{Traffic: 2}, false},
-		{bytecode.Charge{Ops: 1, Traffic: 1, Serial: true}, false},
+		{bytecode.Charge{Ops: 1, Traffic: 1, Loads: 3, Stores: 1, Serial: true}, false},
+		{bytecode.Charge{Ops: 2, Traffic: 1}, false},
+		{bytecode.Charge{Ops: 2, Traffic: 1, Loads: 3}, false},
+		{bytecode.Charge{Ops: 2, Traffic: 1, Loads: 1, Stores: 1}, false},
+		{bytecode.Charge{Ops: 2, Stores: 1}, false},
 	} {
 		p := &bytecode.Program{
 			Main: -1, Init: -1,
-			Traffic: [][]bytecode.Access{{{Sym: 0, Loads: 1}}},
+			Traffic: [][]bytecode.Access{{{Sym: 0, Loads: 1}, {Sym: 1, Loads: 2, Stores: 1}}},
 			Charges: []bytecode.Charge{tc.charge},
 			Fns:     []*bytecode.Fn{{Name: "f", Code: []bytecode.Instr{{Op: bytecode.OpCharge, D: 1}, {Op: bytecode.OpRetZ}}}},
 		}
 		if err := bytecode.Verify(p); (err == nil) != tc.accept {
 			t.Errorf("Verify(charge %+v) = %v, want accept %v", tc.charge, err, tc.accept)
+		}
+	}
+	syms := []*minic.Symbol{
+		{Name: "i", Type: minic.IntType}, {Name: "n", Type: minic.LongType},
+		{Name: "d", Type: minic.DoubleType}, {Name: "c", Type: minic.CharType},
+	}
+	for _, tc := range []struct {
+		in     bytecode.Instr
+		accept bool
+	}{
+		{bytecode.Instr{Op: bytecode.OpAddI, A: 0, B: 0, C: 1, D: -1}, true},
+		{bytecode.Instr{Op: bytecode.OpMulI, A: 0, B: 0, C: 1, D: 2}, true},
+		{bytecode.Instr{Op: bytecode.OpAddN, A: 0, B: 0, C: 1, D: 2}, true},
+		{bytecode.Instr{Op: bytecode.OpSubF, A: 0, B: 0, C: 1, D: 3}, true},
+		{bytecode.Instr{Op: bytecode.OpAddI, A: 0, B: 0, C: 1}, true},
+		{bytecode.Instr{Op: bytecode.OpAddI, A: 0, B: 0, C: 1, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpSubI, A: 0, B: 0, C: 1, D: -2}, false},
+		{bytecode.Instr{Op: bytecode.OpAddN, A: 0, B: 0, C: 1, D: 3}, false},
+		{bytecode.Instr{Op: bytecode.OpAddN, A: 0, B: 0, C: 1, D: -4}, false},
+		{bytecode.Instr{Op: bytecode.OpMulF, A: 0, B: 0, C: 1, D: 1}, false},
+		{bytecode.Instr{Op: bytecode.OpAddF, A: 0, B: 0, C: 1, D: 2}, false},
+	} {
+		p := &bytecode.Program{
+			Main: -1, Init: -1, Syms: syms,
+			Fns: []*bytecode.Fn{{Name: "f", NumRegs: 2, Code: []bytecode.Instr{tc.in, {Op: bytecode.OpRetZ}}}},
+		}
+		if err := bytecode.Verify(p); (err == nil) != tc.accept {
+			t.Errorf("Verify(%+v) = %v, want accept %v", tc.in, err, tc.accept)
 		}
 	}
 }

@@ -36,12 +36,17 @@ type Op uint8
 //	move    A=dst B=src
 //	zero    A=dst              r[A] = Value{}
 //	bool    A=dst B=src        r[A] = Truthy(r[B]) ? 1 : 0
-//	add.i.. A=dst B=l C=r      typed fast path; both-int guard, else
+//	add.i.. A=dst B=l C=r D=var
+//	                           typed fast path; both-int guard, else
 //	                           interp.ApplyBinary fallback
-//	add.f.. A=dst B=l C=r      both-float guard, else fallback
+//	add.f.. A=dst B=l C=r D=var
+//	                           both-float guard, else fallback
+//	eq.ic.. A=dst B=l C=k      int compare with the constant k: int
+//	                           guard, else ApplyBinary(op, r[B], IntVal(k))
 //	bin     A=dst B=l C=r D=op# always interp.ApplyBinary (pointer cases)
 //	neg/not/bnot A=dst B=src
-//	addn    A=dst B=src C=delta r[A] = interp.AddInt(r[B], C)
+//	addn    A=dst B=src C=delta D=var
+//	                           r[A] = interp.AddInt(r[B], C)
 //	cvt     A=dst B=src C=type# r[A] = ConvertFor(types[C], r[B])
 //	load.v  A=dst B=varreg C=sym#  register read + Load cost charge
 //	store.v A=varreg B=src C=sym# D=folded
@@ -77,6 +82,13 @@ type Op uint8
 // callees). Whole programs emit no load.v: a read of a tracked variable
 // is its register, or a move out of it, and its Load, like every store.v's
 // Store, rides on the next charge as traffic.
+//
+// In a whole program, add, sub and mul (.i and .f) and addn also store:
+// D=0 leaves r[A] a temporary; otherwise A is the home register of the
+// tracked variable D names, and the result is converted as store.v
+// converts it. D>0 names Syms[D-1], a long (integer opcodes) or a double
+// (float opcodes), which a result of the guarded kind is already; D<0
+// names Syms[-D-1], an int, into which an integer result wraps to 32 bits.
 //
 // A transfer carries the charge the compiler flushed directly before it
 // when no jump lands on the transfer itself, so a block's closing charge
@@ -147,6 +159,12 @@ const (
 	OpLaunch
 	OpLoadAI
 	OpLoadPI
+	OpEqIC
+	OpNeIC
+	OpLtIC
+	OpLeIC
+	OpGtIC
+	OpGeIC
 	opCount
 )
 
@@ -211,6 +229,12 @@ var opNames = [opCount]string{
 	OpLaunch: "launch",
 	OpLoadAI: "load.ai",
 	OpLoadPI: "load.pi",
+	OpEqIC:   "eq.ic",
+	OpNeIC:   "ne.ic",
+	OpLtIC:   "lt.ic",
+	OpLeIC:   "le.ic",
+	OpGtIC:   "gt.ic",
+	OpGeIC:   "ge.ic",
 }
 
 // Name returns the opcode mnemonic.
@@ -261,11 +285,13 @@ type Param struct {
 // instruction, or a transfer that carries one, charges. Folded and
 // batched code make cost.Op(Ops), then the tracked-variable accesses of
 // Traffic[Traffic-1] (none when Traffic is 0), then Steps against the step
-// budget. A Serial entry (per-event code, no traffic) makes the Steps,
-// then Ops separate cost.Op(1) calls, since a float cost sink adding n·c
-// at once is not n additions of c.
+// budget. Loads and Stores are the sums of that list, which is all an
+// interp.CountingSink keeps of it. A Serial entry (per-event code, no
+// traffic) makes the Steps, then Ops separate cost.Op(1) calls, since a
+// float cost sink adding n·c at once is not n additions of c.
 type Charge struct {
 	Ops, Steps, Traffic int32
+	Loads, Stores       int32
 	Serial              bool
 }
 

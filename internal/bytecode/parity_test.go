@@ -3,6 +3,7 @@ package bytecode
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -816,7 +817,7 @@ func TestStepBudgetAtCarriedCharge(t *testing.T) {
 		}
 		carried := 0
 		for _, in := range loop {
-			if in.D == 0 || code.Charges[in.D-1].Steps == 0 {
+			if in.Op != OpCharge && in.Op != OpJmp && in.Op != OpBr || in.D == 0 || code.Charges[in.D-1].Steps == 0 {
 				continue
 			}
 			if in.Op == OpCharge {
@@ -832,6 +833,148 @@ func TestStepBudgetAtCarriedCharge(t *testing.T) {
 			t.Fatalf("walker: output %q, error %q", walker.out, walker.err)
 		}
 		compareRuns(t, walker, vm)
+	}
+}
+
+// fusedCases exercise the arithmetic that stores into its variable (an
+// add, sub, mul or addn that computes a single-use temporary stores it in
+// place of the store.v after it) and the int compares with a constant
+// operand. Each runs with its step budget (0 for the default) on empty
+// stdin; forms are patterns the optimized listing must match.
+var fusedCases = []struct {
+	name, src string
+	maxSteps  int64
+	forms     []string
+}{
+	{"int-wrap", `
+int main() {
+	int x = 2147483645;
+	int y = 3;
+	int k;
+	for (k = 0; k < 4; k++) {
+		x = x + 1;
+		y = y * 7919;
+		printf("%d %d\n", x, y);
+	}
+	return 0;
+}`, 0, []string{`addn +r\d+, r\d+, \+1 \(x\)`, `mul\.i +r\d+, r\d+, r\d+ \(y\)`}},
+	{"long-and-double", `
+int main() {
+	long s = 1;
+	double d = 0.5;
+	int i;
+	for (i = 0; i < 50; i++) {
+		s = s * 3 - i;
+		d = d * 1.5 + i;
+		d = d - 0.25;
+	}
+	printf("%ld %f\n", s, d);
+	return 0;
+}`, 0, []string{`sub\.i +r\d+, r\d+, r\d+ \(s\)`, `add\.f +r\d+, r\d+, r\d+ \(d\)`}},
+	// An assignment yields its right-hand side unconverted, so the
+	// arithmetic that reads it sees a float where its type says int, or
+	// ints where it says double, and takes the slow path.
+	{"kind-drift", `
+int main() {
+	int i, j;
+	long n;
+	double d, e, f;
+	i = (j = 2.5) + 1;
+	n = (j = 7.75) * 2;
+	d = (e = 2) + (f = 3);
+	printf("%d %d %ld %f %f\n", i, j, n, d, e);
+	return 0;
+}`, 0, nil},
+	{"char-target", `
+int main() {
+	char c = 120;
+	int k;
+	for (k = 0; k < 20; k++) {
+		c = c + 7;
+		putchar(c % 26 + 97);
+	}
+	printf("\n%d\n", c);
+	return 0;
+}`, 0, []string{`store\.v +r\d+, r\d+ \(c\) folded`}},
+	{"compare-limits", `
+int main() {
+	int x = 2147483640;
+	int y = -2147483640;
+	long big = 4294967290;
+	int n = 0;
+	int k;
+	for (k = 0; k < 10; k++) {
+		if (x == 2147483647) n = n + 1;
+		if (y <= -2147483648) n = n + 100;
+		if (big < 4294967296) n = n + 10000;
+		x = x + 1;
+		y = y - 1;
+		big = big + 1;
+	}
+	printf("%d %d %d %ld\n", n, x, y, big);
+	return 0;
+}`, 0, []string{`eq\.ic +r\d+, r\d+, 2147483647\n`, `le\.ic +r\d+, r\d+, -2147483648\n`,
+		`const +r(\d+), 4294967296\n +\d+ +lt\.i +r\d+, r\d+, r(\d+)\n`}},
+	{"compare-drift", `
+int main() {
+	int j;
+	int n = 0;
+	if ((j = 2.5) < 3) n = n + 1;
+	if ((j = 3.0) == 3) n = n + 10;
+	if ((j = 2.5) == 2) n = n + 100;
+	if ((j = 2.5) > 2) n = n + 1000;
+	printf("%d %d\n", n, j);
+	return 0;
+}`, 0, nil},
+	// n's address is taken, so it lives in an object: its load.o, not a
+	// const, is the last instruction before the compare.
+	{"compare-untracked", `
+int main() {
+	int n = 9;
+	int *p = &n;
+	int i = 0;
+	while (i < n) {
+		i = i + 2;
+		*p = *p - 1;
+	}
+	printf("%d %d\n", i, n);
+	return 0;
+}`, 0, nil},
+	{"budget-in-fused-loop", `
+int main() {
+	long s = 0;
+	double d = 0;
+	int i = 0;
+	printf("start\n");
+	while (i >= 0) {
+		s = s * 3 + i;
+		d = d + 0.5;
+		i = i + 1;
+		if (i == 1000000) printf("%ld %f\n", s, d);
+	}
+	return 0;
+}`, 3000, []string{`add\.i +r\d+, r\d+, r\d+ \(s\)`, `ge\.ic +r\d+, r\d+, 0\n`}},
+}
+
+// TestParityFused runs fusedCases as written and optimized, and checks
+// that the optimized listing has each case's forms.
+func TestParityFused(t *testing.T) {
+	for _, tc := range fusedCases {
+		for _, optimize := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/opt=%v", tc.name, optimize), func(t *testing.T) {
+				prog, code := compileSrc(t, tc.src, optimize)
+				compareRuns(t, runCore(prog, nil, "", tc.maxSteps), runCore(prog, code, "", tc.maxSteps))
+				if !optimize {
+					return
+				}
+				listing := Disassemble(code)
+				for _, form := range tc.forms {
+					if !regexp.MustCompile(form).MatchString(listing) {
+						t.Errorf("no %q in\n%s", form, listing)
+					}
+				}
+			})
+		}
 	}
 }
 

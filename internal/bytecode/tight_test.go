@@ -2,9 +2,12 @@ package bytecode_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/interp"
+	"repro/internal/minic"
 	"repro/internal/mr"
 	"repro/internal/workload"
 )
@@ -14,8 +17,11 @@ import (
 // a jmp to the next instruction, a jump or branch landing on a jmp that
 // carries no charge (one that carries a charge does work), an
 // unreachable instruction, a charge directly before a jmp or br no jump
-// lands on, and an addr.o or load.o whose value only the idx and load.p
-// right after it read, which one load.ai or load.pi does.
+// lands on, an addr.o or load.o whose value only the idx and load.p
+// right after it read, which one load.ai or load.pi does, a folded
+// store.v of the single-use temporary the arithmetic right before it
+// computed, when that arithmetic can make the store's conversion, and a
+// const whose only use is the right operand of the int compare after it.
 func TestTable2CodeIsTight(t *testing.T) {
 	for _, b := range workload.All() {
 		for _, disable := range []bool{true, false} {
@@ -37,7 +43,7 @@ func TestTable2CodeIsTight(t *testing.T) {
 					continue
 				}
 				for _, fn := range p.Fns {
-					if err := loose(fn.Code); err != nil {
+					if err := loose(p, fn.Code); err != nil {
 						t.Errorf("%s %s (-O0 %v) %s: %v", b.Code, name, disable, fn.Name, err)
 					}
 				}
@@ -46,8 +52,9 @@ func TestTable2CodeIsTight(t *testing.T) {
 	}
 }
 
-// loose returns the first dispatch in code that does no MiniC work.
-func loose(code []bytecode.Instr) error {
+// loose returns the first dispatch in code, a function of p, that does no
+// MiniC work.
+func loose(p *bytecode.Program, code []bytecode.Instr) error {
 	n := int32(len(code))
 	targeted := make([]bool, n+1)
 	for _, in := range code {
@@ -87,6 +94,12 @@ func loose(code []bytecode.Instr) error {
 			code[pc+2].Op == bytecode.OpLoadP && code[pc+2].D == 0 && code[pc+2].B == code[pc+1].A &&
 			!live(code, in.A, pc+1):
 			return fmt.Errorf("pc %d: %s, idx and load.p are not fused", pc, in.Op.Name())
+		case in.Op == bytecode.OpStoreV && in.D == 1 && pc > 0 && !targeted[pc] &&
+			code[pc-1].A == in.B && storesInline(code[pc-1], p.Syms[in.C].Type) && !live(code, in.B, pc):
+			return fmt.Errorf("pc %d: %s and store.v are not fused", pc, code[pc-1].Op.Name())
+		case in.Op == bytecode.OpConst && pc+1 < n && !targeted[pc+1] && intCompare(code[pc+1].Op) &&
+			code[pc+1].C == in.A && code[pc+1].B != in.A && int32Const(p.Consts[in.B]) && !live(code, in.A, pc+1):
+			return fmt.Errorf("pc %d: const and %s are not fused", pc, code[pc+1].Op.Name())
 		}
 		for _, t := range targets(in) {
 			if t < n && code[t].Op == bytecode.OpJmp && code[t].D == 0 {
@@ -95,6 +108,36 @@ func loose(code []bytecode.Instr) error {
 		}
 	}
 	return nil
+}
+
+// storesInline reports whether in is arithmetic that stores no variable
+// and can store its result into a variable of type t: an integer opcode
+// into an int or a long, a float one into a double.
+func storesInline(in bytecode.Instr, t *minic.Type) bool {
+	if in.D != 0 || t == nil {
+		return false
+	}
+	switch in.Op {
+	case bytecode.OpAddI, bytecode.OpSubI, bytecode.OpMulI, bytecode.OpAddN:
+		return t.Kind == minic.TypeInt || t.Kind == minic.TypeLong
+	case bytecode.OpAddF, bytecode.OpSubF, bytecode.OpMulF:
+		return t.Kind == minic.TypeDouble
+	}
+	return false
+}
+
+// intCompare reports whether op is a typed int compare of two registers.
+func intCompare(op bytecode.Op) bool {
+	switch op {
+	case bytecode.OpEqI, bytecode.OpNeI, bytecode.OpLtI, bytecode.OpLeI, bytecode.OpGtI, bytecode.OpGeI:
+		return true
+	}
+	return false
+}
+
+// int32Const reports whether v is an int constant in int32 range.
+func int32Const(v interp.Value) bool {
+	return v.Kind == interp.ValInt && v.I >= math.MinInt32 && v.I <= math.MaxInt32
 }
 
 // targets lists where a jmp or br can go.
@@ -165,7 +208,8 @@ func regUse(in bytecode.Instr) (reads []int32, write int32) {
 		return nil, -1
 	case bytecode.OpMove, bytecode.OpBool, bytecode.OpNeg, bytecode.OpNot, bytecode.OpBnot,
 		bytecode.OpChkP, bytecode.OpAddN, bytecode.OpCvt, bytecode.OpLoadV, bytecode.OpStoreV,
-		bytecode.OpLoadP, bytecode.OpLoadAI, bytecode.OpLoadPI:
+		bytecode.OpLoadP, bytecode.OpLoadAI, bytecode.OpLoadPI,
+		bytecode.OpEqIC, bytecode.OpNeIC, bytecode.OpLtIC, bytecode.OpLeIC, bytecode.OpGtIC, bytecode.OpGeIC:
 		return []int32{in.B}, in.A
 	}
 	// idx, bin and the typed arithmetic and comparison family.

@@ -3,6 +3,8 @@ package bytecode
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/minic"
 )
 
 // Bounds describes the pool and frame sizes instruction operands index
@@ -46,10 +48,12 @@ func boundsFor(p *Program, fn *Fn) Bounds {
 
 // Verify checks every compiled function's code for well-formedness:
 // operand indices inside their pools, registers inside the frame, jump
-// targets inside the code, charge-table entries that make sense, and no
-// kept parameter whose object the code can point at. The compiler always
-// emits verifiable code; the check guards decoded/fuzzed instruction
-// streams and catches compiler regressions in tests.
+// targets inside the code, charge-table entries that make sense, with
+// totals that are their traffic list's sums, arithmetic that stores only
+// into a variable whose conversion it makes inline, and no kept parameter
+// whose object the code can point at. The compiler always emits
+// verifiable code; the check guards decoded/fuzzed instruction streams
+// and catches compiler regressions in tests.
 func Verify(p *Program) error {
 	if p.Main >= len(p.Fns) {
 		return fmt.Errorf("bytecode: main index %d out of range", p.Main)
@@ -79,6 +83,8 @@ func Verify(p *Program) error {
 			err = errors.New("negative charge")
 		} else if c.Traffic < 0 || int(c.Traffic) > len(p.Traffic) || (c.Serial && c.Traffic != 0) {
 			err = fmt.Errorf("traffic %d out of range [0,%d]", c.Traffic, len(p.Traffic))
+		} else if loads, stores := trafficSums(p, c.Traffic); c.Loads != loads || c.Stores != stores {
+			err = fmt.Errorf("totals %d loads %d stores, traffic %d loads %d stores", c.Loads, c.Stores, loads, stores)
 		}
 		if err != nil {
 			return fmt.Errorf("bytecode: charge %d: %w", i+1, err)
@@ -99,6 +105,49 @@ func Verify(p *Program) error {
 		if err := VerifyCode(fn.Code, boundsFor(p, fn)); err != nil {
 			return fmt.Errorf("bytecode: %s: %w", fn.Name, err)
 		}
+		for pc, in := range fn.Code {
+			if err := fusedStore(p, in); err != nil {
+				return fmt.Errorf("bytecode: %s: pc %d (%s): %w", fn.Name, pc, in.Op.Name(), err)
+			}
+		}
+	}
+	return nil
+}
+
+// trafficSums returns the loads and stores of charge operand c's traffic
+// list, none for 0.
+func trafficSums(p *Program, c int32) (loads, stores int32) {
+	if c == 0 {
+		return 0, 0
+	}
+	for _, a := range p.Traffic[c-1] {
+		loads += a.Loads
+		stores += a.Stores
+	}
+	return loads, stores
+}
+
+// fusedStore checks the variable an arithmetic instruction's operand D
+// stores into, whose range VerifyCode checked: a long (D > 0) or an int
+// (D < 0) for an integer opcode, a double for a float one.
+func fusedStore(p *Program, in Instr) error {
+	if in.D == 0 {
+		return nil
+	}
+	want := minic.LongType
+	switch in.Op {
+	case OpAddI, OpSubI, OpMulI, OpAddN:
+		if in.D < 0 {
+			want = minic.IntType
+		}
+	case OpAddF, OpSubF, OpMulF:
+		want = minic.DoubleType
+	default:
+		return nil
+	}
+	sym := p.Syms[max(in.D, -in.D)-1]
+	if sym.Type == nil || sym.Type.Kind != want.Kind {
+		return fmt.Errorf("stores into %s, which is not a %s", sym.Name, want)
 	}
 	return nil
 }
@@ -131,6 +180,18 @@ func VerifyCode(code []Instr, b Bounds) error {
 		}
 		return idx("symbol", ref, b.Syms)
 	}
+	// variable checks an arithmetic instruction's operand D: 0, or the
+	// variable it stores into, 1 + a symbol index, negated for an int
+	// (integer opcodes only).
+	variable := func(d int32, negative bool) error {
+		if d < 0 && negative {
+			d = -d
+		}
+		if d == 0 {
+			return nil
+		}
+		return idx("stored symbol", d-1, b.Syms)
+	}
 	// charge checks a charge operand, 1 + a charge-table index; a
 	// transfer may name none (0).
 	charge := func(c int32, optional bool) error {
@@ -159,14 +220,20 @@ func VerifyCode(code []Instr, b Bounds) error {
 			err = firstErr(reg(in.A), idx("const", in.B, b.Consts))
 		case OpMove, OpBool, OpNeg, OpNot, OpBnot, OpChkP:
 			err = firstErr(reg(in.A), reg(in.B))
-		case OpAddI, OpSubI, OpMulI, OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
+		case OpAddI, OpSubI, OpMulI:
+			err = firstErr(reg(in.A), reg(in.B), reg(in.C), variable(in.D, true))
+		case OpAddF, OpSubF, OpMulF:
+			err = firstErr(reg(in.A), reg(in.B), reg(in.C), variable(in.D, false))
+		case OpDivI, OpModI, OpAndI, OpOrI, OpXorI, OpShlI, OpShrI,
 			OpEqI, OpNeI, OpLtI, OpLeI, OpGtI, OpGeI,
-			OpAddF, OpSubF, OpMulF, OpDivF, OpEqF, OpNeF, OpLtF, OpLeF, OpGtF, OpGeF:
+			OpDivF, OpEqF, OpNeF, OpLtF, OpLeF, OpGtF, OpGeF:
 			err = firstErr(reg(in.A), reg(in.B), reg(in.C))
+		case OpEqIC, OpNeIC, OpLtIC, OpLeIC, OpGtIC, OpGeIC:
+			err = firstErr(reg(in.A), reg(in.B))
 		case OpBin:
 			err = firstErr(reg(in.A), reg(in.B), reg(in.C), idx("operator", in.D, b.Ops))
 		case OpAddN:
-			err = firstErr(reg(in.A), reg(in.B))
+			err = firstErr(reg(in.A), reg(in.B), variable(in.D, true))
 		case OpCvt:
 			err = firstErr(reg(in.A), reg(in.B), idx("type", in.C, b.Types))
 		case OpLoadV:

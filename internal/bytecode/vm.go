@@ -19,8 +19,8 @@ type VM struct {
 	m *interp.Machine
 
 	// cost is read from the machine on every entry. counting is cost when
-	// it is an *interp.CountingSink and the image folded its traffic,
-	// which a charge then adds as one vector; nil otherwise.
+	// it is an *interp.CountingSink, to which a charge adds its totals;
+	// nil otherwise.
 	cost     interp.CostSink
 	counting *interp.CountingSink
 
@@ -46,67 +46,11 @@ type Image struct {
 	syms    []symInfo // by Syms index
 	linked  []linkedCallee
 	globals []*interp.Object // by Syms index; see copyIn
-	// vecs holds Prog.Traffic folded over syms, by list, when the linking
-	// machine charges an *interp.CountingSink; nil otherwise, as for
-	// every GPU image, whose sinks take each access in order.
-	vecs []trafficVec
 	// What one VM allocates up front (see callDepth): the argument stack
 	// depth of a run of main and <init> (args), and for a kernel thread,
 	// of its entries (threadArgs) and how many functions, by index, its
 	// frame pools cover (threadFns: one past the last callee).
 	args, threadArgs, threadFns int32
-}
-
-// trafficVec is one Program.Traffic list folded over an image's symbols:
-// its loads, its stores, and the bytes they move in each memory space.
-// Integer sums do not depend on order, so adding it to a CountingSink
-// gives the totals of its accesses charged one at a time.
-type trafficVec struct {
-	loads, stores int64
-	bytes         []spaceBytes // one per space, in first-access order
-}
-
-type spaceBytes struct {
-	space       interp.MemSpace
-	load, store int64
-}
-
-// addTo charges the vector to c.
-func (v *trafficVec) addTo(c *interp.CountingSink) {
-	c.Loads += v.loads
-	c.Stores += v.stores
-	for _, b := range v.bytes {
-		c.LoadBytes[b.space] += b.load
-		c.StoreBytes[b.space] += b.store
-	}
-}
-
-// foldTraffic builds img.vecs, every vector's bytes in one backing array.
-func (img *Image) foldTraffic() {
-	n := 0
-	for _, acc := range img.Prog.Traffic {
-		n += len(acc)
-	}
-	all := make([]spaceBytes, 0, n)
-	img.vecs = make([]trafficVec, len(img.Prog.Traffic))
-	for i, acc := range img.Prog.Traffic {
-		v, start := &img.vecs[i], len(all)
-		for _, a := range acc {
-			s := &img.syms[a.Sym]
-			v.loads += int64(a.Loads)
-			v.stores += int64(a.Stores)
-			j := start
-			for j < len(all) && all[j].space != s.space {
-				j++
-			}
-			if j == len(all) {
-				all = append(all, spaceBytes{space: s.space})
-			}
-			all[j].load += int64(a.Loads) * int64(s.width)
-			all[j].store += int64(a.Stores) * int64(s.width)
-		}
-		v.bytes = all[start:len(all):len(all)]
-	}
 }
 
 // symInfo is what the variable opcodes need of one symbol: its storage's
@@ -189,9 +133,6 @@ func NewImage(m *interp.Machine, p *Program, globals []*interp.Object) *Image {
 	}
 	for i, c := range p.Callees {
 		img.linked[i] = link(m, p, c)
-	}
-	if _, ok := m.Cost().(*interp.CountingSink); ok {
-		img.foldTraffic()
 	}
 	var buf [16]int32
 	memo := buf[:0]
@@ -282,10 +223,7 @@ func (vm *VM) bind(m *interp.Machine, img *Image, fns int, args int32) {
 // refresh re-reads the machine's per-run cost sink.
 func (vm *VM) refresh() {
 	vm.cost = vm.m.Cost()
-	vm.counting = nil
-	if c, ok := vm.cost.(*interp.CountingSink); ok && vm.vecs != nil {
-		vm.counting = c
-	}
+	vm.counting, _ = vm.cost.(*interp.CountingSink)
 }
 
 // errStopAtLaunch ends a host part's run at its kernel launch point,
@@ -502,19 +440,19 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 		// other combination shares vm.binop's guarded dispatch.
 		case OpAddI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
-				regs[in.A] = interp.IntVal(l.I + r.I)
+				regs[in.A] = intResult(l.I+r.I, in.D)
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
 		case OpSubI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
-				regs[in.A] = interp.IntVal(l.I - r.I)
+				regs[in.A] = intResult(l.I-r.I, in.D)
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
 		case OpMulI:
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
-				regs[in.A] = interp.IntVal(l.I * r.I)
+				regs[in.A] = intResult(l.I*r.I, in.D)
 			} else if err := vm.binop(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
@@ -534,6 +472,42 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			if l, r := regs[in.B], regs[in.C]; l.Kind == interp.ValInt && r.Kind == interp.ValInt {
 				regs[in.A] = boolReg(l.I < r.I)
 			} else if err := vm.binop(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpEqIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I == int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpNeIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I != int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpLtIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I < int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpLeIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I <= int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpGtIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I > int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
+				return interp.Value{}, false, err
+			}
+		case OpGeIC:
+			if l := regs[in.B]; l.Kind == interp.ValInt {
+				regs[in.A] = boolReg(l.I >= int64(in.C))
+			} else if err := vm.compareConst(regs, in); err != nil {
 				return interp.Value{}, false, err
 			}
 		case OpAddF:
@@ -581,9 +555,9 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 			regs[in.A] = interp.IntVal(^regs[in.B].AsInt())
 		case OpAddN:
 			if v := regs[in.B]; v.Kind == interp.ValInt {
-				regs[in.A] = interp.IntVal(v.I + int64(in.C))
+				regs[in.A] = intResult(v.I+int64(in.C), in.D)
 			} else {
-				regs[in.A] = interp.AddInt(v, int64(in.C))
+				regs[in.A] = vm.stored(in.D, interp.AddInt(v, int64(in.C)))
 			}
 		case OpCvt:
 			regs[in.A] = interp.ConvertFor(vm.Prog.Types[in.C], regs[in.B])
@@ -772,12 +746,10 @@ func (vm *VM) charge(c int32) error {
 		return nil
 	}
 	if counting := vm.counting; counting != nil {
-		// The totals are all a CountingSink keeps: add the list's
-		// folded vector.
-		counting.Op(int(ch.Ops))
-		if ch.Traffic != 0 {
-			vm.vecs[ch.Traffic-1].addTo(counting)
-		}
+		// The totals are all a CountingSink keeps.
+		counting.Ops += int64(ch.Ops)
+		counting.Loads += int64(ch.Loads)
+		counting.Stores += int64(ch.Stores)
 	} else {
 		if ch.Ops > 0 {
 			vm.cost.Op(int(ch.Ops))
@@ -814,8 +786,8 @@ func errIndex(fn *Fn, pc int) error {
 }
 
 // chargeEach charges the tracked-variable accesses a charge folded one
-// Load or Store call at a time, for a sink the image folded no vectors
-// for.
+// Load or Store call at a time, in order, for a sink that is not an
+// *interp.CountingSink.
 func (vm *VM) chargeEach(acc []Access) {
 	for _, a := range acc {
 		s := &vm.syms[a.Sym]
@@ -831,26 +803,28 @@ func (vm *VM) chargeEach(acc []Access) {
 // binop executes one typed arithmetic/comparison opcode. Static types
 // picked the opcode; runtime kind guards keep exactness (assignment
 // expressions yield unconverted values, so kinds can drift) by falling
-// back to interp.ApplyBinary, which also owns all trap error strings.
+// back to interp.ApplyBinary, which also owns all trap error strings. A
+// float result of add.f, sub.f or mul.f is already what a store into
+// the double its operand D may name keeps.
 func (vm *VM) binop(regs []interp.Value, in *Instr) error {
 	l, r := regs[in.B], regs[in.C]
 	bothInt := l.Kind == interp.ValInt && r.Kind == interp.ValInt
 	switch in.Op {
 	case OpAddI:
 		if bothInt {
-			regs[in.A] = interp.IntVal(l.I + r.I)
+			regs[in.A] = intResult(l.I+r.I, in.D)
 			return nil
 		}
 		return vm.slowBin(regs, in, "+")
 	case OpSubI:
 		if bothInt {
-			regs[in.A] = interp.IntVal(l.I - r.I)
+			regs[in.A] = intResult(l.I-r.I, in.D)
 			return nil
 		}
 		return vm.slowBin(regs, in, "-")
 	case OpMulI:
 		if bothInt {
-			regs[in.A] = interp.IntVal(l.I * r.I)
+			regs[in.A] = intResult(l.I*r.I, in.D)
 			return nil
 		}
 		return vm.slowBin(regs, in, "*")
@@ -1009,8 +983,54 @@ func (vm *VM) slowBin(regs []interp.Value, in *Instr, op string) error {
 	if err != nil {
 		return err
 	}
+	regs[in.A] = vm.stored(in.D, v)
+	return nil
+}
+
+// compareConst is an int compare with a constant (eq.ic ..) whose left
+// operand is not an int: the typed compare's fallback, with the constant
+// the const register held.
+func (vm *VM) compareConst(regs []interp.Value, in *Instr) error {
+	var op string
+	switch in.Op {
+	case OpEqIC:
+		op = "=="
+	case OpNeIC:
+		op = "!="
+	case OpLtIC:
+		op = "<"
+	case OpLeIC:
+		op = "<="
+	case OpGtIC:
+		op = ">"
+	case OpGeIC:
+		op = ">="
+	}
+	v, err := interp.ApplyBinary(op, regs[in.B], interp.IntVal(int64(in.C)))
+	if err != nil {
+		return err
+	}
 	regs[in.A] = v
 	return nil
+}
+
+// intResult is an integer opcode's int result as it lands in r[A]:
+// wrapped to 32 bits when the instruction stores into an int (D < 0).
+func intResult(v int64, d int32) interp.Value {
+	if d < 0 {
+		v = int64(int32(v))
+	}
+	return interp.IntVal(v)
+}
+
+// stored returns the value an arithmetic instruction whose operand D is d
+// leaves in r[A]: v itself when d is 0, else v converted as store.v
+// converts a value into the variable d names.
+func (vm *VM) stored(d int32, v interp.Value) interp.Value {
+	if d == 0 {
+		return v
+	}
+	return interp.ConvertFor(vm.Prog.Syms[max(d, -d)-1].Type, v)
 }
 
 // call dispatches one OpCall with the interpreter's exact resolution

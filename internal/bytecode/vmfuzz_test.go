@@ -105,6 +105,9 @@ func FuzzVMParity(f *testing.F) {
 	for _, tc := range tightCases {
 		f.Add(tc.src, "")
 	}
+	for _, tc := range fusedCases {
+		f.Add(tc.src, "")
+	}
 
 	f.Fuzz(func(t *testing.T, src, stdin string) {
 		if len(src) > fuzzMaxSrcSize || len(stdin) > fuzzMaxStdin {

@@ -49,13 +49,12 @@ func Cluster1() Setup {
 		CPU:    streaming.XeonE52680(),
 		Device: gpu.TeslaK40(),
 		HDFS: hdfs.Config{
-			BlockSize:    ScaledBlockSize,
-			Replication:  3,
-			DataNodes:    48,
-			DiskReadGBs:  0.45, // 500GB SATA-era disk
-			DiskWriteGBs: 0.25,
-			NetworkGBs:   6.8,  // FDR InfiniBand
-			SeekMS:       0.02, // scaled with the block size
+			BlockSize:   ScaledBlockSize,
+			Replication: 3,
+			DataNodes:   48,
+			DiskReadGBs: 0.45, // 500GB SATA-era disk
+			NetworkGBs:  6.8,  // FDR InfiniBand
+			SeekMS:      0.02, // scaled with the block size
 		},
 		DiskWriteGBs: 0.25,
 		HDFSWriteGBs: 0.12,
@@ -74,13 +73,12 @@ func Cluster2() Setup {
 		CPU:    streaming.XeonX5560(),
 		Device: gpu.TeslaM2090(),
 		HDFS: hdfs.Config{
-			BlockSize:    ScaledBlockSize,
-			Replication:  1,
-			DataNodes:    32,
-			DiskReadGBs:  3.0, // RAM-backed filesystem
-			DiskWriteGBs: 2.5,
-			NetworkGBs:   4.0,   // QDR InfiniBand
-			SeekMS:       0.002, // scaled with the block size
+			BlockSize:   ScaledBlockSize,
+			Replication: 1,
+			DataNodes:   32,
+			DiskReadGBs: 3.0,   // RAM-backed filesystem
+			NetworkGBs:  4.0,   // QDR InfiniBand
+			SeekMS:      0.002, // scaled with the block size
 		},
 		InMemory:     true,
 		DiskWriteGBs: 2.5,

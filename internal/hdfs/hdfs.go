@@ -25,10 +25,9 @@ type Config struct {
 	Replication int
 	// DataNodes is the number of slave nodes storing blocks.
 	DataNodes int
-	// DiskReadGBs / DiskWriteGBs are per-node storage bandwidths. For
-	// Cluster2 ("no disks") these are memory-filesystem speeds.
-	DiskReadGBs  float64
-	DiskWriteGBs float64
+	// DiskReadGBs is the per-node storage read bandwidth. For Cluster2
+	// ("no disks") it is a memory-filesystem speed.
+	DiskReadGBs float64
 	// NetworkGBs is the per-flow network bandwidth (InfiniBand).
 	NetworkGBs float64
 	// SeekMS is the fixed per-read positioning cost in milliseconds.
@@ -43,7 +42,7 @@ func (c *Config) Validate() error {
 	if c.Replication > c.DataNodes {
 		return fmt.Errorf("hdfs: replication %d exceeds datanodes %d", c.Replication, c.DataNodes)
 	}
-	if c.DiskReadGBs <= 0 || c.DiskWriteGBs <= 0 || c.NetworkGBs <= 0 {
+	if c.DiskReadGBs <= 0 || c.NetworkGBs <= 0 {
 		return fmt.Errorf("hdfs: bandwidths must be positive")
 	}
 	return nil

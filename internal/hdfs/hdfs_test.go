@@ -12,7 +12,7 @@ func testFS(t *testing.T, blockSize int64, repl, nodes int) *FS {
 	t.Helper()
 	fs, err := New(Config{
 		BlockSize: blockSize, Replication: repl, DataNodes: nodes,
-		DiskReadGBs: 0.5, DiskWriteGBs: 0.25, NetworkGBs: 2.0, SeekMS: 5,
+		DiskReadGBs: 0.5, NetworkGBs: 2.0, SeekMS: 5,
 	}, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -22,8 +22,8 @@ func testFS(t *testing.T, blockSize int64, repl, nodes int) *FS {
 
 func TestValidate(t *testing.T) {
 	bad := []Config{
-		{BlockSize: 0, Replication: 1, DataNodes: 1, DiskReadGBs: 1, DiskWriteGBs: 1, NetworkGBs: 1},
-		{BlockSize: 64, Replication: 5, DataNodes: 3, DiskReadGBs: 1, DiskWriteGBs: 1, NetworkGBs: 1},
+		{BlockSize: 0, Replication: 1, DataNodes: 1, DiskReadGBs: 1, NetworkGBs: 1},
+		{BlockSize: 64, Replication: 5, DataNodes: 3, DiskReadGBs: 1, NetworkGBs: 1},
 		{BlockSize: 64, Replication: 1, DataNodes: 3},
 	}
 	for i, cfg := range bad {

@@ -410,9 +410,6 @@ int main() {
 	if sink.Stores < 100 {
 		t.Fatalf("stores = %d, want >= 100 array writes", sink.Stores)
 	}
-	if sink.LoadBytes[interp.SpaceRAM] == 0 {
-		t.Fatal("no RAM load bytes recorded")
-	}
 }
 
 func TestCtypeBuiltins(t *testing.T) {
@@ -549,7 +546,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &interp.CountingSink{}
+	sink := &spaceSink{}
 	m := interp.New(prog, interp.Options{
 		Cost:     sink,
 		SpaceFor: func(sym *minic.Symbol) interp.MemSpace { return interp.SpaceShared },
@@ -557,10 +554,18 @@ int main() {
 	if _, err := walker.Run(m); err != nil {
 		t.Fatal(err)
 	}
-	if sink.LoadBytes[interp.SpaceShared] == 0 {
-		t.Fatal("SpaceFor placement not honored in cost accounting")
+	if sink.loads[interp.SpaceShared] == 0 || sink.loads[interp.SpaceRAM] != 0 {
+		t.Fatalf("SpaceFor placement not honored in cost accounting: loads by space %v", sink.loads)
 	}
 }
+
+// spaceSink counts loads by memory space.
+type spaceSink struct {
+	interp.NopSink
+	loads [8]int
+}
+
+func (s *spaceSink) Load(sp interp.MemSpace, _ int) { s.loads[sp]++ }
 
 func TestStringEscapesInPrintf(t *testing.T) {
 	out, _ := run(t, `int main() { printf("a\tb\nc\n"); return 0; }`, "")

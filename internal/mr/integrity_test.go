@@ -172,7 +172,7 @@ func TestSkipBadRecordsExactness(t *testing.T) {
 	}
 	fs, err := hdfs.New(hdfs.Config{
 		BlockSize: 512, Replication: 2, DataNodes: 4,
-		DiskReadGBs: 0.5, DiskWriteGBs: 0.25, NetworkGBs: 2, SeekMS: 2,
+		DiskReadGBs: 0.5, NetworkGBs: 2, SeekMS: 2,
 	}, 7)
 	if err != nil {
 		t.Fatal(err)

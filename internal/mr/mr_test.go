@@ -135,7 +135,7 @@ func buildExecutor(t *testing.T, lines, slaves int) *FunctionalExecutor {
 	t.Helper()
 	fs, err := hdfs.New(hdfs.Config{
 		BlockSize: 512, Replication: 2, DataNodes: slaves,
-		DiskReadGBs: 0.5, DiskWriteGBs: 0.25, NetworkGBs: 2, SeekMS: 2,
+		DiskReadGBs: 0.5, NetworkGBs: 2, SeekMS: 2,
 	}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ int main() {
 		t.Fatal(err)
 	}
 	fs, _ := hdfs.New(hdfs.Config{BlockSize: 64, Replication: 1, DataNodes: 2,
-		DiskReadGBs: 0.5, DiskWriteGBs: 0.25, NetworkGBs: 2}, 3)
+		DiskReadGBs: 0.5, NetworkGBs: 2}, 3)
 	var b bytes.Buffer
 	for i := 0; i < 40; i++ {
 		fmt.Fprintf(&b, "%d\n", i)

@@ -15,7 +15,7 @@ func runWC1Slave(t *testing.T, plan *faults.Plan) (*JobStats, error) {
 	t.Helper()
 	fs, err := hdfs.New(hdfs.Config{
 		BlockSize: 512, Replication: 1, DataNodes: 1,
-		DiskReadGBs: 0.5, DiskWriteGBs: 0.25, NetworkGBs: 2, SeekMS: 2,
+		DiskReadGBs: 0.5, NetworkGBs: 2, SeekMS: 2,
 	}, 7)
 	if err != nil {
 		t.Fatal(err)
