@@ -933,10 +933,7 @@ func (fb *fnBuilder) flush() {
 		Traffic: b.trafficRef(fb.pendingTraffic),
 		Serial:  b.disc == perEvent,
 	}
-	for _, a := range fb.pendingTraffic {
-		ch.Loads += a.Loads
-		ch.Stores += a.Stores
-	}
+	ch.Loads, ch.Stores = trafficSums(b.prog, ch.Traffic)
 	b.prog.Charges = append(b.prog.Charges, ch)
 	fb.emit(OpCharge, 0, 0, 0, int32(len(b.prog.Charges)))
 	fb.pendingOps, fb.pendingSteps = 0, 0
